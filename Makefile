@@ -1,11 +1,15 @@
 # Tier-1 verification plus the resilience gates.
 #
-#   make check          build + vet + full test suite + race hammers +
-#                       bench-compare (the tier-1 gate)
+#   make check          build + vet + full test suite + bench-module +
+#                       race hammers + bench-compare (the tier-1 gate)
 #   make ci             exactly what .github/workflows/ci.yml runs per
 #                       matrix leg: fmt-check + build + vet + tests +
-#                       -race + chaos
+#                       bench-module + -race + chaos
 #   make fmt-check      fail if any file needs gofmt
+#   make bench-module   vet + build benchmark/, a module of its own that
+#                       imports internal/... — root ./... does not
+#                       reach it, so an internal API change can break
+#                       it unnoticed
 #   make race           vet + race-detector run over the whole module
 #   make race-hammer    race-detector over the concurrency-hammer
 #                       packages only (uncertain, roadnet, index, obs,
@@ -45,11 +49,11 @@ BENCHCOUNT ?= 3
 BENCHCOMPARE_ARGS ?=
 SLOCOMPARE_ARGS ?=
 
-.PHONY: check ci fmt-check vet test race race-hammer chaos crash bench bench-json bench-compare load-check load-json
+.PHONY: check ci fmt-check vet test bench-module race race-hammer chaos crash bench bench-json bench-compare load-check load-json
 
-check: vet test race-hammer crash bench-compare
+check: vet test bench-module race-hammer crash bench-compare
 
-ci: fmt-check vet test race chaos crash
+ci: fmt-check vet test bench-module race chaos crash
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -61,6 +65,9 @@ vet:
 
 test:
 	$(GO) build ./... && $(GO) test ./...
+
+bench-module:
+	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) build -o /dev/null .
 
 race:
 	$(GO) vet ./...

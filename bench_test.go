@@ -6,6 +6,7 @@ package sidq_test
 // for the hot substrate paths the experiments lean on.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -325,10 +326,11 @@ type benchNoopStage struct{ traited bool }
 
 func (s benchNoopStage) Name() string    { return "bench-noop" }
 func (s benchNoopStage) Task() core.Task { return core.FaultCorrection }
-func (s benchNoopStage) Apply(ds *core.Dataset) {
+func (s benchNoopStage) Apply(_ context.Context, ds *core.Dataset) error {
 	for i, tr := range ds.Trajectories {
 		ds.Trajectories[i] = tr
 	}
+	return nil
 }
 func (s benchNoopStage) Traits() core.StageTraits {
 	if s.traited {
@@ -372,23 +374,6 @@ func BenchmarkRunnerCloneCOW(b *testing.B) {
 				if len(out.Trajectories) != 32 {
 					b.Fatal("runner lost trajectories")
 				}
-			}
-		})
-	}
-}
-
-func BenchmarkBulkLoadRTreeParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	rects := make([]index.RectEntry, 30000)
-	for i := range rects {
-		p := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		rects[i] = index.RectEntry{ID: fmt.Sprintf("r%d", i), Rect: geo.RectFromCenter(p, 2, 2)}
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				index.BulkLoadRTreeParallel(rects, w)
 			}
 		})
 	}

@@ -40,8 +40,8 @@ type FlakyOptions struct {
 	FailFirst int
 }
 
-// FlakyStage wraps a Stage with injected faults. It implements
-// core.FallibleStage; a FlakyStage with zero options is transparent.
+// FlakyStage wraps a Stage with injected faults; a FlakyStage with zero
+// options is transparent.
 // It is safe for concurrent attempts (the runner abandons timed-out
 // attempts whose goroutines may still be running).
 type FlakyStage struct {
@@ -70,12 +70,12 @@ func (s *FlakyStage) Name() string { return "flaky(" + s.Inner.Name() + ")" }
 // Task implements Stage.
 func (s *FlakyStage) Task() core.Task { return s.Inner.Task() }
 
-// Traits implements core.TraitedStage by forwarding the inner stage's
-// declared traits: fault injection itself neither mutates trajectories
-// nor couples shards (the fault draw is mutex-serialized), so a
-// shardable inner stage stays shardable under chaos — which is exactly
-// what lets the harness exercise the parallel runner.
-func (s *FlakyStage) Traits() core.StageTraits { return core.TraitsOf(s.Inner) }
+// Traits implements Stage by forwarding the inner stage's declared
+// traits: fault injection itself neither mutates trajectories nor
+// couples shards (the fault draw is mutex-serialized), so a shardable
+// inner stage stays shardable under chaos — which is exactly what lets
+// the harness exercise the parallel runner.
+func (s *FlakyStage) Traits() core.StageTraits { return s.Inner.Traits() }
 
 // Attempts returns how many attempts have been made against the stage.
 func (s *FlakyStage) Attempts() int { s.mu.Lock(); defer s.mu.Unlock(); return s.attempts }
@@ -112,14 +112,7 @@ func (s *FlakyStage) fault() (doPanic, doErr bool, delay time.Duration) {
 }
 
 // Apply implements Stage.
-func (s *FlakyStage) Apply(ds *core.Dataset) {
-	if err := s.ApplyContext(context.Background(), ds); err != nil {
-		panic(err) // legacy path has no error channel
-	}
-}
-
-// ApplyContext implements core.FallibleStage.
-func (s *FlakyStage) ApplyContext(ctx context.Context, ds *core.Dataset) error {
+func (s *FlakyStage) Apply(ctx context.Context, ds *core.Dataset) error {
 	doPanic, doErr, delay := s.fault()
 	if doPanic {
 		panic(fmt.Sprintf("%v (stage %s)", ErrInjected, s.Inner.Name()))
@@ -134,11 +127,7 @@ func (s *FlakyStage) ApplyContext(ctx context.Context, ds *core.Dataset) error {
 			return ctx.Err()
 		}
 	}
-	if fs, ok := s.Inner.(core.FallibleStage); ok {
-		return fs.ApplyContext(ctx, ds)
-	}
-	s.Inner.Apply(ds)
-	return nil
+	return s.Inner.Apply(ctx, ds)
 }
 
 // CorruptStage is a stage that actively damages the dataset — it
@@ -155,13 +144,12 @@ func (s CorruptStage) Name() string { return "chaos-corrupt" }
 // Task implements Stage.
 func (s CorruptStage) Task() core.Task { return core.FaultCorrection }
 
-// Apply implements Stage.
-func (s CorruptStage) Apply(ds *core.Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
+// Traits implements Stage: one RNG stream runs across all trajectories
+// and points are scattered in place, so neither trait holds.
+func (s CorruptStage) Traits() core.StageTraits { return core.StageTraits{} }
 
-// ApplyContext implements core.FallibleStage.
-func (s CorruptStage) ApplyContext(ctx context.Context, ds *core.Dataset) error {
+// Apply implements Stage.
+func (s CorruptStage) Apply(ctx context.Context, ds *core.Dataset) error {
 	sigma := s.Sigma
 	if sigma <= 0 {
 		sigma = 500
@@ -199,19 +187,14 @@ func (s ShardedCorruptStage) Name() string { return "chaos-corrupt-sharded" }
 // Task implements Stage.
 func (s ShardedCorruptStage) Task() core.Task { return core.FaultCorrection }
 
-// Traits implements core.TraitedStage: corruption is trajectory-local
+// Traits implements Stage: corruption is trajectory-local
 // (per-trajectory seeds, no cross-trajectory state) and replace-only.
 func (s ShardedCorruptStage) Traits() core.StageTraits {
 	return core.StageTraits{Shardable: true, ReplacesTrajectories: true}
 }
 
 // Apply implements Stage.
-func (s ShardedCorruptStage) Apply(ds *core.Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements core.FallibleStage.
-func (s ShardedCorruptStage) ApplyContext(ctx context.Context, ds *core.Dataset) error {
+func (s ShardedCorruptStage) Apply(ctx context.Context, ds *core.Dataset) error {
 	sigma := s.Sigma
 	if sigma <= 0 {
 		sigma = 500
@@ -237,8 +220,8 @@ func (s ShardedCorruptStage) ApplyContext(ctx context.Context, ds *core.Dataset)
 	return nil
 }
 
-// HangStage blocks until its context is cancelled (or forever on the
-// legacy path, bounded by MaxHang) — for testing per-stage deadlines.
+// HangStage blocks until its context is cancelled (bounded by MaxHang)
+// — for testing per-stage deadlines.
 type HangStage struct {
 	MaxHang time.Duration // safety bound (default 5s)
 }
@@ -249,13 +232,11 @@ func (s HangStage) Name() string { return "chaos-hang" }
 // Task implements Stage.
 func (s HangStage) Task() core.Task { return core.FaultCorrection }
 
-// Apply implements Stage.
-func (s HangStage) Apply(ds *core.Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
+// Traits implements Stage.
+func (s HangStage) Traits() core.StageTraits { return core.StageTraits{} }
 
-// ApplyContext implements core.FallibleStage.
-func (s HangStage) ApplyContext(ctx context.Context, ds *core.Dataset) error {
+// Apply implements Stage.
+func (s HangStage) Apply(ctx context.Context, ds *core.Dataset) error {
 	max := s.MaxHang
 	if max <= 0 {
 		max = 5 * time.Second

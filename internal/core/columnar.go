@@ -1,44 +1,11 @@
 package core
 
-// Columnar stage execution. Stages whose trajectory work is expressed
-// as flat batch kernels over trajectory.Columns declare the Columnar
-// trait and implement ColumnarStage; the runner then owns the
-// AoS<->SoA conversion with pooled scratch, so a steady-state pipeline
-// allocates only the output points of each trajectory. Stages without
-// the trait keep receiving []Point via Apply/ApplyContext, and the
-// CloneCOW + sharding contracts are unchanged: the columnar path still
-// only replaces ds.Trajectories[i] entries, never mutates points in
-// place.
-
 import (
 	"context"
 	"sync"
 
 	"sidq/internal/trajectory"
 )
-
-// ColumnarStage is the batch-kernel stage contract: per-trajectory work
-// runs on struct-of-arrays columns handed in by the runner, and any
-// non-trajectory remainder (typically the readings pass) runs once
-// afterwards. Implementations must also set StageTraits.Columnar; the
-// runner dispatches on the trait so a wrapper stage can suppress the
-// columnar path by clearing it.
-type ColumnarStage interface {
-	Stage
-	// TransformColumns rewrites one trajectory, given as src, into dst.
-	// Both are runner-owned scratch: src is valid only for the duration
-	// of the call, and dst arrives with undefined contents (capacity is
-	// reused across trajectories; implementations reset it, as the
-	// columnar kernels' dst-filling helpers do). ds supplies
-	// dataset-wide parameters (MaxSpeed, Region, ...) and must not be
-	// mutated here.
-	TransformColumns(dst, src *trajectory.Columns, ds *Dataset)
-	// FinishColumns runs the stage's non-columnar remainder after every
-	// trajectory has been transformed — the readings pass for the
-	// built-in stages. It sees the dataset with trajectories already
-	// replaced.
-	FinishColumns(ctx context.Context, ds *Dataset) error
-}
 
 // columnarScratch is the per-application conversion scratch: one source
 // and one destination Columns reused across every trajectory of a
@@ -49,15 +16,16 @@ type columnarScratch struct {
 
 var columnarScratchPool = sync.Pool{New: func() any { return new(columnarScratch) }}
 
-// applyColumnarStage runs cs over ds trajectory by trajectory through
-// pooled column scratch, then hands off to FinishColumns. Each
-// trajectory is materialized fresh (ReplacesTrajectories semantics), so
-// the path is safe on copy-on-write clones and under sharding; shard
-// workers draw independent scratch from the pool. Output is
-// bit-identical to the stage's AoS form — the columnar kernels compute
-// the same expression sequences, and the goldens pin it at every worker
-// count.
-func applyColumnarStage(ctx context.Context, cs ColumnarStage, ds *Dataset) error {
+// applyColumnar rewrites every trajectory of ds through a batch kernel
+// over struct-of-arrays columns: src holds the trajectory, and kernel
+// fills dst, which arrives with undefined contents (capacity is reused
+// across trajectories, so kernels reset it). The conversion scratch is
+// pooled, so a steady-state pipeline allocates only each trajectory's
+// output points. Every entry is materialized fresh
+// (ReplacesTrajectories semantics), so the helper is safe on
+// copy-on-write clones and under sharding; shard workers draw
+// independent scratch from the pool.
+func applyColumnar(ctx context.Context, ds *Dataset, kernel func(dst, src *trajectory.Columns)) error {
 	scr := columnarScratchPool.Get().(*columnarScratch)
 	defer columnarScratchPool.Put(scr)
 	for i, tr := range ds.Trajectories {
@@ -65,8 +33,8 @@ func applyColumnarStage(ctx context.Context, cs ColumnarStage, ds *Dataset) erro
 			return err
 		}
 		scr.src.FromTrajectory(tr)
-		cs.TransformColumns(&scr.dst, &scr.src, ds)
+		kernel(&scr.dst, &scr.src)
 		ds.Trajectories[i] = scr.dst.Trajectory(tr.ID)
 	}
-	return cs.FinishColumns(ctx, ds)
+	return nil
 }

@@ -9,7 +9,7 @@ import (
 
 // TestColumnarScratchHammer hammers the columnar stage path from many
 // goroutines over shared source trajectories: every worker drives
-// ApplyContext on its own COW clone, so the pooled conversion scratch
+// Apply on its own COW clone, so the pooled conversion scratch
 // and flag buffers are constantly drawn, dirtied, and recycled
 // concurrently while the underlying point slices are shared read-only.
 // Run under -race (make race-hammer) this is the columnar
@@ -20,7 +20,7 @@ func TestColumnarScratchHammer(t *testing.T) {
 	st := OutlierRemovalStage{}
 
 	want := ds.CloneCOW()
-	if err := st.ApplyContext(context.Background(), want); err != nil {
+	if err := st.Apply(context.Background(), want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,7 +33,7 @@ func TestColumnarScratchHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				got := ds.CloneCOW()
-				if err := st.ApplyContext(context.Background(), got); err != nil {
+				if err := st.Apply(context.Background(), got); err != nil {
 					errs <- err.Error()
 					return
 				}

@@ -15,8 +15,8 @@ import (
 )
 
 // spikyDataset builds a dataset of noisy random walks with teleport
-// spikes and duplicate timestamps, plus a few readings so the
-// FinishColumns pass has work.
+// spikes and duplicate timestamps, plus a few readings so the readings
+// pass has work.
 func spikyDataset(rng *rand.Rand, nTraj, nPts int) *Dataset {
 	ds := &Dataset{MaxSpeed: 10, ExpectedInterval: 1, Now: float64(nPts)}
 	for k := 0; k < nTraj; k++ {
@@ -48,9 +48,33 @@ func spikyDataset(rng *rand.Rand, nTraj, nPts int) *Dataset {
 	return ds
 }
 
-// aosOutlierRemoval is the stage's pre-columnar implementation, kept as
-// the test reference: per-trajectory AoS detectors, merged flags,
-// point-slice compaction, then the readings pass.
+// hostileDataset is the fixed edge-case companion of spikyDataset:
+// every trajectory length below the statistical detector's n<5 floor,
+// NaN/±Inf coordinates and timestamps, and duplicate-timestamp runs.
+func hostileDataset() *Dataset {
+	nan, inf := math.NaN(), math.Inf(1)
+	pt := func(t, x, y float64) trajectory.Point { return trajectory.Point{T: t, Pos: geo.Pt(x, y)} }
+	walk := []trajectory.Point{pt(0, 0, 0), pt(1, 3, 1), pt(2, 900, -900), pt(3, 9, 2), pt(4, 12, 4), pt(5, 15, 3), pt(6, 18, 5)}
+	ds := spikyDataset(rand.New(rand.NewSource(75)), 0, 0)
+	for n := 0; n <= 4; n++ {
+		ds.Trajectories = append(ds.Trajectories, &trajectory.Trajectory{ID: fmt.Sprintf("short%d", n), Points: walk[:n]})
+	}
+	for i, p := range []trajectory.Point{
+		pt(3, nan, 2), pt(nan, 6, 1), pt(4, inf, 4), pt(6, 18, -inf), pt(inf, 18, 5), pt(1, 3, 1),
+	} {
+		pts := append([]trajectory.Point(nil), walk...)
+		pts[1+i%5] = p
+		pts = append(pts, pts[2], pt(6, 18, 5)) // exact repeats, duplicate timestamps
+		ds.Trajectories = append(ds.Trajectories, &trajectory.Trajectory{ID: fmt.Sprintf("hostile%d", i), Points: pts})
+	}
+	return ds
+}
+
+// aosOutlierRemoval is the stage's pre-columnar wiring, kept as the
+// test reference: per-trajectory []Point detectors, merged flags,
+// point-slice compaction, then the readings pass. The detectors' own
+// bit-equivalence with their pre-columnar bodies is pinned in
+// outlier/columnar_test.go.
 func aosOutlierRemoval(s OutlierRemovalStage, ds *Dataset) {
 	maxSpeed := s.MaxSpeed
 	if maxSpeed <= 0 {
@@ -96,12 +120,14 @@ func sameTrajectories(t *testing.T, got, want []*trajectory.Trajectory) {
 
 // TestOutlierRemovalColumnarMatchesAoS pins the columnar stage against
 // the pre-columnar AoS implementation bit for bit, including the
-// readings pass, across random dirty datasets and both entry points
-// (direct ApplyContext and a pipeline run).
+// readings pass, across the hostile dataset and random dirty ones.
 func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 25; trial++ {
-		ds := spikyDataset(rng, 1+rng.Intn(5), rng.Intn(120))
+	for trial := 0; trial < 26; trial++ {
+		ds := hostileDataset()
+		if trial > 0 {
+			ds = spikyDataset(rng, 1+rng.Intn(5), rng.Intn(120))
+		}
 		st := OutlierRemovalStage{}
 		if trial%3 == 0 {
 			st.MaxSpeed = 5
@@ -111,8 +137,8 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 		aosOutlierRemoval(st, want)
 
 		got := ds.Clone()
-		if err := st.ApplyContext(context.Background(), got); err != nil {
-			t.Fatalf("trial %d: ApplyContext: %v", trial, err)
+		if err := st.Apply(context.Background(), got); err != nil {
+			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 		if len(got.Readings) != len(want.Readings) {
@@ -129,7 +155,7 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 // TestOutlierRemovalColumnarAcrossWorkers runs the columnar stage under
 // the parallel runner at several worker counts and requires output
 // identical to the serial path — the sharding contract must survive the
-// columnar dispatch.
+// columnar conversion.
 func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(72)), 9, 150)
 	p := NewPipeline(OutlierRemovalStage{})
@@ -138,58 +164,6 @@ func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 		got, _ := p.RunParallel(ds, w)
 		sameTrajectories(t, got.Trajectories, base.Trajectories)
 	}
-}
-
-// recordingColumnarStage verifies dispatch: a stage that declares the
-// Columnar trait must be driven through TransformColumns by the runner,
-// never through Apply.
-type recordingColumnarStage struct {
-	transformed *int
-	finished    *int
-}
-
-func (s recordingColumnarStage) Name() string { return "recording-columnar" }
-func (s recordingColumnarStage) Task() Task   { return OutlierRemoval }
-func (s recordingColumnarStage) Traits() StageTraits {
-	return StageTraits{Shardable: true, ReplacesTrajectories: true, Columnar: true}
-}
-func (s recordingColumnarStage) Apply(ds *Dataset) {
-	panic("columnar stage dispatched through Apply")
-}
-func (s recordingColumnarStage) TransformColumns(dst, src *trajectory.Columns, ds *Dataset) {
-	*s.transformed++
-	dst.Reset()
-	n := src.Len()
-	dst.Grow(n)
-	for i := 0; i < n; i++ {
-		dst.Append(src.T[i], src.X[i], src.Y[i])
-	}
-}
-func (s recordingColumnarStage) FinishColumns(ctx context.Context, ds *Dataset) error {
-	*s.finished++
-	return nil
-}
-
-// TestRunnerDispatchesColumnarTrait pins the runner-side threading: the
-// Columnar trait routes the stage through the struct-of-arrays path.
-func TestRunnerDispatchesColumnarTrait(t *testing.T) {
-	ds := spikyDataset(rand.New(rand.NewSource(73)), 4, 30)
-	var transformed, finished int
-	st := recordingColumnarStage{transformed: &transformed, finished: &finished}
-	out, reports, err := DefaultRunner().Run(context.Background(), NewPipeline(st), ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(reports) != 1 || reports[0].Err != nil || reports[0].Skipped {
-		t.Fatalf("unexpected report: %+v", reports)
-	}
-	if transformed != len(ds.Trajectories) {
-		t.Fatalf("TransformColumns ran %d times, want %d", transformed, len(ds.Trajectories))
-	}
-	if finished != 1 {
-		t.Fatalf("FinishColumns ran %d times, want 1", finished)
-	}
-	sameTrajectories(t, out.Trajectories, ds.Trajectories)
 }
 
 // TestCloneSharesTruthMap pins Dataset.Clone's documented context
@@ -264,7 +238,7 @@ func aosDeduplicate(s DeduplicateStage, ds *Dataset) {
 
 // dupDataset builds trajectories rich in exact duplicates plus the
 // float equality edge cases (NaN points, ±0 coordinates) and readings
-// for the FinishColumns pass.
+// for the readings pass.
 func dupDataset(rng *rand.Rand, nTraj, nPts int) *Dataset {
 	ds := spikyDataset(rng, nTraj, 0)
 	for k := range ds.Trajectories {
@@ -301,16 +275,19 @@ func dupDataset(rng *rand.Rand, nTraj, nPts int) *Dataset {
 // map-key float semantics (NaN kept, +0 == -0) and the readings pass.
 func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 25; trial++ {
-		ds := dupDataset(rng, 1+rng.Intn(5), rng.Intn(120))
+	for trial := 0; trial < 26; trial++ {
+		ds := hostileDataset()
+		if trial > 0 {
+			ds = dupDataset(rng, 1+rng.Intn(5), rng.Intn(120))
+		}
 		st := DeduplicateStage{}
 
 		want := ds.Clone()
 		aosDeduplicate(st, want)
 
 		got := ds.Clone()
-		if err := st.ApplyContext(context.Background(), got); err != nil {
-			t.Fatalf("trial %d: ApplyContext: %v", trial, err)
+		if err := st.Apply(context.Background(), got); err != nil {
+			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 		if len(got.Readings) != len(want.Readings) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -237,6 +239,29 @@ func TestSmoothReadingsStage(t *testing.T) {
 	if afterRd[quality.PrecisionError] >= beforeRd[quality.PrecisionError] {
 		t.Fatalf("readings smoothing: precision %v -> %v",
 			beforeRd[quality.PrecisionError], afterRd[quality.PrecisionError])
+	}
+}
+
+// TestImputeCountsRefusedResamples pins the stage's three outcomes: a
+// resampled trajectory is replaced, a too-short one is a silent no-op,
+// and one whose resampling is refused (interval too small for its span)
+// keeps its raw points and is counted in a PartialError.
+func TestImputeCountsRefusedResamples(t *testing.T) {
+	pt := func(t float64) trajectory.Point { return trajectory.Point{T: t, Pos: geo.Pt(t, 0)} }
+	fine := trajectory.New("fine", []trajectory.Point{pt(0), pt(10)})
+	short := trajectory.New("short", []trajectory.Point{pt(0)})
+	dense := trajectory.New("dense", []trajectory.Point{pt(0), pt(1e9)})
+	ds := &Dataset{Trajectories: []*trajectory.Trajectory{fine, short, dense}}
+	err := ImputeStage{Interval: 1}.Apply(context.Background(), ds)
+	var pe *PartialError
+	if !errors.As(err, &pe) || pe.Failed != 1 || pe.Total != 3 || !errors.Is(err, trajectory.ErrResampleTooDense) {
+		t.Fatalf("err = %v, want a 1/3 PartialError wrapping ErrResampleTooDense", err)
+	}
+	if ds.Trajectories[0].Len() != 11 {
+		t.Fatalf("resampled trajectory has %d points, want 11", ds.Trajectories[0].Len())
+	}
+	if ds.Trajectories[1] != short || ds.Trajectories[2] != dense {
+		t.Fatal("too-short or refused trajectory was replaced")
 	}
 }
 

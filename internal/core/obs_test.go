@@ -13,10 +13,10 @@ import (
 // runner's bookkeeping without any stage-side noise.
 type noopShardStage struct{}
 
-func (noopShardStage) Name() string        { return "noop" }
-func (noopShardStage) Task() Task          { return FaultCorrection }
-func (noopShardStage) Apply(ds *Dataset)   {}
-func (noopShardStage) Traits() StageTraits { return dataParallel }
+func (noopShardStage) Name() string                          { return "noop" }
+func (noopShardStage) Task() Task                            { return FaultCorrection }
+func (noopShardStage) Apply(context.Context, *Dataset) error { return nil }
+func (noopShardStage) Traits() StageTraits                   { return dataParallel }
 
 func TestRunnerObsRetriesAndStageMetrics(t *testing.T) {
 	reg := obs.NewRegistry()

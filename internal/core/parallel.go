@@ -1,13 +1,14 @@
 package core
 
-// Data-parallel stage execution. A stage that declares
-// StageTraits.Shardable runs over disjoint contiguous trajectory shards
-// on a bounded worker pool; each shard keeps the full per-stage
-// retry/backoff contract, a hard shard failure cancels its siblings
-// (errgroup-style), and shard results merge back in trajectory order so
-// the output is byte-identical to the serial path for deterministic
-// stages. Readings travel with shard 0 only, mirroring the single
-// readings pass a serial stage performs.
+// Stage execution. Every stage runs as one or more shards, each with
+// the full clone -> attempt -> retry/backoff contract. A stage that
+// declares StageTraits.Shardable on a runner with a worker pool runs
+// over disjoint contiguous trajectory shards concurrently: a hard shard
+// failure cancels its siblings (errgroup-style), and shard results
+// merge back in trajectory order so the output is byte-identical to
+// the serial path for deterministic stages. Readings travel with shard
+// 0 only, mirroring the single readings pass a serial stage performs.
+// Any other stage is the one-shard case over the whole dataset.
 
 import (
 	"context"
@@ -46,18 +47,11 @@ func (r *Runner) workerCount() int {
 	return r.Workers
 }
 
-// shardable reports whether st should run sharded over cur: the runner
-// has a pool, the stage declared trajectory-locality, and there is more
-// than one trajectory to split.
-func (r *Runner) shardable(st Stage, cur *Dataset) bool {
-	return r.workerCount() > 1 && TraitsOf(st).Shardable && len(cur.Trajectories) >= 2
-}
-
 // cloneForStage returns the per-attempt working copy of ds for st: a
 // copy-on-write clone when the stage declares it only replaces
 // trajectory entries, a deep clone otherwise.
 func cloneForStage(ds *Dataset, st Stage) *Dataset {
-	if TraitsOf(st).ReplacesTrajectories {
+	if st.Traits().ReplacesTrajectories {
 		return ds.CloneCOW()
 	}
 	return ds.Clone()
@@ -92,13 +86,25 @@ func shardDataset(ds *Dataset, k int) []*Dataset {
 	return shards
 }
 
-// runStageSharded executes one stage across trajectory shards on a
-// bounded worker pool, with per-shard retries. It mirrors runStage's
-// outcomes exactly: on success the merged dataset is returned with the
-// post-stage assessment (and the rollback guard applied to it); on any
-// hard shard failure the whole stage fails and the caller keeps cur,
-// just as a serial stage failure discards all of the stage's work.
-func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, before quality.Assessment) (out *Dataset, rep StageReport) {
+// shardOut is one shard's terminal state: the post-stage shard and nil
+// or a *PartialError on success, a hard error (and no dataset) on
+// failure.
+type shardOut struct {
+	ds       *Dataset
+	err      error
+	attempts int
+}
+
+// runStage executes one stage over cur and returns the (possibly new)
+// dataset and the report; on failure, skip or rollback the caller keeps
+// cur. The stage runs sharded when the runner has a pool, the stage
+// declared trajectory-locality and there is more than one trajectory
+// to split; otherwise cur is the only shard, jitter draws straight
+// from Runner.Rand, and no shard metrics or trace events are emitted.
+// A hard failure in any shard fails the stage as a whole — a failed
+// stage contributes nothing. The results are named so the deferred
+// duration-stamping and observation see the report actually returned.
+func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset, before quality.Assessment) (out *Dataset, rep StageReport) {
 	rep = StageReport{
 		Stage:  st.Name(),
 		Task:   st.Task(),
@@ -110,22 +116,21 @@ func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, be
 		r.observeStage(&rep)
 	}()
 
-	shards := shardDataset(cur, r.workerCount())
-
-	// Per-shard jitter RNGs are derived before any worker starts so the
-	// parent RNG stream is consumed in a spawn-order-independent way.
-	rngs := make([]*rand.Rand, len(shards))
-	if r.Rand != nil {
-		for i := range rngs {
-			rngs[i] = rand.New(rand.NewSource(r.Rand.Int63()))
+	shards, rngs, what := []*Dataset{cur}, []*rand.Rand{r.Rand}, "attempt"
+	if k := r.workerCount(); k > 1 && st.Traits().Shardable && len(cur.Trajectories) >= 2 {
+		shards, what = shardDataset(cur, k), "shard attempt"
+		// Per-shard jitter RNGs are derived before any worker starts so
+		// the parent RNG stream is consumed in a spawn-order-independent
+		// way.
+		rngs = make([]*rand.Rand, len(shards))
+		if r.Rand != nil {
+			for i := range rngs {
+				rngs[i] = rand.New(rand.NewSource(r.Rand.Int63()))
+			}
 		}
 	}
+	sharded := len(shards) > 1
 
-	type shardOut struct {
-		ds       *Dataset
-		err      error // nil or *PartialError on success, hard error on failure
-		attempts int
-	}
 	outs := make([]shardOut, len(shards))
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -136,10 +141,11 @@ func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, be
 		go func(i int) {
 			defer wg.Done()
 			began := time.Now()
-			ds, attempts, err := r.runShard(runCtx, st, shards[i], rngs[i])
-			r.obsShard(st.Name(), i, began.Sub(spawned), time.Since(began))
-			outs[i] = shardOut{ds: ds, err: err, attempts: attempts}
-			if err != nil && !isPartial(err) {
+			outs[i] = r.runShard(runCtx, st, shards[i], rngs[i], what)
+			if sharded {
+				r.obsShard(st.Name(), i, began.Sub(spawned), time.Since(began))
+			}
+			if err := outs[i].err; err != nil && !isPartial(err) {
 				cancel() // a failed shard cancels its siblings
 			}
 		}(i)
@@ -151,10 +157,8 @@ func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, be
 			rep.Attempts = outs[i].attempts
 		}
 	}
-
-	// A hard failure in any shard fails the stage as a whole (serial
-	// semantics: a failed stage contributes nothing). Prefer reporting a
-	// genuine failure over a sibling's cancellation echo.
+	// Prefer reporting a genuine failure over a sibling's cancellation
+	// echo.
 	var hardErr error
 	for i := range outs {
 		if e := outs[i].err; e != nil && !isPartial(e) {
@@ -177,41 +181,12 @@ func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, be
 		return cur, rep
 	}
 
-	// Merge deterministically: trajectories in shard (= original) order,
-	// readings from the shard that carried them.
-	merged := new(Dataset)
-	*merged = *cur
-	merged.Trajectories = make([]*trajectory.Trajectory, 0, len(cur.Trajectories))
-	for i := range outs {
-		merged.Trajectories = append(merged.Trajectories, outs[i].ds.Trajectories...)
+	work, err := mergeShards(cur, st.Name(), outs)
+	rep.Err = err
+	if pe := (*PartialError)(nil); errors.As(err, &pe) {
+		rep.Meta = map[string]int{"failed": pe.Failed, "total": pe.Total}
 	}
-	merged.Readings = outs[0].ds.Readings
-
-	// Fold shard-level partial errors into one dataset-level one. All
-	// built-in partially-failing stages denominate Total in
-	// trajectories, so clean shards contribute their trajectory count —
-	// matching what the serial stage would have reported.
-	var failed, total int
-	var lastPartial error
-	sawPartial := false
-	for i := range outs {
-		if pe := (*PartialError)(nil); errors.As(outs[i].err, &pe) {
-			sawPartial = true
-			failed += pe.Failed
-			total += pe.Total
-			if pe.Last != nil {
-				lastPartial = pe.Last
-			}
-		} else {
-			total += len(outs[i].ds.Trajectories)
-		}
-	}
-	if sawPartial {
-		rep.Err = &PartialError{Stage: st.Name(), Failed: failed, Total: total, Last: lastPartial}
-		rep.Meta = map[string]int{"failed": failed, "total": total}
-	}
-
-	rep.After = merged.AssessN(r.workerCount())
+	rep.After = work.AssessN(r.workerCount())
 	if r.Policy == RollbackStage {
 		if worse := r.regressions(rep.After, before); len(worse) > 0 {
 			rep.RolledBack = true
@@ -220,30 +195,69 @@ func (r *Runner) runStageSharded(ctx context.Context, st Stage, cur *Dataset, be
 			return cur, rep
 		}
 	}
-	return merged, rep
+	return work, rep
 }
 
-// runShard runs the per-stage retry loop over one shard: every attempt
-// clones the shard (copy-on-write when the stage allows it), so a
-// failed attempt never leaks partial mutations. It returns the
-// post-stage shard on success (possibly with a PartialError), or nil
-// with the terminal error after retries are exhausted or the shard
-// context is cancelled by a sibling.
-func (r *Runner) runShard(ctx context.Context, st Stage, shard *Dataset, rng *rand.Rand) (*Dataset, int, error) {
+// mergeShards folds successful shard results into the post-stage
+// dataset and its degraded-success error, if any. One shard is its own
+// result. Several merge deterministically — trajectories in shard
+// (= original) order, readings from the shard that carried them — and
+// their partial errors fold into one dataset-level PartialError: all
+// built-in partially-failing stages denominate Total in trajectories,
+// so clean shards contribute their trajectory count, matching what the
+// serial stage would have reported.
+func mergeShards(cur *Dataset, stage string, outs []shardOut) (*Dataset, error) {
+	if len(outs) == 1 {
+		return outs[0].ds, outs[0].err
+	}
+	merged := new(Dataset)
+	*merged = *cur
+	merged.Trajectories = make([]*trajectory.Trajectory, 0, len(cur.Trajectories))
+	merged.Readings = outs[0].ds.Readings
+	var failed, total int
+	var last error
+	sawPartial := false
+	for i := range outs {
+		merged.Trajectories = append(merged.Trajectories, outs[i].ds.Trajectories...)
+		if pe := (*PartialError)(nil); errors.As(outs[i].err, &pe) {
+			sawPartial = true
+			failed += pe.Failed
+			total += pe.Total
+			if pe.Last != nil {
+				last = pe.Last
+			}
+		} else {
+			total += len(outs[i].ds.Trajectories)
+		}
+	}
+	if !sawPartial {
+		return merged, nil
+	}
+	return merged, &PartialError{Stage: stage, Failed: failed, Total: total, Last: last}
+}
+
+// runShard is the runner's one retry loop: every attempt clones the
+// shard (copy-on-write when the stage allows it), so a failed or
+// timed-out attempt never leaks partial mutations. It returns the
+// post-stage shard on success (possibly with a PartialError), or the
+// terminal error after retries are exhausted or ctx is cancelled (by
+// the caller, or by a failing sibling shard). what names an attempt in
+// OnEvent messages.
+func (r *Runner) runShard(ctx context.Context, st Stage, shard *Dataset, rng *rand.Rand, what string) shardOut {
 	attempts := r.Retry.attempts()
-	var lastErr error
-	taken := 0
+	var out shardOut
 	for attempt := 1; attempt <= attempts; attempt++ {
-		taken = attempt
+		out.attempts = attempt
 		work := cloneForStage(shard, st)
 		err := r.attempt(ctx, st, work)
 		if err == nil || isPartial(err) {
-			return work, taken, err
+			out.ds, out.err = work, err
+			return out
 		}
-		lastErr = err
+		out.err = err
 		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			r.obsAttemptFailure(st.Name(), attempt, err, false)
-			break // the shard group is cancelled; retrying cannot help
+			break // the run (or shard group) is cancelled; retrying cannot help
 		}
 		r.obsAttemptFailure(st.Name(), attempt, err, attempt < attempts)
 		if attempt < attempts {
@@ -254,8 +268,8 @@ func (r *Runner) runShard(ctx context.Context, st Stage, shard *Dataset, rng *ra
 				}
 				sleep(d)
 			}
-			r.event(st.Name(), "shard attempt %d/%d failed, retrying: %v", attempt, attempts, err)
+			r.event(st.Name(), "%s %d/%d failed, retrying: %v", what, attempt, attempts, err)
 		}
 	}
-	return nil, taken, lastErr
+	return out
 }

@@ -159,8 +159,7 @@ type partialShardStage struct{}
 func (partialShardStage) Name() string        { return "partial-shard" }
 func (partialShardStage) Task() Task          { return FaultCorrection }
 func (partialShardStage) Traits() StageTraits { return dataParallel }
-func (s partialShardStage) Apply(ds *Dataset) { _ = s.ApplyContext(context.Background(), ds) }
-func (s partialShardStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s partialShardStage) Apply(ctx context.Context, ds *Dataset) error {
 	failed := 0
 	for i, tr := range ds.Trajectories {
 		if len(tr.ID) > 0 && tr.ID[0] == 'x' {
@@ -212,8 +211,7 @@ type alwaysFailStage struct{}
 func (alwaysFailStage) Name() string        { return "always-fail" }
 func (alwaysFailStage) Task() Task          { return FaultCorrection }
 func (alwaysFailStage) Traits() StageTraits { return dataParallel }
-func (alwaysFailStage) Apply(ds *Dataset)   {}
-func (alwaysFailStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (alwaysFailStage) Apply(ctx context.Context, ds *Dataset) error {
 	return errors.New("nope")
 }
 
@@ -245,8 +243,7 @@ type scatterStage struct{}
 func (scatterStage) Name() string        { return "scatter" }
 func (scatterStage) Task() Task          { return FaultCorrection }
 func (scatterStage) Traits() StageTraits { return dataParallel }
-func (s scatterStage) Apply(ds *Dataset) { _ = s.ApplyContext(context.Background(), ds) }
-func (s scatterStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s scatterStage) Apply(ctx context.Context, ds *Dataset) error {
 	for i, tr := range ds.Trajectories {
 		out := tr.Clone()
 		for j := range out.Points {
@@ -279,8 +276,7 @@ type panicOrBlockStage struct{ marker string }
 func (panicOrBlockStage) Name() string        { return "panic-or-block" }
 func (panicOrBlockStage) Task() Task          { return FaultCorrection }
 func (panicOrBlockStage) Traits() StageTraits { return dataParallel }
-func (s panicOrBlockStage) Apply(ds *Dataset) { _ = s.ApplyContext(context.Background(), ds) }
-func (s panicOrBlockStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s panicOrBlockStage) Apply(ctx context.Context, ds *Dataset) error {
 	for _, tr := range ds.Trajectories {
 		if tr.ID == s.marker {
 			panic("marker shard exploded")

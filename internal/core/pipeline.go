@@ -26,19 +26,14 @@ func (s RouteRecoverStage) Name() string { return "route-recovery" }
 // Task implements Stage.
 func (s RouteRecoverStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements TraitedStage: each trajectory is map-matched
+// Traits implements Stage: each trajectory is map-matched
 // independently and replaced by its recovered path.
 func (s RouteRecoverStage) Traits() StageTraits { return dataParallel }
 
-// Apply implements Stage.
-func (s RouteRecoverStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage. Trajectories whose map-match
-// fails keep their raw points; the failure count is surfaced as a
-// PartialError instead of being swallowed.
-func (s RouteRecoverStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+// Apply implements Stage. Trajectories whose map-match fails keep
+// their raw points; the failure count is surfaced as a PartialError
+// instead of being swallowed.
+func (s RouteRecoverStage) Apply(ctx context.Context, ds *Dataset) error {
 	if s.Graph == nil || s.Snapper == nil {
 		return nil
 	}

@@ -13,17 +13,6 @@ import (
 	"sidq/internal/quality"
 )
 
-// FallibleStage is the fallible, cancellable stage contract. Stages
-// that can report failure or observe deadlines implement it alongside
-// Stage; the Runner prefers ApplyContext when available and falls back
-// to Apply otherwise.
-type FallibleStage interface {
-	Stage
-	// ApplyContext transforms the dataset in place, honouring ctx
-	// cancellation, and reports failure instead of swallowing it.
-	ApplyContext(ctx context.Context, ds *Dataset) error
-}
-
 // PartialError reports a stage that completed in a degraded way: some
 // items failed while the rest were processed. The Runner records it in
 // the stage report but does not retry, skip, or roll back — the stage's
@@ -198,13 +187,7 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline, ds *Dataset) (*Dataset, [
 		if err := ctx.Err(); err != nil {
 			return cur, reports, fmt.Errorf("pipeline cancelled before stage %s: %w", st.Name(), err)
 		}
-		var work *Dataset
-		var rep StageReport
-		if r.shardable(st, cur) {
-			work, rep = r.runStageSharded(ctx, st, cur, before)
-		} else {
-			work, rep = r.runStage(ctx, st, cur, before)
-		}
+		work, rep := r.runStage(ctx, st, cur, before)
 		switch {
 		case rep.Err != nil && !rep.Skipped && !isPartial(rep.Err):
 			// FailFast: surface the error with the progress so far.
@@ -226,74 +209,6 @@ func (r *Runner) Run(ctx context.Context, p *Pipeline, ds *Dataset) (*Dataset, [
 func isPartial(err error) bool {
 	var pe *PartialError
 	return errors.As(err, &pe)
-}
-
-// runStage attempts one stage with retries, returning the (possibly
-// new) dataset and the report. On skip/rollback the caller keeps its
-// pre-stage dataset. The results are named so the deferred
-// duration-stamping and observation see the report actually returned.
-func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset, before quality.Assessment) (out *Dataset, rep StageReport) {
-	rep = StageReport{
-		Stage:  st.Name(),
-		Task:   st.Task(),
-		Before: before,
-	}
-	start := time.Now()
-	defer func() {
-		rep.Duration = time.Since(start)
-		r.observeStage(&rep)
-	}()
-
-	attempts := r.Retry.attempts()
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		rep.Attempts = attempt
-		// Each attempt works on its own clone so a failed or timed-out
-		// attempt can never leave cur half-mutated. Stages that declare
-		// they only replace trajectories get a cheap copy-on-write clone
-		// instead of a deep copy of every point.
-		work := cloneForStage(cur, st)
-		err := r.attempt(ctx, st, work)
-		if err == nil || isPartial(err) {
-			rep.Err = err
-			if pe := (*PartialError)(nil); errors.As(err, &pe) {
-				rep.Meta = map[string]int{"failed": pe.Failed, "total": pe.Total}
-			}
-			rep.After = work.AssessN(r.workerCount())
-			if r.Policy == RollbackStage {
-				if worse := r.regressions(rep.After, before); len(worse) > 0 {
-					rep.RolledBack = true
-					r.event(st.Name(), "rolled back: regressed %v", worse)
-					r.obsRollback(st.Name())
-					return cur, rep
-				}
-			}
-			return work, rep
-		}
-		lastErr = err
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			r.obsAttemptFailure(st.Name(), attempt, err, false)
-			break // the whole run is cancelled; retrying cannot help
-		}
-		r.obsAttemptFailure(st.Name(), attempt, err, attempt < attempts)
-		if attempt < attempts {
-			if d := r.Retry.Delay(attempt, r.Rand); d > 0 {
-				sleep := r.Sleep
-				if sleep == nil {
-					sleep = time.Sleep
-				}
-				sleep(d)
-			}
-			r.event(st.Name(), "attempt %d/%d failed, retrying: %v", attempt, attempts, err)
-		}
-	}
-	rep.Err = lastErr
-	if r.Policy == SkipStage || r.Policy == RollbackStage {
-		rep.Skipped = true
-		r.event(st.Name(), "skipped after %d attempts: %v", rep.Attempts, lastErr)
-		r.obsSkip(st.Name(), rep.Attempts, lastErr)
-	}
-	return cur, rep
 }
 
 // regressions returns the guarded dimensions on which after is
@@ -322,8 +237,8 @@ func (r *Runner) regressions(after, before quality.Assessment) []quality.Dimensi
 
 // attempt runs one stage execution with panic recovery and the
 // per-attempt deadline. The stage runs in its own goroutine so that a
-// runaway legacy Apply (which cannot observe ctx) is abandoned at the
-// deadline; it keeps mutating only its private clone.
+// runaway Apply that ignores ctx is abandoned at the deadline; it keeps
+// mutating only its private clone.
 func (r *Runner) attempt(parent context.Context, st Stage, work *Dataset) error {
 	ctx := parent
 	cancel := func() {}
@@ -339,19 +254,7 @@ func (r *Runner) attempt(parent context.Context, st Stage, work *Dataset) error 
 				done <- &panicError{stage: st.Name(), val: p}
 			}
 		}()
-		// Dispatch by declared shape: columnar stages get the pooled
-		// struct-of-arrays path, fallible stages get ctx, legacy stages
-		// get the plain Apply.
-		if cs, ok := st.(ColumnarStage); ok && TraitsOf(st).Columnar {
-			done <- applyColumnarStage(ctx, cs, work)
-			return
-		}
-		if fs, ok := st.(FallibleStage); ok {
-			done <- fs.ApplyContext(ctx, work)
-			return
-		}
-		st.Apply(work)
-		done <- nil
+		done <- st.Apply(ctx, work)
 	}()
 	select {
 	case err := <-done:

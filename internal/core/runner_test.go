@@ -11,32 +11,31 @@ import (
 	"sidq/internal/quality"
 )
 
-// scriptedStage is a FallibleStage driven by a test callback.
+// scriptedStage is a Stage driven by a test callback.
 type scriptedStage struct {
 	name  string
 	calls *int
 	fn    func(ctx context.Context, ds *Dataset) error
 }
 
-func (s scriptedStage) Name() string { return s.name }
-func (s scriptedStage) Task() Task   { return FaultCorrection }
-func (s scriptedStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-func (s scriptedStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s scriptedStage) Name() string        { return s.name }
+func (s scriptedStage) Task() Task          { return FaultCorrection }
+func (s scriptedStage) Traits() StageTraits { return StageTraits{} }
+func (s scriptedStage) Apply(ctx context.Context, ds *Dataset) error {
 	if s.calls != nil {
 		*s.calls++
 	}
 	return s.fn(ctx, ds)
 }
 
-// legacyPanicStage implements only the legacy Stage contract and
-// panics — the failure mode that used to kill the whole run.
+// legacyPanicStage ignores its context and panics — the failure mode
+// that used to kill the whole run.
 type legacyPanicStage struct{}
 
-func (legacyPanicStage) Name() string      { return "legacy-panic" }
-func (legacyPanicStage) Task() Task        { return FaultCorrection }
-func (legacyPanicStage) Apply(ds *Dataset) { panic("boom") }
+func (legacyPanicStage) Name() string                          { return "legacy-panic" }
+func (legacyPanicStage) Task() Task                            { return FaultCorrection }
+func (legacyPanicStage) Traits() StageTraits                   { return StageTraits{} }
+func (legacyPanicStage) Apply(context.Context, *Dataset) error { panic("boom") }
 
 func TestRetryPolicyDelaySchedule(t *testing.T) {
 	cases := []struct {
@@ -197,7 +196,7 @@ func TestRunnerRecoversPanics(t *testing.T) {
 		t.Fatal("dedup after panic did not run")
 	}
 
-	// FallibleStage panic with retries: every attempt is recovered.
+	// Panic with retries: every attempt is recovered.
 	calls := 0
 	st := scriptedStage{name: "panicky", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
 		panic("each attempt panics")
@@ -316,7 +315,7 @@ func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 	calls := 0
 	st := scriptedStage{name: "partial", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
 		// Do real work, then report a degraded completion.
-		_ = DeduplicateStage{}.ApplyContext(ctx, ds)
+		_ = DeduplicateStage{}.Apply(ctx, ds)
 		return &PartialError{Stage: "partial", Failed: 2, Total: 10}
 	}}
 	r := &Runner{Policy: FailFast, Retry: RetryPolicy{MaxAttempts: 3}}
@@ -348,7 +347,7 @@ func TestRouteRecoverSurfacesMapMatchFailures(t *testing.T) {
 	// failure path with trajectories the matcher must reject (empty),
 	// via the public contract: nil graph is a clean no-op, and the
 	// PartialError carries exact counts when matching fails.
-	if err := (RouteRecoverStage{}).ApplyContext(context.Background(), dirtyDataset(19)); err != nil {
+	if err := (RouteRecoverStage{}).Apply(context.Background(), dirtyDataset(19)); err != nil {
 		t.Fatalf("nil graph should no-op, got %v", err)
 	}
 }

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"sidq/internal/faults"
 	"sidq/internal/geo"
 	"sidq/internal/integrate"
 	"sidq/internal/outlier"
+	"sidq/internal/quality"
 	"sidq/internal/refine"
 	"sidq/internal/trajectory"
 	"sidq/internal/uncertain"
@@ -46,14 +47,22 @@ func (t Task) String() string {
 	return fmt.Sprintf("task(%d)", int(t))
 }
 
-// Stage is one cleaning step in a pipeline.
+// Stage is one cleaning step in a pipeline — the single contract every
+// built-in, wrapper and test stage implements.
 type Stage interface {
 	// Name is a short human-readable identifier.
 	Name() string
 	// Task is the taxonomy family the stage implements.
 	Task() Task
-	// Apply transforms the dataset in place (the pipeline clones first).
-	Apply(ds *Dataset)
+	// Traits declares what the Runner may exploit (sharding, cheap
+	// clones); the zero value is always safe. Wrapper stages forward
+	// their inner stage's traits when the wrapper itself adds no
+	// cross-trajectory coupling.
+	Traits() StageTraits
+	// Apply transforms the dataset in place (the Runner hands it a
+	// private clone), honouring ctx cancellation, and reports failure
+	// instead of swallowing it. A *PartialError means degraded success.
+	Apply(ctx context.Context, ds *Dataset) error
 }
 
 // OutlierRemovalStage drops trajectory points flagged by both the
@@ -69,58 +78,42 @@ func (s OutlierRemovalStage) Name() string { return "outlier-removal" }
 // Task implements Stage.
 func (s OutlierRemovalStage) Task() Task { return OutlierRemoval }
 
-// Traits implements TraitedStage: trajectory-local, replace-only, and
-// columnar — the detectors run as batch kernels over flat columns.
-func (s OutlierRemovalStage) Traits() StageTraits { return columnarDataParallel }
+// Traits implements Stage: trajectory-local and replace-only.
+func (s OutlierRemovalStage) Traits() StageTraits { return dataParallel }
 
-// Apply implements Stage.
-func (s OutlierRemovalStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage by driving the same columnar
-// path the runner dispatches to, so direct callers and
-// pipeline-managed runs share one implementation.
-func (s OutlierRemovalStage) ApplyContext(ctx context.Context, ds *Dataset) error {
-	return applyColumnarStage(ctx, s, ds)
-}
-
-// orFlags is the per-trajectory flag scratch of the columnar outlier
-// stage, pooled so shard workers reuse buffers without sharing them.
+// orFlags is the flag scratch of the outlier stage, pooled so shard
+// workers reuse buffers without sharing them.
 type orFlags struct{ speed, stat []bool }
 
 var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
 
-// TransformColumns implements ColumnarStage: the speed-gate and the
-// statistical scan run over the flat columns with pooled flag buffers,
-// their union is compacted into dst. Flags and removal are bit-for-bit
-// the AoS detectors' results (pinned by the columnar property tests and
-// the pipeline goldens).
-func (s OutlierRemovalStage) TransformColumns(dst, src *trajectory.Columns, ds *Dataset) {
+// Apply implements Stage: the speed-gate and the statistical scan run
+// as batch kernels over flat columns with pooled flag buffers, their
+// union is compacted into a fresh trajectory, then the readings pass
+// runs once.
+func (s OutlierRemovalStage) Apply(ctx context.Context, ds *Dataset) error {
 	maxSpeed := s.MaxSpeed
 	if maxSpeed <= 0 {
 		maxSpeed = ds.MaxSpeed
 	}
 	scr := orFlagsPool.Get().(*orFlags)
 	defer orFlagsPool.Put(scr)
-	scr.speed = outlier.SpeedConstraintCols(src, maxSpeed, scr.speed)
-	scr.stat = outlier.StatisticalCols(src, outlier.StatisticalOptions{}, scr.stat)
-	for j := range scr.speed {
-		scr.speed[j] = scr.speed[j] || scr.stat[j]
-	}
-	outlier.RemoveCols(dst, src, scr.speed)
-}
-
-// FinishColumns implements ColumnarStage: the readings pass, unchanged
-// from the AoS form.
-func (s OutlierRemovalStage) FinishColumns(ctx context.Context, ds *Dataset) error {
-	if len(ds.Readings) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+	err := applyColumnar(ctx, ds, func(dst, src *trajectory.Columns) {
+		scr.speed = outlier.SpeedConstraintCols(src, maxSpeed, scr.speed)
+		scr.stat = outlier.StatisticalCols(src, outlier.StatisticalOptions{}, scr.stat)
+		for j := range scr.speed {
+			scr.speed[j] = scr.speed[j] || scr.stat[j]
 		}
-		flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
-		ds.Readings = outlier.RemoveReadings(ds.Readings, flags)
+		outlier.RemoveCols(dst, src, scr.speed)
+	})
+	if err != nil || len(ds.Readings) == 0 {
+		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
+	ds.Readings = outlier.RemoveReadings(ds.Readings, flags)
 	return nil
 }
 
@@ -136,16 +129,11 @@ func (s SmoothingStage) Name() string { return "kalman-smoothing" }
 // Task implements Stage.
 func (s SmoothingStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s SmoothingStage) Traits() StageTraits { return dataParallel }
 
 // Apply implements Stage.
-func (s SmoothingStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s SmoothingStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s SmoothingStage) Apply(ctx context.Context, ds *Dataset) error {
 	q := s.ProcessNoise
 	if q <= 0 {
 		q = 1
@@ -157,7 +145,7 @@ func (s SmoothingStage) ApplyContext(ctx context.Context, ds *Dataset) error {
 		r := s.MeasNoise
 		if r <= 0 {
 			// Estimate the noise level from the data itself.
-			a := quality2Precision(tr)
+			a := quality.Roughness(tr)
 			if a <= 0 {
 				a = 5
 			}
@@ -166,23 +154,6 @@ func (s SmoothingStage) ApplyContext(ctx context.Context, ds *Dataset) error {
 		ds.Trajectories[i] = refine.KalmanSmoothTrajectory(tr, q, r)
 	}
 	return nil
-}
-
-// quality2Precision estimates a trajectory's noise via local roughness
-// (the same estimator package quality uses, inlined to avoid exposing
-// it publicly there).
-func quality2Precision(tr *trajectory.Trajectory) float64 {
-	if tr.Len() < 3 {
-		return 0
-	}
-	var sum float64
-	var n int
-	for i := 1; i < tr.Len()-1; i++ {
-		d := trajectory.SED(tr.Points[i-1], tr.Points[i+1], tr.Points[i])
-		sum += d * d
-		n++
-	}
-	return math.Sqrt(sum/float64(n)) / math.Sqrt(1.5)
 }
 
 // PredictionRepairStage repairs (rather than drops) gross trajectory
@@ -198,16 +169,11 @@ func (s PredictionRepairStage) Name() string { return "prediction-repair" }
 // Task implements Stage.
 func (s PredictionRepairStage) Task() Task { return OutlierRemoval }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s PredictionRepairStage) Traits() StageTraits { return dataParallel }
 
 // Apply implements Stage.
-func (s PredictionRepairStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s PredictionRepairStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s PredictionRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 	for i, tr := range ds.Trajectories {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -234,19 +200,14 @@ func (s TimestampRepairStage) Name() string { return "timestamp-repair" }
 // Task implements Stage.
 func (s TimestampRepairStage) Task() Task { return FaultCorrection }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s TimestampRepairStage) Traits() StageTraits { return dataParallel }
 
-// Apply implements Stage.
-func (s TimestampRepairStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage. Unrepairable trajectories keep
-// their raw timestamps and are counted in the PartialError. Repairs
-// replace the trajectory rather than editing its points in place, so
-// the stage is safe on copy-on-write clones.
-func (s TimestampRepairStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+// Apply implements Stage. Unrepairable trajectories keep their raw
+// timestamps and are counted in the PartialError. Repairs replace the
+// trajectory rather than editing its points in place, so the stage is
+// safe on copy-on-write clones.
+func (s TimestampRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 	failed := 0
 	var last error
 	for i, tr := range ds.Trajectories {
@@ -288,39 +249,21 @@ func (s DeduplicateStage) Name() string { return "deduplicate" }
 // Task implements Stage.
 func (s DeduplicateStage) Task() Task { return DataIntegration }
 
-// Traits implements TraitedStage: trajectory-local, replace-only, and
-// columnar — exact-duplicate removal runs as a flat kernel.
-func (s DeduplicateStage) Traits() StageTraits { return columnarDataParallel }
+// Traits implements Stage: trajectory-local and replace-only.
+func (s DeduplicateStage) Traits() StageTraits { return dataParallel }
 
-// Apply implements Stage.
-func (s DeduplicateStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage by driving the same columnar
-// path the runner dispatches to, so direct callers and
-// pipeline-managed runs share one implementation.
-func (s DeduplicateStage) ApplyContext(ctx context.Context, ds *Dataset) error {
-	return applyColumnarStage(ctx, s, ds)
-}
-
-// TransformColumns implements ColumnarStage: first-occurrence exact
-// dedup over the flat columns, with map[Point]bool float semantics
-// (NaN always kept, +0 == -0) so output matches the pre-columnar AoS
-// implementation bit for bit.
-func (s DeduplicateStage) TransformColumns(dst, src *trajectory.Columns, ds *Dataset) {
-	trajectory.DeduplicateCols(dst, src)
-}
-
-// FinishColumns implements ColumnarStage: the readings merge pass,
-// unchanged from the AoS form.
-func (s DeduplicateStage) FinishColumns(ctx context.Context, ds *Dataset) error {
-	if len(ds.Readings) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ds.Readings = integrate.Deduplicate(ds.Readings, s.CellSize, s.TimeBucket)
+// Apply implements Stage: first-occurrence exact dedup over flat
+// columns with map[Point]bool float semantics (NaN always kept,
+// +0 == -0), then the readings merge pass.
+func (s DeduplicateStage) Apply(ctx context.Context, ds *Dataset) error {
+	err := applyColumnar(ctx, ds, trajectory.DeduplicateCols)
+	if err != nil || len(ds.Readings) == 0 {
+		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ds.Readings = integrate.Deduplicate(ds.Readings, s.CellSize, s.TimeBucket)
 	return nil
 }
 
@@ -338,16 +281,14 @@ func (s ImputeStage) Name() string { return "interpolation-impute" }
 // Task implements Stage.
 func (s ImputeStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s ImputeStage) Traits() StageTraits { return dataParallel }
 
-// Apply implements Stage.
-func (s ImputeStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s ImputeStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+// Apply implements Stage. A trajectory too short to resample is left
+// alone silently; one whose resampling is refused (the interval is too
+// small for its time span) keeps its raw points and is counted in the
+// PartialError.
+func (s ImputeStage) Apply(ctx context.Context, ds *Dataset) error {
 	dt := s.Interval
 	if dt <= 0 {
 		dt = ds.ExpectedInterval
@@ -355,13 +296,23 @@ func (s ImputeStage) ApplyContext(ctx context.Context, ds *Dataset) error {
 	if dt <= 0 {
 		return nil
 	}
+	failed := 0
+	var last error
 	for i, tr := range ds.Trajectories {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if rs, err := tr.Resample(dt); err == nil {
+		rs, err := tr.Resample(dt)
+		switch {
+		case err == nil:
 			ds.Trajectories[i] = rs
+		case !errors.Is(err, trajectory.ErrTooShort):
+			failed++
+			last = err
 		}
+	}
+	if failed > 0 {
+		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
 	}
 	return nil
 }
@@ -378,16 +329,11 @@ func (s ThematicRepairStage) Name() string { return "thematic-repair" }
 // Task implements Stage.
 func (s ThematicRepairStage) Task() Task { return FaultCorrection }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s ThematicRepairStage) Traits() StageTraits { return dataParallel }
 
 // Apply implements Stage.
-func (s ThematicRepairStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s ThematicRepairStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 	if len(ds.Readings) == 0 {
 		return nil
 	}
@@ -420,16 +366,11 @@ func (s SmoothReadingsStage) Name() string { return "readings-smoothing" }
 // Task implements Stage.
 func (s SmoothReadingsStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s SmoothReadingsStage) Traits() StageTraits { return dataParallel }
 
 // Apply implements Stage.
-func (s SmoothReadingsStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s SmoothReadingsStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s SmoothReadingsStage) Apply(ctx context.Context, ds *Dataset) error {
 	w := s.Window
 	if w <= 0 {
 		w = 2
@@ -503,16 +444,11 @@ func (s CalibrationStage) Name() string { return "anchor-calibration" }
 // Task implements Stage.
 func (s CalibrationStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements TraitedStage: trajectory-local and replace-only.
+// Traits implements Stage: trajectory-local and replace-only.
 func (s CalibrationStage) Traits() StageTraits { return dataParallel }
 
 // Apply implements Stage.
-func (s CalibrationStage) Apply(ds *Dataset) {
-	_ = s.ApplyContext(context.Background(), ds)
-}
-
-// ApplyContext implements FallibleStage.
-func (s CalibrationStage) ApplyContext(ctx context.Context, ds *Dataset) error {
+func (s CalibrationStage) Apply(ctx context.Context, ds *Dataset) error {
 	if len(s.Anchors) == 0 {
 		return nil
 	}

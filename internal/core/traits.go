@@ -1,8 +1,8 @@
 package core
 
 // StageTraits declares execution properties the Runner can exploit to
-// run a stage faster. The zero value is the conservative contract every
-// legacy stage gets: deep-cloned inputs and strictly serial execution.
+// run a stage faster. The zero value is the conservative contract:
+// deep-cloned inputs and strictly serial execution.
 type StageTraits struct {
 	// Shardable means the stage's trajectory work is trajectory-local —
 	// processing trajectory i reads and writes only ds.Trajectories[i]
@@ -19,37 +19,8 @@ type StageTraits struct {
 	// share trajectory pointers with the parent dataset instead of
 	// deep-copying every point.
 	ReplacesTrajectories bool
-	// Columnar means the stage implements ColumnarStage and wants the
-	// runner to drive its trajectory work through the struct-of-arrays
-	// path: pooled Columns conversion in, batch kernels, fresh
-	// trajectory out. Implies ReplacesTrajectories semantics for the
-	// trajectory side (each entry is swapped for a materialized copy).
-	// Stages that set it receive columns; everything else keeps
-	// receiving []Point through Apply/ApplyContext.
-	Columnar bool
-}
-
-// TraitedStage is implemented by stages that declare execution traits.
-// Wrapper stages should forward their inner stage's traits when the
-// wrapper itself adds no cross-trajectory coupling.
-type TraitedStage interface {
-	Stage
-	Traits() StageTraits
-}
-
-// TraitsOf returns a stage's declared traits, or the conservative zero
-// traits for stages that declare none.
-func TraitsOf(st Stage) StageTraits {
-	if ts, ok := st.(TraitedStage); ok {
-		return ts.Traits()
-	}
-	return StageTraits{}
 }
 
 // dataParallel is the trait set shared by every built-in stage: all of
 // them are trajectory-local and replace-only.
 var dataParallel = StageTraits{Shardable: true, ReplacesTrajectories: true}
-
-// columnarDataParallel is dataParallel plus the columnar batch-kernel
-// path — the trait set of stages whose hot loops run on flat columns.
-var columnarDataParallel = StageTraits{Shardable: true, ReplacesTrajectories: true, Columnar: true}

@@ -2,9 +2,7 @@ package index
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"sidq/internal/geo"
 )
@@ -17,27 +15,14 @@ import (
 //
 // The STR sorts use a total order (center X, then Y, then ID, then
 // rect coordinates), so the packed tree is a pure function of the
-// entry multiset — BulkLoadRTreeParallel produces the identical tree.
+// entry multiset — any permutation of entries yields the identical
+// tree.
 func BulkLoadRTree(entries []RectEntry) *RTree {
-	return BulkLoadRTreeParallel(entries, 1)
-}
-
-// BulkLoadRTreeParallel is BulkLoadRTree with the two leaf-level sorts
-// (the dominant cost) spread over a bounded worker pool: the X sort
-// runs as parallel chunk sorts folded by pairwise merges, and the
-// per-tile Y sorts run concurrently since tiles are disjoint. Packing
-// the upper levels stays serial — they are a tiny fraction of the
-// entries. workers <= 0 selects runtime.NumCPU(); the resulting tree
-// is identical to the serial one for every worker count.
-func BulkLoadRTreeParallel(entries []RectEntry, workers int) *RTree {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	t := NewRTree()
 	if len(entries) == 0 {
 		return t
 	}
-	level := strPackLeaves(entries, workers)
+	level := strPackLeaves(entries)
 	for len(level) > 1 {
 		level = strPackNodes(level)
 	}
@@ -91,129 +76,21 @@ func rectLess(a, b geo.Rect) bool {
 	return a.Max.Y < b.Max.Y
 }
 
-// parallelSortMin is the input size below which sortEntries ignores the
-// worker count: goroutine and merge overhead dominates under this.
-const parallelSortMin = 4096
-
-// sortEntries sorts es by the given total order, using parallel chunk
-// sorts + pairwise merges when workers > 1 and the input is large
-// enough. Because less is a total order, the result is the unique
-// sorted permutation regardless of path or worker count.
-func sortEntries(es []RectEntry, less func(a, b RectEntry) bool, workers int) {
-	n := len(es)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < parallelSortMin {
-		sort.Slice(es, func(i, j int) bool { return less(es[i], es[j]) })
-		return
-	}
-
-	// Sort `workers` contiguous chunks concurrently.
-	bounds := make([]int, workers+1)
-	for i := range bounds {
-		bounds[i] = i * n / workers
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		s := es[bounds[i]:bounds[i+1]]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		}()
-	}
-	wg.Wait()
-
-	// Fold sorted runs with pairwise merges, ping-ponging between es
-	// and a single scratch buffer.
-	buf := make([]RectEntry, n)
-	src, dst := es, buf
-	for len(bounds) > 2 {
-		next := make([]int, 0, len(bounds)/2+2)
-		next = append(next, 0)
-		var mg sync.WaitGroup
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			lo, mid, hi := bounds[i], bounds[i+1], bounds[i+2]
-			mg.Add(1)
-			go func() {
-				defer mg.Done()
-				mergeRuns(dst, src, lo, mid, hi, less)
-			}()
-			next = append(next, hi)
-		}
-		if i+1 < len(bounds) { // odd run out: carry it over
-			copy(dst[bounds[i]:bounds[i+1]], src[bounds[i]:bounds[i+1]])
-			next = append(next, bounds[i+1])
-		}
-		mg.Wait()
-		src, dst = dst, src
-		bounds = next
-	}
-	if &src[0] != &es[0] {
-		copy(es, src)
-	}
-}
-
-// mergeRuns merges the sorted runs src[lo:mid] and src[mid:hi] into
-// dst[lo:hi], taking from the left run on ties.
-func mergeRuns(dst, src []RectEntry, lo, mid, hi int, less func(a, b RectEntry) bool) {
-	i, j := lo, mid
-	for k := lo; k < hi; k++ {
-		if i < mid && (j >= hi || !less(src[j], src[i])) {
-			dst[k] = src[i]
-			i++
-		} else {
-			dst[k] = src[j]
-			j++
-		}
-	}
-}
-
-func strPackLeaves(entries []RectEntry, workers int) []*rtreeNode {
+func strPackLeaves(entries []RectEntry) []*rtreeNode {
 	sorted := append([]RectEntry(nil), entries...)
 	n := len(sorted)
 	leafCount := (n + rtreeMaxEntries - 1) / rtreeMaxEntries
 	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
 	perSlice := sliceCount * rtreeMaxEntries
-	sortEntries(sorted, rectEntryLessX, workers)
-
-	// Tiles are disjoint subslices, so their Y sorts can run
-	// concurrently; packing afterwards walks them in order, keeping the
-	// leaf sequence identical to the serial pass.
-	type tile struct{ lo, hi int }
-	var tiles []tile
+	sort.Slice(sorted, func(i, j int) bool { return rectEntryLessX(sorted[i], sorted[j]) })
+	var leaves []*rtreeNode
 	for lo := 0; lo < n; lo += perSlice {
 		hi := lo + perSlice
 		if hi > n {
 			hi = n
 		}
-		tiles = append(tiles, tile{lo, hi})
-	}
-	if workers > 1 && len(tiles) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, tl := range tiles {
-			s := sorted[tl.lo:tl.hi]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				sortEntries(s, rectEntryLessY, 1)
-				<-sem
-			}()
-		}
-		wg.Wait()
-	} else {
-		for _, tl := range tiles {
-			sortEntries(sorted[tl.lo:tl.hi], rectEntryLessY, 1)
-		}
-	}
-
-	var leaves []*rtreeNode
-	for _, tl := range tiles {
-		slice := sorted[tl.lo:tl.hi]
+		slice := sorted[lo:hi]
+		sort.Slice(slice, func(i, j int) bool { return rectEntryLessY(slice[i], slice[j]) })
 		for s := 0; s < len(slice); s += rtreeMaxEntries {
 			e := s + rtreeMaxEntries
 			if e > len(slice) {

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sidq/internal/geo"
@@ -67,5 +68,44 @@ func TestBulkLoadInsertAfterLoad(t *testing.T) {
 	}
 	if rt.Len() != 101 {
 		t.Fatalf("len = %d", rt.Len())
+	}
+}
+
+// tieHeavyEntries generates n rect entries with deliberately coarse
+// (quantized) coordinates so many centers collide — the worst case for
+// byte-identity of an unstable sort, which the total-order comparators
+// must absorb.
+func tieHeavyEntries(n int, seed int64) []RectEntry {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]RectEntry, n)
+	for i := range out {
+		x := float64(rng.Intn(40)) * 25
+		y := float64(rng.Intn(40)) * 25
+		w := 1 + float64(rng.Intn(3))
+		out[i] = RectEntry{ID: fmt.Sprintf("e%05d", i), Rect: geo.RectFromCenter(geo.Pt(x, y), w, w)}
+	}
+	return out
+}
+
+// TestBulkLoadPermutationInvariant pins BulkLoadRTree's total order:
+// the packed tree is a pure function of the entry multiset, so any
+// permutation of the input — including inputs full of comparator ties —
+// yields a structurally identical tree (same nodes, same entry order),
+// and the caller's slice is left untouched (the load sorts a copy).
+func TestBulkLoadPermutationInvariant(t *testing.T) {
+	for _, n := range []int{50, 1000, 12305} {
+		entries := tieHeavyEntries(n, int64(n))
+		orig := append([]RectEntry(nil), entries...)
+		want := BulkLoadRTree(entries)
+		if !reflect.DeepEqual(entries, orig) {
+			t.Fatalf("n=%d: bulk load reordered the caller's slice", n)
+		}
+		rng := rand.New(rand.NewSource(int64(n) + 1))
+		for trial := 0; trial < 4; trial++ {
+			rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+			if got := BulkLoadRTree(entries); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d shuffle %d: tree depends on input order", n, trial)
+			}
+		}
 	}
 }

@@ -3,61 +3,11 @@ package index
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
 	"sidq/internal/geo"
 )
-
-// tieHeavyEntries generates n rect entries with deliberately coarse
-// (quantized) coordinates so many centers collide — the worst case for
-// byte-identity of an unstable sort, which the total-order comparators
-// must absorb.
-func tieHeavyEntries(n int, seed int64) []RectEntry {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]RectEntry, n)
-	for i := range out {
-		x := float64(rng.Intn(40)) * 25
-		y := float64(rng.Intn(40)) * 25
-		w := 1 + float64(rng.Intn(3))
-		out[i] = RectEntry{ID: fmt.Sprintf("e%05d", i), Rect: geo.RectFromCenter(geo.Pt(x, y), w, w)}
-	}
-	return out
-}
-
-// TestBulkLoadParallelIdenticalToSerial checks the tentpole invariant
-// for the index layer: parallel STR bulk load yields a structurally
-// identical tree (same nodes, same entry order) at every worker count,
-// including inputs large enough to take the parallel sort path and
-// inputs full of comparator ties.
-func TestBulkLoadParallelIdenticalToSerial(t *testing.T) {
-	for _, n := range []int{50, 1000, 3*parallelSortMin + 17} {
-		entries := tieHeavyEntries(n, int64(n))
-		serial := BulkLoadRTree(entries)
-		for _, w := range []int{1, 2, 3, 8} {
-			par := BulkLoadRTreeParallel(entries, w)
-			if par.Len() != serial.Len() {
-				t.Fatalf("n=%d workers=%d: len %d vs %d", n, w, par.Len(), serial.Len())
-			}
-			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("n=%d workers=%d: parallel tree differs structurally from serial", n, w)
-			}
-		}
-	}
-}
-
-// TestBulkLoadParallelDoesNotMutateInput pins that both load paths
-// leave the caller's entry slice untouched (they sort a copy).
-func TestBulkLoadParallelDoesNotMutateInput(t *testing.T) {
-	entries := tieHeavyEntries(parallelSortMin+5, 3)
-	orig := append([]RectEntry(nil), entries...)
-	BulkLoadRTree(entries)
-	BulkLoadRTreeParallel(entries, 4)
-	if !reflect.DeepEqual(entries, orig) {
-		t.Fatal("bulk load reordered the caller's slice")
-	}
-}
 
 // TestConcurrentReadersAfterLoad hammers every index structure with
 // concurrent readers after single-threaded loading — the documented
@@ -73,7 +23,7 @@ func TestConcurrentReadersAfterLoad(t *testing.T) {
 		grid.Insert(e)
 		qt.Insert(e)
 	}
-	rt := BulkLoadRTreeParallel(tieHeavyEntries(3000, 7), 4)
+	rt := BulkLoadRTree(tieHeavyEntries(3000, 7))
 	ti := NewTrajectoryIndex(60)
 	for i := 0; i < 20; i++ {
 		ti.Add(makeTraj(fmt.Sprintf("t%d", i), geo.Pt(float64(i*40), 0), 1, 1, 0, 100, 1))

@@ -12,12 +12,10 @@
 //     are read-only and safe to call from any number of goroutines once
 //     no writer is active.
 //   - RTree: Insert requires exclusive access. Search and KNN are
-//     read-only and safe concurrently after loading. BulkLoadRTree and
-//     BulkLoadRTreeParallel return a fully-constructed tree with no
-//     retained references to internal state, so the returned tree may
-//     be shared across goroutines for reads immediately (parallel
-//     loading of one tree is internal to the call; callers never
-//     observe a partially-built tree).
+//     read-only and safe concurrently after loading. BulkLoadRTree
+//     returns a fully-constructed tree that retains no reference to the
+//     caller's entry slice, so the returned tree may be shared across
+//     goroutines for reads immediately.
 //   - Quadtree: Insert requires exclusive access; Range and Depth are
 //     concurrent-read safe after loading.
 //   - TrajectoryIndex: Add requires exclusive access; Get, Len, and

@@ -2,20 +2,33 @@ package outlier
 
 import (
 	"math"
+	"sync"
 
 	"sidq/internal/stats"
 	"sidq/internal/trajectory"
 )
 
-// This file holds the columnar (struct-of-arrays) twins of the
-// trajectory-point detectors. They consume trajectory.Columns — flat
-// T/X/Y float64 slices — and run the same arithmetic in the same order
-// as their []Point counterparts, so their flags are bit-identical; the
-// golden fixtures and the property tests in columnar_test.go pin that
-// equivalence. The wins are layout (three contiguous streams instead
-// of 24-byte structs), reusable flag/feature buffers, and batch
-// precomputation of per-segment speeds instead of recomputing each
-// segment twice.
+// This file holds the trajectory-point detector kernels. They consume
+// trajectory.Columns — flat T/X/Y float64 slices — with reusable
+// flag/feature buffers and batch precomputation of per-segment speeds;
+// the []Point entry points in trajectory_or.go convert through pooled
+// Columns and call them. The pre-columnar []Point bodies survive as
+// test references (reference_test.go), and the golden fixtures and the
+// property tests in columnar_test.go pin bit-identical flags.
+
+// floatPool recycles feature buffers across StatisticalCols calls — the
+// detector runs once per trajectory per pipeline attempt, so the
+// buffers are the dominant steady-state garbage in cleaning loops.
+var floatPool = sync.Pool{New: func() any { return new([]float64) }}
+
+func getFloats(n int) *[]float64 {
+	p := floatPool.Get().(*[]float64)
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
 
 // FlagsInto returns a false-initialized flag slice of length n, reusing
 // buf's capacity when possible. Detectors accept a reuse buffer so
@@ -31,11 +44,10 @@ func FlagsInto(buf []bool, n int) []bool {
 	return buf
 }
 
-// SpeedConstraintCols is the columnar twin of SpeedConstraint: it flags
-// samples unreachable under maxSpeed using one flat pass that
-// precomputes every segment speed once (the AoS form recomputes each
-// segment as "out" for one point and "in" for the next). flags is an
-// optional reuse buffer; the returned slice holds the result.
+// SpeedConstraintCols is the SpeedConstraint kernel: it flags samples
+// unreachable under maxSpeed using one flat pass that precomputes every
+// segment speed once. flags is an optional reuse buffer; the returned
+// slice holds the result.
 func SpeedConstraintCols(c *trajectory.Columns, maxSpeed float64, flags []bool) []bool {
 	n := c.Len()
 	flags = FlagsInto(flags, n)
@@ -66,7 +78,8 @@ func SpeedConstraintCols(c *trajectory.Columns, maxSpeed float64, flags []bool) 
 			flags[i] = true
 		}
 	}
-	// Endpoint rules, identical to the AoS form.
+	// Endpoints: flag when the only adjacent segment is impossible and
+	// the next interior point is consistent with its own neighbor.
 	if seg[0] > maxSpeed && seg[1] <= maxSpeed {
 		flags[0] = true
 	}
@@ -76,10 +89,10 @@ func SpeedConstraintCols(c *trajectory.Columns, maxSpeed float64, flags []bool) 
 	return flags
 }
 
-// StatisticalCols is the columnar twin of Statistical: the
-// window-median deviation feature is computed over the flat coordinate
-// slices and every scratch buffer (feature, window distances) is
-// pooled. flags is an optional reuse buffer.
+// StatisticalCols is the Statistical kernel: the window-median
+// deviation feature is computed over the flat coordinate slices and
+// every scratch buffer (feature, window distances) is pooled. flags is
+// an optional reuse buffer.
 func StatisticalCols(c *trajectory.Columns, opt StatisticalOptions, flags []bool) []bool {
 	n := c.Len()
 	flags = FlagsInto(flags, n)
@@ -112,9 +125,8 @@ func StatisticalCols(c *trajectory.Columns, opt StatisticalOptions, flags []bool
 		m, _ := stats.MedianInPlace(ds)
 		feat[i] = m
 	}
-	// Median and MAD over pooled scratch: stats.Median/MAD copy-and-sort
-	// internally, and MedianInPlace on a copy runs the identical
-	// sort+quantile pipeline, so the values match the AoS form exactly.
+	// Median and MAD over pooled scratch: MedianInPlace on a copy runs
+	// the same sort+quantile pipeline as stats.Median/MAD.
 	scrP := getFloats(n)
 	defer floatPool.Put(scrP)
 	scr := *scrP
@@ -136,8 +148,8 @@ func StatisticalCols(c *trajectory.Columns, opt StatisticalOptions, flags []bool
 	return flags
 }
 
-// RemoveCols compacts c into dst, dropping flagged samples — the
-// columnar twin of Remove. dst's capacity is reused.
+// RemoveCols compacts c into dst, dropping flagged samples — the Remove
+// kernel. dst's capacity is reused.
 func RemoveCols(dst, c *trajectory.Columns, flags []bool) {
 	dst.Reset()
 	n := c.Len()

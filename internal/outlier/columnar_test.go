@@ -38,24 +38,75 @@ func randTrack(rng *rand.Rand, n int, withSpecials bool) *trajectory.Trajectory 
 	return trajectory.New(fmt.Sprintf("r%d", n), pts)
 }
 
+// edgeTracks are the fixed hostile inputs every differential test sees
+// besides its random trials: every length below the statistical
+// detector's n<5 floor, NaN/±Inf coordinates and timestamps, and runs
+// of duplicate timestamps.
+func edgeTracks() []*trajectory.Trajectory {
+	nan, inf := math.NaN(), math.Inf(1)
+	pt := func(t, x, y float64) trajectory.Point { return trajectory.Point{T: t, Pos: geo.Pt(x, y)} }
+	walk := []trajectory.Point{pt(0, 0, 0), pt(1, 3, 1), pt(2, 900, -900), pt(3, 9, 2), pt(4, 12, 4), pt(5, 15, 3), pt(6, 18, 5)}
+	var out []*trajectory.Trajectory
+	for n := 0; n <= 4; n++ {
+		out = append(out, &trajectory.Trajectory{ID: fmt.Sprintf("short%d", n), Points: walk[:n]})
+	}
+	poison := func(id string, i int, p trajectory.Point) {
+		pts := append([]trajectory.Point(nil), walk...)
+		pts[i] = p
+		out = append(out, &trajectory.Trajectory{ID: id, Points: pts})
+	}
+	poison("nan-x", 3, pt(3, nan, 2))
+	poison("nan-first", 0, pt(0, nan, nan))
+	poison("nan-t", 2, pt(nan, 6, 1))
+	poison("inf-x", 4, pt(4, inf, 4))
+	poison("neginf-y", 6, pt(6, 18, -inf))
+	poison("inf-t", 6, pt(inf, 18, 5))
+	dupT := append([]trajectory.Point(nil), walk...)
+	for i := range dupT {
+		dupT[i].T = float64(i / 3)
+	}
+	out = append(out, &trajectory.Trajectory{ID: "dup-t", Points: dupT})
+	allSame := make([]trajectory.Point, 6)
+	out = append(out, &trajectory.Trajectory{ID: "all-same", Points: allSame})
+	return out
+}
+
+// trialTracks is edgeTracks plus n seeded random dirty walks.
+func trialTracks(rng *rand.Rand, n, maxLen int) []*trajectory.Trajectory {
+	out := edgeTracks()
+	for i := 0; i < n; i++ {
+		out = append(out, randTrack(rng, rng.Intn(maxLen), i%4 == 0))
+	}
+	return out
+}
+
+func sameFlags(t *testing.T, what string, got, want []bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: flag length %d want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: flag[%d] = %v, reference says %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSpeedConstraintColsMatchesAoS pins the kernel (with a reused flag
+// buffer) and its []Point entry point against the pre-columnar
+// reference.
 func TestSpeedConstraintColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var c trajectory.Columns
 	var flags []bool
-	for trial := 0; trial < 120; trial++ {
-		tr := randTrack(rng, rng.Intn(60), trial%4 == 0)
-		maxSpeed := []float64{0, 5, 10, 50}[rng.Intn(4)]
-		want := SpeedConstraint(tr, maxSpeed)
-		c.FromTrajectory(tr)
-		flags = SpeedConstraintCols(&c, maxSpeed, flags)
-		if len(flags) != len(want) {
-			t.Fatalf("trial %d: flag length %d want %d", trial, len(flags), len(want))
-		}
-		for i := range want {
-			if flags[i] != want[i] {
-				t.Fatalf("trial %d: flag[%d] = %v, AoS says %v (maxSpeed=%v)",
-					trial, i, flags[i], want[i], maxSpeed)
-			}
+	for _, tr := range trialTracks(rng, 120, 60) {
+		for _, maxSpeed := range []float64{0, 5, 10, 50} {
+			what := fmt.Sprintf("%s maxSpeed=%v", tr.ID, maxSpeed)
+			want := speedConstraintRef(tr, maxSpeed)
+			sameFlags(t, what+" entry point", SpeedConstraint(tr, maxSpeed), want)
+			c.FromTrajectory(tr)
+			flags = SpeedConstraintCols(&c, maxSpeed, flags)
+			sameFlags(t, what+" kernel", flags, want)
 		}
 	}
 }
@@ -64,46 +115,48 @@ func TestStatisticalColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var c trajectory.Columns
 	var flags []bool
-	for trial := 0; trial < 120; trial++ {
-		tr := randTrack(rng, rng.Intn(80), false)
+	for _, tr := range trialTracks(rng, 120, 80) {
 		opt := StatisticalOptions{
 			Window:    []int{0, 2, 5}[rng.Intn(3)],
 			Threshold: []float64{0, 2.5, 3.5}[rng.Intn(3)],
 		}
-		want := Statistical(tr, opt)
+		what := fmt.Sprintf("%s opt=%+v", tr.ID, opt)
+		want := statisticalRef(tr, opt)
+		sameFlags(t, what+" entry point", Statistical(tr, opt), want)
 		c.FromTrajectory(tr)
 		flags = StatisticalCols(&c, opt, flags)
-		for i := range want {
-			if flags[i] != want[i] {
-				t.Fatalf("trial %d: flag[%d] = %v, AoS says %v", trial, i, flags[i], want[i])
-			}
-		}
+		sameFlags(t, what+" kernel", flags, want)
+	}
+}
+
+// samePoints requires got to be bit-identical to want.
+func samePoints(t *testing.T, what string, got, want []trajectory.Point) {
+	t.Helper()
+	var g, w trajectory.Columns
+	g.FromPoints(got)
+	w.FromPoints(want)
+	if !g.Equal(&w) {
+		t.Fatalf("%s: %d samples diverge from the reference's %d", what, len(got), len(want))
 	}
 }
 
 func TestRemoveColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var c, dst trajectory.Columns
-	for trial := 0; trial < 60; trial++ {
-		tr := randTrack(rng, rng.Intn(40), true)
+	for _, tr := range trialTracks(rng, 60, 40) {
 		flags := make([]bool, rng.Intn(tr.Len()+4)) // may be shorter/longer than tr
 		for i := range flags {
 			flags[i] = rng.Intn(3) == 0
 		}
-		want := Remove(tr, flags)
+		want := removeRef(tr, flags)
+		got := Remove(tr, flags)
+		if got.ID != want.ID {
+			t.Fatalf("%s: entry point id %q want %q", tr.ID, got.ID, want.ID)
+		}
+		samePoints(t, tr.ID+" entry point", got.Points, want.Points)
 		c.FromTrajectory(tr)
 		RemoveCols(&dst, &c, flags)
-		if dst.Len() != want.Len() {
-			t.Fatalf("trial %d: kept %d want %d", trial, dst.Len(), want.Len())
-		}
-		for i, p := range want.Points {
-			got := dst.At(i)
-			if math.Float64bits(got.T) != math.Float64bits(p.T) ||
-				math.Float64bits(got.Pos.X) != math.Float64bits(p.Pos.X) ||
-				math.Float64bits(got.Pos.Y) != math.Float64bits(p.Pos.Y) {
-				t.Fatalf("trial %d: sample %d diverged", trial, i)
-			}
-		}
+		samePoints(t, tr.ID+" kernel", dst.ToPoints(nil), want.Points)
 	}
 }
 

@@ -13,61 +13,24 @@ import (
 	"sync"
 
 	"sidq/internal/refine"
-	"sidq/internal/stats"
 	"sidq/internal/trajectory"
 )
 
-// floatPool recycles feature buffers across Statistical calls — the
-// detector runs once per trajectory per pipeline attempt, so the
-// buffers are the dominant steady-state garbage in cleaning loops.
-var floatPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getFloats(n int) *[]float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
+// colsPool recycles the struct-of-arrays scratch the []Point entry
+// points convert through on their way to the columnar kernels.
+var colsPool = sync.Pool{New: func() any { return new(trajectory.Columns) }}
 
 // SpeedConstraint flags points that cannot be reached under the given
 // maximum speed: a point is an outlier when the speeds both into and
 // out of it violate the bound while its neighbors agree with each
 // other. This is the classic constraint-based detector; it needs no
-// training data but assumes locally valid neighbors.
+// training data but assumes locally valid neighbors. It is the
+// trajectory-form entry point of SpeedConstraintCols.
 func SpeedConstraint(tr *trajectory.Trajectory, maxSpeed float64) []bool {
-	n := tr.Len()
-	flags := make([]bool, n)
-	if n < 3 || maxSpeed <= 0 {
-		return flags
-	}
-	speed := func(i, j int) float64 {
-		dt := tr.Points[j].T - tr.Points[i].T
-		if dt <= 0 {
-			return math.Inf(1)
-		}
-		return tr.Points[i].Pos.Dist(tr.Points[j].Pos) / dt
-	}
-	for i := 1; i < n-1; i++ {
-		in := speed(i-1, i)
-		out := speed(i, i+1)
-		skip := speed(i-1, i+1) // neighbor-to-neighbor, skipping i
-		if in > maxSpeed && out > maxSpeed && skip <= maxSpeed {
-			flags[i] = true
-		}
-	}
-	// Endpoints: flag when the only adjacent segment is impossible and
-	// the next interior point is consistent with its own neighbor.
-	if n >= 3 {
-		if speed(0, 1) > maxSpeed && speed(1, 2) <= maxSpeed {
-			flags[0] = true
-		}
-		if speed(n-2, n-1) > maxSpeed && speed(n-3, n-2) <= maxSpeed {
-			flags[n-1] = true
-		}
-	}
-	return flags
+	c := colsPool.Get().(*trajectory.Columns)
+	defer colsPool.Put(c)
+	c.FromTrajectory(tr)
+	return SpeedConstraintCols(c, maxSpeed, nil)
 }
 
 // StatisticalOptions configures the statistics-based detector.
@@ -79,49 +42,13 @@ type StatisticalOptions struct {
 // Statistical flags points whose deviation from their local
 // neighborhood chord is extreme relative to the trajectory's robust
 // deviation profile (median/MAD). It needs no physical bound but
-// assumes most points are clean.
+// assumes most points are clean. It is the trajectory-form entry point
+// of StatisticalCols.
 func Statistical(tr *trajectory.Trajectory, opt StatisticalOptions) []bool {
-	n := tr.Len()
-	flags := make([]bool, n)
-	if n < 5 {
-		return flags
-	}
-	if opt.Window <= 0 {
-		opt.Window = 3
-	}
-	if opt.Threshold <= 0 {
-		opt.Threshold = 3.5
-	}
-	// Feature: median distance to the surrounding window's points. The
-	// feature and window buffers are pooled/reused: this loop runs per
-	// trajectory per pipeline attempt and used to dominate allocations.
-	featP := getFloats(n)
-	defer floatPool.Put(featP)
-	feat := *featP
-	ds := make([]float64, 0, 2*opt.Window)
-	for i := range tr.Points {
-		ds = ds[:0]
-		for w := -opt.Window; w <= opt.Window; w++ {
-			j := i + w
-			if j < 0 || j >= n || j == i {
-				continue
-			}
-			ds = append(ds, tr.Points[i].Pos.Dist(tr.Points[j].Pos))
-		}
-		m, _ := stats.MedianInPlace(ds)
-		feat[i] = m
-	}
-	med, _ := stats.Median(feat)
-	mad, _ := stats.MAD(feat)
-	if mad < 1e-9 {
-		mad = 1e-9
-	}
-	for i, f := range feat {
-		if (f-med)/mad > opt.Threshold {
-			flags[i] = true
-		}
-	}
-	return flags
+	c := colsPool.Get().(*trajectory.Columns)
+	defer colsPool.Put(c)
+	c.FromTrajectory(tr)
+	return StatisticalCols(c, opt, nil)
 }
 
 // PredictionOptions configures the prediction-based detector.
@@ -191,16 +118,16 @@ func Prediction(tr *trajectory.Trajectory, opt PredictionOptions) (*trajectory.T
 	return out, flags
 }
 
-// Remove returns a copy of tr without the flagged points.
+// Remove returns a copy of tr without the flagged points — the
+// trajectory-form entry point of RemoveCols.
 func Remove(tr *trajectory.Trajectory, flags []bool) *trajectory.Trajectory {
-	out := &trajectory.Trajectory{ID: tr.ID}
-	for i, p := range tr.Points {
-		if i < len(flags) && flags[i] {
-			continue
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out
+	src := colsPool.Get().(*trajectory.Columns)
+	dst := colsPool.Get().(*trajectory.Columns)
+	defer colsPool.Put(src)
+	defer colsPool.Put(dst)
+	src.FromTrajectory(tr)
+	RemoveCols(dst, src, flags)
+	return dst.Trajectory(tr.ID)
 }
 
 // Score is a detector evaluation against ground-truth flags.

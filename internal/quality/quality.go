@@ -186,7 +186,7 @@ func AssessTrajectory(obs *trajectory.Trajectory, ctx TrajectoryContext) Assessm
 		a[TruthVolume] = float64(ctx.Truth.Len())
 	}
 
-	a[PrecisionError] = roughness(obs)
+	a[PrecisionError] = Roughness(obs)
 
 	// Consistency: monotone timestamps and speed-bound compliance.
 	a[Consistency] = consistencyScore(obs, ctx.MaxSpeed)
@@ -226,11 +226,11 @@ func AssessTrajectory(obs *trajectory.Trajectory, ctx TrajectoryContext) Assessm
 	return a
 }
 
-// roughness estimates the positional noise level without ground truth:
+// Roughness estimates the positional noise level without ground truth:
 // the RMS deviation of each interior point from the chord between its
 // neighbors (SED), scaled by 1/sqrt(1.5) because for i.i.d. Gaussian
 // noise the midpoint deviation has variance 1.5*sigma^2.
-func roughness(tr *trajectory.Trajectory) float64 {
+func Roughness(tr *trajectory.Trajectory) float64 {
 	if tr.Len() < 3 {
 		return 0
 	}

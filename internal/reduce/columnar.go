@@ -7,18 +7,34 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// stackPool recycles the interval stack used by the iterative
-// columnar Douglas-Peucker.
+// keepPool recycles the keep-flag buffer DouglasPeuckerSEDCols needs per
+// call; compression sweeps run it across every trajectory at many
+// epsilons, so the buffer is hot.
+var keepPool = sync.Pool{New: func() any { return new([]bool) }}
+
+func getKeep(n int) *[]bool {
+	p := keepPool.Get().(*[]bool)
+	if cap(*p) < n {
+		*p = make([]bool, n)
+	}
+	*p = (*p)[:n]
+	for i := range *p {
+		(*p)[i] = false
+	}
+	return p
+}
+
+// stackPool recycles the interval stack of the iterative
+// Douglas-Peucker.
 var stackPool = sync.Pool{New: func() any { return new([][2]int) }}
 
-// DouglasPeuckerSEDCols is the columnar twin of DouglasPeuckerSED: the
-// TD-TR simplifier over flat T/X/Y slices, with the recursion replaced
-// by an explicit interval stack. The kept-point set is identical to
-// the recursive AoS form — each interval is examined independently, so
-// traversal order cannot change which points are kept — and the SED
-// arithmetic is the same expression sequence, so the output is
-// bit-identical (the goldens and the property tests pin it). dst's
-// capacity is reused.
+// DouglasPeuckerSEDCols is the DouglasPeuckerSED kernel: the TD-TR
+// simplifier over flat T/X/Y slices, driven by an explicit interval
+// stack. Each interval is examined independently, so traversal order
+// cannot change which points are kept, and the SED arithmetic is the
+// same expression sequence as trajectory.SED — output is bit-identical
+// to the recursive []Point reference (reference_test.go; the goldens
+// and the property tests pin it). dst's capacity is reused.
 func DouglasPeuckerSEDCols(dst, c *trajectory.Columns, eps float64) {
 	n := c.Len()
 	dst.Reset()

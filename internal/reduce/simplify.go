@@ -16,66 +16,23 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// keepPool recycles the keep-flag buffer DouglasPeuckerSED needs per
-// call; compression sweeps run it across every trajectory at many
-// epsilons, so the buffer is hot.
-var keepPool = sync.Pool{New: func() any { return new([]bool) }}
-
-func getKeep(n int) *[]bool {
-	p := keepPool.Get().(*[]bool)
-	if cap(*p) < n {
-		*p = make([]bool, n)
-	}
-	*p = (*p)[:n]
-	for i := range *p {
-		(*p)[i] = false
-	}
-	return p
-}
+// colsPool recycles the struct-of-arrays scratch DouglasPeuckerSED
+// converts through on its way to the columnar kernel.
+var colsPool = sync.Pool{New: func() any { return new(trajectory.Columns) }}
 
 // DouglasPeuckerSED simplifies offline with the time-aware
-// Douglas-Peucker variant (TD-TR): recursively keep the point with the
+// Douglas-Peucker variant (TD-TR): repeatedly keep the point with the
 // largest SED until every discarded point is within eps meters of the
-// kept chord. The first and last points are always kept.
+// kept chord. The first and last points are always kept. It is the
+// trajectory-form entry point of DouglasPeuckerSEDCols.
 func DouglasPeuckerSED(tr *trajectory.Trajectory, eps float64) *trajectory.Trajectory {
-	n := tr.Len()
-	out := &trajectory.Trajectory{ID: tr.ID}
-	if n == 0 {
-		return out
-	}
-	if n <= 2 || eps <= 0 {
-		out.Points = append(out.Points, tr.Points...)
-		return out
-	}
-	keepP := getKeep(n)
-	defer keepPool.Put(keepP)
-	keep := *keepP
-	keep[0], keep[n-1] = true, true
-	var rec func(lo, hi int)
-	rec = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		worst, worstI := 0.0, -1
-		a, b := tr.Points[lo], tr.Points[hi]
-		for i := lo + 1; i < hi; i++ {
-			if d := trajectory.SED(a, b, tr.Points[i]); d > worst {
-				worst, worstI = d, i
-			}
-		}
-		if worst > eps {
-			keep[worstI] = true
-			rec(lo, worstI)
-			rec(worstI, hi)
-		}
-	}
-	rec(0, n-1)
-	for i, k := range keep {
-		if k {
-			out.Points = append(out.Points, tr.Points[i])
-		}
-	}
-	return out
+	src := colsPool.Get().(*trajectory.Columns)
+	dst := colsPool.Get().(*trajectory.Columns)
+	defer colsPool.Put(src)
+	defer colsPool.Put(dst)
+	src.FromTrajectory(tr)
+	DouglasPeuckerSEDCols(dst, src, eps)
+	return dst.Trajectory(tr.ID)
 }
 
 // SlidingWindow simplifies online with the opening-window strategy:

@@ -1,16 +1,20 @@
 package server
 
 // Regression tests for the correctness fixes riding along with the
-// streaming subsystem: typed 413 detection, and the mid-stream
-// write-failure counter.
+// streaming subsystem: typed 413 detection, the mid-stream
+// write-failure counter, and the bounded resample behind /v1/clean.
 
 import (
 	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"sidq/internal/trajectory"
 )
 
 // The body cap must be detected by error type alone. A wrapped
@@ -64,5 +68,46 @@ func TestWriteErrorCountedAndLogged(t *testing.T) {
 	logged := logBuf.String()
 	if !strings.Contains(logged, "req-test-42") || !strings.Contains(logged, "broken pipe") {
 		t.Fatalf("log line missing request id or cause: %q", logged)
+	}
+}
+
+// A tiny ?interval= must not turn a 30-byte body into gigabytes: the
+// planner schedules interpolation-impute for the sparse trajectory, and
+// the resample it runs is bounded by trajectory.MaxResamplePoints. The
+// over-dense trajectory is returned as it arrived, promptly, with a
+// 2xx — before the fix this request allocated 3.5 GB over 31 s and
+// answered 503 from the timeout middleware.
+func TestCleanTinyIntervalIsBounded(t *testing.T) {
+	svc := NewService(Config{Logger: DiscardLogger(), RequestTimeout: 5 * time.Second})
+	defer svc.Close()
+
+	for _, interval := range []string{"0.0001", "1e-300"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/clean?interval="+interval,
+			strings.NewReader("id,t,x,y\na,0,0,0\na,1000,10,10\n"))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		svc.ServeHTTP(rec, req)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+
+		if rec.Code < 200 || rec.Code > 299 {
+			t.Fatalf("interval=%s: status %d, want 2xx; body %q", interval, rec.Code, rec.Body.String())
+		}
+		if st := rec.Header().Get("X-Sidq-Stages"); !strings.Contains(st, "interpolation-impute") {
+			t.Fatalf("interval=%s: impute stage not planned (%q); the test no longer reaches Resample", interval, st)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("interval=%s: answered in %v, want well under a second", interval, elapsed)
+		}
+		// One maximal resample is MaxResamplePoints 24-byte points; the
+		// refused one must cost far less than even that.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(24*trajectory.MaxResamplePoints); alloc > bound {
+			t.Fatalf("interval=%s: allocated %d bytes, want <= %d", interval, alloc, bound)
+		}
+		if body := rec.Body.String(); !strings.Contains(body, "a,0,0,0") || !strings.Contains(body, "a,1000,10,10") {
+			t.Fatalf("interval=%s: raw points not returned: %q", interval, body)
+		}
 	}
 }

@@ -147,9 +147,21 @@ func (tr *Trajectory) Slice(t0, t1 float64) *Trajectory {
 	return out
 }
 
+// MaxResamplePoints bounds the number of samples Resample will
+// interpolate for one trajectory. The interval reaches Resample from
+// request parameters, so without a bound a two-point trajectory and a
+// tiny interval turn a few bytes of input into gigabytes of output.
+const MaxResamplePoints = 1 << 20
+
+// ErrResampleTooDense reports a resample interval too small for the
+// trajectory's time span: the output would exceed MaxResamplePoints,
+// or the interval is below the timestamps' floating-point resolution.
+var ErrResampleTooDense = errors.New("trajectory: resample interval too small for the time span")
+
 // Resample returns a new trajectory sampled every dt seconds across the
 // covered span using linear interpolation. The last original timestamp
-// is always included.
+// is always included. It fails with ErrResampleTooDense rather than
+// produce more than MaxResamplePoints samples.
 func (tr *Trajectory) Resample(dt float64) (*Trajectory, error) {
 	if len(tr.Points) < 2 {
 		return nil, ErrTooShort
@@ -158,8 +170,17 @@ func (tr *Trajectory) Resample(dt float64) (*Trajectory, error) {
 		return nil, fmt.Errorf("trajectory: non-positive resample interval %v", dt)
 	}
 	t0, t1, _ := tr.TimeBounds()
+	// Written as a negated <= so a NaN or infinite span is refused too.
+	if !((t1-t0)/dt <= MaxResamplePoints) {
+		return nil, ErrResampleTooDense
+	}
 	out := &Trajectory{ID: tr.ID}
 	for t := t0; t < t1; t += dt {
+		if t+dt == t {
+			// dt is below the spacing of float64 values near t, so the
+			// loop would never reach t1.
+			return nil, ErrResampleTooDense
+		}
 		pos, _ := tr.LocationAt(t)
 		out.Points = append(out.Points, Point{T: t, Pos: pos})
 	}

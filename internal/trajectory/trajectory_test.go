@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,32 @@ func TestResample(t *testing.T) {
 	}
 	if _, err := (&Trajectory{}).Resample(1); err != ErrTooShort {
 		t.Fatalf("want ErrTooShort, got %v", err)
+	}
+}
+
+// TestResampleBounded pins the output bound: an interval that would
+// yield more than MaxResamplePoints samples, or that is below the
+// float64 spacing of the timestamps (so t += dt never advances), is
+// refused instead of looping.
+func TestResampleBounded(t *testing.T) {
+	span := New("a", []Point{{T: 0}, {T: 1000, Pos: geo.Pt(10, 10)}})
+	if _, err := span.Resample(1000.0 / MaxResamplePoints); err != nil {
+		t.Fatalf("interval at the bound refused: %v", err)
+	}
+	for _, dt := range []float64{0.0001, 1e-300, math.SmallestNonzeroFloat64} {
+		if _, err := span.Resample(dt); !errors.Is(err, ErrResampleTooDense) {
+			t.Fatalf("dt=%v: want ErrResampleTooDense, got %v", dt, err)
+		}
+	}
+	// Few samples by count, but 1e-3 is below the 0.125 spacing of
+	// float64 values near 1e15.
+	far := New("far", []Point{{T: 1e15}, {T: 1e15 + 1}})
+	if _, err := far.Resample(1e-3); !errors.Is(err, ErrResampleTooDense) {
+		t.Fatalf("non-advancing dt: want ErrResampleTooDense, got %v", err)
+	}
+	inf := New("inf", []Point{{T: 0}, {T: math.Inf(1)}})
+	if _, err := inf.Resample(1); !errors.Is(err, ErrResampleTooDense) {
+		t.Fatalf("infinite span: want ErrResampleTooDense, got %v", err)
 	}
 }
 
