@@ -1,7 +1,8 @@
 # Tier-1 verification plus the resilience gates.
 #
 #   make check          build + vet + full test suite + bench-module +
-#                       race hammers + bench-compare (the tier-1 gate)
+#                       race hammers + crash + fuzz + bench-compare (the
+#                       tier-1 gate)
 #   make ci             exactly what .github/workflows/ci.yml runs per
 #                       matrix leg: fmt-check + build + vet + tests +
 #                       bench-module + -race + chaos
@@ -21,6 +22,11 @@
 #                       truncation/bit-flip/crash-image sweeps, the
 #                       fault-injected durability wiring, and the
 #                       kill-mid-chunk byte-identity scenarios
+#   make fuzz           the native fuzz targets over the on-disk decoders
+#                       (store segment scanner, server chunk record),
+#                       each from its committed seed corpus for
+#                       FUZZTIME; plain `go test` already replays the
+#                       seeds, this explores past them
 #   make bench          compile-and-run the benchmark suite briefly
 #   make bench-json     run the benchmarks for real (best-of-BENCHCOUNT
 #                       per row) and write a dated BENCH_<date>.json
@@ -48,10 +54,11 @@ BENCHTIME ?= 2x
 BENCHCOUNT ?= 3
 BENCHCOMPARE_ARGS ?=
 SLOCOMPARE_ARGS ?=
+FUZZTIME ?= 5s
 
-.PHONY: check ci fmt-check vet test bench-module race race-hammer chaos crash bench bench-json bench-compare load-check load-json
+.PHONY: check ci fmt-check vet test bench-module race race-hammer chaos crash fuzz bench bench-json bench-compare load-check load-json
 
-check: vet test bench-module race-hammer crash bench-compare
+check: vet test bench-module race-hammer crash fuzz bench-compare
 
 ci: fmt-check vet test bench-module race chaos crash
 
@@ -88,6 +95,13 @@ chaos:
 crash:
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=1 -run 'TestDurable|TestHistory|TestChaosStore' ./internal/server ./internal/chaos
+
+# go test -fuzz takes one target in one package per run. A crasher is
+# written under that package's testdata/fuzz/ and fails every later
+# `go test` until it is fixed — commit it with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk2$$' -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -1,0 +1,290 @@
+package server
+
+// The chunk record: one accepted ingest chunk as the WAL holds it.
+//
+// recChunk2 (type 6) is the only chunk format written. It is columnar
+// and fixed-width, so the history path filters T/X/Y in place on the
+// payload bytes and replay rebuilds events without a per-row
+// allocation. All integers and float bit patterns are little-endian:
+//
+//	 4  magic "SQC" + version byte 2
+//	 8  ChunkIdx   u64   1-based per-session apply index
+//	 8  ClientSeq  u64   client-supplied ?seq= (0 = none)
+//	 4  s          u32   session id length
+//	 s  session id
+//	 4  d          u32   source dictionary entries, in first-appearance order
+//	    d × { u32 length, bytes }
+//	 4  n          u32   rows
+//	nw  source     per-row dictionary index, w = 1 byte for d <= 256,
+//	               otherwise 4
+//	8n  T          float64 bits per row
+//	8n  X
+//	8n  Y
+//
+// Rows keep the order the events arrived in — replay is a pure fold
+// over them — and floats round-trip bit for bit. The payload ends with
+// the Y column; trailing bytes are an error.
+//
+// recChunk (type 2, a gob walChunk) was the format before; it is never
+// written, and decodeLegacyChunk keeps it readable so an existing data
+// directory opens unchanged.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+
+	"sidq/internal/geo"
+	"sidq/internal/store"
+	"sidq/internal/stream"
+	"sidq/internal/trajectory"
+)
+
+const (
+	chunk2Magic   = "SQC\x02"
+	chunk2MinSize = 4 + 8 + 8 + 4 + 4 + 4 // a chunk with no session id, sources or rows
+)
+
+var errChunk2 = errors.New("malformed chunk record")
+
+// sourceIndexWidth is the byte width of one source-index cell for a
+// dictionary of d entries.
+func sourceIndexWidth(d int) int {
+	if d <= 1<<8 {
+		return 1
+	}
+	return 4
+}
+
+// chunkEncoder holds the buffers one chunk encode needs, so the ack
+// path allocates nothing once the pool is warm.
+type chunkEncoder struct {
+	buf  []byte
+	dict map[string]uint32
+	srcs []string
+	idx  []uint32
+}
+
+var chunkEncoders = sync.Pool{New: func() any { return &chunkEncoder{dict: map[string]uint32{}} }}
+
+func getChunkEncoder() *chunkEncoder { return chunkEncoders.Get().(*chunkEncoder) }
+
+// release returns the encoder to the pool, unless one oversized chunk
+// grew it past what is worth keeping.
+func (enc *chunkEncoder) release() {
+	if cap(enc.buf) <= 1<<20 {
+		chunkEncoders.Put(enc)
+	}
+}
+
+// encode renders the chunk as a recChunk2 payload. The result aliases
+// the encoder's buffer: it is valid until the next encode or release.
+func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, events []stream.Event[srcPoint]) []byte {
+	clear(enc.dict)
+	enc.srcs = enc.srcs[:0]
+	enc.idx = enc.idx[:0]
+	for i := range events {
+		src := events[i].Value.src
+		k, ok := enc.dict[src]
+		if !ok {
+			k = uint32(len(enc.srcs))
+			enc.dict[src] = k
+			enc.srcs = append(enc.srcs, src)
+		}
+		enc.idx = append(enc.idx, k)
+	}
+	le := binary.LittleEndian
+	b := append(enc.buf[:0], chunk2Magic...)
+	b = le.AppendUint64(b, chunkIdx)
+	b = le.AppendUint64(b, clientSeq)
+	b = le.AppendUint32(b, uint32(len(session)))
+	b = append(b, session...)
+	b = le.AppendUint32(b, uint32(len(enc.srcs)))
+	for _, src := range enc.srcs {
+		b = le.AppendUint32(b, uint32(len(src)))
+		b = append(b, src...)
+	}
+	b = le.AppendUint32(b, uint32(len(events)))
+	if sourceIndexWidth(len(enc.srcs)) == 1 {
+		for _, k := range enc.idx {
+			b = append(b, byte(k))
+		}
+	} else {
+		for _, k := range enc.idx {
+			b = le.AppendUint32(b, k)
+		}
+	}
+	for i := range events {
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.T))
+	}
+	for i := range events {
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.Pos.X))
+	}
+	for i := range events {
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.Pos.Y))
+	}
+	enc.buf = b
+	return b
+}
+
+// chunkCols is a recChunk2 payload parsed in place: every slice
+// aliases the payload, so it lives exactly as long as the payload does.
+type chunkCols struct {
+	session             []byte
+	chunkIdx, clientSeq uint64
+	srcs                [][]byte // the source dictionary
+	n                   int      // rows
+	idxW                int      // bytes per source-index cell
+	idx, t, x, y        []byte   // the columns
+}
+
+// parseChunk2 validates a recChunk2 payload and returns its columns.
+// Every count is checked against the bytes that remain before anything
+// is sized by it, and every source index against the dictionary, so
+// the accessors below cannot go out of range on any input.
+func parseChunk2(p []byte) (chunkCols, error) {
+	var c chunkCols
+	if len(p) < chunk2MinSize || string(p[:4]) != chunk2Magic {
+		return c, fmt.Errorf("%w: bad magic or short header", errChunk2)
+	}
+	le := binary.LittleEndian
+	c.chunkIdx = le.Uint64(p[4:])
+	c.clientSeq = le.Uint64(p[12:])
+	p = p[20:]
+	// take cuts a u32-length-prefixed field off the front of p.
+	take := func() ([]byte, bool) {
+		if len(p) < 4 {
+			return nil, false
+		}
+		n := le.Uint32(p)
+		if uint64(n) > uint64(len(p)-4) {
+			return nil, false
+		}
+		field := p[4 : 4+int(n)]
+		p = p[4+int(n):]
+		return field, true
+	}
+	var ok bool
+	if c.session, ok = take(); !ok {
+		return c, fmt.Errorf("%w: session id overruns the payload", errChunk2)
+	}
+	if len(p) < 4 {
+		return c, fmt.Errorf("%w: no dictionary", errChunk2)
+	}
+	d := le.Uint32(p)
+	p = p[4:]
+	if uint64(d) > uint64(len(p))/4 { // every entry takes at least its length prefix
+		return c, fmt.Errorf("%w: dictionary of %d entries overruns the payload", errChunk2, d)
+	}
+	if d > 0 {
+		c.srcs = make([][]byte, d)
+	}
+	for i := range c.srcs {
+		if c.srcs[i], ok = take(); !ok {
+			return c, fmt.Errorf("%w: dictionary entry %d overruns the payload", errChunk2, i)
+		}
+	}
+	if len(p) < 4 {
+		return c, fmt.Errorf("%w: no row count", errChunk2)
+	}
+	n := uint64(le.Uint32(p))
+	p = p[4:]
+	c.idxW = sourceIndexWidth(int(d))
+	if n*uint64(c.idxW+24) != uint64(len(p)) {
+		return c, fmt.Errorf("%w: %d rows do not fill the %d column bytes", errChunk2, n, len(p))
+	}
+	c.n = int(n)
+	c.idx, p = p[:c.n*c.idxW], p[c.n*c.idxW:]
+	c.t, c.x, c.y = p[:8*c.n], p[8*c.n:16*c.n], p[16*c.n:]
+	for i := 0; i < c.n; i++ {
+		if c.src(i) >= int(d) {
+			return c, fmt.Errorf("%w: row %d names source %d of %d", errChunk2, i, c.src(i), d)
+		}
+	}
+	return c, nil
+}
+
+// src is row i's index into the source dictionary.
+func (c *chunkCols) src(i int) int {
+	if c.idxW == 1 {
+		return int(c.idx[i])
+	}
+	return int(binary.LittleEndian.Uint32(c.idx[4*i:]))
+}
+
+func colFloat(col []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
+}
+
+// events rebuilds the chunk's events in their original order. Rows of
+// one source share one string.
+func (c *chunkCols) events() []stream.Event[srcPoint] {
+	srcs := make([]string, len(c.srcs))
+	for k, b := range c.srcs {
+		srcs[k] = string(b)
+	}
+	out := make([]stream.Event[srcPoint], c.n)
+	for i := range out {
+		t := colFloat(c.t, i)
+		out[i] = stream.Event[srcPoint]{
+			Time:  t,
+			Value: srcPoint{src: srcs[c.src(i)], pt: trajectory.Point{T: t, Pos: geo.Pt(colFloat(c.x, i), colFloat(c.y, i))}},
+		}
+	}
+	return out
+}
+
+// chunkRecord is a decoded chunk record of either type, as replay
+// folds it.
+type chunkRecord struct {
+	session   string
+	chunkIdx  uint64
+	clientSeq uint64
+	events    []stream.Event[srcPoint]
+}
+
+// decodeChunk decodes a chunk record of either type.
+func decodeChunk(rec store.Record) (chunkRecord, error) {
+	if rec.Type == recChunk {
+		return decodeLegacyChunk(rec.Payload)
+	}
+	c, err := parseChunk2(rec.Payload)
+	if err != nil {
+		return chunkRecord{}, err
+	}
+	return chunkRecord{session: string(c.session), chunkIdx: c.chunkIdx, clientSeq: c.clientSeq, events: c.events()}, nil
+}
+
+// walEvent and walChunk are the gob DTOs of the legacy recChunk (type
+// 2) record. Nothing but decodeLegacyChunk uses them.
+type walEvent struct {
+	Src     string
+	T, X, Y float64
+}
+
+type walChunk struct {
+	Session   string
+	ChunkIdx  uint64
+	ClientSeq uint64
+	Events    []walEvent
+}
+
+// decodeLegacyChunk decodes a recChunk (type 2) payload.
+func decodeLegacyChunk(payload []byte) (chunkRecord, error) {
+	var c walChunk
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
+		return chunkRecord{}, err
+	}
+	events := make([]stream.Event[srcPoint], len(c.Events))
+	for i, e := range c.Events {
+		events[i] = stream.Event[srcPoint]{
+			Time:  e.T,
+			Value: srcPoint{src: e.Src, pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
+		}
+	}
+	return chunkRecord{session: c.Session, chunkIdx: c.ChunkIdx, clientSeq: c.ClientSeq, events: events}, nil
+}

@@ -11,19 +11,21 @@ package server
 // dedup on an optional ?seq=), and drains are logged so replay
 // re-emits and discards what was already delivered.
 //
-// WAL record types (payloads are gob; the WAL is an internal file
-// format versioned with the binary):
+// WAL record types (the WAL is an internal file format versioned with
+// the binary; payloads are gob except the chunk record, whose layout
+// is in chunkrec.go):
 //
 //	recSessionOpen   a session was created
-//	recChunk         one accepted ingest chunk, in apply order
+//	recChunk         legacy gob chunk; read, never written
 //	recDrain         a results drain was delivered (replay discards)
 //	recSessionClose  the session was closed or evicted
 //	recSnapshot      full session state; supersedes earlier records
+//	recChunk2        one accepted ingest chunk, in apply order
 //
 // Per-session records are appended while holding the session mutex,
 // so per-session WAL order is exactly apply order — replay is a pure
 // fold. History range queries (history.go) are served from the same
-// chunk records through a chunk-extent R-tree.
+// chunk records through a time-keyed chunk-extent index.
 
 import (
 	"bytes"
@@ -32,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"sidq/internal/geo"
 	"sidq/internal/obs"
 	"sidq/internal/store"
 	"sidq/internal/stream"
@@ -47,6 +48,7 @@ const (
 	recDrain        byte = 3
 	recSessionClose byte = 4
 	recSnapshot     byte = 5
+	recChunk2       byte = 6
 )
 
 // DurabilityConfig enables the durable trajectory store. Zero Dir
@@ -93,18 +95,6 @@ type walOpen struct {
 	Lateness float64
 	MaxSpeed float64
 	Lanes    int
-}
-
-type walEvent struct {
-	Src     string
-	T, X, Y float64
-}
-
-type walChunk struct {
-	Session   string
-	ChunkIdx  uint64 // 1-based per-session apply index
-	ClientSeq uint64 // client-supplied ?seq= (0 = none)
-	Events    []walEvent
 }
 
 type walDrain struct {
@@ -160,6 +150,12 @@ func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: encode: %v", errDurability, err)
 	}
+	return reg.appendRec(typ, payload)
+}
+
+// appendRec appends one encoded record, wrapping a failure in
+// errDurability.
+func (reg *sessionRegistry) appendRec(typ byte, payload []byte) (uint64, error) {
 	seq, err := reg.wal.Append(typ, payload)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", errDurability, err)
@@ -167,37 +163,17 @@ func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
 	return seq, nil
 }
 
-func toWalEvents(events []stream.Event[srcPoint]) []walEvent {
-	out := make([]walEvent, len(events))
-	for i, e := range events {
-		out[i] = walEvent{Src: e.Value.src, T: e.Value.pt.T, X: e.Value.pt.Pos.X, Y: e.Value.pt.Pos.Y}
-	}
-	return out
-}
-
-func fromWalEvents(evs []walEvent) []stream.Event[srcPoint] {
-	out := make([]stream.Event[srcPoint], len(evs))
-	for i, e := range evs {
-		out[i] = stream.Event[srcPoint]{
-			Time:  e.T,
-			Value: srcPoint{src: e.Src, pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
-		}
-	}
-	return out
-}
-
 // persistChunkLocked writes the chunk record and indexes its extent
 // for history queries. Caller holds ss.mu.
 func (ss *streamSession) persistChunkLocked(events []stream.Event[srcPoint], clientSeq uint64) error {
 	reg := ss.reg
-	evs := toWalEvents(events)
-	seq, err := reg.persist(recChunk, walChunk{
-		Session: ss.id, ChunkIdx: ss.chunkIdx + 1, ClientSeq: clientSeq, Events: evs,
-	})
+	enc := getChunkEncoder()
+	seq, err := reg.appendRec(recChunk2, enc.encode(ss.id, ss.chunkIdx+1, clientSeq, events))
+	enc.release()
 	if err != nil {
 		return err
 	}
-	reg.hist.add(seq, evs)
+	reg.hist.add(seq, events)
 	return nil
 }
 
@@ -289,15 +265,15 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 				return fmt.Errorf("record %d (open): %w", r.Seq, err)
 			}
 			reg.restoreOpen(o, now, r.Seq)
-		case recChunk:
-			var c walChunk
-			if err := decodeRec(r.Payload, &c); err != nil {
+		case recChunk, recChunk2:
+			c, err := decodeChunk(r)
+			if err != nil {
 				return fmt.Errorf("record %d (chunk): %w", r.Seq, err)
 			}
 			// History outlives sessions: index every chunk, even ones
 			// whose session is already closed.
-			reg.hist.add(r.Seq, c.Events)
-			if ss, ok := reg.sessions[c.Session]; ok {
+			reg.hist.add(r.Seq, c.events)
+			if ss, ok := reg.sessions[c.session]; ok {
 				ss.replayChunk(c, now)
 			}
 		case recDrain:
@@ -435,19 +411,18 @@ func (reg *sessionRegistry) restoreSnapshot(snap walSnapshot, now time.Time, seq
 // replayChunk re-applies one logged chunk. Backpressure is not
 // re-checked: the chunk was accepted (and acked durable) before the
 // crash, so replay must take it.
-func (ss *streamSession) replayChunk(c walChunk, now time.Time) {
+func (ss *streamSession) replayChunk(c chunkRecord, now time.Time) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if c.ChunkIdx <= ss.chunkIdx { // already folded into a snapshot
+	if c.chunkIdx <= ss.chunkIdx { // already folded into a snapshot
 		return
 	}
-	events := fromWalEvents(c.Events)
 	ss.lastActive = now
-	lanes := stream.FanOut(events, len(ss.lanes), func(e stream.Event[srcPoint]) string { return e.Value.src })
-	ss.applyLocked(events, lanes)
-	ss.chunkIdx = c.ChunkIdx
-	if c.ClientSeq > ss.clientSeq {
-		ss.clientSeq = c.ClientSeq
+	lanes := stream.FanOut(c.events, len(ss.lanes), func(e stream.Event[srcPoint]) string { return e.Value.src })
+	ss.applyLocked(c.events, lanes)
+	ss.chunkIdx = c.chunkIdx
+	if c.clientSeq > ss.clientSeq {
+		ss.clientSeq = c.clientSeq
 	}
 }
 

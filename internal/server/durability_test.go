@@ -351,6 +351,83 @@ func TestHistoryRange(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroSurvivesRestart: coordinates cross the WAL bit for
+// bit. The gob chunk record dropped zero-valued fields, so a row
+// ingested at x=-0 replayed (and was served by history) as x=0 — a
+// restarted session's drain differed from an uninterrupted one's by a
+// sign.
+func TestNegativeZeroSurvivesRestart(t *testing.T) {
+	fs := faults.NewCrashFS()
+	svc := newDurableService(t, fs, store.FsyncAlways, 16)
+	srv := httptest.NewServer(svc)
+	id := openStream(t, srv, "lateness=5&lanes=1")
+	if _, resp := ingestChunk(t, srv, id, "probe,1,-0,5\nprobe,2,0,-0\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	srv.Close() // kill -9
+
+	svc2 := newDurableService(t, fs.Crash(0, false), store.FsyncAlways, 16)
+	defer svc2.Close()
+	srv2 := httptest.NewServer(svc2)
+	defer srv2.Close()
+	want := `{"source":"probe","t":1,"x":-0,"y":5}` + "\n" + `{"source":"probe","t":2,"x":0,"y":-0}` + "\n"
+	if got, _, _ := historyGet(t, srv2, ""); got != want {
+		t.Errorf("history after restart:\n%swant:\n%s", got, want)
+	}
+	if got, _ := drainStream(t, srv2, id, "flush=1"); got != want {
+		t.Errorf("drain after restart:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestHistoryCorruptChunkIs500: point reads verify every frame they
+// serve. A candidate chunk whose bytes rotted in a segment the manifest
+// still lists is a 500 naming the segment — never a 200 with the rows
+// quietly missing.
+func TestHistoryCorruptChunkIs500(t *testing.T) {
+	fs := faults.NewCrashFS()
+	svc, err := OpenService(Config{Logger: DiscardLogger(), Durability: DurabilityConfig{
+		Dir: "wal", Fsync: store.FsyncAlways, SnapshotEvery: 1000, SegmentBytes: 512, FS: fs,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	id := openStream(t, srv, "lateness=0&lanes=1")
+	for i := 1; i <= 20; i++ {
+		if _, resp := ingestChunkSeq(t, srv, id, uint64(i), chunkRow("probe", float64(i), float64(i*10), 0)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunk %d status %d", i, resp.StatusCode)
+		}
+	}
+	clean, _, code := historyGet(t, srv, "")
+	if code != http.StatusOK || strings.Count(clean, "\n") != 20 {
+		t.Fatalf("clean query: status %d, body:\n%s", code, clean)
+	}
+	// The last bytes of the first sealed segment are the Y column of its
+	// last chunk record.
+	seg := svc.streams.wal.Segments()[0]
+	f, err := fs.Open("wal/" + seg.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(seg.Bytes-3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x5a}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	body, _, code := historyGet(t, srv, "")
+	if code != http.StatusInternalServerError || !strings.Contains(body, seg.Name) {
+		t.Fatalf("query over a corrupt chunk: status %d, body %q; want 500 naming %s", code, body, seg.Name)
+	}
+	// A window that does not need the damaged record is still served.
+	if body, _, code := historyGet(t, srv, "mint=19"); code != http.StatusOK || strings.Count(body, "\n") != 2 {
+		t.Fatalf("query beside the corrupt chunk: status %d, body:\n%s", code, body)
+	}
+}
+
 // TestHistoryDisabledWithoutData: the endpoint answers 404 on a
 // memory-only service.
 func TestHistoryDisabledWithoutData(t *testing.T) {

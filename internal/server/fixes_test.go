@@ -2,10 +2,12 @@ package server
 
 // Regression tests for the correctness fixes riding along with the
 // streaming subsystem: typed 413 detection, the mid-stream
-// write-failure counter, and the bounded resample behind /v1/clean.
+// write-failure counter, the bounded resample behind /v1/clean, and
+// query-string validation ahead of the ingest body.
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -109,5 +111,35 @@ func TestCleanTinyIntervalIsBounded(t *testing.T) {
 		if body := rec.Body.String(); !strings.Contains(body, "a,0,0,0") || !strings.Contains(body, "a,1000,10,10") {
 			t.Fatalf("interval=%s: raw points not returned: %q", interval, body)
 		}
+	}
+}
+
+// unreadBody fails the test the moment anything reads from it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the request body was read before the query string was validated")
+	return 0, io.EOF
+}
+
+// A malformed ?seq= (or a missing ?session=) is answered 400 from the
+// query string alone: the chunk body — up to MaxBodyBytes of CSV — is
+// not read, let alone parsed, to say so.
+func TestIngestValidatesQueryBeforeReadingBody(t *testing.T) {
+	svc := newTestService(Config{})
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	id := openStream(t, srv, "lateness=0")
+	for _, query := range []string{"session=" + id + "&seq=abc", "session=" + id + "&seq=-1", "seq=3"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/stream/ingest?"+query, unreadBody{t})
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", query, rec.Code)
+		}
+	}
+	// The same session still takes a well-formed chunk.
+	if ack, resp := ingestChunkSeq(t, srv, id, 1, chunkRow("probe", 1, 2, 3)); resp.StatusCode != http.StatusOK || ack.Ingested != 1 {
+		t.Fatalf("well-formed chunk after the rejects: status %d, ack %+v", resp.StatusCode, ack)
 	}
 }

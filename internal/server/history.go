@@ -5,29 +5,39 @@ package server
 //	GET /v1/history/range?minx=&miny=&maxx=&maxy=&mint=&maxt=
 //
 // Every persisted ingest chunk is indexed by its spatio-temporal
-// extent in an R-tree (internal/index — the same index layer the batch
-// query paths use). A range query searches the R-tree for candidate
-// chunks, reads exactly those records back from the on-disk segments
-// via the WAL's seq-range reader, and filters points to the requested
-// window. History covers closed and evicted sessions too: the log
-// outlives the session state.
+// extent. A range query asks the index for candidate chunks, reads
+// exactly those records back from the on-disk segments (store.ReadSeqs
+// — point reads, nothing in between), tests each row's T/X/Y against
+// the window in place on the record's columns, and writes the matching
+// rows with the shared ndjson row writer. History covers closed and
+// evicted sessions too: the log outlives the session state.
+//
+// The index is keyed by time, not space. A chunk holds many sources,
+// so its bounding box covers most of the city and a spatial tree over
+// chunk boxes prunes almost nothing; what does separate chunks is when
+// they were written. Entries are kept ordered by their earliest event
+// time, so a query binary-searches the run of entries that can overlap
+// its time range and tests boxes on that run only — its cost follows
+// the chunks in the queried time range, not the chunks in the log.
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 
 	"sidq/internal/geo"
-	"sidq/internal/index"
 	"sidq/internal/store"
+	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 )
 
-// chunkExtent is the time bounds companion to a chunk's R-tree rect.
-type chunkExtent struct {
+// histEntry is one chunk record's spatio-temporal extent.
+type histEntry struct {
+	seq        uint64
+	rect       geo.Rect
 	minT, maxT float64
 }
 
@@ -35,70 +45,68 @@ type chunkExtent struct {
 // extents. Safe for concurrent use (replay is single-threaded, but
 // live ingests on different sessions index concurrently).
 type historyIndex struct {
-	mu  sync.Mutex
-	rt  *index.RTree
-	ext map[string]chunkExtent // R-tree entry id (decimal WAL seq) -> time bounds
+	mu      sync.Mutex
+	entries []histEntry // ordered by minT
+	// maxSpan bounds every entry's maxT-minT from above, so entries that
+	// can reach a query starting at t all have minT >= t-maxSpan.
+	maxSpan float64
 }
 
-func newHistoryIndex() *historyIndex {
-	return &historyIndex{rt: index.NewRTree(), ext: map[string]chunkExtent{}}
+// span is the entry's time span rounded up, so that minT >= maxT - span
+// holds exactly whatever the subtraction rounded to.
+func (e *histEntry) span() float64 { return math.Nextafter(e.maxT-e.minT, math.Inf(1)) }
+
+func newHistoryIndex() *historyIndex { return &historyIndex{} }
+
+// widen raises maxSpan to cover e. Caller holds h.mu.
+func (h *historyIndex) widen(e *histEntry) {
+	if s := e.span(); s > h.maxSpan {
+		h.maxSpan = s
+	}
 }
 
-// add indexes one chunk record's extent. Idempotent per seq.
-func (h *historyIndex) add(seq uint64, evs []walEvent) {
-	if len(evs) == 0 {
+// add indexes one chunk record by the extent of its events. Chunks
+// mostly arrive in event-time order, so the insert is an append or
+// lands near the end.
+func (h *historyIndex) add(seq uint64, events []stream.Event[srcPoint]) {
+	if len(events) == 0 {
 		return
 	}
-	rect := geo.RectFromPoints(geo.Pt(evs[0].X, evs[0].Y))
-	ext := chunkExtent{minT: evs[0].T, maxT: evs[0].T}
-	for _, e := range evs[1:] {
-		rect = rect.ExtendPoint(geo.Pt(e.X, e.Y))
-		ext.minT = math.Min(ext.minT, e.T)
-		ext.maxT = math.Max(ext.maxT, e.T)
+	p := events[0].Value.pt
+	e := histEntry{seq: seq, rect: geo.RectFromPoints(p.Pos), minT: p.T, maxT: p.T}
+	for i := 1; i < len(events); i++ {
+		p := events[i].Value.pt
+		e.rect = e.rect.ExtendPoint(p.Pos)
+		e.minT = math.Min(e.minT, p.T)
+		e.maxT = math.Max(e.maxT, p.T)
 	}
-	id := strconv.FormatUint(seq, 10)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.ext[id]; ok {
-		return
-	}
-	h.ext[id] = ext
-	h.rt.Insert(index.RectEntry{ID: id, Rect: rect})
+	h.widen(&e)
+	at := sort.Search(len(h.entries), func(i int) bool { return h.entries[i].minT > e.minT })
+	h.entries = slices.Insert(h.entries, at, e)
 }
 
 // removeBelow drops every entry whose WAL seq is below minSeq —
 // called by the retention loop after TruncateFront so the index never
 // answers with seqs the disk no longer holds (and so a long-running
-// server's index stops growing without bound). The R-tree has no
-// delete, so the surviving entries are bulk-loaded into a fresh tree;
-// retention passes are rare next to queries, and bulk load is the
-// cheaper structure for the searches anyway. Returns how many entries
-// were removed.
+// server's index stops growing without bound). maxSpan is retaken from
+// the survivors, so one chunk with a wide time span stops widening
+// every search once it has aged out. Returns how many entries were
+// removed.
 func (h *historyIndex) removeBelow(minSeq uint64) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.ext) == 0 {
-		return 0
-	}
-	all := geo.Rect{
-		Min: geo.Pt(math.Inf(-1), math.Inf(-1)),
-		Max: geo.Pt(math.Inf(1), math.Inf(1)),
-	}
-	var kept []index.RectEntry
-	removed := 0
-	for _, e := range h.rt.Search(all) {
-		seq, err := strconv.ParseUint(e.ID, 10, 64)
-		if err == nil && seq < minSeq {
-			delete(h.ext, e.ID)
-			removed++
-			continue
+	before := len(h.entries)
+	h.maxSpan = 0
+	h.entries = slices.DeleteFunc(h.entries, func(e histEntry) bool {
+		if e.seq < minSeq {
+			return true
 		}
-		kept = append(kept, e)
-	}
-	if removed > 0 {
-		h.rt = index.BulkLoadRTree(kept)
-	}
-	return removed
+		h.widen(&e)
+		return false
+	})
+	return before - len(h.entries)
 }
 
 // search returns the WAL seqs of chunks whose extent intersects the
@@ -106,19 +114,22 @@ func (h *historyIndex) removeBelow(minSeq uint64) int {
 func (h *historyIndex) search(rect geo.Rect, minT, maxT float64) []uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var seqs []uint64
-	for _, e := range h.rt.Search(rect) {
-		ext := h.ext[e.ID]
-		if ext.maxT < minT || ext.minT > maxT {
-			continue
-		}
-		seq, err := strconv.ParseUint(e.ID, 10, 64)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
+	// Only entries with minT in [minT-maxSpan, maxT] can overlap the time
+	// range. The lower key is rounded down for the same reason maxSpan is
+	// rounded up; Inf-Inf (an empty index queried from +Inf) is NaN and
+	// prunes nothing.
+	from := math.Nextafter(minT-h.maxSpan, math.Inf(-1))
+	if math.IsNaN(from) {
+		from = math.Inf(-1)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	lo := sort.Search(len(h.entries), func(i int) bool { return h.entries[i].minT >= from })
+	var seqs []uint64
+	for i := lo; i < len(h.entries) && h.entries[i].minT <= maxT; i++ {
+		if e := &h.entries[i]; e.maxT >= minT && e.rect.Intersects(rect) {
+			seqs = append(seqs, e.seq)
+		}
+	}
+	slices.Sort(seqs)
 	return seqs
 }
 
@@ -181,13 +192,55 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 	// from "data aged out" by comparing it with the chunk seqs it saw.
 	w.Header().Set("X-Sidq-Chunks", strconv.Itoa(len(seqs)))
 	w.Header().Set("X-Sidq-History-Min-Seq", strconv.FormatUint(reg.wal.FirstSeq(), 10))
-	inWindow := func(e walEvent) bool {
-		return e.X >= minX && e.X <= maxX && e.Y >= minY && e.Y <= maxY && e.T >= minT && e.T <= maxT
+
+	// scan reads the candidate chunks and hands each row inside the
+	// window to row, with the source id still in payload bytes. A legacy
+	// (type 2) chunk is transcoded first, so there is one filter, over
+	// columns.
+	var enc *chunkEncoder
+	returned, filtered := 0, 0
+	scan := func(row func(src []byte, t, x, y float64) error) error {
+		return reg.wal.ReadSeqs(seqs, func(rec store.Record) error {
+			payload := rec.Payload
+			switch rec.Type {
+			case recChunk2:
+			case recChunk:
+				c, err := decodeLegacyChunk(payload)
+				if err != nil {
+					return err
+				}
+				if enc == nil {
+					enc = getChunkEncoder()
+				}
+				payload = enc.encode(c.session, c.chunkIdx, c.clientSeq, c.events)
+			default:
+				return nil
+			}
+			c, err := parseChunk2(payload)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < c.n; i++ {
+				t, x, y := colFloat(c.t, i), colFloat(c.x, i), colFloat(c.y, i)
+				if x >= minX && x <= maxX && y >= minY && y <= maxY && t >= minT && t <= maxT {
+					returned++
+					if err := row(c.srcs[c.src(i)], t, x, y); err != nil {
+						return err
+					}
+				} else {
+					filtered++
+				}
+			}
+			return nil
+		})
 	}
-	want := map[uint64]bool{}
-	for _, seq := range seqs {
-		want[seq] = true
-	}
+	defer func() {
+		if enc != nil {
+			enc.release()
+		}
+		reg.m.histReturned.Add(uint64(returned))
+		reg.m.histFiltered.Add(uint64(filtered))
+	}()
 
 	if format == "csv" {
 		// CSV stays buffered: WriteCSV needs the rows grouped into
@@ -196,32 +249,20 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		// output byte. Use ndjson for wide windows.
 		var results []streamResult
 		var srcs []string
-		srcSeen := map[string]bool{}
-		if len(seqs) > 0 {
-			err := reg.wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
-				if rec.Type != recChunk || !want[rec.Seq] {
-					return nil
-				}
-				var c walChunk
-				if err := decodeRec(rec.Payload, &c); err != nil {
-					return err
-				}
-				for _, e := range c.Events {
-					if !inWindow(e) {
-						continue
-					}
-					results = append(results, streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y})
-					if !srcSeen[e.Src] {
-						srcSeen[e.Src] = true
-						srcs = append(srcs, e.Src)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
-				return
+		names := map[string]string{} // one string per source, not per row
+		err := scan(func(key []byte, t, x, y float64) error {
+			src, ok := names[string(key)]
+			if !ok {
+				src = string(key)
+				names[src] = src
+				srcs = append(srcs, src)
 			}
+			results = append(results, streamResult{Source: src, T: t, X: x, Y: y})
+			return nil
+		})
+		if err != nil {
+			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
+			return
 		}
 		w.Header().Set("X-Sidq-Points", strconv.Itoa(len(results)))
 		w.Header().Set("Content-Type", "text/csv")
@@ -231,38 +272,31 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// ndjson streams: each chunk's matching rows are encoded as
-	// ReadRange emits the record, so a wide window holds one decoded
-	// chunk in memory, never the whole result set. (That is also why
-	// ndjson carries no X-Sidq-Points header — the count is unknown
-	// when the headers are sent.)
+	// ndjson streams: rows are written out as the buffer fills, so a
+	// wide window holds one chunk record and one buffer of rows in
+	// memory, never the whole result set. (That is also why ndjson
+	// carries no X-Sidq-Points header — the count is unknown when the
+	// headers are sent.)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	wrote := false
-	if len(seqs) == 0 {
-		return
+	rb := getRowBuf()
+	defer rb.release()
+	wrote := 0
+	flush := func(min int) error {
+		n, err := rb.flushTo(w, min)
+		wrote += n
+		return err
 	}
-	err := reg.wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
-		if rec.Type != recChunk || !want[rec.Seq] {
-			return nil
-		}
-		var c walChunk
-		if err := decodeRec(rec.Payload, &c); err != nil {
+	err := scan(func(src []byte, t, x, y float64) error {
+		if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, nil); err != nil {
 			return err
 		}
-		for _, e := range c.Events {
-			if !inWindow(e) {
-				continue
-			}
-			if err := enc.Encode(streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y}); err != nil {
-				return err
-			}
-			wrote = true
-		}
-		return nil
+		return flush(rowFlushBytes)
 	})
+	if err == nil {
+		err = flush(0)
+	}
 	if err != nil {
-		if !wrote {
+		if wrote == 0 {
 			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -52,6 +52,11 @@ const (
 	// store itself only truncates.
 	mStoreCompactions = "sidq_store_compactions_total"
 	mHistoryTrimmed   = "sidq_server_history_trimmed_total"
+
+	// History read-path yield (see history.go): rows of candidate chunks
+	// that fell inside the queried window against rows read and dropped.
+	mHistoryReturned = `sidq_server_history_rows_total{outcome="returned"}`
+	mHistoryFiltered = `sidq_server_history_rows_total{outcome="filtered"}`
 )
 
 // knownRoutes is the closed label set for the route label; anything
@@ -109,6 +114,7 @@ func (s *Service) initMetrics() {
 	reg.Help(mStreamDup, "Ingest chunks acknowledged as duplicates (?seq= retry dedup).")
 	reg.Help(mStoreCompactions, "Live sessions force-snapshotted by retention so their old WAL tail becomes droppable.")
 	reg.Help(mHistoryTrimmed, "History-index entries removed because retention truncated their WAL records.")
+	reg.Help("sidq_server_history_rows_total", "Rows of the chunks a history query read, by outcome (returned: inside the window; filtered: read and dropped).")
 	reg.Gauge(mInFlight)
 	reg.Counter(mShed)
 	reg.Counter(mDrainRejected)
@@ -119,7 +125,7 @@ func (s *Service) initMetrics() {
 		mStreamOpened, mStreamClosed, mStreamEvicted, mStreamRejected,
 		mStreamIngested, mStreamEmitted, mStreamLate, mStreamOutlier,
 		mStreamSnapshots, mStreamRestored, mStreamReplayed, mStreamDup,
-		mStoreCompactions, mHistoryTrimmed,
+		mStoreCompactions, mHistoryTrimmed, mHistoryReturned, mHistoryFiltered,
 	} {
 		reg.Counter(name)
 	}

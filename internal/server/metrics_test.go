@@ -98,3 +98,48 @@ func TestRouteLabelClosedSet(t *testing.T) {
 		t.Errorf("other-route 404 counter = %d, want 3", got)
 	}
 }
+
+// TestHistoryRowCountersSplitReturnedFromFiltered: one query's rows
+// land in exactly one of the two outcomes, and the store's read
+// counters move by the candidate chunks alone — read amplification,
+// visible from a scrape.
+func TestHistoryRowCountersSplitReturnedFromFiltered(t *testing.T) {
+	svc, err := OpenService(Config{Logger: DiscardLogger(), Durability: DurabilityConfig{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	id := openStream(t, srv, "lateness=0&lanes=1")
+	for c := 0; c < 5; c++ { // chunk c: four rows at t = 10c .. 10c+3, x = t
+		var chunk strings.Builder
+		for r := 0; r < 4; r++ {
+			tm := float64(10*c + r)
+			chunk.WriteString(chunkRow("probe", tm, tm, 0))
+		}
+		if _, resp := ingestChunk(t, srv, id, chunk.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunk %d status %d", c, resp.StatusCode)
+		}
+	}
+	const (
+		returned = `sidq_server_history_rows_total{outcome="returned"}`
+		filtered = `sidq_server_history_rows_total{outcome="filtered"}`
+		frames   = "sidq_store_read_records_total"
+	)
+	before := map[string]uint64{}
+	for _, name := range []string{returned, filtered, frames} {
+		before[name] = scrapeCounter(t, srv.URL, name)
+	}
+	// t in [11, 21]: chunks 1 and 2 are candidates (8 rows read), rows
+	// 11, 12, 13, 20, 21 are inside.
+	body, hdr, code := historyGet(t, srv, "mint=11&maxt=21")
+	if code != http.StatusOK || hdr.Get("X-Sidq-Chunks") != "2" || strings.Count(body, "\n") != 5 {
+		t.Fatalf("status %d, %s chunks, body:\n%s", code, hdr.Get("X-Sidq-Chunks"), body)
+	}
+	for name, want := range map[string]uint64{returned: 5, filtered: 3, frames: 2} {
+		if got := scrapeCounter(t, srv.URL, name) - before[name]; got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
+	}
+}

@@ -290,6 +290,7 @@ func TestConcurrencyLimitSheds503(t *testing.T) {
 
 	// Occupy the single slot with a request whose body never finishes.
 	pr, pw := io.Pipe()
+	defer pw.Close() // before srv.Close, which waits for this request: a failure below must fail, not hang
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/assess", pr)
 	req.Header.Set("Content-Type", "text/csv")
 	firstDone := make(chan struct{})
@@ -303,8 +304,17 @@ func TestConcurrencyLimitSheds503(t *testing.T) {
 	if _, err := pw.Write([]byte("id,t,x,y\nveh-0,0,1,2\n")); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the slot to actually be taken.
+	// Wait for the slot to actually be taken. The held request must own
+	// it before the first probe goes out: a probe that won the slot would
+	// get the held request shed instead, and the server cannot deliver
+	// that 503 while the request's body is still open.
 	deadline := time.Now().Add(2 * time.Second)
+	for len(svc.inflight) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held request never took the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, err := http.Post(srv.URL+"/v1/assess", "text/csv", strings.NewReader("id,t,x,y\nveh-0,0,1,2\n"))
 		if err != nil {

@@ -124,6 +124,9 @@ type streamMetrics struct {
 	dup         *obs.Counter
 	compactions *obs.Counter
 	histTrimmed *obs.Counter
+
+	histReturned *obs.Counter // history rows inside a query's window
+	histFiltered *obs.Counter // history rows read from candidate chunks and dropped
 }
 
 // sessionRegistry owns every live streaming session plus the shared
@@ -179,6 +182,9 @@ func newSessionRegistry(s *Service) *sessionRegistry {
 			dup:         s.metrics.Counter(mStreamDup),
 			compactions: s.metrics.Counter(mStoreCompactions),
 			histTrimmed: s.metrics.Counter(mHistoryTrimmed),
+
+			histReturned: s.metrics.Counter(mHistoryReturned),
+			histFiltered: s.metrics.Counter(mHistoryFiltered),
 		},
 	}
 	if cfg.Network != nil {
@@ -737,9 +743,16 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
+	// Everything the query string can get wrong is answered before the
+	// body is read: a bad ?seq= must not cost a full parse first.
 	id := r.URL.Query().Get("session")
 	if id == "" {
 		http.Error(w, "missing query parameter session", http.StatusBadRequest)
+		return
+	}
+	clientSeq, err := queryUint(r, "seq")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	ss, ok := s.streams.get(id)
@@ -750,11 +763,6 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 	events, err := parsePointChunk(r.Body)
 	if err != nil {
 		bodyError(w, err)
-		return
-	}
-	clientSeq, err := queryUint(r, "seq")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	ack, err := ss.ingest(events, clientSeq, s.streams.now())
@@ -797,12 +805,20 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	rb := getRowBuf()
+	defer rb.release()
 	for _, res := range results {
-		if err := enc.Encode(res); err != nil {
+		err := rb.appendRow(rb.sourceJSON(res.Source), res.T, res.X, res.Y, res.Edge)
+		if err == nil {
+			_, err = rb.flushTo(w, rowFlushBytes)
+		}
+		if err != nil {
 			s.writeError(r, err)
 			return
 		}
+	}
+	if _, err := rb.flushTo(w, 0); err != nil {
+		s.writeError(r, err)
 	}
 }
 

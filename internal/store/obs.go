@@ -26,6 +26,8 @@ var pkgObs struct {
 	recovered   atomic.Uint64 // records scanned by recoveries
 	torn        atomic.Uint64 // torn tails truncated
 	replays     atomic.Uint64 // Replay passes started
+	readRecords atomic.Uint64 // record frames read back (ReadSeqs, ReadRange, Replay)
+	readBytes   atomic.Uint64 // bytes of those frames
 }
 
 var fsyncHist atomic.Pointer[obs.Histogram]
@@ -131,6 +133,13 @@ func obsTornTruncation() {
 	}
 }
 
+func obsRead(records int, frameBytes int64) {
+	if pkgObs.enabled.Load() {
+		pkgObs.readRecords.Add(uint64(records))
+		pkgObs.readBytes.Add(uint64(frameBytes))
+	}
+}
+
 func obsReplay() {
 	if pkgObs.enabled.Load() {
 		pkgObs.replays.Add(1)
@@ -153,6 +162,8 @@ func InstrumentTo(reg *obs.Registry) {
 	reg.Help("sidq_store_recovered_records_total", "Records scanned from unsealed segments during recovery.")
 	reg.Help("sidq_store_torn_truncations_total", "Torn tails truncated during recovery.")
 	reg.Help("sidq_store_replays_total", "Full Replay passes started.")
+	reg.Help("sidq_store_read_records_total", "Record frames read back from durable logs; against the records a reader asked for, the read amplification.")
+	reg.Help("sidq_store_read_bytes_total", "Bytes of record frames read back from durable logs.")
 	reg.Help("sidq_store_disk_bytes", "Bytes held by open durable logs (sealed segments plus active, including buffered writes).")
 	reg.Help("sidq_store_segments", "Segment count across open durable logs (sealed plus active).")
 	reg.Help("sidq_store_retained_seq", "Lowest WAL seq still on disk across open durable logs (the retention floor).")
@@ -169,6 +180,8 @@ func InstrumentTo(reg *obs.Registry) {
 	counter("sidq_store_recovered_records_total", &pkgObs.recovered)
 	counter("sidq_store_torn_truncations_total", &pkgObs.torn)
 	counter("sidq_store_replays_total", &pkgObs.replays)
+	counter("sidq_store_read_records_total", &pkgObs.readRecords)
+	counter("sidq_store_read_bytes_total", &pkgObs.readBytes)
 	reg.Func("sidq_store_disk_bytes", obs.FuncGauge, func() float64 {
 		bytes, _ := sumLiveSegments()
 		return bytes

@@ -93,3 +93,41 @@ func TestInstrumentToExposesDiskGauges(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCountersCountFramesActuallyRead: the read-amplification
+// counters move by exactly the frames each read path touched — the
+// whole spanned segments for ReadRange, the wanted frames alone for
+// ReadSeqs.
+func TestReadCountersCountFramesActuallyRead(t *testing.T) {
+	InstrumentTo(obs.NewRegistry())
+	l, _, err := Open(t.TempDir(), Options{Fsync: FsyncOff, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := bytes.Repeat([]byte{'x'}, 100)
+	for i := 0; i < 12; i++ {
+		if _, err := l.Append(1, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := uint64(recordHeader + len(rec))
+	delta := func(read func()) (records, bytes uint64) {
+		r0, b0 := pkgObs.readRecords.Load(), pkgObs.readBytes.Load()
+		read()
+		return pkgObs.readRecords.Load() - r0, pkgObs.readBytes.Load() - b0
+	}
+	none := func(Record) error { return nil }
+
+	// A range inside one sealed segment reads that whole segment, and
+	// ReadRange snapshots the active segment whatever the range.
+	segs := l.Segments()
+	seg, active := segs[1], segs[len(segs)-1]
+	want := (seg.LastSeq - seg.FirstSeq + 1) + (active.LastSeq - active.FirstSeq + 1)
+	if r, b := delta(func() { _ = l.ReadRange(seg.FirstSeq, seg.FirstSeq, none) }); r != want || b != want*frame {
+		t.Errorf("ReadRange of one seq read %d records / %d bytes, want %d / %d", r, b, want, want*frame)
+	}
+	if r, b := delta(func() { _ = l.ReadSeqs([]uint64{seg.FirstSeq, seg.LastSeq + 2, 12}, none) }); r != 3 || b != 3*frame {
+		t.Errorf("ReadSeqs of 3 seqs read %d records / %d bytes, want 3 / %d", r, b, 3*frame)
+	}
+}

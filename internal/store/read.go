@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path"
+	"sort"
 )
 
 // Replay streams every durable record, in seq order, through fn. It is
@@ -17,8 +18,10 @@ func (l *Log) Replay(fn func(Record) error) error {
 // ReadRange streams records with from <= Seq <= to, in seq order,
 // through fn. Sealed segments that do not overlap the range are not
 // read at all — the manifest's seq ranges are the coarse index. The
-// active segment is snapshotted under the log lock (flush + copy) so
-// reads never observe a partially written record.
+// segments still being written are snapshotted under the log lock (file
+// and buffers copied) so reads never observe a partially written
+// record. It is the sequential path — recovery, verification, whole-log
+// scans; a caller that knows which seqs it wants uses ReadSeqs.
 //
 // A TruncateFront running concurrently may remove segments after the
 // sealed list is copied; those segments are silently skipped, so the
@@ -29,17 +32,17 @@ func (l *Log) Replay(fn func(Record) error) error {
 func (l *Log) ReadRange(from, to uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	sealed := append([]SegmentInfo(nil), l.sealed...)
-	wantFirst := l.activeFirst
+	wantFirst := l.liveFirstLocked()
 	l.mu.Unlock()
 	for _, s := range sealed {
 		if err := l.emitSealed(s, from, to, fn); err != nil {
 			return err
 		}
 	}
-	recs, first := l.snapshotActive()
-	// A roll between the sealed-list copy and the active snapshot moves
+	recs, first := l.snapshotLive()
+	// A seal between the sealed-list copy and the live snapshot moves
 	// [wantFirst, first) into segments that are in neither: sealed too
-	// late for the copy, inactive too early for the snapshot. They are
+	// late for the copy, no longer live for the snapshot. They are
 	// sealed (immutable) now, so read them from the current manifest
 	// before the active records — seq order is preserved because every
 	// copied segment ends below wantFirst.
@@ -94,6 +97,7 @@ func (l *Log) emitSealed(s SegmentInfo, from, to uint64, fn func(Record) error) 
 		return fmt.Errorf("store: read sealed %s: %w", s.Name, err)
 	}
 	res := scanSegment(data)
+	obsRead(len(res.records), res.good())
 	if res.torn || uint64(len(res.records)) != s.LastSeq-s.FirstSeq+1 {
 		if !l.sealedListed(s.Name) {
 			return nil
@@ -101,7 +105,28 @@ func (l *Log) emitSealed(s SegmentInfo, from, to uint64, fn func(Record) error) 
 		return fmt.Errorf("store: sealed segment %s corrupt (%d records, want %d, torn=%v)",
 			s.Name, len(res.records), s.LastSeq-s.FirstSeq+1, res.torn)
 	}
+	l.rememberOffs(s, res.offs)
 	return emitRange(res.records, s.FirstSeq, from, to, fn)
+}
+
+// rememberOffs keeps a verified sealed segment's frame boundaries for
+// later point reads, unless the segment has been truncated away since.
+func (l *Log) rememberOffs(s SegmentInfo, offs []int64) {
+	l.mu.Lock()
+	if cur, ok := l.sealedAtLocked(s.FirstSeq); ok && cur.Name == s.Name {
+		l.sealedOffs[s.FirstSeq] = offs
+	}
+	l.mu.Unlock()
+}
+
+// sealedAtLocked finds the sealed segment holding seq. Caller holds
+// l.mu.
+func (l *Log) sealedAtLocked(seq uint64) (SegmentInfo, bool) {
+	i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].LastSeq >= seq })
+	if i == len(l.sealed) || l.sealed[i].FirstSeq > seq {
+		return SegmentInfo{}, false
+	}
+	return l.sealed[i], true
 }
 
 // sealedListed reports whether name is (still) in the sealed manifest.
@@ -116,25 +141,31 @@ func (l *Log) sealedListed(name string) bool {
 	return false
 }
 
-// snapshotActive flushes and scans the active segment under the log
-// lock, returning copied records and the segment's first seq.
-func (l *Log) snapshotActive() ([]Record, uint64) {
+// snapshotLive copies and scans, under the log lock, the segments
+// still being written — the one on its way to being sealed, if any,
+// then the active one — returning their records and the first one's
+// first seq.
+func (l *Log) snapshotLive() ([]Record, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err == nil {
-		if err := l.w.Flush(); err != nil {
-			l.failLocked(err)
+	live := l.liveLocked()
+	var recs []Record
+	for _, sg := range live {
+		data := make([]byte, sg.size)
+		// On a closed log the file is gone, and what was still in memory
+		// with it; the scan below stops at any tear.
+		if sg.written > 0 {
+			if n, _ := sg.f.ReadAt(data[:sg.written], 0); int64(n) != sg.written {
+				break
+			}
 		}
+		n := int(sg.written) + copy(data[sg.written:], sg.inflight)
+		copy(data[n:], sg.pend)
+		res := scanSegment(data)
+		obsRead(len(res.records), res.good())
+		recs = append(recs, res.records...)
 	}
-	// On a poisoned or closed log only what already reached the file is
-	// readable; the scan below stops at any tear.
-	first := l.activeFirst
-	data, err := readAll(l.active)
-	if err != nil {
-		return nil, first
-	}
-	res := scanSegment(data)
-	return res.records, first
+	return recs, live[0].first
 }
 
 // emitRange numbers recs from firstSeq and forwards those in [from,to].
@@ -155,6 +186,169 @@ func emitRange(recs []Record, firstSeq, from, to uint64, fn func(Record) error) 
 	return nil
 }
 
+// ReadSeqs streams exactly the records named by seqs through fn, in
+// the order given, reading only their frames: each one is located
+// through its segment's frame-boundary table, fetched with one ReadAt
+// into a buffer reused across records, and verified (length, CRC32C)
+// before fn sees it. Record.Payload is valid only until fn returns.
+// Ascending seqs cost one file open per segment touched.
+//
+// Seqs the log does not hold — never appended, or in segments a
+// TruncateFront has dropped, before or during the call — are skipped,
+// as ReadRange skips them. A frame of a segment the manifest still
+// lists that cannot be read or does not verify is an error, never a
+// silent skip.
+//
+// Sealed segments are read without the log lock, which is taken only
+// to look a seq up. A record of a segment still being written is
+// copied under the lock — that frame alone, from the file if it has
+// been written out and from the log's buffer if not, never flushing
+// anything — because a seal may close the file the moment the lock is
+// released.
+func (l *Log) ReadSeqs(seqs []uint64, fn func(Record) error) error {
+	var buf []byte
+	for i := 0; i < len(seqs); {
+		seq := seqs[i]
+		l.mu.Lock()
+		if seq >= l.liveFirstLocked() && seq < l.nextSeq {
+			var err error
+			buf, err = l.readLiveLocked(seq, buf)
+			l.mu.Unlock()
+			if err != nil {
+				return err
+			}
+			rec, err := frameRecord(seq, buf)
+			if err != nil {
+				return fmt.Errorf("store: record %d in the active segment: %w", seq, err)
+			}
+			if err := fn(rec); err != nil {
+				return err
+			}
+			i++
+			continue
+		}
+		s, ok := l.sealedAtLocked(seq)
+		offs := l.sealedOffs[s.FirstSeq]
+		l.mu.Unlock()
+		if !ok {
+			i++ // truncated away, or not appended yet
+			continue
+		}
+		j := i + 1
+		for j < len(seqs) && seqs[j] >= s.FirstSeq && seqs[j] <= s.LastSeq {
+			j++
+		}
+		var err error
+		if buf, err = l.readSealed(s, offs, seqs[i:j], buf, fn); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
+// readLiveLocked copies the frame of seq, a record of a segment still
+// being written, into buf (grown as needed). Caller holds l.mu.
+func (l *Log) readLiveLocked(seq uint64, buf []byte) ([]byte, error) {
+	sg := l.act
+	if seq < sg.first {
+		sg = l.sealing
+	}
+	k := seq - sg.first
+	start, end := sg.offs[k], sg.offs[k+1]
+	buf = sized(buf, end-start)
+	if end <= sg.written {
+		// On a closed log the file is gone; that is reported, not skipped.
+		if n, err := sg.f.ReadAt(buf, start); n != len(buf) {
+			return buf, fmt.Errorf("store: read record %d from the active segment: %w", seq, err)
+		}
+		return buf, nil
+	}
+	// Not written out yet. Buffers are swapped between whole appends, so
+	// the frame lies inside one of them.
+	src, at := sg.inflight, start-sg.written
+	if at >= int64(len(src)) {
+		src, at = sg.pend, at-int64(len(src))
+	}
+	copy(buf, src[at:])
+	return buf, nil
+}
+
+// readSealed emits the wanted records of one sealed segment. offs is
+// the segment's boundary table, nil if nobody has built it yet. Any
+// failure is rechecked against the manifest, like emitSealed's: a
+// segment truncated out from under the read is skipped, a listed one
+// that fails is corrupt.
+func (l *Log) readSealed(s SegmentInfo, offs []int64, seqs []uint64, buf []byte, fn func(Record) error) ([]byte, error) {
+	fail := func(what string, err error) ([]byte, error) {
+		if !l.sealedListed(s.Name) {
+			return buf, nil
+		}
+		return buf, fmt.Errorf("store: sealed segment %s: %s: %w", s.Name, what, err)
+	}
+	f, err := l.fs.Open(path.Join(l.dir, s.Name))
+	if err != nil {
+		return fail("open", err)
+	}
+	defer f.Close()
+	if offs == nil {
+		if offs, err = l.buildOffs(s, f); err != nil {
+			return fail("scan", err)
+		}
+	}
+	for _, seq := range seqs {
+		k := seq - s.FirstSeq
+		buf = sized(buf, offs[k+1]-offs[k])
+		if n, err := f.ReadAt(buf, offs[k]); n != len(buf) {
+			return fail(fmt.Sprintf("read record %d", seq), err)
+		}
+		rec, err := frameRecord(seq, buf)
+		if err != nil {
+			return fail(fmt.Sprintf("record %d", seq), err)
+		}
+		if err := fn(rec); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// buildOffs scans a sealed segment once, verifying every frame and the
+// record count its manifest entry promises, and keeps the boundary
+// table for the reads that follow.
+func (l *Log) buildOffs(s SegmentInfo, f File) ([]int64, error) {
+	data, err := readAll(f)
+	if err != nil {
+		return nil, err
+	}
+	offs, torn := scanFrames(data)
+	obsRead(len(offs)-1, offs[len(offs)-1])
+	if torn || uint64(len(offs)-1) != s.LastSeq-s.FirstSeq+1 {
+		return nil, fmt.Errorf("%d records, want %d, torn=%v: %w", len(offs)-1, s.LastSeq-s.FirstSeq+1, torn, errTorn)
+	}
+	l.rememberOffs(s, offs)
+	return offs, nil
+}
+
+// frameRecord verifies that b is exactly one record frame and returns
+// it as record seq, its payload aliasing b.
+func frameRecord(seq uint64, b []byte) (Record, error) {
+	typ, payload, size, err := parseRecord(b)
+	if err != nil || size != int64(len(b)) {
+		return Record{}, errTorn
+	}
+	obsRead(1, size)
+	return Record{Seq: seq, Type: typ, Payload: payload}, nil
+}
+
+// sized returns buf resliced to n bytes, reallocating only to grow.
+func sized(buf []byte, n int64) []byte {
+	if int64(cap(buf)) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
 // TruncateFront drops sealed segments whose every record is below
 // keepSeq — retention, not compaction: the cut is segment-granular and
 // never touches the active segment. The manifest (which also records
@@ -165,9 +359,11 @@ func emitRange(recs []Record, firstSeq, from, to uint64, fn func(Record) error) 
 // reflect the manifest, even when a subsequent Remove fails (that
 // error is still returned, alongside the true count).
 func (l *Log) TruncateFront(keepSeq uint64) (int, error) {
+	l.ioMu.Lock() // one manifest writer at a time: a seal commits there too
+	defer l.ioMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.err != nil {
+		defer l.mu.Unlock()
 		return 0, l.err
 	}
 	cut := 0
@@ -175,17 +371,25 @@ func (l *Log) TruncateFront(keepSeq uint64) (int, error) {
 		cut++
 	}
 	if cut == 0 {
+		l.mu.Unlock()
 		return 0, nil
 	}
 	dropped := append([]SegmentInfo(nil), l.sealed[:cut]...)
 	kept := append([]SegmentInfo(nil), l.sealed[cut:]...)
 	horizon := dropped[len(dropped)-1].LastSeq + 1
+	l.mu.Unlock()
+	// Like every write-side disk operation, off the log mutex. Only
+	// holders of ioMu change l.sealed, so kept is still right after it.
 	if err := writeManifest(l.fs, l.dir, manifest{Sealed: kept, TruncatedTo: horizon}); err != nil {
-		l.failLocked(err)
-		return 0, err
+		return 0, l.fail(err)
 	}
+	l.mu.Lock()
 	l.sealed = kept
 	l.truncatedTo = horizon
+	for _, s := range dropped {
+		delete(l.sealedOffs, s.FirstSeq)
+	}
+	l.mu.Unlock()
 	obsRemoveSegments(len(dropped))
 	var firstErr error
 	for _, s := range dropped {
@@ -271,9 +475,9 @@ func Verify(dir string, fs FS) (VerifyReport, error) {
 			sr.Problem = fmt.Sprintf("read: %v", err)
 		default:
 			res := scanSegment(data)
-			sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good, res.torn
+			sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good(), res.torn
 			if res.torn {
-				sr.Problem = fmt.Sprintf("sealed segment torn at offset %d", res.good)
+				sr.Problem = fmt.Sprintf("sealed segment torn at offset %d", res.good())
 			} else if uint64(len(res.records)) != s.LastSeq-s.FirstSeq+1 {
 				sr.Problem = fmt.Sprintf("%d records, manifest says %d", len(res.records), s.LastSeq-s.FirstSeq+1)
 			}
@@ -312,7 +516,7 @@ func Verify(dir string, fs FS) (VerifyReport, error) {
 			continue
 		}
 		res := scanSegment(data)
-		sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good, res.torn
+		sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good(), res.torn
 		switch {
 		case ended:
 			sr.Problem = "unreachable (past a tear or gap; removed by next recovery)"
@@ -324,9 +528,9 @@ func Verify(dir string, fs FS) (VerifyReport, error) {
 		default:
 			expected = first + uint64(len(res.records))
 			rep.LastSeq = expected - 1
-			rep.DurableOff = fmt.Sprintf("%s:%d", name, res.good)
+			rep.DurableOff = fmt.Sprintf("%s:%d", name, res.good())
 			if res.torn {
-				rep.TornBytes += sr.Bytes - res.good
+				rep.TornBytes += sr.Bytes - res.good()
 				ended = true
 			}
 		}

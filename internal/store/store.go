@@ -15,24 +15,32 @@
 //     record. Concurrent appenders share fsyncs (group commit): while
 //     one fsync is in flight, arriving appends buffer behind it and
 //     are all released by the next single fsync.
-//   - FsyncBatch: Append returns after the buffered write; a
-//     background flusher fsyncs every BatchInterval. A crash can lose
-//     up to one interval of acked records.
+//   - FsyncBatch: Append returns once the record is in the log's
+//     memory buffer; a background flusher writes the buffer out as it
+//     fills, seals rolled segments, and fsyncs every BatchInterval. A
+//     crash can lose up to one interval of acked records — or, when
+//     the disk falls behind, up to maxBacklog bytes of them, past
+//     which appenders wait for it.
 //   - FsyncOff: no fsyncs except at segment seal and Close. For
 //     benchmarks and tests.
 //   - Any write, flush, or fsync error poisons the log: the failed
 //     and all subsequent Appends return the error rather than lying
 //     about durability (an fsync failure leaves the page cache in an
 //     unknowable state, so there is no safe retry).
+//
+// No file I/O happens under the log mutex on the append path: Append
+// copies the frame into memory and leaves; writes, fsyncs, segment
+// seals and manifest commits run under a separate I/O mutex, one at a
+// time, in log order (drain). What an appender or a reader waits for is
+// therefore another appender's memcpy, never the disk — so how long a
+// request takes does not follow the state the disk happens to be in.
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"path"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -111,6 +119,43 @@ type RecoveryInfo struct {
 	StaleFiles        int    // leftover files removed (tmp manifest, pre-truncation segments)
 }
 
+// segment is a segment this process writes: the active one, or the one
+// before it on its way to being sealed. Its bytes are, in order, what
+// the file already holds, the buffer a drain is writing right now, and
+// the buffer appends go to:
+//
+//	file[0:written) ++ inflight ++ pend == segment[0:size)
+//
+// Buffers are swapped between whole appends, so every boundary between
+// the three is a frame boundary. All fields are guarded by Log.mu; the
+// bytes of inflight are read (by the drain's write, by readers) but
+// never changed while it is set.
+type segment struct {
+	f     File   // nil from the roll that started the segment until the seal of the one before it
+	first uint64 // seq of the first record
+	size  int64  // bytes appended, written or not
+	born  time.Time
+	// offs are the frame boundaries, for point reads (ReadSeqs): record
+	// i spans bytes [offs[i], offs[i+1]). The table grows with every
+	// Append and always ends at size; once the segment is sealed it is
+	// handed to sealedOffs unchanged, and from then on nobody writes it.
+	offs []int64
+
+	written  int64
+	inflight []byte
+	pend     []byte
+}
+
+const (
+	// flushAt is the backlog of unwritten bytes past which an append asks
+	// for a write (FsyncBatch: of the flusher; FsyncOff: does it itself).
+	flushAt = 64 << 10
+	// maxBacklog is the backlog past which a FsyncBatch appender stops
+	// leaving the write to the flusher and does it itself — the
+	// backpressure that bounds the log's memory when the disk falls behind.
+	maxBacklog = 4 << 20
+)
+
 // Log is a segmented append-only record log. All methods are safe for
 // concurrent use.
 type Log struct {
@@ -118,22 +163,25 @@ type Log struct {
 	opt Options
 	fs  FS
 
-	mu          sync.Mutex // guards buffered writes + the fields below
-	active      File
-	w           *bufio.Writer
-	activeFirst uint64 // first seq in the active segment
-	activeSize  int64  // bytes appended to the active segment (incl. buffered)
-	activeBorn  time.Time
-	nextSeq     uint64
-	sealed      []SegmentInfo
-	truncatedTo uint64 // retention horizon persisted in the manifest (0 = never truncated)
-	err         error  // sticky failure; all appends fail after it
-	scratch     []byte
+	// ioMu serializes everything that touches the disk on the write
+	// side: buffer writes, fsyncs, segment seals, manifest commits.
+	// Lock order is ioMu -> mu; mu is never held across that I/O.
+	ioMu sync.Mutex
 
-	fsyncMu sync.Mutex    // serializes fsync against segment-roll close
-	gen     atomic.Uint64 // bumped under fsyncMu after each successful seal; lets
-	// syncNow detect a roll without reacquiring l.mu (lock order is
-	// always l.mu -> fsyncMu, never the reverse)
+	mu          sync.Mutex // guards the fields below
+	act         *segment   // the active segment
+	sealing     *segment   // the segment before it, rolled but not yet in the manifest; nil most of the time
+	nextSeq     uint64
+	sealed      []SegmentInfo // exactly what the manifest lists
+	truncatedTo uint64        // retention horizon persisted in the manifest (0 = never truncated)
+	err         error         // sticky failure; all appends fail after it
+	spare       [][]byte      // emptied write buffers, for the next swap
+
+	// A sealed segment's frame boundaries, by its FirstSeq. A segment
+	// sealed before this process opened the log has no table until a
+	// scan of it (Replay, ReadRange, or the first ReadSeqs that touches
+	// it) provides one; TruncateFront drops tables with their segments.
+	sealedOffs map[uint64][]int64
 
 	sc struct {
 		mu      sync.Mutex
@@ -143,6 +191,7 @@ type Log struct {
 		err     error  // sticky failure, mirrored for waiters
 	}
 
+	kick      chan struct{} // FsyncBatch: wakes the flusher before its next tick
 	batchStop chan struct{}
 	batchDone chan struct{}
 	closeOnce sync.Once
@@ -154,7 +203,7 @@ type Log struct {
 // record, and the active segment is reopened for append.
 func Open(dir string, opt Options) (*Log, RecoveryInfo, error) {
 	opt = opt.withDefaults()
-	l := &Log{dir: dir, opt: opt, fs: opt.FS}
+	l := &Log{dir: dir, opt: opt, fs: opt.FS, sealedOffs: map[uint64][]int64{}}
 	l.sc.cond = sync.NewCond(&l.sc.mu)
 	info, err := l.recover()
 	if err != nil {
@@ -163,6 +212,7 @@ func Open(dir string, opt Options) (*Log, RecoveryInfo, error) {
 	obsRecovery(&info)
 	registerLog(l)
 	if opt.Fsync == FsyncBatch {
+		l.kick = make(chan struct{}, 1)
 		l.batchStop = make(chan struct{})
 		l.batchDone = make(chan struct{})
 		go l.batchLoop()
@@ -237,6 +287,7 @@ func (l *Log) recover() (RecoveryInfo, error) {
 	adopted := false
 	var activeName string
 	var activeGood int64
+	activeOffs := []int64{0}
 	for i, first := range tail {
 		name := segmentName(first)
 		if first != l.nextSeq {
@@ -265,10 +316,11 @@ func (l *Log) recover() (RecoveryInfo, error) {
 		l.nextSeq = first + uint64(len(res.records))
 		if res.torn || i == len(tail)-1 {
 			if res.torn {
-				info.TornBytes += int64(len(data)) - res.good
+				info.TornBytes += int64(len(data)) - res.good()
 				obsTornTruncation()
 			}
-			activeName, activeGood = name, res.good
+			activeName, activeGood = name, res.good()
+			activeOffs = res.offs
 			for _, seq := range tail[i+1:] {
 				if err := fs.Remove(path.Join(l.dir, segmentName(seq))); err != nil {
 					return info, fmt.Errorf("store: remove unreachable %s: %w", segmentName(seq), err)
@@ -281,6 +333,7 @@ func (l *Log) recover() (RecoveryInfo, error) {
 		l.sealed = append(l.sealed, SegmentInfo{
 			Name: name, FirstSeq: first, LastSeq: l.nextSeq - 1, Bytes: int64(len(data)),
 		})
+		l.sealedOffs[first] = res.offs
 		info.AdoptedSegments++
 		adopted = true
 	}
@@ -293,9 +346,9 @@ func (l *Log) recover() (RecoveryInfo, error) {
 	// Reopen (or create) the active segment and make the recovered
 	// state durable: the truncation must not reappear after the next
 	// crash.
-	l.activeFirst = l.nextSeq
+	l.act = &segment{first: l.nextSeq, offs: activeOffs, born: l.opt.Now()}
 	if activeName != "" {
-		l.activeFirst = mustSegSeq(activeName)
+		l.act.first = mustSegSeq(activeName)
 		f, err := fs.Open(path.Join(l.dir, activeName))
 		if err != nil {
 			return info, fmt.Errorf("store: reopen %s: %w", activeName, err)
@@ -312,10 +365,10 @@ func (l *Log) recover() (RecoveryInfo, error) {
 			f.Close()
 			return info, fmt.Errorf("store: sync %s: %w", activeName, err)
 		}
-		l.active = f
-		l.activeSize = activeGood
+		l.act.f = f
+		l.act.size, l.act.written = activeGood, activeGood
 	} else {
-		name := segmentName(l.activeFirst)
+		name := segmentName(l.act.first)
 		f, err := fs.Create(path.Join(l.dir, name))
 		if err != nil {
 			return info, fmt.Errorf("store: create %s: %w", name, err)
@@ -324,11 +377,8 @@ func (l *Log) recover() (RecoveryInfo, error) {
 			f.Close()
 			return info, fmt.Errorf("store: sync dir: %w", err)
 		}
-		l.active = f
-		l.activeSize = 0
+		l.act.f = f
 	}
-	l.activeBorn = l.opt.Now()
-	l.w = bufio.NewWriterSize(l.active, 1<<16)
 	l.sc.durable = l.nextSeq - 1
 	info.LastSeq = l.nextSeq - 1
 	return info, nil
@@ -358,36 +408,95 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("store: record payload %d exceeds max %d", len(payload), int64(MaxRecord))
 	}
 	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return 0, err
-	}
-	if l.activeSize > 0 && (l.activeSize >= l.opt.SegmentBytes ||
-		(l.opt.SegmentAge > 0 && l.opt.Now().Sub(l.activeBorn) >= l.opt.SegmentAge)) {
-		if err := l.rollLocked(); err != nil {
+	for {
+		if l.err != nil {
+			err := l.err
 			l.mu.Unlock()
 			return 0, err
 		}
-	}
-	seq := l.nextSeq
-	l.scratch = appendRecord(l.scratch[:0], typ, payload)
-	if _, err := l.w.Write(l.scratch); err != nil {
-		l.failLocked(err)
+		sg := l.act
+		if sg.size == 0 || (sg.size < l.opt.SegmentBytes &&
+			(l.opt.SegmentAge <= 0 || l.opt.Now().Sub(sg.born) < l.opt.SegmentAge)) {
+			break
+		}
+		if l.sealing == nil {
+			l.rollLocked()
+			break
+		}
+		// The segment before this one is still on its way into the
+		// manifest. Finish that rather than queue a second one behind it.
 		l.mu.Unlock()
-		return 0, err
+		if _, err := l.drain(false); err != nil {
+			return 0, err
+		}
+		l.mu.Lock()
 	}
+	sg := l.act
+	seq := l.nextSeq
+	sg.pend = appendRecord(sg.pend, typ, payload)
 	l.nextSeq++
-	l.activeSize += int64(len(l.scratch))
-	mode := l.opt.Fsync
+	sg.size += recordSize(payload)
+	sg.offs = append(sg.offs, sg.size)
+	backlog := len(sg.pend)
+	if l.sealing != nil {
+		backlog += flushAt // a rolled segment waits to be sealed: as good as a full buffer
+	}
 	l.mu.Unlock()
 	obsAppend(len(payload))
-	if mode == FsyncAlways {
+	switch l.opt.Fsync {
+	case FsyncAlways:
 		if err := l.waitDurable(seq); err != nil {
 			return 0, err
 		}
+	case FsyncBatch:
+		if backlog >= maxBacklog {
+			if _, err := l.drain(false); err != nil {
+				return 0, err
+			}
+		} else if backlog >= flushAt {
+			select {
+			case l.kick <- struct{}{}:
+			default:
+			}
+		}
+	case FsyncOff:
+		if backlog >= flushAt {
+			if _, err := l.drain(false); err != nil {
+				return 0, err
+			}
+		}
 	}
 	return seq, nil
+}
+
+// rollLocked starts the next segment: the active one becomes l.sealing,
+// with whatever it still holds in memory, and an empty one takes its
+// place. Nothing touches the disk here — the next drain seals the old
+// segment and creates the new one's file. Caller holds l.mu and has
+// checked l.sealing == nil.
+func (l *Log) rollLocked() {
+	l.sealing = l.act
+	l.act = &segment{first: l.nextSeq, offs: []int64{0}, born: l.opt.Now(), pend: l.takeSpareLocked()}
+}
+
+func (l *Log) takeSpareLocked() []byte {
+	if n := len(l.spare); n > 0 {
+		b := l.spare[n-1]
+		l.spare = l.spare[:n-1]
+		return b
+	}
+	return nil
+}
+
+// wroteLocked records that sg's inflight buffer reached the file, and
+// keeps the buffer for reuse unless one huge record blew it up. Caller
+// holds l.mu and l.ioMu.
+func (l *Log) wroteLocked(sg *segment) {
+	sg.written += int64(len(sg.inflight))
+	if b := sg.inflight; b != nil && cap(b) <= maxBacklog+flushAt && len(l.spare) < 4 {
+		l.spare = append(l.spare, b[:0])
+	}
+	sg.inflight = nil
 }
 
 // waitDurable blocks until seq is covered by an fsync, sharing in-
@@ -414,7 +523,7 @@ func (l *Log) waitDurable(seq uint64) error {
 		}
 		sc.syncing = true
 		sc.mu.Unlock()
-		hi, err := l.syncNow()
+		hi, err := l.drain(true)
 		sc.mu.Lock()
 		sc.syncing = false
 		if err != nil {
@@ -426,52 +535,112 @@ func (l *Log) waitDurable(seq uint64) error {
 	}
 }
 
-// syncNow flushes the write buffer and fsyncs the active segment,
-// returning the highest seq the fsync covers. The buffer flush holds
-// the log mutex; the fsync itself does not, so appenders keep writing
-// (into the buffer) while the disk syncs — that is what makes group
-// commit group.
-func (l *Log) syncNow() (uint64, error) {
+// drain is the one place the write side touches the disk. It takes
+// everything appended so far — a rolled segment waiting to be sealed,
+// then the active segment's buffer — and in that order writes it out,
+// seals, and with fsync set fsyncs the active segment. It returns the
+// highest seq it covered: written, and with fsync also durable. The log
+// mutex is held only to swap buffers and to publish results, so
+// appenders keep appending (into the next buffer) while the disk works
+// — that is what makes group commit group.
+func (l *Log) drain(fsync bool) (uint64, error) {
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
 	l.mu.Lock()
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
 		return 0, err
 	}
-	if err := l.w.Flush(); err != nil {
-		l.failLocked(err)
-		l.mu.Unlock()
-		return 0, err
+	// One cut for both segments: a roll after it only adds records past hi.
+	old, sg, hi := l.sealing, l.act, l.nextSeq-1
+	var oldBuf []byte
+	if old != nil {
+		oldBuf = old.pend // its last: nothing is appended to a rolled segment
+		old.inflight, old.pend = old.pend, nil
 	}
-	hi := l.nextSeq - 1
-	f := l.active
-	gen := l.gen.Load()
+	buf := sg.pend
+	sg.inflight, sg.pend = sg.pend, l.takeSpareLocked()
 	l.mu.Unlock()
 
-	l.fsyncMu.Lock()
-	// A generation bump means a roll sealed (fsynced and closed) f after
-	// our flush, so everything up to hi is already durable and f must
-	// not be touched. Checked under fsyncMu, where rolls publish the
-	// bump — l.mu is never taken here, which would invert the
-	// l.mu -> fsyncMu order rollLocked uses and deadlock.
-	stale := l.gen.Load() != gen
-	var err error
-	if !stale {
-		start := time.Now()
-		err = f.Sync()
-		obsFsync(time.Since(start), err)
+	if old != nil {
+		if err := l.seal(old, oldBuf, sg); err != nil {
+			return 0, l.fail(err)
+		}
 	}
-	l.fsyncMu.Unlock()
-	if err != nil {
-		l.fail(err)
-		return 0, err
+	if len(buf) > 0 {
+		if _, err := sg.f.Write(buf); err != nil {
+			return 0, l.fail(err)
+		}
+	}
+	l.mu.Lock()
+	l.wroteLocked(sg)
+	l.mu.Unlock()
+	if fsync {
+		start := time.Now()
+		err := sg.f.Sync()
+		obsFsync(time.Since(start), err)
+		if err != nil {
+			return 0, l.fail(err)
+		}
 	}
 	return hi, nil
 }
 
+// seal makes a rolled segment a sealed one, and gives next, the
+// segment that replaced it, its file. In order: old's last bytes
+// written and the file fsynced; next's file created — only now, so a
+// segment file never exists beside an earlier one that could be torn;
+// the manifest rewritten to list old, whose directory sync makes next's
+// creation durable too; and only then the in-memory list extended, so
+// l.sealed never runs ahead of the manifest. Until that moment readers
+// find old under l.sealing, file and buffers. Caller holds l.ioMu,
+// which also keeps TruncateFront's manifest commit out.
+func (l *Log) seal(old *segment, tail []byte, next *segment) error {
+	if len(tail) > 0 {
+		if _, err := old.f.Write(tail); err != nil {
+			return err
+		}
+	}
+	if err := old.f.Sync(); err != nil {
+		return err
+	}
+	f, err := l.fs.Create(path.Join(l.dir, segmentName(next.first)))
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.wroteLocked(old)
+	next.f = f
+	info := SegmentInfo{
+		Name:     segmentName(old.first),
+		FirstSeq: old.first,
+		LastSeq:  next.first - 1,
+		Bytes:    old.size,
+	}
+	m := manifest{Sealed: append(append([]SegmentInfo(nil), l.sealed...), info), TruncatedTo: l.truncatedTo}
+	l.mu.Unlock()
+	if err := writeManifest(l.fs, l.dir, m); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.sealed = m.Sealed
+	l.sealedOffs[info.FirstSeq] = old.offs
+	l.sealing = nil
+	l.mu.Unlock()
+	// Readers reach old.f only through l.sealing, under l.mu: none can
+	// hold it any more.
+	if err := old.f.Close(); err != nil {
+		return err
+	}
+	l.markDurable(info.LastSeq)
+	obsSeal()
+	return nil
+}
+
 // Sync forces all buffered records durable regardless of mode.
 func (l *Log) Sync() error {
-	hi, err := l.syncNow()
+	hi, err := l.drain(true)
 	if err != nil {
 		return err
 	}
@@ -504,80 +673,31 @@ func (l *Log) failLocked(err error) {
 	sc.mu.Unlock()
 }
 
-func (l *Log) fail(err error) {
+// fail poisons the log and returns the sticky error.
+func (l *Log) fail(err error) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.failLocked(err)
-	l.mu.Unlock()
+	return l.err
 }
 
-// rollLocked seals the active segment (flush, fsync, manifest) and
-// starts the next one. Caller holds l.mu.
-func (l *Log) rollLocked() error {
-	if err := l.w.Flush(); err != nil {
-		l.failLocked(err)
-		return err
-	}
-	l.fsyncMu.Lock()
-	err := l.active.Sync()
-	if err == nil {
-		err = l.active.Close()
-		// Publish the seal while still under fsyncMu: a syncNow that
-		// captured this segment either holds fsyncMu now (its fsync hits
-		// the still-open file) or observes the new generation and skips.
-		l.gen.Add(1)
-	}
-	l.fsyncMu.Unlock()
-	if err != nil {
-		l.failLocked(err)
-		return err
-	}
-	info := SegmentInfo{
-		Name:     segmentName(l.activeFirst),
-		FirstSeq: l.activeFirst,
-		LastSeq:  l.nextSeq - 1,
-		Bytes:    l.activeSize,
-	}
-	l.sealed = append(l.sealed, info)
-	if err := writeManifest(l.fs, l.dir, manifest{Sealed: l.sealed, TruncatedTo: l.truncatedTo}); err != nil {
-		l.failLocked(err)
-		return err
-	}
-	name := segmentName(l.nextSeq)
-	f, err := l.fs.Create(path.Join(l.dir, name))
-	if err != nil {
-		l.failLocked(err)
-		return err
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		f.Close()
-		l.failLocked(err)
-		return err
-	}
-	l.active = f
-	l.activeFirst = l.nextSeq
-	l.activeSize = 0
-	l.activeBorn = l.opt.Now()
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.markDurable(info.LastSeq)
-	obsSeal()
-	return nil
-}
-
-// batchLoop is the FsyncBatch background flusher.
+// batchLoop is the FsyncBatch background flusher: it writes the buffer
+// out and seals rolled segments when an appender says there is enough
+// to do, and fsyncs on every tick that finds something not yet durable.
 func (l *Log) batchLoop() {
 	defer close(l.batchDone)
 	t := time.NewTicker(l.opt.BatchInterval)
 	defer t.Stop()
 	for {
+		// A failure in either poisons the log; nothing more to do here.
 		select {
 		case <-l.batchStop:
 			return
+		case <-l.kick:
+			_, _ = l.drain(false)
 		case <-t.C:
-			l.mu.Lock()
-			dirty := l.err == nil && l.nextSeq-1 > l.sc.durable
-			l.mu.Unlock()
-			if dirty {
-				_ = l.Sync() // a failure poisons the log; nothing more to do here
+			if l.LastSeq() > l.DurableSeq() {
+				_ = l.Sync()
 			}
 		}
 	}
@@ -600,10 +720,16 @@ func (l *Log) Close() error {
 		l.mu.Lock()
 		poisoned := l.err != nil
 		l.mu.Unlock()
-		_, serr := l.syncNow() // clean-shutdown durability, any mode
+		_, serr := l.drain(true) // clean-shutdown durability, any mode
+		l.ioMu.Lock()
 		l.mu.Lock()
-		if cerr := l.active.Close(); serr == nil {
-			serr = cerr
+		for _, sg := range l.liveLocked() { // more than one, or one without a file, only on a poisoned log
+			if sg.f == nil {
+				continue
+			}
+			if cerr := sg.f.Close(); serr == nil {
+				serr = cerr
+			}
 		}
 		if poisoned {
 			serr = nil
@@ -619,6 +745,7 @@ func (l *Log) Close() error {
 		sc.cond.Broadcast()
 		sc.mu.Unlock()
 		l.mu.Unlock()
+		l.ioMu.Unlock()
 		err = serr
 	})
 	return err
@@ -631,6 +758,25 @@ func (l *Log) LastSeq() uint64 {
 	return l.nextSeq - 1
 }
 
+// liveLocked lists the segments this process is still writing, oldest
+// first: the one being sealed, if any, and the active one. Caller holds
+// l.mu.
+func (l *Log) liveLocked() []*segment {
+	if l.sealing != nil {
+		return []*segment{l.sealing, l.act}
+	}
+	return []*segment{l.act}
+}
+
+// liveFirstLocked is the first seq not in a sealed segment. Caller
+// holds l.mu.
+func (l *Log) liveFirstLocked() uint64 {
+	if l.sealing != nil {
+		return l.sealing.first
+	}
+	return l.act.first
+}
+
 // FirstSeq returns the lowest seq still present in the log — the
 // retained floor after truncation. A never-truncated log reports 1;
 // an empty log reports the seq the next Append will be assigned.
@@ -640,7 +786,7 @@ func (l *Log) FirstSeq() uint64 {
 	if len(l.sealed) > 0 {
 		return l.sealed[0].FirstSeq
 	}
-	return l.activeFirst
+	return l.liveFirstLocked()
 }
 
 // DurableSeq returns the highest seq known covered by an fsync.
@@ -653,18 +799,21 @@ func (l *Log) DurableSeq() uint64 {
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Segments returns the sealed segments plus the active one, in seq
-// order. The active segment's Bytes includes buffered-but-unflushed
-// data.
+// Segments returns the sealed segments plus the ones still being
+// written (the active one, and before it one on its way to being
+// sealed, if any), in seq order. The Bytes of those include buffered-
+// but-unflushed data.
 func (l *Log) Segments() []SegmentInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := append([]SegmentInfo(nil), l.sealed...)
-	out = append(out, SegmentInfo{
-		Name:     segmentName(l.activeFirst),
-		FirstSeq: l.activeFirst,
-		LastSeq:  l.nextSeq - 1,
-		Bytes:    l.activeSize,
-	})
+	live := l.liveLocked()
+	for i, sg := range live {
+		last := l.nextSeq - 1
+		if i+1 < len(live) {
+			last = live[i+1].first - 1
+		}
+		out = append(out, SegmentInfo{Name: segmentName(sg.first), FirstSeq: sg.first, LastSeq: last, Bytes: sg.size})
+	}
 	return out
 }

@@ -415,10 +415,11 @@ func TestVerifyCleanAndTorn(t *testing.T) {
 }
 
 // TestConcurrentAppendRollNoDeadlock races group-commit fsyncs against
-// segment rolls. syncNow's roll-staleness check must never reacquire
-// the log mutex while holding fsyncMu (rollLocked takes them in the
-// opposite order); before that check went lock-free via the segment
-// generation counter, this test wedged every appender.
+// segment rolls. Drains take the I/O mutex and then the log mutex,
+// never the reverse; an appender that has to help a pending seal along
+// lets go of the log mutex first. An earlier design, which sealed under
+// the log mutex and fsynced under a second one, wedged every appender
+// here when it took the two in both orders.
 func TestConcurrentAppendRollNoDeadlock(t *testing.T) {
 	for _, mode := range []store.FsyncMode{store.FsyncAlways, store.FsyncBatch} {
 		t.Run(mode.String(), func(t *testing.T) {

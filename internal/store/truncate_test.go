@@ -6,6 +6,7 @@ package store_test
 // spurious "corrupt segment" errors on live history queries.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -179,12 +180,14 @@ func TestTruncateFrontRemoveFailureAccounting(t *testing.T) {
 	}
 }
 
-// TestTruncateReadRaceHammer races ReadRange/Replay against a
-// concurrent truncator and writer. The contract under test: a reader
-// must NEVER see an error because a segment it was about to read got
-// truncated out from under it — dropped segments are skipped — and the
-// seqs each reader observes stay strictly ascending. Run under -race
-// (make crash does).
+// TestTruncateReadRaceHammer races ReadRange/Replay and ReadSeqs
+// against a concurrent truncator and writer. The contract under test:
+// a reader must NEVER see an error because a segment it was about to
+// read got truncated out from under it — dropped segments are skipped —
+// and the seqs each reader observes stay strictly ascending (for
+// ReadSeqs: a subsequence of the ascending seqs it asked for, with the
+// payload that seq was appended with). Run under -race (make crash
+// does).
 func TestTruncateReadRaceHammer(t *testing.T) {
 	fs := faults.NewCrashFS()
 	l, _, err := store.Open("wal", store.Options{FS: fs, Fsync: store.FsyncOff, SegmentBytes: 512})
@@ -243,6 +246,45 @@ func TestTruncateReadRaceHammer(t *testing.T) {
 				})
 				if err != nil {
 					errCh <- fmt.Errorf("reader %d: %w", r, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) { // point readers: every third seq of the last 300, across the cut
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				last := l.LastSeq()
+				var seqs []uint64
+				for seq := uint64(1); seq <= last+2; seq += 3 {
+					if seq+300 > last {
+						seqs = append(seqs, seq)
+					}
+				}
+				var prev uint64
+				at := 0
+				err := l.ReadSeqs(seqs, func(rec store.Record) error {
+					for at < len(seqs) && seqs[at] != rec.Seq {
+						at++
+					}
+					if rec.Seq <= prev || at == len(seqs) {
+						return fmt.Errorf("seq %d after %d, not an ascending pick of the asked seqs", rec.Seq, prev)
+					}
+					if !bytes.Equal(rec.Payload, payload(int(rec.Seq)-1)) {
+						return fmt.Errorf("seq %d carries another record's payload", rec.Seq)
+					}
+					prev = rec.Seq
+					return nil
+				})
+				if err != nil {
+					errCh <- fmt.Errorf("point reader %d: %w", r, err)
 					return
 				}
 			}
