@@ -32,9 +32,10 @@
 #                       per row) and write a dated BENCH_<date>.json
 #                       baseline (ns/op, B/op, allocs/op)
 #   make bench-compare  rerun the gated E1/E2 experiment benchmarks
-#                       plus the warm CH query row,
-#                       write the fresh rows to bench-fresh.json (NOT
-#                       BENCH_*.json — that glob is the committed
+#                       plus the routing row (SnapDists over the
+#                       serving benchmark's city), write the fresh
+#                       rows to bench-fresh.json (NOT BENCH_*.json —
+#                       that glob is the committed
 #                       baseline set), and diff against the latest
 #                       committed BENCH_*.json; fails on a >20% ns/op
 #                       or allocs/op regression (BENCHCOMPARE_ARGS
@@ -118,7 +119,7 @@ bench-json:
 # so scheduler noise can't fail the gate (a real regression moves the
 # floor, noise only moves the ceiling).
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkE[12]_|BenchmarkCHQuery/warm' -benchmem -benchtime $(BENCHTIME) -count 3 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkE[12]_|BenchmarkSnapDists/city' -benchmem -benchtime $(BENCHTIME) -count 3 . \
 		| $(GO) run ./cmd/benchjson \
 		| tee bench-fresh.json \
 		| $(GO) run ./cmd/benchcompare $(BENCHCOMPARE_ARGS)

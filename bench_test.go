@@ -8,8 +8,8 @@ package sidq_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"sidq/internal/core"
@@ -103,127 +103,68 @@ func BenchmarkShortestPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := roadnet.NodeID(rng.Intn(g.NumNodes()))
 		c := roadnet.NodeID(rng.Intn(g.NumNodes()))
-		_, _ = g.AStar(a, c)
+		_, _ = g.ShortestPath(a, c)
 	}
 }
 
-// BenchmarkCHQuery is the bench-compare-gated contraction-hierarchy
-// row: warm point-to-point queries on a mid-size city grid (14.4k
-// nodes), plus the preprocessing cost of the same graph (CSR + ALT +
-// CH) for the tradeoff ledger. Pairs are a fixed cycle so every run
-// measures the same query mix.
-func BenchmarkCHQuery(b *testing.B) {
-	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 120, NY: 120, Spacing: 100, Jitter: 6, RemoveFrac: 0.2, Seed: 42})
-	e := g.Engine()
-	if !e.HasCH() {
-		b.Fatal("mid-size grid built no contraction hierarchy")
-	}
-	pairs := benchNodePairs(g, 256, 7)
-	b.Run("warm", func(b *testing.B) {
-		chWarmup(b, e, pairs)
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if _, err := e.CHDist(p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
+// BenchmarkSnapDists is the routing row: the traffic the map matcher
+// sends roadnet (4 candidates a fix, 12 m between fixes, 5 m noise;
+// every previous candidate asks for its distance to every current
+// one), from a cold route cache each iteration, so one op is one pass
+// over all trips and allocs/op is the cache entries it stored.
+//
+// city is the 80x80 GridCity of the serving benchmark, where a sweep
+// settles a handful of nodes and bench-compare gates the row.
+// continental (144 cities of 60x60 intersections stitched by ~2 km
+// highways: 518,400 nodes, ~1.7M directed edges) is the regime nothing
+// serves but the route cache is kept for: a fix that slips backwards
+// on a highway routes round it, a sweep pops thousands of nodes, and
+// the cache absorbs nine lookups in ten. A change that drops the
+// cache, or brings a hierarchy back, argues from that row.
+func BenchmarkSnapDists(b *testing.B) {
+	b.Run("city", func(b *testing.B) {
+		benchSnapDists(b, roadnet.GridCity(roadnet.GridCityOptions{NX: 80, NY: 80, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: 41}), 32)
 	})
-	b.Run("preprocess", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !g.BuildEngine().HasCH() {
-				b.Fatal("rebuild lost the hierarchy")
-			}
-		}
-	})
-}
-
-// benchContinental builds the continental-scale graph (144 cities of
-// 60x60 intersections stitched by highways: 518,400 nodes, ~2M
-// directed edges) and its engine exactly once per benchmark process.
-// The many-smaller-cities shape matters: query cost is dominated by
-// the local hierarchy climb inside the endpoint cities, so 60x60
-// cities keep warm point queries under the 100µs target where 120x120
-// cities at the same node count do not.
-var benchContinental = struct {
-	once sync.Once
-	g    *roadnet.Graph
-	e    *roadnet.Engine
-}{}
-
-func continentalGraph() (*roadnet.Graph, *roadnet.Engine) {
-	benchContinental.once.Do(func() {
-		benchContinental.g = roadnet.Continental(roadnet.ContinentalOptions{
+	b.Run("continental", func(b *testing.B) {
+		benchSnapDists(b, roadnet.Continental(roadnet.ContinentalOptions{
 			CitiesX: 12, CitiesY: 12,
 			CityNX: 60, CityNY: 60,
 			Jitter: 5, RemoveFrac: 0.15,
 			Seed: 1,
-		})
-		benchContinental.e = benchContinental.g.Engine()
-	})
-	return benchContinental.g, benchContinental.e
-}
-
-// BenchmarkCHLarge records the preprocessing-time/query-time tradeoff
-// at continental scale: the full engine build (ALT is skipped above
-// altMaxNodes; CH carries the queries), warm sub-100µs CH point
-// queries, and the A* contrast row that shows what every query costs
-// without the hierarchy.
-func BenchmarkCHLarge(b *testing.B) {
-	g, e := continentalGraph()
-	if !e.HasCH() {
-		b.Fatal("continental graph built no contraction hierarchy")
-	}
-	pairs := benchNodePairs(g, 256, 9)
-	b.Run("preprocess", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !g.BuildEngine().HasCH() {
-				b.Fatal("rebuild lost the hierarchy")
-			}
-		}
-	})
-	b.Run("query-warm", func(b *testing.B) {
-		chWarmup(b, e, pairs)
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if _, err := e.CHDist(p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("query-astar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if _, err := e.AStar(p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
+		}), 4)
 	})
 }
 
-// chWarmup primes the engine's CH scratch pool and runs every bench
-// pair once before the timer starts, so the short gated runs measure
-// steady-state queries rather than first-touch allocation.
-func chWarmup(b *testing.B, e *roadnet.Engine, pairs [][2]roadnet.NodeID) {
-	b.Helper()
-	for _, p := range pairs {
-		if _, err := e.CHDist(p[0], p[1]); err != nil {
-			b.Fatal(err)
+func benchSnapDists(b *testing.B, g *roadnet.Graph, trips int) {
+	snapper := roadnet.NewSnapper(g, 100)
+	var cands [][]roadnet.Snap // per fix; a nil entry separates trips
+	for i, tr := range simulate.Trips(g, simulate.TripOptions{NumObjects: trips, MinHops: 12, Speed: 12, SampleInterval: 1, Seed: 7}) {
+		cands = append(cands, nil)
+		for _, p := range simulate.AddGaussianNoise(tr, 5, int64(8+i)).Points {
+			cands = append(cands, snapper.KNearest(p.Pos, 4))
 		}
 	}
+	var out [4]float64
+	var st roadnet.EngineStats
+	b.ReportAllocs()
 	b.ResetTimer()
-}
-
-// benchNodePairs returns a deterministic cycle of random node pairs.
-func benchNodePairs(g *roadnet.Graph, n int, seed int64) [][2]roadnet.NodeID {
-	rng := rand.New(rand.NewSource(seed))
-	pairs := make([][2]roadnet.NodeID, n)
-	for i := range pairs {
-		pairs[i] = [2]roadnet.NodeID{
-			roadnet.NodeID(rng.Intn(g.NumNodes())),
-			roadnet.NodeID(rng.Intn(g.NumNodes())),
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := g.BuildEngine() // cold cache
+		b.StartTimer()
+		for k := 1; k < len(cands); k++ {
+			if cands[k] == nil {
+				continue
+			}
+			for _, from := range cands[k-1] {
+				e.SnapDists(from, cands[k], math.Inf(1), out[:len(cands[k])])
+			}
 		}
+		st = e.Stats()
 	}
-	return pairs
+	b.ReportMetric(float64(st.CacheHits), "hits/op")
+	b.ReportMetric(float64(st.CacheMisses), "misses/op")
+	b.ReportMetric(float64(st.HeapPops)/float64(st.ManySweeps), "pops/sweep")
 }
 
 func BenchmarkKalmanSmooth(b *testing.B) {

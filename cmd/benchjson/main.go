@@ -53,8 +53,10 @@ type Document struct {
 //	BenchmarkFoo/bar=4-8   120   9123456 ns/op   2048 B/op   12 allocs/op
 //
 // The trailing -N (GOMAXPROCS suffix) is stripped from the name so runs
-// from different machines compare by benchmark identity.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// from different machines compare by benchmark identity. Metrics a
+// benchmark reports itself (b.ReportMetric: "123 hits/op") print
+// between ns/op and B/op; they are skipped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:(?:\s+[\d.e+-]+ \S+)*?\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 // foldBest collapses repeated rows per name to the minimum observation
 // of each metric, summing runs. Mirrors cmd/benchcompare's fold.

@@ -37,7 +37,7 @@ func (s RouteRecoverStage) Apply(ctx context.Context, ds *Dataset) error {
 	if s.Graph == nil || s.Snapper == nil {
 		return nil
 	}
-	// Prewarm the compiled query engine (CSR build + ALT tables) before
+	// Prewarm the compiled query engine (the CSR build) before
 	// matching, so data-parallel shards share one ready engine instead
 	// of serializing on its lazy first-use build.
 	s.Graph.Engine()

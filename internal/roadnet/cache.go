@@ -17,16 +17,14 @@ import (
 // without ever approximating a result.
 //
 // The cache is safe for concurrent use: keys are sharded across
-// independently locked LRU lists, and getOrCompute de-duplicates
-// concurrent misses for the same key singleflight-style, so a stampede
-// of workers matching similar trajectories performs each search once.
-// "No path" results are cached too (negative caching), which matters on
-// directed grids where many candidate pairs are mutually unreachable.
+// independently locked LRU lists. Workers that miss the same pair at
+// once each sweep and each store the same bits. "No path" results are
+// cached too (negative caching), which matters on directed grids where
+// many candidate pairs are mutually unreachable.
 type RouteCache struct {
 	shards [cacheShards]cacheShard
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	dedups atomic.Uint64
 }
 
 const cacheShards = 16
@@ -41,18 +39,11 @@ type cacheEntry struct {
 }
 
 type cacheShard struct {
-	mu       sync.Mutex
-	m        map[cacheKey]*cacheEntry
-	inflight map[cacheKey]*cacheFlight
-	head     *cacheEntry // most recently used
-	tail     *cacheEntry // least recently used
-	cap      int
-}
-
-type cacheFlight struct {
-	done chan struct{}
-	dist float64
-	ok   bool
+	mu   sync.Mutex
+	m    map[cacheKey]*cacheEntry
+	head *cacheEntry // most recently used
+	tail *cacheEntry // least recently used
+	cap  int
 }
 
 // NewRouteCache returns a cache holding up to capacity node-pair
@@ -66,7 +57,6 @@ func NewRouteCache(capacity int) *RouteCache {
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[cacheKey]*cacheEntry)
-		c.shards[i].inflight = make(map[cacheKey]*cacheFlight)
 		c.shards[i].cap = per
 	}
 	return c
@@ -77,11 +67,6 @@ func (c *RouteCache) Hits() uint64 { return c.hits.Load() }
 
 // Misses returns the number of lookups that missed.
 func (c *RouteCache) Misses() uint64 { return c.misses.Load() }
-
-// Dedups returns the number of getOrCompute calls that joined an
-// in-flight computation instead of searching (singleflight joins).
-// Dedups are counted as hits too: the caller's search was avoided.
-func (c *RouteCache) Dedups() uint64 { return c.dedups.Load() }
 
 // Len returns the current number of cached entries.
 func (c *RouteCache) Len() int {
@@ -129,44 +114,6 @@ func (c *RouteCache) put(u, v int32, d float64, ok bool) {
 	s.mu.Lock()
 	s.store(k, d, ok)
 	s.mu.Unlock()
-}
-
-// getOrCompute returns the cached d(u, v) or computes it exactly once
-// even under concurrent callers: the first miss runs fn while later
-// callers for the same key wait on its result instead of repeating the
-// search.
-func (c *RouteCache) getOrCompute(u, v int32, fn func() (float64, bool)) (float64, bool) {
-	k := cacheKey{u, v}
-	s := c.shard(k)
-	for {
-		s.mu.Lock()
-		if e, found := s.m[k]; found {
-			s.moveToFront(e)
-			d, ok := e.dist, e.ok
-			s.mu.Unlock()
-			obsAdd(&c.hits, &pkgObs.cacheHits, 1)
-			return d, ok
-		}
-		if f, running := s.inflight[k]; running {
-			s.mu.Unlock()
-			obsAdd(&c.hits, &pkgObs.cacheHits, 1)
-			obsAdd(&c.dedups, &pkgObs.cacheDedups, 1)
-			<-f.done
-			return f.dist, f.ok
-		}
-		f := &cacheFlight{done: make(chan struct{})}
-		s.inflight[k] = f
-		s.mu.Unlock()
-		obsAdd(&c.misses, &pkgObs.cacheMisses, 1)
-
-		f.dist, f.ok = fn()
-		s.mu.Lock()
-		s.store(k, f.dist, f.ok)
-		delete(s.inflight, k)
-		s.mu.Unlock()
-		close(f.done)
-		return f.dist, f.ok
-	}
 }
 
 // store inserts or refreshes an entry, evicting the LRU tail when the

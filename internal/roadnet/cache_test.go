@@ -2,8 +2,6 @@ package roadnet
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -69,39 +67,5 @@ func TestRouteCachePutRefreshesExisting(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestRouteCacheSingleflight(t *testing.T) {
-	c := NewRouteCache(1024)
-	const goroutines = 16
-	var calls atomic.Int32
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	results := make([]float64, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			d, ok := c.getOrCompute(7, 8, func() (float64, bool) {
-				calls.Add(1)
-				return 123.25, true
-			})
-			if !ok {
-				t.Error("getOrCompute returned ok=false")
-			}
-			results[i] = d
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("compute ran %d times under concurrent callers, want 1", n)
-	}
-	for i, d := range results {
-		if d != 123.25 {
-			t.Fatalf("caller %d got %v, want 123.25", i, d)
-		}
 	}
 }

@@ -4,10 +4,13 @@ package roadnet
 // street grids ("cities") stitched together by long, fast highway
 // segments between adjacent city centers. The result has the two-level
 // structure real road networks have — dense local streets, sparse
-// long-haul links — which is exactly the shape contraction hierarchies
-// exploit, and it scales to millions of directed edges while staying
-// strongly connected (every city keeps its boundary ring plus the
-// gridStreets repair pass, and the highway mesh connects all cities).
+// long-haul links — and it scales to millions of directed edges while
+// staying strongly connected (every city keeps its boundary ring plus
+// the gridStreets repair pass, and the highway mesh connects all
+// cities). Nothing the system serves loads such a graph; it exists so
+// that BenchmarkSnapDists/continental keeps measuring the regime — long
+// edges, transitions that route round them — where a sweep is
+// expensive and the route cache (or a hierarchy) earns its keep.
 
 import (
 	"math/rand"
@@ -94,8 +97,8 @@ func Continental(opt ContinentalOptions) *Graph {
 	return g
 }
 
-// BuildEngine compiles a fresh engine snapshot of g, bypassing the
-// cached-engine fast path. Preprocessing benchmarks and diagnostics use
-// it to measure the build (CSR + ALT + CH) repeatedly; production code
-// should call Engine, which caches per graph revision.
+// BuildEngine compiles a fresh engine snapshot of g — with an empty
+// route cache — bypassing the cached-engine fast path. Benchmarks use
+// it to start each iteration cold; production code should call Engine,
+// which caches per graph revision.
 func (g *Graph) BuildEngine() *Engine { return newEngine(g) }

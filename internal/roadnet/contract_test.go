@@ -69,7 +69,6 @@ func TestOutEdgesCallersDoNotMutate(t *testing.T) {
 	for a := 0; a < g.NumNodes(); a += 7 {
 		for b := g.NumNodes() - 1; b >= 0; b -= 13 {
 			_, _ = g.ShortestPath(roadnet.NodeID(a), roadnet.NodeID(b))
-			_, _ = g.AStar(roadnet.NodeID(a), roadnet.NodeID(b))
 		}
 	}
 	checkAdjacency(t, g, snap, "engine queries")

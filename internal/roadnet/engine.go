@@ -4,22 +4,27 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"sidq/internal/geo"
 )
 
 // Engine is the compiled road-network query engine: a flattened CSR
-// (compressed sparse row) snapshot of a Graph's adjacency, plus ALT
-// landmark tables, a pooled set of epoch-stamped search scratch arrays,
-// and a sharded route cache. It is built once per graph revision (see
-// Graph.Engine) and is safe for concurrent queries from many
-// goroutines: every search borrows a private scratch from a pool, and
-// the route cache is internally synchronized.
+// (compressed sparse row) snapshot of a Graph's adjacency, a pooled
+// set of epoch-stamped search scratch arrays, and a sharded route
+// cache. It is built once per graph revision (see Graph.Engine) and is
+// safe for concurrent queries from many goroutines: every search
+// borrows a private scratch from a pool, and the route cache is
+// internally synchronized.
 //
-// All distances are exact: Engine searches relax edges in the same
-// order, with the same float64 arithmetic and the same heap
-// tie-breaking, as the legacy per-query Dijkstra, so path and distance
-// results are byte-identical — only the constant factors change.
+// It answers the two questions its consumers ask. ShortestPath is one
+// Dijkstra search with path reconstruction (trip simulation, route
+// recovery). SnapDists is the map matcher's transition query, and has
+// the package's one dispatch rule: same edge forward → along the edge;
+// else the route cache; else one truncated Dijkstra sweep over the
+// heads the cache did not have, whose results go into the cache.
+//
+// All distances are exact: both searches relax edges in adjacency
+// order with the same float64 arithmetic and the same heap
+// tie-breaking (see nodeHeap), so a cached distance, a swept distance
+// and ShortestPath(...).Dist are the same bits.
 type Engine struct {
 	// CSR adjacency: the out-edges of node u occupy slots
 	// off[u]..off[u+1] in to/eid/w, preserving Graph adjacency order.
@@ -28,18 +33,13 @@ type Engine struct {
 	eid []int32   // edge id per slot
 	w   []float64 // edge length per slot
 
-	pos   []geo.Point // node positions (snapshot, for heuristics)
-	efrom []int32     // edge id -> source node (for path reconstruction)
-	eto   []int32     // edge id -> target node
-	elen  []float64   // edge id -> length
+	efrom []int32   // edge id -> source node (for path reconstruction)
+	eto   []int32   // edge id -> target node
+	elen  []float64 // edge id -> length
 
-	alt *altData // landmark lower-bound tables (nil for tiny or huge graphs)
-	ch  *chData  // contraction hierarchy (nil for tiny graphs)
-
-	cache     *RouteCache
-	scratch   sync.Pool // *searchScratch
-	chScratch sync.Pool // *chScratch
-	ctr       engineCounters
+	cache   *RouteCache
+	scratch sync.Pool // *searchScratch
+	ctr     engineCounters
 }
 
 // newEngine compiles g. The graph must not be mutated while the engine
@@ -52,13 +52,9 @@ func newEngine(g *Graph) *Engine {
 		to:    make([]int32, 0, m),
 		eid:   make([]int32, 0, m),
 		w:     make([]float64, 0, m),
-		pos:   make([]geo.Point, n),
 		efrom: make([]int32, m),
 		eto:   make([]int32, m),
 		elen:  make([]float64, m),
-	}
-	for i, nd := range g.nodes {
-		e.pos[i] = nd.Pos
 	}
 	for i, ed := range g.edges {
 		e.efrom[i] = int32(ed.From)
@@ -76,11 +72,6 @@ func newEngine(g *Graph) *Engine {
 	}
 	e.off[n] = int32(len(e.to))
 	e.scratch.New = func() any { return newSearchScratch(n) }
-	e.chScratch.New = func() any { return newCHScratch(n) }
-	e.alt = buildALT(e)
-	if n >= chAutoNodes {
-		e.ch = buildCH(e)
-	}
 	e.cache = NewRouteCache(routeCacheCapacity(m))
 	return e
 }
@@ -100,7 +91,7 @@ func routeCacheCapacity(numEdges int) int {
 }
 
 // NumNodes returns the node count of the compiled snapshot.
-func (e *Engine) NumNodes() int { return len(e.pos) }
+func (e *Engine) NumNodes() int { return len(e.off) - 1 }
 
 // Cache returns the engine's route cache (never nil).
 func (e *Engine) Cache() *RouteCache { return e.cache }
@@ -110,13 +101,14 @@ func (e *Engine) Cache() *RouteCache { return e.cache }
 // stamps, so starting a new search is O(1) — no clearing, no per-query
 // allocation.
 type searchScratch struct {
-	dist   []float64
-	prev   []int32  // best incoming edge id, -1 = none
-	seen   []uint32 // epoch when dist/prev became valid
-	done   []uint32 // epoch when the node was settled
-	target []uint32 // epoch marks for ManyDist target membership
-	epoch  uint32
-	heap   nodeHeap
+	dist    []float64
+	prev    []int32  // best incoming edge id, -1 = none
+	seen    []uint32 // epoch when dist/prev became valid
+	done    []uint32 // epoch when the node was settled
+	target  []uint32 // epoch when the node was marked a sweep target
+	targets int      // distinct nodes marked this epoch
+	epoch   uint32
+	heap    nodeHeap
 }
 
 func newSearchScratch(n int) *searchScratch {
@@ -140,7 +132,17 @@ func (s *searchScratch) begin() {
 		s.epoch = 0
 	}
 	s.epoch++
+	s.targets = 0
 	s.heap.reset()
+}
+
+// mark makes v a target of this epoch's sweep (see manyDist);
+// marking a node twice counts it once.
+func (s *searchScratch) mark(v int32) {
+	if s.target[v] != s.epoch {
+		s.target[v] = s.epoch
+		s.targets++
+	}
 }
 
 func (s *searchScratch) distOf(v int32) float64 {
@@ -150,42 +152,28 @@ func (s *searchScratch) distOf(v int32) float64 {
 	return math.Inf(1)
 }
 
-func (e *Engine) getScratch() *searchScratch {
-	s := e.scratch.Get().(*searchScratch)
-	if len(s.dist) < len(e.pos) { // defensive; pool is per-engine
-		s = newSearchScratch(len(e.pos))
-	}
-	return s
-}
+func (e *Engine) getScratch() *searchScratch { return e.scratch.Get().(*searchScratch) }
 
 func (e *Engine) putScratch(s *searchScratch) { e.scratch.Put(s) }
 
-func (e *Engine) badNodes(a, b NodeID) bool {
-	return int(a) >= len(e.pos) || int(b) >= len(e.pos) || a < 0 || b < 0
-}
-
-// route runs the heap search from a to b with heuristic h (nil for
-// Dijkstra) and reconstructs the path. It replicates the legacy search
+// ShortestPath returns the minimum-length path from a to b: Dijkstra's
+// algorithm, stopped when b is settled. It replicates the legacy search
 // loop exactly — same relaxation order, same strict-improvement rule,
 // same heap tie-breaking — so results are byte-identical to it.
-func (e *Engine) route(a, b NodeID, h func(int32) float64) (Path, error) {
-	if e.badNodes(a, b) {
-		return Path{}, fmt.Errorf("roadnet: search bad nodes %d->%d (have %d): %w", a, b, len(e.pos), ErrNoPath)
+func (e *Engine) ShortestPath(a, b NodeID) (Path, error) {
+	obsAdd(&e.ctr.dijkstra, &pkgObs.dijkstra, 1)
+	if n := e.NumNodes(); int(a) >= n || int(b) >= n || a < 0 || b < 0 {
+		return Path{}, fmt.Errorf("roadnet: search bad nodes %d->%d (have %d): %w", a, b, n, ErrNoPath)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	var pops uint64
-	defer func() { obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops) }()
 	s.begin()
 	src, dst := int32(a), int32(b)
 	s.dist[src] = 0
 	s.prev[src] = -1
 	s.seen[src] = s.epoch
-	if h != nil {
-		s.heap.push(src, h(src))
-	} else {
-		s.heap.push(src, 0)
-	}
+	s.heap.push(src, 0)
+	var pops uint64
 	for s.heap.len() > 0 {
 		cur := s.heap.pop()
 		pops++
@@ -207,14 +195,11 @@ func (e *Engine) route(a, b NodeID, h func(int32) float64) (Path, error) {
 				s.dist[v] = nd
 				s.prev[v] = e.eid[i]
 				s.seen[v] = s.epoch
-				if h != nil {
-					s.heap.push(v, nd+h(v))
-				} else {
-					s.heap.push(v, nd)
-				}
+				s.heap.push(v, nd)
 			}
 		}
 	}
+	obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops)
 	if math.IsInf(s.distOf(dst), 1) {
 		return Path{}, fmt.Errorf("roadnet: %d -> %d: %w", a, b, ErrNoPath)
 	}
@@ -232,211 +217,22 @@ func (e *Engine) route(a, b NodeID, h func(int32) float64) (Path, error) {
 	return Path{Nodes: nodes, Edges: edges, Dist: s.dist[dst]}, nil
 }
 
-// ShortestPath returns the minimum-length path from a to b (Dijkstra).
-func (e *Engine) ShortestPath(a, b NodeID) (Path, error) {
-	obsAdd(&e.ctr.dijkstra, &pkgObs.dijkstra, 1)
-	return e.route(a, b, nil)
-}
-
-// AStar returns the minimum-length path from a to b using A* under the
-// max of the Euclidean heuristic and the ALT (A*, landmarks, triangle
-// inequality) lower bounds. Both are admissible and consistent, so the
-// returned distance equals Dijkstra's.
-func (e *Engine) AStar(a, b NodeID) (Path, error) {
-	if e.badNodes(a, b) {
-		return Path{}, fmt.Errorf("roadnet: search bad nodes %d->%d (have %d): %w", a, b, len(e.pos), ErrNoPath)
-	}
-	if e.alt != nil {
-		obsAdd(&e.ctr.astarALT, &pkgObs.astarALT, 1)
-	} else {
-		obsAdd(&e.ctr.astarEuclid, &pkgObs.astarEuclid, 1)
-	}
-	return e.route(a, b, e.heuristic(int32(b)))
-}
-
-// heuristic returns the admissible lower-bound function toward dst.
-func (e *Engine) heuristic(dst int32) func(int32) float64 {
-	goal := e.pos[dst]
-	if e.alt == nil {
-		return func(v int32) float64 { return e.pos[v].Dist(goal) }
-	}
-	alt := e.alt
-	return func(v int32) float64 {
-		h := e.pos[v].Dist(goal)
-		if lb := alt.lowerBound(v, dst); lb > h {
-			h = lb
-		}
-		return h
-	}
-}
-
-// Dist returns the shortest network distance from a to b without
-// reconstructing the path (and therefore without allocating). The
-// value is identical to ShortestPath(a, b).Dist. When the engine has a
-// contraction hierarchy it is served by the bidirectional upward
-// search; otherwise by one bounded Dijkstra sweep. Both produce the
-// same bits (see ch.go).
-func (e *Engine) Dist(a, b NodeID) (float64, error) {
-	if e.badNodes(a, b) {
-		return 0, fmt.Errorf("roadnet: search bad nodes %d->%d (have %d): %w", a, b, len(e.pos), ErrNoPath)
-	}
-	if e.ch != nil {
-		obsAdd(&e.ctr.chDist, &pkgObs.chDist, 1)
-		s := e.getCHScratch()
-		d, ok := e.chPointDist(s, int32(a), int32(b))
-		e.putCHScratch(s)
-		if !ok {
-			return 0, fmt.Errorf("roadnet: %d -> %d: %w", a, b, ErrNoPath)
-		}
-		return d, nil
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	e.manyDist(s, int32(a), func(mark func(int32)) { mark(int32(b)) }, math.Inf(1), nil)
-	if s.done[int32(b)] != s.epoch {
-		return 0, fmt.Errorf("roadnet: %d -> %d: %w", a, b, ErrNoPath)
-	}
-	return s.dist[int32(b)], nil
-}
-
-// CHDist is the explicit contraction-hierarchy point-to-point query:
-// identical contract (and identical bits) to Dist, but it reports
-// ErrNoPath with ok=false semantics when the engine has no hierarchy
-// instead of falling back, so tests and benchmarks can pin the CH code
-// path specifically. Production callers should use Dist.
-func (e *Engine) CHDist(a, b NodeID) (float64, error) {
-	if e.ch == nil {
-		return 0, fmt.Errorf("roadnet: CHDist %d -> %d: no contraction hierarchy (graph below %d nodes)", a, b, chAutoNodes)
-	}
-	return e.Dist(a, b)
-}
-
-// HasCH reports whether the engine compiled a contraction hierarchy.
-func (e *Engine) HasCH() bool { return e.ch != nil }
-
-// ManyDist computes the shortest network distance from source to every
-// target in one truncated Dijkstra sweep, writing the distances into
-// out (which must have len(targets)). Unreachable targets — and, when
-// maxCost is finite, targets farther than maxCost — get +Inf. It
-// returns the number of targets reached.
-//
-// The search stops as soon as all distinct targets are settled or the
-// frontier exceeds maxCost, so K nearby targets cost roughly one
-// bounded search instead of K full ones. Distances are exactly the
-// values ShortestPath would return: truncation only replaces values
-// that would exceed maxCost with +Inf.
-func (e *Engine) ManyDist(source NodeID, targets []NodeID, maxCost float64, out []float64) int {
-	if len(out) < len(targets) {
-		panic("roadnet: ManyDist out slice too short")
-	}
-	if int(source) >= len(e.pos) || source < 0 {
-		for i := range targets {
-			out[i] = math.Inf(1)
-		}
-		return 0
-	}
-	if e.ch != nil {
-		return e.chManyDistNodes(source, targets, maxCost, out)
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	e.manyDist(s, int32(source), func(mark func(int32)) {
-		for _, t := range targets {
-			if int(t) < len(e.pos) && t >= 0 {
-				mark(int32(t))
-			}
-		}
-	}, maxCost, nil)
-	reached := 0
-	inf := math.Inf(1)
-	for i, t := range targets {
-		if int(t) < len(e.pos) && t >= 0 && s.done[int32(t)] == s.epoch {
-			out[i] = s.dist[int32(t)]
-			reached++
-		} else {
-			out[i] = inf
-		}
-	}
-	return reached
-}
-
-// CHManyDist is the explicit contraction-hierarchy one-to-many query —
-// same contract and same bits as ManyDist, which delegates here
-// whenever a hierarchy exists. Exposed (like CHDist) so tests and
-// benchmarks can assert the hierarchy is the code path being measured.
-func (e *Engine) CHManyDist(source NodeID, targets []NodeID, maxCost float64, out []float64) int {
-	if e.ch == nil {
-		return -1
-	}
-	if len(out) < len(targets) {
-		panic("roadnet: CHManyDist out slice too short")
-	}
-	if int(source) >= len(e.pos) || source < 0 {
-		for i := range targets {
-			out[i] = math.Inf(1)
-		}
-		return 0
-	}
-	return e.chManyDistNodes(source, targets, maxCost, out)
-}
-
-// chManyDistNodes serves the ManyDist contract from the hierarchy: a
-// shared forward upward search, one pruned backward search per target,
-// and the exact maxCost filter applied to the re-accumulated distances
-// (the searches themselves run unbounded — upward search spaces are
-// small, and filtering exact values afterwards keeps the boundary
-// semantics bit-identical to the truncated flat sweep, which settles
-// targets at exactly maxCost).
-func (e *Engine) chManyDistNodes(source NodeID, targets []NodeID, maxCost float64, out []float64) int {
-	obsAdd(&e.ctr.chMany, &pkgObs.chMany, 1)
-	s := e.getCHScratch()
-	defer e.putCHScratch(s)
-	e.chForward(s, int32(source))
-	bounded := !math.IsInf(maxCost, 1)
-	inf := math.Inf(1)
-	reached := 0
-	for i, t := range targets {
-		if int(t) >= len(e.pos) || t < 0 {
-			out[i] = inf
-			continue
-		}
-		d, ok := e.chBackwardOne(s, int32(t))
-		if !ok || (bounded && d > maxCost) {
-			out[i] = inf
-			continue
-		}
-		out[i] = d
-		reached++
-	}
-	return reached
-}
-
-// manyDist is the shared truncated one-to-many sweep. markTargets is
-// called once with a mark function to stamp target nodes; the sweep
-// stops when every distinct marked node is settled or the frontier
-// passes maxCost. onSettle, if non-nil, observes every settled target.
-// After return, s.done/s.dist (at s.epoch) hold the settled set.
-func (e *Engine) manyDist(s *searchScratch, src int32, markTargets func(mark func(int32)), maxCost float64, onSettle func(node int32, d float64)) int {
+// manyDist is the truncated one-to-many sweep: Dijkstra from src that
+// stops as soon as every node marked on s since s.begin() is settled,
+// or the frontier passes maxCost, so K nearby targets cost roughly one
+// bounded search instead of K full ones. After return a target v was
+// reached iff s.done[v] == s.epoch, and then s.dist[v] is exactly
+// ShortestPath(src, v).Dist; truncation only leaves targets farther
+// than maxCost (or unreachable) unsettled. It allocates nothing once
+// the scratch heap has grown to the search's high-water mark.
+func (e *Engine) manyDist(s *searchScratch, src int32, maxCost float64) {
 	obsAdd(&e.ctr.manySweeps, &pkgObs.manySweeps, 1)
-	s.begin()
-	remaining := 0
-	markTargets(func(t int32) {
-		if s.target[t] != s.epoch {
-			s.target[t] = s.epoch
-			remaining++
-		}
-	})
-	settled := 0
-	if remaining == 0 {
-		return 0
-	}
 	s.dist[src] = 0
-	s.prev[src] = -1
 	s.seen[src] = s.epoch
 	s.heap.push(src, 0)
 	bounded := !math.IsInf(maxCost, 1)
+	remaining := s.targets
 	var pops uint64
-	defer func() { obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops) }()
 	for s.heap.len() > 0 {
 		cur := s.heap.pop()
 		pops++
@@ -448,11 +244,7 @@ func (e *Engine) manyDist(s *searchScratch, src int32, markTargets func(mark fun
 		}
 		s.done[cur.node] = s.epoch
 		if s.target[cur.node] == s.epoch {
-			settled++
-			if onSettle != nil {
-				onSettle(cur.node, s.dist[cur.node])
-			}
-			if settled == remaining {
+			if remaining--; remaining == 0 {
 				break
 			}
 		}
@@ -465,25 +257,25 @@ func (e *Engine) manyDist(s *searchScratch, src int32, markTargets func(mark fun
 			nd := d + e.w[i]
 			if nd < s.distOf(v) {
 				s.dist[v] = nd
-				s.prev[v] = e.eid[i]
 				s.seen[v] = s.epoch
 				s.heap.push(v, nd)
 			}
 		}
 	}
-	return settled
+	obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops)
 }
 
 // SnapDists fills out[j] with the network distance from snap a to each
-// snap in bs — the one-to-many replacement for per-pair NetworkDist in
-// map matching. Same-edge forward movement is measured along the edge;
-// all other pairs route a.Edge.To -> b.Edge.From through the route
-// cache, with cache misses resolved by a single bounded one-to-many
-// sweep. Pairs with no route (or beyond maxCost) get +Inf.
+// snap in bs — the map matcher's transition query. Same-edge forward
+// movement is measured along the edge; every other pair is
 //
-// out must have len(bs). The arithmetic matches NetworkDist exactly,
-// so substituting SnapDists for a NetworkDist loop cannot change
-// results, only cost.
+//	(1-a.Param)*len(a.Edge) + d(a.Edge.To, b.Edge.From) + b.Param*len(b.Edge)
+//
+// (backward movement on a directed edge loops round via its endpoints),
+// with d served from the route cache and the heads the cache lacks
+// resolved together by one truncated sweep bounded by maxCost. Pairs
+// with no route, or beyond maxCost, get +Inf; a cache hit is returned
+// whatever maxCost is. out must have len(bs).
 func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 	if len(out) < len(bs) {
 		panic("roadnet: SnapDists out slice too short")
@@ -513,8 +305,7 @@ func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 	if misses == 0 {
 		return
 	}
-	// Pass 2: resolve the missing head nodes — through the contraction
-	// hierarchy when one exists, otherwise with one truncated sweep.
+	// Pass 2: one truncated sweep settles the missing head nodes.
 	core := maxCost
 	if !math.IsInf(core, 1) {
 		core -= rem // param offsets are non-negative
@@ -522,18 +313,14 @@ func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 			core = 0
 		}
 	}
-	if e.ch != nil {
-		e.snapMissesCH(u, bs, core, rem, out)
-		return
-	}
 	s := e.getScratch()
-	e.manyDist(s, u, func(mark func(int32)) {
-		for j, b := range bs {
-			if math.IsNaN(out[j]) {
-				mark(e.efrom[b.Edge])
-			}
+	s.begin()
+	for j, b := range bs {
+		if math.IsNaN(out[j]) {
+			s.mark(e.efrom[b.Edge])
 		}
-	}, core, nil)
+	}
+	e.manyDist(s, u, core)
 	for j, b := range bs {
 		if !math.IsNaN(out[j]) {
 			continue
@@ -553,93 +340,4 @@ func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 		}
 	}
 	e.putScratch(s)
-}
-
-// snapMissesCH resolves SnapDists cache misses (out[j] == NaN) through
-// the hierarchy: the distinct head nodes are deduplicated, served by
-// one shared forward search plus one pruned backward search each, and
-// gated by the same d <= core test that decides membership in the
-// truncated sweep's settle set — so out is bit-identical to the flat
-// path. Unlike the truncated sweep, the CH searches are unbounded, so
-// a no-path verdict is definitive for any maxCost and can always be
-// negative-cached.
-func (e *Engine) snapMissesCH(u int32, bs []Snap, core, rem float64, out []float64) {
-	obsAdd(&e.ctr.chMany, &pkgObs.chMany, 1)
-	inf := math.Inf(1)
-	s := e.getCHScratch()
-	s.heads = s.heads[:0]
-	for j, b := range bs {
-		if !math.IsNaN(out[j]) {
-			continue
-		}
-		v := e.efrom[b.Edge]
-		dup := false
-		for _, h := range s.heads {
-			if h == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			s.heads = append(s.heads, v)
-		}
-	}
-	if cap(s.headD) < len(s.heads) {
-		s.headD = make([]float64, len(s.heads))
-	}
-	s.headD = s.headD[:len(s.heads)]
-	e.chForward(s, u)
-	for k, v := range s.heads {
-		d, ok := e.chBackwardOne(s, v)
-		if !ok {
-			e.cache.put(u, v, inf, false)
-			s.headD[k] = inf
-			continue
-		}
-		s.headD[k] = d
-		if d <= core {
-			e.cache.put(u, v, d, true)
-		}
-	}
-	for j, b := range bs {
-		if !math.IsNaN(out[j]) {
-			continue
-		}
-		v := e.efrom[b.Edge]
-		d := inf
-		for k, h := range s.heads {
-			if h == v {
-				d = s.headD[k]
-				break
-			}
-		}
-		if !math.IsInf(d, 1) && d <= core {
-			out[j] = rem + d + b.Param*e.elen[b.Edge]
-		} else {
-			out[j] = inf
-		}
-	}
-	e.putCHScratch(s)
-}
-
-// NetworkDist is the engine-side single-pair form: the shortest network
-// distance between a position on edge ea (parameter ta) and one on eb
-// (parameter tb), routed through the endpoints and served from the
-// route cache with singleflight de-duplication.
-func (e *Engine) NetworkDist(ea EdgeID, ta float64, eb EdgeID, tb float64) (float64, error) {
-	if ea == eb && tb >= ta {
-		return (tb - ta) * e.elen[ea], nil
-	}
-	u, v := e.eto[ea], e.efrom[eb]
-	d, ok := e.cache.getOrCompute(u, v, func() (float64, bool) {
-		dd, err := e.Dist(NodeID(u), NodeID(v))
-		if err != nil {
-			return math.Inf(1), false
-		}
-		return dd, true
-	})
-	if !ok {
-		return 0, fmt.Errorf("roadnet: %d -> %d: %w", NodeID(u), NodeID(v), ErrNoPath)
-	}
-	return (1-ta)*e.elen[ea] + d + tb*e.elen[eb], nil
 }

@@ -20,17 +20,6 @@ type heapItem struct {
 
 func (h *nodeHeap) reset() { h.items = h.items[:0] }
 
-// grow reserves capacity for at least n items, so a caller that knows
-// its frontier's high-water mark (the CH contraction queue pushes every
-// node up front) avoids the append doubling-chain.
-func (h *nodeHeap) grow(n int) {
-	if cap(h.items) < n {
-		items := make([]heapItem, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
-}
-
 func (h *nodeHeap) len() int { return len(h.items) }
 
 func (h *nodeHeap) less(i, j int) bool { return h.items[i].prio < h.items[j].prio }
@@ -80,16 +69,5 @@ func (h *nodeHeap) down(i0, n int) {
 		}
 		h.swap(i, j)
 		i = j
-	}
-}
-
-// init establishes the heap property over items assigned directly to
-// the backing slice — the same bottom-up sift container/heap.Init
-// performs. The CH contraction queue uses it to bulk-load all initial
-// priorities in O(n) instead of n pushes in O(n log n).
-func (h *nodeHeap) init() {
-	n := len(h.items)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
 	}
 }

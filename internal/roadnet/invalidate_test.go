@@ -1,10 +1,8 @@
 package roadnet
 
-// Stale-shortcut bug guard: a graph mutation must invalidate the
-// compiled engine as a unit — CSR, ALT tables, contraction hierarchy,
-// and route cache together. A CH rebuilt without the cache (or vice
-// versa) would serve distances from a stale road network: shortcuts
-// spanning edges that no longer dominate, or cached routes missing a
+// Stale-route bug guard: a graph mutation must invalidate the compiled
+// engine as a unit — CSR snapshot and route cache together. A CSR
+// rebuilt beside the old cache would serve cached routes that miss a
 // newly added bypass.
 
 import (
@@ -14,26 +12,34 @@ import (
 	"sidq/internal/geo"
 )
 
-func TestMutationInvalidatesCHAndRouteCacheTogether(t *testing.T) {
-	forceCHAuto(t)
-	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 21}) // 64 nodes: ALT + CH active
+func TestMutationInvalidatesEngineAndRouteCacheTogether(t *testing.T) {
+	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 21})
 	e1 := g.Engine()
-	if !e1.HasCH() {
-		t.Fatal("seed graph built no hierarchy")
-	}
 	a, _ := g.NodeAt(gridCorner(0, 0))
 	b, _ := g.NodeAt(gridCorner(7, 7))
-
-	// Warm the old engine: a CH distance and a cached route.
-	before, err := e1.Dist(a, b)
-	if err != nil {
-		t.Fatal(err)
+	// A transition from the end of an edge into a to the start of an
+	// edge out of b: its network distance is exactly d(a, b).
+	var into, outOf Snap
+	for i := 0; i < g.NumEdges(); i++ {
+		if ed := g.Edge(EdgeID(i)); ed.To == a {
+			into = Snap{Edge: ed.ID, Param: 1}
+		} else if ed.From == b {
+			outOf = Snap{Edge: ed.ID, Param: 0}
+		}
 	}
-	if _, err := e1.NetworkDist(EdgeID(0), 0.5, EdgeID(g.NumEdges()-1), 0.5); err != nil {
-		t.Fatal(err)
+	dist := func(e *Engine) float64 {
+		out := []float64{0}
+		e.SnapDists(into, []Snap{outOf}, math.Inf(1), out)
+		return out[0]
+	}
+
+	// Warm the old engine: the route is now cached.
+	before := dist(e1)
+	if before != refDijkstra(g, a)[b] {
+		t.Fatalf("pre-mutation SnapDists = %v, reference %v", before, refDijkstra(g, a)[b])
 	}
 	if e1.Cache().Len() == 0 {
-		t.Fatal("route cache unexpectedly empty after NetworkDist")
+		t.Fatal("route cache unexpectedly empty after SnapDists")
 	}
 
 	// Mutate: a highway-style bypass straight across the grid through a
@@ -46,9 +52,6 @@ func TestMutationInvalidatesCHAndRouteCacheTogether(t *testing.T) {
 	if e2 == e1 {
 		t.Fatal("Engine() returned the stale compiled engine after mutation")
 	}
-	if !e2.HasCH() {
-		t.Fatal("rebuilt engine has no hierarchy")
-	}
 	if e2.Cache() == e1.Cache() {
 		t.Fatal("rebuilt engine kept the stale route cache")
 	}
@@ -56,33 +59,21 @@ func TestMutationInvalidatesCHAndRouteCacheTogether(t *testing.T) {
 		t.Fatalf("rebuilt route cache has %d stale entries, want 0", e2.Cache().Len())
 	}
 
-	// The rebuilt hierarchy must see the bypass: exact agreement with a
+	// The rebuilt engine must see the bypass: exact agreement with a
 	// reference Dijkstra on the mutated graph, and strictly shorter than
 	// the pre-mutation distance.
-	ref := refDijkstra(g, a)
-	after, err := e2.CHDist(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != ref[b] {
-		t.Fatalf("post-mutation CHDist = %v, reference %v", after, ref[b])
+	after := dist(e2)
+	if ref := refDijkstra(g, a)[b]; after != ref {
+		t.Fatalf("post-mutation SnapDists = %v, reference %v", after, ref)
 	}
 	if !(after < before) {
 		t.Fatalf("bypass did not shorten the route: before %v, after %v", before, after)
 	}
 
-	// One-to-many and the cached-route path agree on the new graph too.
-	out := make([]float64, 1)
-	e2.CHManyDist(a, []NodeID{b}, math.Inf(1), out)
-	if out[0] != ref[b] {
-		t.Fatalf("post-mutation CHManyDist = %v, reference %v", out[0], ref[b])
-	}
-
 	// The old engine snapshot stays internally consistent (build-then-
 	// query contract): it still answers with the old graph's distances.
-	stale, err := e1.Dist(a, b)
-	if err != nil || stale != before {
-		t.Fatalf("stale engine answer changed: (%v, %v), want %v", stale, err, before)
+	if stale := dist(e1); stale != before {
+		t.Fatalf("stale engine answer changed: %v, want %v", stale, before)
 	}
 }
 

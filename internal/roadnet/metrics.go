@@ -15,13 +15,9 @@ import (
 
 // engineCounters are one engine's query counters.
 type engineCounters struct {
-	dijkstra    atomic.Uint64 // plain Dijkstra path searches
-	astarALT    atomic.Uint64 // A* searches using ALT lower bounds
-	astarEuclid atomic.Uint64 // A* searches on the Euclidean fallback (no ALT tables)
-	manySweeps  atomic.Uint64 // truncated one-to-many sweeps (Dist/ManyDist/SnapDists)
-	chDist      atomic.Uint64 // CH bidirectional point-to-point queries
-	chMany      atomic.Uint64 // CH one-to-many queries (shared forward search)
-	heapPops    atomic.Uint64 // total heap pops across all searches
+	dijkstra   atomic.Uint64 // ShortestPath searches
+	manySweeps atomic.Uint64 // truncated one-to-many sweeps (SnapDists cache misses)
+	heapPops   atomic.Uint64 // total heap pops across all searches
 }
 
 // pkgObs aggregates across every engine and route cache in the
@@ -30,11 +26,9 @@ type engineCounters struct {
 var pkgObs struct {
 	enabled atomic.Bool
 
-	dijkstra, astarALT, astarEuclid atomic.Uint64
-	manySweeps, heapPops            atomic.Uint64
-	chDist, chMany                  atomic.Uint64
+	dijkstra, manySweeps, heapPops atomic.Uint64
 
-	cacheHits, cacheMisses, cacheDedups atomic.Uint64
+	cacheHits, cacheMisses atomic.Uint64
 }
 
 // obsAdd bumps an engine counter and, when package observation is
@@ -49,43 +43,25 @@ func obsAdd(own, total *atomic.Uint64, n uint64) {
 // EngineStats is a point-in-time snapshot of one engine's query
 // counters and its route cache.
 type EngineStats struct {
-	Dijkstra    uint64 // ShortestPath searches
-	AStarALT    uint64 // AStar searches that used ALT lower bounds
-	AStarEuclid uint64 // AStar searches that fell back to the Euclidean bound
-	ManySweeps  uint64 // one-to-many flat sweeps (fallback Dist/ManyDist/SnapDists misses)
-	CHDist      uint64 // CH bidirectional point-to-point queries
-	CHMany      uint64 // CH one-to-many queries (ManyDist / SnapDists misses)
-	HeapPops    uint64 // heap pops across every search
-
-	CHShortcuts int   // shortcut arcs in the compiled hierarchy (0 = no CH)
-	CHBuildNs   int64 // wall-clock CH preprocessing time (0 = no CH)
+	Dijkstra   uint64 // ShortestPath searches
+	ManySweeps uint64 // one-to-many sweeps (SnapDists calls with a cache miss)
+	HeapPops   uint64 // heap pops across every search
 
 	CacheHits   uint64 // route-cache lookups served from cache
 	CacheMisses uint64 // route-cache lookups that required a search
-	CacheDedups uint64 // singleflight joins (search skipped, waited on a peer)
 	CacheLen    int    // current cached entries
 }
 
 // Stats returns the engine's current counters.
 func (e *Engine) Stats() EngineStats {
-	st := EngineStats{
+	return EngineStats{
 		Dijkstra:    e.ctr.dijkstra.Load(),
-		AStarALT:    e.ctr.astarALT.Load(),
-		AStarEuclid: e.ctr.astarEuclid.Load(),
 		ManySweeps:  e.ctr.manySweeps.Load(),
-		CHDist:      e.ctr.chDist.Load(),
-		CHMany:      e.ctr.chMany.Load(),
 		HeapPops:    e.ctr.heapPops.Load(),
 		CacheHits:   e.cache.Hits(),
 		CacheMisses: e.cache.Misses(),
-		CacheDedups: e.cache.Dedups(),
 		CacheLen:    e.cache.Len(),
 	}
-	if e.ch != nil {
-		st.CHShortcuts = e.ch.shortcuts
-		st.CHBuildNs = e.ch.buildNs
-	}
-	return st
 }
 
 // InstrumentTo enables process-wide roadnet aggregation and registers
@@ -95,27 +71,17 @@ func (e *Engine) Stats() EngineStats {
 // than once and from multiple registries.
 func InstrumentTo(reg *obs.Registry) {
 	pkgObs.enabled.Store(true)
-	reg.Help("sidq_roadnet_dijkstra_total", "Plain Dijkstra path searches across all engines.")
-	reg.Help("sidq_roadnet_astar_alt_total", "A* searches using ALT landmark lower bounds.")
-	reg.Help("sidq_roadnet_astar_euclid_total", "A* searches on the Euclidean fallback (graph too small for ALT).")
-	reg.Help("sidq_roadnet_many_sweeps_total", "Truncated one-to-many Dijkstra sweeps.")
-	reg.Help("sidq_roadnet_ch_dist_total", "Contraction-hierarchy bidirectional point-to-point queries.")
-	reg.Help("sidq_roadnet_ch_many_total", "Contraction-hierarchy one-to-many queries (shared forward search).")
+	reg.Help("sidq_roadnet_dijkstra_total", "Dijkstra path searches (ShortestPath) across all engines.")
+	reg.Help("sidq_roadnet_many_sweeps_total", "Truncated one-to-many Dijkstra sweeps (SnapDists calls with a route-cache miss).")
 	reg.Help("sidq_roadnet_heap_pops_total", "Heap pops across every road-network search.")
 	reg.Help("sidq_roadnet_route_cache_hits_total", "Route-cache lookups served from cache.")
 	reg.Help("sidq_roadnet_route_cache_misses_total", "Route-cache lookups that required a graph search.")
-	reg.Help("sidq_roadnet_route_cache_dedups_total", "Route-cache singleflight joins (duplicate concurrent searches avoided).")
 	counter := func(name string, v *atomic.Uint64) {
 		reg.Func(name, obs.FuncCounter, func() float64 { return float64(v.Load()) })
 	}
 	counter("sidq_roadnet_dijkstra_total", &pkgObs.dijkstra)
-	counter("sidq_roadnet_astar_alt_total", &pkgObs.astarALT)
-	counter("sidq_roadnet_astar_euclid_total", &pkgObs.astarEuclid)
 	counter("sidq_roadnet_many_sweeps_total", &pkgObs.manySweeps)
-	counter("sidq_roadnet_ch_dist_total", &pkgObs.chDist)
-	counter("sidq_roadnet_ch_many_total", &pkgObs.chMany)
 	counter("sidq_roadnet_heap_pops_total", &pkgObs.heapPops)
 	counter("sidq_roadnet_route_cache_hits_total", &pkgObs.cacheHits)
 	counter("sidq_roadnet_route_cache_misses_total", &pkgObs.cacheMisses)
-	counter("sidq_roadnet_route_cache_dedups_total", &pkgObs.cacheDedups)
 }

@@ -2,9 +2,7 @@ package roadnet
 
 import (
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"sidq/internal/geo"
@@ -12,8 +10,7 @@ import (
 )
 
 func TestEngineStatsCountQueries(t *testing.T) {
-	forceCHAuto(t)
-	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 3}) // 64 nodes: ALT + CH active
+	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 3})
 	e := g.Engine()
 	a, _ := g.NodeAt(gridCorner(0, 0))
 	b, _ := g.NodeAt(gridCorner(7, 7))
@@ -21,111 +18,26 @@ func TestEngineStatsCountQueries(t *testing.T) {
 	if _, err := e.ShortestPath(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AStar(a, b); err != nil {
-		t.Fatal(err)
+	pathPops := e.Stats().HeapPops
+	if pathPops == 0 {
+		t.Error("HeapPops = 0 after ShortestPath, want > 0")
 	}
-	if _, err := e.Dist(a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 2)
-	e.ManyDist(a, []NodeID{a, b}, math.Inf(1), out)
+	// One same-edge candidate (no lookup), two on distinct other edges
+	// (two misses, one sweep); asked again, both are hits and nothing
+	// is swept.
+	from := Snap{Edge: 0, Param: 0.5}
+	cands := []Snap{{Edge: 0, Param: 0.75}, {Edge: EdgeID(g.NumEdges() - 1)}, {Edge: EdgeID(g.NumEdges() / 2)}}
+	out := make([]float64, len(cands))
+	e.SnapDists(from, cands, math.Inf(1), out)
+	sweepPops := e.Stats().HeapPops
+	e.SnapDists(from, cands, math.Inf(1), out)
 
-	st := e.Stats()
-	if st.Dijkstra != 1 {
-		t.Errorf("Dijkstra = %d, want 1", st.Dijkstra)
+	want := EngineStats{Dijkstra: 1, ManySweeps: 1, HeapPops: sweepPops, CacheMisses: 2, CacheHits: 2, CacheLen: 2}
+	if st := e.Stats(); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
 	}
-	if st.AStarALT != 1 || st.AStarEuclid != 0 {
-		t.Errorf("AStarALT = %d, AStarEuclid = %d, want 1, 0", st.AStarALT, st.AStarEuclid)
-	}
-	if st.CHDist != 1 { // Dist is served by the hierarchy here
-		t.Errorf("CHDist = %d, want 1", st.CHDist)
-	}
-	if st.CHMany != 1 { // so is ManyDist
-		t.Errorf("CHMany = %d, want 1", st.CHMany)
-	}
-	if st.ManySweeps != 0 { // the flat sweep is the fallback only
-		t.Errorf("ManySweeps = %d, want 0", st.ManySweeps)
-	}
-	if st.CHShortcuts <= 0 {
-		t.Errorf("CHShortcuts = %d, want > 0", st.CHShortcuts)
-	}
-	if st.CHBuildNs <= 0 {
-		t.Errorf("CHBuildNs = %d, want > 0", st.CHBuildNs)
-	}
-	if st.HeapPops == 0 {
-		t.Error("HeapPops = 0, want > 0")
-	}
-}
-
-func TestEngineStatsFlatFallbackCounters(t *testing.T) {
-	g := GridCity(GridCityOptions{NX: 3, NY: 3, Seed: 1}) // 9 nodes: no CH
-	e := g.Engine()
-	if e.HasCH() {
-		t.Fatal("9-node graph unexpectedly built a hierarchy")
-	}
-	a, _ := g.NodeAt(gridCorner(0, 0))
-	b, _ := g.NodeAt(gridCorner(2, 2))
-	if _, err := e.Dist(a, b); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, 1)
-	e.ManyDist(a, []NodeID{b}, math.Inf(1), out)
-	st := e.Stats()
-	if st.ManySweeps != 2 { // Dist + ManyDist both fall back to the flat sweep
-		t.Errorf("ManySweeps = %d, want 2", st.ManySweeps)
-	}
-	if st.CHDist != 0 || st.CHMany != 0 {
-		t.Errorf("CHDist = %d, CHMany = %d, want 0, 0", st.CHDist, st.CHMany)
-	}
-	if st.CHShortcuts != 0 || st.CHBuildNs != 0 {
-		t.Errorf("CHShortcuts = %d, CHBuildNs = %d, want 0, 0", st.CHShortcuts, st.CHBuildNs)
-	}
-}
-
-func TestEngineStatsEuclidFallback(t *testing.T) {
-	g := GridCity(GridCityOptions{NX: 3, NY: 3, Seed: 1}) // 9 nodes < altMinNodes
-	e := g.Engine()
-	a, _ := g.NodeAt(gridCorner(0, 0))
-	b, _ := g.NodeAt(gridCorner(2, 2))
-	if _, err := e.AStar(a, b); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.AStarEuclid != 1 || st.AStarALT != 0 {
-		t.Errorf("AStarEuclid = %d, AStarALT = %d, want 1, 0", st.AStarEuclid, st.AStarALT)
-	}
-}
-
-func TestRouteCacheDedups(t *testing.T) {
-	c := NewRouteCache(64)
-	const waiters = 8
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.getOrCompute(1, 2, func() (float64, bool) {
-				<-gate // hold the flight open so others must join it
-				return 42, true
-			})
-		}()
-	}
-	// The flight cannot finish before gate closes, so waiting for the
-	// first dedup guarantees at least one goroutine joined in-flight.
-	for c.Dedups() == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if got := c.Misses(); got != 1 {
-		t.Errorf("misses = %d, want 1 (one compute)", got)
-	}
-	if got := c.Hits(); got != waiters-1 {
-		t.Errorf("hits = %d, want %d (joins and late arrivals both hit)", got, waiters-1)
-	}
-	if c.Dedups() == 0 {
-		t.Error("dedups = 0, want at least one singleflight join")
+	if sweepPops <= pathPops {
+		t.Errorf("HeapPops %d -> %d across a sweep, want growth", pathPops, sweepPops)
 	}
 }
 
@@ -140,9 +52,7 @@ func TestInstrumentToExposesRoadnetFamilies(t *testing.T) {
 	if _, err := e.ShortestPath(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.NetworkDist(0, 0.5, 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
+	e.SnapDists(Snap{Edge: 0, Param: 0.5}, []Snap{{Edge: 1, Param: 0.5}}, math.Inf(1), []float64{0})
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -151,15 +61,17 @@ func TestInstrumentToExposesRoadnetFamilies(t *testing.T) {
 	expo := sb.String()
 	for _, fam := range []string{
 		"sidq_roadnet_dijkstra_total",
-		"sidq_roadnet_astar_alt_total",
+		"sidq_roadnet_many_sweeps_total",
 		"sidq_roadnet_heap_pops_total",
 		"sidq_roadnet_route_cache_hits_total",
 		"sidq_roadnet_route_cache_misses_total",
-		"sidq_roadnet_route_cache_dedups_total",
 	} {
 		if !strings.Contains(expo, "# TYPE "+fam+" counter") {
 			t.Errorf("exposition missing %s", fam)
 		}
+	}
+	if n := strings.Count(expo, "# TYPE sidq_roadnet_"); n != 5 {
+		t.Errorf("exposition has %d sidq_roadnet_ families, want 5:\n%s", n, expo)
 	}
 	if !strings.Contains(expo, "sidq_roadnet_route_cache_misses_total 1") {
 		t.Errorf("expected one cache miss in exposition:\n%s", expo)

@@ -1,9 +1,9 @@
 // Package roadnet implements the road-network substrate used by
 // map-matching, route recovery, and network-constrained trajectory
 // compression: a directed graph embedded in the plane, a compiled
-// query engine (CSR adjacency, one-to-many bounded Dijkstra, ALT
-// A*, sharded route cache — see Engine), nearest-edge snapping, and a
-// deterministic synthetic grid-city generator.
+// query engine (CSR adjacency, Dijkstra path search, one-to-many
+// truncated Dijkstra sweep behind a sharded route cache — see Engine),
+// nearest-edge snapping, and deterministic synthetic city generators.
 //
 // # Mutation and aliasing contract
 //
@@ -130,9 +130,9 @@ func (g *Graph) OutEdges(id NodeID) []EdgeID { return g.out[id] }
 
 // Engine returns the compiled query engine for the graph's current
 // revision, building it on first use. The build compiles the CSR
-// adjacency snapshot, tabulates ALT landmarks, and allocates the route
-// cache; subsequent calls return the cached engine until the graph is
-// mutated. Safe to call from multiple goroutines.
+// adjacency snapshot and allocates the route cache — one pass over the
+// edges, no preprocessing; subsequent calls return the cached engine
+// until the graph is mutated. Safe to call from multiple goroutines.
 func (g *Graph) Engine() *Engine {
 	if e := g.eng.Load(); e != nil {
 		return e
@@ -176,14 +176,6 @@ func (g *Graph) Geometry(p Path) geo.Polyline {
 // Dijkstra's algorithm on the compiled engine.
 func (g *Graph) ShortestPath(a, b NodeID) (Path, error) {
 	return g.Engine().ShortestPath(a, b)
-}
-
-// AStar returns the minimum-length path from a to b using A* under the
-// max of the Euclidean heuristic (admissible because edge lengths are
-// Euclidean node distances) and the engine's ALT landmark lower
-// bounds.
-func (g *Graph) AStar(a, b NodeID) (Path, error) {
-	return g.Engine().AStar(a, b)
 }
 
 func reverseEdges(s []EdgeID) {

@@ -73,26 +73,6 @@ func TestNoPath(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g := GridCity(GridCityOptions{NX: 12, NY: 12, Spacing: 100, Jitter: 10, RemoveFrac: 0.25, Seed: 5})
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 40; trial++ {
-		a := NodeID(rng.Intn(g.NumNodes()))
-		b := NodeID(rng.Intn(g.NumNodes()))
-		pd, errD := g.ShortestPath(a, b)
-		pa, errA := g.AStar(a, b)
-		if (errD == nil) != (errA == nil) {
-			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errD, errA)
-		}
-		if errD != nil {
-			continue
-		}
-		if math.Abs(pd.Dist-pa.Dist) > 1e-6 {
-			t.Fatalf("trial %d: dijkstra %v vs astar %v", trial, pd.Dist, pa.Dist)
-		}
-	}
-}
-
 func TestGridCityConnected(t *testing.T) {
 	g := GridCity(GridCityOptions{NX: 8, NY: 8, Spacing: 100, RemoveFrac: 0.4, Seed: 1})
 	// The boundary ring is preserved, so all corner-to-corner routes exist.
@@ -205,26 +185,57 @@ func TestSnapperKNearest(t *testing.T) {
 	}
 }
 
-func TestNetworkDist(t *testing.T) {
-	g := simpleSquare()
-	// Find the directed edge 2->3.
-	var e23 EdgeID = -1
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(EdgeID(i))
-		if e.From == 2 && e.To == 3 {
-			e23 = e.ID
+// TestContinental pins the multi-city generator: node count, strong
+// connectivity across the highway mesh, and determinism.
+func TestContinental(t *testing.T) {
+	opt := ContinentalOptions{CitiesX: 3, CitiesY: 3, CityNX: 6, CityNY: 6, Jitter: 4, RemoveFrac: 0.2, Seed: 11}
+	g := Continental(opt)
+	if got, want := g.NumNodes(), 3*3*6*6; got != want {
+		t.Fatalf("NumNodes = %d, want %d", got, want)
+	}
+	if ref := refDijkstra(g, 0); len(ref) != g.NumNodes() {
+		t.Fatalf("reference reached %d of %d nodes: not strongly connected", len(ref), g.NumNodes())
+	}
+	g2 := Continental(opt)
+	if g2.NumEdges() != g.NumEdges() {
+		t.Fatalf("regenerated edge count %d != %d", g2.NumEdges(), g.NumEdges())
+	}
+	for i := 0; i < g.NumNodes(); i++ {
+		if g.Node(NodeID(i)).Pos != g2.Node(NodeID(i)).Pos {
+			t.Fatalf("regenerated node %d moved", i)
 		}
 	}
-	if e23 < 0 {
-		t.Fatal("edge 2->3 not found")
+}
+
+// TestNetworkDist checks the three shapes of a snap-to-snap network
+// distance on the 100 m square, as one-element SnapDists queries.
+func TestNetworkDist(t *testing.T) {
+	g := simpleSquare()
+	edge := func(from, to NodeID) EdgeID {
+		for i := 0; i < g.NumEdges(); i++ {
+			if e := g.Edge(EdgeID(i)); e.From == from && e.To == to {
+				return e.ID
+			}
+		}
+		t.Fatalf("edge %d->%d not found", from, to)
+		return -1
 	}
-	// Same edge forward: from 25% to 75% of a 100 m edge = 50 m.
-	d, err := g.NetworkDist(e23, 0.25, e23, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-50) > 1e-9 {
-		t.Fatalf("same-edge dist = %v", d)
+	e23, e31 := edge(2, 3), edge(3, 1)
+	for _, c := range []struct {
+		name string
+		a, b Snap
+		want float64
+	}{
+		{"same edge forward", Snap{Edge: e23, Param: 0.25}, Snap{Edge: e23, Param: 0.75}, 50},
+		// Backward on a directed edge: on to 3, back 3->2, then forward again.
+		{"same edge backward", Snap{Edge: e23, Param: 0.75}, Snap{Edge: e23, Param: 0.25}, 25 + 100 + 25},
+		{"cross edge", Snap{Edge: e23, Param: 0.25}, Snap{Edge: e31, Param: 0.5}, 75 + 0 + 50},
+	} {
+		out := []float64{0}
+		g.Engine().SnapDists(c.a, []Snap{c.b}, math.Inf(1), out)
+		if math.Abs(out[0]-c.want) > 1e-9 {
+			t.Errorf("%s: dist = %v, want %v", c.name, out[0], c.want)
+		}
 	}
 }
 

@@ -239,14 +239,3 @@ func (g *Graph) PointAlongEdge(eid EdgeID, t float64) geo.Point {
 	e := g.edges[eid]
 	return geo.Segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}.Interpolate(t)
 }
-
-// NetworkDist returns the shortest network distance between a position
-// on edge ea (at parameter ta) and a position on edge eb (at parameter
-// tb), routing through the edge endpoints. Same-edge forward movement
-// is measured along the edge; backward movement on a directed edge
-// loops around via the endpoints. The distance core d(ea.To, eb.From)
-// is served from the engine's route cache, so repeated queries over
-// the same edge pair (any parameters) cost one search total.
-func (g *Graph) NetworkDist(ea EdgeID, ta float64, eb EdgeID, tb float64) (float64, error) {
-	return g.Engine().NetworkDist(ea, ta, eb, tb)
-}

@@ -2,12 +2,13 @@ package uncertain_test
 
 // Concurrency hammer for the road-network query engine: many
 // goroutines map-match the same trajectories against one shared graph,
-// exercising the engine scratch pool, the sharded route cache (with
-// singleflight), and the snapper scratch pool simultaneously. Run
+// exercising the engine scratch pool, the sharded route cache, and the
+// snapper scratch pool simultaneously. Run
 // under -race (see `make race`) this is the engine's data-race gate;
 // in any mode it also asserts that concurrency never changes results.
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -72,37 +73,50 @@ func TestConcurrentMapMatchHammer(t *testing.T) {
 	}
 }
 
-// TestConcurrentNetworkDistHammer drives the route cache's
-// getOrCompute path (singleflight) from many goroutines over a small
-// set of hot edge pairs, asserting every caller sees the same value.
+// TestConcurrentNetworkDistHammer drives SnapDists — cache lookups,
+// sweeps on pooled scratch and cache stores — from many goroutines over
+// a small set of hot transitions on one cold engine, asserting every
+// caller sees the value a serial pass over an identical graph computed.
 func TestConcurrentNetworkDistHammer(t *testing.T) {
-	g := roadnet.GridCity(roadnet.GridCityOptions{
-		NX: 8, NY: 8, Spacing: 100, Jitter: 5, RemoveFrac: 0.3, Seed: 61,
-	})
-	type q struct{ ea, eb roadnet.EdgeID }
-	pairs := make([]q, 0, 64)
-	for i := 0; i < 64; i++ {
-		pairs = append(pairs, q{
-			ea: roadnet.EdgeID((i * 7) % g.NumEdges()),
-			eb: roadnet.EdgeID((i*13 + 5) % g.NumEdges()),
+	city := func() *roadnet.Graph {
+		return roadnet.GridCity(roadnet.GridCityOptions{
+			NX: 8, NY: 8, Spacing: 100, Jitter: 5, RemoveFrac: 0.3, Seed: 61,
 		})
 	}
-	want := make([]float64, len(pairs))
-	wantErr := make([]bool, len(pairs))
-	for i, p := range pairs {
-		d, err := g.NetworkDist(p.ea, 0.25, p.eb, 0.75)
-		want[i], wantErr[i] = d, err != nil
+	g := city()
+	type q struct {
+		a  roadnet.Snap
+		bs []roadnet.Snap
 	}
+	edge := func(i int) roadnet.EdgeID { return roadnet.EdgeID(i % g.NumEdges()) }
+	pairs := make([]q, 64)
+	for i := range pairs {
+		pairs[i] = q{
+			a: roadnet.Snap{Edge: edge(i * 7), Param: 0.25},
+			bs: []roadnet.Snap{
+				{Edge: edge(i*13 + 5), Param: 0.75},
+				{Edge: edge(i*13 + 6), Param: 0.5},
+				{Edge: edge(i * 7), Param: 0.1}, // backward on a's own edge
+			},
+		}
+	}
+	ref := city().Engine() // the hammered engine starts cold
+	want := make([][3]float64, len(pairs))
+	for i, p := range pairs {
+		ref.SnapDists(p.a, p.bs, math.Inf(1), want[i][:])
+	}
+	eng := g.Engine()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var got [3]float64
 			for r := 0; r < 20; r++ {
 				for i, p := range pairs {
-					d, err := g.NetworkDist(p.ea, 0.25, p.eb, 0.75)
-					if (err != nil) != wantErr[i] || (err == nil && d != want[i]) {
-						t.Errorf("pair %d: got (%v, %v), want (%v, err=%v)", i, d, err, want[i], wantErr[i])
+					eng.SnapDists(p.a, p.bs, math.Inf(1), got[:])
+					if got != want[i] {
+						t.Errorf("pair %d: got %v, want %v", i, got, want[i])
 						return
 					}
 				}
