@@ -5,7 +5,8 @@
 #                       tier-1 gate)
 #   make ci             exactly what .github/workflows/ci.yml runs per
 #                       matrix leg: fmt-check + build + vet + tests +
-#                       bench-module + -race + chaos
+#                       bench-module + -race + chaos + crash + a 2s
+#                       smoke run of every fuzz target
 #   make fmt-check      fail if any file needs gofmt
 #   make bench-module   vet + build benchmark/, a module of its own that
 #                       imports internal/... — root ./... does not
@@ -23,10 +24,12 @@
 #                       fault-injected durability wiring, and the
 #                       kill-mid-chunk byte-identity scenarios
 #   make fuzz           the native fuzz targets over the on-disk decoders
-#                       (store segment scanner, server chunk record),
-#                       each from its committed seed corpus for
-#                       FUZZTIME; plain `go test` already replays the
-#                       seeds, this explores past them
+#                       (store segment scanner and manifest, server
+#                       chunk record) and the id,t,x,y wire codec
+#                       (scanner and row appender against encoding/csv),
+#                       each from its seeds for FUZZTIME; plain
+#                       `go test` already replays the seeds, this
+#                       explores past them
 #   make bench          compile-and-run the benchmark suite briefly
 #   make bench-json     run the benchmarks for real (best-of-BENCHCOUNT
 #                       per row) and write a dated BENCH_<date>.json
@@ -62,6 +65,7 @@ FUZZTIME ?= 5s
 check: vet test bench-module race-hammer crash fuzz bench-compare
 
 ci: fmt-check vet test bench-module race chaos crash
+	$(MAKE) fuzz FUZZTIME=2s
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -102,7 +106,10 @@ crash:
 # `go test` until it is fixed — commit it with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk2$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzScanCSV$$' -fuzztime $(FUZZTIME) ./internal/trajectory
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendCSVRow$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

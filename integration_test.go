@@ -81,7 +81,7 @@ func TestEndToEndFleetFlow(t *testing.T) {
 	if err := trajectory.WriteCSV(&buf, cleaned.Trajectories); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trajectory.ReadCSV(&buf)
+	back, err := trajectory.ReadCSVColumns(&buf)
 	if err != nil || len(back) != len(cleaned.Trajectories) {
 		t.Fatalf("csv round trip: %v (%d)", err, len(back))
 	}

@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sidq/internal/geo"
 	"sidq/internal/quality"
 	"sidq/internal/roadnet"
 	"sidq/internal/simulate"
+	"sidq/internal/stid"
 	"sidq/internal/trajectory"
 )
 
@@ -340,6 +343,49 @@ func TestPlanAndRunIterativeClosesInducedDeficits(t *testing.T) {
 		if seen[s.Name()] > 1 {
 			t.Fatalf("stage %q applied twice", s.Name())
 		}
+	}
+}
+
+// A multi-round plan measures each dataset state once — the input, then
+// the output of every stage — and reports the same Before/After as
+// running its stages one by one, each run assessing for itself. The
+// dataset carries one reading and a counting truth field: an assessment
+// calls the field once per reading, so calls count assessments.
+func TestPlanAndRunIterativeAssessesEachStateOnce(t *testing.T) {
+	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
+	var assessments atomic.Int64
+	ds := &Dataset{
+		Region:           region,
+		ExpectedInterval: 1,
+		MaxSpeed:         10,
+		Readings:         []stid.Reading{{SensorID: "s0", Pos: geo.Pt(1, 1), T: 1, Value: 1}},
+		TruthField:       func(geo.Point, float64) float64 { assessments.Add(1); return 1 },
+	}
+	dirty := simulate.AddGaussianNoise(simulate.RandomWalk("v0", region, 600, 2, 1, 50), 3, 51)
+	dirty, _ = simulate.InjectOutliers(dirty, 0.2, 150, 52)
+	ds.Trajectories = append(ds.Trajectories, dirty)
+
+	_, oneStages, _ := PlanAndRun(ds, DefaultTargets())
+	assessments.Store(0)
+	_, stages, reports, err := PlanAndRunIterativeWith(context.Background(), nil, ds, DefaultTargets(), 3)
+	got := assessments.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stages) <= len(oneStages) {
+		t.Fatalf("planned %d stages, a single pass plans %d: the run must span several rounds", len(stages), len(oneStages))
+	}
+	if want := int64(1 + len(reports)); got != want {
+		t.Fatalf("%d assessments for %d stages, want %d (the input and each stage's output)", got, len(reports), want)
+	}
+	cur := ds
+	for i, st := range stages {
+		out, ref := NewPipeline(st).Run(cur)
+		if !reflect.DeepEqual(reports[i].Before, ref[0].Before) || !reflect.DeepEqual(reports[i].After, ref[0].After) {
+			t.Fatalf("stage %s: report %v -> %v, stage run on its own %v -> %v",
+				st.Name(), reports[i].Before, reports[i].After, ref[0].Before, ref[0].After)
+		}
+		cur = out
 	}
 }
 

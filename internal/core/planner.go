@@ -64,8 +64,9 @@ func Plan(a quality.Assessment, t Targets) []Stage {
 // PlanAndRun assesses, plans, and executes in one call, returning the
 // cleaned dataset, the plan, and the per-stage reports.
 func PlanAndRun(ds *Dataset, t Targets) (*Dataset, []Stage, []StageReport) {
-	stages := Plan(ds.Assess(), t)
-	out, reports := NewPipeline(stages...).Run(ds)
+	a := ds.Assess()
+	stages := Plan(a, t)
+	out, reports, _ := DefaultRunner().run(context.Background(), NewPipeline(stages...), ds, a)
 	return out, stages, reports
 }
 
@@ -93,13 +94,16 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 	if r == nil {
 		r = DefaultRunner()
 	}
-	cur := ds
+	// Each dataset state is assessed once: the input here, and every
+	// stage's output by the runner, whose last After is the assessment
+	// the next round plans from.
+	cur, assessed := ds, ds.Assess()
 	var allStages []Stage
 	var allReports []StageReport
 	applied := map[string]bool{}
 	for round := 0; round < maxRounds; round++ {
 		var stages []Stage
-		for _, s := range Plan(cur.Assess(), t) {
+		for _, s := range Plan(assessed, t) {
 			if applied[s.Name()] {
 				continue
 			}
@@ -109,13 +113,14 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 		if len(stages) == 0 {
 			break
 		}
-		out, reports, err := NewPipeline(stages...).RunContext(ctx, r, cur)
+		out, reports, err := r.run(ctx, NewPipeline(stages...), cur, assessed)
 		cur = out
 		allStages = append(allStages, stages...)
 		allReports = append(allReports, reports...)
 		if err != nil {
 			return cur, allStages, allReports, err
 		}
+		assessed = reports[len(reports)-1].After
 	}
 	return cur, allStages, allReports, nil
 }

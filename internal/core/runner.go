@@ -177,12 +177,22 @@ func (r *Runner) event(stage, format string, args ...interface{}) {
 // ctx itself is cancelled); the reports always cover every stage
 // reached, including skipped and rolled-back ones.
 func (r *Runner) Run(ctx context.Context, p *Pipeline, ds *Dataset) (*Dataset, []StageReport, error) {
+	return r.run(ctx, p, ds, nil)
+}
+
+// run is Run for a caller that may already hold ds's assessment (the
+// planner assesses in order to plan, and a stage's After is the next
+// round's starting point): before, when non-nil, is taken as that
+// assessment instead of measuring the same data again.
+func (r *Runner) run(ctx context.Context, p *Pipeline, ds *Dataset, before quality.Assessment) (*Dataset, []StageReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cur := ds.Clone()
 	reports := make([]StageReport, 0, len(p.Stages))
-	before := cur.AssessN(r.workerCount())
+	if before == nil {
+		before = cur.AssessN(r.workerCount())
+	}
 	for _, st := range p.Stages {
 		if err := ctx.Err(); err != nil {
 			return cur, reports, fmt.Errorf("pipeline cancelled before stage %s: %w", st.Name(), err)

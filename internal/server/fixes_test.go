@@ -2,10 +2,12 @@ package server
 
 // Regression tests for the correctness fixes riding along with the
 // streaming subsystem: typed 413 detection, the mid-stream
-// write-failure counter, the bounded resample behind /v1/clean, and
-// query-string validation ahead of the ingest body.
+// write-failure counter, the bounded resample behind /v1/clean,
+// query-string validation ahead of the ingest body, the optional-header
+// rule of an ingest chunk, and the one-buffer body read.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -141,5 +143,78 @@ func TestIngestValidatesQueryBeforeReadingBody(t *testing.T) {
 	// The same session still takes a well-formed chunk.
 	if ack, resp := ingestChunkSeq(t, srv, id, 1, chunkRow("probe", 1, 2, 3)); resp.StatusCode != http.StatusOK || ack.Ingested != 1 {
 		t.Fatalf("well-formed chunk after the rejects: status %d, ack %+v", resp.StatusCode, ack)
+	}
+}
+
+// A chunk's header is optional, so only the exact line id,t,x,y may be
+// taken for one: a source that happens to be named id used to lose its
+// first row to the "first field is id" test.
+func TestIngestSourceNamedIDIsNotAHeader(t *testing.T) {
+	svc := newTestService(Config{})
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+
+	id := openStream(t, srv, "lateness=0&maxspeed=0")
+	ack, r := ingestChunk(t, srv, id, "id,1,0,0\nid,2,1,1\nid,3,2,2\n")
+	if r.StatusCode != http.StatusOK || ack.Ingested != 3 {
+		t.Fatalf("header-less chunk of source \"id\": status %d, ingested %d, want 200 and 3", r.StatusCode, ack.Ingested)
+	}
+	ack, r = ingestChunk(t, srv, id, "id,t,x,y\nid,4,3,3\n")
+	if r.StatusCode != http.StatusOK || ack.Ingested != 1 {
+		t.Fatalf("chunk led by the header: status %d, ingested %d, want 200 and 1", r.StatusCode, ack.Ingested)
+	}
+	// Any other first row is data, and this one does not parse.
+	if _, r = ingestChunk(t, srv, id, "id,time,lon,lat\nid,5,4,4\n"); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("chunk led by id,time,lon,lat: status %d, want 400", r.StatusCode)
+	}
+	body, _ := drainStream(t, srv, id, "flush=1&format=csv")
+	if want := "id,t,x,y\nid,1,0,0\nid,2,1,1\nid,3,2,2\nid,4,3,3\n"; body != want {
+		t.Fatalf("drained %q, want %q", body, want)
+	}
+}
+
+// The events of a parsed chunk outlive the request body, so they must
+// not hold views of it.
+func TestParsePointChunkKeepsNoReferenceToBody(t *testing.T) {
+	body := []byte("veh-0,1,0,0\nveh-1,1,5,5\nveh-0,2,1,1\n")
+	events, err := parsePointChunk(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range body {
+		body[i] = 'X'
+	}
+	if len(events) != 3 || events[0].Value.src != "veh-0" || events[1].Value.src != "veh-1" || events[2].Value.src != "veh-0" {
+		t.Fatalf("events after the body was overwritten: %+v", events)
+	}
+}
+
+// readBody sizes its buffer from Content-Length, trusts a large one only
+// up to maxBodyPrealloc, and still reads a body of unknown length whole.
+func TestReadBodySizing(t *testing.T) {
+	payload := bytes.Repeat([]byte("veh-0,1,0,0\n"), 1000)
+	for _, tc := range []struct {
+		name    string
+		declare int64
+		wantCap int
+	}{
+		{"declared", int64(len(payload)), len(payload) + bytes.MinRead},
+		{"unknown", -1, 0},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(bytes.NewReader(payload)))
+		req.ContentLength = tc.declare
+		got, err := readBody(req)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: read %d bytes, err %v", tc.name, len(got), err)
+		}
+		if tc.wantCap > 0 && cap(got) != tc.wantCap {
+			t.Fatalf("%s: buffer capacity %d, want %d (one allocation, no growth)", tc.name, cap(got), tc.wantCap)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(bytes.NewReader(payload)))
+	req.ContentLength = 1 << 40 // a lie: the buffer must follow the bytes, not the header
+	if got, err := readBody(req); err != nil || !bytes.Equal(got, payload) || cap(got) > maxBodyPrealloc+bytes.MinRead {
+		t.Fatalf("overstated length: read %d bytes into capacity %d, err %v", len(got), cap(got), err)
 	}
 }

@@ -9,7 +9,7 @@ package server
 // exactly those records back from the on-disk segments (store.ReadSeqs
 // — point reads, nothing in between), tests each row's T/X/Y against
 // the window in place on the record's columns, and writes the matching
-// rows with the shared ndjson row writer. History covers closed and
+// rows with the shared row writer. History covers closed and
 // evicted sessions too: the log outlives the session state.
 //
 // The index is keyed by time, not space. A chunk holds many sources,
@@ -177,11 +177,8 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty range: min bound exceeds max", http.StatusBadRequest)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "ndjson"
-	}
-	if format != "ndjson" && format != "csv" {
+	format := r.URL.Query().Get("format") // ndjson unless csv
+	if format != "" && format != "ndjson" && format != "csv" {
 		http.Error(w, (&paramError{key: "format", value: format}).Error(), http.StatusBadRequest)
 		return
 	}
@@ -242,61 +239,42 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		reg.m.histFiltered.Add(uint64(filtered))
 	}()
 
-	if format == "csv" {
-		// CSV stays buffered: WriteCSV needs the rows grouped into
-		// per-source trajectories, so the full result set (and the
-		// source first-appearance order) must exist before the first
-		// output byte. Use ndjson for wide windows.
-		var results []streamResult
-		var srcs []string
-		names := map[string]string{} // one string per source, not per row
-		err := scan(func(key []byte, t, x, y float64) error {
-			src, ok := names[string(key)]
-			if !ok {
-				src = string(key)
-				names[src] = src
-				srcs = append(srcs, src)
-			}
-			results = append(results, streamResult{Source: src, T: t, X: x, Y: y})
-			return nil
-		})
-		if err != nil {
-			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("X-Sidq-Points", strconv.Itoa(len(results)))
-		w.Header().Set("Content-Type", "text/csv")
-		if err := trajectory.WriteCSV(w, resultTrajectories(results, srcs)); err != nil {
-			s.writeError(r, err)
-		}
-		return
-	}
-
-	// ndjson streams: rows are written out as the buffer fills, so a
-	// wide window holds one chunk record and one buffer of rows in
-	// memory, never the whole result set. (That is also why ndjson
-	// carries no X-Sidq-Points header — the count is unknown when the
-	// headers are sent.)
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	rb := getRowBuf()
 	defer rb.release()
-	wrote := 0
-	flush := func(min int) error {
-		n, err := rb.flushTo(w, min)
-		wrote += n
-		return err
-	}
-	err := scan(func(src []byte, t, x, y float64) error {
-		if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, nil); err != nil {
-			return err
+	var err error
+	if format == "csv" {
+		// CSV groups rows per source, so the whole result set has to be
+		// read — into columns — before the first output byte, and its size
+		// is known when the headers go out. Use ndjson for wide windows.
+		b := trajectory.NewColumnsBuilder()
+		err = scan(func(src []byte, t, x, y float64) error {
+			b.Add(string(src), t, x, y) // Add keeps no reference to src
+			return nil
+		})
+		if err == nil {
+			w.Header().Set("X-Sidq-Points", strconv.Itoa(returned))
+			w.Header().Set("Content-Type", "text/csv")
+			err = rb.writeCSV(w, b, b.IDs())
 		}
-		return flush(rowFlushBytes)
-	})
-	if err == nil {
-		err = flush(0)
+	} else {
+		// ndjson streams: rows are written out as the buffer fills, so a
+		// wide window holds one chunk record and one buffer of rows in
+		// memory, never the whole result set. (That is also why ndjson
+		// carries no X-Sidq-Points header — the count is unknown when the
+		// headers are sent.)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		err = scan(func(src []byte, t, x, y float64) error {
+			if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, nil); err != nil {
+				return err
+			}
+			return rb.flushTo(w, trajectory.RowFlushBytes)
+		})
+		if err == nil {
+			err = rb.flushTo(w, 0)
+		}
 	}
 	if err != nil {
-		if wrote == 0 {
+		if rb.wrote == 0 {
 			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

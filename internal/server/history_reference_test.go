@@ -157,6 +157,24 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 	return seqs, body.String()
 }
 
+// resultTrajectories groups results into per-source trajectories in the
+// order of srcs, emitted order within a source — how the CSV responses
+// were built before they printed from columns; with WriteCSV it is the
+// reference for them.
+func resultTrajectories(results []streamResult, srcs []string) []*trajectory.Trajectory {
+	b := trajectory.NewColumnsBuilder()
+	for _, res := range results {
+		b.Add(res.Source, res.T, res.X, res.Y)
+	}
+	var out []*trajectory.Trajectory
+	for _, src := range srcs {
+		if c := b.Columns(src); c != nil {
+			out = append(out, c.Trajectory(src))
+		}
+	}
+	return out
+}
+
 // hostileFloats are the values at which encoding/json changes float
 // format or strconv its digit count, plus the ones a careless encoder
 // gets wrong.

@@ -1,10 +1,10 @@
 package server
 
-// The ndjson row writer: the one encoder of streamResult lines, shared
-// by the session drain and the history range query. It appends rows to
-// a pooled byte buffer and produces exactly the bytes json.Encoder
-// produces for a streamResult — same field order, same float
-// formatting, same string escaping — without reflection.
+// The row writer: the one encoder of result rows, shared by the session
+// drain and the history range query. It appends rows to a pooled byte
+// buffer. An ndjson row is exactly the bytes json.Encoder produces for a
+// streamResult — same field order, same float formatting, same string
+// escaping — without reflection; a CSV row is trajectory's wire codec.
 
 import (
 	"encoding/json"
@@ -13,17 +13,15 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"sidq/internal/trajectory"
 )
 
-// rowFlushBytes is how much a rowBuf accumulates before it is written
-// out: large enough that a response is a handful of writes, small
-// enough that a wide window never holds more than this in memory.
-const rowFlushBytes = 32 << 10
-
-// rowBuf accumulates ndjson result lines.
+// rowBuf accumulates result rows, ndjson or CSV.
 type rowBuf struct {
 	buf   []byte
 	names map[string][]byte // source id -> its JSON string literal
+	wrote int               // bytes handed to the writer so far
 }
 
 var rowBufs = sync.Pool{New: func() any { return &rowBuf{names: map[string][]byte{}} }}
@@ -31,7 +29,7 @@ var rowBufs = sync.Pool{New: func() any { return &rowBuf{names: map[string][]byt
 func getRowBuf() *rowBuf { return rowBufs.Get().(*rowBuf) }
 
 func (rb *rowBuf) release() {
-	rb.buf = rb.buf[:0]
+	rb.buf, rb.wrote = rb.buf[:0], 0
 	clear(rb.names)
 	rowBufs.Put(rb)
 }
@@ -77,16 +75,37 @@ func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge *int) error {
 	return nil
 }
 
+// writeCSV writes the header, then the rows b holds for each of srcs
+// in turn: what trajectory.WriteCSV writes for the same groups.
+func (rb *rowBuf) writeCSV(w io.Writer, b *trajectory.ColumnsBuilder, srcs []string) error {
+	rb.buf = append(rb.buf, trajectory.CSVHeader...)
+	var id []byte
+	for _, src := range srcs {
+		c := b.Columns(src)
+		if c == nil {
+			continue
+		}
+		id = trajectory.AppendCSVField(id[:0], src)
+		for i := range c.T {
+			rb.buf = trajectory.AppendCSVRow(rb.buf, id, c.T[i], c.X[i], c.Y[i])
+			if err := rb.flushTo(w, trajectory.RowFlushBytes); err != nil {
+				return err
+			}
+		}
+	}
+	return rb.flushTo(w, 0)
+}
+
 // flushTo writes the accumulated rows to w once there are at least min
-// bytes of them, and reports how many bytes it handed to w.
-func (rb *rowBuf) flushTo(w io.Writer, min int) (int, error) {
-	n := len(rb.buf)
-	if n == 0 || n < min {
-		return 0, nil
+// bytes of them.
+func (rb *rowBuf) flushTo(w io.Writer, min int) error {
+	if len(rb.buf) == 0 || len(rb.buf) < min {
+		return nil
 	}
 	_, err := w.Write(rb.buf)
+	rb.wrote += len(rb.buf)
 	rb.buf = rb.buf[:0]
-	return n, err
+	return err
 }
 
 // appendJSONFloat formats a finite float64 as encoding/json does: the

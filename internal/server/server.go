@@ -30,6 +30,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -292,7 +293,11 @@ func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	trs, err := trajectory.ReadCSVColumns(r.Body)
+	body, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	trs, err := trajectory.ParseCSV(body)
 	if err != nil {
 		return nil, fmt.Errorf("parse trajectory csv: %w", err)
 	}
@@ -302,6 +307,22 @@ func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
 		ExpectedInterval: interval,
 	}
 	return ds, nil
+}
+
+// maxBodyPrealloc caps what readBody allocates on a Content-Length's
+// word alone; a longer body grows the buffer as it arrives.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads the whole request body, once, into a buffer sized from
+// Content-Length — withBodyLimit has refused any above the body cap —
+// plus the bytes.MinRead that ReadFrom wants free to find EOF without
+// growing. The buffer is not pooled: the wire codec hands out ids that
+// alias it, and nothing can rewrite a fresh buffer under an id some
+// caller forgot to clone.
+func readBody(r *http.Request) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPrealloc)+bytes.MinRead))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // paramError reports a malformed query parameter, naming the offender

@@ -114,7 +114,7 @@ func TestCleanEndpointImprovesData(t *testing.T) {
 	if !strings.Contains(stages, "outlier-removal") {
 		t.Fatalf("stages = %q", stages)
 	}
-	trs, err := trajectory.ReadCSV(resp.Body)
+	trs, err := trajectory.ReadCSVColumns(resp.Body)
 	if err != nil || len(trs) != 1 {
 		t.Fatalf("cleaned csv: %v (%d)", err, len(trs))
 	}

@@ -7,10 +7,10 @@ package server
 //   - POST /v1/stream/open creates a session (lateness, lanes and
 //     maxspeed are per-session query parameters).
 //   - POST /v1/stream/ingest?session=ID feeds a chunk of point CSV
-//     rows "id,t,x,y" (header optional). The chunk is parsed fully
-//     before any of it is applied, so a malformed or disconnected
-//     chunk is rejected atomically. Rows fan out into keyed lanes
-//     (stream.FanOut: a source id always lands in the same lane), each
+//     rows "id,t,x,y" (that exact line may lead as a header). The chunk
+//     is parsed fully before any of it is applied, so a malformed or
+//     disconnected chunk is rejected atomically. Rows fan out into keyed
+//     lanes (stream.FanOut: a source id always lands in the same lane), each
 //     lane reorders under the session's bounded-lateness watermark,
 //     and released events run through the incremental cleaner — a
 //     physical speed gate, plus an online HMM map matcher per source
@@ -26,11 +26,10 @@ package server
 // shed with 429 + Retry-After rather than queued without bound.
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -760,7 +759,11 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
 	}
-	events, err := parsePointChunk(r.Body)
+	var events []stream.Event[srcPoint]
+	body, err := readBody(r)
+	if err == nil {
+		events, err = parsePointChunk(body)
+	}
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -782,11 +785,8 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 	}
 	q := r.URL.Query()
 	flush := q.Get("flush") == "1" || q.Get("flush") == "true"
-	format := q.Get("format")
-	if format == "" {
-		format = "ndjson"
-	}
-	if format != "ndjson" && format != "csv" {
+	format := q.Get("format") // ndjson unless csv
+	if format != "" && format != "ndjson" && format != "csv" {
 		http.Error(w, (&paramError{key: "format", value: format}).Error(), http.StatusBadRequest)
 		return
 	}
@@ -797,27 +797,33 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 	}
 	w.Header().Set("X-Sidq-Session", ss.id)
 	w.Header().Set("X-Sidq-Drained", strconv.Itoa(len(results)))
+	rb := getRowBuf()
+	defer rb.release()
 	if format == "csv" {
+		// Sources in the session's first-appearance order, rows in emitted
+		// order: a fully drained in-order session equals the batch path.
 		w.Header().Set("Content-Type", "text/csv")
-		if err := trajectory.WriteCSV(w, resultTrajectories(results, srcs)); err != nil {
+		b := trajectory.NewColumnsBuilder()
+		for _, res := range results {
+			b.Add(res.Source, res.T, res.X, res.Y)
+		}
+		if err := rb.writeCSV(w, b, srcs); err != nil {
 			s.writeError(r, err)
 		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	rb := getRowBuf()
-	defer rb.release()
 	for _, res := range results {
 		err := rb.appendRow(rb.sourceJSON(res.Source), res.T, res.X, res.Y, res.Edge)
 		if err == nil {
-			_, err = rb.flushTo(w, rowFlushBytes)
+			err = rb.flushTo(w, trajectory.RowFlushBytes)
 		}
 		if err != nil {
 			s.writeError(r, err)
 			return
 		}
 	}
-	if _, err := rb.flushTo(w, 0); err != nil {
+	if err := rb.flushTo(w, 0); err != nil {
 		s.writeError(r, err)
 	}
 }
@@ -867,83 +873,38 @@ func shed429(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusTooManyRequests)
 }
 
-// resultTrajectories groups drained results into per-source
-// trajectories in first-appearance order — the exact grouping
-// trajectory.ReadCSV produces for the same rows, so a fully drained
-// in-order session serializes byte-identically to the batch path.
-func resultTrajectories(results []streamResult, srcs []string) []*trajectory.Trajectory {
-	// Columns build incrementally per source — flat T/X/Y appends
-	// instead of per-source []Point growth — and materialize in emitted
-	// order (no sorting), exactly as the AoS grouping did.
-	b := trajectory.NewColumnsBuilder()
-	for _, res := range results {
-		b.Add(res.Source, res.T, res.X, res.Y)
-	}
-	var out []*trajectory.Trajectory
-	for _, src := range srcs {
-		if tr := b.Trajectory(src); tr != nil {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
 // parsePointChunk decodes a chunk of "id,t,x,y" CSV rows (header
 // optional) into events. The whole chunk is parsed before anything is
-// applied; any malformed row rejects the chunk.
-func parsePointChunk(r io.Reader) ([]stream.Event[srcPoint], error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	var events []stream.Event[srcPoint]
-	first := true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
+// applied; any malformed row rejects the chunk. The events hold one
+// copy of each distinct source id and no view of body.
+func parsePointChunk(body []byte) ([]stream.Event[srcPoint], error) {
+	events := make([]stream.Event[srcPoint], 0, bytes.Count(body, []byte{'\n'})+1)
+	ids := map[string]string{}
+	err := trajectory.ScanCSV(body, false, func(id string, t, x, y float64) error {
+		if id == "" {
+			return errors.New("empty source id")
 		}
-		if err != nil {
-			return nil, fmt.Errorf("parse point csv: %w", err)
-		}
-		if first {
-			first = false
-			if rec[0] == "id" {
-				continue
+		for _, v := range [3]float64{t, x, y} {
+			// A NaN event time would break the reorder buffer's ordering.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("bad point %v,%v,%v for %q: not finite", t, x, y, id)
 			}
 		}
-		if rec[0] == "" {
-			return nil, fmt.Errorf("parse point csv: empty source id")
-		}
-		t, err := parseFinite(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("parse point csv: bad t %q: %w", rec[1], err)
-		}
-		x, err := parseFinite(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("parse point csv: bad x %q: %w", rec[2], err)
-		}
-		y, err := parseFinite(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("parse point csv: bad y %q: %w", rec[3], err)
+		src, ok := ids[id]
+		if !ok {
+			src = strings.Clone(id)
+			ids[src] = src
 		}
 		events = append(events, stream.Event[srcPoint]{
 			Time:  t,
-			Value: srcPoint{src: rec[0], pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}},
+			Value: srcPoint{src: src, pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}},
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("parse point csv: %w", err)
 	}
 	return events, nil
-}
-
-// parseFinite parses a float and rejects NaN/Inf — a NaN event time
-// would corrupt the reorder buffer's sort invariant.
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, errors.New("not finite")
-	}
-	return v, nil
 }
 
 // queryFloat0 is queryFloat admitting zero: lateness=0 is strict
@@ -974,7 +935,7 @@ func queryUint(r *http.Request, key string) (uint64, error) {
 	return v, nil
 }
 
-// queryIntRange parses an integer query parameter clamped to [lo, hi].
+// queryIntRange parses an integer query parameter within [lo, hi].
 func queryIntRange(r *http.Request, key string, def, lo, hi int) (int, error) {
 	s := r.URL.Query().Get(key)
 	if s == "" {

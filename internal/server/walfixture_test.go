@@ -180,7 +180,7 @@ func TestWALFixtureGenerate(t *testing.T) {
 // rows, through the reference encoder.
 func ndjsonOfChunk(t *testing.T, chunk string) string {
 	t.Helper()
-	events, err := parsePointChunk(strings.NewReader(chunk))
+	events, err := parsePointChunk([]byte(chunk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -48,5 +50,72 @@ func FuzzScanSegment(f *testing.F) {
 				t.Fatal("the scan stopped in front of a frame that verifies")
 			}
 		}
+	})
+}
+
+// FuzzLoadManifest puts arbitrary bytes where the manifest goes, beside
+// the segment files of a real rolled log. The manifest is the one file
+// recovery takes at its word (segments carry checksums, it does not), so
+// whatever it claims — seq ranges that overflow, overlap or run
+// backwards, names that are not segments, sizes that are lies — Open
+// must refuse it or come up with a log that replays, point-reads and
+// closes without panicking; read errors are fine.
+func FuzzLoadManifest(f *testing.F) {
+	src := f.TempDir()
+	l, _, err := Open(src, Options{Fsync: FsyncOff, SegmentBytes: 256})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(byte(1+i%3), bytes.Repeat([]byte{byte(i)}, 20+i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	names, err := OSFS{}.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, name := range names {
+		if files[name], err = os.ReadFile(filepath.Join(src, name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	good := files[manifestName]
+	if len(names) < 4 || len(good) == 0 {
+		f.Fatalf("fixture did not roll: %v", names)
+	}
+	first := segmentName(1)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Add([]byte("{}"))
+	f.Add([]byte(`{"sealed":null,"truncated_to":18446744073709551615}`))
+	f.Add([]byte(`{"sealed":[{"name":"` + first + `","first_seq":1,"last_seq":18446744073709551615,"bytes":-1}]}`))
+	f.Add([]byte(`{"sealed":[{"name":"` + first + `","first_seq":9,"last_seq":3,"bytes":1}]}`))
+	f.Add([]byte(`{"sealed":[{"name":"` + first + `","first_seq":1,"last_seq":2},{"name":"` + first + `","first_seq":3,"last_seq":900}]}`))
+	f.Add([]byte(`{"sealed":[{"name":"../` + first + `","first_seq":1,"last_seq":4},{"name":"MANIFEST","first_seq":5,"last_seq":6}]}`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		dir := t.TempDir()
+		files[manifestName] = manifest
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, _, err := Open(dir, Options{Fsync: FsyncOff})
+		if err != nil {
+			return
+		}
+		defer l.Close()
+		seqs := []uint64{0, 1, 2, l.FirstSeq(), l.FirstSeq() + 1, 40, 41, ^uint64(0)}
+		_ = l.Replay(func(r Record) error {
+			seqs = append(seqs, r.Seq)
+			return nil
+		})
+		_ = l.ReadSeqs(seqs, func(Record) error { return nil })
 	})
 }

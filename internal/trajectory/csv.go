@@ -1,88 +1,188 @@
 package trajectory
 
+// The "id,t,x,y" wire codec: ScanCSV is the only decoder of a point row
+// and AppendCSVRow the only encoder; ReadCSVColumns, WriteCSV and every
+// point route of internal/server are thin callers of the two.
+
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-
-	"sidq/internal/geo"
+	"strings"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
+
+// CSVHeader is the header line WriteCSV starts with.
+const CSVHeader = "id,t,x,y\n"
+
+// RowFlushBytes is how many bytes of encoded rows a writer accumulates
+// before it writes them out: large enough that a response is a handful
+// of writes, small enough that a wide result never holds more than this
+// in memory.
+const RowFlushBytes = 32 << 10
+
+// ScanCSV hands each "id,t,x,y" row of data to row; the first error,
+// its own or row's, ends the scan. It accepts what an encoding/csv
+// Reader with FieldsPerRecord = 4 accepts and parses t, x and y with
+// strconv.ParseFloat, so NaN and ±Inf pass: refusing them is up to row.
+//
+// With needHeader the first row must be a header, any row whose first
+// field is "id". Without it the first row is skipped only when it is
+// exactly "id,t,x,y"; a source that happens to be named id is data.
+//
+// A body without a double quote is split in place and the id handed to
+// row aliases data: a caller that keeps ids clones each distinct one.
+// A body with a quote anywhere goes through encoding/csv, which alone
+// knows escaped quotes and line breaks inside a field (DESIGN.md, Wire
+// codec, says why that path stays).
+func ScanCSV(data []byte, needHeader bool, row func(id string, t, x, y float64) error) error {
+	first := true
+	record := func(f *[4]string) error {
+		if first {
+			first = false
+			if needHeader && f[0] != "id" {
+				return fmt.Errorf("unexpected csv header %v", f[:])
+			}
+			if needHeader || *f == [4]string{"id", "t", "x", "y"} {
+				return nil
+			}
+		}
+		var v [3]float64
+		for k := range v {
+			var err error
+			if v[k], err = strconv.ParseFloat(f[k+1], 64); err != nil {
+				return fmt.Errorf("bad %c %q: %w", "txy"[k], f[k+1], err)
+			}
+		}
+		return row(f[0], v[0], v[1], v[2])
+	}
+	if bytes.IndexByte(data, '"') >= 0 {
+		cr := csv.NewReader(bytes.NewReader(data))
+		cr.FieldsPerRecord = 4
+		cr.ReuseRecord = true
+		for {
+			rec, err := cr.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("read csv: %w", err)
+			}
+			if err := record((*[4]string)(rec)); err != nil {
+				return err
+			}
+		}
+	} else {
+		var f [4]string
+		rest := unsafe.String(unsafe.SliceData(data), len(data))
+		for lineNo := 1; rest != ""; lineNo++ {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
+			line = strings.TrimSuffix(line, "\r") // as csv.Reader strips it
+			if line == "" {
+				continue // blank line, as csv.Reader skips
+			}
+			if !splitCSVLine(line, &f) {
+				return fmt.Errorf("read csv: record on line %d: wrong number of fields", lineNo)
+			}
+			if err := record(&f); err != nil {
+				return err
+			}
+		}
+	}
+	if first && needHeader {
+		return errors.New("read csv: no header")
+	}
+	return nil
+}
+
+// splitCSVLine splits an unquoted CSV line into f, and reports whether
+// it had exactly 4 fields.
+func splitCSVLine(line string, f *[4]string) (ok bool) {
+	for k := range f[:3] {
+		if f[k], line, ok = strings.Cut(line, ","); !ok {
+			return false
+		}
+	}
+	f[3] = line
+	return !strings.Contains(line, ",")
+}
+
+// ParseCSV decodes a header-led "id,t,x,y" body into trajectories: rows
+// grouped by id in first-appearance order, each group time-sorted.
+// The result holds no reference to data.
+func ParseCSV(data []byte) ([]*Trajectory, error) {
+	b := NewColumnsBuilder()
+	err := ScanCSV(data, true, func(id string, t, x, y float64) error {
+		b.Add(id, t, x, y)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trajectory: %w", err)
+	}
+	return b.Trajectories(), nil
+}
+
+// ReadCSVColumns is ParseCSV over everything r yields.
+func ReadCSVColumns(r io.Reader) ([]*Trajectory, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trajectory: read csv: %w", err)
+	}
+	return ParseCSV(data)
+}
+
+// AppendCSVField appends s as one CSV field, quoted exactly when and
+// how an encoding/csv Writer quotes it: a field holding a comma, a
+// quote, \r or \n, starting with a space, or equal to `\.` is wrapped
+// in quotes with every inner quote doubled.
+func AppendCSVField(dst []byte, s string) []byte {
+	r0, _ := utf8.DecodeRuneInString(s)
+	if s == "" || s != `\.` && !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(r0) {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, s[i])
+	}
+	return append(dst, '"')
+}
+
+// AppendCSVRow appends one "id,t,x,y" line. idField is the id's field
+// literal from AppendCSVField, computed once per id, not per row;
+// floats take their shortest round-tripping form (strconv 'g', -1).
+func AppendCSVRow(dst, idField []byte, t, x, y float64) []byte {
+	dst = append(append(dst, idField...), ',')
+	dst = append(strconv.AppendFloat(dst, t, 'g', -1, 64), ',')
+	dst = append(strconv.AppendFloat(dst, x, 'g', -1, 64), ',')
+	return append(strconv.AppendFloat(dst, y, 'g', -1, 64), '\n')
+}
 
 // WriteCSV encodes trajectories as CSV rows "id,t,x,y" with a header.
 // Points are written in trajectory order.
 func WriteCSV(w io.Writer, trs []*Trajectory) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "t", "x", "y"}); err != nil {
-		return fmt.Errorf("trajectory: write csv header: %w", err)
-	}
+	buf := append(make([]byte, 0, RowFlushBytes+1024), CSVHeader...) // a slab and a row to spare
+	var id []byte
 	for _, tr := range trs {
+		id = AppendCSVField(id[:0], tr.ID)
 		for _, p := range tr.Points {
-			rec := []string{
-				tr.ID,
-				strconv.FormatFloat(p.T, 'g', -1, 64),
-				strconv.FormatFloat(p.Pos.X, 'g', -1, 64),
-				strconv.FormatFloat(p.Pos.Y, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("trajectory: write csv row: %w", err)
+			buf = AppendCSVRow(buf, id, p.T, p.Pos.X, p.Pos.Y)
+			if len(buf) >= RowFlushBytes {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV decodes trajectories written by WriteCSV. Rows are grouped by
-// id; each group is returned time-sorted. Group order is by first
-// appearance, then id for ties, making the output deterministic.
-func ReadCSV(r io.Reader) ([]*Trajectory, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trajectory: read csv header: %w", err)
-	}
-	if header[0] != "id" {
-		return nil, fmt.Errorf("trajectory: unexpected csv header %v", header)
-	}
-	groups := map[string][]Point{}
-	order := map[string]int{}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: read csv row: %w", err)
-		}
-		t, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad t %q: %w", rec[1], err)
-		}
-		x, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad x %q: %w", rec[2], err)
-		}
-		y, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad y %q: %w", rec[3], err)
-		}
-		id := rec[0]
-		if _, seen := order[id]; !seen {
-			order[id] = len(order)
-		}
-		groups[id] = append(groups[id], Point{T: t, Pos: geo.Pt(x, y)})
-	}
-	ids := make([]string, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return order[ids[i]] < order[ids[j]] })
-	out := make([]*Trajectory, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, New(id, groups[id]))
-	}
-	return out, nil
+	_, err := w.Write(buf)
+	return err
 }

@@ -1,20 +1,15 @@
 package trajectory
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
-	"unsafe"
 )
 
 // ColumnsBuilder groups samples by trajectory id into columnar form,
-// preserving first-appearance order — the incremental half of the
-// columnar decode path. The CSV decoder feeds it row by row, and the
-// stream drain path feeds it result by result; either way points land
-// directly in flat T/X/Y slices instead of per-id []Point groups.
+// preserving first-appearance order. ParseCSV feeds it row by row, and
+// the server's CSV responses feed it result by result; either way
+// points land directly in flat T/X/Y slices instead of per-id []Point
+// groups.
 type ColumnsBuilder struct {
 	idx  map[string]int
 	ids  []string
@@ -27,36 +22,19 @@ func NewColumnsBuilder() *ColumnsBuilder {
 }
 
 // Add appends one sample to id's column group, creating the group on
-// first appearance.
+// first appearance. id may alias a buffer the caller goes on to reuse:
+// the lookup copies nothing, and a first appearance clones the id, so
+// the builder never pins that buffer.
 func (b *ColumnsBuilder) Add(id string, t, x, y float64) {
 	i, ok := b.idx[id]
 	if !ok {
+		own := strings.Clone(id)
 		i = len(b.cols)
-		b.idx[id] = i
-		b.ids = append(b.ids, id)
+		b.idx[own] = i
+		b.ids = append(b.ids, own)
 		b.cols = append(b.cols, &Columns{})
 	}
 	b.cols[i].Append(t, x, y)
-}
-
-// addView is Add for an id that aliases a larger decode buffer: the map
-// lookup on string(view) does not allocate, and only a first appearance
-// clones the id so the builder never pins the caller's buffer.
-func (b *ColumnsBuilder) addView(view string, t, x, y float64) {
-	if i, ok := b.idx[view]; ok {
-		b.cols[i].Append(t, x, y)
-		return
-	}
-	b.Add(strings.Clone(view), t, x, y)
-}
-
-// Len returns the total number of samples added.
-func (b *ColumnsBuilder) Len() int {
-	n := 0
-	for _, c := range b.cols {
-		n += c.Len()
-	}
-	return n
 }
 
 // IDs returns the group ids in first-appearance order. The slice is the
@@ -72,22 +50,10 @@ func (b *ColumnsBuilder) Columns(id string) *Columns {
 	return nil
 }
 
-// Trajectory materializes id's group in as-added order (no sorting —
-// the stream drain path appends in emission order and must preserve
-// it). It returns nil when the id has no samples.
-func (b *ColumnsBuilder) Trajectory(id string) *Trajectory {
-	c := b.Columns(id)
-	if c == nil || c.Len() == 0 {
-		return nil
-	}
-	return c.Trajectory(id)
-}
-
 // Trajectories materializes every group in first-appearance order with
-// each trajectory time-sorted — exactly ReadCSV's grouping semantics.
-// Already-ordered groups (the common case) are detected with one linear
-// pass and materialized without the stable sort, mirroring
-// trajectory.New's fast path without its extra copy.
+// each trajectory time-sorted. Already-ordered groups (the common case)
+// are detected with one linear pass and materialized without the stable
+// sort, mirroring trajectory.New's fast path without its extra copy.
 func (b *ColumnsBuilder) Trajectories() []*Trajectory {
 	out := make([]*Trajectory, len(b.cols))
 	for i, c := range b.cols {
@@ -98,100 +64,4 @@ func (b *ColumnsBuilder) Trajectories() []*Trajectory {
 		out[i] = &Trajectory{ID: b.ids[i], Points: pts}
 	}
 	return out
-}
-
-// ReadCSVColumns decodes the same "id,t,x,y" CSV as ReadCSV but through
-// the columnar path: the input is read once into a single buffer, every
-// field is a zero-copy view into it (float parsing and id map lookups
-// allocate nothing per row), and samples accumulate straight into
-// per-id columns. The result is identical to ReadCSV — same grouping,
-// same ordering, same time-sort semantics — for any input without
-// quoted fields; inputs containing quotes fall back to ReadCSV for full
-// csv-escaping fidelity.
-func ReadCSVColumns(r io.Reader) ([]*Trajectory, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trajectory: read csv: %w", err)
-	}
-	if bytes.IndexByte(data, '"') >= 0 {
-		return ReadCSV(bytes.NewReader(data))
-	}
-	// Zero-copy view of the input: data is owned by this function and
-	// never written after this point, which is exactly the immutability
-	// a string view requires. Every field below is a slice of s; only a
-	// group's first appearance clones its id out of the buffer.
-	s := unsafe.String(unsafe.SliceData(data), len(data))
-	// Header: the first non-blank line (csv.Reader skips empty lines).
-	var line string
-	rest, lineNo := s, 0
-	for {
-		if rest == "" {
-			return nil, fmt.Errorf("trajectory: read csv header: %w", io.EOF)
-		}
-		line, rest, lineNo = nextCSVLine(rest, lineNo)
-		if line != "" {
-			break
-		}
-	}
-	var f [4]string
-	if err := splitCSVLine(line, lineNo, &f); err != nil {
-		return nil, fmt.Errorf("trajectory: read csv header: %w", err)
-	}
-	if f[0] != "id" {
-		return nil, fmt.Errorf("trajectory: unexpected csv header %v", []string{f[0], f[1], f[2], f[3]})
-	}
-	b := NewColumnsBuilder()
-	for rest != "" {
-		line, rest, lineNo = nextCSVLine(rest, lineNo)
-		if line == "" {
-			continue // blank line, as csv.Reader skips
-		}
-		if err := splitCSVLine(line, lineNo, &f); err != nil {
-			return nil, fmt.Errorf("trajectory: read csv row: %w", err)
-		}
-		t, err := strconv.ParseFloat(f[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad t %q: %w", f[1], err)
-		}
-		x, err := strconv.ParseFloat(f[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad x %q: %w", f[2], err)
-		}
-		y, err := strconv.ParseFloat(f[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trajectory: bad y %q: %w", f[3], err)
-		}
-		b.addView(f[0], t, x, y)
-	}
-	return b.Trajectories(), nil
-}
-
-// nextCSVLine returns the next line of s (without its terminator, with
-// a trailing \r stripped as csv.Reader does), the remainder, and the
-// new line number.
-func nextCSVLine(s string, lineNo int) (line, rest string, n int) {
-	n = lineNo + 1
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		line, rest = s[:i], s[i+1:]
-	} else {
-		line = s
-	}
-	line = strings.TrimSuffix(line, "\r")
-	return line, rest, n
-}
-
-// splitCSVLine splits an unquoted CSV line into exactly 4 fields.
-func splitCSVLine(line string, lineNo int, f *[4]string) error {
-	for k := 0; k < 3; k++ {
-		i := strings.IndexByte(line, ',')
-		if i < 0 {
-			return fmt.Errorf("record on line %d: wrong number of fields", lineNo)
-		}
-		f[k], line = line[:i], line[i+1:]
-	}
-	if strings.IndexByte(line, ',') >= 0 {
-		return fmt.Errorf("record on line %d: wrong number of fields", lineNo)
-	}
-	f[3] = line
-	return nil
 }

@@ -131,7 +131,7 @@ func TestReadCSVColumnsErrors(t *testing.T) {
 
 // TestColumnsBuilderOrder pins the builder contract: Trajectories()
 // groups in first-appearance order and time-sorts each group, while
-// Trajectory(id) preserves as-added order (the stream drain semantics).
+// Columns(id) preserves as-added order (the stream drain semantics).
 func TestColumnsBuilderOrder(t *testing.T) {
 	b := NewColumnsBuilder()
 	b.Add("b", 2, 0, 0)
@@ -147,15 +147,12 @@ func TestColumnsBuilderOrder(t *testing.T) {
 		t.Fatalf("group b not time-sorted: %+v", trs[0].Points)
 	}
 
-	raw := b.Trajectory("b")
-	if raw.Points[0].T != 2 || raw.Points[1].T != 1 {
-		t.Fatalf("Trajectory(id) reordered samples: %+v", raw.Points)
+	raw := b.Columns("b")
+	if raw.T[0] != 2 || raw.T[1] != 1 {
+		t.Fatalf("Columns(id) reordered samples: %+v", raw.T)
 	}
-	if b.Trajectory("missing") != nil {
-		t.Fatal("Trajectory of unknown id should be nil")
-	}
-	if b.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", b.Len())
+	if b.Columns("missing") != nil {
+		t.Fatal("Columns of unknown id should be nil")
 	}
 	if got := b.IDs(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
 		t.Fatalf("IDs = %v", got)

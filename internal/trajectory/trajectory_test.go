@@ -286,7 +286,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, []*Trajectory{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	back, err := ReadCSVColumns(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("nope,this,is,bad\n")); err == nil {
+	if _, err := ReadCSVColumns(bytes.NewBufferString("nope,this,is,bad\n")); err == nil {
 		t.Fatal("bad header should error")
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("id,t,x,y\na,notanumber,0,0\n")); err == nil {
+	if _, err := ReadCSVColumns(bytes.NewBufferString("id,t,x,y\na,notanumber,0,0\n")); err == nil {
 		t.Fatal("bad float should error")
 	}
 }
