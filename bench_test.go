@@ -215,8 +215,8 @@ func BenchmarkBulkLoadRTree(b *testing.B) {
 	}
 }
 
-// benchPipelineDataset is a dirty many-trajectory dataset sized so the
-// parallel runner has real shards to hand out.
+// benchPipelineDataset is a dirty many-trajectory dataset for the
+// pipeline and clone benchmarks.
 func benchPipelineDataset(n int) *core.Dataset {
 	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
 	ds := &core.Dataset{
@@ -236,30 +236,22 @@ func benchPipelineDataset(n int) *core.Dataset {
 	return ds
 }
 
-// BenchmarkPipelineParallel runs the planned cleaning pipeline over a
-// 32-trajectory dataset at several worker counts. Output is identical
-// at every count; the interesting numbers are wall-clock (scales with
-// physical cores) and allocs/op (drops via COW cloning).
-func BenchmarkPipelineParallel(b *testing.B) {
+// BenchmarkPipeline runs the planned cleaning pipeline over a
+// 32-trajectory dataset.
+func BenchmarkPipeline(b *testing.B) {
 	ds := benchPipelineDataset(32)
-	stages := func() []core.Stage {
-		return []core.Stage{
-			core.DeduplicateStage{},
-			core.OutlierRemovalStage{},
-			core.SmoothingStage{},
-			core.ImputeStage{},
+	p := core.NewPipeline(
+		core.DeduplicateStage{},
+		core.OutlierRemovalStage{},
+		core.SmoothingStage{},
+		core.ImputeStage{},
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, _ := p.Run(ds)
+		if len(out.Trajectories) != 32 {
+			b.Fatal("pipeline lost trajectories")
 		}
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, _ := core.NewPipeline(stages()...).RunParallel(ds, w)
-				if len(out.Trajectories) != 32 {
-					b.Fatal("pipeline lost trajectories")
-				}
-			}
-		})
 	}
 }
 
@@ -275,7 +267,7 @@ func (s benchNoopStage) Apply(_ context.Context, ds *core.Dataset) error {
 }
 func (s benchNoopStage) Traits() core.StageTraits {
 	if s.traited {
-		return core.StageTraits{Shardable: true, ReplacesTrajectories: true}
+		return core.StageTraits{ReplacesTrajectories: true}
 	}
 	return core.StageTraits{}
 }

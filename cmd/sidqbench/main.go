@@ -8,19 +8,17 @@
 //	sidqbench                 # run everything, serially
 //	sidqbench -exp E4,E7      # run selected experiments
 //	sidqbench -seed 7         # change the workload seed
-//	sidqbench -workers 4      # experiments + pipelines on 4 workers
-//	sidqbench -parallel       # shorthand for -workers <NumCPU>
+//	sidqbench -workers 4      # up to 4 experiments at once
 //	sidqbench -metrics        # dump Prometheus metrics to stderr afterwards
 //
-// Tables are bit-identical for every worker count; parallelism changes
-// only wall-clock time.
+// Tables are bit-identical for every worker count; running experiments
+// at once changes only wall-clock time.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"sidq/internal/core"
@@ -32,18 +30,12 @@ import (
 
 func main() {
 	var (
-		which    = flag.String("exp", "all", "comma-separated experiment ids (T1, F2, E1a..E14) or 'all'")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		workers  = flag.Int("workers", 1, "worker count for experiments and pipeline stages (0 or negative: NumCPU)")
-		parallel = flag.Bool("parallel", false, "run on all CPUs (same as -workers 0)")
-		metrics  = flag.Bool("metrics", false, "dump the Prometheus metrics exposition to stderr after the run")
+		which   = flag.String("exp", "all", "comma-separated experiment ids (T1, F2, E1a..E14) or 'all'")
+		seed    = flag.Int64("seed", 42, "workload seed")
+		workers = flag.Int("workers", 1, "experiments run at once (0 or negative: NumCPU)")
+		metrics = flag.Bool("metrics", false, "dump the Prometheus metrics exposition to stderr after the run")
 	)
 	flag.Parse()
-
-	w := *workers
-	if *parallel || w <= 0 {
-		w = runtime.NumCPU()
-	}
 
 	var reg *obs.Registry
 	if *metrics {
@@ -76,7 +68,7 @@ func main() {
 	if all {
 		ids = nil
 	}
-	for _, r := range exp.RunSelected(*seed, w, ids) {
+	for _, r := range exp.RunSelected(*seed, *workers, ids) {
 		fmt.Println(r.Text)
 		ran++
 	}

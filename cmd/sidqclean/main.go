@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"sidq/internal/core"
 	"sidq/internal/obs"
@@ -69,8 +70,7 @@ func main() {
 		ExpectedInterval: *interval,
 		MaxSpeed:         *maxSpeed,
 	}
-	before := ds.Assess()
-	cleaned, stages, reports, err := core.PlanAndRunIterativeWith(context.Background(), cleaningRunner(reg), ds, core.DefaultTargets(), 3)
+	cleaned, stages, before, after, err := planAndClean(ds, reg)
 	if err != nil {
 		log.Fatalf("sidqclean: %v", err)
 	}
@@ -79,8 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  - %s (%s)\n", s.Name(), s.Task())
 	}
 	fmt.Fprintln(os.Stderr, "quality movement (+ improved / - regressed / = unchanged):")
-	fmt.Fprint(os.Stderr, indent(quality.Diff(before, cleaned.Assess())))
-	_ = reports
+	fmt.Fprint(os.Stderr, indent(quality.Diff(before, after)))
 
 	var w io.Writer = os.Stdout
 	if *out != "-" {
@@ -94,6 +93,22 @@ func main() {
 	if err := trajectory.WriteCSV(w, cleaned.Trajectories); err != nil {
 		log.Fatalf("sidqclean: %v", err)
 	}
+}
+
+// planAndClean plans and runs the cleaning of ds and returns the cleaned
+// dataset with the assessments of the input and of the output. Both come
+// from the runner's reports, which already hold them; only a run that
+// planned nothing has no report to read and assesses ds here.
+func planAndClean(ds *core.Dataset, reg *obs.Registry) (cleaned *core.Dataset, stages []core.Stage, before, after quality.Assessment, err error) {
+	cleaned, stages, reports, err := core.PlanAndRunIterativeWith(context.Background(), cleaningRunner(reg), ds, core.DefaultTargets(), 3)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if len(reports) == 0 {
+		before = ds.Assess()
+		return cleaned, stages, before, before, nil
+	}
+	return cleaned, stages, reports[0].Before, reports[len(reports)-1].After, nil
 }
 
 func cleanReadings(r io.Reader, outPath string, reg *obs.Registry) {
@@ -140,29 +155,10 @@ func dumpMetrics(reg *obs.Registry) {
 	_ = reg.WritePrometheus(os.Stderr)
 }
 
+// indent prefixes every line of s, each of which ends in a newline.
 func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		if line != "" {
-			out += "  " + line + "\n"
-		}
+	if s == "" {
+		return ""
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			out = append(out, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
+	return "  " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n  ") + "\n"
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -71,10 +70,8 @@ func (s *FlakyStage) Name() string { return "flaky(" + s.Inner.Name() + ")" }
 func (s *FlakyStage) Task() core.Task { return s.Inner.Task() }
 
 // Traits implements Stage by forwarding the inner stage's declared
-// traits: fault injection itself neither mutates trajectories nor
-// couples shards (the fault draw is mutex-serialized), so a shardable
-// inner stage stays shardable under chaos — which is exactly what lets
-// the harness exercise the parallel runner.
+// traits: fault injection itself mutates no trajectory, so a
+// replace-only inner stage stays replace-only under chaos.
 func (s *FlakyStage) Traits() core.StageTraits { return s.Inner.Traits() }
 
 // Attempts returns how many attempts have been made against the stage.
@@ -144,8 +141,8 @@ func (s CorruptStage) Name() string { return "chaos-corrupt" }
 // Task implements Stage.
 func (s CorruptStage) Task() core.Task { return core.FaultCorrection }
 
-// Traits implements Stage: one RNG stream runs across all trajectories
-// and points are scattered in place, so neither trait holds.
+// Traits implements Stage: points are scattered in place, so the
+// stage needs a deep clone.
 func (s CorruptStage) Traits() core.StageTraits { return core.StageTraits{} }
 
 // Apply implements Stage.
@@ -164,56 +161,6 @@ func (s CorruptStage) Apply(ctx context.Context, ds *core.Dataset) error {
 			tr.Points[i].Pos.Y += rng.NormFloat64() * sigma
 		}
 	}
-	for i := range ds.Readings {
-		ds.Readings[i].Value += rng.NormFloat64() * sigma
-	}
-	return nil
-}
-
-// ShardedCorruptStage is CorruptStage's data-parallel twin: it derives
-// an independent RNG per trajectory (from the trajectory ID) and
-// replaces trajectory entries instead of mutating points in place, so
-// it is safe to run sharded and injects identical corruption at every
-// worker count — the shape the rollback guard must catch on the
-// parallel path.
-type ShardedCorruptStage struct {
-	Seed  int64
-	Sigma float64 // coordinate noise in meters (default 500)
-}
-
-// Name implements Stage.
-func (s ShardedCorruptStage) Name() string { return "chaos-corrupt-sharded" }
-
-// Task implements Stage.
-func (s ShardedCorruptStage) Task() core.Task { return core.FaultCorrection }
-
-// Traits implements Stage: corruption is trajectory-local
-// (per-trajectory seeds, no cross-trajectory state) and replace-only.
-func (s ShardedCorruptStage) Traits() core.StageTraits {
-	return core.StageTraits{Shardable: true, ReplacesTrajectories: true}
-}
-
-// Apply implements Stage.
-func (s ShardedCorruptStage) Apply(ctx context.Context, ds *core.Dataset) error {
-	sigma := s.Sigma
-	if sigma <= 0 {
-		sigma = 500
-	}
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(tr.ID))
-		rng := rand.New(rand.NewSource(s.Seed ^ int64(h.Sum64())))
-		out := tr.Clone()
-		for j := range out.Points {
-			out.Points[j].Pos.X += rng.NormFloat64() * sigma
-			out.Points[j].Pos.Y += rng.NormFloat64() * sigma
-		}
-		ds.Trajectories[i] = out
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
 	for i := range ds.Readings {
 		ds.Readings[i].Value += rng.NormFloat64() * sigma
 	}

@@ -167,10 +167,9 @@ func Suite(seed int64, stages func() []core.Stage) []Scenario {
 			},
 			MaxAttempts: 4,
 			GuardDims:   DefaultGuardDims(),
-			// FailFirst: 2 under serial execution is fully deterministic:
-			// every stage fails attempts 1 and 2, succeeds on 3, so the
-			// trace must hold exactly two retry events per stage — not
-			// "at most", exactly.
+			// FailFirst: 2 is fully deterministic: every stage fails
+			// attempts 1 and 2, succeeds on 3, so the trace must hold
+			// exactly two retry events per stage — not "at most", exactly.
 			CheckTrace: func(evs []obs.TraceEvent) error {
 				perStage := map[string]int{}
 				for _, e := range evs {
@@ -206,40 +205,6 @@ func Suite(seed int64, stages func() []core.Stage) []Scenario {
 			},
 			Runner: func() *core.Runner {
 				return &core.Runner{Policy: core.RollbackStage, GuardDims: DefaultGuardDims()}
-			},
-			GuardDims: DefaultGuardDims(),
-		},
-		// The same failure modes must hold when shardable stages run on
-		// the data-parallel worker pool: per-shard retries stay bounded,
-		// a failed or panicking shard skips the stage as a whole, and the
-		// never-worse guard still holds on the merged output.
-		{
-			Name:        "parallel-panic-skip",
-			Stages:      flakyAll(FlakyOptions{PanicProb: 0.5}),
-			Runner:      func() *core.Runner { return &core.Runner{Policy: core.SkipStage, Workers: 4} },
-			MaxAttempts: 1,
-			GuardDims:   DefaultGuardDims(),
-		},
-		{
-			Name:   "parallel-transient-retry",
-			Stages: flakyAll(FlakyOptions{FailFirst: 2}),
-			Runner: func() *core.Runner {
-				return &core.Runner{
-					Policy:  core.SkipStage,
-					Workers: 4,
-					Retry:   core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond},
-				}
-			},
-			MaxAttempts: 4,
-			GuardDims:   DefaultGuardDims(),
-		},
-		{
-			Name: "parallel-corrupt-rollback",
-			Stages: func() []core.Stage {
-				return append([]core.Stage{ShardedCorruptStage{Seed: seed}}, stages()...)
-			},
-			Runner: func() *core.Runner {
-				return &core.Runner{Policy: core.RollbackStage, GuardDims: DefaultGuardDims(), Workers: 4}
 			},
 			GuardDims: DefaultGuardDims(),
 		},

@@ -74,11 +74,10 @@ func sameDataset(got, want *core.Dataset) error {
 }
 
 // TestStageTraitsAreHonest holds every built-in stage and every chaos
-// wrapper to the traits it declares, since the runner trusts them
-// blindly: a ReplacesTrajectories stage applied to a copy-on-write clone
-// must leave the parent's points bit-identical, a Shardable stage must
-// produce the same merged dataset at 1 and 4 shards, and a stage that
-// mutates in place must declare neither.
+// wrapper to the trait it declares, since the runner trusts it blindly:
+// a ReplacesTrajectories stage applied to a copy-on-write clone must
+// leave the parent's points bit-identical, and a stage that mutates in
+// place must declare nothing.
 func TestStageTraitsAreHonest(t *testing.T) {
 	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 9, NY: 9, Spacing: 100, Jitter: 5, Seed: 30})
 	ds := traitDataset(g)
@@ -93,39 +92,23 @@ func TestStageTraitsAreHonest(t *testing.T) {
 		core.SmoothReadingsStage{},
 		core.CalibrationStage{Anchors: []geo.Point{geo.Pt(100, 100), geo.Pt(400, 400)}, Radius: 60, Alpha: 0.5},
 		core.RouteRecoverStage{Graph: g, Snapper: roadnet.NewSnapper(g, 100), Options: uncertain.MatchOptions{}},
-		ShardedCorruptStage{Seed: 3},
 		NewFlakyStage(core.SmoothingStage{}, FlakyOptions{Seed: 4}),
-		NewFlakyStage(ShardedCorruptStage{Seed: 5}, FlakyOptions{Seed: 6}),
 	}
 	ctx := context.Background()
 	for _, st := range stages {
-		if traits := st.Traits(); !traits.ReplacesTrajectories || !traits.Shardable {
-			t.Fatalf("%s declares %+v; the table is for stages that claim both traits", st.Name(), traits)
+		if !st.Traits().ReplacesTrajectories {
+			t.Fatalf("%s declares %+v; the table is for stages that claim the trait", st.Name(), st.Traits())
 		}
-
 		parent := ds.Clone()
 		// A degraded or failed Apply is fine; touching the parent is not.
 		_ = st.Apply(ctx, parent.CloneCOW())
 		if err := sameDataset(parent, ds); err != nil {
 			t.Errorf("%s declares ReplacesTrajectories but changed its COW parent: %v", st.Name(), err)
 		}
-
-		p := core.NewPipeline(st)
-		one, _, err := (&core.Runner{Policy: core.FailFast, Workers: 1}).Run(ctx, p, ds)
-		if err != nil {
-			t.Fatalf("%s at 1 shard: %v", st.Name(), err)
-		}
-		four, _, err := (&core.Runner{Policy: core.FailFast, Workers: 4}).Run(ctx, p, ds)
-		if err != nil {
-			t.Fatalf("%s at 4 shards: %v", st.Name(), err)
-		}
-		if err := sameDataset(four, one); err != nil {
-			t.Errorf("%s declares Shardable but 4 shards diverge from 1: %v", st.Name(), err)
-		}
 	}
 
-	// The remaining stages declare neither trait, and the check has
-	// teeth: CorruptStage scatters points in place, which is why.
+	// The remaining stages declare nothing, and the check has teeth:
+	// CorruptStage scatters points in place, which is why.
 	for _, st := range []core.Stage{CorruptStage{}, HangStage{}, NewFlakyStage(CorruptStage{}, FlakyOptions{})} {
 		if st.Traits() != (core.StageTraits{}) {
 			t.Errorf("%s declares %+v, want the conservative zero traits", st.Name(), st.Traits())

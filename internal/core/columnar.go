@@ -23,8 +23,8 @@ var columnarScratchPool = sync.Pool{New: func() any { return new(columnarScratch
 // pooled, so a steady-state pipeline allocates only each trajectory's
 // output points. Every entry is materialized fresh
 // (ReplacesTrajectories semantics), so the helper is safe on
-// copy-on-write clones and under sharding; shard workers draw
-// independent scratch from the pool.
+// copy-on-write clones; concurrent pipeline runs draw independent
+// scratch from the pool.
 func applyColumnar(ctx context.Context, ds *Dataset, kernel func(dst, src *trajectory.Columns)) error {
 	scr := columnarScratchPool.Get().(*columnarScratch)
 	defer columnarScratchPool.Put(scr)

@@ -60,45 +60,14 @@ func TestColumnarScratchHammer(t *testing.T) {
 	}
 }
 
-// TestColumnarPipelineHammer runs whole parallel pipelines concurrently
-// — shard workers inside each run, several runs racing each other — so
-// the pooled columnar scratch is contended both within and across
-// pipelines. Outputs must all match the serial run.
+// TestColumnarPipelineHammer races whole pipeline runs over one shared
+// input, so the pooled columnar scratch is contended across pipelines.
+// Outputs must all match a lone run.
 func TestColumnarPipelineHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(82)), 12, 120)
 	p := NewPipeline(DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{})
 	want, _ := p.Run(ds)
-
-	const concurrent = 6
-	var wg sync.WaitGroup
-	errs := make(chan string, concurrent)
-	for w := 0; w < concurrent; w++ {
-		wg.Add(1)
-		go func(workers int) {
-			defer wg.Done()
-			got, _ := p.RunParallel(ds, workers)
-			if len(got.Trajectories) != len(want.Trajectories) {
-				errs <- "trajectory count diverged"
-				return
-			}
-			for i := range want.Trajectories {
-				a, b := got.Trajectories[i], want.Trajectories[i]
-				if a.Len() != b.Len() {
-					errs <- "pipeline output length diverged"
-					return
-				}
-				for j := range b.Points {
-					if a.Points[j] != b.Points[j] {
-						errs <- "pipeline output points diverged"
-						return
-					}
-				}
-			}
-		}(1 + w%4)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+	for _, got := range raceRuns(p, ds, 6) {
+		sameTrajectories(t, got.Trajectories, want.Trajectories)
 	}
 }

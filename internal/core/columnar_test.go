@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sidq/internal/geo"
@@ -152,16 +153,30 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 	}
 }
 
-// TestOutlierRemovalColumnarAcrossWorkers runs the columnar stage under
-// the parallel runner at several worker counts and requires output
-// identical to the serial path — the sharding contract must survive the
-// columnar conversion.
+// raceRuns runs p over ds from n goroutines at once — the shape
+// concurrent /v1/clean requests have — and returns every output.
+func raceRuns(p *Pipeline, ds *Dataset, n int) []*Dataset {
+	outs := make([]*Dataset, n)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], _ = p.Run(ds)
+		}(i)
+	}
+	wg.Wait()
+	return outs
+}
+
+// TestOutlierRemovalColumnarAcrossWorkers races whole runs of the
+// columnar stage over one shared input and requires every output to be
+// identical to a lone run's.
 func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(72)), 9, 150)
 	p := NewPipeline(OutlierRemovalStage{})
 	base, _ := p.Run(ds)
-	for _, w := range []int{2, 4, 8} {
-		got, _ := p.RunParallel(ds, w)
+	for _, got := range raceRuns(p, ds, 4) {
 		sameTrajectories(t, got.Trajectories, base.Trajectories)
 	}
 }
@@ -301,15 +316,14 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 	}
 }
 
-// TestDeduplicateColumnarAcrossWorkers runs the columnar dedup under
-// the parallel runner at several worker counts and requires output
-// identical to the serial path.
+// TestDeduplicateColumnarAcrossWorkers races whole runs of the columnar
+// dedup over one shared input and requires every output to be identical
+// to a lone run's.
 func TestDeduplicateColumnarAcrossWorkers(t *testing.T) {
 	ds := dupDataset(rand.New(rand.NewSource(74)), 9, 150)
 	p := NewPipeline(DeduplicateStage{})
 	base, _ := p.Run(ds)
-	for _, w := range []int{2, 4, 8} {
-		out, _ := p.RunParallel(ds, w)
+	for _, out := range raceRuns(p, ds, 4) {
 		sameTrajectories(t, out.Trajectories, base.Trajectories)
 	}
 }

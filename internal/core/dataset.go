@@ -15,9 +15,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"sidq/internal/geo"
 	"sidq/internal/quality"
 	"sidq/internal/stid"
@@ -54,8 +51,8 @@ type Dataset struct {
 // imposes: holders of a clone must treat Truth (and the trajectories it
 // points to) as read-only — inserting, deleting, or mutating entries
 // through a clone is visible to the parent and to every sibling clone,
-// and is a data race under the parallel runner. CloneCOW shares Truth
-// the same way. TestCloneSharesTruthMap pins this contract.
+// and is a data race once two pipeline runs share the dataset. CloneCOW
+// shares Truth the same way. TestCloneSharesTruthMap pins this contract.
 func (ds *Dataset) Clone() *Dataset {
 	out := *ds
 	out.Trajectories = make([]*trajectory.Trajectory, len(ds.Trajectories))
@@ -122,73 +119,16 @@ func mergeAssessments(trA, rdA quality.Assessment) quality.Assessment {
 	return out
 }
 
-// AssessN measures quality like Assess but computes the per-trajectory
-// assessments across up to workers goroutines. The dimension-wise
-// reduction always folds per-trajectory results in trajectory order, so
-// the result is identical to Assess for every worker count (float
-// summation order never changes).
-func (ds *Dataset) AssessN(workers int) quality.Assessment {
-	if workers <= 1 || len(ds.Trajectories) < 2 {
-		return ds.Assess()
-	}
-	per := ds.assessEach(workers)
-	trA, rdA := ds.assessPartsFrom(per)
-	return mergeAssessments(trA, rdA)
-}
-
-// assessEach computes each trajectory's assessment, fanned out across a
-// bounded worker pool. Results are stored by index, so downstream
-// reductions see them in deterministic trajectory order.
-func (ds *Dataset) assessEach(workers int) []quality.Assessment {
-	per := make([]quality.Assessment, len(ds.Trajectories))
-	if workers > len(ds.Trajectories) {
-		workers = len(ds.Trajectories)
-	}
-	if workers <= 1 {
-		for i, tr := range ds.Trajectories {
-			per[i] = quality.AssessTrajectory(tr, ds.trajectoryContext(tr))
-		}
-		return per
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ds.Trajectories) {
-					return
-				}
-				tr := ds.Trajectories[i]
-				per[i] = quality.AssessTrajectory(tr, ds.trajectoryContext(tr))
-			}
-		}()
-	}
-	wg.Wait()
-	return per
-}
-
 // AssessParts returns the trajectory-side and readings-side assessments
-// separately.
+// separately. Per-trajectory assessments fold dimension-wise in
+// trajectory order.
 func (ds *Dataset) AssessParts() (quality.Assessment, quality.Assessment) {
-	var per []quality.Assessment
-	if len(ds.Trajectories) > 0 {
-		per = ds.assessEach(1)
-	}
-	return ds.assessPartsFrom(per)
-}
-
-// assessPartsFrom folds precomputed per-trajectory assessments (in
-// trajectory order) with the readings-side assessment.
-func (ds *Dataset) assessPartsFrom(per []quality.Assessment) (quality.Assessment, quality.Assessment) {
 	var trA quality.Assessment
-	if len(per) > 0 {
+	if len(ds.Trajectories) > 0 {
 		sums := map[quality.Dimension]float64{}
 		counts := map[quality.Dimension]int{}
-		for _, a := range per {
-			for k, v := range a {
+		for _, tr := range ds.Trajectories {
+			for k, v := range quality.AssessTrajectory(tr, ds.trajectoryContext(tr)) {
 				sums[k] += v
 				counts[k]++
 			}

@@ -8,15 +8,13 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sidq/internal/obs"
 )
 
 // TraceSink receives structured runner execution events. It is the
 // obs.TraceSink contract re-exported so chaos scenarios and services
-// can depend on core alone. Implementations must be safe for
-// concurrent use when Workers > 1.
+// can depend on core alone.
 type TraceSink = obs.TraceSink
 
 // TraceEvent is the event type delivered to a TraceSink.
@@ -42,13 +40,12 @@ func isPanicErr(err error) bool {
 // from the pipeline's stage names — a closed set, so cardinality stays
 // bounded (see the cardinality rules in DESIGN.md).
 const (
-	mStageTotal     = "sidq_runner_stage_total"
-	mStageLatency   = "sidq_runner_stage_latency_ns"
-	mRetries        = "sidq_runner_retries_total"
-	mPanics         = "sidq_runner_panics_total"
-	mRollbacks      = "sidq_runner_rollbacks_total"
-	mSkips          = "sidq_runner_skips_total"
-	mShardQueueWait = "sidq_runner_shard_queue_wait_ns"
+	mStageTotal   = "sidq_runner_stage_total"
+	mStageLatency = "sidq_runner_stage_latency_ns"
+	mRetries      = "sidq_runner_retries_total"
+	mPanics       = "sidq_runner_panics_total"
+	mRollbacks    = "sidq_runner_rollbacks_total"
+	mSkips        = "sidq_runner_skips_total"
 )
 
 // InitRunnerMetrics pre-registers the runner's unlabeled metric
@@ -62,12 +59,10 @@ func InitRunnerMetrics(reg *obs.Registry) {
 	reg.Help(mPanics, "Stage attempts that panicked and were recovered.")
 	reg.Help(mRollbacks, "Stages rolled back by the quality-regression guard.")
 	reg.Help(mSkips, "Stages skipped after exhausting retries.")
-	reg.Help(mShardQueueWait, "Delay between shard creation and shard execution start, in nanoseconds.")
 	reg.Counter(mRetries)
 	reg.Counter(mPanics)
 	reg.Counter(mRollbacks)
 	reg.Counter(mSkips)
-	reg.Histogram(mShardQueueWait)
 }
 
 // errText renders err for a trace event ("" for success).
@@ -79,8 +74,7 @@ func errText(err error) string {
 }
 
 // observeStage records the completed stage into the trace sink and the
-// metrics registry. Called once per stage (serial or sharded), with
-// the final report.
+// metrics registry. Called once per stage, with the final report.
 func (r *Runner) observeStage(rep *StageReport) {
 	if r.Trace != nil {
 		r.Trace.Record(obs.TraceEvent{
@@ -145,16 +139,5 @@ func (r *Runner) obsSkip(stage string, attempts int, err error) {
 func (r *Runner) obsRollback(stage string) {
 	if r.Trace != nil {
 		r.Trace.Record(obs.TraceEvent{Name: stage, Kind: obs.KindRollback})
-	}
-}
-
-// obsShard records one completed shard: its queue wait (delay between
-// shard spawn and execution start) and a shard trace event.
-func (r *Runner) obsShard(stage string, shard int, queueWait, dur time.Duration) {
-	if r.Trace != nil {
-		r.Trace.Record(obs.TraceEvent{Name: stage, Kind: obs.KindShard, N: shard, Dur: dur})
-	}
-	if r.Obs != nil {
-		r.Obs.Histogram(mShardQueueWait).Observe(queueWait.Nanoseconds())
 	}
 }

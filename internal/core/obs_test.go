@@ -9,14 +9,14 @@ import (
 	"sidq/internal/obs"
 )
 
-// noopShardStage is a do-nothing shardable stage, for observing the
-// runner's bookkeeping without any stage-side noise.
-type noopShardStage struct{}
+// noopStage is a do-nothing stage, for observing the runner's
+// bookkeeping without any stage-side noise.
+type noopStage struct{}
 
-func (noopShardStage) Name() string                          { return "noop" }
-func (noopShardStage) Task() Task                            { return FaultCorrection }
-func (noopShardStage) Apply(context.Context, *Dataset) error { return nil }
-func (noopShardStage) Traits() StageTraits                   { return dataParallel }
+func (noopStage) Name() string                          { return "noop" }
+func (noopStage) Task() Task                            { return FaultCorrection }
+func (noopStage) Apply(context.Context, *Dataset) error { return nil }
+func (noopStage) Traits() StageTraits                   { return replaceOnly }
 
 func TestRunnerObsRetriesAndStageMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -89,30 +89,6 @@ func TestRunnerObsPanicAndSkip(t *testing.T) {
 	}
 }
 
-func TestParallelRunnerObsShards(t *testing.T) {
-	const workers = 4
-	reg := obs.NewRegistry()
-	sink := &obs.MemSink{}
-	r := &Runner{Policy: SkipStage, Workers: workers, Obs: reg, Trace: sink}
-	ds := wideDataset(3, 12)
-	_, reports, err := NewPipeline(noopShardStage{}).RunContext(context.Background(), r, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 1 || reports[0].Err != nil {
-		t.Fatalf("unexpected reports: %+v", reports)
-	}
-	if got := sink.Count(obs.KindShard); got != workers {
-		t.Fatalf("shard trace events = %d, want %d", got, workers)
-	}
-	if got := reg.Histogram("sidq_runner_shard_queue_wait_ns").Snapshot().Count(); got != workers {
-		t.Fatalf("shard queue-wait observations = %d, want %d", got, workers)
-	}
-	if got := sink.Count(obs.KindStage); got != 1 {
-		t.Fatalf("stage trace events = %d, want 1", got)
-	}
-}
-
 func TestInitRunnerMetricsPreregisters(t *testing.T) {
 	reg := obs.NewRegistry()
 	InitRunnerMetrics(reg)
@@ -121,7 +97,7 @@ func TestInitRunnerMetricsPreregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, fam := range []string{mRetries, mPanics, mRollbacks, mSkips, mShardQueueWait} {
+	for _, fam := range []string{mRetries, mPanics, mRollbacks, mSkips} {
 		if !strings.Contains(out, "# TYPE "+fam+" ") {
 			t.Errorf("exposition missing family %s:\n%s", fam, out)
 		}
@@ -135,7 +111,7 @@ func TestInitRunnerMetricsPreregisters(t *testing.T) {
 // what full instrumentation costs.
 func BenchmarkRunnerObsOverhead(b *testing.B) {
 	ds := dirtyDataset(7)
-	p := NewPipeline(noopShardStage{}, noopShardStage{}, noopShardStage{})
+	p := NewPipeline(noopStage{}, noopStage{}, noopStage{})
 	run := func(b *testing.B, r *Runner) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -26,9 +26,9 @@ func (s RouteRecoverStage) Name() string { return "route-recovery" }
 // Task implements Stage.
 func (s RouteRecoverStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: each trajectory is map-matched
-// independently and replaced by its recovered path.
-func (s RouteRecoverStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: each trajectory is replaced by its
+// recovered path.
+func (s RouteRecoverStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage. Trajectories whose map-match fails keep
 // their raw points; the failure count is surfaced as a PartialError
@@ -37,10 +37,6 @@ func (s RouteRecoverStage) Apply(ctx context.Context, ds *Dataset) error {
 	if s.Graph == nil || s.Snapper == nil {
 		return nil
 	}
-	// Prewarm the compiled query engine (the CSR build) before
-	// matching, so data-parallel shards share one ready engine instead
-	// of serializing on its lazy first-use build.
-	s.Graph.Engine()
 	failed := 0
 	var last error
 	for i, tr := range ds.Trajectories {
@@ -103,15 +99,6 @@ func (p *Pipeline) RunContext(ctx context.Context, r *Runner, ds *Dataset) (*Dat
 		r = DefaultRunner()
 	}
 	return r.Run(ctx, p, ds)
-}
-
-// RunParallel runs the pipeline like Run but executes shardable stages
-// (and per-stage quality assessment) across the given number of workers
-// (workers <= 0 selects runtime.NumCPU()). Output is identical to Run
-// for every worker count; see ParallelRunner for the guarantees.
-func (p *Pipeline) RunParallel(ds *Dataset, workers int) (*Dataset, []StageReport) {
-	out, reports, _ := ParallelRunner(workers).Run(context.Background(), p, ds)
-	return out, reports
 }
 
 // RenderReports formats stage reports as an aligned table of the

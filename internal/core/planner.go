@@ -83,8 +83,8 @@ func PlanAndRunIterative(ds *Dataset, t Targets, maxRounds int) (*Dataset, []Sta
 
 // PlanAndRunIterativeWith is PlanAndRunIterative executing on the
 // caller's runner (nil selects DefaultRunner) — the hook services and
-// CLIs use to attach observability, retry policies, or worker pools to
-// planned cleaning. The error is non-nil only when the runner's policy
+// CLIs use to attach observability or retry policies to planned
+// cleaning. The error is non-nil only when the runner's policy
 // surfaces one (FailFast) or ctx is cancelled; the returned dataset
 // then reflects the progress made before the failure.
 func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targets, maxRounds int) (*Dataset, []Stage, []StageReport, error) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"sidq/internal/obs"
@@ -119,13 +118,6 @@ type Runner struct {
 	Retry        RetryPolicy
 	StageTimeout time.Duration // per-attempt deadline (0 = none)
 
-	// Workers bounds the data-parallel worker pool: stages that declare
-	// StageTraits.Shardable run across disjoint trajectory shards, and
-	// per-stage quality assessment fans out per trajectory. 0 and 1 run
-	// serially; negative selects runtime.NumCPU(). Output is identical
-	// to the serial path for every worker count (see parallel.go).
-	Workers int
-
 	// GuardTol is the relative tolerance of the quality-regression
 	// guard used by RollbackStage (default 0.05 = 5%).
 	GuardTol float64
@@ -134,28 +126,24 @@ type Runner struct {
 	GuardDims []quality.Dimension
 
 	// Sleep is the backoff sleeper, overridable for deterministic
-	// tests (default time.Sleep; it is never called with 0).
+	// tests; it is never called with 0. The default waits on a timer
+	// that a cancelled run cuts short.
 	Sleep func(time.Duration)
 	// Rand seeds backoff jitter (nil disables jitter).
 	Rand *rand.Rand
 	// OnEvent, when set, observes retry/skip/rollback decisions as
-	// human-readable messages (e.g. hook it to a logger). Under Workers
-	// > 1 events from concurrent shards are serialized by the runner.
+	// human-readable messages (e.g. hook it to a logger).
 	OnEvent func(stage, event string)
 
 	// Obs, when set, receives runner metrics: per-stage latency and
-	// outcome counts, retry/panic/rollback/skip counters, and shard
-	// queue-wait times. Nil disables metrics at zero cost (the
-	// zero-overhead contract in DESIGN.md).
+	// outcome counts and retry/panic/rollback/skip counters. Nil
+	// disables metrics at zero cost (the zero-overhead contract in
+	// DESIGN.md).
 	Obs *obs.Registry
 	// Trace, when set, receives structured execution events (stage
-	// completions, retries, panics, skips, rollbacks, shards). The sink
-	// must be safe for concurrent use when Workers > 1; obs.MemSink and
-	// obs.FuncSink qualify. Nil disables tracing at zero cost.
+	// completions, retries, panics, skips, rollbacks). Nil disables
+	// tracing at zero cost.
 	Trace TraceSink
-
-	// evMu serializes OnEvent callbacks across shard workers.
-	evMu sync.Mutex
 }
 
 // DefaultRunner returns the runner Pipeline.Run uses: skip failing
@@ -164,8 +152,6 @@ func DefaultRunner() *Runner { return &Runner{Policy: SkipStage} }
 
 func (r *Runner) event(stage, format string, args ...interface{}) {
 	if r.OnEvent != nil {
-		r.evMu.Lock()
-		defer r.evMu.Unlock()
 		r.OnEvent(stage, fmt.Sprintf(format, args...))
 	}
 }
@@ -191,7 +177,7 @@ func (r *Runner) run(ctx context.Context, p *Pipeline, ds *Dataset, before quali
 	cur := ds.Clone()
 	reports := make([]StageReport, 0, len(p.Stages))
 	if before == nil {
-		before = cur.AssessN(r.workerCount())
+		before = cur.Assess()
 	}
 	for _, st := range p.Stages {
 		if err := ctx.Err(); err != nil {
@@ -243,6 +229,106 @@ func (r *Runner) regressions(after, before quality.Assessment) []quality.Dimensi
 		}
 	}
 	return out
+}
+
+// cloneForStage returns the per-attempt working copy of ds for st: a
+// copy-on-write clone when the stage declares it only replaces
+// trajectory entries, a deep clone otherwise.
+func cloneForStage(ds *Dataset, st Stage) *Dataset {
+	if st.Traits().ReplacesTrajectories {
+		return ds.CloneCOW()
+	}
+	return ds.Clone()
+}
+
+// runStage executes one stage over cur and returns the (possibly new)
+// dataset and the report; on failure, skip or rollback the caller keeps
+// cur — a failed stage contributes nothing. The results are named so
+// the deferred duration-stamping and observation see the report
+// actually returned.
+func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset, before quality.Assessment) (out *Dataset, rep StageReport) {
+	rep = StageReport{
+		Stage:  st.Name(),
+		Task:   st.Task(),
+		Before: before,
+	}
+	start := time.Now()
+	defer func() {
+		rep.Duration = time.Since(start)
+		r.observeStage(&rep)
+	}()
+
+	work, attempts, err := r.retry(ctx, st, cur)
+	rep.Attempts, rep.Err = attempts, err
+	if err != nil && !isPartial(err) {
+		if r.Policy == SkipStage || r.Policy == RollbackStage {
+			rep.Skipped = true
+			r.event(st.Name(), "skipped after %d attempts: %v", rep.Attempts, err)
+			r.obsSkip(st.Name(), rep.Attempts, err)
+		}
+		return cur, rep
+	}
+	if pe := (*PartialError)(nil); errors.As(err, &pe) {
+		rep.Meta = map[string]int{"failed": pe.Failed, "total": pe.Total}
+	}
+	rep.After = work.Assess()
+	if r.Policy == RollbackStage {
+		if worse := r.regressions(rep.After, before); len(worse) > 0 {
+			rep.RolledBack = true
+			r.event(st.Name(), "rolled back: regressed %v", worse)
+			r.obsRollback(st.Name())
+			return cur, rep
+		}
+	}
+	return work, rep
+}
+
+// retry is the runner's one retry loop: every attempt works on a fresh
+// clone of cur (copy-on-write when the stage allows it), so a failed or
+// timed-out attempt never leaks partial mutations. It returns the
+// post-stage dataset on success (possibly with a PartialError), or the
+// last attempt's error once retries are exhausted or ctx is cancelled,
+// together with the number of attempts started.
+func (r *Runner) retry(ctx context.Context, st Stage, cur *Dataset) (*Dataset, int, error) {
+	max := r.Retry.attempts()
+	for attempt := 1; ; attempt++ {
+		work := cloneForStage(cur, st)
+		err := r.attempt(ctx, st, work)
+		if err == nil || isPartial(err) {
+			return work, attempt, err
+		}
+		// A cancelled run cannot be helped by retrying, whether the
+		// cancellation ended the attempt or arrives during the backoff.
+		again := attempt < max && ctx.Err() == nil
+		if again {
+			if d := r.Retry.Delay(attempt, r.Rand); d > 0 {
+				again = r.backoff(ctx, d)
+			}
+		}
+		r.obsAttemptFailure(st.Name(), attempt, err, again)
+		if !again {
+			return nil, attempt, err
+		}
+		r.event(st.Name(), "attempt %d/%d failed, retrying: %v", attempt, max, err)
+	}
+}
+
+// backoff waits d before the next attempt and reports whether the run
+// is still live afterwards. Without an injected Sleep the wait ends
+// early when ctx is cancelled.
+func (r *Runner) backoff(ctx context.Context, d time.Duration) bool {
+	if r.Sleep != nil {
+		r.Sleep(d)
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // attempt runs one stage execution with panic recovery and the

@@ -310,6 +310,26 @@ func TestRunnerParentCancellation(t *testing.T) {
 	}
 }
 
+// TestRunnerCancelCutsBackoffShort cancels a run in the middle of a
+// real backoff: the run must return without waiting the delay out, and
+// without starting the attempt the delay was for.
+func TestRunnerCancelCutsBackoffShort(t *testing.T) {
+	st := scriptedStage{name: "fails", fn: func(context.Context, *Dataset) error {
+		return errors.New("transient")
+	}}
+	r := &Runner{Policy: SkipStage, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Millisecond}}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	_, reports, _ := r.Run(ctx, NewPipeline(st), dirtyDataset(20))
+	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
+		t.Fatalf("cancelled run returned after %v, waiting out its 200ms backoff", elapsed)
+	}
+	if len(reports) != 1 || reports[0].Attempts != 1 || !reports[0].Skipped {
+		t.Fatalf("reports = %+v, want one skipped stage with 1 attempt", reports)
+	}
+}
+
 func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 	ds := dirtyDataset(18)
 	calls := 0

@@ -54,10 +54,9 @@ type Stage interface {
 	Name() string
 	// Task is the taxonomy family the stage implements.
 	Task() Task
-	// Traits declares what the Runner may exploit (sharding, cheap
-	// clones); the zero value is always safe. Wrapper stages forward
-	// their inner stage's traits when the wrapper itself adds no
-	// cross-trajectory coupling.
+	// Traits declares what the Runner may exploit (cheap clones); the
+	// zero value is always safe. Wrapper stages forward their inner
+	// stage's traits when the wrapper itself edits no points in place.
 	Traits() StageTraits
 	// Apply transforms the dataset in place (the Runner hands it a
 	// private clone), honouring ctx cancellation, and reports failure
@@ -78,11 +77,11 @@ func (s OutlierRemovalStage) Name() string { return "outlier-removal" }
 // Task implements Stage.
 func (s OutlierRemovalStage) Task() Task { return OutlierRemoval }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s OutlierRemovalStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s OutlierRemovalStage) Traits() StageTraits { return replaceOnly }
 
-// orFlags is the flag scratch of the outlier stage, pooled so shard
-// workers reuse buffers without sharing them.
+// orFlags is the flag scratch of the outlier stage, pooled so
+// concurrent pipeline runs reuse buffers without sharing them.
 type orFlags struct{ speed, stat []bool }
 
 var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
@@ -129,8 +128,8 @@ func (s SmoothingStage) Name() string { return "kalman-smoothing" }
 // Task implements Stage.
 func (s SmoothingStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s SmoothingStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s SmoothingStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s SmoothingStage) Apply(ctx context.Context, ds *Dataset) error {
@@ -169,8 +168,8 @@ func (s PredictionRepairStage) Name() string { return "prediction-repair" }
 // Task implements Stage.
 func (s PredictionRepairStage) Task() Task { return OutlierRemoval }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s PredictionRepairStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s PredictionRepairStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s PredictionRepairStage) Apply(ctx context.Context, ds *Dataset) error {
@@ -200,8 +199,8 @@ func (s TimestampRepairStage) Name() string { return "timestamp-repair" }
 // Task implements Stage.
 func (s TimestampRepairStage) Task() Task { return FaultCorrection }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s TimestampRepairStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s TimestampRepairStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage. Unrepairable trajectories keep their raw
 // timestamps and are counted in the PartialError. Repairs replace the
@@ -249,8 +248,8 @@ func (s DeduplicateStage) Name() string { return "deduplicate" }
 // Task implements Stage.
 func (s DeduplicateStage) Task() Task { return DataIntegration }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s DeduplicateStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s DeduplicateStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage: first-occurrence exact dedup over flat
 // columns with map[Point]bool float semantics (NaN always kept,
@@ -281,8 +280,8 @@ func (s ImputeStage) Name() string { return "interpolation-impute" }
 // Task implements Stage.
 func (s ImputeStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s ImputeStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s ImputeStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage. A trajectory too short to resample is left
 // alone silently; one whose resampling is refused (the interval is too
@@ -329,8 +328,8 @@ func (s ThematicRepairStage) Name() string { return "thematic-repair" }
 // Task implements Stage.
 func (s ThematicRepairStage) Task() Task { return FaultCorrection }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s ThematicRepairStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s ThematicRepairStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
@@ -366,8 +365,8 @@ func (s SmoothReadingsStage) Name() string { return "readings-smoothing" }
 // Task implements Stage.
 func (s SmoothReadingsStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s SmoothReadingsStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s SmoothReadingsStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s SmoothReadingsStage) Apply(ctx context.Context, ds *Dataset) error {
@@ -444,8 +443,8 @@ func (s CalibrationStage) Name() string { return "anchor-calibration" }
 // Task implements Stage.
 func (s CalibrationStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: trajectory-local and replace-only.
-func (s CalibrationStage) Traits() StageTraits { return dataParallel }
+// Traits implements Stage: replace-only.
+func (s CalibrationStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s CalibrationStage) Apply(ctx context.Context, ds *Dataset) error {

@@ -10,34 +10,10 @@ import (
 	"sidq/internal/obs"
 )
 
-// pipelineWorkers is the data-parallel worker count experiment
-// pipelines hand to core.Pipeline.RunParallel. Zero means serial. It
-// is process-global (experiments have a fixed Run(seed) signature) and
-// atomic so RunSelected may set it while experiments run concurrently.
-var pipelineWorkers atomic.Int32
-
-// SetPipelineWorkers sets the worker count experiment pipelines run
-// with: 0 or 1 is serial, negative selects runtime.NumCPU(). Tables
-// are bit-identical for every setting; only wall-clock time changes.
-func SetPipelineWorkers(n int) {
-	if n < 0 {
-		n = runtime.NumCPU()
-	}
-	pipelineWorkers.Store(int32(n))
-}
-
-// PipelineWorkers returns the current experiment worker count (minimum
-// 1, i.e. serial).
-func PipelineWorkers() int {
-	if n := int(pipelineWorkers.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
 // obsRegistry is the metrics registry experiment pipelines report
-// into, process-global for the same reason as pipelineWorkers. Nil
-// (the default) leaves pipelines uninstrumented.
+// into. It is process-global (experiments have a fixed Run(seed)
+// signature) and atomic so it may be read while experiments run
+// concurrently. Nil (the default) leaves pipelines uninstrumented.
 var obsRegistry atomic.Pointer[obs.Registry]
 
 // SetObsRegistry installs the registry experiment pipelines record
@@ -50,9 +26,9 @@ func SetObsRegistry(reg *obs.Registry) { obsRegistry.Store(reg) }
 func ObsRegistry() *obs.Registry { return obsRegistry.Load() }
 
 // pipelineRunner is the runner experiment pipelines execute on: the
-// PipelineWorkers pool with the installed registry attached.
+// default policy with the installed registry attached.
 func pipelineRunner() *core.Runner {
-	return &core.Runner{Policy: core.SkipStage, Workers: PipelineWorkers(), Obs: ObsRegistry()}
+	return &core.Runner{Policy: core.SkipStage, Obs: ObsRegistry()}
 }
 
 // Rendered is one experiment's output, ready to print.
@@ -63,17 +39,14 @@ type Rendered struct {
 }
 
 // RunSelected runs the experiments whose upper-cased IDs appear in ids
-// (nil or empty selects all) across a pool of workerCount goroutines
-// (<= 0 selects runtime.NumCPU()), with the same worker count applied
-// to data parallelism inside each experiment's pipelines. Results come
-// back in All() order regardless of completion order, and each table
-// is bit-identical to a serial run: experiments share no mutable state
-// and every stage sharded inside a pipeline merges deterministically.
+// (nil or empty selects all), up to workerCount of them at once (<= 0
+// selects runtime.NumCPU()). Results come back in All() order
+// regardless of completion order, and each table is bit-identical to a
+// serial run: experiments share no mutable state.
 func RunSelected(seed int64, workerCount int, ids map[string]bool) []Rendered {
 	if workerCount <= 0 {
 		workerCount = runtime.NumCPU()
 	}
-	SetPipelineWorkers(workerCount)
 
 	var selected []Experiment
 	for _, e := range All() {

@@ -11,10 +11,9 @@ import (
 // report wall-clock measurements (e.g. E9's ms/speedup columns) that
 // differ even between two serial runs; every other experiment must
 // render byte-identical output at 1, 4, and NumCPU workers — and E12,
-// the experiment that actually runs cleaning pipelines (sharded when
-// workers > 1), must be in that deterministic set.
+// the experiment that actually runs cleaning pipelines, must be in
+// that deterministic set.
 func TestRunSelectedBitIdenticalAcrossWorkers(t *testing.T) {
-	defer SetPipelineWorkers(0)
 	serial := RunSelected(42, 1, nil)
 	serial2 := RunSelected(42, 1, nil)
 	if len(serial) != len(All()) {
@@ -53,7 +52,6 @@ func TestRunSelectedBitIdenticalAcrossWorkers(t *testing.T) {
 // TestRunSelectedFiltersByID pins the id filter the sidqbench -exp
 // flag relies on (upper-cased match, All() order preserved).
 func TestRunSelectedFiltersByID(t *testing.T) {
-	defer SetPipelineWorkers(0)
 	got := RunSelected(42, 2, map[string]bool{"E12": true, "E1A": true})
 	if len(got) != 2 || got[0].ID != "E1a" || got[1].ID != "E12" {
 		ids := make([]string, len(got))
@@ -61,22 +59,5 @@ func TestRunSelectedFiltersByID(t *testing.T) {
 			ids[i] = r.ID
 		}
 		t.Fatalf("selected ids = %v, want [E1a E12]", ids)
-	}
-}
-
-// TestPipelineWorkersKnob pins the knob semantics experiments rely on.
-func TestPipelineWorkersKnob(t *testing.T) {
-	defer SetPipelineWorkers(0)
-	SetPipelineWorkers(0)
-	if got := PipelineWorkers(); got != 1 {
-		t.Fatalf("workers(0) = %d, want 1", got)
-	}
-	SetPipelineWorkers(6)
-	if got := PipelineWorkers(); got != 6 {
-		t.Fatalf("workers(6) = %d, want 6", got)
-	}
-	SetPipelineWorkers(-1)
-	if got := PipelineWorkers(); got < 1 {
-		t.Fatalf("workers(-1) = %d, want >= 1", got)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // bookkeeping.
 type TraceEvent struct {
 	Name string        // subject, e.g. the stage name
-	Kind string        // event kind: "stage", "retry", "panic", "skip", "rollback", "shard"
+	Kind string        // event kind: "stage", "retry", "panic", "skip", "rollback", ...
 	Dur  time.Duration // span duration (zero for point events)
-	N    int           // kind-specific count: attempt number, shard index, ...
+	N    int           // kind-specific count: attempt number, events pending, ...
 	Err  string        // error text, "" on success
 }
 
@@ -27,7 +27,6 @@ const (
 	KindPanic    = "panic"    // an attempt panicked and was recovered
 	KindSkip     = "skip"     // the stage failed terminally and its work was discarded
 	KindRollback = "rollback" // the stage succeeded but regressed quality and was reverted
-	KindShard    = "shard"    // one shard of a data-parallel stage completed (N = shard index)
 )
 
 // Trace event kinds emitted by the server's streaming-session
@@ -49,8 +48,8 @@ const (
 )
 
 // TraceSink receives trace events. Implementations must be safe for
-// concurrent use: a data-parallel runner records from every shard
-// worker.
+// concurrent use: one sink serves every request goroutine of a
+// service, and pipeline runs on different goroutines may share one.
 type TraceSink interface {
 	Record(ev TraceEvent)
 }
