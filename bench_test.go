@@ -71,18 +71,6 @@ func BenchmarkE14_Federated(b *testing.B)        { benchExperiment(b, exp.E14) }
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkGridKNN(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := index.NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 25)
-	for i := 0; i < 10000; i++ {
-		g.Insert(index.PointEntry{ID: fmt.Sprintf("p%d", i), Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KNN(geo.Pt(rng.Float64()*1000, rng.Float64()*1000), 10)
-	}
-}
-
 func BenchmarkRTreeRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	rt := index.NewRTree()
@@ -145,7 +133,6 @@ func benchSnapDists(b *testing.B, g *roadnet.Graph, trips int) {
 		}
 	}
 	var out [4]float64
-	var st roadnet.EngineStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -160,11 +147,7 @@ func benchSnapDists(b *testing.B, g *roadnet.Graph, trips int) {
 				e.SnapDists(from, cands[k], math.Inf(1), out[:len(cands[k])])
 			}
 		}
-		st = e.Stats()
 	}
-	b.ReportMetric(float64(st.CacheHits), "hits/op")
-	b.ReportMetric(float64(st.CacheMisses), "misses/op")
-	b.ReportMetric(float64(st.HeapPops)/float64(st.ManySweeps), "pops/sweep")
 }
 
 func BenchmarkKalmanSmooth(b *testing.B) {
@@ -202,19 +185,6 @@ func BenchmarkProbRange(b *testing.B) {
 	}
 }
 
-func BenchmarkBulkLoadRTree(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	rects := make([]index.RectEntry, 10000)
-	for i := range rects {
-		p := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		rects[i] = index.RectEntry{ID: fmt.Sprintf("r%d", i), Rect: geo.RectFromCenter(p, 2, 2)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		index.BulkLoadRTree(rects)
-	}
-}
-
 // benchPipelineDataset is a dirty many-trajectory dataset for the
 // pipeline and clone benchmarks.
 func benchPipelineDataset(n int) *core.Dataset {
@@ -248,7 +218,7 @@ func BenchmarkPipeline(b *testing.B) {
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, _ := p.Run(ds)
+		out, _, _ := p.RunContext(context.Background(), nil, ds)
 		if len(out.Trajectories) != 32 {
 			b.Fatal("pipeline lost trajectories")
 		}
@@ -303,7 +273,7 @@ func BenchmarkRunnerCloneCOW(b *testing.B) {
 			b.ReportAllocs()
 			p := core.NewPipeline(benchNoopStage{traited: traited})
 			for i := 0; i < b.N; i++ {
-				out, _ := p.Run(ds)
+				out, _, _ := p.RunContext(context.Background(), nil, ds)
 				if len(out.Trajectories) != 32 {
 					b.Fatal("runner lost trajectories")
 				}

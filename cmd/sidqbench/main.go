@@ -7,6 +7,7 @@
 //
 //	sidqbench                 # run everything, serially
 //	sidqbench -exp E4,E7      # run selected experiments
+//	sidqbench -exp E1         # a family: E1a, E1b and E1c
 //	sidqbench -seed 7         # change the workload seed
 //	sidqbench -workers 4      # up to 4 experiments at once
 //	sidqbench -metrics        # dump Prometheus metrics to stderr afterwards
@@ -30,7 +31,7 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "comma-separated experiment ids (T1, F2, E1a..E14) or 'all'")
+		which   = flag.String("exp", "all", "comma-separated experiment ids (T1, F2, E1a..E14; E1 selects E1a-c) or 'all'")
 		seed    = flag.Int64("seed", 42, "workload seed")
 		workers = flag.Int("workers", 1, "experiments run at once (0 or negative: NumCPU)")
 		metrics = flag.Bool("metrics", false, "dump the Prometheus metrics exposition to stderr after the run")
@@ -46,35 +47,38 @@ func main() {
 		exp.SetObsRegistry(reg)
 	}
 
-	want := map[string]bool{}
-	all := *which == "all"
-	if !all {
+	// T1 and F2 print free-form text and are not in exp.All(); every
+	// other id must select a table, or nothing runs.
+	t1, f2, selected := true, true, exp.All()
+	if *which != "all" {
+		t1, f2 = false, false
+		var ids []string
 		for _, id := range strings.Split(*which, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
+			switch strings.ToUpper(strings.TrimSpace(id)) {
+			case "T1":
+				t1 = true
+			case "F2":
+				f2 = true
+			default:
+				ids = append(ids, id)
+			}
+		}
+		var err error
+		if selected, err = exp.Select(ids); err != nil {
+			fmt.Fprintf(os.Stderr, "sidqbench: %v (and T1, F2, all)\n", err)
+			os.Exit(2)
 		}
 	}
-	ran := 0
-	if all || want["T1"] {
+	if t1 {
 		fmt.Println("=== T1: Table 1 — SID characteristics and measured quality issues ===")
 		fmt.Println(exp.T1(*seed))
-		ran++
 	}
-	if all || want["F2"] {
+	if f2 {
 		fmt.Println("=== F2: Figure 2 — DQ technology taxonomy coverage ===")
 		fmt.Println(exp.F2())
-		ran++
 	}
-	ids := want
-	if all {
-		ids = nil
-	}
-	for _, r := range exp.RunSelected(*seed, *workers, ids) {
+	for _, r := range exp.RunSelected(*seed, *workers, selected) {
 		fmt.Println(r.Text)
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sidqbench: no experiment matched %q\n", *which)
-		os.Exit(2)
 	}
 	if reg != nil {
 		fmt.Fprintln(os.Stderr, "=== metrics ===")

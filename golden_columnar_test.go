@@ -12,6 +12,7 @@ package sidq_test
 //	go test -run TestGoldenColumnar -update-golden .
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -125,11 +126,11 @@ func computeGoldens(t *testing.T) map[string]string {
 	// byte-identical to the AoS output. The fixture pins this one
 	// output under four keys and is not rewritten, so one run answers
 	// all four.
-	cleaned, _ := core.NewPipeline(
+	cleaned, _, _ := core.NewPipeline(
 		core.DeduplicateStage{},
 		core.OutlierRemovalStage{},
 		core.SmoothingStage{},
-	).Run(goldenDataset(12, 1))
+	).RunContext(context.Background(), nil, goldenDataset(12, 1))
 	h := hashTrajectories(t, cleaned.Trajectories...)
 	for _, w := range []int{1, 2, 4, 8} {
 		out[fmt.Sprintf("pipeline/workers=%d", w)] = h

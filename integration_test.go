@@ -5,6 +5,7 @@ package sidq_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -133,7 +134,7 @@ func TestEndToEndSensorFlow(t *testing.T) {
 		NumSensors:      30,
 		Duration:        3600,
 	}
-	cleaned, _ := core.NewPipeline(core.ThematicRepairStage{}).Run(ds)
+	cleaned, _, _ := core.NewPipeline(core.ThematicRepairStage{}).RunContext(context.Background(), nil, ds)
 	_, rdBefore := ds.AssessParts()
 	_, rdAfter := cleaned.AssessParts()
 	if rdAfter[quality.Accuracy] <= rdBefore[quality.Accuracy] {

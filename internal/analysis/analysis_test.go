@@ -124,7 +124,7 @@ func TestStreamAnomalyDetector(t *testing.T) {
 	tr := trajectory.New("t", pts)
 	tr.Points[150].Pos = tr.Points[150].Pos.Add(geo.Pt(0, 500))
 	tr.Points[250].Pos = tr.Points[250].Pos.Add(geo.Pt(400, 0))
-	flags := DetectTrajectory(tr, 60, 5)
+	flags := DetectTrajectory(tr, 5)
 	if !flags[150] || !flags[250] {
 		t.Fatalf("teleports not flagged: %v %v", flags[150], flags[250])
 	}
@@ -140,7 +140,7 @@ func TestStreamAnomalyDetector(t *testing.T) {
 }
 
 func TestStreamAnomalyNonMonotoneTime(t *testing.T) {
-	d := NewStreamAnomalyDetector(60, 4)
+	d := NewStreamAnomalyDetector(4)
 	d.Push(trajectory.Point{T: 10, Pos: geo.Pt(0, 0)})
 	if !d.Push(trajectory.Point{T: 5, Pos: geo.Pt(1, 0)}) {
 		t.Fatal("time reversal should be anomalous")

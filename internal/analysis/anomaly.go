@@ -4,18 +4,15 @@ import (
 	"math"
 
 	"sidq/internal/stats"
-	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 )
 
 // StreamAnomalyDetector flags anomalous movement behaviour online: it
-// keeps a trailing window of per-segment speeds and headings and raises
-// an anomaly when the incoming segment's speed deviates from the
-// window's robust profile by more than Threshold sigmas or the heading
-// change is kinematically implausible at speed. It processes points
-// one at a time, suiting the trajectory-stream setting.
+// keeps the most recent normal per-segment speeds and raises an anomaly
+// when the incoming segment's speed deviates from their robust profile
+// (median and MAD) by more than the threshold. It processes points one
+// at a time, suiting the trajectory-stream setting.
 type StreamAnomalyDetector struct {
-	window     *stream.SlidingAggregate
 	speeds     []float64
 	maxKeep    int
 	threshold  float64
@@ -24,17 +21,13 @@ type StreamAnomalyDetector struct {
 	minSamples int
 }
 
-// NewStreamAnomalyDetector returns a detector with the given trailing
-// window (seconds) and robust-z threshold.
-func NewStreamAnomalyDetector(windowSeconds, threshold float64) *StreamAnomalyDetector {
-	if windowSeconds <= 0 {
-		windowSeconds = 60
-	}
+// NewStreamAnomalyDetector returns a detector with the given robust-z
+// threshold.
+func NewStreamAnomalyDetector(threshold float64) *StreamAnomalyDetector {
 	if threshold <= 0 {
 		threshold = 4
 	}
 	return &StreamAnomalyDetector{
-		window:     stream.NewSlidingAggregate(windowSeconds),
 		maxKeep:    512,
 		threshold:  threshold,
 		minSamples: 8,
@@ -68,7 +61,6 @@ func (d *StreamAnomalyDetector) Push(p trajectory.Point) bool {
 	}
 	// Anomalous segments do not contaminate the profile.
 	if !anomalous {
-		d.window.Push(p.T, speed)
 		d.speeds = append(d.speeds, speed)
 		if len(d.speeds) > d.maxKeep {
 			d.speeds = d.speeds[len(d.speeds)-d.maxKeep:]
@@ -80,8 +72,8 @@ func (d *StreamAnomalyDetector) Push(p trajectory.Point) bool {
 
 // DetectTrajectory runs the detector over a whole trajectory and
 // returns per-point anomaly flags (the first point is never flagged).
-func DetectTrajectory(tr *trajectory.Trajectory, windowSeconds, threshold float64) []bool {
-	d := NewStreamAnomalyDetector(windowSeconds, threshold)
+func DetectTrajectory(tr *trajectory.Trajectory, threshold float64) []bool {
+	d := NewStreamAnomalyDetector(threshold)
 	flags := make([]bool, tr.Len())
 	for i, p := range tr.Points {
 		flags[i] = d.Push(p)

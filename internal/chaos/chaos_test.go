@@ -160,12 +160,12 @@ func TestFaultySourceAccountingThroughReorderer(t *testing.T) {
 			src.Delivered(), src.Input(), src.Dropped(), src.Duplicated())
 	}
 	// The LateCount/Emitted pair must account for every delivered event.
-	if re.Emitted()+re.LateCount() != src.Delivered() {
+	if re.State().Emitted+re.LateCount() != src.Delivered() {
 		t.Fatalf("reorderer accounting: emitted=%d late=%d delivered=%d",
-			re.Emitted(), re.LateCount(), src.Delivered())
+			re.State().Emitted, re.LateCount(), src.Delivered())
 	}
-	if len(out) != re.Emitted() {
-		t.Fatalf("drained %d but reorderer emitted %d", len(out), re.Emitted())
+	if len(out) != re.State().Emitted {
+		t.Fatalf("drained %d but reorderer emitted %d", len(out), re.State().Emitted)
 	}
 	if src.Dropped() == 0 || src.Duplicated() == 0 || src.Straggled() == 0 {
 		t.Fatalf("faults not exercised: %d/%d/%d", src.Dropped(), src.Duplicated(), src.Straggled())

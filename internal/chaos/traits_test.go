@@ -84,13 +84,10 @@ func TestStageTraitsAreHonest(t *testing.T) {
 	stages := []core.Stage{
 		core.OutlierRemovalStage{},
 		core.SmoothingStage{},
-		core.PredictionRepairStage{},
 		core.TimestampRepairStage{MinGap: 0.5, MaxGap: 5},
 		core.DeduplicateStage{},
 		core.ImputeStage{},
 		core.ThematicRepairStage{},
-		core.SmoothReadingsStage{},
-		core.CalibrationStage{Anchors: []geo.Point{geo.Pt(100, 100), geo.Pt(400, 400)}, Radius: 60, Alpha: 0.5},
 		core.RouteRecoverStage{Graph: g, Snapper: roadnet.NewSnapper(g, 100), Options: uncertain.MatchOptions{}},
 		NewFlakyStage(core.SmoothingStage{}, FlakyOptions{Seed: 4}),
 	}

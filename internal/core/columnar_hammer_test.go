@@ -66,7 +66,7 @@ func TestColumnarScratchHammer(t *testing.T) {
 func TestColumnarPipelineHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(82)), 12, 120)
 	p := NewPipeline(DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{})
-	want, _ := p.Run(ds)
+	want, _, _ := p.RunContext(context.Background(), nil, ds)
 	for _, got := range raceRuns(p, ds, 6) {
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 	}

@@ -162,7 +162,7 @@ func raceRuns(p *Pipeline, ds *Dataset, n int) []*Dataset {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], _ = p.Run(ds)
+			outs[i], _, _ = p.RunContext(context.Background(), nil, ds)
 		}(i)
 	}
 	wg.Wait()
@@ -175,7 +175,7 @@ func raceRuns(p *Pipeline, ds *Dataset, n int) []*Dataset {
 func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(72)), 9, 150)
 	p := NewPipeline(OutlierRemovalStage{})
-	base, _ := p.Run(ds)
+	base, _, _ := p.RunContext(context.Background(), nil, ds)
 	for _, got := range raceRuns(p, ds, 4) {
 		sameTrajectories(t, got.Trajectories, base.Trajectories)
 	}
@@ -322,7 +322,7 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 func TestDeduplicateColumnarAcrossWorkers(t *testing.T) {
 	ds := dupDataset(rand.New(rand.NewSource(74)), 9, 150)
 	p := NewPipeline(DeduplicateStage{})
-	base, _ := p.Run(ds)
+	base, _, _ := p.RunContext(context.Background(), nil, ds)
 	for _, out := range raceRuns(p, ds, 4) {
 		sameTrajectories(t, out.Trajectories, base.Trajectories)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,7 +82,7 @@ func TestPipelineImprovesQuality(t *testing.T) {
 		SmoothingStage{},
 		ImputeStage{},
 	)
-	cleaned, reports := p.Run(ds)
+	cleaned, reports, _ := p.RunContext(context.Background(), nil, ds)
 	after := cleaned.Assess()
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d", len(reports))
@@ -105,9 +106,8 @@ func TestPipelineImprovesQuality(t *testing.T) {
 			t.Fatalf("pipeline mutated input: %v changed", d)
 		}
 	}
-	// Reports render.
-	if !strings.Contains(RenderReports(reports), "kalman-smoothing") {
-		t.Fatal("report rendering")
+	if reports[2].Stage != "kalman-smoothing" {
+		t.Fatalf("third report is for %q", reports[2].Stage)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestStageOrderMatters(t *testing.T) {
 	ds := dirtyDataset(3)
 	good := NewPipeline(OutlierRemovalStage{}, SmoothingStage{})
 	bad := NewPipeline(SmoothingStage{}, OutlierRemovalStage{})
-	cleanedGood, _ := good.Run(ds)
-	cleanedBad, _ := bad.Run(ds)
+	cleanedGood, _, _ := good.RunContext(context.Background(), nil, ds)
+	cleanedBad, _, _ := bad.RunContext(context.Background(), nil, ds)
 	ag := cleanedGood.Assess()[quality.Accuracy]
 	ab := cleanedBad.Assess()[quality.Accuracy]
 	if ag <= ab {
@@ -176,9 +176,8 @@ func TestPredictionRepairAndTimestampStages(t *testing.T) {
 	ds.Trajectories[0].Points[10].T += 500
 	p := NewPipeline(
 		TimestampRepairStage{MinGap: 0, MaxGap: 10},
-		PredictionRepairStage{MeasNoise: 6, Threshold: 6},
 	)
-	cleaned, _ := p.Run(ds)
+	cleaned, _, _ := p.RunContext(context.Background(), nil, ds)
 	// Timestamps now satisfy the gap constraints.
 	for _, tr := range cleaned.Trajectories {
 		for i := 1; i < tr.Len(); i++ {
@@ -187,9 +186,6 @@ func TestPredictionRepairAndTimestampStages(t *testing.T) {
 				t.Fatalf("gap %v outside [0, 10]", gap)
 			}
 		}
-	}
-	if cleaned.Assess()[quality.Accuracy] <= ds.Assess()[quality.Accuracy] {
-		t.Fatal("prediction repair did not improve accuracy")
 	}
 }
 
@@ -209,12 +205,12 @@ func TestRouteRecoverStage(t *testing.T) {
 	st := RouteRecoverStage{Graph: g, Snapper: roadnet.NewSnapper(g, 100)}
 	before := ds.Assess()[quality.Accuracy]
 	p := NewPipeline(st)
-	cleaned, _ := p.Run(ds)
+	cleaned, _, _ := p.RunContext(context.Background(), nil, ds)
 	if after := cleaned.Assess()[quality.Accuracy]; after <= before {
 		t.Fatalf("route recovery: accuracy %v -> %v", before, after)
 	}
 	// Nil graph is a no-op.
-	NewPipeline(RouteRecoverStage{}).Run(ds)
+	NewPipeline(RouteRecoverStage{}).RunContext(context.Background(), nil, ds)
 }
 
 func TestThematicRepairStage(t *testing.T) {
@@ -222,7 +218,7 @@ func TestThematicRepairStage(t *testing.T) {
 	before, beforeRd := ds.AssessParts()
 	_ = before
 	p := NewPipeline(ThematicRepairStage{})
-	cleaned, _ := p.Run(ds)
+	cleaned, _, _ := p.RunContext(context.Background(), nil, ds)
 	_, afterRd := cleaned.AssessParts()
 	if afterRd[quality.Accuracy] <= beforeRd[quality.Accuracy] {
 		t.Fatalf("thematic repair: readings accuracy %v -> %v",
@@ -231,17 +227,6 @@ func TestThematicRepairStage(t *testing.T) {
 	// Repair preserves volume (unlike removal).
 	if afterRd[quality.DataVolume] != beforeRd[quality.DataVolume] {
 		t.Fatal("repair should not change reading count")
-	}
-}
-
-func TestSmoothReadingsStage(t *testing.T) {
-	ds := dirtyDataset(8)
-	_, beforeRd := ds.AssessParts()
-	cleaned, _ := NewPipeline(SmoothReadingsStage{Window: 2}).Run(ds)
-	_, afterRd := cleaned.AssessParts()
-	if afterRd[quality.PrecisionError] >= beforeRd[quality.PrecisionError] {
-		t.Fatalf("readings smoothing: precision %v -> %v",
-			beforeRd[quality.PrecisionError], afterRd[quality.PrecisionError])
 	}
 }
 
@@ -270,8 +255,8 @@ func TestImputeCountsRefusedResamples(t *testing.T) {
 
 func TestTaxonomyCoverage(t *testing.T) {
 	entries := Taxonomy()
-	if len(entries) < 40 {
-		t.Fatalf("taxonomy entries = %d", len(entries))
+	if len(entries) != 67 {
+		t.Fatalf("taxonomy entries = %d, want the 67 cells of Figure 2", len(entries))
 	}
 	// Every §2.2 task family appears.
 	for _, family := range []string{
@@ -290,10 +275,55 @@ func TestTaxonomyCoverage(t *testing.T) {
 			t.Fatalf("taxonomy missing family %q", family)
 		}
 	}
+	// The starred symbols are exactly the ones ROADMAP item 8(b) owes an
+	// E-row; surface_test.go at the module root holds each star to the
+	// code, this holds the list to the documents. A cell names an
+	// experiment only for symbols something reaches.
+	var unmeasured []string
+	for _, e := range entries {
+		if len(e.Refs)+len(e.Unmeasured) == 0 {
+			t.Errorf("cell %q names no symbol", e.Task)
+		}
+		if len(e.Refs) == 0 && len(e.Measured) > 0 {
+			t.Errorf("cell %q is measured by %v but every symbol is starred", e.Task, e.Measured)
+		}
+		for _, r := range e.Unmeasured {
+			pkg, name := refName(r)
+			unmeasured = append(unmeasured, strings.TrimPrefix(pkg, "internal/")+"."+name)
+		}
+	}
+	sort.Strings(unmeasured)
+	want := []string{
+		"analysis.BurstDetector", "analysis.ClusterTrajectories", "analysis.CoEvolving",
+		"analysis.ExtendPatterns", "analysis.FrequentPairs", "analysis.TopKSimilar",
+		"decide.AdaptiveSampler", "decide.Markov2Predictor", "decide.PUSiteSelection",
+		"faults.ZoneMonitor",
+		"integrate.AlignScales", "integrate.AttachReadings",
+		"reduce.DirectionPreserving",
+		"uncertain.CoTraining", "uncertain.ExponentialSmooth", "uncertain.MultiTaskTrend", "uncertain.TransferTrend",
+		"uquery.ClassifyRange", "uquery.DiscreteObject", "uquery.KNNMonitor", "uquery.PossiblyDefinitely",
+	}
+	if !reflect.DeepEqual(unmeasured, want) {
+		t.Errorf("unmeasured symbols:\n got %v\nwant %v", unmeasured, want)
+	}
 	fig := RenderFigure2()
 	for _, layer := range []string{"[localization layer]", "[pre-processing layer]", "[business layer]", "[middleware layer]"} {
 		if !strings.Contains(fig, layer) {
 			t.Fatalf("figure missing %q", layer)
+		}
+	}
+	// Names come from the references: a function, a method expression
+	// and a type, with the star and the measured-by column.
+	for _, row := range []string{
+		"| internal/faults: ResolveConflicts ",
+		"| internal/refine: Kalman, KalmanSmoothTrajectory ",
+		"| internal/uncertain: MovingAverage, ExponentialSmooth* ",
+		"| internal/uncertain: FuseSources (bias-corrected) ",
+		"| E4, E4b\n",
+		"| internal/core: Plan                                    | -\n",
+	} {
+		if !strings.Contains(fig, row) {
+			t.Errorf("figure missing %q", row)
 		}
 	}
 }
@@ -325,7 +355,7 @@ func TestPlanAndRunIterativeClosesInducedDeficits(t *testing.T) {
 
 	targets := DefaultTargets()
 	_, oneStages, _ := PlanAndRun(ds, targets)
-	iterDS, iterStages, _ := PlanAndRunIterative(ds, targets, 3)
+	iterDS, iterStages, _, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, targets, 3)
 	if len(iterStages) < len(oneStages) {
 		t.Fatalf("iterative planned fewer stages: %d vs %d", len(iterStages), len(oneStages))
 	}
@@ -380,7 +410,7 @@ func TestPlanAndRunIterativeAssessesEachStateOnce(t *testing.T) {
 	}
 	cur := ds
 	for i, st := range stages {
-		out, ref := NewPipeline(st).Run(cur)
+		out, ref, _ := NewPipeline(st).RunContext(context.Background(), nil, cur)
 		if !reflect.DeepEqual(reports[i].Before, ref[0].Before) || !reflect.DeepEqual(reports[i].After, ref[0].After) {
 			t.Fatalf("stage %s: report %v -> %v, stage run on its own %v -> %v",
 				st.Name(), reports[i].Before, reports[i].After, ref[0].Before, ref[0].After)
@@ -398,7 +428,7 @@ func TestPlanAndRunIterativeCleanDataNoops(t *testing.T) {
 		ExpectedInterval: 1,
 		MaxSpeed:         10,
 	}
-	_, stages, reports := PlanAndRunIterative(ds, DefaultTargets(), 3)
+	_, stages, reports, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, DefaultTargets(), 3)
 	if len(stages) != 0 || len(reports) != 0 {
 		t.Fatalf("clean data planned %d stages", len(stages))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sidq/internal/geo"
@@ -106,7 +107,7 @@ func TestCloneCOWContract(t *testing.T) {
 func TestRunnerOutputIsolatedFromInput(t *testing.T) {
 	ds := dirtyDataset(23)
 	origX := ds.Trajectories[0].Points[0].Pos.X
-	out, _ := NewPipeline(SmoothingStage{}, DeduplicateStage{}).Run(ds)
+	out, _, _ := NewPipeline(SmoothingStage{}, DeduplicateStage{}).RunContext(context.Background(), nil, ds)
 	for i := range out.Trajectories {
 		for j := range out.Trajectories[i].Points {
 			out.Trajectories[i].Points[j].Pos.X = -1e9

@@ -17,9 +17,6 @@ import (
 // can depend on core alone.
 type TraceSink = obs.TraceSink
 
-// TraceEvent is the event type delivered to a TraceSink.
-type TraceEvent = obs.TraceEvent
-
 // panicError marks an attempt that panicked and was recovered; the
 // runner counts these separately from ordinary stage errors.
 type panicError struct {

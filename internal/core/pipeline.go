@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"time"
 
 	"sidq/internal/quality"
@@ -82,54 +80,12 @@ type Pipeline struct {
 // NewPipeline returns a pipeline over the given stages.
 func NewPipeline(stages ...Stage) *Pipeline { return &Pipeline{Stages: stages} }
 
-// Run clones the dataset, applies every stage in order, and returns the
-// cleaned dataset together with per-stage before/after assessments.
-// It executes on the default Runner: a panicking or failing stage is
-// skipped (recorded in its report) instead of killing the run.
-func (p *Pipeline) Run(ds *Dataset) (*Dataset, []StageReport) {
-	out, reports, _ := DefaultRunner().Run(context.Background(), p, ds)
-	return out, reports
-}
-
-// RunContext executes the pipeline on the given runner, exposing
-// cancellation, deadlines, retries, and failure policies to callers
-// that need them.
+// RunContext clones the dataset, applies every stage in order on the
+// given runner (nil selects DefaultRunner), and returns the cleaned
+// dataset together with per-stage before/after assessments.
 func (p *Pipeline) RunContext(ctx context.Context, r *Runner, ds *Dataset) (*Dataset, []StageReport, error) {
 	if r == nil {
 		r = DefaultRunner()
 	}
 	return r.Run(ctx, p, ds)
-}
-
-// RenderReports formats stage reports as an aligned table of the
-// dimensions that moved, annotated with the runner's execution record.
-func RenderReports(reports []StageReport) string {
-	var b strings.Builder
-	for _, r := range reports {
-		fmt.Fprintf(&b, "stage %-22s (%s)", r.Stage, r.Task)
-		if r.Attempts > 1 {
-			fmt.Fprintf(&b, " [attempts=%d]", r.Attempts)
-		}
-		switch {
-		case r.Skipped:
-			fmt.Fprintf(&b, " [skipped: %v]", r.Err)
-		case r.RolledBack:
-			b.WriteString(" [rolled back: quality regression]")
-		case r.Err != nil:
-			fmt.Fprintf(&b, " [degraded: %v]", r.Err)
-		}
-		b.WriteString("\n")
-		for _, d := range quality.AllDimensions() {
-			bv, okB := r.Before[d]
-			av, okA := r.After[d]
-			if !okB && !okA {
-				continue
-			}
-			if okB && okA && bv == av {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-18s %12.4f -> %12.4f\n", d, bv, av)
-		}
-	}
-	return b.String()
 }

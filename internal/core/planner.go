@@ -70,18 +70,12 @@ func PlanAndRun(ds *Dataset, t Targets) (*Dataset, []Stage, []StageReport) {
 	return out, stages, reports
 }
 
-// PlanAndRunIterative repeats assess-plan-run until the targets are met
-// or no further stages are planned, up to maxRounds rounds. Cleaning
+// PlanAndRunIterativeWith repeats assess-plan-run until the targets are
+// met or no further stages are planned, up to maxRounds rounds. Cleaning
 // can itself create deficits (dropping outliers lowers completeness,
 // for example), which a single planning pass cannot anticipate; the
 // re-assessment loop closes that gap. A stage type is applied at most
-// once across rounds to guarantee termination.
-func PlanAndRunIterative(ds *Dataset, t Targets, maxRounds int) (*Dataset, []Stage, []StageReport) {
-	out, stages, reports, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, t, maxRounds)
-	return out, stages, reports
-}
-
-// PlanAndRunIterativeWith is PlanAndRunIterative executing on the
+// once across rounds to guarantee termination. It executes on the
 // caller's runner (nil selects DefaultRunner) — the hook services and
 // CLIs use to attach observability or retry policies to planned
 // cleaning. The error is non-nil only when the runner's policy

@@ -111,8 +111,8 @@ func (p RetryPolicy) Delay(attempt int, rng *rand.Rand) time.Duration {
 // Runner executes pipelines resiliently: per-stage deadlines, panic
 // recovery, bounded retry with exponential backoff + jitter, and a
 // configurable failure policy including a quality-regression guard.
-// The zero value runs like the historical Pipeline.Run except that a
-// panicking or failing stage is skipped rather than killing the run.
+// The zero value applies every stage once and stops at the first that
+// fails or panics (FailFast), returning the error instead of dying.
 type Runner struct {
 	Policy       FailurePolicy
 	Retry        RetryPolicy
@@ -146,7 +146,7 @@ type Runner struct {
 	Trace TraceSink
 }
 
-// DefaultRunner returns the runner Pipeline.Run uses: skip failing
+// DefaultRunner returns the runner a nil *Runner selects: skip failing
 // stages, one attempt, no deadlines, no regression guard.
 func DefaultRunner() *Runner { return &Runner{Policy: SkipStage} }
 

@@ -7,13 +7,11 @@ import (
 	"sync"
 
 	"sidq/internal/faults"
-	"sidq/internal/geo"
 	"sidq/internal/integrate"
 	"sidq/internal/outlier"
 	"sidq/internal/quality"
 	"sidq/internal/refine"
 	"sidq/internal/trajectory"
-	"sidq/internal/uncertain"
 )
 
 // Task identifies a §2.2 quality-management task family.
@@ -151,38 +149,6 @@ func (s SmoothingStage) Apply(ctx context.Context, ds *Dataset) error {
 			r = a
 		}
 		ds.Trajectories[i] = refine.KalmanSmoothTrajectory(tr, q, r)
-	}
-	return nil
-}
-
-// PredictionRepairStage repairs (rather than drops) gross trajectory
-// outliers with the Kalman prediction-based detector.
-type PredictionRepairStage struct {
-	MeasNoise float64 // default 5
-	Threshold float64 // default 5
-}
-
-// Name implements Stage.
-func (s PredictionRepairStage) Name() string { return "prediction-repair" }
-
-// Task implements Stage.
-func (s PredictionRepairStage) Task() Task { return OutlierRemoval }
-
-// Traits implements Stage: replace-only.
-func (s PredictionRepairStage) Traits() StageTraits { return replaceOnly }
-
-// Apply implements Stage.
-func (s PredictionRepairStage) Apply(ctx context.Context, ds *Dataset) error {
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		repaired, _ := outlier.Prediction(tr, outlier.PredictionOptions{
-			MeasNoise: s.MeasNoise,
-			Threshold: s.Threshold,
-			Repair:    true,
-		})
-		ds.Trajectories[i] = repaired
 	}
 	return nil
 }
@@ -349,113 +315,5 @@ func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 		ts = 600
 	}
 	ds.Readings, _ = faults.RepairThematic(ds.Readings, flags, ss, ts)
-	return nil
-}
-
-// SmoothReadingsStage is referenced by the planner when precision is
-// the only deficit on the readings side; it applies a per-sensor
-// moving-median.
-type SmoothReadingsStage struct {
-	Window int // samples each side (default 2)
-}
-
-// Name implements Stage.
-func (s SmoothReadingsStage) Name() string { return "readings-smoothing" }
-
-// Task implements Stage.
-func (s SmoothReadingsStage) Task() Task { return UncertaintyElimination }
-
-// Traits implements Stage: replace-only.
-func (s SmoothReadingsStage) Traits() StageTraits { return replaceOnly }
-
-// Apply implements Stage.
-func (s SmoothReadingsStage) Apply(ctx context.Context, ds *Dataset) error {
-	w := s.Window
-	if w <= 0 {
-		w = 2
-	}
-	series := groupReadingIdx(ds)
-	for _, idxs := range series {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		vals := make([]float64, len(idxs))
-		for i, idx := range idxs {
-			vals[i] = ds.Readings[idx].Value
-		}
-		for i, idx := range idxs {
-			lo, hi := i-w, i+w
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= len(vals) {
-				hi = len(vals) - 1
-			}
-			window := append([]float64(nil), vals[lo:hi+1]...)
-			ds.Readings[idx].Value = medianOf(window)
-		}
-	}
-	return nil
-}
-
-func groupReadingIdx(ds *Dataset) map[string][]int {
-	out := map[string][]int{}
-	for i, r := range ds.Readings {
-		out[r.SensorID] = append(out[r.SensorID], i)
-	}
-	for _, idxs := range out {
-		// insertion sort by time (groups are small)
-		for i := 1; i < len(idxs); i++ {
-			for j := i; j > 0 && ds.Readings[idxs[j]].T < ds.Readings[idxs[j-1]].T; j-- {
-				idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-			}
-		}
-	}
-	return out
-}
-
-func medianOf(xs []float64) float64 {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// CalibrationStage pulls trajectory points toward reference anchors.
-type CalibrationStage struct {
-	Anchors []geo.Point
-	Radius  float64
-	Alpha   float64
-}
-
-// Name implements Stage.
-func (s CalibrationStage) Name() string { return "anchor-calibration" }
-
-// Task implements Stage.
-func (s CalibrationStage) Task() Task { return UncertaintyElimination }
-
-// Traits implements Stage: replace-only.
-func (s CalibrationStage) Traits() StageTraits { return replaceOnly }
-
-// Apply implements Stage.
-func (s CalibrationStage) Apply(ctx context.Context, ds *Dataset) error {
-	if len(s.Anchors) == 0 {
-		return nil
-	}
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ds.Trajectories[i] = uncertain.CalibrateToAnchors(tr, s.Anchors, s.Radius, s.Alpha)
-	}
 	return nil
 }

@@ -55,27 +55,6 @@ func TestMarkovPredictorDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestMarkovPredictTopK(t *testing.T) {
-	m := NewMarkovPredictor(1)
-	for i := 0; i < 5; i++ {
-		m.Observe("a", "x")
-	}
-	for i := 0; i < 3; i++ {
-		m.Observe("a", "y")
-	}
-	m.Observe("a", "z")
-	top := m.PredictTopK("a", 2)
-	if len(top) != 2 || top[0] != "x" || top[1] != "y" {
-		t.Fatalf("topk = %v", top)
-	}
-	if m.PredictTopK("a", 0) != nil || m.PredictTopK("nope", 3) != nil {
-		t.Fatal("degenerate topk")
-	}
-	if got := m.PredictTopK("a", 10); len(got) != 3 {
-		t.Fatalf("k clamp: %v", got)
-	}
-}
-
 func TestDecayTracksDrift(t *testing.T) {
 	// Behaviour drifts: first phase a->x, second phase a->y. A decayed
 	// model should adapt; an undecayed one stays stuck on x because the

@@ -18,7 +18,6 @@ type FederatedVolume struct {
 	cells   int
 	sum     []float64
 	samples float64
-	rounds  int
 }
 
 // NewFederatedVolume returns a coordinator for models with the given
@@ -66,7 +65,6 @@ func (f *FederatedVolume) Aggregate(updates []LocalUpdate) error {
 		}
 		f.samples += u.Samples
 	}
-	f.rounds++
 	return nil
 }
 
@@ -81,6 +79,3 @@ func (f *FederatedVolume) Global() []float64 {
 	}
 	return out
 }
-
-// Rounds returns the number of aggregation rounds performed.
-func (f *FederatedVolume) Rounds() int { return f.rounds }

@@ -62,9 +62,6 @@ func TestFederatedAveragingApproachesCentralized(t *testing.T) {
 			t.Fatalf("node %d local MAE %v beats federated %v", i, local, fedErr)
 		}
 	}
-	if fed.Rounds() != 1 {
-		t.Fatalf("rounds = %d", fed.Rounds())
-	}
 }
 
 func TestFederatedShapeMismatchAndEmpty(t *testing.T) {

@@ -74,36 +74,6 @@ func (m *MarkovPredictor) Predict(from string) (string, bool) {
 	return best, true
 }
 
-// PredictTopK returns the k most likely next symbols, ordered.
-func (m *MarkovPredictor) PredictTopK(from string, k int) []string {
-	row, ok := m.counts[from]
-	if !ok || k <= 0 {
-		return nil
-	}
-	type kv struct {
-		s string
-		n float64
-	}
-	all := make([]kv, 0, len(row))
-	for s, n := range row {
-		all = append(all, kv{s, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].s < all[j].s
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].s
-	}
-	return out
-}
-
 // Accuracy evaluates next-symbol prediction over test sequences.
 func (m *MarkovPredictor) Accuracy(sequences [][]string) float64 {
 	correct, total := 0, 0

@@ -1,9 +1,9 @@
 // Package distrib provides the distributed-computing substrate used by
 // sidq's scalable query experiments: spatial partitioners that map
-// points to partitions, and a goroutine-backed partitioned executor
-// with per-worker load accounting. It reproduces the *shape* of the
-// distributed spatial-processing systems the paper surveys (throughput
-// scaling with workers, skew-induced imbalance) on a single machine.
+// points to partitions, and a goroutine-backed partitioned executor.
+// It reproduces the *shape* of the distributed spatial-processing
+// systems the paper surveys (throughput scaling with workers,
+// skew-induced imbalance) on a single machine.
 package distrib
 
 import (
@@ -16,12 +16,6 @@ import (
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("distrib: executor closed")
-
-// Partitioner maps a spatial point to a partition in [0, N).
-type Partitioner interface {
-	Partition(p geo.Point) int
-	NumPartitions() int
-}
 
 // GridPartitioner tiles a fixed extent into nx x ny cells; each cell is
 // a partition. Points outside the extent clamp to border cells. Spatial
@@ -46,7 +40,7 @@ func NewGridPartitioner(bounds geo.Rect, nx, ny int) *GridPartitioner {
 	return &GridPartitioner{bounds: bounds, nx: nx, ny: ny}
 }
 
-// Partition implements Partitioner.
+// Partition maps a point to its cell in [0, NumPartitions()).
 func (g *GridPartitioner) Partition(p geo.Point) int {
 	cx := int(float64(g.nx) * (p.X - g.bounds.Min.X) / g.bounds.Width())
 	cy := int(float64(g.ny) * (p.Y - g.bounds.Min.Y) / g.bounds.Height())
@@ -65,7 +59,7 @@ func (g *GridPartitioner) Partition(p geo.Point) int {
 	return cy*g.nx + cx
 }
 
-// NumPartitions implements Partitioner.
+// NumPartitions returns the number of cells.
 func (g *GridPartitioner) NumPartitions() int { return g.nx * g.ny }
 
 // CellRect returns the spatial extent of partition i.
@@ -95,7 +89,7 @@ func NewHashPartitioner(n int, quant float64) *HashPartitioner {
 	return &HashPartitioner{n: n, quant: quant}
 }
 
-// Partition implements Partitioner.
+// Partition maps a point to its partition in [0, NumPartitions()).
 func (h *HashPartitioner) Partition(p geo.Point) int {
 	hash := fnv.New64a()
 	var buf [16]byte
@@ -109,9 +103,6 @@ func (h *HashPartitioner) Partition(p geo.Point) int {
 	return int(hash.Sum64() % uint64(h.n))
 }
 
-// NumPartitions implements Partitioner.
-func (h *HashPartitioner) NumPartitions() int { return h.n }
-
 // Executor runs tasks on a fixed pool of workers. Tasks submitted for
 // the same partition run on the same worker in submission order, which
 // gives partitioned state single-writer semantics without locks.
@@ -119,7 +110,6 @@ type Executor struct {
 	workers []chan func()
 	wg      sync.WaitGroup
 	mu      sync.Mutex
-	counts  []int64
 	closed  bool
 }
 
@@ -134,27 +124,20 @@ func NewExecutor(n, queueDepth int) *Executor {
 	}
 	e := &Executor{
 		workers: make([]chan func(), n),
-		counts:  make([]int64, n),
 	}
 	for i := range e.workers {
 		ch := make(chan func(), queueDepth)
 		e.workers[i] = ch
 		e.wg.Add(1)
-		go func(i int, ch chan func()) {
+		go func() {
 			defer e.wg.Done()
 			for task := range ch {
 				task()
-				e.mu.Lock()
-				e.counts[i]++
-				e.mu.Unlock()
 			}
-		}(i, ch)
+		}()
 	}
 	return e
 }
-
-// NumWorkers returns the pool size.
-func (e *Executor) NumWorkers() int { return len(e.workers) }
 
 // Submit enqueues a task for the worker owning the given partition.
 func (e *Executor) Submit(partition int, task func()) error {
@@ -185,29 +168,4 @@ func (e *Executor) Close() {
 		close(ch)
 	}
 	e.wg.Wait()
-}
-
-// Counts returns a copy of the per-worker completed-task counts.
-func (e *Executor) Counts() []int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]int64(nil), e.counts...)
-}
-
-// Imbalance returns max/mean of the per-worker task counts (1.0 is a
-// perfectly balanced pool; 0 if nothing ran).
-func (e *Executor) Imbalance() float64 {
-	counts := e.Counts()
-	var sum, max int64
-	for _, c := range counts {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(counts))
-	return float64(max) / mean
 }

@@ -48,7 +48,7 @@ func E10(seed int64) Table {
 			tr.Points[idx].Pos = tr.Points[idx].Pos.Add(geo.Pt(0, 500))
 			truthFlags[idx] = true
 		}
-		got := analysis.DetectTrajectory(tr, 60, 5)
+		got := analysis.DetectTrajectory(tr, 5)
 		// Score only the injected points (recovery position after a
 		// teleport may legitimately flag idx+1 too; ignore those).
 		var s outlier.Score

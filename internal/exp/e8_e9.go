@@ -7,7 +7,6 @@ import (
 
 	"sidq/internal/geo"
 	"sidq/internal/index"
-	"sidq/internal/simulate"
 	"sidq/internal/uquery"
 )
 
@@ -198,5 +197,3 @@ func E9(seed int64) Table {
 	}
 	return t
 }
-
-var _ = simulate.TripOptions{} // reserved for future dynamics workloads

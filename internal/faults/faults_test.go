@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"sidq/internal/geo"
@@ -21,17 +22,19 @@ func world(t *testing.T, fn, fp float64, seed int64) (Deployment, []float64, map
 	for _, r := range w.Readers {
 		dep.Readers = append(dep.Readers, ReaderInfo{ID: r.ID, Pos: r.Pos, Range: r.Range})
 	}
-	dets := make([]Detection, 0, len(w.Detections))
-	for _, d := range w.Detections {
-		dets = append(dets, Detection{Reader: d.ReaderID, T: d.T})
-	}
-	_, obs := EpochObservations(dets)
-	// Include silent epochs so FNs are visible to the cleaners.
-	obsAll := map[float64][]string{}
+	// Readers seen per epoch, silent epochs included so FNs are visible
+	// to the cleaners.
+	obs := map[float64][]string{}
 	for _, e := range w.Epochs {
-		obsAll[e] = obs[e]
+		obs[e] = nil
 	}
-	return dep, w.Epochs, obsAll, w.Truth
+	for _, d := range w.Detections {
+		obs[d.T] = append(obs[d.T], d.ReaderID)
+	}
+	for _, rs := range obs {
+		sort.Strings(rs)
+	}
+	return dep, w.Epochs, obs, w.Truth
 }
 
 // rawAccuracy scores the uncleaned observations: an epoch is correct if
@@ -47,21 +50,6 @@ func rawAccuracy(epochs []float64, obs map[float64][]string, truth map[float64]s
 		}
 	}
 	return float64(ok) / float64(len(epochs))
-}
-
-func TestEpochObservations(t *testing.T) {
-	dets := []Detection{
-		{Reader: "b", T: 2},
-		{Reader: "a", T: 1},
-		{Reader: "c", T: 2},
-	}
-	times, obs := EpochObservations(dets)
-	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
-		t.Fatalf("times = %v", times)
-	}
-	if got := obs[2.0]; len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("obs[2] = %v", got)
-	}
 }
 
 func TestResolveConflictsRemovesCrossReads(t *testing.T) {
@@ -155,7 +143,7 @@ func TestSequenceAccuracy(t *testing.T) {
 
 func TestTimestampViolationsAndRepair(t *testing.T) {
 	ts := []float64{0, 1, 2, 2.1, 10, 11}
-	v := TimestampViolations(ts, 0.5, 3)
+	v := timestampViolations(ts, 0.5, 3)
 	if len(v) != 2 || v[0] != 3 || v[1] != 4 {
 		t.Fatalf("violations = %v", v)
 	}
@@ -163,7 +151,7 @@ func TestTimestampViolationsAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := TimestampViolations(repaired, 0.5, 3); len(got) != 0 {
+	if got := timestampViolations(repaired, 0.5, 3); len(got) != 0 {
 		t.Fatalf("repair left violations: %v (%v)", got, repaired)
 	}
 }

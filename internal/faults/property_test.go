@@ -23,7 +23,7 @@ func TestRepairTimestampsAlwaysFeasible(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(TimestampViolations(repaired, lo, hi)) == 0
+		return len(timestampViolations(repaired, lo, hi)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,24 @@ func TestRepairTimestampsCorruptFirst(t *testing.T) {
 	if repErr >= rawErr {
 		t.Fatalf("first-timestamp repair: raw %v -> %v", rawErr, repErr)
 	}
-	if len(TimestampViolations(repaired, 1, 3)) != 0 {
+	if len(timestampViolations(repaired, 1, 3)) != 0 {
 		t.Fatal("constraints violated")
 	}
+}
+
+// timestampViolations is the oracle RepairTimestamps is held to: the
+// indices i (of the second element of the pair) where ts[i] - ts[i-1]
+// falls outside [minGap, maxGap].
+func timestampViolations(ts []float64, minGap, maxGap float64) []int {
+	var out []int
+	for i := 1; i < len(ts); i++ {
+		gap := ts[i] - ts[i-1]
+		// Tolerance scales with magnitude: subtracting two large nearby
+		// timestamps loses absolute precision.
+		tol := 1e-9 * math.Max(1, math.Abs(ts[i]))
+		if gap < minGap-tol || gap > maxGap+tol {
+			out = append(out, i)
+		}
+	}
+	return out
 }

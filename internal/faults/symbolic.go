@@ -12,7 +12,6 @@ package faults
 
 import (
 	"math"
-	"sort"
 
 	"sidq/internal/geo"
 )
@@ -22,13 +21,6 @@ type ReaderInfo struct {
 	ID    string
 	Pos   geo.Point
 	Range float64
-}
-
-// Detection is a raw symbolic observation: the reader saw the tracked
-// object at epoch time T.
-type Detection struct {
-	Reader string
-	T      float64
 }
 
 // Deployment is the static context symbolic cleansing needs: the
@@ -41,22 +33,6 @@ type Deployment struct {
 
 // None is the symbolic label for "covered by no reader".
 const None = ""
-
-// EpochObservations groups raw detections by epoch time, returning the
-// sorted epoch times and the set of readers seen at each.
-func EpochObservations(dets []Detection) ([]float64, map[float64][]string) {
-	byT := map[float64][]string{}
-	for _, d := range dets {
-		byT[d.T] = append(byT[d.T], d.Reader)
-	}
-	times := make([]float64, 0, len(byT))
-	for t := range byT {
-		times = append(times, t)
-		sort.Strings(byT[t])
-	}
-	sort.Float64s(times)
-	return times, byT
-}
 
 // ResolveConflicts performs rule-based false-positive removal: at each
 // epoch with multiple detections it keeps the reader that is

@@ -2,28 +2,11 @@ package faults
 
 import (
 	"errors"
-	"math"
 )
 
 // ErrInfeasible is returned when no timestamp assignment can satisfy
 // the gap constraints (e.g. maxGap < minGap).
 var ErrInfeasible = errors.New("faults: infeasible timestamp constraints")
-
-// TimestampViolations returns the indices i (of the second element of
-// the pair) where ts[i] - ts[i-1] falls outside [minGap, maxGap].
-func TimestampViolations(ts []float64, minGap, maxGap float64) []int {
-	var out []int
-	for i := 1; i < len(ts); i++ {
-		gap := ts[i] - ts[i-1]
-		// Tolerance scales with magnitude: subtracting two large nearby
-		// timestamps loses absolute precision.
-		tol := 1e-9 * math.Max(1, math.Abs(ts[i]))
-		if gap < minGap-tol || gap > maxGap+tol {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // RepairTimestamps repairs a timestamp sequence so consecutive gaps lie
 // in [minGap, maxGap], staying close to the observed values. The repair

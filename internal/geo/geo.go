@@ -1,20 +1,14 @@
-// Package geo provides planar and geodetic geometry primitives used by
-// every other sidq package: points, segments, rectangles, polylines,
-// distance functions, and a local tangent-plane projection that maps
-// WGS84 coordinates into planar meters.
+// Package geo provides the planar geometry primitives used by every
+// other sidq package: points, segments, rectangles, polylines and
+// distance functions.
 //
-// All planar computations are in meters in a right-handed X/Y frame.
-// Geodetic helpers operate on WGS84 latitude/longitude degrees.
+// All computations are in meters in a right-handed X/Y frame.
 package geo
 
 import (
 	"fmt"
 	"math"
 )
-
-// EarthRadiusMeters is the mean Earth radius used by the haversine and
-// local-projection helpers.
-const EarthRadiusMeters = 6371008.8
 
 // Point is a planar point in meters.
 type Point struct {
@@ -35,12 +29,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Cross returns the z component of the cross product of p and q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
@@ -107,60 +95,5 @@ func clamp01(t float64) float64 {
 		return 1
 	default:
 		return t
-	}
-}
-
-// DegToRad converts degrees to radians.
-func DegToRad(d float64) float64 { return d * math.Pi / 180 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(r float64) float64 { return r * 180 / math.Pi }
-
-// LatLon is a WGS84 geodetic coordinate in degrees.
-type LatLon struct {
-	Lat, Lon float64
-}
-
-// Haversine returns the great-circle distance in meters between a and b.
-func Haversine(a, b LatLon) float64 {
-	lat1, lat2 := DegToRad(a.Lat), DegToRad(b.Lat)
-	dLat := lat2 - lat1
-	dLon := DegToRad(b.Lon - a.Lon)
-	s1 := math.Sin(dLat / 2)
-	s2 := math.Sin(dLon / 2)
-	h := s1*s1 + math.Cos(lat1)*math.Cos(lat2)*s2*s2
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
-// Projection is an equirectangular local tangent-plane projection
-// anchored at an origin. It is accurate to well under 0.1% for extents
-// up to tens of kilometers, which covers every workload in this
-// repository (city-scale SID).
-type Projection struct {
-	origin LatLon
-	cosLat float64
-}
-
-// NewProjection returns a local projection anchored at origin.
-func NewProjection(origin LatLon) *Projection {
-	return &Projection{origin: origin, cosLat: math.Cos(DegToRad(origin.Lat))}
-}
-
-// Origin returns the projection anchor.
-func (pr *Projection) Origin() LatLon { return pr.origin }
-
-// ToPlane projects a geodetic coordinate to planar meters.
-func (pr *Projection) ToPlane(ll LatLon) Point {
-	return Point{
-		X: DegToRad(ll.Lon-pr.origin.Lon) * pr.cosLat * EarthRadiusMeters,
-		Y: DegToRad(ll.Lat-pr.origin.Lat) * EarthRadiusMeters,
-	}
-}
-
-// ToLatLon inverts ToPlane.
-func (pr *Projection) ToLatLon(p Point) LatLon {
-	return LatLon{
-		Lat: pr.origin.Lat + RadToDeg(p.Y/EarthRadiusMeters),
-		Lon: pr.origin.Lon + RadToDeg(p.X/(EarthRadiusMeters*pr.cosLat)),
 	}
 }

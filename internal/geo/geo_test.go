@@ -33,9 +33,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 16 {
 		t.Fatalf("Dot = %v", got)
 	}
-	if got := p.Cross(q); got != -2 {
-		t.Fatalf("Cross = %v", got)
-	}
 	if got := p.Lerp(q, 0.5); got != Pt(2.5, 4) {
 		t.Fatalf("Lerp = %v", got)
 	}
@@ -92,47 +89,6 @@ func TestSegmentDistNonNegativeAndTriangle(t *testing.T) {
 	}
 }
 
-func TestHaversineKnownDistance(t *testing.T) {
-	cph := LatLon{Lat: 55.6761, Lon: 12.5683} // Copenhagen
-	aal := LatLon{Lat: 57.0488, Lon: 9.9217}  // Aalborg
-	d := Haversine(cph, aal)
-	// Great-circle distance Copenhagen-Aalborg is roughly 220 km.
-	if d < 210e3 || d > 230e3 {
-		t.Fatalf("Haversine = %v m, want ~220 km", d)
-	}
-	if Haversine(cph, cph) != 0 {
-		t.Fatalf("self distance nonzero")
-	}
-	almost(t, Haversine(cph, aal), Haversine(aal, cph), 1e-9, "symmetry")
-}
-
-func TestProjectionRoundTrip(t *testing.T) {
-	pr := NewProjection(LatLon{Lat: 55.67, Lon: 12.56})
-	cases := []LatLon{
-		{55.67, 12.56},
-		{55.70, 12.60},
-		{55.60, 12.50},
-		{55.75, 12.40},
-	}
-	for _, ll := range cases {
-		p := pr.ToPlane(ll)
-		back := pr.ToLatLon(p)
-		almost(t, back.Lat, ll.Lat, 1e-9, "lat round trip")
-		almost(t, back.Lon, ll.Lon, 1e-9, "lon round trip")
-	}
-}
-
-func TestProjectionMatchesHaversine(t *testing.T) {
-	origin := LatLon{Lat: 55.67, Lon: 12.56}
-	pr := NewProjection(origin)
-	other := LatLon{Lat: 55.72, Lon: 12.63}
-	planar := pr.ToPlane(other).Dist(pr.ToPlane(origin))
-	geodetic := Haversine(origin, other)
-	if math.Abs(planar-geodetic)/geodetic > 0.005 {
-		t.Fatalf("planar %v vs geodetic %v differ by >0.5%%", planar, geodetic)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := RectFromPoints(Pt(0, 0), Pt(10, 5))
 	if r.Width() != 10 || r.Height() != 5 || r.Area() != 50 {
@@ -172,15 +128,10 @@ func TestRectEmpty(t *testing.T) {
 func TestRectIntersection(t *testing.T) {
 	a := Rect{Pt(0, 0), Pt(10, 10)}
 	b := Rect{Pt(5, 5), Pt(15, 15)}
-	got := a.Intersection(b)
-	want := Rect{Pt(5, 5), Pt(10, 10)}
-	if got != want {
-		t.Fatalf("intersection = %v, want %v", got, want)
+	if !a.Intersects(b) || !b.Intersects(a) {
+		t.Fatal("overlapping rects do not intersect")
 	}
 	c := Rect{Pt(20, 20), Pt(30, 30)}
-	if !a.Intersection(c).IsEmpty() {
-		t.Fatal("disjoint intersection not empty")
-	}
 	if a.Intersects(c) {
 		t.Fatal("disjoint rects intersect")
 	}
@@ -191,7 +142,6 @@ func TestRectDistToPoint(t *testing.T) {
 	almost(t, r.DistToPoint(Pt(5, 5)), 0, 0, "inside")
 	almost(t, r.DistToPoint(Pt(13, 14)), 5, 1e-12, "corner")
 	almost(t, r.DistToPoint(Pt(5, -3)), 3, 1e-12, "edge")
-	almost(t, r.MaxDistToPoint(Pt(0, 0)), math.Hypot(10, 10), 1e-12, "max corner")
 }
 
 func TestRectExpand(t *testing.T) {
@@ -235,57 +185,9 @@ func TestPolylineLengthAndPointAt(t *testing.T) {
 	}
 }
 
-func TestPolylineResample(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(10, 0)}
-	rs := pl.Resample(5)
-	if len(rs) != 5 {
-		t.Fatalf("len = %d", len(rs))
-	}
-	if rs[0] != Pt(0, 0) || rs[4] != Pt(10, 0) {
-		t.Fatalf("endpoints not preserved: %v", rs)
-	}
-	almost(t, rs[2].X, 5, 1e-9, "midpoint")
-	if pl.Resample(1) != nil {
-		t.Fatal("n<2 should return nil")
-	}
-	if Polyline(nil).Resample(3) != nil {
-		t.Fatal("empty polyline should return nil")
-	}
-}
-
-func TestPolylineProject(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(10, 0), Pt(10, 10)}
-	arc, closest, dist := pl.Project(Pt(12, 5))
-	almost(t, arc, 15, 1e-9, "arc")
-	if closest != Pt(10, 5) {
-		t.Fatalf("closest = %v", closest)
-	}
-	almost(t, dist, 2, 1e-9, "dist")
-}
-
-func TestHausdorff(t *testing.T) {
-	a := Polyline{Pt(0, 0), Pt(10, 0)}
-	b := Polyline{Pt(0, 3), Pt(10, 3)}
-	almost(t, Hausdorff(a, b), 3, 1e-12, "parallel lines")
-	if Hausdorff(a, a) != 0 {
-		t.Fatal("self distance nonzero")
-	}
-	almost(t, Hausdorff(a, b), Hausdorff(b, a), 0, "symmetry")
-}
-
 func TestPointNormAndString(t *testing.T) {
-	if Pt(3, 4).Norm() != 5 {
-		t.Fatal("norm")
-	}
 	if got := Pt(1, 2).String(); got != "(1.000, 2.000)" {
 		t.Fatalf("string = %q", got)
-	}
-}
-
-func TestProjectionOrigin(t *testing.T) {
-	o := LatLon{Lat: 55, Lon: 12}
-	if NewProjection(o).Origin() != o {
-		t.Fatal("origin")
 	}
 }
 
@@ -295,28 +197,12 @@ func TestPolylineBoundsAndDistToPoint(t *testing.T) {
 	if b.Min != Pt(0, 0) || b.Max != Pt(10, 10) {
 		t.Fatalf("bounds = %v", b)
 	}
-	almost(t, pl.DistToPoint(Pt(5, 3)), 3, 1e-12, "polyline dist")
-	if !math.IsInf(Polyline(nil).DistToPoint(Pt(0, 0)), 1) {
-		t.Fatal("empty polyline dist")
-	}
-	almost(t, Polyline{Pt(2, 2)}.DistToPoint(Pt(5, 6)), 5, 1e-12, "single-point dist")
-}
-
-func TestPolylineProjectSinglePoint(t *testing.T) {
-	arc, closest, dist := Polyline{Pt(1, 1)}.Project(Pt(4, 5))
-	if arc != 0 || closest != Pt(1, 1) {
-		t.Fatalf("project single: %v %v", arc, closest)
-	}
-	almost(t, dist, 5, 1e-12, "single dist")
 }
 
 func TestRectFromCenterAndPerimeter(t *testing.T) {
 	r := RectFromCenter(Pt(5, 5), 2, 3)
 	if r.Min != Pt(3, 2) || r.Max != Pt(7, 8) {
 		t.Fatalf("rect = %v", r)
-	}
-	if r.Perimeter() != 10 { // width 4 + height 6
-		t.Fatalf("perimeter = %v", r.Perimeter())
 	}
 }
 
@@ -333,9 +219,6 @@ func TestContainsRectEmptyCases(t *testing.T) {
 func TestRectDistEmptyAndExpandEmpty(t *testing.T) {
 	if !math.IsInf(EmptyRect().DistToPoint(Pt(0, 0)), 1) {
 		t.Fatal("empty dist should be +Inf")
-	}
-	if EmptyRect().MaxDistToPoint(Pt(0, 0)) != 0 {
-		t.Fatal("empty max dist should be 0")
 	}
 	if !EmptyRect().Expand(5).IsEmpty() {
 		t.Fatal("expanding empty stays empty")

@@ -1,7 +1,5 @@
 package geo
 
-import "math"
-
 // Polyline is an ordered sequence of planar points.
 type Polyline []Point
 
@@ -35,80 +33,4 @@ func (pl Polyline) PointAt(d float64) Point {
 		d -= seg
 	}
 	return pl[len(pl)-1]
-}
-
-// Resample returns n points evenly spaced along the polyline by arc
-// length, always including both endpoints. n must be >= 2.
-func (pl Polyline) Resample(n int) Polyline {
-	if len(pl) == 0 || n < 2 {
-		return nil
-	}
-	total := pl.Length()
-	out := make(Polyline, n)
-	for i := 0; i < n; i++ {
-		out[i] = pl.PointAt(total * float64(i) / float64(n-1))
-	}
-	return out
-}
-
-// DistToPoint returns the minimum distance from p to the polyline.
-func (pl Polyline) DistToPoint(p Point) float64 {
-	if len(pl) == 0 {
-		return math.Inf(1)
-	}
-	if len(pl) == 1 {
-		return pl[0].Dist(p)
-	}
-	best := math.Inf(1)
-	for i := 1; i < len(pl); i++ {
-		d := Segment{pl[i-1], pl[i]}.Dist(p)
-		if d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// Project returns the arc-length position along the polyline of the
-// point closest to p, together with that closest point and distance.
-func (pl Polyline) Project(p Point) (arc float64, closest Point, dist float64) {
-	dist = math.Inf(1)
-	var walked float64
-	if len(pl) == 1 {
-		return 0, pl[0], pl[0].Dist(p)
-	}
-	for i := 1; i < len(pl); i++ {
-		seg := Segment{pl[i-1], pl[i]}
-		t := seg.ClosestParam(p)
-		c := seg.Interpolate(t)
-		if d := c.Dist(p); d < dist {
-			dist = d
-			closest = c
-			arc = walked + t*seg.Length()
-		}
-		walked += seg.Length()
-	}
-	return arc, closest, dist
-}
-
-// Hausdorff returns the (symmetric) discrete Hausdorff distance between
-// the vertex sets of a and b.
-func Hausdorff(a, b Polyline) float64 {
-	return math.Max(directedHausdorff(a, b), directedHausdorff(b, a))
-}
-
-func directedHausdorff(a, b Polyline) float64 {
-	var worst float64
-	for _, p := range a {
-		best := math.Inf(1)
-		for _, q := range b {
-			if d := p.Dist(q); d < best {
-				best = d
-			}
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	return worst
 }

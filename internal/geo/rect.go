@@ -52,9 +52,6 @@ func (r Rect) Height() float64 {
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns half the perimeter (the usual R-tree margin metric).
-func (r Rect) Perimeter() float64 { return r.Width() + r.Height() }
-
 // Center returns the rectangle center.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -97,18 +94,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Intersection returns the overlap of r and s (possibly empty).
-func (r Rect) Intersection(s Rect) Rect {
-	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}
-
 // ExtendPoint returns the minimal rectangle covering r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(Rect{Min: p, Max: p})
@@ -136,15 +121,5 @@ func (r Rect) DistToPoint(p Point) float64 {
 	}
 	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// MaxDistToPoint returns the maximum distance from p to any point of r.
-func (r Rect) MaxDistToPoint(p Point) float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
 	return math.Hypot(dx, dy)
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -33,21 +32,6 @@ func bruteRange(entries []PointEntry, rect geo.Rect) map[string]bool {
 	return out
 }
 
-func bruteKNN(entries []PointEntry, q geo.Point, k int) []string {
-	sorted := append([]PointEntry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Pos.DistSq(q) < sorted[j].Pos.DistSq(q)
-	})
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	ids := make([]string, k)
-	for i := 0; i < k; i++ {
-		ids[i] = sorted[i].ID
-	}
-	return ids
-}
-
 func TestGridRangeMatchesBruteForce(t *testing.T) {
 	entries := randomEntries(500, 1000, 1)
 	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 50)
@@ -71,69 +55,6 @@ func TestGridRangeMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: unexpected %s", trial, e.ID)
 			}
 		}
-	}
-}
-
-func TestGridKNNMatchesBruteForce(t *testing.T) {
-	entries := randomEntries(300, 1000, 3)
-	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 40)
-	for _, e := range entries {
-		g.Insert(e)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		q := geo.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
-		k := 1 + rng.Intn(10)
-		got := g.KNN(q, k)
-		want := bruteKNN(entries, q, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Entry.ID != want[i] {
-				// Ties can reorder; compare distances instead.
-				wd := 0.0
-				for _, e := range entries {
-					if e.ID == want[i] {
-						wd = e.Pos.Dist(q)
-					}
-				}
-				if diff := got[i].Dist - wd; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("trial %d rank %d: got %s(%f) want %s(%f)",
-						trial, i, got[i].Entry.ID, got[i].Dist, want[i], wd)
-				}
-			}
-		}
-	}
-}
-
-func TestGridKNNEdgeCases(t *testing.T) {
-	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 1)
-	if g.KNN(geo.Pt(5, 5), 3) != nil {
-		t.Fatal("empty grid KNN should be nil")
-	}
-	g.Insert(PointEntry{ID: "a", Pos: geo.Pt(1, 1)})
-	res := g.KNN(geo.Pt(0, 0), 10) // k > count
-	if len(res) != 1 || res[0].Entry.ID != "a" {
-		t.Fatalf("res = %+v", res)
-	}
-	if g.KNN(geo.Pt(0, 0), 0) != nil {
-		t.Fatal("k=0 should be nil")
-	}
-}
-
-func TestGridRemove(t *testing.T) {
-	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 1)
-	e := PointEntry{ID: "a", Pos: geo.Pt(5, 5)}
-	g.Insert(e)
-	if !g.Remove("a", e.Pos) {
-		t.Fatal("remove failed")
-	}
-	if g.Remove("a", e.Pos) {
-		t.Fatal("double remove should fail")
-	}
-	if g.Len() != 0 {
-		t.Fatalf("len = %d", g.Len())
 	}
 }
 
@@ -181,42 +102,10 @@ func TestRTreeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRTreeKNNMatchesBruteForce(t *testing.T) {
-	entries := randomEntries(400, 1000, 7)
-	rt := NewRTree()
-	for _, e := range entries {
-		rt.Insert(RectEntry{ID: e.ID, Rect: geo.Rect{Min: e.Pos, Max: e.Pos}})
-	}
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 30; trial++ {
-		q := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		k := 1 + rng.Intn(12)
-		got := rt.KNN(q, k)
-		want := bruteKNN(entries, q, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			wd := 0.0
-			for _, e := range entries {
-				if e.ID == want[i] {
-					wd = e.Pos.Dist(q)
-				}
-			}
-			if diff := got[i].Dist - wd; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("trial %d rank %d: dist %f want %f", trial, i, got[i].Dist, wd)
-			}
-		}
-	}
-}
-
 func TestRTreeEmptyAndSmall(t *testing.T) {
 	rt := NewRTree()
 	if rt.Search(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}) != nil {
 		t.Fatal("empty search should be nil")
-	}
-	if rt.KNN(geo.Pt(0, 0), 3) != nil {
-		t.Fatal("empty KNN should be nil")
 	}
 	rt.Insert(RectEntry{ID: "x", Rect: geo.RectFromCenter(geo.Pt(5, 5), 1, 1)})
 	got := rt.Search(geo.RectFromCenter(geo.Pt(5, 5), 10, 10))
@@ -244,56 +133,6 @@ func TestRTreeInsertOrderInvariance(t *testing.T) {
 	}
 	if build(fwd) != build(rev) {
 		t.Fatal("search result count depends on insert order")
-	}
-}
-
-func TestQuadtreeRangeMatchesBruteForce(t *testing.T) {
-	entries := randomEntries(600, 1000, 10)
-	qt := NewQuadtree(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)})
-	for _, e := range entries {
-		if !qt.Insert(e) {
-			t.Fatalf("insert %s rejected", e.ID)
-		}
-	}
-	if qt.Len() != 600 {
-		t.Fatalf("len = %d", qt.Len())
-	}
-	if qt.Depth() == 0 {
-		t.Fatal("tree should have split")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		c := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		rect := geo.RectFromCenter(c, rng.Float64()*200, rng.Float64()*200)
-		want := bruteRange(entries, rect)
-		got := qt.Range(rect)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d want %d", trial, len(got), len(want))
-		}
-	}
-}
-
-func TestQuadtreeRejectsOutside(t *testing.T) {
-	qt := NewQuadtree(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)})
-	if qt.Insert(PointEntry{ID: "x", Pos: geo.Pt(11, 5)}) {
-		t.Fatal("outside insert accepted")
-	}
-	if qt.Len() != 0 {
-		t.Fatal("len after rejection")
-	}
-}
-
-func TestQuadtreeDuplicatePointsDoNotRecurseForever(t *testing.T) {
-	qt := NewQuadtree(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)})
-	for i := 0; i < 100; i++ {
-		qt.Insert(PointEntry{ID: fmt.Sprintf("d%d", i), Pos: geo.Pt(3, 3)})
-	}
-	if qt.Len() != 100 {
-		t.Fatalf("len = %d", qt.Len())
-	}
-	got := qt.Range(geo.RectFromCenter(geo.Pt(3, 3), 0.5, 0.5))
-	if len(got) != 100 {
-		t.Fatalf("range found %d", len(got))
 	}
 }
 

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"container/heap"
-
 	"sidq/internal/geo"
 )
 
@@ -38,9 +36,6 @@ func NewRTree() *RTree {
 
 // Len returns the number of stored entries.
 func (t *RTree) Len() int { return t.count }
-
-// Bounds returns the bounding rectangle of all entries.
-func (t *RTree) Bounds() geo.Rect { return t.root.rect }
 
 // Insert adds an entry.
 func (t *RTree) Insert(e RectEntry) {
@@ -214,58 +209,4 @@ func (t *RTree) search(n *rtreeNode, query geo.Rect, out *[]RectEntry) {
 	for _, c := range n.children {
 		t.search(c, query, out)
 	}
-}
-
-// RectNeighbor is a nearest-neighbor search result over rectangles.
-type RectNeighbor struct {
-	Entry RectEntry
-	Dist  float64
-}
-
-// KNN returns the k entries whose rectangles are nearest to q (by
-// minimum distance), ordered by increasing distance, using best-first
-// traversal.
-func (t *RTree) KNN(q geo.Point, k int) []RectNeighbor {
-	if k <= 0 || t.count == 0 {
-		return nil
-	}
-	pq := &rtreePQ{}
-	heap.Push(pq, rtreePQItem{node: t.root, dist: t.root.rect.DistToPoint(q)})
-	var out []RectNeighbor
-	for pq.Len() > 0 && len(out) < k {
-		item := heap.Pop(pq).(rtreePQItem)
-		switch {
-		case item.node == nil:
-			out = append(out, RectNeighbor{Entry: item.entry, Dist: item.dist})
-		case item.node.leaf:
-			for _, e := range item.node.entries {
-				heap.Push(pq, rtreePQItem{entry: e, dist: e.Rect.DistToPoint(q)})
-			}
-		default:
-			for _, c := range item.node.children {
-				heap.Push(pq, rtreePQItem{node: c, dist: c.rect.DistToPoint(q)})
-			}
-		}
-	}
-	return out
-}
-
-type rtreePQItem struct {
-	node  *rtreeNode // nil for entry items
-	entry RectEntry
-	dist  float64
-}
-
-type rtreePQ []rtreePQItem
-
-func (h rtreePQ) Len() int            { return len(h) }
-func (h rtreePQ) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h rtreePQ) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *rtreePQ) Push(x interface{}) { *h = append(*h, x.(rtreePQItem)) }
-func (h *rtreePQ) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }

@@ -92,16 +92,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return out
 }
 
-// Merge adds the other snapshot's buckets and sum into s — the same
-// fold Snapshot performs across shards, exposed so callers can combine
-// histograms from multiple sources (e.g. per-lane recorders).
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	for b := 0; b < numBuckets; b++ {
-		s.Counts[b] += other.Counts[b]
-	}
-	s.Sum += other.Sum
-}
-
 // Count returns the total number of observations in the snapshot.
 func (s HistogramSnapshot) Count() uint64 {
 	var n uint64
@@ -112,11 +102,11 @@ func (s HistogramSnapshot) Count() uint64 {
 }
 
 // QuantileEst returns a linearly interpolated estimate of the
-// q-quantile (q in [0, 1]). Where Quantile reports the landing
-// bucket's upper bound — a guaranteed bound that can only move in
-// power-of-two steps — QuantileEst interpolates within the landing
-// bucket by cumulative position, assuming a uniform spread across the
-// bucket. The estimate varies smoothly as the underlying distribution
+// q-quantile (q in [0, 1]): it finds the first bucket at which the
+// cumulative count reaches q of the total and interpolates within it
+// by cumulative position, assuming a uniform spread across the bucket.
+// Unlike the bucket's bound, which can only move in power-of-two
+// steps, the estimate varies smoothly as the underlying distribution
 // shifts, which is what a latency regression gate needs: a p99 sitting
 // near a bucket boundary must not flap between 2^i and 2^(i+1) from
 // run to run. Returns 0 for an empty snapshot and the overflow
@@ -132,7 +122,6 @@ func (s HistogramSnapshot) QuantileEst(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	// Same rank convention as Quantile, so both land in the same bucket.
 	need := float64(uint64(q * float64(total)))
 	if need < 1 {
 		need = 1
@@ -154,33 +143,4 @@ func (s HistogramSnapshot) QuantileEst(q float64) float64 {
 		cum += c
 	}
 	return float64(int64(1) << maxFinite)
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0, 1]):
-// the bound of the first bucket at which the cumulative count reaches
-// q of the total. Returns 0 for an empty snapshot and the top finite
-// bound when the quantile lands in the overflow bucket.
-func (s HistogramSnapshot) Quantile(q float64) int64 {
-	total := s.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := uint64(q * float64(total))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for b := 0; b <= maxFinite; b++ {
-		cum += s.Counts[b]
-		if cum >= need {
-			return BucketBound(b)
-		}
-	}
-	return BucketBound(maxFinite)
 }

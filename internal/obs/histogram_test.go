@@ -79,57 +79,6 @@ func TestHistogramObserveSnapshot(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	for i := int64(1); i <= 100; i++ {
-		a.Observe(i)
-		b.Observe(i * 1000)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Merge(sb)
-	if got, want := merged.Count(), sa.Count()+sb.Count(); got != want {
-		t.Fatalf("merged Count = %d, want %d", got, want)
-	}
-	if got, want := merged.Sum, sa.Sum+sb.Sum; got != want {
-		t.Fatalf("merged Sum = %d, want %d", got, want)
-	}
-	for i := range merged.Counts {
-		if merged.Counts[i] != sa.Counts[i]+sb.Counts[i] {
-			t.Fatalf("bucket %d: merged %d != %d + %d", i, merged.Counts[i], sa.Counts[i], sb.Counts[i])
-		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	if got := h.Snapshot().Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %d, want 0", got)
-	}
-	// 1000 observations of value 100 (bucket 7, bound 127): every
-	// quantile must land on that bucket's bound.
-	for i := 0; i < 1000; i++ {
-		h.Observe(100)
-	}
-	s := h.Snapshot()
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := s.Quantile(q); got != 127 {
-			t.Fatalf("Quantile(%v) = %d, want 127", q, got)
-		}
-	}
-	// Add a far larger population: the high quantile must move up.
-	for i := 0; i < 9000; i++ {
-		h.Observe(1 << 20)
-	}
-	s = h.Snapshot()
-	if got := s.Quantile(0.99); got <= 127 {
-		t.Fatalf("Quantile(0.99) after heavy tail = %d, want > 127", got)
-	}
-	if got := s.Quantile(0.05); got != 127 {
-		t.Fatalf("Quantile(0.05) = %d, want 127", got)
-	}
-}
-
 func TestQuantileEstInterpolates(t *testing.T) {
 	// Fill one bucket uniformly: 1024..2047 (bucket 11). The estimated
 	// median should land near the bucket's middle, not at its bound.
@@ -163,11 +112,9 @@ func TestQuantileEstMonotoneAndBounded(t *testing.T) {
 		}
 		prev = got
 	}
-	// The estimate must stay within the bucketed upper bound.
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if est, ub := s.QuantileEst(q), s.Quantile(q); est > float64(ub)+1 {
-			t.Errorf("QuantileEst(%v) = %v above bucket bound %d", q, est, ub)
-		}
+	// The estimate must stay within the largest observation's bucket.
+	if est, ub := s.QuantileEst(1), BucketBound(bucketIndex(1<<20)); est > float64(ub)+1 {
+		t.Errorf("QuantileEst(1) = %v above bucket bound %d", est, ub)
 	}
 }
 

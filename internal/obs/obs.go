@@ -43,12 +43,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is an atomic instantaneous value that can move both ways.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

@@ -10,12 +10,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	var g Gauge
-	g.Set(10)
-	g.Add(-3)
+	g.Inc()
 	g.Inc()
 	g.Dec()
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	if got := g.Value(); got != 1 {
+		t.Fatalf("gauge = %d, want 1", got)
 	}
 }
 

@@ -15,7 +15,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Help("sidq_demo_requests_total", "Requests served.")
 	r.Counter(`sidq_demo_requests_total{route="/v1/assess",code="200"}`).Add(3)
 	r.Counter(`sidq_demo_requests_total{route="/v1/clean",code="400"}`).Inc()
-	r.Gauge("sidq_demo_in_flight").Set(2)
+	r.Gauge("sidq_demo_in_flight").Inc()
+	r.Gauge("sidq_demo_in_flight").Inc()
 	h := r.Histogram(`sidq_demo_latency_ns{route="/v1/assess"}`)
 	h.Observe(1)
 	h.Observe(3)
@@ -64,7 +65,7 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	for i := int64(1); i < 10000; i *= 3 {
 		h.Observe(i)
 	}
-	r.Gauge(`c{x="1"}`).Set(-4)
+	r.Gauge(`c{x="1"}`).Dec() // a negative value
 	r.Func("d_total", FuncCounter, func() float64 { return 12 })
 
 	var b strings.Builder

@@ -115,12 +115,6 @@ func AllDimensions() []Dimension {
 // dimensions were not measurable for the dataset.
 type Assessment map[Dimension]float64
 
-// Get returns the value and whether the dimension was measured.
-func (a Assessment) Get(d Dimension) (float64, bool) {
-	v, ok := a[d]
-	return v, ok
-}
-
 // String renders the assessment as an aligned table, dimensions in
 // declaration order.
 func (a Assessment) String() string {

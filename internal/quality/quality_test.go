@@ -246,12 +246,12 @@ func TestCharacteristicMatrixMatchesPaper(t *testing.T) {
 	for _, r := range rows {
 		if r.Structural {
 			structurals++
-			if len(PaperIssues(r.Char)) != 0 {
+			if len(paperIssues(r.Char)) != 0 {
 				t.Fatalf("%v should not be structural", r.Char)
 			}
 			continue
 		}
-		expect := PaperIssues(r.Char)
+		expect := paperIssues(r.Char)
 		if len(expect) == 0 {
 			t.Fatalf("%v missing paper issues", r.Char)
 		}
@@ -306,5 +306,33 @@ func TestDiffRendering(t *testing.T) {
 	}
 	if !strings.Contains(d, "= data_volume") {
 		t.Fatalf("unchanged not marked:\n%s", d)
+	}
+}
+
+// paperIssues maps each characteristic to the dimensions the paper's
+// Table 1 lists as affected: the expectation the measured matrix is
+// checked against.
+func paperIssues(c Characteristic) []Dimension {
+	switch c {
+	case NoisyErroneous:
+		return []Dimension{PrecisionError, Accuracy, Consistency}
+	case TemporallyDiscrete:
+		return []Dimension{TimeSparsity, Completeness, Staleness}
+	case DecentralizedHeterogeneous:
+		return []Dimension{Consistency, Latency, Interpretability}
+	case Dynamic:
+		return []Dimension{PrecisionError}
+	case VoluminousDuplicated:
+		return []Dimension{Redundancy, Latency, DataVolume}
+	case IsolatedConflicting:
+		return []Dimension{Consistency, Interpretability}
+	case Unverifiable:
+		return []Dimension{TruthVolume}
+	case HierarchicalMultiScaled:
+		return []Dimension{Consistency, Resolution, Interpretability}
+	case SpatiallyDiscrete:
+		return []Dimension{SpaceCoverage}
+	default:
+		return nil // structural rows
 	}
 }

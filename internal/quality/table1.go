@@ -74,33 +74,6 @@ type Row struct {
 	Effects    []Effect
 }
 
-// PaperIssues maps each characteristic to the dimensions Table 1 lists
-// as affected (the expectation our measurement is checked against).
-func PaperIssues(c Characteristic) []Dimension {
-	switch c {
-	case NoisyErroneous:
-		return []Dimension{PrecisionError, Accuracy, Consistency}
-	case TemporallyDiscrete:
-		return []Dimension{TimeSparsity, Completeness, Staleness}
-	case DecentralizedHeterogeneous:
-		return []Dimension{Consistency, Latency, Interpretability}
-	case Dynamic:
-		return []Dimension{PrecisionError}
-	case VoluminousDuplicated:
-		return []Dimension{Redundancy, Latency, DataVolume}
-	case IsolatedConflicting:
-		return []Dimension{Consistency, Interpretability}
-	case Unverifiable:
-		return []Dimension{TruthVolume}
-	case HierarchicalMultiScaled:
-		return []Dimension{Consistency, Resolution, Interpretability}
-	case SpatiallyDiscrete:
-		return []Dimension{SpaceCoverage}
-	default:
-		return nil // structural rows
-	}
-}
-
 // CharacteristicMatrix reproduces Table 1 empirically: it generates a
 // clean baseline trajectory workload, injects each characteristic in
 // isolation, re-assesses, and records which dimensions degraded. The

@@ -162,9 +162,6 @@ func (k *Kalman) Step(dt float64, obs geo.Point) geo.Point {
 // Position returns the current position estimate.
 func (k *Kalman) Position() geo.Point { return geo.Pt(k.x.At(0, 0), k.x.At(1, 0)) }
 
-// Velocity returns the current velocity estimate.
-func (k *Kalman) Velocity() geo.Point { return geo.Pt(k.x.At(2, 0), k.x.At(3, 0)) }
-
 // Innovation returns the distance between a prospective observation and
 // the predicted position dt seconds ahead, without mutating the filter.
 // Prediction-based outlier detection uses this as its test statistic.
@@ -368,14 +365,9 @@ type ParticleFilter struct {
 // backing block is the only steady-state allocation left.
 var pfArena = sync.Pool{New: func() any { return new([]float64) }}
 
-// NewParticleFilter returns a filter with n particles spread with
-// stddev spread around pos.
-func NewParticleFilter(n int, pos geo.Point, spread, q, r float64, seed int64) *ParticleFilter {
-	return newParticleFilter(nil, n, pos, spread, q, r, seed)
-}
-
-// newParticleFilter initializes the filter inside arena when it is
-// large enough (9n floats), allocating otherwise.
+// newParticleFilter returns a filter with n particles spread with
+// stddev spread around pos. It initializes the filter inside arena when
+// that is large enough (9n floats), allocating otherwise.
 func newParticleFilter(arena []float64, n int, pos geo.Point, spread, q, r float64, seed int64) *ParticleFilter {
 	if n < 10 {
 		n = 10

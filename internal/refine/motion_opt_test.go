@@ -238,7 +238,7 @@ func TestHMMWindowInvariant(t *testing.T) {
 // construction, Step (propagate + weight + resample) performs zero
 // heap allocations.
 func TestParticleFilterStepAllocFree(t *testing.T) {
-	pf := NewParticleFilter(400, geo.Pt(10, 10), 5, 1, 5, 42)
+	pf := newParticleFilter(nil, 400, geo.Pt(10, 10), 5, 1, 5, 42)
 	obs := geo.Pt(11, 11)
 	allocs := testing.AllocsPerRun(50, func() {
 		obs = pf.Step(1, obs)

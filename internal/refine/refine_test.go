@@ -169,7 +169,7 @@ func TestKalmanVelocityEstimate(t *testing.T) {
 	for i := 1; i < noisy.Len(); i++ {
 		k.Step(1, noisy.Points[i].Pos)
 	}
-	v := k.Velocity()
+	v := geo.Pt(k.x.At(2, 0), k.x.At(3, 0))
 	if math.Abs(v.X-3) > 0.5 || math.Abs(v.Y-1.5) > 0.5 {
 		t.Fatalf("velocity = %v, want (3, 1.5)", v)
 	}
@@ -212,7 +212,7 @@ func TestParticleFilterReducesError(t *testing.T) {
 }
 
 func TestParticleFilterRecoversFromDivergence(t *testing.T) {
-	pf := NewParticleFilter(100, geo.Pt(0, 0), 1, 1, 2, 11)
+	pf := newParticleFilter(nil, 100, geo.Pt(0, 0), 1, 1, 2, 11)
 	// Observation very far from every particle forces reinitialization.
 	est := pf.Step(1, geo.Pt(1e6, 1e6))
 	if est.Dist(geo.Pt(1e6, 1e6)) > 1e5 {

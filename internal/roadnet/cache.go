@@ -2,7 +2,6 @@ package roadnet
 
 import (
 	"sync"
-	"sync/atomic"
 )
 
 // RouteCache is a sharded LRU cache of node-pair network distances —
@@ -23,8 +22,6 @@ import (
 // many candidate pairs are mutually unreachable.
 type RouteCache struct {
 	shards [cacheShards]cacheShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 const cacheShards = 16
@@ -62,12 +59,6 @@ func NewRouteCache(capacity int) *RouteCache {
 	return c
 }
 
-// Hits returns the number of cache hits served.
-func (c *RouteCache) Hits() uint64 { return c.hits.Load() }
-
-// Misses returns the number of lookups that missed.
-func (c *RouteCache) Misses() uint64 { return c.misses.Load() }
-
 // Len returns the current number of cached entries.
 func (c *RouteCache) Len() int {
 	n := 0
@@ -100,10 +91,10 @@ func (c *RouteCache) get(u, v int32) (d float64, ok, hit bool) {
 	}
 	s.mu.Unlock()
 	if found {
-		obsAdd(&c.hits, &pkgObs.cacheHits, 1)
+		obsAdd(&pkgObs.cacheHits, 1)
 		return d, ok, true
 	}
-	obsAdd(&c.misses, &pkgObs.cacheMisses, 1)
+	obsAdd(&pkgObs.cacheMisses, 1)
 	return 0, false, false
 }
 

@@ -21,9 +21,6 @@ func TestRouteCacheGetPut(t *testing.T) {
 	if !hit || ok || !math.IsInf(d, 1) {
 		t.Fatalf("negative get(3,4) = (%v, %v, %v), want (+Inf, false, true)", d, ok, hit)
 	}
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2/1", c.Hits(), c.Misses())
-	}
 }
 
 func TestRouteCacheLRUEviction(t *testing.T) {

@@ -39,7 +39,6 @@ type Engine struct {
 
 	cache   *RouteCache
 	scratch sync.Pool // *searchScratch
-	ctr     engineCounters
 }
 
 // newEngine compiles g. The graph must not be mutated while the engine
@@ -92,9 +91,6 @@ func routeCacheCapacity(numEdges int) int {
 
 // NumNodes returns the node count of the compiled snapshot.
 func (e *Engine) NumNodes() int { return len(e.off) - 1 }
-
-// Cache returns the engine's route cache (never nil).
-func (e *Engine) Cache() *RouteCache { return e.cache }
 
 // searchScratch is the per-search state, reused across queries via the
 // engine pool. Validity of dist/prev entries is tracked by epoch
@@ -161,7 +157,7 @@ func (e *Engine) putScratch(s *searchScratch) { e.scratch.Put(s) }
 // loop exactly — same relaxation order, same strict-improvement rule,
 // same heap tie-breaking — so results are byte-identical to it.
 func (e *Engine) ShortestPath(a, b NodeID) (Path, error) {
-	obsAdd(&e.ctr.dijkstra, &pkgObs.dijkstra, 1)
+	obsAdd(&pkgObs.dijkstra, 1)
 	if n := e.NumNodes(); int(a) >= n || int(b) >= n || a < 0 || b < 0 {
 		return Path{}, fmt.Errorf("roadnet: search bad nodes %d->%d (have %d): %w", a, b, n, ErrNoPath)
 	}
@@ -199,7 +195,7 @@ func (e *Engine) ShortestPath(a, b NodeID) (Path, error) {
 			}
 		}
 	}
-	obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops)
+	obsAdd(&pkgObs.heapPops, pops)
 	if math.IsInf(s.distOf(dst), 1) {
 		return Path{}, fmt.Errorf("roadnet: %d -> %d: %w", a, b, ErrNoPath)
 	}
@@ -226,7 +222,7 @@ func (e *Engine) ShortestPath(a, b NodeID) (Path, error) {
 // than maxCost (or unreachable) unsettled. It allocates nothing once
 // the scratch heap has grown to the search's high-water mark.
 func (e *Engine) manyDist(s *searchScratch, src int32, maxCost float64) {
-	obsAdd(&e.ctr.manySweeps, &pkgObs.manySweeps, 1)
+	obsAdd(&pkgObs.manySweeps, 1)
 	s.dist[src] = 0
 	s.seen[src] = s.epoch
 	s.heap.push(src, 0)
@@ -262,7 +258,7 @@ func (e *Engine) manyDist(s *searchScratch, src int32, maxCost float64) {
 			}
 		}
 	}
-	obsAdd(&e.ctr.heapPops, &pkgObs.heapPops, pops)
+	obsAdd(&pkgObs.heapPops, pops)
 }
 
 // SnapDists fills out[j] with the network distance from snap a to each

@@ -15,8 +15,7 @@ import (
 func TestMutationInvalidatesEngineAndRouteCacheTogether(t *testing.T) {
 	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 21})
 	e1 := g.Engine()
-	a, _ := g.NodeAt(gridCorner(0, 0))
-	b, _ := g.NodeAt(gridCorner(7, 7))
+	a, b := NodeID(0), NodeID(g.NumNodes()-1) // opposite corners
 	// A transition from the end of an edge into a to the start of an
 	// edge out of b: its network distance is exactly d(a, b).
 	var into, outOf Snap
@@ -38,7 +37,7 @@ func TestMutationInvalidatesEngineAndRouteCacheTogether(t *testing.T) {
 	if before != refDijkstra(g, a)[b] {
 		t.Fatalf("pre-mutation SnapDists = %v, reference %v", before, refDijkstra(g, a)[b])
 	}
-	if e1.Cache().Len() == 0 {
+	if e1.cache.Len() == 0 {
 		t.Fatal("route cache unexpectedly empty after SnapDists")
 	}
 
@@ -52,11 +51,11 @@ func TestMutationInvalidatesEngineAndRouteCacheTogether(t *testing.T) {
 	if e2 == e1 {
 		t.Fatal("Engine() returned the stale compiled engine after mutation")
 	}
-	if e2.Cache() == e1.Cache() {
+	if e2.cache == e1.cache {
 		t.Fatal("rebuilt engine kept the stale route cache")
 	}
-	if e2.Cache().Len() != 0 {
-		t.Fatalf("rebuilt route cache has %d stale entries, want 0", e2.Cache().Len())
+	if e2.cache.Len() != 0 {
+		t.Fatalf("rebuilt route cache has %d stale entries, want 0", e2.cache.Len())
 	}
 
 	// The rebuilt engine must see the bypass: exact agreement with a

@@ -9,7 +9,7 @@ package roadnet
 //	edge,<from>,<to>,<speedcap>
 //
 // Node ids are implicit: the i-th node row is node i, which is exactly
-// what AddNode assigns, so a write/read round trip preserves every id.
+// what AddNode assigns.
 // Edge rows reference those implicit ids; edge length is recomputed
 // from the node geometry on load, as AddEdge does.
 
@@ -22,37 +22,6 @@ import (
 
 	"sidq/internal/geo"
 )
-
-// WriteCSV serializes the graph in the tagged-row format, nodes first
-// (so a streaming reader can resolve edge endpoints immediately).
-func WriteCSV(w io.Writer, g *Graph) error {
-	cw := csv.NewWriter(w)
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(NodeID(i))
-		rec := []string{
-			"node",
-			strconv.FormatFloat(n.Pos.X, 'g', -1, 64),
-			strconv.FormatFloat(n.Pos.Y, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(EdgeID(i))
-		rec := []string{
-			"edge",
-			strconv.Itoa(int(e.From)),
-			strconv.Itoa(int(e.To)),
-			strconv.FormatFloat(e.SpeedCap, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // ReadCSV parses a graph from the tagged-row format. Edge rows may
 // only reference node rows that precede them.

@@ -1,52 +1,11 @@
 package roadnet
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"sidq/internal/geo"
 )
-
-func TestGraphCSVRoundTrip(t *testing.T) {
-	g := GridCity(GridCityOptions{NX: 5, NY: 4, Spacing: 150, Jitter: 3, SpeedCap: 14, Seed: 9})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip: %d/%d nodes, %d/%d edges",
-			got.NumNodes(), g.NumNodes(), got.NumEdges(), g.NumEdges())
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		a, b := g.Node(NodeID(i)), got.Node(NodeID(i))
-		if a.Pos != b.Pos {
-			t.Fatalf("node %d moved: %v -> %v", i, a.Pos, b.Pos)
-		}
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		a, b := g.Edge(EdgeID(i)), got.Edge(EdgeID(i))
-		if a.From != b.From || a.To != b.To || a.SpeedCap != b.SpeedCap || a.Length != b.Length {
-			t.Fatalf("edge %d changed: %+v -> %+v", i, a, b)
-		}
-	}
-	// Second serialization of the parsed graph must be byte-identical.
-	var buf2 bytes.Buffer
-	if err := WriteCSV(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	var buf1 bytes.Buffer
-	if err := WriteCSV(&buf1, g); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatal("re-serialization not byte-identical")
-	}
-}
 
 func TestGraphCSVHandWritten(t *testing.T) {
 	in := "node,0,0\nnode,100,0\nnode,100,50\nedge,0,1,15\nedge,1,2,10\n"

@@ -1,24 +1,16 @@
 package roadnet
 
-// Query-engine observability. Every Engine keeps its own atomic
-// counters (one add per query, batched for heap pops — never inside
-// the relaxation loop), exposed via Engine.Stats. Package-level totals
-// aggregate across all engines and caches for process-wide exposition;
-// they are updated only after InstrumentTo enables them, so the
-// default cost is a single atomic bool load per query.
+// Query-engine observability. Package-level totals count across all
+// engines and caches for process-wide exposition (one add per query,
+// batched for heap pops — never inside the relaxation loop); they are
+// updated only after InstrumentTo enables them, so the default cost is
+// a single atomic bool load per query.
 
 import (
 	"sync/atomic"
 
 	"sidq/internal/obs"
 )
-
-// engineCounters are one engine's query counters.
-type engineCounters struct {
-	dijkstra   atomic.Uint64 // ShortestPath searches
-	manySweeps atomic.Uint64 // truncated one-to-many sweeps (SnapDists cache misses)
-	heapPops   atomic.Uint64 // total heap pops across all searches
-}
 
 // pkgObs aggregates across every engine and route cache in the
 // process. enabled gates the aggregation so uninstrumented processes
@@ -31,36 +23,11 @@ var pkgObs struct {
 	cacheHits, cacheMisses atomic.Uint64
 }
 
-// obsAdd bumps an engine counter and, when package observation is
-// enabled, the matching process-wide total.
-func obsAdd(own, total *atomic.Uint64, n uint64) {
-	own.Add(n)
+// obsAdd bumps a process-wide total when package observation is
+// enabled.
+func obsAdd(total *atomic.Uint64, n uint64) {
 	if pkgObs.enabled.Load() {
 		total.Add(n)
-	}
-}
-
-// EngineStats is a point-in-time snapshot of one engine's query
-// counters and its route cache.
-type EngineStats struct {
-	Dijkstra   uint64 // ShortestPath searches
-	ManySweeps uint64 // one-to-many sweeps (SnapDists calls with a cache miss)
-	HeapPops   uint64 // heap pops across every search
-
-	CacheHits   uint64 // route-cache lookups served from cache
-	CacheMisses uint64 // route-cache lookups that required a search
-	CacheLen    int    // current cached entries
-}
-
-// Stats returns the engine's current counters.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Dijkstra:    e.ctr.dijkstra.Load(),
-		ManySweeps:  e.ctr.manySweeps.Load(),
-		HeapPops:    e.ctr.heapPops.Load(),
-		CacheHits:   e.cache.Hits(),
-		CacheMisses: e.cache.Misses(),
-		CacheLen:    e.cache.Len(),
 	}
 }
 

@@ -5,41 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"sidq/internal/geo"
 	"sidq/internal/obs"
 )
-
-func TestEngineStatsCountQueries(t *testing.T) {
-	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 3})
-	e := g.Engine()
-	a, _ := g.NodeAt(gridCorner(0, 0))
-	b, _ := g.NodeAt(gridCorner(7, 7))
-
-	if _, err := e.ShortestPath(a, b); err != nil {
-		t.Fatal(err)
-	}
-	pathPops := e.Stats().HeapPops
-	if pathPops == 0 {
-		t.Error("HeapPops = 0 after ShortestPath, want > 0")
-	}
-	// One same-edge candidate (no lookup), two on distinct other edges
-	// (two misses, one sweep); asked again, both are hits and nothing
-	// is swept.
-	from := Snap{Edge: 0, Param: 0.5}
-	cands := []Snap{{Edge: 0, Param: 0.75}, {Edge: EdgeID(g.NumEdges() - 1)}, {Edge: EdgeID(g.NumEdges() / 2)}}
-	out := make([]float64, len(cands))
-	e.SnapDists(from, cands, math.Inf(1), out)
-	sweepPops := e.Stats().HeapPops
-	e.SnapDists(from, cands, math.Inf(1), out)
-
-	want := EngineStats{Dijkstra: 1, ManySweeps: 1, HeapPops: sweepPops, CacheMisses: 2, CacheHits: 2, CacheLen: 2}
-	if st := e.Stats(); st != want {
-		t.Errorf("Stats = %+v, want %+v", st, want)
-	}
-	if sweepPops <= pathPops {
-		t.Errorf("HeapPops %d -> %d across a sweep, want growth", pathPops, sweepPops)
-	}
-}
 
 func TestInstrumentToExposesRoadnetFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -47,9 +14,7 @@ func TestInstrumentToExposesRoadnetFamilies(t *testing.T) {
 
 	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 3})
 	e := g.Engine()
-	a, _ := g.NodeAt(gridCorner(0, 0))
-	b, _ := g.NodeAt(gridCorner(7, 7))
-	if _, err := e.ShortestPath(a, b); err != nil {
+	if _, err := e.ShortestPath(0, NodeID(g.NumNodes()-1)); err != nil {
 		t.Fatal(err)
 	}
 	e.SnapDists(Snap{Edge: 0, Param: 0.5}, []Snap{{Edge: 1, Param: 0.5}}, math.Inf(1), []float64{0})
@@ -78,5 +43,55 @@ func TestInstrumentToExposesRoadnetFamilies(t *testing.T) {
 	}
 }
 
-// gridCorner maps grid coordinates to the default 100m GridCity spacing.
-func gridCorner(x, y float64) geo.Point { return geo.Pt(x*100, y*100) }
+// engineTotals is a reading of the process-wide counters; a test
+// asserts on the difference of two.
+type engineTotals struct {
+	Dijkstra, ManySweeps, HeapPops, CacheHits, CacheMisses uint64
+}
+
+func readEngineTotals() engineTotals {
+	return engineTotals{
+		Dijkstra: pkgObs.dijkstra.Load(), ManySweeps: pkgObs.manySweeps.Load(), HeapPops: pkgObs.heapPops.Load(),
+		CacheHits: pkgObs.cacheHits.Load(), CacheMisses: pkgObs.cacheMisses.Load(),
+	}
+}
+
+func (a engineTotals) since(b engineTotals) engineTotals {
+	return engineTotals{a.Dijkstra - b.Dijkstra, a.ManySweeps - b.ManySweeps, a.HeapPops - b.HeapPops,
+		a.CacheHits - b.CacheHits, a.CacheMisses - b.CacheMisses}
+}
+
+func TestEngineStatsCountQueries(t *testing.T) {
+	pkgObs.enabled.Store(true)
+	g := GridCity(GridCityOptions{NX: 8, NY: 8, Seed: 3})
+	e := g.Engine()
+	start := readEngineTotals()
+
+	if _, err := e.ShortestPath(0, NodeID(g.NumNodes()-1)); err != nil {
+		t.Fatal(err)
+	}
+	pathPops := readEngineTotals().since(start).HeapPops
+	if pathPops == 0 {
+		t.Error("HeapPops = 0 after ShortestPath, want > 0")
+	}
+	// One same-edge candidate (no lookup), two on distinct other edges
+	// (two misses, one sweep); asked again, both are hits and nothing
+	// is swept.
+	from := Snap{Edge: 0, Param: 0.5}
+	cands := []Snap{{Edge: 0, Param: 0.75}, {Edge: EdgeID(g.NumEdges() - 1)}, {Edge: EdgeID(g.NumEdges() / 2)}}
+	out := make([]float64, len(cands))
+	e.SnapDists(from, cands, math.Inf(1), out)
+	sweepPops := readEngineTotals().since(start).HeapPops
+	e.SnapDists(from, cands, math.Inf(1), out)
+
+	want := engineTotals{Dijkstra: 1, ManySweeps: 1, HeapPops: sweepPops, CacheMisses: 2, CacheHits: 2}
+	if st := readEngineTotals().since(start); st != want {
+		t.Errorf("totals moved by %+v, want %+v", st, want)
+	}
+	if n := e.cache.Len(); n != 2 {
+		t.Errorf("route cache holds %d entries, want 2", n)
+	}
+	if sweepPops <= pathPops {
+		t.Errorf("HeapPops %d -> %d across a sweep, want growth", pathPops, sweepPops)
+	}
+}

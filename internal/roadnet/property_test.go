@@ -34,7 +34,7 @@ func refDijkstra(g *Graph, src NodeID) map[NodeID]float64 {
 			break
 		}
 		done[best] = true
-		for _, eid := range g.OutEdges(best) {
+		for _, eid := range g.out[best] {
 			e := g.Edge(eid)
 			nd := bd + e.Length
 			if cur, ok := dist[e.To]; !ok || nd < cur {

@@ -5,24 +5,18 @@
 // truncated Dijkstra sweep behind a sharded route cache — see Engine),
 // nearest-edge snapping, and deterministic synthetic city generators.
 //
-// # Mutation and aliasing contract
+// # Mutation contract
 //
-// Graph accessors that return slices — most importantly OutEdges —
-// return the graph's internal backing arrays, not copies. Callers must
-// treat them as read-only: appending to or writing through a returned
-// slice corrupts the adjacency structure and the compiled engine
-// snapshot. Build-then-query is the intended lifecycle: construct the
-// graph with AddNode/AddEdge, then query from any number of
-// goroutines. Queries are safe concurrently; mutating the graph
-// concurrently with queries is not. AddNode/AddEdge invalidate the
-// compiled engine (and its route cache), which is rebuilt lazily on
-// the next query.
+// Build-then-query is the intended lifecycle: construct the graph with
+// AddNode/AddEdge, then query from any number of goroutines. Queries
+// are safe concurrently; mutating the graph concurrently with queries
+// is not. AddNode/AddEdge invalidate the compiled engine (and its route
+// cache), which is rebuilt lazily on the next query.
 package roadnet
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -51,14 +45,6 @@ type Edge struct {
 	From, To NodeID
 	Length   float64 // meters
 	SpeedCap float64 // free-flow speed, m/s
-}
-
-// TravelTime returns the free-flow traversal time of the edge.
-func (e Edge) TravelTime() float64 {
-	if e.SpeedCap <= 0 {
-		return math.Inf(1)
-	}
-	return e.Length / e.SpeedCap
 }
 
 // Graph is a directed road network.
@@ -122,11 +108,6 @@ func (g *Graph) Node(id NodeID) Node { return g.nodes[id] }
 
 // Edge returns the edge with the given id.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
-
-// OutEdges returns the outgoing edge ids of node id. The returned
-// slice aliases the graph's internal adjacency storage and MUST NOT be
-// appended to or modified — see the package-level mutation contract.
-func (g *Graph) OutEdges(id NodeID) []EdgeID { return g.out[id] }
 
 // Engine returns the compiled query engine for the graph's current
 // revision, building it on first use. The build compiles the CSR
@@ -344,19 +325,4 @@ func ensureGridConnected(g *Graph, ids [][]NodeID, keptH, keptV [][]bool, speed 
 			return // every pocket reachable: nothing left to bridge
 		}
 	}
-}
-
-// NodeAt returns the id of the node nearest to p (linear scan; the
-// generator graphs are small). ok is false for an empty graph.
-func (g *Graph) NodeAt(p geo.Point) (NodeID, bool) {
-	if len(g.nodes) == 0 {
-		return 0, false
-	}
-	best, bestD := NodeID(0), math.Inf(1)
-	for _, n := range g.nodes {
-		if d := n.Pos.DistSq(p); d < bestD {
-			best, bestD = n.ID, d
-		}
-	}
-	return best, true
 }

@@ -99,25 +99,14 @@ func TestGridCityDefaults(t *testing.T) {
 	}
 }
 
-func TestEdgeTravelTime(t *testing.T) {
-	g := simpleSquare()
-	e := g.Edge(0)
-	if math.Abs(e.TravelTime()-10) > 1e-9 { // 100 m at 10 m/s
-		t.Fatalf("travel time = %v", e.TravelTime())
-	}
-	bad := Edge{Length: 10, SpeedCap: 0}
-	if !math.IsInf(bad.TravelTime(), 1) {
-		t.Fatal("zero speed should be +Inf")
-	}
-}
-
 func TestSnapperNearest(t *testing.T) {
 	g := simpleSquare()
 	s := NewSnapper(g, 50)
-	snap, ok := s.Nearest(geo.Pt(50, -10))
-	if !ok {
+	snaps := s.KNearest(geo.Pt(50, -10), 1)
+	if len(snaps) != 1 {
 		t.Fatal("no snap")
 	}
+	snap := snaps[0]
 	if math.Abs(snap.Dist-10) > 1e-9 {
 		t.Fatalf("snap dist = %v", snap.Dist)
 	}
@@ -136,10 +125,11 @@ func TestSnapperMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		p := geo.Pt(rng.Float64()*900, rng.Float64()*900)
-		snap, ok := s.Nearest(p)
-		if !ok {
+		snaps := s.KNearest(p, 1)
+		if len(snaps) != 1 {
 			t.Fatal("no snap")
 		}
+		snap := snaps[0]
 		// Brute force.
 		best := math.Inf(1)
 		for i := 0; i < g.NumEdges(); i++ {
@@ -175,10 +165,9 @@ func TestSnapperKNearest(t *testing.T) {
 		}
 		seen[sn.Edge] = true
 	}
-	// First snap must agree with Nearest.
-	n, _ := s.Nearest(p)
-	if math.Abs(snaps[0].Dist-n.Dist) > 1e-9 {
-		t.Fatalf("KNearest[0] %v != Nearest %v", snaps[0].Dist, n.Dist)
+	// The first of five is the one a request for one returns.
+	if n := s.KNearest(p, 1); len(n) != 1 || n[0] != snaps[0] {
+		t.Fatalf("KNearest(p, 1) = %v, want [%v]", n, snaps[0])
 	}
 	if s.KNearest(p, 0) != nil {
 		t.Fatal("k=0 should be nil")
@@ -241,13 +230,6 @@ func TestNetworkDist(t *testing.T) {
 
 func TestNodeAtAndGeometry(t *testing.T) {
 	g := simpleSquare()
-	id, ok := g.NodeAt(geo.Pt(95, 95))
-	if !ok || id != 1 {
-		t.Fatalf("NodeAt = %v %v", id, ok)
-	}
-	if _, ok := NewGraph().NodeAt(geo.Pt(0, 0)); ok {
-		t.Fatal("empty graph NodeAt should be !ok")
-	}
 	p, err := g.ShortestPath(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -258,20 +240,5 @@ func TestNodeAtAndGeometry(t *testing.T) {
 	}
 	if math.Abs(pl.Length()-p.Dist) > 1e-9 {
 		t.Fatalf("geometry length %v != path dist %v", pl.Length(), p.Dist)
-	}
-}
-
-func TestPointAlongEdge(t *testing.T) {
-	g := simpleSquare()
-	var e EdgeID = -1
-	for i := 0; i < g.NumEdges(); i++ {
-		ed := g.Edge(EdgeID(i))
-		if ed.From == 2 && ed.To == 3 {
-			e = ed.ID
-		}
-	}
-	mid := g.PointAlongEdge(e, 0.5)
-	if mid.Dist(geo.Pt(50, 0)) > 1e-9 {
-		t.Fatalf("mid = %v", mid)
 	}
 }

@@ -103,45 +103,6 @@ func (s *Snapper) cellOf(p geo.Point) (int, int) {
 	return cx, cy
 }
 
-// Nearest returns the snap of p onto the nearest edge. ok is false for
-// a graph with no edges.
-func (s *Snapper) Nearest(p geo.Point) (Snap, bool) {
-	if s.g.NumEdges() == 0 {
-		return Snap{}, false
-	}
-	cx, cy := s.cellOf(p)
-	best := Snap{Dist: math.Inf(1)}
-	maxRing := s.nx
-	if s.ny > maxRing {
-		maxRing = s.ny
-	}
-	scr := s.getScratch()
-	defer s.scratch.Put(scr)
-	for ring := 0; ring <= maxRing; ring++ {
-		if !math.IsInf(best.Dist, 1) {
-			minPossible := (float64(ring) - 1) * s.cellSize
-			if minPossible > best.Dist {
-				break
-			}
-		}
-		scr.ring = s.ringEdges(cx, cy, ring, scr.ring[:0])
-		for _, eid := range scr.ring {
-			if scr.seen[eid] == scr.epoch {
-				continue
-			}
-			scr.seen[eid] = scr.epoch
-			e := s.g.edges[eid]
-			seg := geo.Segment{A: s.g.nodes[e.From].Pos, B: s.g.nodes[e.To].Pos}
-			t := seg.ClosestParam(p)
-			pos := seg.Interpolate(t)
-			if d := pos.Dist(p); d < best.Dist {
-				best = Snap{Edge: eid, Param: t, Pos: pos, Dist: d}
-			}
-		}
-	}
-	return best, !math.IsInf(best.Dist, 1)
-}
-
 // KNearest returns up to k snaps onto distinct edges, ordered by
 // increasing distance. It is used by map-matching to form candidate
 // sets.
@@ -231,11 +192,4 @@ func sortSnaps(s []Snap) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// PointAlongEdge returns the position at parameter t in [0,1] along an
-// edge's straight-line embedding.
-func (g *Graph) PointAlongEdge(eid EdgeID, t float64) geo.Point {
-	e := g.edges[eid]
-	return geo.Segment{A: g.nodes[e.From].Pos, B: g.nodes[e.To].Pos}.Interpolate(t)
 }

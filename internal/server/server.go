@@ -351,12 +351,17 @@ func queryFloat(r *http.Request, key string, def float64) (float64, error) {
 	return v, nil
 }
 
-// assessmentJSON renders an Assessment as a stable JSON object.
-func assessmentJSON(a quality.Assessment) map[string]float64 {
-	out := map[string]float64{}
+// assessmentJSON renders an Assessment as a stable JSON object. A
+// dimension that came out NaN or infinite — a NaN or Inf field in the
+// rows can do it — has no JSON number and is rendered as null.
+func assessmentJSON(a quality.Assessment) map[string]*float64 {
+	out := map[string]*float64{}
 	for _, d := range quality.AllDimensions() {
 		if v, ok := a[d]; ok {
-			out[d.String()] = v
+			out[d.String()] = nil
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				out[d.String()] = &v
+			}
 		}
 	}
 	return out
@@ -474,9 +479,16 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON encodes before it writes the header, so a value that
+// cannot be encoded is a 500 with the reason, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
 }

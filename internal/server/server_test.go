@@ -99,6 +99,44 @@ func TestAssessEndpoint(t *testing.T) {
 	}
 }
 
+// A NaN or infinite field in a row can make a dimension non-finite,
+// which JSON has no number for: the answer is still a JSON document,
+// with null for that dimension — never a 200 with nothing in it.
+func TestAssessNonFiniteInputAnswersJSON(t *testing.T) {
+	srv := httptest.NewServer(New())
+	defer srv.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/assess", "id,t,x,y\na,NaN,0,0\na,1,1,1\n"},
+		{"/v1/assess", "id,t,x,y\na,0,Inf,0\na,1,1,1\na,2,2,2\n"},
+		{"/v1/readings/assess", "sensor,t,x,y,value\ns1,NaN,0,0,1\ns1,1,0,0,2\n"},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "text/csv", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s %q: status %d, content type %q", tc.path, tc.body, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		var out struct {
+			Assessment map[string]*float64 `json:"assessment"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("%s %q: body %q is not JSON: %v", tc.path, tc.body, raw, err)
+		}
+		nulls := 0
+		for _, v := range out.Assessment {
+			if v == nil {
+				nulls++
+			}
+		}
+		if nulls == 0 || nulls == len(out.Assessment) {
+			t.Fatalf("%s %q: %d of %d dimensions null, want some but not all: %s", tc.path, tc.body, nulls, len(out.Assessment), raw)
+		}
+	}
+}
+
 func TestCleanEndpointImprovesData(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()

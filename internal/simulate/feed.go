@@ -51,12 +51,6 @@ func (o ReplayOptions) withDefaults() ReplayOptions {
 	return o
 }
 
-// ReplayPoint is one feed sample.
-type ReplayPoint struct {
-	Source  string
-	T, X, Y float64
-}
-
 // replaySource is one base trajectory laid out flat for cheap replay.
 type replaySource struct {
 	t, x, y []float64
@@ -118,9 +112,6 @@ func NewReplay(opt ReplayOptions) *Replay {
 	return r
 }
 
-// Sources returns the number of sources per stream.
-func (r *Replay) Sources() int { return len(r.sources) }
-
 // Extent returns the bounding rect of every sample the feed can emit —
 // the window generator for history range queries.
 func (r *Replay) Extent() geo.Rect { return r.extent }
@@ -144,21 +135,6 @@ func (s *replaySource) at(p int) (t, x, y float64) {
 	n := len(s.t)
 	idx, cycle := p%n, p/n
 	return s.t[idx] + float64(cycle)*s.span, s.x[idx], s.y[idx]
-}
-
-// Points returns chunk k of the given stream as decoded samples:
-// size samples round-robined across the stream's sources, each source
-// advancing through its trajectory and wrapping with a time offset.
-func (r *Replay) Points(stream, chunk, size int) []ReplayPoint {
-	out := make([]ReplayPoint, 0, size)
-	base := chunk * size
-	for n := 0; n < size; n++ {
-		g := base + n
-		j := g % len(r.sources)
-		t, x, y := r.sources[j].at(g / len(r.sources))
-		out = append(out, ReplayPoint{Source: sourceID(stream, j), T: t, X: x, Y: y})
-	}
-	return out
 }
 
 // AppendChunk appends chunk k of the given stream to dst as the

@@ -51,12 +51,36 @@ func TestReplayChunkFormatAndNamespaces(t *testing.T) {
 	}
 }
 
+// feedPoint is one decoded row of a chunk.
+type feedPoint struct {
+	Source  string
+	T, X, Y float64
+}
+
+func chunkPoints(t *testing.T, raw []byte) []feedPoint {
+	t.Helper()
+	rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]feedPoint, len(rows))
+	for i, row := range rows {
+		out[i].Source = row[0]
+		for j, dst := range []*float64{&out[i].T, &out[i].X, &out[i].Y} {
+			if *dst, err = strconv.ParseFloat(row[j+1], 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
 func TestReplayTimesNonDecreasingAcrossWrap(t *testing.T) {
 	r := NewReplay(ReplayOptions{Seed: 3, Sources: 2})
 	// Enough chunks to wrap every source several times.
 	last := map[string]float64{}
 	for chunk := 0; chunk < 200; chunk++ {
-		for _, p := range r.Points(0, chunk, 32) {
+		for _, p := range chunkPoints(t, r.AppendChunk(nil, 0, chunk, 32)) {
 			if prev, ok := last[p.Source]; ok && p.T < prev {
 				t.Fatalf("source %s time went backwards: %v after %v (chunk %d)", p.Source, p.T, prev, chunk)
 			}
@@ -77,7 +101,7 @@ func TestReplayExtentAndSpan(t *testing.T) {
 	if r.Span() <= 0 {
 		t.Fatalf("span %v, want > 0", r.Span())
 	}
-	for _, p := range r.Points(0, 0, 64) {
+	for _, p := range chunkPoints(t, r.AppendChunk(nil, 0, 0, 64)) {
 		if p.X < ext.Min.X || p.X > ext.Max.X || p.Y < ext.Min.Y || p.Y > ext.Max.Y {
 			t.Fatalf("point %+v outside extent %+v", p, ext)
 		}

@@ -73,19 +73,6 @@ func DuplicateSamples(tr *trajectory.Trajectory, rate float64, seed int64) *traj
 	return out
 }
 
-// JitterTimestamps returns a copy of tr with Gaussian jitter (stddev
-// sigma seconds) added to every interior timestamp WITHOUT re-sorting,
-// modeling clock skew and out-of-order arrival. The returned trajectory
-// may therefore violate time monotonicity, which is the point.
-func JitterTimestamps(tr *trajectory.Trajectory, sigma float64, seed int64) *trajectory.Trajectory {
-	rng := rand.New(rand.NewSource(seed))
-	out := tr.Clone()
-	for i := 1; i < len(out.Points)-1; i++ {
-		out.Points[i].T += rng.NormFloat64() * sigma
-	}
-	return out
-}
-
 // DelayReports returns a copy of tr where each point's timestamp is
 // shifted later by an exponentially distributed transmission delay with
 // the given mean (seconds). Positions are unchanged: this models

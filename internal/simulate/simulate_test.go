@@ -37,9 +37,9 @@ func TestTripsDeterministicAndOnNetwork(t *testing.T) {
 	s := roadnet.NewSnapper(g, 100)
 	for _, tr := range trips {
 		for _, p := range tr.Points {
-			snap, ok := s.Nearest(p.Pos)
-			if !ok || snap.Dist > 1e-6 {
-				t.Fatalf("trip point %v off network by %v", p.Pos, snap.Dist)
+			snaps := s.KNearest(p.Pos, 1)
+			if len(snaps) == 0 || snaps[0].Dist > 1e-6 {
+				t.Fatalf("trip point %v off network: %v", p.Pos, snaps)
 			}
 		}
 	}
@@ -154,16 +154,6 @@ func TestDropAndDuplicate(t *testing.T) {
 
 func TestJitterAndDelay(t *testing.T) {
 	truth := RandomWalk("w", geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(100, 100)}, 200, 1, 1, 8)
-	jit := JitterTimestamps(truth, 5, 9)
-	disordered := false
-	for i := 1; i < jit.Len(); i++ {
-		if jit.Points[i].T < jit.Points[i-1].T {
-			disordered = true
-		}
-	}
-	if !disordered {
-		t.Fatal("jitter produced no disorder (sigma 5 over dt 1 should)")
-	}
 	delayed, delays := DelayReports(truth, 3, 10)
 	var mean float64
 	for i, d := range delays {
@@ -422,32 +412,3 @@ func TestCheckInsGenerator(t *testing.T) {
 }
 
 var _ = trajectory.Trajectory{} // keep import for helper types in this file
-
-func TestStopAndGoTripsProduceStayPoints(t *testing.T) {
-	g := testCity()
-	trips := StopAndGoTrips(g, TripOptions{NumObjects: 3, MinHops: 10, Speed: 10, SampleInterval: 1, Seed: 77}, 0.3, 45)
-	if len(trips) != 3 {
-		t.Fatalf("trips = %d", len(trips))
-	}
-	foundStays := 0
-	for _, tr := range trips {
-		stays := tr.StayPoints(5, 30)
-		foundStays += len(stays)
-		// Time still strictly ordered.
-		for i := 1; i < tr.Len(); i++ {
-			if tr.Points[i].T <= tr.Points[i-1].T {
-				t.Fatal("non-monotone time")
-			}
-		}
-	}
-	if foundStays == 0 {
-		t.Fatal("no stay points detected in stop-and-go traffic")
-	}
-	// Zero stop probability degenerates to plain driving (no stays).
-	plain := StopAndGoTrips(g, TripOptions{NumObjects: 2, MinHops: 10, Speed: 10, SampleInterval: 1, Seed: 78}, 0, 45)
-	for _, tr := range plain {
-		if len(tr.StayPoints(5, 30)) != 0 {
-			t.Fatal("unexpected stays without stops")
-		}
-	}
-}

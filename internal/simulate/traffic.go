@@ -163,60 +163,3 @@ func RandomWalk(id string, bounds geo.Rect, n int, speed, dt float64, seed int64
 	}
 	return trajectory.New(id, pts)
 }
-
-// StopAndGoTrips is like Trips but vehicles dwell at a fraction of the
-// intersections along their route (traffic lights, pickups), producing
-// the stop episodes that stay-point detection and semantic annotation
-// consume. Dwells emit stationary samples with small jitter.
-func StopAndGoTrips(g *roadnet.Graph, opt TripOptions, stopProb, stopDuration float64) []*trajectory.Trajectory {
-	if stopProb < 0 {
-		stopProb = 0
-	}
-	if stopDuration <= 0 {
-		stopDuration = 30
-	}
-	base := TripsWithRoutes(g, opt)
-	rng := rand.New(rand.NewSource(opt.Seed + 7919))
-	out := make([]*trajectory.Trajectory, 0, len(base))
-	for _, trip := range base {
-		speed := opt.Speed
-		if speed <= 0 {
-			speed = 13.9
-		}
-		dt := opt.SampleInterval
-		if dt <= 0 {
-			dt = 1
-		}
-		pl := g.Geometry(trip.Path)
-		// Node arc-length offsets along the path geometry.
-		var stops []float64
-		var walked float64
-		for i := 1; i < len(pl); i++ {
-			walked += pl[i-1].Dist(pl[i])
-			if rng.Float64() < stopProb {
-				stops = append(stops, walked)
-			}
-		}
-		var pts []trajectory.Point
-		t, d, nextStop := 0.0, 0.0, 0
-		total := pl.Length()
-		for d < total {
-			pts = append(pts, trajectory.Point{T: t, Pos: pl.PointAt(d)})
-			// Dwell when passing a stop.
-			if nextStop < len(stops) && d >= stops[nextStop] {
-				stopPos := pl.PointAt(stops[nextStop])
-				for dwell := dt; dwell <= stopDuration; dwell += dt {
-					t += dt
-					jit := geo.Pt(rng.NormFloat64()*0.5, rng.NormFloat64()*0.5)
-					pts = append(pts, trajectory.Point{T: t, Pos: stopPos.Add(jit)})
-				}
-				nextStop++
-			}
-			d += speed * dt
-			t += dt
-		}
-		pts = append(pts, trajectory.Point{T: t, Pos: pl.PointAt(total)})
-		out = append(out, trajectory.New(trip.Truth.ID, pts))
-	}
-	return out
-}

@@ -56,26 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Add returns m + n.
-func (m *Matrix) Add(n *Matrix) *Matrix {
-	mustSameShape(m, n)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + n.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - n.
-func (m *Matrix) Sub(n *Matrix) *Matrix {
-	mustSameShape(m, n)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - n.Data[i]
-	}
-	return out
-}
-
 // Mul returns the matrix product m * n.
 func (m *Matrix) Mul(n *Matrix) *Matrix {
 	if m.Cols != n.Rows {

@@ -24,13 +24,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestRMS(t *testing.T) {
-	almost(t, RMS([]float64{3, 4}), math.Sqrt(12.5), 1e-12, "rms")
-	if RMS(nil) != 0 {
-		t.Fatal("empty RMS")
-	}
-}
-
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct{ q, want float64 }{
@@ -89,80 +82,10 @@ func TestCovarianceCorrelation(t *testing.T) {
 }
 
 func TestNormalPDFandCDF(t *testing.T) {
-	almost(t, NormalPDF(0, 0, 1), 1/math.Sqrt(2*math.Pi), 1e-12, "pdf peak")
 	almost(t, NormalCDF(0, 0, 1), 0.5, 1e-12, "cdf median")
 	almost(t, NormalCDF(1.96, 0, 1), 0.975, 1e-3, "cdf 97.5")
-	if NormalPDF(1, 0, 0) != 0 {
-		t.Fatal("zero sigma pdf")
-	}
 	if NormalCDF(-1, 0, 0) != 0 || NormalCDF(1, 0, 0) != 1 {
 		t.Fatal("zero sigma cdf should be a step")
-	}
-	almost(t, LogNormalPDF(0.3, 0, 1), math.Log(NormalPDF(0.3, 0, 1)), 1e-9, "log pdf")
-}
-
-func TestOnlineMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 500)
-	var o Online
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*5 + 3
-		o.Add(xs[i])
-	}
-	almost(t, o.Mean(), Mean(xs), 1e-9, "online mean")
-	almost(t, o.Variance(), Variance(xs), 1e-9, "online variance")
-	if o.N() != 500 {
-		t.Fatalf("N = %d", o.N())
-	}
-	if o.Min() > o.Max() {
-		t.Fatal("min > max")
-	}
-}
-
-func TestOnlineEmptyAndSingle(t *testing.T) {
-	var o Online
-	if o.Mean() != 0 || o.Variance() != 0 || o.N() != 0 {
-		t.Fatal("zero value not zeroed")
-	}
-	o.Add(7)
-	if o.Mean() != 7 || o.Variance() != 0 || o.Min() != 7 || o.Max() != 7 {
-		t.Fatal("single sample stats wrong")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1, 2.5, 5, 9.99, -1, 10, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	counts := h.Counts()
-	if counts[0] != 3 { // 0, 1, 2.5 fall in [0,2) and [2,4): 0,1 in bin0; 2.5 bin1
-		// recompute: bin width 2; 0->0, 1->0, 2.5->1, 5->2, 9.99->4
-		t.Logf("counts = %v", counts)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bin %d = %d, want %d (all %v)", i, counts[i], want[i], counts)
-		}
-	}
-	if h.Entropy() <= 0 {
-		t.Fatal("entropy should be positive for spread data")
-	}
-	empty := NewHistogram(0, 1, 4)
-	if empty.Entropy() != 0 {
-		t.Fatal("empty entropy")
-	}
-}
-
-func TestHistogramDegenerateRange(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid, should self-correct
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram dropped sample")
 	}
 }
 
@@ -240,12 +163,6 @@ func TestMatrixTransposeAddSubScale(t *testing.T) {
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("transpose wrong: %+v", tr)
-	}
-	s := m.Add(m).Sub(m)
-	for i := range m.Data {
-		if s.Data[i] != m.Data[i] {
-			t.Fatal("add/sub roundtrip")
-		}
 	}
 	sc := m.ScaleBy(2)
 	if sc.At(1, 2) != 12 {

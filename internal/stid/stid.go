@@ -51,15 +51,6 @@ func NewSeries(readings []Reading) []Series {
 	return out
 }
 
-// Values returns the thematic values of the series in time order.
-func (s Series) Values() []float64 {
-	out := make([]float64, len(s.Readings))
-	for i, r := range s.Readings {
-		out[i] = r.Value
-	}
-	return out
-}
-
 // Times returns the timestamps of the series in order.
 func (s Series) Times() []float64 {
 	out := make([]float64, len(s.Readings))
@@ -104,13 +95,4 @@ func TimeBounds(readings []Reading) (t0, t1 float64, ok bool) {
 		}
 	}
 	return t0, t1, true
-}
-
-// Bounds returns the spatial bounding rectangle of the readings.
-func Bounds(readings []Reading) geo.Rect {
-	r := geo.EmptyRect()
-	for _, rd := range readings {
-		r = r.ExtendPoint(rd.Pos)
-	}
-	return r
 }

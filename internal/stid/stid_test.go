@@ -30,9 +30,8 @@ func TestNewSeriesGroupsAndSorts(t *testing.T) {
 	if a.Pos != geo.Pt(0, 0) {
 		t.Fatalf("series pos = %v", a.Pos)
 	}
-	vals := a.Values()
-	if len(vals) != 2 || vals[0] != 5 || vals[1] != 10 {
-		t.Fatalf("values = %v", vals)
+	if a.Readings[0].Value != 5 || a.Readings[1].Value != 10 {
+		t.Fatalf("values = %v %v", a.Readings[0].Value, a.Readings[1].Value)
 	}
 	times := a.Times()
 	if times[0] != 0 || times[1] != 1 {
@@ -71,12 +70,5 @@ func TestTimeBoundsAndBounds(t *testing.T) {
 	}
 	if _, _, ok := TimeBounds(nil); ok {
 		t.Fatal("empty bounds should be !ok")
-	}
-	r := Bounds(sample())
-	if r.Min != geo.Pt(0, 0) || r.Max != geo.Pt(10, 0) {
-		t.Fatalf("rect = %v", r)
-	}
-	if !Bounds(nil).IsEmpty() {
-		t.Fatal("empty spatial bounds")
 	}
 }

@@ -796,9 +796,6 @@ func (l *Log) DurableSeq() uint64 {
 	return l.sc.durable
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Segments returns the sealed segments plus the ones still being
 // written (the active one, and before it one on its way to being
 // sealed, if any), in seq order. The Bytes of those include buffered-

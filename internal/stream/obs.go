@@ -59,24 +59,3 @@ func InstrumentTo(reg *obs.Registry) {
 		return float64(v)
 	})
 }
-
-// ObserveLanes records the shape of a FanOut partition into reg: one
-// sidq_stream_lane_depth observation per lane plus the lane count and
-// the deepest lane, so skewed key distributions show up as a spread
-// histogram. A nil registry is a no-op, so callers can pass their
-// (possibly absent) registry straight through.
-func ObserveLanes[T any](reg *obs.Registry, lanes [][]Event[T]) {
-	if reg == nil {
-		return
-	}
-	h := reg.Histogram("sidq_stream_lane_depth")
-	maxDepth := 0
-	for _, l := range lanes {
-		h.Observe(int64(len(l)))
-		if len(l) > maxDepth {
-			maxDepth = len(l)
-		}
-	}
-	reg.Gauge("sidq_stream_lanes").Set(int64(len(lanes)))
-	reg.Gauge("sidq_stream_lane_depth_max").Set(int64(maxDepth))
-}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -70,38 +69,4 @@ func TestReorderPendingGaugeTracksBuffer(t *testing.T) {
 	if got := pkgObs.pending.Load() - before; got != 0 {
 		t.Errorf("pending delta after flush = %d, want 0", got)
 	}
-}
-
-func TestObserveLanes(t *testing.T) {
-	reg := obs.NewRegistry()
-	events := make([]Event[int], 20)
-	for i := range events {
-		events[i] = Event[int]{Time: float64(i), Value: i}
-	}
-	lanes := FanOut(events, 4, func(e Event[int]) string { return fmt.Sprint(e.Value % 7) })
-	ObserveLanes(reg, lanes)
-
-	if got := reg.Histogram("sidq_stream_lane_depth").Snapshot().Count(); got != 4 {
-		t.Errorf("lane depth observations = %d, want 4", got)
-	}
-	if got := reg.Gauge("sidq_stream_lanes").Value(); got != 4 {
-		t.Errorf("lanes gauge = %d, want 4", got)
-	}
-	maxDepth := 0
-	total := 0
-	for _, l := range lanes {
-		total += len(l)
-		if len(l) > maxDepth {
-			maxDepth = len(l)
-		}
-	}
-	if total != len(events) {
-		t.Fatalf("fanout lost events: %d != %d", total, len(events))
-	}
-	if got := reg.Gauge("sidq_stream_lane_depth_max").Value(); got != int64(maxDepth) {
-		t.Errorf("lane depth max gauge = %d, want %d", got, maxDepth)
-	}
-
-	// nil registry must be a safe no-op.
-	ObserveLanes[int](nil, lanes)
 }

@@ -20,7 +20,7 @@ func TestFlushAdvancesWatermark(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("flushed %d events, want 2", len(out))
 	}
-	if wm := r.Watermark(); wm != 5 {
+	if wm := r.watermark; wm != 5 {
 		t.Fatalf("post-flush watermark = %v, want 5 (max flushed time)", wm)
 	}
 	// t=2 sits between the old watermark (-5) and the flushed max (5):
@@ -56,12 +56,12 @@ func TestFlushEmptyKeepsWatermark(t *testing.T) {
 	r.Push(Event[int]{Time: 10}) // watermark 7
 	r.Push(Event[int]{Time: 11}) // watermark 8, t=10 buffered... released? 10 > 8 so buffered
 	r.Flush()
-	wm := r.Watermark()
+	wm := r.watermark
 	if got := r.Flush(); len(got) != 0 {
 		t.Fatalf("second flush released %v", got)
 	}
-	if r.Watermark() != wm {
-		t.Fatalf("empty flush moved watermark %v -> %v", wm, r.Watermark())
+	if r.watermark != wm {
+		t.Fatalf("empty flush moved watermark %v -> %v", wm, r.watermark)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestReordererStateRoundTrip(t *testing.T) {
 			t.Fatalf("cut %d: decode: %v", cut, err)
 		}
 		restored := NewReordererFromState(st)
-		if restored.Watermark() != orig.Watermark() || restored.Pending() != orig.Pending() ||
-			restored.LateCount() != orig.LateCount() || restored.Emitted() != orig.Emitted() {
+		if restored.watermark != orig.watermark || restored.Pending() != orig.Pending() ||
+			restored.LateCount() != orig.LateCount() || restored.emitted != orig.emitted {
 			t.Fatalf("cut %d: restored counters diverge", cut)
 		}
 		var a, b []Event[int]
@@ -53,7 +53,7 @@ func TestReordererStateRoundTrip(t *testing.T) {
 				t.Fatalf("cut %d: release %d diverged: %+v vs %+v", cut, i, a[i], b[i])
 			}
 		}
-		if restored.LateCount() != orig.LateCount() || restored.Emitted() != orig.Emitted() {
+		if restored.LateCount() != orig.LateCount() || restored.emitted != orig.emitted {
 			t.Fatalf("cut %d: final counters diverge", cut)
 		}
 	}
@@ -72,8 +72,8 @@ func TestReordererStateEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := NewReordererFromState(st)
-	if r2.Watermark() != r.Watermark() {
-		t.Fatalf("watermark %v != %v", r2.Watermark(), r.Watermark())
+	if r2.watermark != r.watermark {
+		t.Fatalf("watermark %v != %v", r2.watermark, r.watermark)
 	}
 	out := r2.Push(Event[string]{Time: -1e12, Value: "x"})
 	if r2.LateCount() != 0 || len(out) != 0 || r2.Pending() != 1 {

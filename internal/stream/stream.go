@@ -1,6 +1,6 @@
 // Package stream provides a small event-time stream-processing engine:
 // out-of-order reordering under a bounded-lateness watermark, tumbling
-// and sliding windows, and running aggregates. It is the substrate for
+// windows, and keyed fan-out across lanes. It is the substrate for
 // sidq's continuous queries and online cleaning over SID streams, whose
 // deferred and disordered arrival is one of the quality issues the
 // paper highlights.
@@ -95,16 +95,8 @@ func (r *Reorderer[T]) Flush() []Event[T] {
 	return out
 }
 
-// Watermark returns the current watermark.
-func (r *Reorderer[T]) Watermark() float64 { return r.watermark }
-
 // LateCount returns the number of events dropped as too late.
 func (r *Reorderer[T]) LateCount() int { return r.late }
-
-// Emitted returns the number of events released in order so far
-// (including flushed ones); every pushed event ends up counted by
-// exactly one of Emitted, LateCount, or Pending.
-func (r *Reorderer[T]) Emitted() int { return r.emitted }
 
 // Pending returns the number of buffered (not yet released) events.
 func (r *Reorderer[T]) Pending() int { return len(r.buf) }
@@ -175,86 +167,4 @@ func (w *TumblingWindows[T]) Flush() []Window[T] {
 		return nil
 	}
 	return []Window[T]{w.closeCurrent()}
-}
-
-// SlidingAggregate maintains an aggregate over the trailing window of
-// the given width for a numeric stream: push in-order samples, read the
-// count/sum/mean/min/max of the samples within (t-width, t].
-type SlidingAggregate struct {
-	width float64
-	times []float64
-	vals  []float64
-}
-
-// NewSlidingAggregate returns a sliding aggregate of the given window
-// width in seconds.
-func NewSlidingAggregate(width float64) *SlidingAggregate {
-	if width <= 0 {
-		width = 1
-	}
-	return &SlidingAggregate{width: width}
-}
-
-// Push adds an in-order sample and evicts samples that fell out of the
-// window.
-func (s *SlidingAggregate) Push(t, v float64) {
-	s.times = append(s.times, t)
-	s.vals = append(s.vals, v)
-	cut := t - s.width
-	i := 0
-	for i < len(s.times) && s.times[i] <= cut {
-		i++
-	}
-	if i > 0 {
-		s.times = s.times[:copy(s.times, s.times[i:])]
-		s.vals = s.vals[:copy(s.vals, s.vals[i:])]
-	}
-}
-
-// Count returns the number of samples in the window.
-func (s *SlidingAggregate) Count() int { return len(s.vals) }
-
-// Sum returns the sum of samples in the window.
-func (s *SlidingAggregate) Sum() float64 {
-	var sum float64
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum
-}
-
-// Mean returns the mean of samples in the window (0 if empty).
-func (s *SlidingAggregate) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.vals))
-}
-
-// Min returns the minimum sample in the window; ok is false if empty.
-func (s *SlidingAggregate) Min() (float64, bool) {
-	if len(s.vals) == 0 {
-		return 0, false
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m, true
-}
-
-// Max returns the maximum sample in the window; ok is false if empty.
-func (s *SlidingAggregate) Max() (float64, bool) {
-	if len(s.vals) == 0 {
-		return 0, false
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m, true
 }

@@ -39,8 +39,8 @@ func TestReordererDropsLate(t *testing.T) {
 	if r.LateCount() != 1 {
 		t.Fatalf("late = %d", r.LateCount())
 	}
-	if r.Watermark() != 98 {
-		t.Fatalf("watermark = %v", r.Watermark())
+	if r.watermark != 98 {
+		t.Fatalf("watermark = %v", r.watermark)
 	}
 }
 
@@ -122,42 +122,6 @@ func TestTumblingWindowsNegativeTimes(t *testing.T) {
 	closed := w.Push(Event[int]{Time: -2})
 	if len(closed) != 1 || closed[0].Start != -20 || closed[0].End != -10 {
 		t.Fatalf("negative window = %+v", closed)
-	}
-}
-
-func TestSlidingAggregate(t *testing.T) {
-	s := NewSlidingAggregate(10)
-	s.Push(0, 1)
-	s.Push(5, 2)
-	s.Push(9, 3)
-	if s.Count() != 3 || s.Sum() != 6 {
-		t.Fatalf("count %d sum %v", s.Count(), s.Sum())
-	}
-	s.Push(12, 4) // evicts t=0 (0 <= 12-10=2)
-	if s.Count() != 3 || s.Sum() != 9 {
-		t.Fatalf("after evict: count %d sum %v", s.Count(), s.Sum())
-	}
-	if m := s.Mean(); m != 3 {
-		t.Fatalf("mean = %v", m)
-	}
-	min, ok := s.Min()
-	if !ok || min != 2 {
-		t.Fatalf("min = %v", min)
-	}
-	max, ok := s.Max()
-	if !ok || max != 4 {
-		t.Fatalf("max = %v", max)
-	}
-	s.Push(100, 7) // evicts all
-	if s.Count() != 1 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	empty := NewSlidingAggregate(5)
-	if _, ok := empty.Min(); ok {
-		t.Fatal("empty min should be !ok")
-	}
-	if empty.Mean() != 0 {
-		t.Fatal("empty mean")
 	}
 }
 

@@ -52,14 +52,6 @@ func (c *Columns) Append(t, x, y float64) {
 	c.Y = append(c.Y, y)
 }
 
-// AppendPoint adds one Point sample.
-func (c *Columns) AppendPoint(p Point) { c.Append(p.T, p.Pos.X, p.Pos.Y) }
-
-// At returns sample i in Point form.
-func (c *Columns) At(i int) Point {
-	return Point{T: c.T[i], Pos: geo.Point{X: c.X[i], Y: c.Y[i]}}
-}
-
 // FromPoints replaces the columns' contents with pts. The receiver's
 // capacity is reused when possible, so a pooled Columns converts a
 // trajectory without allocating in steady state.
@@ -119,30 +111,12 @@ func (c *Columns) Equal(o *Columns) bool {
 	return eq(c.T, o.T) && eq(c.X, o.X) && eq(c.Y, o.Y)
 }
 
-// IsSorted reports whether the samples are in non-decreasing time
-// order — one linear pass, the fast-path check trajectory.New and the
-// decode/stream-flush paths use to skip the copy-then-stable-sort.
-// NaN timestamps report false so such inputs keep taking the sorting
-// path (sort order with NaNs is what sort.SliceStable made it, and
-// only that path reproduces it).
-func (c *Columns) IsSorted() bool { return timesSorted(c.T) }
-
-func timesSorted(ts []float64) bool {
-	for i := 1; i < len(ts); i++ {
-		// Not ">=": equal stamps are fine (stable sort keeps their
-		// order). A NaN comparison is always false, which would wrongly
-		// pass, so test NaN explicitly.
-		if ts[i] < ts[i-1] || math.IsNaN(ts[i]) {
-			return false
-		}
-	}
-	if len(ts) > 0 && math.IsNaN(ts[0]) {
-		return false
-	}
-	return true
-}
-
-// pointsSorted is timesSorted over the AoS form.
+// pointsSorted reports whether pts are in non-decreasing time order —
+// one linear pass, the fast-path check New uses to skip the
+// copy-then-stable-sort. Equal stamps are in order (a stable sort keeps
+// them). NaN stamps report false, explicitly because every comparison
+// with NaN is false: such input keeps taking the sorting path, which
+// alone reproduces where sort.SliceStable puts a NaN.
 func pointsSorted(pts []Point) bool {
 	for i := 1; i < len(pts); i++ {
 		if pts[i].T < pts[i-1].T || math.IsNaN(pts[i].T) {
@@ -153,25 +127,4 @@ func pointsSorted(pts []Point) bool {
 		return false
 	}
 	return true
-}
-
-// SpeedsInto writes the per-segment speeds (m/s) into dst, which must
-// have length Len()-1 (Len() < 2 writes nothing). Element i is the
-// speed between samples i and i+1; non-increasing timestamps report
-// +Inf, mirroring Trajectory.Speeds.
-func (c *Columns) SpeedsInto(dst []float64) {
-	n := c.Len()
-	if n < 2 {
-		return
-	}
-	ts, xs, ys := c.T, c.X, c.Y
-	for i := 1; i < n; i++ {
-		dt := ts[i] - ts[i-1]
-		d := math.Hypot(xs[i-1]-xs[i], ys[i-1]-ys[i])
-		if dt <= 0 {
-			dst[i-1] = math.Inf(1)
-		} else {
-			dst[i-1] = d / dt
-		}
-	}
 }

@@ -58,14 +58,6 @@ func TestColumnsRoundTripProperty(t *testing.T) {
 		if !c.Equal(&c2) {
 			t.Fatalf("trial %d: FromPoints(ToPoints(c)) != c", trial)
 		}
-		// Per-sample accessor agrees with the AoS form.
-		for i := range pts {
-			if got := c.At(i); math.Float64bits(got.T) != math.Float64bits(pts[i].T) ||
-				math.Float64bits(got.Pos.X) != math.Float64bits(pts[i].Pos.X) ||
-				math.Float64bits(got.Pos.Y) != math.Float64bits(pts[i].Pos.Y) {
-				t.Fatalf("trial %d: At(%d) mismatch", trial, i)
-			}
-		}
 	}
 }
 
@@ -78,28 +70,6 @@ func TestColumnsReuseDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FromPoints on warm Columns allocated %.1f times/op, want 0", allocs)
-	}
-}
-
-func TestColumnsIsSorted(t *testing.T) {
-	var c Columns
-	if !c.IsSorted() {
-		t.Fatal("empty columns must report sorted")
-	}
-	c.Append(1, 0, 0)
-	c.Append(1, 1, 1) // equal stamps are in order
-	c.Append(2, 2, 2)
-	if !c.IsSorted() {
-		t.Fatal("non-decreasing stamps must report sorted")
-	}
-	c.Append(1.5, 3, 3)
-	if c.IsSorted() {
-		t.Fatal("regressing stamp must report unsorted")
-	}
-	var n Columns
-	n.Append(math.NaN(), 0, 0)
-	if n.IsSorted() {
-		t.Fatal("NaN stamp must report unsorted (sorting path owns NaN order)")
 	}
 }
 
@@ -125,25 +95,6 @@ func TestNewFastPathMatchesSort(t *testing.T) {
 		got := New("t", pts)
 		if !bitsEqualPoints(got.Points, want) {
 			t.Fatalf("trial %d: New output diverged from copy-then-stable-sort", trial)
-		}
-	}
-}
-
-func TestColumnsSpeedsInto(t *testing.T) {
-	tr := New("s", []Point{
-		{T: 0, Pos: geo.Pt(0, 0)},
-		{T: 1, Pos: geo.Pt(3, 4)},
-		{T: 1, Pos: geo.Pt(6, 8)}, // zero dt -> +Inf
-		{T: 3, Pos: geo.Pt(6, 8)},
-	})
-	var c Columns
-	c.FromTrajectory(tr)
-	got := make([]float64, c.Len()-1)
-	c.SpeedsInto(got)
-	want := tr.Speeds()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("speed[%d]: got %v want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 			t.Fatalf("trial %d: %d samples, want %d", trial, dst.Len(), len(want))
 		}
 		for j, w := range want {
-			if g := dst.At(j); !samePointBits(g, w) {
+			if g := (Point{T: dst.T[j], Pos: geo.Point{X: dst.X[j], Y: dst.Y[j]}}); !samePointBits(g, w) {
 				t.Fatalf("trial %d sample %d: %+v, want %+v", trial, j, g, w)
 			}
 		}

@@ -1,10 +1,6 @@
 package trajectory
 
-import (
-	"math"
-
-	"sidq/internal/geo"
-)
+import "math"
 
 // SED returns the synchronized Euclidean distance of point p from the
 // straight movement between anchor points a and b: the distance between
@@ -27,19 +23,6 @@ func MaxSED(tr *Trajectory, i, j int) float64 {
 	a, b := tr.Points[i], tr.Points[j]
 	for k := i + 1; k < j; k++ {
 		if d := SED(a, b, tr.Points[k]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// PerpendicularError returns the maximum perpendicular (shape-only)
-// distance of the points strictly between i and j from the chord i-j.
-func PerpendicularError(tr *Trajectory, i, j int) float64 {
-	var worst float64
-	seg := geo.Segment{A: tr.Points[i].Pos, B: tr.Points[j].Pos}
-	for k := i + 1; k < j; k++ {
-		if d := seg.Dist(tr.Points[k].Pos); d > worst {
 			worst = d
 		}
 	}
@@ -73,38 +56,6 @@ func SyncDistance(a, b *Trajectory, n int) float64 {
 		sum += pa.Dist(pb)
 	}
 	return sum / float64(n)
-}
-
-// DTW returns the dynamic-time-warping distance between the spatial
-// footprints of a and b, using Euclidean point distance as the local
-// cost. It returns +Inf if either trajectory is empty.
-func DTW(a, b *Trajectory) float64 {
-	n, m := len(a.Points), len(b.Points)
-	if n == 0 || m == 0 {
-		return math.Inf(1)
-	}
-	// Rolling two-row DP to bound memory at O(m).
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		cur[0] = math.Inf(1)
-		for j := 1; j <= m; j++ {
-			cost := a.Points[i-1].Pos.Dist(b.Points[j-1].Pos)
-			cur[j] = cost + math.Min(prev[j], math.Min(cur[j-1], prev[j-1]))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m]
-}
-
-// Hausdorff returns the symmetric Hausdorff distance between the vertex
-// sets of the two trajectories.
-func Hausdorff(a, b *Trajectory) float64 {
-	return geo.Hausdorff(a.Polyline(), b.Polyline())
 }
 
 // RMSEAgainst returns the root-mean-square positional error of tr

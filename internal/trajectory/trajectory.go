@@ -62,15 +62,6 @@ func (tr *Trajectory) Duration() float64 {
 	return tr.Points[len(tr.Points)-1].T - tr.Points[0].T
 }
 
-// Length returns the total traveled planar distance in meters.
-func (tr *Trajectory) Length() float64 {
-	var sum float64
-	for i := 1; i < len(tr.Points); i++ {
-		sum += tr.Points[i-1].Pos.Dist(tr.Points[i].Pos)
-	}
-	return sum
-}
-
 // Polyline returns the spatial footprint of the trajectory.
 func (tr *Trajectory) Polyline() geo.Polyline {
 	pl := make(geo.Polyline, len(tr.Points))
@@ -213,9 +204,6 @@ type StayPoint struct {
 	Count      int // number of samples merged
 }
 
-// Duration returns the dwell duration in seconds.
-func (s StayPoint) Duration() float64 { return s.End - s.Start }
-
 // StayPoints detects dwells: maximal runs of samples that stay within
 // radius meters of the run's anchor and last at least minDuration
 // seconds. This is the classic stay-point detection used by semantic
@@ -258,20 +246,4 @@ func (tr *Trajectory) MeanSampleInterval() float64 {
 		return 0
 	}
 	return tr.Duration() / float64(len(tr.Points)-1)
-}
-
-// MaxSpeed returns the maximum finite per-segment speed, and whether
-// any segment had a non-increasing timestamp (reported separately so
-// callers can distinguish data faults from fast motion).
-func (tr *Trajectory) MaxSpeed() (maxSpeed float64, hasBadTimestamps bool) {
-	for _, s := range tr.Speeds() {
-		if math.IsInf(s, 1) {
-			hasBadTimestamps = true
-			continue
-		}
-		if s > maxSpeed {
-			maxSpeed = s
-		}
-	}
-	return maxSpeed, hasBadTimestamps
 }

@@ -37,17 +37,10 @@ func TestDurationLengthSpeeds(t *testing.T) {
 	if tr.Duration() != 10 {
 		t.Fatalf("duration = %v", tr.Duration())
 	}
-	if math.Abs(tr.Length()-50) > 1e-9 {
-		t.Fatalf("length = %v", tr.Length())
-	}
 	for _, s := range tr.Speeds() {
 		if math.Abs(s-5) > 1e-9 {
 			t.Fatalf("speed = %v", s)
 		}
-	}
-	ms, bad := tr.MaxSpeed()
-	if bad || math.Abs(ms-5) > 1e-9 {
-		t.Fatalf("max speed = %v bad=%v", ms, bad)
 	}
 }
 
@@ -59,10 +52,6 @@ func TestSpeedsBadTimestamps(t *testing.T) {
 	s := tr.Speeds()
 	if !math.IsInf(s[0], 1) {
 		t.Fatalf("zero-dt speed = %v", s[0])
-	}
-	_, bad := tr.MaxSpeed()
-	if !bad {
-		t.Fatal("bad timestamps not flagged")
 	}
 }
 
@@ -181,8 +170,8 @@ func TestStayPoints(t *testing.T) {
 	if len(sps) != 1 {
 		t.Fatalf("stay points = %d, want 1", len(sps))
 	}
-	if sps[0].Duration() < 30 {
-		t.Fatalf("stay duration = %v", sps[0].Duration())
+	if d := sps[0].End - sps[0].Start; d < 30 {
+		t.Fatalf("stay duration = %v", d)
 	}
 	if d := sps[0].Center.Dist(base.Pos); d > 10 {
 		t.Fatalf("stay center off by %v", d)
@@ -214,9 +203,6 @@ func TestMaxSEDAndPerpendicular(t *testing.T) {
 	if got := MaxSED(tr, 0, 2); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("MaxSED = %v", got)
 	}
-	if got := PerpendicularError(tr, 0, 2); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("PerpendicularError = %v", got)
-	}
 	if MaxSED(tr, 0, 1) != 0 {
 		t.Fatal("adjacent MaxSED should be 0")
 	}
@@ -241,24 +227,6 @@ func TestSyncDistance(t *testing.T) {
 	}
 	if !math.IsInf(SyncDistance(a, New("c", c.Points), 5), 1) {
 		t.Fatal("disjoint spans should be +Inf")
-	}
-}
-
-func TestDTWIdentityAndShift(t *testing.T) {
-	a := line("a", 20, 1, 2)
-	if got := DTW(a, a); got != 0 {
-		t.Fatalf("DTW self = %v", got)
-	}
-	b := New("b", nil)
-	for _, p := range a.Points {
-		b.Points = append(b.Points, Point{T: p.T, Pos: p.Pos.Add(geo.Pt(0, 1))})
-	}
-	got := DTW(a, b)
-	if got < 19 || got > 21 { // 20 matched pairs at distance 1 (warping may skip a bit)
-		t.Fatalf("DTW shifted = %v", got)
-	}
-	if !math.IsInf(DTW(a, &Trajectory{}), 1) {
-		t.Fatal("empty DTW should be +Inf")
 	}
 }
 

@@ -180,7 +180,7 @@ func NewTransferTrend(source []stid.Reading, target []stid.Reading, spaceSigma f
 	return t
 }
 
-// Estimate implements Interpolator for the target region.
+// Estimate interpolates in the target region.
 func (t *TransferTrend) Estimate(pos geo.Point, tm float64) (float64, bool) {
 	base, ok := t.source.Estimate(pos, tm)
 	if !ok {

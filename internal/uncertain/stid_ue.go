@@ -8,14 +8,6 @@ import (
 	"sidq/internal/stid"
 )
 
-// Interpolator estimates a thematic value at an unsampled
-// location-time point from nearby readings.
-type Interpolator interface {
-	// Estimate returns the interpolated value at (pos, t). ok is false
-	// when no readings are usable (e.g. none within the time window).
-	Estimate(pos geo.Point, t float64) (value float64, ok bool)
-}
-
 // IDW is inverse-distance-weighted spatiotemporal interpolation: each
 // reading within the temporal window contributes with weight
 // 1/(spatialDist^power + eps) scaled by a triangular temporal decay.
@@ -25,7 +17,8 @@ type IDW struct {
 	TimeWindow float64 // readings further than this in time are ignored (default +Inf)
 }
 
-// Estimate implements Interpolator.
+// Estimate returns the interpolated value at (pos, t). ok is false when
+// no readings are usable (e.g. none within the time window).
 func (w IDW) Estimate(pos geo.Point, t float64) (float64, bool) {
 	power := w.Power
 	if power <= 0 {
@@ -64,7 +57,8 @@ type GaussianKernel struct {
 	TimeSigma  float64 // temporal bandwidth in seconds (default +Inf)
 }
 
-// Estimate implements Interpolator.
+// Estimate returns the interpolated value at (pos, t). ok is false when
+// no readings are usable (e.g. none within the time window).
 func (g GaussianKernel) Estimate(pos geo.Point, t float64) (float64, bool) {
 	ss := g.SpaceSigma
 	if ss <= 0 {
@@ -134,7 +128,8 @@ func NewTrendResidual(readings []stid.Reading, power, timeWindow float64) *Trend
 
 func (t *TrendResidual) trend(p geo.Point) float64 { return t.a + t.b*p.X + t.c*p.Y }
 
-// Estimate implements Interpolator.
+// Estimate returns the interpolated value at (pos, t). ok is false when
+// no readings are usable (e.g. none within the time window).
 func (t *TrendResidual) Estimate(pos geo.Point, tm float64) (float64, bool) {
 	res, ok := t.idw.Estimate(pos, tm)
 	if !ok {

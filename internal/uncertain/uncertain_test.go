@@ -110,8 +110,8 @@ func TestMapMatchRecoversRoutes(t *testing.T) {
 		}
 		// Recovered points lie on the network.
 		for _, p := range res.Recovered.Points {
-			if snap, ok := snapper.Nearest(p.Pos); !ok || snap.Dist > 1 {
-				t.Fatalf("recovered point off network by %v", snap.Dist)
+			if snaps := snapper.KNearest(p.Pos, 1); len(snaps) == 0 || snaps[0].Dist > 1 {
+				t.Fatalf("recovered point off network: %v", snaps)
 			}
 		}
 	}
@@ -168,7 +168,12 @@ func fieldReadings(t *testing.T, density int, seed int64) (*simulate.Field, []st
 	return f, readings
 }
 
-func interpolationMAE(t *testing.T, f *simulate.Field, ip Interpolator, seed int64) float64 {
+// interpolator is what IDW, GaussianKernel and TrendResidual share.
+type interpolator interface {
+	Estimate(pos geo.Point, t float64) (value float64, ok bool)
+}
+
+func interpolationMAE(t *testing.T, f *simulate.Field, ip interpolator, seed int64) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var sum float64

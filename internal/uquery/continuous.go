@@ -108,7 +108,6 @@ type StreamRangeCounter struct {
 	query   geo.Rect
 	reorder *stream.Reorderer[PointEvent]
 	windows *stream.TumblingWindows[PointEvent]
-	results []WindowCount
 }
 
 // WindowCount is one closed-window answer.
@@ -159,14 +158,7 @@ func (c *StreamRangeCounter) collect(closed []stream.Window[PointEvent]) []Windo
 				seen[e.Value.ID] = true
 			}
 		}
-		wc := WindowCount{Start: w.Start, End: w.End, Count: len(seen)}
-		c.results = append(c.results, wc)
-		out = append(out, wc)
+		out = append(out, WindowCount{Start: w.Start, End: w.End, Count: len(seen)})
 	}
 	return out
-}
-
-// Results returns all closed windows so far.
-func (c *StreamRangeCounter) Results() []WindowCount {
-	return append([]WindowCount(nil), c.results...)
 }

@@ -44,16 +44,6 @@ func NewDistStore(bounds geo.Rect, nx, ny, workers int) *DistStore {
 	return s
 }
 
-// Insert routes a point to its partition asynchronously.
-func (s *DistStore) Insert(e index.PointEntry) error {
-	p := s.part.Partition(e.Pos)
-	return s.exec.Submit(p, func() {
-		s.mu[p].Lock()
-		s.grids[p].Insert(e)
-		s.mu[p].Unlock()
-	})
-}
-
 // InsertBatch inserts entries and waits for them to be indexed.
 func (s *DistStore) InsertBatch(entries []index.PointEntry) error {
 	var wg sync.WaitGroup
@@ -105,9 +95,6 @@ func (s *DistStore) Range(rect geo.Rect) ([]index.PointEntry, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
-
-// Imbalance exposes the executor's load imbalance (max/mean tasks).
-func (s *DistStore) Imbalance() float64 { return s.exec.Imbalance() }
 
 // Close stops the worker pool.
 func (s *DistStore) Close() {

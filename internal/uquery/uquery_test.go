@@ -292,14 +292,15 @@ func TestStreamRangeCounter(t *testing.T) {
 	c := NewStreamRangeCounter(query, 10, 5)
 	// Two objects inside during window [0,10); one outside; a late
 	// disordered event still lands correctly.
-	c.Push(1, PointEvent{ID: "a", Pos: geo.Pt(50, 50)})
-	c.Push(3, PointEvent{ID: "b", Pos: geo.Pt(60, 60)})
-	c.Push(2, PointEvent{ID: "c", Pos: geo.Pt(500, 500)}) // outside
-	c.Push(4, PointEvent{ID: "a", Pos: geo.Pt(51, 51)})   // duplicate id
-	c.Push(12, PointEvent{ID: "a", Pos: geo.Pt(50, 50)})
-	c.Push(11, PointEvent{ID: "b", Pos: geo.Pt(50, 50)}) // disordered but within lateness
-	results := c.Flush()
-	all := c.Results()
+	var all []WindowCount
+	push := func(t float64, ev PointEvent) { all = append(all, c.Push(t, ev)...) }
+	push(1, PointEvent{ID: "a", Pos: geo.Pt(50, 50)})
+	push(3, PointEvent{ID: "b", Pos: geo.Pt(60, 60)})
+	push(2, PointEvent{ID: "c", Pos: geo.Pt(500, 500)}) // outside
+	push(4, PointEvent{ID: "a", Pos: geo.Pt(51, 51)})   // duplicate id
+	push(12, PointEvent{ID: "a", Pos: geo.Pt(50, 50)})
+	push(11, PointEvent{ID: "b", Pos: geo.Pt(50, 50)}) // disordered but within lateness
+	all = append(all, c.Flush()...)
 	if len(all) < 2 {
 		t.Fatalf("windows = %d", len(all))
 	}
@@ -312,7 +313,6 @@ func TestStreamRangeCounter(t *testing.T) {
 	if c.Late() != 0 {
 		t.Fatalf("late = %d", c.Late())
 	}
-	_ = results
 }
 
 func TestStreamRangeCounterDropsVeryLate(t *testing.T) {
@@ -362,7 +362,7 @@ func TestDistStoreClosedSubmit(t *testing.T) {
 	store := NewDistStore(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 2, 2, 2)
 	store.Close()
 	store.Close() // idempotent
-	if err := store.Insert(index.PointEntry{ID: "x", Pos: geo.Pt(1, 1)}); err == nil {
+	if err := store.InsertBatch([]index.PointEntry{{ID: "x", Pos: geo.Pt(1, 1)}}); err == nil {
 		t.Fatal("insert after close should error")
 	}
 }
