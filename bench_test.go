@@ -225,7 +225,7 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 }
 
-type benchNoopStage struct{ traited bool }
+type benchNoopStage struct{}
 
 func (s benchNoopStage) Name() string    { return "bench-noop" }
 func (s benchNoopStage) Task() core.Task { return core.FaultCorrection }
@@ -235,27 +235,12 @@ func (s benchNoopStage) Apply(_ context.Context, ds *core.Dataset) error {
 	}
 	return nil
 }
-func (s benchNoopStage) Traits() core.StageTraits {
-	if s.traited {
-		return core.StageTraits{ReplacesTrajectories: true}
-	}
-	return core.StageTraits{}
-}
 
-// BenchmarkRunnerCloneCOW isolates the per-attempt cloning cost the COW
-// rewrite removes: raw deep Clone vs CloneCOW, and a no-op stage run
-// through the runner with and without declared traits (deep-clone
-// attempt vs COW attempt).
+// BenchmarkRunnerCloneCOW isolates what the runner pays per stage for
+// its working copy: a raw CloneCOW, and a no-op stage run through the
+// runner (clone, attempt, re-assessment).
 func BenchmarkRunnerCloneCOW(b *testing.B) {
 	ds := benchPipelineDataset(32)
-	b.Run("clone=deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ds.Clone() == nil {
-				b.Fatal("nil clone")
-			}
-		}
-	})
 	b.Run("clone=cow", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -264,22 +249,16 @@ func BenchmarkRunnerCloneCOW(b *testing.B) {
 			}
 		}
 	})
-	for _, traited := range []bool{false, true} {
-		name := "runner=deep"
-		if traited {
-			name = "runner=cow"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			p := core.NewPipeline(benchNoopStage{traited: traited})
-			for i := 0; i < b.N; i++ {
-				out, _, _ := p.RunContext(context.Background(), nil, ds)
-				if len(out.Trajectories) != 32 {
-					b.Fatal("runner lost trajectories")
-				}
+	b.Run("runner=cow", func(b *testing.B) {
+		b.ReportAllocs()
+		p := core.NewPipeline(benchNoopStage{})
+		for i := 0; i < b.N; i++ {
+			out, _, _ := p.RunContext(context.Background(), nil, ds)
+			if len(out.Trajectories) != 32 {
+				b.Fatal("runner lost trajectories")
 			}
-		})
-	}
+		}
+	})
 }
 
 func BenchmarkMapMatch(b *testing.B) {

@@ -117,7 +117,7 @@ func cleanReadings(r io.Reader, outPath string, reg *obs.Registry) {
 		log.Fatalf("sidqclean: %v", err)
 	}
 	ds := &core.Dataset{Readings: rs}
-	p := core.NewPipeline(core.DeduplicateStage{CellSize: 1, TimeBucket: 1}, core.ThematicRepairStage{})
+	p := core.NewPipeline(core.DeduplicateStage{}, core.ThematicRepairStage{})
 	cleaned, _, err := p.RunContext(context.Background(), cleaningRunner(reg), ds)
 	if err != nil {
 		log.Fatalf("sidqclean: %v", err)

@@ -2,15 +2,12 @@ package chaos
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"sidq/internal/core"
 	"sidq/internal/geo"
-	"sidq/internal/obs"
 	"sidq/internal/quality"
 	"sidq/internal/simulate"
 	"sidq/internal/stream"
@@ -49,9 +46,8 @@ func cleaningStages() []core.Stage {
 }
 
 // TestSuiteSurvivesEveryFailureMode is the chaos harness: every
-// injected failure mode (panic, error, hang, transient flake, active
-// corruption) against the policy that must survive it, checked for
-// completion, bounded retries, and the never-worse-than-input
+// injected failure mode (panic, error) against the policy that must
+// survive it, checked for completion and the never-worse-than-input
 // guarantee.
 func TestSuiteSurvivesEveryFailureMode(t *testing.T) {
 	for _, sc := range Suite(99, cleaningStages) {
@@ -74,12 +70,22 @@ func TestSuiteSurvivesEveryFailureMode(t *testing.T) {
 }
 
 func TestFlakyStageIsDeterministic(t *testing.T) {
-	run := func() (int, int, int) {
+	run := func() (panics, errs, delays int) {
 		ds := chaosDataset(3)
-		fs := NewFlakyStage(core.DeduplicateStage{}, FlakyOptions{Seed: 2, PanicProb: 0.3, ErrProb: 0.3, DelayProb: 0.1, Delay: time.Millisecond})
-		runner := &core.Runner{Policy: core.SkipStage, Retry: core.RetryPolicy{MaxAttempts: 6}}
-		_, _, _ = runner.Run(context.Background(), core.NewPipeline(fs), ds)
-		return fs.Injected()
+		// One attempt per stage is one draw per stage: six stages for a
+		// sequence worth comparing.
+		var stages []core.Stage
+		for i := 0; i < 6; i++ {
+			stages = append(stages, NewFlakyStage(core.DeduplicateStage{},
+				FlakyOptions{Seed: int64(2 + i), PanicProb: 0.3, ErrProb: 0.3, DelayProb: 0.1, Delay: time.Millisecond}))
+		}
+		runner := &core.Runner{Policy: core.SkipStage}
+		_, _, _ = runner.Run(context.Background(), core.NewPipeline(stages...), ds)
+		for _, st := range stages {
+			p, e, d := st.(*FlakyStage).Injected()
+			panics, errs, delays = panics+p, errs+e, delays+d
+		}
+		return
 	}
 	p1, e1, d1 := run()
 	p2, e2, d2 := run()
@@ -91,43 +97,19 @@ func TestFlakyStageIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRollbackGuaranteesNeverWorse(t *testing.T) {
-	// A pipeline that is pure sabotage: under RollbackStage every
-	// stage must be reverted and the output must equal the input's
-	// quality exactly.
-	ds := chaosDataset(4)
-	p := core.NewPipeline(CorruptStage{Seed: 1}, CorruptStage{Seed: 2, Sigma: 50})
-	r := &core.Runner{Policy: core.RollbackStage, GuardDims: DefaultGuardDims()}
-	out, reports, err := r.Run(context.Background(), p, ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, rep := range reports {
-		if !rep.RolledBack {
-			t.Fatalf("corrupting stage survived: %+v", rep)
-		}
-	}
-	beforeA, afterA := ds.Assess(), out.Assess()
-	for _, d := range DefaultGuardDims() {
-		if afterA[d] < beforeA[d]-1e-9 {
-			t.Fatalf("%v regressed despite rollback: %v -> %v", d, beforeA[d], afterA[d])
-		}
-	}
-}
-
 func TestSkipPolicyNeverWorseWithAllStagesFailing(t *testing.T) {
 	ds := chaosDataset(5)
 	stages := make([]core.Stage, 0, 3)
 	for i, st := range cleaningStages() {
-		stages = append(stages, NewFlakyStage(st, FlakyOptions{Seed: int64(i), FailFirst: 1 << 30}))
+		stages = append(stages, NewFlakyStage(st, FlakyOptions{Seed: int64(i), ErrProb: 1}))
 	}
-	r := &core.Runner{Policy: core.SkipStage, Retry: core.RetryPolicy{MaxAttempts: 2}}
+	r := &core.Runner{Policy: core.SkipStage}
 	out, reports, err := r.Run(context.Background(), core.NewPipeline(stages...), ds)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, rep := range reports {
-		if !rep.Skipped || rep.Attempts != 2 {
+		if !rep.Skipped {
 			t.Fatalf("report = %+v", rep)
 		}
 	}
@@ -230,52 +212,5 @@ func TestFaultySourceDeterministic(t *testing.T) {
 		if ea != eb {
 			t.Fatalf("sequence diverged: %v vs %v", ea, eb)
 		}
-	}
-}
-
-// TestVerifyTraceAssertions pins the trace contract: the harness sink
-// sees exactly the retries and panics the injected faults force, and a
-// failing CheckTrace fails Verify.
-func TestVerifyTraceAssertions(t *testing.T) {
-	mk := func(check func([]obs.TraceEvent) error) Scenario {
-		return Scenario{
-			Name: "trace-exact-retries",
-			Stages: func() []core.Stage {
-				return []core.Stage{NewFlakyStage(core.DeduplicateStage{}, FlakyOptions{FailFirst: 2, Seed: 1})}
-			},
-			Runner: func() *core.Runner {
-				return &core.Runner{
-					Policy: core.SkipStage,
-					Retry:  core.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond},
-				}
-			},
-			CheckTrace: check,
-		}
-	}
-
-	res, err := Verify(context.Background(), mk(func(evs []obs.TraceEvent) error {
-		retries := 0
-		for _, e := range evs {
-			if e.Kind == obs.KindRetry {
-				retries++
-			}
-		}
-		if retries != 2 {
-			return fmt.Errorf("recorded %d retries, want exactly 2", retries)
-		}
-		return nil
-	}), chaosDataset(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) == 0 {
-		t.Fatal("result carries no trace events")
-	}
-
-	_, err = Verify(context.Background(), mk(func(evs []obs.TraceEvent) error {
-		return fmt.Errorf("always unhappy")
-	}), chaosDataset(7))
-	if err == nil || !strings.Contains(err.Error(), "always unhappy") {
-		t.Fatalf("failing CheckTrace did not surface: %v", err)
 	}
 }

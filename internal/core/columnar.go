@@ -21,10 +21,9 @@ var columnarScratchPool = sync.Pool{New: func() any { return new(columnarScratch
 // fills dst, which arrives with undefined contents (capacity is reused
 // across trajectories, so kernels reset it). The conversion scratch is
 // pooled, so a steady-state pipeline allocates only each trajectory's
-// output points. Every entry is materialized fresh
-// (ReplacesTrajectories semantics), so the helper is safe on
-// copy-on-write clones; concurrent pipeline runs draw independent
-// scratch from the pool.
+// output points. Every entry is materialized fresh (the Stage
+// contract), so the helper is safe on copy-on-write clones; concurrent
+// pipeline runs draw independent scratch from the pool.
 func applyColumnar(ctx context.Context, ds *Dataset, kernel func(dst, src *trajectory.Columns)) error {
 	scr := columnarScratchPool.Get().(*columnarScratch)
 	defer columnarScratchPool.Put(scr)

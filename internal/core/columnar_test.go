@@ -76,13 +76,9 @@ func hostileDataset() *Dataset {
 // point-slice compaction, then the readings pass. The detectors' own
 // bit-equivalence with their pre-columnar bodies is pinned in
 // outlier/columnar_test.go.
-func aosOutlierRemoval(s OutlierRemovalStage, ds *Dataset) {
-	maxSpeed := s.MaxSpeed
-	if maxSpeed <= 0 {
-		maxSpeed = ds.MaxSpeed
-	}
+func aosOutlierRemoval(ds *Dataset) {
 	for i, tr := range ds.Trajectories {
-		speedFlags := outlier.SpeedConstraint(tr, maxSpeed)
+		speedFlags := outlier.SpeedConstraint(tr, ds.MaxSpeed)
 		statFlags := outlier.Statistical(tr, outlier.StatisticalOptions{})
 		merged := make([]bool, tr.Len())
 		for j := range merged {
@@ -129,16 +125,15 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 		if trial > 0 {
 			ds = spikyDataset(rng, 1+rng.Intn(5), rng.Intn(120))
 		}
-		st := OutlierRemovalStage{}
 		if trial%3 == 0 {
-			st.MaxSpeed = 5
+			ds.MaxSpeed = 5
 		}
 
-		want := ds.Clone()
-		aosOutlierRemoval(st, want)
+		want := ds.CloneCOW()
+		aosOutlierRemoval(want)
 
-		got := ds.Clone()
-		if err := st.Apply(context.Background(), got); err != nil {
+		got := ds.CloneCOW()
+		if err := (OutlierRemovalStage{}).Apply(context.Background(), got); err != nil {
 			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
@@ -181,10 +176,10 @@ func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCloneSharesTruthMap pins Dataset.Clone's documented context
-// contract: the Truth map header is shared with the parent (ground
-// truth is reference material, not per-clone state), while the data
-// slices are fresh and trajectories deep-copied.
+// TestCloneSharesTruthMap pins CloneCOW's documented context contract:
+// the Truth map header is shared with the parent (ground truth is
+// reference material, not per-clone state), and so are the trajectory
+// pointers, while the data slices are fresh.
 func TestCloneSharesTruthMap(t *testing.T) {
 	truth := trajectory.New("a", []trajectory.Point{
 		{T: 0, Pos: geo.Pt(0, 0)}, {T: 1, Pos: geo.Pt(1, 1)},
@@ -192,40 +187,19 @@ func TestCloneSharesTruthMap(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(74)), 2, 20)
 	ds.Truth = map[string]*trajectory.Trajectory{"a": truth}
 
-	for _, tc := range []struct {
-		name  string
-		clone *Dataset
-	}{
-		{"Clone", ds.Clone()},
-		{"CloneCOW", ds.CloneCOW()},
-	} {
-		cl := tc.clone
-		// Same map, not a copy: an insertion through the clone is visible
-		// to the parent. (That visibility is exactly why the contract says
-		// clone holders must treat Truth as read-only.)
-		cl.Truth["probe-"+tc.name] = truth
-		if _, ok := ds.Truth["probe-"+tc.name]; !ok {
-			t.Fatalf("%s: Truth map was copied; the documented contract is sharing", tc.name)
-		}
-		delete(ds.Truth, "probe-"+tc.name)
-		if cl.Truth["a"] != truth {
-			t.Fatalf("%s: Truth entry not shared", tc.name)
-		}
+	cl := ds.CloneCOW()
+	// Same map, not a copy: an insertion through the clone is visible
+	// to the parent. (That visibility is exactly why the contract says
+	// clone holders must treat Truth as read-only.)
+	cl.Truth["probe"] = truth
+	if _, ok := ds.Truth["probe"]; !ok {
+		t.Fatal("Truth map was copied; the documented contract is sharing")
 	}
-
-	// Trajectory isolation differs between the two clones: deep copies
-	// from Clone, shared pointers from CloneCOW.
-	deep := ds.Clone()
-	if deep.Trajectories[0] == ds.Trajectories[0] {
-		t.Fatal("Clone shares trajectory pointers; want deep copies")
+	delete(ds.Truth, "probe")
+	if cl.Truth["a"] != truth {
+		t.Fatal("Truth entry not shared")
 	}
-	orig := ds.Trajectories[0].Points[0]
-	deep.Trajectories[0].Points[0].Pos.X += 1000
-	if ds.Trajectories[0].Points[0] != orig {
-		t.Fatal("mutating a deep clone's points leaked into the parent")
-	}
-	cow := ds.CloneCOW()
-	if cow.Trajectories[0] != ds.Trajectories[0] {
+	if cl.Trajectories[0] != ds.Trajectories[0] {
 		t.Fatal("CloneCOW deep-copied trajectories; want shared pointers")
 	}
 }
@@ -233,7 +207,7 @@ func TestCloneSharesTruthMap(t *testing.T) {
 // aosDeduplicate is DeduplicateStage's pre-columnar implementation,
 // kept as the test reference: per-trajectory map[Point]bool dedup,
 // then the readings merge.
-func aosDeduplicate(s DeduplicateStage, ds *Dataset) {
+func aosDeduplicate(ds *Dataset) {
 	for i, tr := range ds.Trajectories {
 		out := &trajectory.Trajectory{ID: tr.ID}
 		seen := make(map[trajectory.Point]bool, tr.Len())
@@ -247,7 +221,7 @@ func aosDeduplicate(s DeduplicateStage, ds *Dataset) {
 		ds.Trajectories[i] = out
 	}
 	if len(ds.Readings) > 0 {
-		ds.Readings = integrate.Deduplicate(ds.Readings, s.CellSize, s.TimeBucket)
+		ds.Readings = integrate.Deduplicate(ds.Readings, 1, 1)
 	}
 }
 
@@ -295,13 +269,11 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 		if trial > 0 {
 			ds = dupDataset(rng, 1+rng.Intn(5), rng.Intn(120))
 		}
-		st := DeduplicateStage{}
+		want := ds.CloneCOW()
+		aosDeduplicate(want)
 
-		want := ds.Clone()
-		aosDeduplicate(st, want)
-
-		got := ds.Clone()
-		if err := st.Apply(context.Background(), got); err != nil {
+		got := ds.CloneCOW()
+		if err := (DeduplicateStage{}).Apply(context.Background(), got); err != nil {
 			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)

@@ -22,54 +22,36 @@ import (
 )
 
 // Dataset is a bundle of spatial IoT data plus assessment context.
-// Optional fields (Truth, TruthField) enable ground-truth dimensions.
+// The optional Truth enables the ground-truth dimensions.
 type Dataset struct {
 	Trajectories []*trajectory.Trajectory
 	Readings     []stid.Reading
 
 	// Assessment context.
 	Truth            map[string]*trajectory.Trajectory // by trajectory id
-	TruthField       func(geo.Point, float64) float64
 	Region           geo.Rect
 	ExpectedInterval float64 // nominal trajectory sampling period
-	ReadingInterval  float64 // nominal sensor period
-	NumSensors       int
-	Duration         float64
 	MaxSpeed         float64
 	Now              float64
 }
 
-// Clone returns a shallow copy with fresh slices (trajectories are
-// deep-copied so stages can edit in place; readings are copied).
+// CloneCOW returns the copy-on-write clone a stage works on: the
+// Trajectories and Readings slices are fresh (entries can be replaced
+// without touching ds), but the trajectory pointers are shared with ds.
+// It is safe exactly for holders that replace ds.Trajectories[i] entries
+// rather than mutating a trajectory's points in place — the Stage
+// contract. Readings are value-copied, so their fields may be edited
+// freely.
 //
-// The assessment context is shared, not copied: the Truth map, the
-// TruthField function, and the scalar context fields of the clone alias
-// the parent's. This is deliberate — cloning exists so stages can
-// rewrite the *data* cheaply, while ground truth is immutable reference
-// material that may be megabytes of trajectories; copying it per stage
-// attempt would dwarf the cost of the stage itself. The contract this
-// imposes: holders of a clone must treat Truth (and the trajectories it
+// The assessment context is shared, not copied: the Truth map and the
+// scalar context fields of the clone alias the parent's. Ground truth
+// is immutable reference material that may be megabytes of
+// trajectories; copying it per stage would dwarf the cost of the stage
+// itself. Holders of a clone must treat Truth (and the trajectories it
 // points to) as read-only — inserting, deleting, or mutating entries
 // through a clone is visible to the parent and to every sibling clone,
-// and is a data race once two pipeline runs share the dataset. CloneCOW
-// shares Truth the same way. TestCloneSharesTruthMap pins this contract.
-func (ds *Dataset) Clone() *Dataset {
-	out := *ds
-	out.Trajectories = make([]*trajectory.Trajectory, len(ds.Trajectories))
-	for i, tr := range ds.Trajectories {
-		out.Trajectories[i] = tr.Clone()
-	}
-	out.Readings = append([]stid.Reading(nil), ds.Readings...)
-	return &out
-}
-
-// CloneCOW returns a copy-on-write clone: the Trajectories and Readings
-// slices are fresh (entries can be replaced without touching ds), but
-// the trajectory pointers are shared with ds. It is safe exactly for
-// holders that replace ds.Trajectories[i] entries rather than mutating
-// a trajectory's points in place — the contract stages declare with
-// StageTraits.ReplacesTrajectories. Readings are value-copied, so their
-// fields may be edited freely.
+// and is a data race once two pipeline runs share the dataset.
+// TestCloneSharesTruthMap pins this contract.
 func (ds *Dataset) CloneCOW() *Dataset {
 	out := *ds
 	out.Trajectories = append([]*trajectory.Trajectory(nil), ds.Trajectories...)
@@ -144,14 +126,7 @@ func (ds *Dataset) AssessParts() (quality.Assessment, quality.Assessment) {
 	}
 	var rdA quality.Assessment
 	if len(ds.Readings) > 0 {
-		rdA = quality.AssessReadings(ds.Readings, quality.ReadingsContext{
-			Truth:            ds.TruthField,
-			Region:           ds.Region,
-			ExpectedInterval: ds.ReadingInterval,
-			NumSensors:       ds.NumSensors,
-			Duration:         ds.Duration,
-			Now:              ds.Now,
-		})
+		rdA = quality.AssessReadings(ds.Readings, quality.ReadingsContext{Region: ds.Region, Now: ds.Now})
 	}
 	if trA == nil {
 		trA = quality.Assessment{}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"sidq/internal/geo"
@@ -27,49 +28,9 @@ func twoTrajDataset() *Dataset {
 	}
 }
 
-// TestCloneDeepCopyIsolation is the regression guard for the COW
-// rewrite: Dataset.Clone stays a deep copy — mutations to a clone's
-// points must never be visible in the parent, and vice versa.
-func TestCloneDeepCopyIsolation(t *testing.T) {
-	parent := twoTrajDataset()
-	clone := parent.Clone()
-
-	// Mutate every layer of the clone.
-	clone.Trajectories[0].Points[0].Pos.X = 9999
-	clone.Trajectories[0].Points[0].T = -1
-	clone.Trajectories[1] = &trajectory.Trajectory{ID: "swapped"}
-	clone.Readings[0].Value = -42
-
-	if parent.Trajectories[0].Points[0].Pos.X == 9999 || parent.Trajectories[0].Points[0].T == -1 {
-		t.Fatal("mutating a clone's points leaked into the parent")
-	}
-	if parent.Trajectories[1].ID != "b" {
-		t.Fatal("replacing a clone entry leaked into the parent")
-	}
-	if parent.Readings[0].Value != 10 {
-		t.Fatal("mutating a clone reading leaked into the parent")
-	}
-
-	// And the reverse direction.
-	parent.Trajectories[0].Points[1].Pos.Y = -777
-	parent.Readings[1].Value = -7
-	if clone.Trajectories[0].Points[1].Pos.Y == -777 {
-		t.Fatal("mutating the parent's points leaked into the clone")
-	}
-	if clone.Readings[1].Value != 20 {
-		t.Fatal("mutating a parent reading leaked into the clone")
-	}
-
-	// Appends never alias.
-	clone.Trajectories = append(clone.Trajectories, &trajectory.Trajectory{ID: "extra"})
-	if len(parent.Trajectories) != 2 {
-		t.Fatal("appending to a clone grew the parent")
-	}
-}
-
 // TestCloneCOWContract pins the copy-on-write contract: slice entries
 // and readings are isolated, while trajectory pointers are shared until
-// replaced — exactly what ReplacesTrajectories stages rely on.
+// replaced — exactly what the Stage contract relies on.
 func TestCloneCOWContract(t *testing.T) {
 	parent := twoTrajDataset()
 	cow := parent.CloneCOW()
@@ -101,19 +62,31 @@ func TestCloneCOWContract(t *testing.T) {
 	}
 }
 
-// TestRunnerOutputIsolatedFromInput ensures the runner's COW fast path
-// never lets a stage's output alias the caller's input dataset in a way
-// that a later in-place edit of the output could corrupt the input.
-func TestRunnerOutputIsolatedFromInput(t *testing.T) {
+// TestRunLeavesInputBitIdentical: the runner no longer deep-copies its
+// input, so the Stage contract is all that protects it. Every planner
+// stage runs over a dataset that gives each of them work, and the input
+// must come back bit for bit — trajectories, points and readings.
+func TestRunLeavesInputBitIdentical(t *testing.T) {
 	ds := dirtyDataset(23)
-	origX := ds.Trajectories[0].Points[0].Pos.X
-	out, _, _ := NewPipeline(SmoothingStage{}, DeduplicateStage{}).RunContext(context.Background(), nil, ds)
-	for i := range out.Trajectories {
-		for j := range out.Trajectories[i].Points {
-			out.Trajectories[i].Points[j].Pos.X = -1e9
+	want := ds.CloneCOW()
+	for i, tr := range want.Trajectories {
+		want.Trajectories[i] = tr.Clone()
+	}
+	p := NewPipeline(DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{}, ImputeStage{}, ThematicRepairStage{})
+	out, reports, err := p.RunContext(context.Background(), nil, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		if rep.Skipped || rep.Err != nil {
+			t.Fatalf("stage %s did not run cleanly: %+v", rep.Stage, rep)
 		}
 	}
-	if ds.Trajectories[0].Points[0].Pos.X != origX {
-		t.Fatal("pipeline output aliases the input dataset")
+	if out == ds {
+		t.Fatal("every stage's work was kept, yet the output is the input")
+	}
+	sameTrajectories(t, ds.Trajectories, want.Trajectories)
+	if !reflect.DeepEqual(ds.Readings, want.Readings) {
+		t.Fatal("the run changed its input's readings")
 	}
 }

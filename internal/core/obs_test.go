@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -16,47 +15,25 @@ type noopStage struct{}
 func (noopStage) Name() string                          { return "noop" }
 func (noopStage) Task() Task                            { return FaultCorrection }
 func (noopStage) Apply(context.Context, *Dataset) error { return nil }
-func (noopStage) Traits() StageTraits                   { return replaceOnly }
 
-func TestRunnerObsRetriesAndStageMetrics(t *testing.T) {
+func TestRunnerObsStageMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.MemSink{}
-	calls := 0
-	st := scriptedStage{name: "flaky", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
-		if calls <= 2 {
-			return errors.New("transient")
-		}
-		return nil
-	}}
-	r := &Runner{
-		Policy: SkipStage,
-		Retry:  RetryPolicy{MaxAttempts: 4},
-		Obs:    reg,
-		Trace:  sink,
-	}
-	_, reports, err := NewPipeline(st).RunContext(context.Background(), r, dirtyDataset(1))
+	r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
+	_, reports, err := NewPipeline(noopStage{}).RunContext(context.Background(), r, dirtyDataset(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 1 || reports[0].Attempts != 3 {
-		t.Fatalf("reports = %+v, want one report with 3 attempts", reports)
-	}
-	if reports[0].Duration <= 0 {
-		t.Fatalf("report Duration = %v, want > 0", reports[0].Duration)
-	}
-	if got := reg.Counter("sidq_runner_retries_total").Value(); got != 2 {
-		t.Fatalf("retries_total = %d, want 2", got)
-	}
-	if got := sink.Count(obs.KindRetry); got != 2 {
-		t.Fatalf("retry trace events = %d, want 2", got)
+	if len(reports) != 1 || reports[0].Duration <= 0 {
+		t.Fatalf("reports = %+v, want one report with Duration > 0", reports)
 	}
 	if got := sink.Count(obs.KindStage); got != 1 {
 		t.Fatalf("stage trace events = %d, want 1", got)
 	}
-	if got := reg.Counter(`sidq_runner_stage_total{stage="flaky",outcome="ok"}`).Value(); got != 1 {
+	if got := reg.Counter(`sidq_runner_stage_total{stage="noop",outcome="ok"}`).Value(); got != 1 {
 		t.Fatalf("stage_total{ok} = %d, want 1", got)
 	}
-	if got := reg.Histogram(`sidq_runner_stage_latency_ns{stage="flaky"}`).Snapshot().Count(); got != 1 {
+	if got := reg.Histogram(`sidq_runner_stage_latency_ns{stage="noop"}`).Snapshot().Count(); got != 1 {
 		t.Fatalf("stage latency observations = %d, want 1", got)
 	}
 }
@@ -97,7 +74,7 @@ func TestInitRunnerMetricsPreregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, fam := range []string{mRetries, mPanics, mRollbacks, mSkips} {
+	for _, fam := range []string{mPanics, mSkips} {
 		if !strings.Contains(out, "# TYPE "+fam+" ") {
 			t.Errorf("exposition missing family %s:\n%s", fam, out)
 		}

@@ -24,10 +24,6 @@ func (s RouteRecoverStage) Name() string { return "route-recovery" }
 // Task implements Stage.
 func (s RouteRecoverStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: each trajectory is replaced by its
-// recovered path.
-func (s RouteRecoverStage) Traits() StageTraits { return replaceOnly }
-
 // Apply implements Stage. Trajectories whose map-match fails keep
 // their raw points; the failure count is surfaced as a PartialError
 // instead of being swallowed.
@@ -64,12 +60,10 @@ type StageReport struct {
 	After  quality.Assessment
 
 	// Execution record (populated by the Runner).
-	Err        error          // stage error (PartialError for degraded success)
-	Attempts   int            // attempts consumed (1 = first try)
-	Skipped    bool           // stage failed and its work was discarded
-	RolledBack bool           // stage succeeded but regressed quality and was reverted
-	Duration   time.Duration  // wall time across all attempts
-	Meta       map[string]int // stage counters (e.g. partial-failure accounting)
+	Err      error          // stage error (PartialError for degraded success)
+	Skipped  bool           // stage failed and its work was discarded
+	Duration time.Duration  // wall time of the stage and its re-assessment
+	Meta     map[string]int // stage counters (e.g. partial-failure accounting)
 }
 
 // Pipeline is an ordered list of cleaning stages.
@@ -80,8 +74,8 @@ type Pipeline struct {
 // NewPipeline returns a pipeline over the given stages.
 func NewPipeline(stages ...Stage) *Pipeline { return &Pipeline{Stages: stages} }
 
-// RunContext clones the dataset, applies every stage in order on the
-// given runner (nil selects DefaultRunner), and returns the cleaned
+// RunContext applies every stage in order on the given runner (nil
+// selects DefaultRunner), leaving ds untouched, and returns the cleaned
 // dataset together with per-stage before/after assessments.
 func (p *Pipeline) RunContext(ctx context.Context, r *Runner, ds *Dataset) (*Dataset, []StageReport, error) {
 	if r == nil {

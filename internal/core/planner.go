@@ -13,7 +13,6 @@ type Targets struct {
 	MaxPrecisionError float64 // meters
 	MinCompleteness   float64 // [0, 1]
 	MaxRedundancy     float64 // [0, 1]
-	MaxTimestampGap   float64 // enables timestamp repair with [0, gap]
 }
 
 // DefaultTargets is a reasonable profile for consumer applications.
@@ -31,12 +30,10 @@ func DefaultTargets() Targets {
 //
 //  1. deduplication (redundancy) — before anything that would smear
 //     duplicates around;
-//  2. timestamp repair (ordering faults) — before motion models that
-//     assume monotone time;
-//  3. outlier removal (consistency) — before smoothing, which would
+//  2. outlier removal (consistency) — before smoothing, which would
 //     otherwise drag estimates toward gross errors;
-//  4. smoothing (precision);
-//  5. interpolation imputation (completeness) — last, so it fills from
+//  3. smoothing (precision);
+//  4. interpolation imputation (completeness) — last, so it fills from
 //     already-clean data.
 //
 // This is the paper's "DQ-aware task planning" open issue realized for
@@ -45,9 +42,6 @@ func Plan(a quality.Assessment, t Targets) []Stage {
 	var stages []Stage
 	if v, ok := a[quality.Redundancy]; ok && t.MaxRedundancy > 0 && v > t.MaxRedundancy {
 		stages = append(stages, DeduplicateStage{})
-	}
-	if t.MaxTimestampGap > 0 {
-		stages = append(stages, TimestampRepairStage{MinGap: 0, MaxGap: t.MaxTimestampGap})
 	}
 	if v, ok := a[quality.Consistency]; ok && t.MinConsistency > 0 && v < t.MinConsistency {
 		stages = append(stages, OutlierRemovalStage{})
@@ -77,9 +71,9 @@ func PlanAndRun(ds *Dataset, t Targets) (*Dataset, []Stage, []StageReport) {
 // re-assessment loop closes that gap. A stage type is applied at most
 // once across rounds to guarantee termination. It executes on the
 // caller's runner (nil selects DefaultRunner) — the hook services and
-// CLIs use to attach observability or retry policies to planned
-// cleaning. The error is non-nil only when the runner's policy
-// surfaces one (FailFast) or ctx is cancelled; the returned dataset
+// CLIs use to attach observability to planned cleaning. The error is
+// non-nil only when the runner's policy surfaces one (FailFast) or ctx
+// is cancelled before or during a stage; the returned dataset
 // then reflects the progress made before the failure.
 func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targets, maxRounds int) (*Dataset, []Stage, []StageReport, error) {
 	if maxRounds < 1 {

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"sidq/internal/obs"
 	"sidq/internal/quality"
 )
 
@@ -18,9 +18,8 @@ type scriptedStage struct {
 	fn    func(ctx context.Context, ds *Dataset) error
 }
 
-func (s scriptedStage) Name() string        { return s.name }
-func (s scriptedStage) Task() Task          { return FaultCorrection }
-func (s scriptedStage) Traits() StageTraits { return StageTraits{} }
+func (s scriptedStage) Name() string { return s.name }
+func (s scriptedStage) Task() Task   { return FaultCorrection }
 func (s scriptedStage) Apply(ctx context.Context, ds *Dataset) error {
 	if s.calls != nil {
 		*s.calls++
@@ -34,143 +33,24 @@ type legacyPanicStage struct{}
 
 func (legacyPanicStage) Name() string                          { return "legacy-panic" }
 func (legacyPanicStage) Task() Task                            { return FaultCorrection }
-func (legacyPanicStage) Traits() StageTraits                   { return StageTraits{} }
 func (legacyPanicStage) Apply(context.Context, *Dataset) error { panic("boom") }
 
-func TestRetryPolicyDelaySchedule(t *testing.T) {
-	cases := []struct {
-		name     string
-		p        RetryPolicy
-		attempts []int
-		want     []time.Duration
-	}{
-		{
-			name:     "zero policy never waits",
-			p:        RetryPolicy{},
-			attempts: []int{1, 2, 3},
-			want:     []time.Duration{0, 0, 0},
-		},
-		{
-			name:     "default multiplier doubles",
-			p:        RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond},
-			attempts: []int{1, 2, 3, 4},
-			want: []time.Duration{
-				100 * time.Millisecond, 200 * time.Millisecond,
-				400 * time.Millisecond, 800 * time.Millisecond,
-			},
-		},
-		{
-			name: "cap clamps the tail",
-			p: RetryPolicy{
-				MaxAttempts: 5, BaseDelay: 100 * time.Millisecond,
-				MaxDelay: 250 * time.Millisecond,
-			},
-			attempts: []int{1, 2, 3, 4},
-			want: []time.Duration{
-				100 * time.Millisecond, 200 * time.Millisecond,
-				250 * time.Millisecond, 250 * time.Millisecond,
-			},
-		},
-		{
-			name: "custom multiplier",
-			p: RetryPolicy{
-				MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, Multiplier: 3,
-			},
-			attempts: []int{1, 2, 3},
-			want: []time.Duration{
-				10 * time.Millisecond, 30 * time.Millisecond, 90 * time.Millisecond,
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for i, a := range tc.attempts {
-				if got := tc.p.Delay(a, nil); got != tc.want[i] {
-					t.Fatalf("Delay(%d) = %v, want %v", a, got, tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestRetryPolicyJitterDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, JitterFrac: 0.3}
-	a := p.Delay(2, rand.New(rand.NewSource(42)))
-	b := p.Delay(2, rand.New(rand.NewSource(42)))
-	if a != b {
-		t.Fatalf("same seed produced different delays: %v vs %v", a, b)
-	}
-	base := 200 * time.Millisecond
-	lo := time.Duration(float64(base) * 0.7)
-	hi := time.Duration(float64(base) * 1.3)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		d := p.Delay(2, rng)
-		if d < lo || d > hi {
-			t.Fatalf("jittered delay %v outside [%v, %v]", d, lo, hi)
-		}
-	}
-}
-
-func TestRunnerRetriesWithBackoffNoRealSleeps(t *testing.T) {
-	ds := dirtyDataset(11)
-	calls := 0
-	st := scriptedStage{name: "flaky", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
-		if calls <= 2 {
-			return errors.New("transient")
-		}
-		return nil
-	}}
-	var slept []time.Duration
-	r := &Runner{
-		Policy: FailFast,
-		Retry:  RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond},
-		Sleep:  func(d time.Duration) { slept = append(slept, d) },
-	}
-	start := time.Now()
-	_, reports, err := r.Run(context.Background(), NewPipeline(st), ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("runner slept for real: %v", elapsed)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if reports[0].Attempts != 3 || reports[0].Err != nil || reports[0].Skipped {
-		t.Fatalf("report = %+v", reports[0])
-	}
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-}
-
+// TestRunnerRetriesAreBounded: the bound is one. A stage that always
+// fails is attempted exactly once and skipped.
 func TestRunnerRetriesAreBounded(t *testing.T) {
 	ds := dirtyDataset(12)
 	calls := 0
 	st := scriptedStage{name: "always-fails", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
 		return errors.New("permanent")
 	}}
-	r := &Runner{
-		Policy: SkipStage,
-		Retry:  RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Sleep:  func(time.Duration) {},
-	}
-	_, reports, err := r.Run(context.Background(), NewPipeline(st), ds)
+	_, reports, err := (&Runner{Policy: SkipStage}).Run(context.Background(), NewPipeline(st), ds)
 	if err != nil {
 		t.Fatalf("skip policy surfaced error: %v", err)
 	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want exactly MaxAttempts", calls)
+	if calls != 1 {
+		t.Fatalf("calls = %d, want exactly one attempt", calls)
 	}
-	if !reports[0].Skipped || reports[0].Attempts != 3 || reports[0].Err == nil {
+	if !reports[0].Skipped || reports[0].Err == nil {
 		t.Fatalf("report = %+v", reports[0])
 	}
 }
@@ -196,18 +76,10 @@ func TestRunnerRecoversPanics(t *testing.T) {
 		t.Fatal("dedup after panic did not run")
 	}
 
-	// Panic with retries: every attempt is recovered.
-	calls := 0
-	st := scriptedStage{name: "panicky", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
-		panic("each attempt panics")
-	}}
-	r := &Runner{Policy: FailFast, Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, Sleep: func(time.Duration) {}}
-	_, _, err := r.Run(context.Background(), NewPipeline(st), ds)
+	// The same panic under FailFast is the run's error, not a crash.
+	_, _, err := (&Runner{Policy: FailFast}).Run(context.Background(), NewPipeline(legacyPanicStage{}), ds)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("fail-fast panic error = %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("panic attempts = %d", calls)
 	}
 }
 
@@ -231,69 +103,82 @@ func TestRunnerFailFastReturnsProgress(t *testing.T) {
 	}
 }
 
-func TestRunnerQualityRegressionRollback(t *testing.T) {
-	ds := dirtyDataset(15)
-	corrupt := scriptedStage{name: "corruptor", fn: func(ctx context.Context, ds *Dataset) error {
-		for _, tr := range ds.Trajectories {
-			for i := range tr.Points {
-				tr.Points[i].Pos.X += 1e4
-				tr.Points[i].Pos.Y -= 1e4
-			}
-		}
-		return nil // "succeeds" while making everything worse
+// TestRunnerStageDeadlineCancelsRunaway: the deadline is the run's ctx
+// (a request's, via the server's timeout middleware). A stage that
+// ignores it is abandoned when it passes, and the run ends with the
+// deadline error whatever the policy.
+func TestRunnerStageDeadlineCancelsRunaway(t *testing.T) {
+	ds := dirtyDataset(16)
+	release := make(chan struct{})
+	defer close(release)
+	st := scriptedStage{name: "runaway", fn: func(context.Context, *Dataset) error {
+		<-release // deaf to ctx
+		return nil
 	}}
-	r := &Runner{Policy: RollbackStage, GuardDims: []quality.Dimension{quality.Accuracy}}
-	out, reports, err := r.Run(context.Background(), NewPipeline(corrupt), ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, reports, err := (&Runner{Policy: SkipStage}).Run(ctx, NewPipeline(st, DeduplicateStage{}), ds)
+	if time.Since(start) > 2*time.Second {
+		t.Fatal("deadline did not abandon the stage")
 	}
-	if !reports[0].RolledBack {
-		t.Fatalf("corrupting stage not rolled back: %+v", reports[0])
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "during stage runaway") {
+		t.Fatalf("err = %v, want the deadline, during stage runaway", err)
 	}
-	// The whole pipeline was sabotage, so the output must carry the
-	// input's exact quality.
-	beforeA := ds.Assess()[quality.Accuracy]
-	afterA := out.Assess()[quality.Accuracy]
-	if afterA != beforeA {
-		t.Fatalf("rollback failed to protect accuracy: %v -> %v", beforeA, afterA)
-	}
-
-	// A healthy stage after a rolled-back one still runs and keeps its
-	// work.
-	out2, reports2, err := r.Run(context.Background(), NewPipeline(corrupt, DeduplicateStage{}), ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if reports2[1].Skipped || reports2[1].RolledBack {
-		t.Fatalf("healthy stage affected: %+v", reports2[1])
-	}
-	if out2.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
-		t.Fatal("dedup after rollback did not run")
+	if len(reports) != 1 || reports[0].Skipped || !errors.Is(reports[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("reports = %+v, want the one abandoned stage, not skipped", reports)
 	}
 }
 
-func TestRunnerStageDeadlineCancelsRunaway(t *testing.T) {
-	ds := dirtyDataset(16)
-	st := scriptedStage{name: "runaway", fn: func(ctx context.Context, ds *Dataset) error {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(5 * time.Second):
-			return nil
-		}
-	}}
-	r := &Runner{Policy: SkipStage, StageTimeout: 10 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 2}}
-	start := time.Now()
-	_, reports, err := r.Run(context.Background(), NewPipeline(st), ds)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("deadline did not cancel the stage")
-	}
-	rep := reports[0]
-	if !rep.Skipped || rep.Attempts != 2 || !errors.Is(rep.Err, context.DeadlineExceeded) {
-		t.Fatalf("report = %+v", rep)
+// TestRunCancelledMidStageIsAnError: an attempt that ended because the
+// run's ctx is done is a cancellation, not a stage failure — the run
+// returns the ctx error, the stage is not marked or counted skipped,
+// and the dataset is the progress made before it.
+func TestRunCancelledMidStageIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stages func(cancelling Stage) []Stage
+	}{
+		{"last stage", func(c Stage) []Stage { return []Stage{DeduplicateStage{}, c} }},
+		{"middle stage", func(c Stage) []Stage { return []Stage{DeduplicateStage{}, c, SmoothingStage{}} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := dirtyDataset(21)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dying := scriptedStage{name: "dying", fn: func(ctx context.Context, _ *Dataset) error {
+				cancel()
+				return ctx.Err()
+			}}
+			reg := obs.NewRegistry()
+			sink := &obs.MemSink{}
+			r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
+			out, reports, err := r.Run(ctx, NewPipeline(tc.stages(dying)...), ds)
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled during stage dying") {
+				t.Fatalf("err = %v, want cancelled during stage dying", err)
+			}
+			if len(reports) != 2 {
+				t.Fatalf("%d reports, want 2: the run ends at the cancelled stage", len(reports))
+			}
+			if rep := reports[1]; rep.Skipped || !errors.Is(rep.Err, context.Canceled) {
+				t.Fatalf("report = %+v, want Err set and not Skipped", rep)
+			}
+			if got := reg.Counter(mSkips).Value(); got != 0 {
+				t.Fatalf("skips_total = %d, want 0", got)
+			}
+			if got := sink.Count(obs.KindSkip); got != 0 {
+				t.Fatalf("%d skip trace events, want 0", got)
+			}
+			if got := reg.Counter(`sidq_runner_stage_total{stage="dying",outcome="cancelled"}`).Value(); got != 1 {
+				t.Fatalf("stage_total{cancelled} = %d, want 1", got)
+			}
+			if got := reg.Counter(`sidq_runner_stage_total{stage="dying",outcome="skipped"}`).Value(); got != 0 {
+				t.Fatalf("stage_total{skipped} = %d, want 0", got)
+			}
+			if out.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
+				t.Fatal("the stage before the cancellation lost its work")
+			}
+		})
 	}
 }
 
@@ -307,41 +192,17 @@ func TestRunnerParentCancellation(t *testing.T) {
 	}
 }
 
-// TestRunnerCancelCutsBackoffShort cancels a run in the middle of a
-// real backoff: the run must return without waiting the delay out, and
-// without starting the attempt the delay was for.
-func TestRunnerCancelCutsBackoffShort(t *testing.T) {
-	st := scriptedStage{name: "fails", fn: func(context.Context, *Dataset) error {
-		return errors.New("transient")
-	}}
-	r := &Runner{Policy: SkipStage, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: 200 * time.Millisecond}}
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(10*time.Millisecond, cancel)
-	start := time.Now()
-	_, reports, _ := r.Run(ctx, NewPipeline(st), dirtyDataset(20))
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("cancelled run returned after %v, waiting out its 200ms backoff", elapsed)
-	}
-	if len(reports) != 1 || reports[0].Attempts != 1 || !reports[0].Skipped {
-		t.Fatalf("reports = %+v, want one skipped stage with 1 attempt", reports)
-	}
-}
-
 func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 	ds := dirtyDataset(18)
-	calls := 0
-	st := scriptedStage{name: "partial", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
+	st := scriptedStage{name: "partial", fn: func(ctx context.Context, ds *Dataset) error {
 		// Do real work, then report a degraded completion.
 		_ = DeduplicateStage{}.Apply(ctx, ds)
 		return &PartialError{Stage: "partial", Failed: 2, Total: 10}
 	}}
-	r := &Runner{Policy: FailFast, Retry: RetryPolicy{MaxAttempts: 3}}
+	r := &Runner{Policy: FailFast}
 	out, reports, err := r.Run(context.Background(), NewPipeline(st), ds)
 	if err != nil {
 		t.Fatalf("partial error escalated to run failure: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("partial completion retried: calls = %d", calls)
 	}
 	rep := reports[0]
 	var pe *PartialError
@@ -368,7 +229,7 @@ func TestRouteRecoverSurfacesMapMatchFailures(t *testing.T) {
 
 func TestFailurePolicyString(t *testing.T) {
 	for p, want := range map[FailurePolicy]string{
-		FailFast: "fail-fast", SkipStage: "skip-stage", RollbackStage: "rollback-stage",
+		FailFast: "fail-fast", SkipStage: "skip-stage",
 	} {
 		if p.String() != want {
 			t.Fatalf("%d.String() = %q", p, p.String())

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -52,31 +51,29 @@ type Stage interface {
 	Name() string
 	// Task is the taxonomy family the stage implements.
 	Task() Task
-	// Traits declares what the Runner may exploit (cheap clones); the
-	// zero value is always safe. Wrapper stages forward their inner
-	// stage's traits when the wrapper itself edits no points in place.
-	Traits() StageTraits
-	// Apply transforms the dataset in place (the Runner hands it a
-	// private clone), honouring ctx cancellation, and reports failure
-	// instead of swallowing it. A *PartialError means degraded success.
+	// Apply transforms the dataset it is handed — a copy-on-write clone
+	// (Dataset.CloneCOW) whose trajectories are shared with the
+	// runner's input. A stage therefore replaces ds.Trajectories[i]
+	// with a fresh value and never edits a trajectory's points in
+	// place; it may rewrite ds.Readings freely, the clone copies them by
+	// value. TestStageTraitsAreHonest holds every built-in stage to
+	// this (deep-cloning instead costs clean_batch 1 064 vs 971 kB/op,
+	// PR 22). Apply honours ctx cancellation and reports failure
+	// instead of swallowing it; a *PartialError means degraded success.
 	Apply(ctx context.Context, ds *Dataset) error
 }
 
 // OutlierRemovalStage drops trajectory points flagged by both the
 // constraint-based and statistics-based detectors being consulted in
 // union, and readings flagged by the temporal detector.
-type OutlierRemovalStage struct {
-	MaxSpeed float64 // physical speed bound; 0 uses the dataset's
-}
+// The speed bound is the dataset's MaxSpeed.
+type OutlierRemovalStage struct{}
 
 // Name implements Stage.
 func (s OutlierRemovalStage) Name() string { return "outlier-removal" }
 
 // Task implements Stage.
 func (s OutlierRemovalStage) Task() Task { return OutlierRemoval }
-
-// Traits implements Stage: replace-only.
-func (s OutlierRemovalStage) Traits() StageTraits { return replaceOnly }
 
 // orFlags is the flag scratch of the outlier stage, pooled so
 // concurrent pipeline runs reuse buffers without sharing them.
@@ -89,14 +86,10 @@ var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
 // union is compacted into a fresh trajectory, then the readings pass
 // runs once.
 func (s OutlierRemovalStage) Apply(ctx context.Context, ds *Dataset) error {
-	maxSpeed := s.MaxSpeed
-	if maxSpeed <= 0 {
-		maxSpeed = ds.MaxSpeed
-	}
 	scr := orFlagsPool.Get().(*orFlags)
 	defer orFlagsPool.Put(scr)
 	err := applyColumnar(ctx, ds, func(dst, src *trajectory.Columns) {
-		scr.speed = outlier.SpeedConstraintCols(src, maxSpeed, scr.speed)
+		scr.speed = outlier.SpeedConstraintCols(src, ds.MaxSpeed, scr.speed)
 		scr.stat = outlier.StatisticalCols(src, outlier.StatisticalOptions{}, scr.stat)
 		for j := range scr.speed {
 			scr.speed[j] = scr.speed[j] || scr.stat[j]
@@ -114,11 +107,10 @@ func (s OutlierRemovalStage) Apply(ctx context.Context, ds *Dataset) error {
 	return nil
 }
 
-// SmoothingStage applies RTS Kalman smoothing to every trajectory.
-type SmoothingStage struct {
-	ProcessNoise float64 // default 1
-	MeasNoise    float64 // default: the measured precision error
-}
+// SmoothingStage applies RTS Kalman smoothing to every trajectory,
+// with unit process noise and the measurement noise estimated from the
+// trajectory's own roughness.
+type SmoothingStage struct{}
 
 // Name implements Stage.
 func (s SmoothingStage) Name() string { return "kalman-smoothing" }
@@ -126,96 +118,30 @@ func (s SmoothingStage) Name() string { return "kalman-smoothing" }
 // Task implements Stage.
 func (s SmoothingStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: replace-only.
-func (s SmoothingStage) Traits() StageTraits { return replaceOnly }
-
 // Apply implements Stage.
 func (s SmoothingStage) Apply(ctx context.Context, ds *Dataset) error {
-	q := s.ProcessNoise
-	if q <= 0 {
-		q = 1
-	}
 	for i, tr := range ds.Trajectories {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r := s.MeasNoise
+		r := quality.Roughness(tr)
 		if r <= 0 {
-			// Estimate the noise level from the data itself.
-			a := quality.Roughness(tr)
-			if a <= 0 {
-				a = 5
-			}
-			r = a
+			r = 5
 		}
-		ds.Trajectories[i] = refine.KalmanSmoothTrajectory(tr, q, r)
-	}
-	return nil
-}
-
-// TimestampRepairStage repairs per-trajectory timestamp sequences to
-// satisfy gap constraints.
-type TimestampRepairStage struct {
-	MinGap, MaxGap float64
-}
-
-// Name implements Stage.
-func (s TimestampRepairStage) Name() string { return "timestamp-repair" }
-
-// Task implements Stage.
-func (s TimestampRepairStage) Task() Task { return FaultCorrection }
-
-// Traits implements Stage: replace-only.
-func (s TimestampRepairStage) Traits() StageTraits { return replaceOnly }
-
-// Apply implements Stage. Unrepairable trajectories keep their raw
-// timestamps and are counted in the PartialError. Repairs replace the
-// trajectory rather than editing its points in place, so the stage is
-// safe on copy-on-write clones.
-func (s TimestampRepairStage) Apply(ctx context.Context, ds *Dataset) error {
-	failed := 0
-	var last error
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ts := make([]float64, tr.Len())
-		for j, p := range tr.Points {
-			ts[j] = p.T
-		}
-		repaired, err := faults.RepairTimestamps(ts, s.MinGap, s.MaxGap)
-		if err != nil {
-			failed++
-			last = err
-			continue
-		}
-		out := tr.Clone()
-		for j := range out.Points {
-			out.Points[j].T = repaired[j]
-		}
-		ds.Trajectories[i] = out
-	}
-	if failed > 0 {
-		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
+		ds.Trajectories[i] = refine.KalmanSmoothTrajectory(tr, 1, r)
 	}
 	return nil
 }
 
 // DeduplicateStage removes exact duplicate trajectory points and
-// merges redundant readings.
-type DeduplicateStage struct {
-	CellSize   float64 // reading dedup cell (default 1 m)
-	TimeBucket float64 // reading dedup bucket (default 1 s)
-}
+// merges readings that share a 1 m cell and a 1 s bucket.
+type DeduplicateStage struct{}
 
 // Name implements Stage.
 func (s DeduplicateStage) Name() string { return "deduplicate" }
 
 // Task implements Stage.
 func (s DeduplicateStage) Task() Task { return DataIntegration }
-
-// Traits implements Stage: replace-only.
-func (s DeduplicateStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage: first-occurrence exact dedup over flat
 // columns with map[Point]bool float semantics (NaN always kept,
@@ -228,7 +154,7 @@ func (s DeduplicateStage) Apply(ctx context.Context, ds *Dataset) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ds.Readings = integrate.Deduplicate(ds.Readings, s.CellSize, s.TimeBucket)
+	ds.Readings = integrate.Deduplicate(ds.Readings, 1, 1)
 	return nil
 }
 
@@ -236,9 +162,7 @@ func (s DeduplicateStage) Apply(ctx context.Context, ds *Dataset) error {
 // interval, filling gaps by interpolation (the simplest inference-based
 // completeness repair; map matching is available via RouteRecoverStage
 // when a road network exists).
-type ImputeStage struct {
-	Interval float64 // default: dataset ExpectedInterval
-}
+type ImputeStage struct{}
 
 // Name implements Stage.
 func (s ImputeStage) Name() string { return "interpolation-impute" }
@@ -246,35 +170,44 @@ func (s ImputeStage) Name() string { return "interpolation-impute" }
 // Task implements Stage.
 func (s ImputeStage) Task() Task { return UncertaintyElimination }
 
-// Traits implements Stage: replace-only.
-func (s ImputeStage) Traits() StageTraits { return replaceOnly }
-
 // Apply implements Stage. A trajectory too short to resample is left
 // alone silently; one whose resampling is refused (the interval is too
 // small for its time span) keeps its raw points and is counted in the
-// PartialError.
+// PartialError. The whole dataset shares one budget of
+// trajectory.MaxResamplePoints output points — the interval arrives
+// from a request parameter and a body may hold thousands of ids — and a
+// trajectory that would cross what is left of it is refused the same
+// way.
 func (s ImputeStage) Apply(ctx context.Context, ds *Dataset) error {
-	dt := s.Interval
-	if dt <= 0 {
-		dt = ds.ExpectedInterval
-	}
+	dt := ds.ExpectedInterval
 	if dt <= 0 {
 		return nil
 	}
+	budget := float64(trajectory.MaxResamplePoints)
 	failed := 0
 	var last error
 	for i, tr := range ds.Trajectories {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		if tr.Len() < 2 {
+			continue // too short to resample
+		}
+		// What is left of the budget refuses first; written as a negated
+		// <= so a NaN span is refused here as Resample refuses it.
+		if t0, t1, _ := tr.TimeBounds(); !((t1-t0)/dt <= budget) {
+			failed++
+			last = trajectory.ErrResampleTooDense
+			continue
+		}
 		rs, err := tr.Resample(dt)
-		switch {
-		case err == nil:
-			ds.Trajectories[i] = rs
-		case !errors.Is(err, trajectory.ErrTooShort):
+		if err != nil {
 			failed++
 			last = err
+			continue
 		}
+		ds.Trajectories[i] = rs
+		budget -= float64(rs.Len())
 	}
 	if failed > 0 {
 		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
@@ -283,19 +216,15 @@ func (s ImputeStage) Apply(ctx context.Context, ds *Dataset) error {
 }
 
 // ThematicRepairStage detects STID value outliers temporally and
-// repairs them by neighborhood consensus instead of dropping them.
-type ThematicRepairStage struct {
-	SpaceSigma, TimeSigma float64
-}
+// repairs them by neighborhood consensus (200 m, 600 s kernels) instead
+// of dropping them.
+type ThematicRepairStage struct{}
 
 // Name implements Stage.
 func (s ThematicRepairStage) Name() string { return "thematic-repair" }
 
 // Task implements Stage.
 func (s ThematicRepairStage) Task() Task { return FaultCorrection }
-
-// Traits implements Stage: replace-only.
-func (s ThematicRepairStage) Traits() StageTraits { return replaceOnly }
 
 // Apply implements Stage.
 func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
@@ -306,14 +235,6 @@ func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 		return err
 	}
 	flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
-	ss := s.SpaceSigma
-	if ss <= 0 {
-		ss = 200
-	}
-	ts := s.TimeSigma
-	if ts <= 0 {
-		ts = 600
-	}
-	ds.Readings, _ = faults.RepairThematic(ds.Readings, flags, ss, ts)
+	ds.Readings, _ = faults.RepairThematic(ds.Readings, flags, 200, 600)
 	return nil
 }

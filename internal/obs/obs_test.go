@@ -60,17 +60,17 @@ func TestRegistryBadNamePanics(t *testing.T) {
 
 func TestMemSink(t *testing.T) {
 	var m MemSink
-	m.Record(TraceEvent{Name: "a", Kind: KindRetry, N: 1})
-	m.Record(TraceEvent{Name: "a", Kind: KindRetry, N: 2})
+	m.Record(TraceEvent{Name: "a", Kind: KindSkip, N: 1})
+	m.Record(TraceEvent{Name: "a", Kind: KindSkip, N: 2})
 	m.Record(TraceEvent{Name: "b", Kind: KindStage})
-	if got := m.Count(KindRetry); got != 2 {
-		t.Fatalf("Count(retry) = %d, want 2", got)
+	if got := m.Count(KindSkip); got != 2 {
+		t.Fatalf("Count(skip) = %d, want 2", got)
 	}
-	if got := m.CountName(KindRetry, "a"); got != 2 {
-		t.Fatalf("CountName(retry, a) = %d, want 2", got)
+	if got := m.CountName(KindSkip, "a"); got != 2 {
+		t.Fatalf("CountName(skip, a) = %d, want 2", got)
 	}
-	if got := m.CountName(KindRetry, "b"); got != 0 {
-		t.Fatalf("CountName(retry, b) = %d, want 0", got)
+	if got := m.CountName(KindSkip, "b"); got != 0 {
+		t.Fatalf("CountName(skip, b) = %d, want 0", got)
 	}
 	if got := len(m.Events()); got != 3 {
 		t.Fatalf("Events len = %d, want 3", got)

@@ -7,26 +7,24 @@ import (
 
 // TraceEvent is one structured execution event emitted by an
 // instrumented component — coarse-grained spans (a stage run) and the
-// decisions around them (a retry, a panic recovery, a rollback). It is
+// decisions around them (a panic recovery, a skip). It is
 // a flat value, not a tree: sidq pipelines are shallow enough that the
 // (Name, Kind) pair plus ordering reconstructs the story, and a flat
 // struct keeps emission allocation-free apart from the sink's own
 // bookkeeping.
 type TraceEvent struct {
 	Name string        // subject, e.g. the stage name
-	Kind string        // event kind: "stage", "retry", "panic", "skip", "rollback", ...
+	Kind string        // event kind: "stage", "panic", "skip", "session-open", ...
 	Dur  time.Duration // span duration (zero for point events)
-	N    int           // kind-specific count: attempt number, events pending, ...
+	N    int           // kind-specific count: events pending, records replayed, ...
 	Err  string        // error text, "" on success
 }
 
 // Trace event kinds emitted by the core runner.
 const (
-	KindStage    = "stage"    // one stage completed (Dur = wall time, N = attempts)
-	KindRetry    = "retry"    // an attempt failed and will be retried (N = failed attempt)
-	KindPanic    = "panic"    // an attempt panicked and was recovered
-	KindSkip     = "skip"     // the stage failed terminally and its work was discarded
-	KindRollback = "rollback" // the stage succeeded but regressed quality and was reverted
+	KindStage = "stage" // one stage completed (Dur = wall time)
+	KindPanic = "panic" // the stage panicked and was recovered
+	KindSkip  = "skip"  // the stage failed and its work was discarded
 )
 
 // Trace event kinds emitted by the server's streaming-session
@@ -62,8 +60,8 @@ type FuncSink func(TraceEvent)
 func (f FuncSink) Record(ev TraceEvent) { f(ev) }
 
 // MemSink is a TraceSink that collects every event in memory — the
-// assertion surface for tests and chaos scenarios ("exactly N retries
-// were recorded"). Safe for concurrent use.
+// assertion surface for tests and chaos scenarios ("exactly one skip
+// was recorded"). Safe for concurrent use.
 type MemSink struct {
 	mu  sync.Mutex
 	evs []TraceEvent

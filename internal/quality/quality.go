@@ -203,7 +203,9 @@ func AssessTrajectory(obs *trajectory.Trajectory, ctx TrajectoryContext) Assessm
 		a[Resolution] = cell
 	}
 
-	a[Redundancy] = duplicateFraction(obs)
+	// The fraction of points that exactly repeat an earlier one — counted
+	// with the key DeduplicateStage removes them by.
+	a[Redundancy] = float64(trajectory.CountDuplicates(obs.Points)) / float64(n)
 
 	if len(ctx.Delays) > 0 {
 		a[Latency] = stats.Mean(ctx.Delays)
@@ -296,35 +298,11 @@ func coverage(pl geo.Polyline, region geo.Rect, cell float64) float64 {
 	return float64(len(visited)) / float64(nx*ny)
 }
 
-// duplicateFraction returns the fraction of points that exactly repeat
-// an earlier point (same timestamp and position).
-func duplicateFraction(tr *trajectory.Trajectory) float64 {
-	if tr.Len() == 0 {
-		return 0
-	}
-	seen := make(map[trajectory.Point]bool, tr.Len())
-	dup := 0
-	for _, p := range tr.Points {
-		if seen[p] {
-			dup++
-		}
-		seen[p] = true
-	}
-	return float64(dup) / float64(tr.Len())
-}
-
 // ReadingsContext supplies side information for assessing STID
 // readings. Zero fields disable the corresponding dimensions.
 type ReadingsContext struct {
-	Truth            func(geo.Point, float64) float64 // ground-truth field
-	Region           geo.Rect
-	CellSize         float64
-	ExpectedInterval float64 // per-sensor nominal period
-	NumSensors       int     // deployed sensors (enables Completeness)
-	Duration         float64 // observation span for the expected count
-	Now              float64
-	Delays           []float64
-	Annotated        int
+	Region geo.Rect // assessed region (enables SpaceCoverage, on a 10-cell-wide grid)
+	Now    float64  // assessment time (enables Staleness)
 }
 
 // AssessReadings measures every applicable DQ dimension of a set of
@@ -334,15 +312,6 @@ func AssessReadings(readings []stid.Reading, ctx ReadingsContext) Assessment {
 	a[DataVolume] = float64(len(readings))
 	if len(readings) == 0 {
 		return a
-	}
-
-	if ctx.Truth != nil {
-		var sum float64
-		for _, r := range readings {
-			sum += math.Abs(r.Value - ctx.Truth(r.Pos, r.T))
-		}
-		a[Accuracy] = 1 / (1 + sum/float64(len(readings)))
-		a[TruthVolume] = float64(len(readings))
 	}
 
 	// Precision: per-sensor local roughness of the value series.
@@ -373,16 +342,8 @@ func AssessReadings(readings []stid.Reading, ctx ReadingsContext) Assessment {
 		a[TimeSparsity] = stats.Mean(gaps)
 	}
 
-	if ctx.ExpectedInterval > 0 && ctx.NumSensors > 0 && ctx.Duration > 0 {
-		expected := (ctx.Duration/ctx.ExpectedInterval + 1) * float64(ctx.NumSensors)
-		a[Completeness] = math.Min(1, float64(len(readings))/expected)
-	}
-
 	if !ctx.Region.IsEmpty() && ctx.Region.Area() > 0 {
-		cell := ctx.CellSize
-		if cell <= 0 {
-			cell = ctx.Region.Width() / 10
-		}
+		cell := ctx.Region.Width() / 10
 		pts := make(geo.Polyline, 0, len(series))
 		for _, s := range series {
 			pts = append(pts, s.Pos)
@@ -393,15 +354,9 @@ func AssessReadings(readings []stid.Reading, ctx ReadingsContext) Assessment {
 
 	a[Redundancy] = readingDuplicateFraction(readings)
 
-	if len(ctx.Delays) > 0 {
-		a[Latency] = stats.Mean(ctx.Delays)
-	}
 	if ctx.Now != 0 {
 		_, t1, _ := stid.TimeBounds(readings)
 		a[Staleness] = math.Max(0, ctx.Now-t1)
-	}
-	if ctx.Annotated > 0 {
-		a[Interpretability] = math.Min(1, float64(ctx.Annotated)/float64(len(readings)))
 	}
 	return a
 }

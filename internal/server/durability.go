@@ -393,7 +393,7 @@ func (reg *sessionRegistry) restoreSnapshot(snap walSnapshot, now time.Time, seq
 		}
 		if ws.Matcher != nil && reg.snapper != nil {
 			st.matcher = uncertain.NewOnlineMatcherFromState(
-				reg.cfg.Network, reg.snapper, uncertain.MatchOptions{}, reg.cfg.MatchLag, *ws.Matcher)
+				reg.cfg.Network, reg.snapper, uncertain.MatchOptions{}, matchLag, *ws.Matcher)
 		}
 		ss.lanes[stream.LaneFor(ws.Src, len(ss.lanes))].sources[ws.Src] = st
 	}

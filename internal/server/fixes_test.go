@@ -82,7 +82,7 @@ func TestWriteErrorCountedAndLogged(t *testing.T) {
 // 2xx — before the fix this request allocated 3.5 GB over 31 s and
 // answered 503 from the timeout middleware.
 func TestCleanTinyIntervalIsBounded(t *testing.T) {
-	svc := NewService(Config{Logger: DiscardLogger(), RequestTimeout: 5 * time.Second})
+	svc := NewService(Config{Logger: DiscardLogger(), RequestTimeout: time.Minute})
 	defer svc.Close()
 
 	for _, interval := range []string{"0.0001", "1e-300"} {
@@ -114,6 +114,46 @@ func TestCleanTinyIntervalIsBounded(t *testing.T) {
 			t.Fatalf("interval=%s: raw points not returned: %q", interval, body)
 		}
 	}
+
+	// The bound is one budget for the whole request, not one per
+	// trajectory: four ids whose resamples each fit under
+	// trajectory.MaxResamplePoints (199 s at 0.0002 s is 995k points)
+	// must not add up to four times that. The first is imputed, the rest
+	// come back as they arrived — before the fix this 11 kB body answered
+	// 200 with 172 MB after 6.6 s and 2 GiB allocated.
+	t.Run("many ids", func(t *testing.T) {
+		var body strings.Builder
+		body.WriteString("id,t,x,y\n")
+		for id := 0; id < 4; id++ {
+			for i := 0; i < 200; i++ {
+				fmt.Fprintf(&body, "v%d,%d,%d,%d\n", id, i, 3*i, 50*id)
+			}
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/clean?interval=0.0002", strings.NewReader(body.String()))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		svc.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d, want 200; body %q", rec.Code, rec.Body.String())
+		}
+		// Assessing, encoding and buffering a resampled point costs this
+		// pipeline about 350 bytes; the budget is MaxResamplePoints of them.
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(512*trajectory.MaxResamplePoints); alloc > bound {
+			t.Fatalf("allocated %d MiB, want <= %d MiB: the bound is per trajectory again", alloc>>20, bound>>20)
+		}
+		out := rec.Body.String()
+		if got := strings.Count(out, "\nv0,"); got < 900_000 || got > trajectory.MaxResamplePoints {
+			t.Fatalf("v0 has %d rows; the first trajectory fits the budget and must be imputed", got)
+		}
+		for _, id := range []string{"v1", "v2", "v3"} {
+			if got := strings.Count(out, "\n"+id+","); got != 200 {
+				t.Fatalf("%s has %d rows, want its 200 raw ones", id, got)
+			}
+		}
+	})
 }
 
 // unreadBody fails the test the moment anything reads from it.

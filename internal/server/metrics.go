@@ -1,7 +1,7 @@
 package server
 
-// HTTP-layer observability. Every service carries an obs.Registry
-// (Config.Metrics, defaulted per service) that the middleware stack
+// HTTP-layer observability. Every service carries its own
+// obs.Registry (read through Service.Metrics) that the middleware stack
 // feeds: per-route request counters and latency histograms, the
 // in-flight gauge, shed and panic counters. NewService also wires the
 // runner/roadnet/stream families into the same registry so a single

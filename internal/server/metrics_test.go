@@ -54,7 +54,7 @@ func TestMetricsEndpointCoversAllFamilies(t *testing.T) {
 		`sidq_server_requests_total{route="/v1/clean",status="200"} 1`,
 		`sidq_server_request_latency_ns_count{route="/v1/clean"} 1`,
 		"sidq_server_in_flight 0",
-		"# TYPE sidq_runner_retries_total counter",
+		"# TYPE sidq_runner_skips_total counter",
 		"sidq_runner_stage_total{",
 		"# TYPE sidq_roadnet_dijkstra_total counter",
 		"# TYPE sidq_stream_late_total counter",

@@ -58,7 +58,6 @@ type Config struct {
 	MaxInFlight    int              // concurrent requests before 503 (default 64)
 	RequestTimeout time.Duration    // per-request deadline (default 30s; <0 disables)
 	Logger         *log.Logger      // access/panic log (default log.Default())
-	Metrics        *obs.Registry    // metrics registry (default: a fresh registry)
 	Trace          obs.TraceSink    // optional sink for session lifecycle trace events
 	Stream         StreamConfig     // streaming ingestion limits (see sessions.go)
 	Durability     DurabilityConfig // durable WAL settings; honored by OpenService (see durability.go)
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = log.Default()
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	c.Stream = c.Stream.withDefaults()
 	c.Durability = c.Durability.withDefaults()
@@ -104,7 +100,7 @@ func NewService(cfg Config) *Service {
 	s := &Service{cfg: cfg.withDefaults()}
 	s.inflight = make(chan struct{}, s.cfg.MaxInFlight)
 	s.ready.Store(true)
-	s.metrics = s.cfg.Metrics
+	s.metrics = obs.NewRegistry()
 	s.initMetrics()
 	s.streams = newSessionRegistry(s)
 
@@ -466,7 +462,7 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := &core.Dataset{Readings: rs}
-	p := core.NewPipeline(core.DeduplicateStage{CellSize: 1, TimeBucket: 1}, core.ThematicRepairStage{})
+	p := core.NewPipeline(core.DeduplicateStage{}, core.ThematicRepairStage{})
 	cleaned, _, err := p.RunContext(r.Context(), s.cleaningRunner(), ds)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

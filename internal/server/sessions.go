@@ -55,15 +55,18 @@ type StreamConfig struct {
 	IdleTTL        time.Duration // idle sessions are evicted after this (default 5m)
 	JanitorEvery   time.Duration // eviction sweep period (default 15s)
 	Lateness       float64       // default watermark lateness, event-time seconds (default 5)
-	Lanes          int           // default lanes per session (default 4)
 
 	// Network, when set, enables online map matching: each source gets
 	// an uncertain.OnlineMatcher over this graph and emitted points
 	// carry the snapped position and edge id.
-	Network  *roadnet.Graph
-	SnapCell float64 // snapper grid cell in meters (default 100)
-	MatchLag int     // matcher decision lag in points (default 5)
+	Network *roadnet.Graph
 }
+
+const (
+	defaultLanes = 4   // lanes per session when ?lanes= is absent
+	snapCell     = 100 // snapper grid cell, meters
+	matchLag     = 5   // online matcher decision lag, points
+)
 
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.MaxSessions <= 0 {
@@ -85,15 +88,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 		c.Lateness = 0
 	} else if c.Lateness == 0 {
 		c.Lateness = 5
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = 4
-	}
-	if c.SnapCell <= 0 {
-		c.SnapCell = 100
-	}
-	if c.MatchLag <= 0 {
-		c.MatchLag = 5
 	}
 	return c
 }
@@ -187,7 +181,7 @@ func newSessionRegistry(s *Service) *sessionRegistry {
 		},
 	}
 	if cfg.Network != nil {
-		reg.snapper = roadnet.NewSnapper(cfg.Network, cfg.SnapCell)
+		reg.snapper = roadnet.NewSnapper(cfg.Network, snapCell)
 	}
 	return reg
 }
@@ -419,7 +413,7 @@ func (ss *streamSession) sourceFor(l *streamLane, src string) *sourceState {
 		st = &sourceState{re: stream.NewReorderer[trajectory.Point](ss.lateness)}
 		if ss.reg.snapper != nil {
 			st.matcher = uncertain.NewOnlineMatcher(
-				ss.reg.cfg.Network, ss.reg.snapper, uncertain.MatchOptions{}, ss.reg.cfg.MatchLag)
+				ss.reg.cfg.Network, ss.reg.snapper, uncertain.MatchOptions{}, matchLag)
 		}
 		l.sources[src] = st
 	}
@@ -715,7 +709,7 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	lanes, err := queryIntRange(r, "lanes", s.cfg.Stream.Lanes, 1, 64)
+	lanes, err := queryIntRange(r, "lanes", defaultLanes, 1, 64)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

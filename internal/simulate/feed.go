@@ -21,34 +21,12 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// ReplayOptions configures the load-harness feed. Zero fields take the
-// defaults noted on each field.
+// ReplayOptions configures the load-harness feed: trips over an 8x8
+// grid city, corrupted with 5 m GPS noise, 2 % outliers of 100 m and
+// 5 % dropped samples.
 type ReplayOptions struct {
-	Seed        int64
-	Sources     int     // sources per stream (default 4)
-	Grid        int     // city grid size, NxN intersections (default 8)
-	NoiseSigma  float64 // GPS noise stddev, meters (default 5)
-	OutlierRate float64 // outlier injection rate (default 0.02)
-	DropRate    float64 // sample drop rate (default 0.05)
-}
-
-func (o ReplayOptions) withDefaults() ReplayOptions {
-	if o.Sources <= 0 {
-		o.Sources = 4
-	}
-	if o.Grid <= 0 {
-		o.Grid = 8
-	}
-	if o.NoiseSigma == 0 {
-		o.NoiseSigma = 5
-	}
-	if o.OutlierRate == 0 {
-		o.OutlierRate = 0.02
-	}
-	if o.DropRate == 0 {
-		o.DropRate = 0.05
-	}
-	return o
+	Seed    int64
+	Sources int // sources per stream (default 4)
 }
 
 // replaySource is one base trajectory laid out flat for cheap replay.
@@ -68,9 +46,11 @@ type Replay struct {
 // NewReplay builds the feed's base trajectories. The construction cost
 // is paid once; Chunk afterwards only formats precomputed samples.
 func NewReplay(opt ReplayOptions) *Replay {
-	opt = opt.withDefaults()
+	if opt.Sources <= 0 {
+		opt.Sources = 4
+	}
 	g := roadnet.GridCity(roadnet.GridCityOptions{
-		NX: opt.Grid, NY: opt.Grid, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: opt.Seed,
+		NX: 8, NY: 8, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: opt.Seed,
 	})
 	trips := Trips(g, TripOptions{
 		NumObjects: opt.Sources, MinHops: 8, Speed: 12, SampleInterval: 1, Seed: opt.Seed + 1,
@@ -79,10 +59,10 @@ func NewReplay(opt ReplayOptions) *Replay {
 	first := true
 	for i, truth := range trips {
 		c := Corruption{
-			NoiseSigma:  opt.NoiseSigma,
-			OutlierRate: opt.OutlierRate,
-			OutlierMag:  20 * opt.NoiseSigma,
-			DropRate:    opt.DropRate,
+			NoiseSigma:  5,
+			OutlierRate: 0.02,
+			OutlierMag:  100,
+			DropRate:    0.05,
 			Seed:        opt.Seed + int64(i),
 		}
 		tr, _ := c.Apply(truth)

@@ -223,7 +223,7 @@ func TestFieldSmoothness(t *testing.T) {
 func TestSensorNetwork(t *testing.T) {
 	f := NewField(FieldOptions{Seed: 14})
 	sensors, readings := SensorNetwork(f, SensorNetworkOptions{
-		NumSensors: 20, Interval: 600, Duration: 6000, NoiseSigma: 1, BiasSigma: 2, Seed: 15,
+		NumSensors: 20, Interval: 600, Duration: 6000, NoiseSigma: 1, Seed: 15,
 	})
 	if len(sensors) != 20 {
 		t.Fatalf("sensors = %d", len(sensors))
@@ -232,7 +232,7 @@ func TestSensorNetwork(t *testing.T) {
 	if len(readings) != 11*20 {
 		t.Fatalf("readings = %d", len(readings))
 	}
-	// Readings approximate the field up to bias + noise.
+	// Readings approximate the field up to noise.
 	var worst float64
 	for _, r := range readings {
 		err := math.Abs(r.Value - f.Value(r.Pos, r.T))
@@ -240,7 +240,7 @@ func TestSensorNetwork(t *testing.T) {
 			worst = err
 		}
 	}
-	if worst > 15 { // bias sigma 2 + noise sigma 1 → ~10 is a generous cap
+	if worst > 15 { // noise sigma 1 → a generous cap
 		t.Fatalf("worst reading error = %v", worst)
 	}
 	// Dropout reduces count.

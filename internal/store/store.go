@@ -82,12 +82,10 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 
 // Options tunes a Log. Zero fields take the documented defaults.
 type Options struct {
-	FS            FS               // filesystem (default OSFS{})
-	Fsync         FsyncMode        // durability mode (default FsyncAlways)
-	SegmentBytes  int64            // roll the active segment past this size (default 64 MiB)
-	SegmentAge    time.Duration    // also roll past this age; 0 = size-only
-	BatchInterval time.Duration    // FsyncBatch flush period (default 25ms)
-	Now           func() time.Time // clock, injectable for age-roll tests
+	FS            FS            // filesystem (default OSFS{})
+	Fsync         FsyncMode     // durability mode (default FsyncAlways)
+	SegmentBytes  int64         // roll the active segment past this size (default 64 MiB)
+	BatchInterval time.Duration // FsyncBatch flush period (default 25ms)
 }
 
 func (o Options) withDefaults() Options {
@@ -99,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchInterval <= 0 {
 		o.BatchInterval = 25 * time.Millisecond
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	return o
 }
@@ -134,7 +129,6 @@ type segment struct {
 	f     File   // nil from the roll that started the segment until the seal of the one before it
 	first uint64 // seq of the first record
 	size  int64  // bytes appended, written or not
-	born  time.Time
 	// offs are the frame boundaries, for point reads (ReadSeqs): record
 	// i spans bytes [offs[i], offs[i+1]). The table grows with every
 	// Append and always ends at size; once the segment is sealed it is
@@ -346,7 +340,7 @@ func (l *Log) recover() (RecoveryInfo, error) {
 	// Reopen (or create) the active segment and make the recovered
 	// state durable: the truncation must not reappear after the next
 	// crash.
-	l.act = &segment{first: l.nextSeq, offs: activeOffs, born: l.opt.Now()}
+	l.act = &segment{first: l.nextSeq, offs: activeOffs}
 	if activeName != "" {
 		l.act.first = mustSegSeq(activeName)
 		f, err := fs.Open(path.Join(l.dir, activeName))
@@ -415,8 +409,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 			return 0, err
 		}
 		sg := l.act
-		if sg.size == 0 || (sg.size < l.opt.SegmentBytes &&
-			(l.opt.SegmentAge <= 0 || l.opt.Now().Sub(sg.born) < l.opt.SegmentAge)) {
+		if sg.size < l.opt.SegmentBytes {
 			break
 		}
 		if l.sealing == nil {
@@ -476,7 +469,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 // checked l.sealing == nil.
 func (l *Log) rollLocked() {
 	l.sealing = l.act
-	l.act = &segment{first: l.nextSeq, offs: []int64{0}, born: l.opt.Now(), pend: l.takeSpareLocked()}
+	l.act = &segment{first: l.nextSeq, offs: []int64{0}, pend: l.takeSpareLocked()}
 }
 
 func (l *Log) takeSpareLocked() []byte {

@@ -143,29 +143,6 @@ func TestSegmentRollAndManifest(t *testing.T) {
 	}
 }
 
-func TestSegmentAgeRoll(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	l, _, err := store.Open(t.TempDir(), store.Options{
-		Fsync: store.FsyncOff, SegmentAge: time.Minute, Now: clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append(1, []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, err := l.Append(1, []byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	segs := l.Segments()
-	if len(segs) != 2 {
-		t.Fatalf("expected age roll to seal a segment, got %d segments", len(segs))
-	}
-}
-
 func TestReadRangeSkipsAndFilters(t *testing.T) {
 	l, _, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncOff, SegmentBytes: 128})
 	if err != nil {

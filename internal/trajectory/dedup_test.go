@@ -67,6 +67,9 @@ func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 				t.Fatalf("trial %d sample %d: %+v, want %+v", trial, j, g, w)
 			}
 		}
+		if got := CountDuplicates(pts); got != n-len(want) {
+			t.Fatalf("trial %d: CountDuplicates = %d, the reference drops %d", trial, got, n-len(want))
+		}
 		// src must be untouched.
 		if src.Len() != n {
 			t.Fatalf("trial %d: src mutated to %d samples", trial, src.Len())

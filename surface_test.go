@@ -6,7 +6,10 @@ package sidq_test
 // at each binary's main and init. An internal/ declaration no binary
 // reaches must either go or be named in surfaceKeep with the class it
 // belongs to and the reason it stays; and Figure 2 (core.Taxonomy) must
-// star exactly the references no binary reaches.
+// star exactly the references no binary reaches. The same pass holds
+// exported struct fields to "an option is what a binary sets": a field
+// reached code reads and no reached declaration assigns is a constant,
+// and must be folded or named in fieldKeep.
 //
 // A declaration is reached when a reached declaration names it. A
 // method is reached when its receiver type is and it is either named
@@ -64,6 +67,8 @@ type surfaceLoader struct {
 	// A method is reachable through dynamic dispatch once its receiver
 	// type is reached and satisfies one of them.
 	ifaces map[string][]*types.Interface
+	// fieldOwner maps each field of a named struct type to that type.
+	fieldOwner map[*types.Var]*types.TypeName
 }
 
 func (l *surfaceLoader) Import(path string) (*types.Package, error) {
@@ -193,6 +198,13 @@ func (l *surfaceLoader) declare(pkg string, d ast.Decl, info *types.Info) {
 					doc = d.Doc
 				}
 				add(s.Name, s, doc, nil)
+				if tn, ok := info.Defs[s.Name].(*types.TypeName); ok {
+					if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							l.fieldOwner[st.Field(i)] = tn
+						}
+					}
+				}
 			case *ast.ValueSpec:
 				doc := s.Doc
 				if doc == nil && len(d.Specs) == 1 {
@@ -251,6 +263,79 @@ func (l *surfaceLoader) reach(roots []*surfaceDecl) map[*surfaceDecl]bool {
 	return seen
 }
 
+// fieldUse walks the reached declarations once and returns the struct
+// fields they read and the ones they set. A field is set by a keyed or
+// positional composite-literal element, by `x.F =`, `x.F op=`, `x.F++`,
+// by a store into one of its elements (`x.F[i] =`) and by `&x.F` (a
+// flag package writes through it) — but not by a
+// method of the field's own type: that is the type defaulting an option
+// nobody stated, or filling its own state. Every other mention of x.F
+// is a read.
+func (l *surfaceLoader) fieldUse(reached map[*surfaceDecl]bool) (read, set map[*types.Var]bool) {
+	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+	for d := range reached {
+		field := func(e ast.Expr) *types.Var {
+			for {
+				p, ok := e.(*ast.ParenExpr)
+				if !ok {
+					break
+				}
+				e = p.X
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if v, ok := d.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+					return v.Origin()
+				}
+			}
+			return nil
+		}
+		mark := func(e ast.Expr) {
+			if v := field(e); v != nil && (d.recv == nil || l.fieldOwner[v] != d.recv) {
+				set[v] = true
+			}
+		}
+		stored := map[ast.Expr]bool{} // left-hand sides of plain assignments: not reads
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+					if ix, ok := lhs.(*ast.IndexExpr); ok {
+						mark(ix.X)
+					}
+					if n.Tok == token.ASSIGN {
+						stored[lhs] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.CompositeLit:
+				st, _ := d.info.Types[n].Type.Underlying().(*types.Struct)
+				if st == nil {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); !ok {
+						set[st.Field(i).Origin()] = true
+					} else if v, ok := d.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						set[v.Origin()] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if v := field(n); v != nil && !stored[n] {
+					read[v] = true
+				}
+			}
+			return true
+		})
+	}
+	return read, set
+}
+
 // stdExports maps every standard-library package the module's binaries
 // link to its export data file, as `go list -export` names it: the
 // build cache already holds them, the go command having compiled the
@@ -297,6 +382,8 @@ func loadSurface(t *testing.T) *surfaceLoader {
 		decls:   map[types.Object]*surfaceDecl{},
 		methods: map[*types.TypeName][]*surfaceDecl{},
 		ifaces:  map[string][]*types.Interface{},
+
+		fieldOwner: map[*types.Var]*types.TypeName{},
 	}
 	for _, top := range []string{"cmd", "examples", "benchmark", "internal"} {
 		err := filepath.WalkDir(filepath.Join(root, top), func(p string, e os.DirEntry, err error) error {
@@ -395,6 +482,33 @@ var surfaceKeep = []struct{ name, class, reason string }{
 	{"index.RTree.Len", keepHeld, "tests count what Insert stored"},
 	{"index.TrajectoryIndex.Len", keepHeld, "tests count what Add stored"},
 	{"index.TrajectoryIndex.Get", keepHeld, "tests read back what Add stored"},
+}
+
+// The two reasons an exported field that reached code reads and no
+// binary sets may stay a field.
+const (
+	// State its own type fills: the rule does not count a type's own
+	// methods as setting an option.
+	keepData = "data"
+	// A fake or a shrunken bound that only a test states.
+	keepTestSeam = "test seam"
+)
+
+// fieldKeep names those fields as "pkg.Type.Field".
+var fieldKeep = []struct{ name, class, reason string }{
+	{"trajectory.Columns.T", keepData, "the time column: Append, FromPoints, Grow and Reset fill it"},
+	{"trajectory.Columns.X", keepData, "the x column, filled beside T"},
+	{"trajectory.Columns.Y", keepData, "the y column, filled beside T"},
+	{"exp.Table.Rows", keepData, "what Table.AddRow appends and the renderers print"},
+	{"reduce.NetworkTrip.Start", keepData, "a field of the trip codec's wire format: DecodeNetworkTrip fills it; E7b's trips start at 0"},
+
+	{"core.Runner.Trace", keepTestSeam, "obs.MemSink in the runner tests: the only way to see a skip or a panic as an event"},
+	{"server.Config.Trace", keepTestSeam, "obs.MemSink in the session and durability tests; ROADMAP 2a wires a ring sink into sidqserve"},
+	{"server.DurabilityConfig.FS", keepTestSeam, "faults.CrashFS under the service in the crash-recovery tests"},
+	{"server.StreamConfig.MaxLanePending", keepTestSeam, "shrunk to 4–8 events so the overload tests reach the 429 in one chunk"},
+	{"server.StreamConfig.MaxResults", keepTestSeam, "shrunk to 6–8 rows so the backpressure tests fill it"},
+	{"server.StreamConfig.JanitorEvery", keepTestSeam, "1 ms in the eviction-under-durability test, which cannot wait 15 s"},
+	{"store.Options.BatchInterval", keepTestSeam, "1 ms and below so the FsyncBatch tests see a flush without sleeping 25 ms"},
 }
 
 // refDecl maps one core.Taxonomy reference to its declaration name.
@@ -508,5 +622,40 @@ func TestSurfaceIsWhatAMainReaches(t *testing.T) {
 		sort.Strings(dead)
 		t.Errorf("%d lines in %d internal/ declarations that no main reaches and surfaceKeep does not name — delete them with their tests, or give them a caller:\n  %s",
 			lines, len(dead), strings.Join(dead, "\n  "))
+	}
+
+	// An option is what a binary sets: an exported field that reached
+	// code reads and none assigns holds its zero value in every program
+	// this repository builds.
+	read, set := l.fieldUse(reached)
+	fieldKept := map[string]bool{}
+	for _, k := range fieldKeep {
+		if k.reason == "" || (k.class != keepData && k.class != keepTestSeam) {
+			t.Errorf("fieldKeep %s: needs one of the two classes and a reason", k.name)
+		}
+		fieldKept[k.name] = false
+	}
+	var unset []string
+	for v, owner := range l.fieldOwner {
+		if !v.Exported() || !owner.Exported() || !strings.HasPrefix(v.Pkg().Path(), modulePath+"/internal/") {
+			continue
+		}
+		name := strings.TrimPrefix(v.Pkg().Path(), modulePath+"/internal/") + "." + owner.Name() + "." + v.Name()
+		flagged := read[v] && !set[v]
+		if _, ok := fieldKept[name]; ok {
+			fieldKept[name] = flagged
+		} else if flagged {
+			unset = append(unset, name)
+		}
+	}
+	for name, flagged := range fieldKept {
+		if !flagged {
+			t.Errorf("fieldKeep %s: no such field, or a binary sets it now, or nothing reads it; drop the entry", name)
+		}
+	}
+	if len(unset) > 0 {
+		sort.Strings(unset)
+		t.Errorf("%d exported fields that reached code reads and nothing a main reaches sets, outside fieldKeep — fold each to the constant it is and delete the branch behind it, or set it from a binary:\n  %s",
+			len(unset), strings.Join(unset, "\n  "))
 	}
 }
