@@ -15,7 +15,9 @@
 #   make race           vet + race-detector run over the whole module
 #   make race-hammer    race-detector over the concurrency-hammer
 #                       packages only (uncertain, roadnet, index, obs,
-#                       plus the columnar hammers in core/trajectory)
+#                       plus the columnar hammers in core/trajectory
+#                       and the buffer-ownership hammers in
+#                       server/stream)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, stream engine
 #                       + streaming-session scenarios)
@@ -89,7 +91,7 @@ race:
 # the ones -race exists for. Cheap enough to ride in every `make check`.
 race-hammer:
 	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/obs
-	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory
+	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/stream
 
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/core ./internal/server ./internal/stream

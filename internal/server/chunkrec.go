@@ -76,7 +76,7 @@ func getChunkEncoder() *chunkEncoder { return chunkEncoders.Get().(*chunkEncoder
 // release returns the encoder to the pool, unless one oversized chunk
 // grew it past what is worth keeping.
 func (enc *chunkEncoder) release() {
-	if cap(enc.buf) <= 1<<20 {
+	if cap(enc.buf) <= maxPooledBuf {
 		chunkEncoders.Put(enc)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"sidq/internal/obs"
@@ -131,26 +132,28 @@ type walSnapshot struct {
 	Sources   []walSource
 }
 
-func encodeRec(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 func decodeRec(payload []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
+// recBufs holds the buffers gob records are encoded into; Append copies
+// the payload, so a buffer goes straight back.
+var recBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // persist appends one typed record; failures are wrapped in
-// errDurability so handlers map them to 503.
+// errDurability so handlers map them to 503. A fresh gob.Encoder per
+// record makes each carry its own type description and decode alone.
 func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
-	payload, err := encodeRec(v)
-	if err != nil {
+	buf := recBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return 0, fmt.Errorf("%w: encode: %v", errDurability, err)
 	}
-	return reg.appendRec(typ, payload)
+	seq, err := reg.appendRec(typ, buf.Bytes())
+	if buf.Cap() <= maxPooledBuf {
+		recBufs.Put(buf)
+	}
+	return seq, err
 }
 
 // appendRec appends one encoded record, wrapping a failure in
@@ -178,7 +181,8 @@ func (ss *streamSession) persistChunkLocked(events []stream.Event[srcPoint], cli
 }
 
 // snapshotStateLocked captures the session's complete processing
-// state. Caller holds ss.mu.
+// state. SrcIDs and Results alias the session's own slices: encode the
+// snapshot before releasing ss.mu. Caller holds ss.mu.
 func (ss *streamSession) snapshotStateLocked() walSnapshot {
 	snap := walSnapshot{
 		Session:   ss.id,
@@ -187,8 +191,8 @@ func (ss *streamSession) snapshotStateLocked() walSnapshot {
 		Lanes:     len(ss.lanes),
 		ChunkIdx:  ss.chunkIdx,
 		ClientSeq: ss.clientSeq,
-		SrcIDs:    append([]string(nil), ss.srcIDs...),
-		Results:   append([]streamResult(nil), ss.results...),
+		SrcIDs:    ss.srcIDs,
+		Results:   ss.results,
 		Ingested:  ss.ingested,
 		Emitted:   ss.emitted,
 		Late:      ss.late,
@@ -418,8 +422,7 @@ func (ss *streamSession) replayChunk(c chunkRecord, now time.Time) {
 		return
 	}
 	ss.lastActive = now
-	lanes := stream.FanOut(c.events, len(ss.lanes), func(e stream.Event[srcPoint]) string { return e.Value.src })
-	ss.applyLocked(c.events, lanes)
+	ss.applyLocked(c.events, ss.fanOutLocked(c.events))
 	ss.chunkIdx = c.chunkIdx
 	if c.clientSeq > ss.clientSeq {
 		ss.clientSeq = c.clientSeq

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -102,14 +107,92 @@ func (s *Service) withConcurrencyLimit(next http.Handler) http.Handler {
 	})
 }
 
-// withTimeout bounds each request's total handling time with 503 on
-// expiry (http.TimeoutHandler buffers the response, which is fine for
-// this service's payload sizes).
+// withTimeout bounds each request's total handling time, with
+// http.TimeoutHandler's contract and a pooled writer in place of its
+// private one: the handler runs on its own goroutine under the deadline
+// context against a buffering writer, so headers and body reach the
+// client only once it has returned; at expiry the client gets 503 and
+// the handler's later writes fail with http.ErrHandlerTimeout; a handler
+// panic is re-raised here, where withRecovery answers it.
 func (s *Service) withTimeout(next http.Handler) http.Handler {
 	if s.cfg.RequestTimeout <= 0 {
 		return next
 	}
-	return http.TimeoutHandler(next, s.cfg.RequestTimeout, "request timed out")
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		r = r.WithContext(ctx)
+		tw := timeoutWriters.Get().(*timeoutWriter)
+		done := make(chan any, 1) // the handler's panic value; nil when it returned
+		go func() {
+			defer func() { done <- recover() }()
+			next.ServeHTTP(tw, r)
+		}()
+		select {
+		case p := <-done:
+			if p != nil {
+				panic(p)
+			}
+			maps.Copy(w.Header(), tw.h)
+			if tw.code == 0 {
+				tw.code = http.StatusOK
+			}
+			w.WriteHeader(tw.code)
+			_, _ = w.Write(tw.buf.Bytes()) // a failed write means the client is gone
+			// Only here has the handler goroutine returned. After a timeout
+			// it may still be writing, so that writer is left to the GC.
+			if tw.buf.Cap() <= maxPooledBuf {
+				clear(tw.h)
+				tw.buf.Reset()
+				tw.code = 0
+				timeoutWriters.Put(tw)
+			}
+		case <-ctx.Done():
+			tw.mu.Lock()
+			defer tw.mu.Unlock()
+			w.WriteHeader(http.StatusServiceUnavailable)
+			if tw.err = ctx.Err(); tw.err == context.DeadlineExceeded {
+				tw.err = http.ErrHandlerTimeout
+				_, _ = io.WriteString(w, "request timed out")
+			}
+		}
+	})
+}
+
+const maxPooledBuf = 1 << 20 // a buffer one big response or record grew past this is not pooled
+
+// timeoutWriter buffers one response for withTimeout.
+type timeoutWriter struct {
+	h   http.Header
+	buf bytes.Buffer
+
+	mu   sync.Mutex // the expiry path sets err while the handler may be writing
+	code int        // 0 until the handler writes a header or a byte
+	err  error      // set at expiry; every later Write returns it
+}
+
+var timeoutWriters = sync.Pool{New: func() any { return &timeoutWriter{h: http.Header{}} }}
+
+func (tw *timeoutWriter) Header() http.Header { return tw.h }
+
+func (tw *timeoutWriter) WriteHeader(code int) {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	if tw.code == 0 {
+		tw.code = code
+	}
+}
+
+func (tw *timeoutWriter) Write(p []byte) (int, error) {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	if tw.err != nil {
+		return 0, tw.err
+	}
+	if tw.code == 0 {
+		tw.code = http.StatusOK
+	}
+	return tw.buf.Write(p)
 }
 
 func (s *Service) logf(format string, args ...interface{}) {

@@ -10,7 +10,7 @@ package server
 //     rows "id,t,x,y" (that exact line may lead as a header). The chunk
 //     is parsed fully before any of it is applied, so a malformed or
 //     disconnected chunk is rejected atomically. Rows fan out into keyed
-//     lanes (stream.FanOut: a source id always lands in the same lane), each
+//     lanes (stream.FanOutInto: a source id always lands in the same lane), each
 //     lane reorders under the session's bounded-lateness watermark,
 //     and released events run through the incremental cleaner — a
 //     physical speed gate, plus an online HMM map matcher per source
@@ -26,7 +26,6 @@ package server
 // shed with 429 + Retry-After rather than queued without bound.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -348,6 +347,7 @@ type sourceState struct {
 // the states of the sources hashed to it.
 type streamLane struct {
 	sources map[string]*sourceState
+	res     []streamResult // laneOut.res scratch, kept across chunks
 }
 
 // pending sums the lane's buffered (not yet released) events.
@@ -379,9 +379,10 @@ type streamSession struct {
 	mu         sync.Mutex
 	closed     bool
 	lanes      []*streamLane
-	srcOrder   map[string]int // source id -> first-appearance rank
-	srcIDs     []string       // source ids in first-appearance order
-	results    []streamResult // cleaned, undrained
+	laneEvents [][]stream.Event[srcPoint] // fan-out scratch, kept across chunks
+	srcOrder   map[string]int             // source id -> first-appearance rank
+	srcIDs     []string                   // source ids in first-appearance order
+	results    []streamResult             // cleaned, undrained
 	lastActive time.Time
 
 	ingested, emitted, late, outliers int
@@ -399,7 +400,8 @@ type streamSession struct {
 	snapSeq uint64 // seq of the latest recSnapshot record
 }
 
-// laneOut is one lane's contribution to a chunk or flush.
+// laneOut is one lane's contribution to a chunk or flush. res is the
+// lane's scratch: merge it into ss.results before the lane runs again.
 type laneOut struct {
 	res            []streamResult
 	late, outliers int
@@ -478,13 +480,15 @@ func (ss *streamSession) ingest(events []stream.Event[srcPoint], clientSeq uint6
 			PendingResults: len(ss.results),
 		}, nil
 	}
-	lanes := stream.FanOut(events, len(ss.lanes), func(e stream.Event[srcPoint]) string { return e.Value.src })
+	lanes := ss.fanOutLocked(events)
 	for i, le := range lanes {
 		if len(le) > 0 && ss.lanes[i].pending()+len(le) > ss.reg.cfg.MaxLanePending {
+			ss.laneEvents = nil // only an accepted chunk, MaxLanePending a lane at most, sizes the scratch
 			return ingestAck{}, errLaneFull
 		}
 	}
 	if len(ss.results)+len(events) > ss.reg.cfg.MaxResults {
+		ss.laneEvents = nil
 		return ingestAck{}, errResultsFull
 	}
 	if ss.reg.wal != nil {
@@ -504,6 +508,14 @@ func (ss *streamSession) ingest(events []stream.Event[srcPoint], clientSeq uint6
 	return ack, nil
 }
 
+// fanOutLocked partitions events by source into the session's lane
+// scratch. Caller holds ss.mu.
+func (ss *streamSession) fanOutLocked(events []stream.Event[srcPoint]) [][]stream.Event[srcPoint] {
+	ss.laneEvents = stream.FanOutInto(ss.laneEvents, events, len(ss.lanes),
+		func(e stream.Event[srcPoint]) string { return e.Value.src })
+	return ss.laneEvents
+}
+
 // applyLocked runs one accepted chunk through the lanes. It is the
 // shared apply path: live ingest and WAL replay both fold chunks
 // through it, which is what makes recovery deterministic. Caller holds
@@ -520,7 +532,7 @@ func (ss *streamSession) applyLocked(events []stream.Event[srcPoint], lanes [][]
 	// the result order deterministic.
 	outs := stream.ProcessLanes(lanes, 0, func(i int, evs []stream.Event[srcPoint]) laneOut {
 		l := ss.lanes[i]
-		var lo laneOut
+		lo := laneOut{res: l.res[:0]}
 		for _, e := range evs {
 			st := ss.sourceFor(l, e.Value.src)
 			lateBefore := st.re.LateCount()
@@ -529,22 +541,28 @@ func (ss *streamSession) applyLocked(events []stream.Event[srcPoint], lanes [][]
 			}
 			lo.late += st.re.LateCount() - lateBefore
 		}
+		l.res = lo.res
 		return lo
 	})
-	released := 0
+	if ss.results == nil {
+		ss.results = resultSlabs.get()
+	}
+	released, late, outliers := 0, 0, 0
 	for _, lo := range outs {
 		ss.results = append(ss.results, lo.res...)
 		released += len(lo.res)
-		ss.late += lo.late
-		ss.outliers += lo.outliers
+		late += lo.late
+		outliers += lo.outliers
 	}
 	ss.ingested += len(events)
 	ss.emitted += released
+	ss.late += late
+	ss.outliers += outliers
 	m := &ss.reg.m
 	m.ingested.Add(uint64(len(events)))
 	m.emitted.Add(uint64(released))
-	m.late.Add(uint64(sumLate(outs)))
-	m.outlier.Add(uint64(sumOutliers(outs)))
+	m.late.Add(uint64(late))
+	m.outlier.Add(uint64(outliers))
 	return ingestAck{
 		Session:        ss.id,
 		Ingested:       len(events),
@@ -552,20 +570,6 @@ func (ss *streamSession) applyLocked(events []stream.Event[srcPoint], lanes [][]
 		PendingReorder: ss.pendingReorderLocked(),
 		PendingResults: len(ss.results),
 	}
-}
-
-func sumLate(outs []laneOut) (n int) {
-	for _, lo := range outs {
-		n += lo.late
-	}
-	return n
-}
-
-func sumOutliers(outs []laneOut) (n int) {
-	for _, lo := range outs {
-		n += lo.outliers
-	}
-	return n
 }
 
 // pendingReorderLocked sums the source reorder buffers plus any
@@ -622,7 +626,7 @@ func (ss *streamSession) drainLocked(flush bool) ([]streamResult, []string) {
 			if st == nil {
 				continue
 			}
-			var lo laneOut
+			lo := laneOut{res: l.res[:0]}
 			for _, rel := range st.re.Flush() {
 				ss.cleanInto(st, src, rel.Value, &lo)
 			}
@@ -635,6 +639,7 @@ func (ss *streamSession) drainLocked(flush bool) ([]streamResult, []string) {
 				}
 			}
 			ss.results = append(ss.results, lo.res...)
+			l.res = lo.res
 			ss.outliers += lo.outliers
 			ss.reg.m.outlier.Add(uint64(lo.outliers))
 		}
@@ -763,6 +768,7 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack, err := ss.ingest(events, clientSeq, s.streams.now())
+	eventSlabs.put(events) // nothing in the session kept the slab: it copies what it needs
 	if err != nil {
 		s.streamError(w, ss.id, err)
 		return
@@ -789,6 +795,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 		s.streamError(w, ss.id, err)
 		return
 	}
+	defer resultSlabs.put(results) // the session forgot the slab at the drain
 	w.Header().Set("X-Sidq-Session", ss.id)
 	w.Header().Set("X-Sidq-Drained", strconv.Itoa(len(results)))
 	rb := getRowBuf()
@@ -867,12 +874,38 @@ func shed429(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusTooManyRequests)
 }
 
+// slabPool recycles slices whose owner hands them over and forgets
+// them. put clears the slab, so a pooled one pins no source strings or
+// edge ints, and leaves one that grew past maxSlab to the GC.
+type slabPool[T any] struct{ p sync.Pool }
+
+const maxSlab = 1 << 14 // elements
+
+var (
+	eventSlabs  slabPool[stream.Event[srcPoint]] // parsePointChunk -> handleStreamIngest
+	resultSlabs slabPool[streamResult]           // applyLocked -> drainLocked -> handleStreamResults
+)
+
+func (sp *slabPool[T]) get() []T {
+	s, _ := sp.p.Get().([]T)
+	return s
+}
+
+func (sp *slabPool[T]) put(s []T) {
+	if cap(s) == 0 || cap(s) > maxSlab {
+		return
+	}
+	clear(s)
+	sp.p.Put(s[:0])
+}
+
 // parsePointChunk decodes a chunk of "id,t,x,y" CSV rows (header
 // optional) into events. The whole chunk is parsed before anything is
 // applied; any malformed row rejects the chunk. The events hold one
-// copy of each distinct source id and no view of body.
+// copy of each distinct source id and no view of body, in an eventSlabs
+// slab that grows with the rows found, not the body's newline count.
 func parsePointChunk(body []byte) ([]stream.Event[srcPoint], error) {
-	events := make([]stream.Event[srcPoint], 0, bytes.Count(body, []byte{'\n'})+1)
+	events := eventSlabs.get()
 	ids := map[string]string{}
 	err := trajectory.ScanCSV(body, false, func(id string, t, x, y float64) error {
 		if id == "" {
@@ -896,6 +929,7 @@ func parsePointChunk(body []byte) ([]stream.Event[srcPoint], error) {
 		return nil
 	})
 	if err != nil {
+		eventSlabs.put(events)
 		return nil, fmt.Errorf("parse point csv: %w", err)
 	}
 	return events, nil

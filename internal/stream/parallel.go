@@ -40,16 +40,32 @@ func LaneFor(key string, lanes int) int {
 // every lane count change of other keys. Within a lane, events keep
 // their arrival order, so per-key order — the only order a keyed
 // stream guarantees — is preserved exactly. lanes <= 0 selects 1.
+// The serving path calls FanOutInto; this allocating form remains for
+// the benchmark's shadow replay.
 func FanOut[T any](events []Event[T], lanes int, key func(Event[T]) string) [][]Event[T] {
+	return FanOutInto(nil, events, lanes, key)
+}
+
+// FanOutInto is FanOut into dst's lane slices: each is truncated and
+// refilled, and dst grows to lanes if it is shorter. A caller that
+// keeps dst between batches allocates nothing once the lanes have seen
+// their largest share.
+func FanOutInto[T any](dst [][]Event[T], events []Event[T], lanes int, key func(Event[T]) string) [][]Event[T] {
 	if lanes <= 0 {
 		lanes = 1
 	}
-	out := make([][]Event[T], lanes)
+	for len(dst) < lanes {
+		dst = append(dst, nil)
+	}
+	dst = dst[:lanes]
+	for i := range dst {
+		dst[i] = dst[i][:0]
+	}
 	for _, e := range events {
 		l := LaneFor(key(e), lanes)
-		out[l] = append(out[l], e)
+		dst[l] = append(dst[l], e)
 	}
-	return out
+	return dst
 }
 
 // ProcessLanes runs fn over every lane on a pool of at most workers

@@ -23,6 +23,7 @@ type Event[T any] struct {
 type Reorderer[T any] struct {
 	lateness  float64
 	buf       []Event[T]
+	out       []Event[T] // the last released batch; the next one reuses it
 	watermark float64
 	late      int
 	emitted   int
@@ -40,7 +41,8 @@ func NewReorderer[T any](lateness float64) *Reorderer[T] {
 const negInf = -1.797693134862315708145274237317043567981e308
 
 // Push feeds one event and returns any events released in order by the
-// advanced watermark.
+// advanced watermark. The returned slice is the reorderer's own: it is
+// valid until the next Push/Flush on this reorderer.
 func (r *Reorderer[T]) Push(e Event[T]) []Event[T] {
 	if e.Time < r.watermark {
 		r.late++
@@ -67,7 +69,8 @@ func (r *Reorderer[T]) release(upTo float64) []Event[T] {
 	if n == 0 {
 		return nil
 	}
-	out := append([]Event[T](nil), r.buf[:n]...)
+	out := append(r.out[:0], r.buf[:n]...)
+	r.out = out
 	r.buf = r.buf[:copy(r.buf, r.buf[n:])]
 	r.emitted += len(out)
 	obsCount(&pkgObs.emitted, uint64(len(out)))
@@ -79,16 +82,18 @@ func (r *Reorderer[T]) release(upTo float64) []Event[T] {
 // the watermark past them: a Push after Flush with an event time at or
 // before the flushed maximum is late by definition (it would otherwise
 // be emitted behind events already released, breaking the engine's
-// global-order guarantee).
+// global-order guarantee). Like Push's, the returned slice is valid
+// until the next Push/Flush on this reorderer: the buffer itself is
+// handed out and the previous batch becomes the new buffer.
 func (r *Reorderer[T]) Flush() []Event[T] {
-	out := append([]Event[T](nil), r.buf...)
+	out := r.buf
 	if n := len(out); n > 0 {
 		// buf is kept time-sorted, so the maximum is the last element.
 		if t := out[n-1].Time; t > r.watermark {
 			r.watermark = t
 		}
 	}
-	r.buf = r.buf[:0]
+	r.buf, r.out = r.out[:0], out
 	r.emitted += len(out)
 	obsCount(&pkgObs.emitted, uint64(len(out)))
 	obsPending(-int64(len(out)))

@@ -1,6 +1,9 @@
 package trajectory
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // dedupSeen is the one definition of "exact duplicate": the (T, X, Y)
 // samples met so far, under Go map-key float equality — the semantics
@@ -27,6 +30,31 @@ func (seen dedupSeen) dup(t, x, y float64) bool {
 	return false
 }
 
+// dedupSets recycles the sets of ordinary trajectories: one made per
+// trajectory per assessment round was over a quarter of the bytes the
+// clean path allocated. A trajectory past dedupPooledMax samples gets a
+// set sized for it at once and leaves it to the GC — a set that large
+// is worth neither keeping nor clearing.
+var dedupSets = sync.Pool{New: func() any { return dedupSeen{} }}
+
+const dedupPooledMax = 1 << 14
+
+// getDedupSeen returns an empty set for n samples; hand it back with
+// release(n).
+func getDedupSeen(n int) dedupSeen {
+	if n > dedupPooledMax {
+		return make(dedupSeen, n)
+	}
+	return dedupSets.Get().(dedupSeen)
+}
+
+func (seen dedupSeen) release(n int) {
+	if n <= dedupPooledMax {
+		clear(seen)
+		dedupSets.Put(seen)
+	}
+}
+
 // dedupBits canonicalizes a non-NaN float for equality keying: both
 // zeros share one key, everything else keys on its exact bits.
 func dedupBits(f float64) uint64 {
@@ -44,7 +72,8 @@ func DeduplicateCols(dst, src *Columns) {
 	n := src.Len()
 	dst.Reset()
 	dst.Grow(n)
-	seen := make(dedupSeen, n)
+	seen := getDedupSeen(n)
+	defer seen.release(n)
 	for i := 0; i < n; i++ {
 		if t, x, y := src.T[i], src.X[i], src.Y[i]; !seen.dup(t, x, y) {
 			dst.Append(t, x, y)
@@ -55,7 +84,8 @@ func DeduplicateCols(dst, src *Columns) {
 // CountDuplicates returns how many of pts DeduplicateCols would drop:
 // what the planner measures is what the stage removes.
 func CountDuplicates(pts []Point) int {
-	seen := make(dedupSeen, len(pts))
+	seen := getDedupSeen(len(pts))
+	defer seen.release(len(pts))
 	n := 0
 	for _, p := range pts {
 		if seen.dup(p.T, p.Pos.X, p.Pos.Y) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sidq/internal/geo"
+	"sidq/internal/israce"
 )
 
 // aosDedup is the map[Point]bool reference the kernel must match bit
@@ -101,5 +102,29 @@ func TestDeduplicateColsKeepsFirstZeroSpelling(t *testing.T) {
 	}
 	if !math.IsNaN(dst.T[1]) || !math.IsNaN(dst.T[2]) {
 		t.Fatal("NaN samples were deduplicated")
+	}
+}
+
+// The seen-set comes from a pool: once one has grown to a trajectory's
+// size, counting (every assessment round) and deduplicating allocate no
+// set — and a recycled set remembers nothing of its last trajectory.
+func TestDedupSetIsPooledAndCleared(t *testing.T) {
+	pts := make([]Point, 600)
+	for i := range pts {
+		pts[i] = Point{T: float64(i / 2), Pos: geo.Pt(float64(i/2), 1)} // every sample twice
+	}
+	src, dst := &Columns{}, &Columns{}
+	src.FromPoints(pts)
+	run := func() {
+		if n := CountDuplicates(pts); n != 300 {
+			t.Fatalf("CountDuplicates = %d, want 300: a recycled set must start empty", n)
+		}
+		if DeduplicateCols(dst, src); dst.Len() != 300 {
+			t.Fatalf("DeduplicateCols kept %d, want 300", dst.Len())
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 && !israce.Enabled {
+		t.Errorf("CountDuplicates + DeduplicateCols allocate %v times per run once warm, want 0", allocs)
 	}
 }

@@ -448,7 +448,7 @@ const (
 // Everything a kept declaration reaches is kept with it.
 var surfaceKeep = []struct{ name, class, reason string }{
 	{"chaos", keepTestSupport, "the fault-injection harness behind make chaos and make crash"},
-	{"israce", keepTestSupport, "lets allocation-count tests in five packages stand down under -race"},
+	{"israce", keepTestSupport, "lets allocation-count tests in six packages stand down under -race"},
 	{"faults.CrashFS", keepTestSupport, "the crash-image store.FS the store, server and chaos crash tests run on"},
 	{"faults.NewCrashFS", keepTestSupport, "constructor of CrashFS"},
 	{"obs.MemSink", keepTestSupport, "the TraceSink the chaos harness and the core/server tests count events in"},
