@@ -1,12 +1,11 @@
 package roadnet
 
-import (
-	"sync"
-)
+import "sync"
 
-// RouteCache is a sharded LRU cache of node-pair network distances —
-// the (edge-head, edge-tail) routing core that map matching recomputes
-// constantly. Map matching decomposes every snap-to-snap distance into
+// RouteCache is a sharded, set-associative cache of node-pair network
+// distances — the (edge-head, edge-tail) routing core that map matching
+// recomputes constantly. Map matching decomposes every snap-to-snap
+// distance into
 //
 //	(1-ta)*len(ea) + d(ea.To, eb.From) + tb*len(eb)
 //
@@ -15,32 +14,40 @@ import (
 // buckets all parameter positions on an edge pair into one entry
 // without ever approximating a result.
 //
-// The cache is safe for concurrent use: keys are sharded across
-// independently locked LRU lists. Workers that miss the same pair at
-// once each sweep and each store the same bits. "No path" results are
-// cached too (negative caching), which matters on directed grids where
-// many candidate pairs are mutually unreachable.
+// Each shard is one flat table — parallel key and distance arrays cut
+// into fixed-width sets, each set kept in recency order — allocated
+// once at construction: an entry costs no pointer and no allocation,
+// and a full set drops its own least recently used pair. A pair is
+// sharded by its source node alone, so one SnapDists row (one source,
+// K heads) takes one lock for all its lookups and one for all its
+// stores. Workers that miss the same pair at once each sweep and each
+// store the same bits. "No path" is cached too, as +Inf (negative
+// caching), which matters on directed grids where many candidate pairs
+// are mutually unreachable.
 type RouteCache struct {
 	shards [cacheShards]cacheShard
 }
 
-const cacheShards = 16
+const (
+	cacheShards = 16
+	// cacheWays is the set width: eight keys fill one cache line, so a
+	// probe reads one line of keys and, on a hit, one distance.
+	cacheWays = 8
+	// emptyKey marks a free slot; no pair packs to it (node ids are
+	// non-negative int32s).
+	emptyKey = ^uint64(0)
+)
 
-type cacheKey struct{ u, v int32 }
-
-type cacheEntry struct {
-	key        cacheKey
-	dist       float64
-	ok         bool // false = definitively no path
-	prev, next *cacheEntry
-}
-
+// cacheShard is one independently locked table: set i is slots
+// [i*ways, (i+1)*ways) of keys and dist. Within a set slot 0 is the
+// most recently used pair and free slots, if any, are at the end.
 type cacheShard struct {
 	mu   sync.Mutex
-	m    map[cacheKey]*cacheEntry
-	head *cacheEntry // most recently used
-	tail *cacheEntry // least recently used
-	cap  int
+	keys []uint64  // pairKey(u, v), or emptyKey
+	dist []float64 // d(u, v); +Inf = definitively no path
+	ways int
+	sets uint64
+	n    int // occupied slots
 }
 
 // NewRouteCache returns a cache holding up to capacity node-pair
@@ -48,13 +55,18 @@ type cacheShard struct {
 // up to one entry per shard).
 func NewRouteCache(capacity int) *RouteCache {
 	c := &RouteCache{}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
+	per := max(capacity/cacheShards, 1)
+	ways := min(cacheWays, per)
+	slots := per / ways * ways
+	keys := make([]uint64, cacheShards*slots)
+	for i := range keys {
+		keys[i] = emptyKey
 	}
+	dist := make([]float64, len(keys))
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*cacheEntry)
-		c.shards[i].cap = per
+		s := &c.shards[i]
+		s.keys, s.dist = keys[i*slots:(i+1)*slots], dist[i*slots:(i+1)*slots]
+		s.ways, s.sets = ways, uint64(slots/ways)
 	}
 	return c
 }
@@ -64,99 +76,66 @@ func (c *RouteCache) Len() int {
 	n := 0
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
-		n += len(c.shards[i].m)
+		n += c.shards[i].n
 		c.shards[i].mu.Unlock()
 	}
 	return n
 }
 
-func (c *RouteCache) shard(k cacheKey) *cacheShard {
-	// FNV-1a over the two node ids.
-	h := uint32(2166136261)
-	h = (h ^ uint32(k.u)) * 16777619
-	h = (h ^ uint32(k.v)) * 16777619
-	return &c.shards[h%cacheShards]
+func pairKey(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
+
+// shardOf returns the shard holding every pair whose source is u.
+func (c *RouteCache) shardOf(u int32) *cacheShard {
+	return &c.shards[uint32(u)*2654435761>>28] // Fibonacci hash, top 4 bits
 }
 
-// get looks up d(u, v). hit reports whether the pair was cached; ok
-// reports whether a route exists (false = cached "no path").
-func (c *RouteCache) get(u, v int32) (d float64, ok, hit bool) {
-	k := cacheKey{u, v}
-	s := c.shard(k)
-	s.mu.Lock()
-	e, found := s.m[k]
-	if found {
-		s.moveToFront(e)
-		d, ok = e.dist, e.ok
-	}
-	s.mu.Unlock()
-	if found {
-		obsAdd(&pkgObs.cacheHits, 1)
-		return d, ok, true
-	}
-	obsAdd(&pkgObs.cacheMisses, 1)
-	return 0, false, false
+// set returns the slots k may occupy.
+func (s *cacheShard) set(k uint64) ([]uint64, []float64) {
+	h := k * 0x9E3779B97F4A7C15 >> 32
+	base := int(h*s.sets>>32) * s.ways
+	return s.keys[base : base+s.ways], s.dist[base : base+s.ways]
 }
 
-// put stores d(u, v); ok=false records a definitive "no path".
-func (c *RouteCache) put(u, v int32, d float64, ok bool) {
-	k := cacheKey{u, v}
-	s := c.shard(k)
-	s.mu.Lock()
-	s.store(k, d, ok)
-	s.mu.Unlock()
-}
-
-// store inserts or refreshes an entry, evicting the LRU tail when the
-// shard is full. Caller holds s.mu.
-func (s *cacheShard) store(k cacheKey, d float64, ok bool) {
-	if e, found := s.m[k]; found {
-		e.dist, e.ok = d, ok
-		s.moveToFront(e)
-		return
-	}
-	if len(s.m) >= s.cap {
-		lru := s.tail
-		if lru != nil {
-			s.unlink(lru)
-			delete(s.m, lru.key)
+// lookup returns the cached distance of pair k (+Inf = cached "no
+// path") and makes it its set's most recent. Caller holds s.mu.
+func (s *cacheShard) lookup(k uint64) (d float64, hit bool) {
+	keys, dist := s.set(k)
+	for i, have := range keys {
+		if have == k {
+			d = dist[i]
+			toFront(keys, dist, i, k, d)
+			return d, true
 		}
 	}
-	e := &cacheEntry{key: k, dist: d, ok: ok}
-	s.m[k] = e
-	s.pushFront(e)
+	return 0, false
 }
 
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+// store records d as the distance of pair k at the front of its set,
+// refreshing the pair if present and otherwise pushing the set's last
+// slot — its least recently used pair once the set is full — out.
+// It reports whether a pair was evicted. Caller holds s.mu.
+func (s *cacheShard) store(k uint64, d float64) (evicted bool) {
+	keys, dist := s.set(k)
+	i := 0
+	for i < len(keys)-1 && keys[i] != k {
+		i++
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	switch keys[i] {
+	case k:
+	case emptyKey:
+		s.n++
+	default:
+		evicted = true
 	}
+	toFront(keys, dist, i, k, d)
+	return evicted
 }
 
-func (s *cacheShard) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
+// toFront shifts slots [0, i) of a set one place back, over slot i,
+// and puts (k, d) in slot 0.
+func toFront(keys []uint64, dist []float64, i int, k uint64, d float64) {
+	for ; i > 0; i-- {
+		keys[i], dist[i] = keys[i-1], dist[i-1]
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) moveToFront(e *cacheEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
+	keys[0], dist[0] = k, d
 }

@@ -271,39 +271,40 @@ func (e *Engine) manyDist(s *searchScratch, src int32, maxCost float64) {
 // with d served from the route cache and the heads the cache lacks
 // resolved together by one truncated sweep bounded by maxCost. Pairs
 // with no route, or beyond maxCost, get +Inf; a cache hit is returned
-// whatever maxCost is. out must have len(bs).
+// whatever maxCost is. out must have len(bs). Every pair of the row
+// has the source a.Edge.To, hence one cache shard: its lock is taken
+// once for the lookups and, after a sweep, once for the stores.
 func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 	if len(out) < len(bs) {
 		panic("roadnet: SnapDists out slice too short")
 	}
 	u := e.eto[a.Edge]
 	rem := (1 - a.Param) * e.elen[a.Edge]
-	inf := math.Inf(1)
+	sh := e.cache.shardOf(u)
 	// Pass 1: same-edge shortcuts and cache hits; mark misses with NaN.
-	misses := 0
+	var hits, misses uint64
+	sh.mu.Lock()
 	for j, b := range bs {
 		if b.Edge == a.Edge && b.Param >= a.Param {
 			out[j] = (b.Param - a.Param) * e.elen[a.Edge]
-			continue
+		} else if d, hit := sh.lookup(pairKey(u, e.efrom[b.Edge])); hit {
+			out[j] = rem + d + b.Param*e.elen[b.Edge]
+			hits++
+		} else {
+			out[j] = math.NaN()
+			misses++
 		}
-		v := e.efrom[b.Edge]
-		if d, ok, hit := e.cache.get(u, v); hit {
-			if ok {
-				out[j] = rem + d + b.Param*e.elen[b.Edge]
-			} else {
-				out[j] = inf
-			}
-			continue
-		}
-		out[j] = math.NaN()
-		misses++
 	}
+	sh.mu.Unlock()
+	obsAdd(&pkgObs.cacheHits, hits)
 	if misses == 0 {
 		return
 	}
+	obsAdd(&pkgObs.cacheMisses, misses)
 	// Pass 2: one truncated sweep settles the missing head nodes.
 	core := maxCost
-	if !math.IsInf(core, 1) {
+	unbounded := math.IsInf(maxCost, 1)
+	if !unbounded {
 		core -= rem // param offsets are non-negative
 		if core < 0 {
 			core = 0
@@ -317,23 +318,30 @@ func (e *Engine) SnapDists(a Snap, bs []Snap, maxCost float64, out []float64) {
 		}
 	}
 	e.manyDist(s, u, core)
+	var evictions uint64
+	sh.mu.Lock()
+	held := sh.n
 	for j, b := range bs {
 		if !math.IsNaN(out[j]) {
 			continue
 		}
 		v := e.efrom[b.Edge]
-		if s.done[v] == s.epoch {
-			d := s.dist[v]
-			e.cache.put(u, v, d, true)
-			out[j] = rem + d + b.Param*e.elen[b.Edge]
-		} else {
-			// Negative-cache definitive "no path" only for unbounded
-			// sweeps; a truncated sweep proves nothing about v.
-			if math.IsInf(maxCost, 1) {
-				e.cache.put(u, v, inf, false)
-			}
-			out[j] = inf
+		d, settled := math.Inf(1), s.done[v] == s.epoch
+		if settled {
+			d = s.dist[v]
 		}
+		// Negative-cache definitive "no path" only for unbounded
+		// sweeps; a truncated sweep proves nothing about v.
+		if (settled || unbounded) && sh.store(pairKey(u, v), d) {
+			evictions++
+		}
+		out[j] = rem + d + b.Param*e.elen[b.Edge]
+	}
+	grew := sh.n - held
+	sh.mu.Unlock()
+	obsAdd(&pkgObs.cacheEvictions, evictions)
+	if grew != 0 {
+		pkgObs.cacheEntries.Add(int64(grew))
 	}
 	e.putScratch(s)
 }

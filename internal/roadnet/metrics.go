@@ -20,13 +20,20 @@ var pkgObs struct {
 
 	dijkstra, manySweeps, heapPops atomic.Uint64
 
-	cacheHits, cacheMisses atomic.Uint64
+	cacheHits, cacheMisses, cacheEvictions atomic.Uint64
+
+	// cacheEntries is the pairs held by the route caches of the engines
+	// not yet invalidated. It is kept whether or not enabled is set (a
+	// pair stored before InstrumentTo is still held after it): a store
+	// batch adds what it grew its shard by, Graph.invalidate takes the
+	// dropped engine's RouteCache.Len back out.
+	cacheEntries atomic.Int64
 }
 
 // obsAdd bumps a process-wide total when package observation is
-// enabled.
+// enabled; a zero n costs no write to the shared line.
 func obsAdd(total *atomic.Uint64, n uint64) {
-	if pkgObs.enabled.Load() {
+	if n != 0 && pkgObs.enabled.Load() {
 		total.Add(n)
 	}
 }
@@ -43,6 +50,8 @@ func InstrumentTo(reg *obs.Registry) {
 	reg.Help("sidq_roadnet_heap_pops_total", "Heap pops across every road-network search.")
 	reg.Help("sidq_roadnet_route_cache_hits_total", "Route-cache lookups served from cache.")
 	reg.Help("sidq_roadnet_route_cache_misses_total", "Route-cache lookups that required a graph search.")
+	reg.Help("sidq_roadnet_route_cache_evictions_total", "Node pairs a full route-cache set dropped to admit a new one.")
+	reg.Help("sidq_roadnet_route_cache_entries", "Node pairs held by the route caches of all engines not invalidated by a graph mutation.")
 	counter := func(name string, v *atomic.Uint64) {
 		reg.Func(name, obs.FuncCounter, func() float64 { return float64(v.Load()) })
 	}
@@ -51,4 +60,6 @@ func InstrumentTo(reg *obs.Registry) {
 	counter("sidq_roadnet_heap_pops_total", &pkgObs.heapPops)
 	counter("sidq_roadnet_route_cache_hits_total", &pkgObs.cacheHits)
 	counter("sidq_roadnet_route_cache_misses_total", &pkgObs.cacheMisses)
+	counter("sidq_roadnet_route_cache_evictions_total", &pkgObs.cacheEvictions)
+	reg.Func("sidq_roadnet_route_cache_entries", obs.FuncGauge, func() float64 { return float64(pkgObs.cacheEntries.Load()) })
 }

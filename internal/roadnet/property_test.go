@@ -187,7 +187,7 @@ func TestManyDistBoundedSemantics(t *testing.T) {
 // TestSweepWarmScratchAllocFree pins the sweep's allocation contract:
 // once a scratch has been through one search its heap is grown, and a
 // sweep borrows it, marks, searches and returns it without allocating
-// — on a SnapDists miss only the new cache entry does.
+// (nor does a SnapDists miss: its cache entry is two array slots).
 func TestSweepWarmScratchAllocFree(t *testing.T) {
 	g := GridCity(GridCityOptions{NX: 12, NY: 12, Spacing: 100, Jitter: 5, RemoveFrac: 0.2, Seed: 4})
 	e := g.Engine()
@@ -266,9 +266,9 @@ func TestSnapDistsMatchesContract(t *testing.T) {
 			}
 			// A truncated sweep proves nothing about the island; only
 			// the unbounded one may record "no path".
-			_, ok, hit := e.cache.get(int32(u), int32(g.Edge(island).From))
-			if ok || hit != math.IsInf(maxCost, 1) {
-				t.Fatalf("trial %d (bound %v): island cached (ok=%v hit=%v)", trial, maxCost, ok, hit)
+			d, hit := e.cache.cached(int32(u), int32(g.Edge(island).From))
+			if hit && !math.IsInf(d, 1) || hit != math.IsInf(maxCost, 1) {
+				t.Fatalf("trial %d (bound %v): island cached (d=%v hit=%v)", trial, maxCost, d, hit)
 			}
 		}
 	}

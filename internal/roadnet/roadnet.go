@@ -68,7 +68,7 @@ func (g *Graph) AddNode(pos geo.Point) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Pos: pos})
 	g.out = append(g.out, nil)
-	g.eng.Store(nil) // invalidate the compiled engine
+	g.invalidate()
 	return id
 }
 
@@ -88,8 +88,17 @@ func (g *Graph) AddEdge(a, b NodeID, speedCap float64) EdgeID {
 		SpeedCap: speedCap,
 	})
 	g.out[a] = append(g.out[a], id)
-	g.eng.Store(nil) // invalidate the compiled engine (and route cache)
+	g.invalidate()
 	return id
+}
+
+// invalidate drops the compiled engine and, with it, its route cache:
+// the pairs it held leave the entries gauge here, not when the
+// collector gets to them.
+func (g *Graph) invalidate() {
+	if e := g.eng.Swap(nil); e != nil {
+		pkgObs.cacheEntries.Add(-int64(e.cache.Len()))
+	}
 }
 
 // AddBidirectional adds edges in both directions and returns both ids.

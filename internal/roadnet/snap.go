@@ -36,7 +36,7 @@ type snapScratch struct {
 	seen  []uint32
 	epoch uint32
 	ring  []EdgeID
-	snaps []Snap
+	snaps []Snap // the bounded candidate list of AppendKNearest
 }
 
 func (s *Snapper) getScratch() *snapScratch {
@@ -104,31 +104,33 @@ func (s *Snapper) cellOf(p geo.Point) (int, int) {
 }
 
 // KNearest returns up to k snaps onto distinct edges, ordered by
-// increasing distance. It is used by map-matching to form candidate
-// sets.
+// increasing distance, in a fresh slice the caller owns. It is used by
+// map-matching to form candidate sets.
 func (s *Snapper) KNearest(p geo.Point, k int) []Snap {
+	return s.AppendKNearest(nil, p, k)
+}
+
+// AppendKNearest appends KNearest(p, k) to dst and returns the extended
+// slice; nothing of the snapper's is retained in it, so it is the
+// caller's for as long as dst's storage is. With cap(dst)-len(dst) >= k
+// a warm call allocates nothing.
+func (s *Snapper) AppendKNearest(dst []Snap, p geo.Point, k int) []Snap {
 	if k <= 0 || s.g.NumEdges() == 0 {
-		return nil
+		return dst
 	}
-	// Collect candidate snaps by expanding rings until enough distinct
-	// edges have been seen and the ring lower bound exceeds the k-th
-	// best distance. The working set lives in pooled scratch; only the
-	// returned k-slice is allocated.
+	// Expand rings until k distinct edges have been seen and the ring
+	// lower bound exceeds the k-th best distance. best is the 4k nearest
+	// snaps so far (a buffer beyond k for later rings), ordered by
+	// distance with ties in discovery order: each new snap is inserted
+	// in place or, when it cannot make the 4k, dropped — what sorting
+	// everything seen stably and truncating yields, without the sort.
 	scr := s.getScratch()
 	defer s.scratch.Put(scr)
-	snaps := scr.snaps[:0]
+	best := scr.snaps[:0]
 	cx, cy := s.cellOf(p)
-	maxRing := s.nx
-	if s.ny > maxRing {
-		maxRing = s.ny
-	}
-	kthDist := math.Inf(1)
-	for ring := 0; ring <= maxRing; ring++ {
-		if len(snaps) >= k {
-			minPossible := (float64(ring) - 1) * s.cellSize
-			if minPossible > kthDist {
-				break
-			}
+	for ring, maxRing := 0, max(s.nx, s.ny); ring <= maxRing; ring++ {
+		if len(best) >= k && (float64(ring)-1)*s.cellSize > best[k-1].Dist {
+			break
 		}
 		scr.ring = s.ringEdges(cx, cy, ring, scr.ring[:0])
 		for _, eid := range scr.ring {
@@ -140,23 +142,21 @@ func (s *Snapper) KNearest(p geo.Point, k int) []Snap {
 			seg := geo.Segment{A: s.g.nodes[e.From].Pos, B: s.g.nodes[e.To].Pos}
 			t := seg.ClosestParam(p)
 			pos := seg.Interpolate(t)
-			snaps = append(snaps, Snap{Edge: eid, Param: t, Pos: pos, Dist: pos.Dist(p)})
-		}
-		sortSnaps(snaps)
-		if len(snaps) > 4*k {
-			snaps = snaps[:4*k] // keep a buffer beyond k for later rings
-		}
-		if len(snaps) >= k {
-			kthDist = snaps[k-1].Dist
+			d := pos.Dist(p)
+			if len(best) < 4*k {
+				best = append(best, Snap{})
+			} else if !(d < best[len(best)-1].Dist) {
+				continue
+			}
+			j := len(best) - 1
+			for ; j > 0 && d < best[j-1].Dist; j-- {
+				best[j] = best[j-1]
+			}
+			best[j] = Snap{Edge: eid, Param: t, Pos: pos, Dist: d}
 		}
 	}
-	scr.snaps = snaps // return grown capacity to the pool
-	if len(snaps) > k {
-		snaps = snaps[:k]
-	}
-	out := make([]Snap, len(snaps))
-	copy(out, snaps)
-	return out
+	scr.snaps = best // return grown capacity to the pool
+	return append(dst, best[:min(k, len(best))]...)
 }
 
 // ringEdges appends to buf the edge ids stored in cells at Chebyshev
@@ -184,12 +184,4 @@ func (s *Snapper) ringEdges(cx, cy, ring int, buf []EdgeID) []EdgeID {
 		}
 	}
 	return buf
-}
-
-func sortSnaps(s []Snap) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Dist < s[j-1].Dist; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

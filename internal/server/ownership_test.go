@@ -27,6 +27,7 @@ import (
 
 	"sidq/internal/faults"
 	"sidq/internal/israce"
+	"sidq/internal/roadnet"
 	"sidq/internal/store"
 )
 
@@ -64,9 +65,28 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // encoder.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	const budget = 48 << 10 // bytes per chunk, drains and snapshots included; 33 kB measured
+	steadyIngestAllocs(t, StreamConfig{}, budget)
+}
+
+// TestIngestMatchedSteadyStateAllocs is the same loop with a road
+// network, so every released point goes through an OnlineMatcher: the
+// matcher, the candidate search and the route cache allocate nothing
+// once warm, and what a matched session adds is the snapshot's lattices
+// (16 matchers, gob-encoded every 16 chunks) and an edge id per result.
+// Before Push recycled its columns this loop allocated 196 kB a chunk.
+func TestIngestMatchedSteadyStateAllocs(t *testing.T) {
+	const budget = 96 << 10 // 64 kB measured
+	city := roadnet.GridCity(roadnet.GridCityOptions{NX: 40, NY: 4, Spacing: 110, Jitter: 5, Seed: 9})
+	steadyIngestAllocs(t, StreamConfig{Network: city}, budget)
+}
+
+// steadyIngestAllocs fails if a warmed session of stream allocates
+// more than budget bytes per chunk.
+func steadyIngestAllocs(t *testing.T, stream StreamConfig, budget uint64) {
 	svc, err := OpenService(Config{
 		Logger:         DiscardLogger(),
 		RequestTimeout: 30 * time.Second,
+		Stream:         stream,
 		Durability:     DurabilityConfig{Dir: t.TempDir(), Fsync: store.FsyncBatch, SnapshotEvery: 16},
 	})
 	if err != nil {

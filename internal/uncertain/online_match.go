@@ -24,6 +24,14 @@ type OnlineMatcher struct {
 	logp  [][]float64
 	back  [][]int
 	ndBuf []float64 // reusable transition-distance rows
+
+	// The storage of the column committed last, which the next Push
+	// fills, and the slice Push returns: with a steady lag the lattice
+	// allocates nothing.
+	freeCands []roadnet.Snap
+	freeLogp  []float64
+	freeBack  []int
+	out       [1]Matched
 }
 
 // NewOnlineMatcher returns a matcher that commits each point after
@@ -52,60 +60,40 @@ type Matched struct {
 
 // Push feeds the next point and returns any snaps committed by it
 // (zero or one under normal operation). Points with no road candidates
-// are skipped silently.
+// are skipped silently. The returned slice is the matcher's: it is
+// valid until the next Push or Flush on m, so copy out what outlives
+// that.
 func (m *OnlineMatcher) Push(p trajectory.Point) []Matched {
-	cs := m.snapper.KNearest(p.Pos, m.opt.Candidates)
+	cs := m.snapper.AppendKNearest(m.freeCands[:0], p.Pos, m.opt.Candidates)
 	if len(cs) == 0 {
 		return nil
 	}
-	sigma2 := 2 * m.opt.EmissionSigma * m.opt.EmissionSigma
-	row := make([]float64, len(cs))
-	backRow := make([]int, len(cs))
-	if len(m.pts) == 0 {
-		for j, c := range cs {
-			row[j] = -c.Dist * c.Dist / sigma2
-		}
+	row := resize(m.freeLogp, len(cs))
+	backRow := resize(m.freeBack, len(cs))
+	m.freeCands, m.freeLogp, m.freeBack = nil, nil, nil // the lattice's now
+	if last := len(m.pts) - 1; last < 0 {
+		viterbiColumn(nil, nil, cs, 0, m.opt, row, backRow)
 	} else {
-		prev := m.pts[len(m.pts)-1]
-		straight := prev.Pos.Dist(p.Pos)
-		prevRow := m.logp[len(m.logp)-1]
-		prevCands := m.cands[len(m.cands)-1]
-		nd := transitionRows(m.g.Engine(), prevCands, cs, &m.ndBuf)
-		for j, cj := range cs {
-			em := -cj.Dist * cj.Dist / sigma2
-			best, bestK := math.Inf(-1), 0
-			for k := range prevCands {
-				trans := transLogProbFromDist(nd[k*len(cs)+j], straight, m.opt.TransitionBeta)
-				if v := prevRow[k] + trans; v > best {
-					best, bestK = v, k
-				}
-			}
-			row[j] = best + em
-			backRow[j] = bestK
-		}
+		nd := transitionRows(m.g.Engine(), m.cands[last], cs, &m.ndBuf)
+		viterbiColumn(m.logp[last], nd, cs, m.pts[last].Pos.Dist(p.Pos), m.opt, row, backRow)
 	}
 	m.pts = append(m.pts, p)
 	m.cands = append(m.cands, cs)
 	m.logp = append(m.logp, row)
 	m.back = append(m.back, backRow)
 	if len(m.pts) > m.lag {
-		return []Matched{m.commitOldest()}
+		m.out[0] = m.commitOldest()
+		return m.out[:]
 	}
 	return nil
 }
 
 // commitOldest decodes the best current path and emits the oldest
-// lattice column, then drops it.
+// lattice column, then drops it, keeping its storage for the next Push.
 func (m *OnlineMatcher) commitOldest() Matched {
 	// Backtrack from the best terminal state to the oldest column.
 	last := len(m.logp) - 1
-	bestJ, bestV := 0, math.Inf(-1)
-	for j, v := range m.logp[last] {
-		if v > bestV {
-			bestJ, bestV = j, v
-		}
-	}
-	j := bestJ
+	j := argmax(m.logp[last])
 	for i := last; i > 0; i-- {
 		j = m.back[i][j]
 	}
@@ -119,11 +107,23 @@ func (m *OnlineMatcher) commitOldest() Matched {
 			}
 		}
 	}
-	m.pts = m.pts[1:]
-	m.cands = m.cands[1:]
-	m.logp = m.logp[1:]
-	m.back = m.back[1:]
+	// Shift down instead of re-slicing, so the appends in Push stay
+	// inside the capacity the first lag+1 of them grew.
+	m.freeCands, m.freeLogp, m.freeBack = m.cands[0], m.logp[0], m.back[0]
+	m.pts = m.pts[:copy(m.pts, m.pts[1:])]
+	m.cands = m.cands[:copy(m.cands, m.cands[1:])]
+	m.logp = m.logp[:copy(m.logp, m.logp[1:])]
+	m.back = m.back[:copy(m.back, m.back[1:])]
 	return out
+}
+
+// resize returns s with length n, reallocating only when n exceeds its
+// capacity; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Flush commits all buffered points in order.

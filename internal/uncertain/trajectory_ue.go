@@ -149,43 +149,22 @@ func MapMatch(g *roadnet.Graph, snapper *roadnet.Snapper, tr *trajectory.Traject
 	// previous candidate instead of K single-pair searches, with the
 	// route cache deduplicating repeated edge pairs across points.
 	eng := g.Engine()
-	sigma2 := 2 * opt.EmissionSigma * opt.EmissionSigma
 	logp := make([][]float64, n)
 	back := make([][]int, n)
 	for i := range logp {
 		logp[i] = make([]float64, len(cands[i]))
 		back[i] = make([]int, len(cands[i]))
 	}
-	for j, c := range cands[0] {
-		logp[0][j] = -c.Dist * c.Dist / sigma2
-	}
+	viterbiColumn(nil, nil, cands[0], 0, opt, logp[0], back[0])
 	var ndBuf []float64 // flattened K_prev x K_cur network-distance rows
 	for i := 1; i < n; i++ {
 		straight := tr.Points[i-1].Pos.Dist(tr.Points[i].Pos)
 		nd := transitionRows(eng, cands[i-1], cands[i], &ndBuf)
-		k1 := len(cands[i])
-		for j, cj := range cands[i] {
-			em := -cj.Dist * cj.Dist / sigma2
-			best, bestK := math.Inf(-1), 0
-			for k := range cands[i-1] {
-				trans := transLogProbFromDist(nd[k*k1+j], straight, opt.TransitionBeta)
-				if v := logp[i-1][k] + trans; v > best {
-					best, bestK = v, k
-				}
-			}
-			logp[i][j] = best + em
-			back[i][j] = bestK
-		}
+		viterbiColumn(logp[i-1], nd, cands[i], straight, opt, logp[i], back[i])
 	}
 	// Backtrack.
-	bestJ, bestV := 0, math.Inf(-1)
-	for j, v := range logp[n-1] {
-		if v > bestV {
-			bestJ, bestV = j, v
-		}
-	}
 	snaps := make([]roadnet.Snap, n)
-	j := bestJ
+	j := argmax(logp[n-1])
 	for i := n - 1; i >= 0; i-- {
 		snaps[i] = cands[i][j]
 		j = back[i][j]
@@ -195,16 +174,62 @@ func MapMatch(g *roadnet.Graph, snapper *roadnet.Snapper, tr *trajectory.Traject
 	return MatchResult{Snaps: snaps, Route: route, Recovered: recovered}, nil
 }
 
+// viterbiColumn is one lattice step, shared by MapMatch and
+// OnlineMatcher.Push: given the previous column's log-probabilities and
+// nd, the flattened |prev| x |cur| network distances, it fills row[j]
+// with the best log-probability of ending in cur[j] and back[j] with
+// the previous state it came through (opt's defaults already applied).
+//
+// A column no transition reaches starts the HMM: emission only, every
+// back-pointer to the previous column's best state. That is the first
+// column (no previous state: prevRow and nd nil) and, equally, a hop
+// between disconnected components or a gap the speed gate let through —
+// which would otherwise leave row, and through -Inf + x every later
+// column, at -Inf, and the matcher silently snapping to candidate 0 for
+// the rest of the stream.
+func viterbiColumn(prevRow, nd []float64, cur []roadnet.Snap, straight float64, opt MatchOptions, row []float64, back []int) {
+	sigma2 := 2 * opt.EmissionSigma * opt.EmissionSigma
+	dead := true
+	for j, cj := range cur {
+		em := -cj.Dist * cj.Dist / sigma2
+		best, bestK := math.Inf(-1), 0
+		for k, pv := range prevRow {
+			trans := transLogProbFromDist(nd[k*len(cur)+j], straight, opt.TransitionBeta)
+			if v := pv + trans; v > best {
+				best, bestK = v, k
+			}
+		}
+		row[j], back[j] = best+em, bestK
+		dead = dead && math.IsInf(best, -1)
+	}
+	if !dead {
+		return
+	}
+	bestK := argmax(prevRow)
+	for j, cj := range cur {
+		row[j], back[j] = -cj.Dist*cj.Dist/sigma2, bestK
+	}
+}
+
+// argmax returns the index of row's largest value, the first of equals
+// (0 for a row of -Inf).
+func argmax(row []float64) int {
+	best, bestV := 0, math.Inf(-1)
+	for j, v := range row {
+		if v > bestV {
+			best, bestV = j, v
+		}
+	}
+	return best
+}
+
 // transitionRows fills (and returns) the flattened |prev| x |cur|
 // network-distance matrix between candidate snaps, reusing *buf across
 // lattice steps. Row k holds the distances from prev[k] to every
 // current candidate, computed by one bounded one-to-many sweep.
 func transitionRows(eng *roadnet.Engine, prev, cur []roadnet.Snap, buf *[]float64) []float64 {
-	need := len(prev) * len(cur)
-	if cap(*buf) < need {
-		*buf = make([]float64, need)
-	}
-	nd := (*buf)[:need]
+	*buf = resize(*buf, len(prev)*len(cur))
+	nd := *buf
 	for k, ck := range prev {
 		eng.SnapDists(ck, cur, math.Inf(1), nd[k*len(cur):(k+1)*len(cur)])
 	}

@@ -470,7 +470,6 @@ var surfaceKeep = []struct{ name, class, reason string }{
 
 	{"roadnet.Continental", keepHeld, "the long-edge network of BenchmarkSnapDists/continental, the row a routing hierarchy would have to argue from"},
 	{"roadnet.Graph.BuildEngine", keepHeld, "a cold engine per iteration of BenchmarkSnapDists"},
-	{"roadnet.RouteCache.Len", keepHeld, "how the cache tests see the LRU bound and the invalidation test an empty rebuilt cache"},
 	{"reduce.DeltaVarintDecode", keepHeld, "round-trip half of DeltaVarintEncode (E7b); fuzzed"},
 	{"reduce.RiceDecode", keepHeld, "round-trip half of RiceEncode (E7b); fuzzed"},
 	{"reduce.UnZigZag", keepHeld, "inverse of ZigZag in the codec round-trip tests"},
