@@ -17,16 +17,16 @@
 #                       packages only (uncertain, roadnet, index, obs,
 #                       plus the columnar hammers in core/trajectory
 #                       and the buffer-ownership hammers in
-#                       server/stream)
+#                       server/session/stream)
 #   make chaos          the chaos-injection harness under -race (runner,
-#                       fault injectors, hardened server, stream engine
-#                       + streaming-session scenarios)
+#                       fault injectors, hardened server, session and
+#                       stream engines + streaming-session scenarios)
 #   make crash          crash-recovery gate under -race: the WAL
 #                       truncation/bit-flip/crash-image sweeps, the
 #                       fault-injected durability wiring, and the
 #                       kill-mid-chunk byte-identity scenarios
 #   make fuzz           the native fuzz targets over the on-disk decoders
-#                       (store segment scanner and manifest, server
+#                       (store segment scanner and manifest, session
 #                       chunk record), the id,t,x,y wire codec (scanner
 #                       and row appender against encoding/csv) and the
 #                       reduce codecs' decoders (delta-varint, Rice,
@@ -93,17 +93,17 @@ race:
 # the ones -race exists for. Cheap enough to ride in every `make check`.
 race-hammer:
 	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/obs
-	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/stream
+	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/session ./internal/stream
 
 chaos:
-	$(GO) test -race -count=1 ./internal/chaos ./internal/core ./internal/server ./internal/stream
+	$(GO) test -race -count=1 ./internal/chaos ./internal/core ./internal/server ./internal/session ./internal/stream
 
 # Crash recovery must hold under the race detector too: the group
 # commit, the replay path, and the snapshot writer all touch shared
 # session state.
 crash:
 	$(GO) test -race -count=1 ./internal/store
-	$(GO) test -race -count=1 -run 'TestDurable|TestHistory|TestChaosStore' ./internal/server ./internal/chaos
+	$(GO) test -race -count=1 -run 'TestDurable|TestHistory|TestChaosStore' ./internal/session ./internal/chaos
 
 # go test -fuzz takes one target in one package per run. A crasher is
 # written under that package's testdata/fuzz/ and fails every later
@@ -111,7 +111,7 @@ crash:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk2$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk2$$' -fuzztime $(FUZZTIME) ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzScanCSV$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCSVRow$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce

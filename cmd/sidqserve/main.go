@@ -1,5 +1,7 @@
 // Command sidqserve runs the sidq quality-management middleware as an
-// HTTP service (see internal/server for the endpoint contract):
+// HTTP service (see internal/server for the endpoint contract, and
+// internal/session for the streaming-session engine behind the
+// /v1/stream and /v1/history routes):
 //
 //	sidqserve -addr :8080
 //	curl -s localhost:8080/v1/taxonomy

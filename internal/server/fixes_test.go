@@ -8,6 +8,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -63,7 +64,7 @@ func TestWriteErrorCountedAndLogged(t *testing.T) {
 
 	before := svc.metrics.Counter(mWriteErrs).Value()
 	req := httptest.NewRequest(http.MethodPost, "/v1/clean", nil)
-	req = req.WithContext(withRequestIDContext(req.Context(), "req-test-42"))
+	req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, "req-test-42"))
 	svc.writeError(req, fmt.Errorf("write tcp: broken pipe"))
 
 	if got := svc.metrics.Counter(mWriteErrs).Value(); got != before+1 {
@@ -225,7 +226,7 @@ func TestParsePointChunkKeepsNoReferenceToBody(t *testing.T) {
 	for i := range body {
 		body[i] = 'X'
 	}
-	if len(events) != 3 || events[0].Value.src != "veh-0" || events[1].Value.src != "veh-1" || events[2].Value.src != "veh-0" {
+	if len(events) != 3 || events[0].Value.Src != "veh-0" || events[1].Value.Src != "veh-1" || events[2].Value.Src != "veh-0" {
 		t.Fatalf("events after the body was overwritten: %+v", events)
 	}
 }
@@ -256,5 +257,37 @@ func TestReadBodySizing(t *testing.T) {
 	req.ContentLength = 1 << 40 // a lie: the buffer must follow the bytes, not the header
 	if got, err := readBody(req); err != nil || !bytes.Equal(got, payload) || cap(got) > maxBodyPrealloc+bytes.MinRead {
 		t.Fatalf("overstated length: read %d bytes into capacity %d, err %v", len(got), cap(got), err)
+	}
+}
+
+// A 400 names the parameter and what it wanted. Every message used to
+// end "want a positive number" — for format=xml, for lanes=65 (positive;
+// the range is 1–64), for seq=-1 and lateness=-1 (zero is fine), for
+// minx=abc (negative coordinates are fine).
+func TestParamErrorsSayWhatWasWanted(t *testing.T) {
+	svc, err := OpenService(Config{Logger: DiscardLogger(), Durability: DurabilityConfig{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	id := openStream(t, srv, "")
+	for _, tc := range []struct{ method, target, want string }{
+		{http.MethodGet, "/v1/stream/" + id + "/results?format=xml", `invalid query parameter format="xml": want ndjson or csv`},
+		{http.MethodGet, "/v1/history/range?format=xml", `invalid query parameter format="xml": want ndjson or csv`},
+		{http.MethodPost, "/v1/stream/open?lanes=65", `invalid query parameter lanes="65": want an integer in [1, 64]`},
+		{http.MethodPost, "/v1/stream/open?lanes=0", `invalid query parameter lanes="0": want an integer in [1, 64]`},
+		{http.MethodPost, "/v1/stream/open?lateness=-1", `invalid query parameter lateness="-1": want a number ≥ 0`},
+		{http.MethodPost, "/v1/stream/ingest?session=" + id + "&seq=-1", `invalid query parameter seq="-1": want a non-negative integer`},
+		{http.MethodGet, "/v1/history/range?minx=abc", `invalid query parameter minx="abc": want a number`},
+		{http.MethodPost, "/v1/clean?maxspeed=0", `invalid query parameter maxspeed="0": want a positive number`},
+		{http.MethodPost, "/v1/assess?interval=-2", `invalid query parameter interval="-2": want a positive number`},
+	} {
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader("id,t,x,y\na,1,2,3\n")))
+		if got := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusBadRequest || got != tc.want {
+			t.Errorf("%s %s: %d %q, want 400 %q", tc.method, tc.target, rec.Code, got, tc.want)
+		}
 	}
 }

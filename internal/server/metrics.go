@@ -3,8 +3,9 @@ package server
 // HTTP-layer observability. Every service carries its own
 // obs.Registry (read through Service.Metrics) that the middleware stack
 // feeds: per-route request counters and latency histograms, the
-// in-flight gauge, shed and panic counters. NewService also wires the
-// runner/roadnet/stream families into the same registry so a single
+// in-flight gauge, shed and panic counters. The runner's families go
+// into the same registry here, and the session engine adds its own
+// (stream, store, roadnet) when it is handed it, so a single
 // GET /v1/metrics scrape covers the whole middleware.
 
 import (
@@ -14,9 +15,6 @@ import (
 
 	"sidq/internal/core"
 	"sidq/internal/obs"
-	"sidq/internal/roadnet"
-	"sidq/internal/store"
-	"sidq/internal/stream"
 )
 
 const (
@@ -27,36 +25,6 @@ const (
 	mDrainRejected = "sidq_server_drain_rejected_total"
 	mSrvPanics     = "sidq_server_panics_total"
 	mWriteErrs     = "sidq_http_write_errors_total"
-
-	// Streaming-session families (see sessions.go).
-	mStreamOpen     = "sidq_stream_sessions_open"
-	mStreamOpened   = "sidq_stream_session_opened_total"
-	mStreamClosed   = "sidq_stream_session_closed_total"
-	mStreamEvicted  = "sidq_stream_session_evicted_total"
-	mStreamRejected = "sidq_stream_session_rejected_total"
-	mStreamIngested = `sidq_stream_session_events_total{kind="ingested"}`
-	mStreamEmitted  = `sidq_stream_session_events_total{kind="emitted"}`
-	mStreamLate     = `sidq_stream_session_events_total{kind="late"}`
-	mStreamOutlier  = `sidq_stream_session_events_total{kind="outlier"}`
-
-	// Durability families (see durability.go); the sidq_store_* WAL
-	// internals come from store.InstrumentTo.
-	mStreamSnapshots = "sidq_stream_snapshots_total"
-	mStreamRestored  = "sidq_stream_snapshot_restores_total"
-	mStreamReplayed  = "sidq_stream_replayed_records_total"
-	mStreamDup       = "sidq_stream_dup_chunks_total"
-
-	// Retention families (see retention.go). sidq_store_compactions_total
-	// lives in the store namespace because it counts WAL rewrites, but it
-	// is driven (and registered) by the server's retention loop — the
-	// store itself only truncates.
-	mStoreCompactions = "sidq_store_compactions_total"
-	mHistoryTrimmed   = "sidq_server_history_trimmed_total"
-
-	// History read-path yield (see history.go): rows of candidate chunks
-	// that fell inside the queried window against rows read and dropped.
-	mHistoryReturned = `sidq_server_history_rows_total{outcome="returned"}`
-	mHistoryFiltered = `sidq_server_history_rows_total{outcome="filtered"}`
 )
 
 // knownRoutes is the closed label set for the route label; anything
@@ -91,8 +59,8 @@ func routeLabel(path string) string {
 	return "other"
 }
 
-// initMetrics registers HELP text and the cross-layer families so the
-// very first scrape is complete even before any traffic.
+// initMetrics registers HELP text and the shell's families so the very
+// first scrape is complete even before any traffic.
 func (s *Service) initMetrics() {
 	reg := s.metrics
 	reg.Help(mRequests, "HTTP requests served, by route and status.")
@@ -102,37 +70,12 @@ func (s *Service) initMetrics() {
 	reg.Help(mDrainRejected, "New work requests rejected with 503 while draining for shutdown.")
 	reg.Help(mSrvPanics, "Handler panics recovered by the middleware.")
 	reg.Help(mWriteErrs, "Mid-stream response body write failures (client gone, connection reset).")
-	reg.Help("sidq_stream_sessions_open", "Streaming ingestion sessions currently open.")
-	reg.Help("sidq_stream_session_opened_total", "Streaming sessions opened.")
-	reg.Help("sidq_stream_session_closed_total", "Streaming sessions closed by the client.")
-	reg.Help("sidq_stream_session_evicted_total", "Streaming sessions evicted by the idle-TTL janitor.")
-	reg.Help("sidq_stream_session_rejected_total", "Streaming opens/chunks shed with 429 (session limit or full buffers).")
-	reg.Help("sidq_stream_session_events_total", "Streaming session events, by kind (ingested, emitted, late, outlier).")
-	reg.Help(mStreamSnapshots, "Session state snapshots checkpointed into the WAL.")
-	reg.Help(mStreamRestored, "Sessions rebuilt from WAL snapshots during recovery.")
-	reg.Help(mStreamReplayed, "WAL records replayed during recovery.")
-	reg.Help(mStreamDup, "Ingest chunks acknowledged as duplicates (?seq= retry dedup).")
-	reg.Help(mStoreCompactions, "Live sessions force-snapshotted by retention so their old WAL tail becomes droppable.")
-	reg.Help(mHistoryTrimmed, "History-index entries removed because retention truncated their WAL records.")
-	reg.Help("sidq_server_history_rows_total", "Rows of the chunks a history query read, by outcome (returned: inside the window; filtered: read and dropped).")
 	reg.Gauge(mInFlight)
 	reg.Counter(mShed)
 	reg.Counter(mDrainRejected)
 	reg.Counter(mSrvPanics)
 	reg.Counter(mWriteErrs)
-	reg.Gauge(mStreamOpen)
-	for _, name := range []string{
-		mStreamOpened, mStreamClosed, mStreamEvicted, mStreamRejected,
-		mStreamIngested, mStreamEmitted, mStreamLate, mStreamOutlier,
-		mStreamSnapshots, mStreamRestored, mStreamReplayed, mStreamDup,
-		mStoreCompactions, mHistoryTrimmed, mHistoryReturned, mHistoryFiltered,
-	} {
-		reg.Counter(name)
-	}
 	core.InitRunnerMetrics(reg)
-	roadnet.InstrumentTo(reg)
-	stream.InstrumentTo(reg)
-	store.InstrumentTo(reg)
 }
 
 // observeRequest records one finished request.

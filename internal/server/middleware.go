@@ -58,7 +58,7 @@ func (s *Service) withRequestID(next http.Handler) http.Handler {
 		if id == "" {
 			id = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
 		}
-		r = r.WithContext(withRequestIDContext(r.Context(), id))
+		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 		w.Header().Set("X-Request-ID", id)
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
@@ -195,15 +195,8 @@ func (tw *timeoutWriter) Write(p []byte) (int, error) {
 	return tw.buf.Write(p)
 }
 
-func (s *Service) logf(format string, args ...interface{}) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Printf(format, args...)
-	}
-}
+// logf writes to the service's logger (withDefaults has set one).
+func (s *Service) logf(format string, args ...interface{}) { s.cfg.Logger.Printf(format, args...) }
 
 // DiscardLogger silences the access log (tests use it).
-func DiscardLogger() *log.Logger { return log.New(discard{}, "", 0) }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
+func DiscardLogger() *log.Logger { return log.New(io.Discard, "", 0) }

@@ -4,14 +4,13 @@ package server
 // ownership on the serving path"): the allocation budget a steady
 // ingest must stay under, and — named *Hammer* so `make race-hammer`
 // runs them under -race — that no pooled buffer is ever visible to two
-// owners: the timeout writer against http.TimeoutHandler, the results
-// slab against a copying reference, the snapshot against explicit
-// copies.
+// owners: the timeout writer against http.TimeoutHandler. The results
+// slab and the snapshot have their hammers beside the engine
+// (internal/session).
 
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"sidq/internal/faults"
 	"sidq/internal/israce"
 	"sidq/internal/roadnet"
 	"sidq/internal/store"
@@ -101,7 +99,7 @@ func steadyIngestAllocs(t *testing.T, stream StreamConfig, budget uint64) {
 	}
 	// Bodies are rendered and requests built by hand up front, so what
 	// is measured is the service's.
-	bodies := make([]string, 128)
+	bodies := make([]string, 256)
 	for c := range bodies {
 		bodies[c] = gridChunk("veh-", c, 16, 16)
 	}
@@ -128,11 +126,16 @@ func steadyIngestAllocs(t *testing.T, stream StreamConfig, budget uint64) {
 		}
 	}
 	round(bodies[:64]) // warm: pools filled, scratch at its steady size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	round(bodies[64:])
-	runtime.ReadMemStats(&after)
-	perChunk := (after.TotalAlloc - before.TotalAlloc) / 64
+	// The least of three rounds: a collection or a batch-fsync tick that
+	// lands inside one reads as up to 20 kB a chunk the path did not spend.
+	perChunk := ^uint64(0)
+	for r := 1; r <= 3; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		round(bodies[64*r : 64*(r+1)])
+		runtime.ReadMemStats(&after)
+		perChunk = min(perChunk, (after.TotalAlloc-before.TotalAlloc)/64)
+	}
 	t.Logf("steady ingest: %d bytes allocated per 256-row chunk", perChunk)
 	if perChunk > budget && !israce.Enabled {
 		t.Errorf("steady ingest allocates %d bytes per chunk, budget %d", perChunk, budget)
@@ -334,167 +337,4 @@ func TestTimeoutHammerNoCrossTalk(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no request was served in time")
 	}
-}
-
-// TestResultsSlabHammerMatchesCopyingReference: sessions ingest and
-// drain concurrently, so drained slabs travel between them through the
-// pool while responses are still being rendered. Each session's drains,
-// concatenated, must be the bytes a reference renders from copies of
-// the same results taken under no concurrency at all.
-func TestResultsSlabHammerMatchesCopyingReference(t *testing.T) {
-	const sessions, chunks = 4, 48
-	feed := func(s int) []string {
-		out := make([]string, chunks)
-		for c := range out {
-			out[c] = gridChunk(fmt.Sprintf("s%d-", s), c, 5, 8)
-		}
-		return out
-	}
-	// The reference: serial ingest, one drain at end of stream, the
-	// results copied out of the session's slab and rendered by
-	// encoding/json.
-	reference := func(s int) string {
-		svc := newTestService(Config{})
-		defer svc.Close()
-		ss, err := svc.streams.open(5, 20, defaultLanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range feed(s) {
-			events, err := parsePointChunk([]byte(c))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ss.ingest(events, 0, time.Now()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, _, err := ss.drain(true, time.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
-		copied := append([]streamResult(nil), res...)
-		var b bytes.Buffer
-		enc := json.NewEncoder(&b)
-		for _, r := range copied {
-			enc.Encode(r)
-		}
-		return b.String()
-	}
-
-	svc := newTestService(Config{})
-	defer svc.Close()
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			id := openStream(t, srv, "")
-			fed := make(chan struct{})
-			go func() {
-				defer close(fed)
-				for _, c := range feed(s) {
-					if _, resp := ingestChunk(t, srv, id, c); resp.StatusCode != http.StatusOK {
-						t.Errorf("session %d: ingest status %d", s, resp.StatusCode)
-						return
-					}
-				}
-			}()
-			var got strings.Builder
-			for feeding := true; feeding; {
-				select {
-				case <-fed:
-					feeding = false
-				default:
-				}
-				body, resp := drainStream(t, srv, id, "")
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("session %d: drain status %d", s, resp.StatusCode)
-					return
-				}
-				got.WriteString(body)
-			}
-			body, _ := drainStream(t, srv, id, "flush=1")
-			got.WriteString(body)
-			if want := reference(s); got.String() != want {
-				t.Errorf("session %d: %d bytes drained under concurrency differ from the %d-byte copying reference",
-					s, got.Len(), len(want))
-			}
-		}(s)
-	}
-	wg.Wait()
-}
-
-// TestSnapshotHammerMatchesCopyingReference: the snapshot record now
-// aliases the session's slices and is encoded into a pooled buffer. Its
-// bytes must be those of explicit copies encoded into a fresh one, at
-// every point of a fixed history — nil and empty Results included —
-// while another session's snapshots go through the same buffer pool.
-func TestSnapshotHammerMatchesCopyingReference(t *testing.T) {
-	svc := newDurableService(t, faults.NewCrashFS(), store.FsyncBatch, 1<<30)
-	defer svc.Close()
-	check := func(ss *streamSession, when string) {
-		t.Helper()
-		ss.mu.Lock()
-		defer ss.mu.Unlock()
-		ref := ss.snapshotStateLocked()
-		ref.SrcIDs = append([]string(nil), ref.SrcIDs...)
-		ref.Results = append([]streamResult(nil), ref.Results...)
-		var want bytes.Buffer
-		if err := gob.NewEncoder(&want).Encode(ref); err != nil {
-			t.Fatal(err)
-		}
-		ss.snapshotLocked()
-		var got []byte
-		err := svc.streams.wal.ReadSeqs([]uint64{ss.snapSeq}, func(r store.Record) error {
-			got = append(got, r.Payload...)
-			return nil
-		})
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: snapshot record is %d bytes (err %v), the copying reference %d; they must be identical",
-				when, len(got), err, want.Len())
-		}
-	}
-	history := func(prefix string) {
-		ss, err := svc.streams.open(2, 50, 3)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ingest := func(c int) {
-			events, err := parsePointChunk([]byte(gridChunk(prefix, c, 3, 6)))
-			if err == nil {
-				_, err = ss.ingest(events, 0, time.Now())
-			}
-			if err != nil {
-				t.Error(err)
-			}
-		}
-		check(ss, "just opened (nil Results)")
-		for c := 0; c < 4; c++ {
-			ingest(c)
-		}
-		check(ss, "undrained results")
-		if _, _, err := ss.drain(false, time.Now()); err != nil {
-			t.Error(err)
-		}
-		check(ss, "drained (nil Results)")
-		ss.mu.Lock()
-		ss.results = make([]streamResult, 0, 8) // as a pooled slab no chunk has filled yet
-		ss.mu.Unlock()
-		check(ss, "empty, non-nil Results")
-		ingest(4)
-		check(ss, "refilled after a drain")
-	}
-	var wg sync.WaitGroup
-	for _, prefix := range []string{"a-", "b-", "c-"} {
-		wg.Add(1)
-		go func(prefix string) {
-			defer wg.Done()
-			history(prefix)
-		}(prefix)
-	}
-	wg.Wait()
 }

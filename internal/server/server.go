@@ -12,12 +12,15 @@
 //	GET  /v1/readyz           readiness probe (503 while draining)
 //	GET  /v1/metrics          Prometheus text exposition
 //
-// Streaming ingestion (see sessions.go for the session model):
+// Streaming ingestion (stream.go; internal/session has the session model
+// and does the work):
 //
 //	POST   /v1/stream/open          create a session -> JSON {session: id}
 //	POST   /v1/stream/ingest?session=ID   chunked point CSV -> JSON ack
-//	GET    /v1/stream/{id}/results  drain cleaned points (NDJSON or CSV)
+//	GET    /v1/stream/{id}/results  drain cleaned points (NDJSON, or CSV with
+//	                                ?format=csv; ?flush=1 ends the stream)
 //	DELETE /v1/stream/{id}          close the session -> JSON summary
+//	GET    /v1/history/range        the durable chunk log by space-time window
 //
 // Query parameters on the trajectory endpoints: maxspeed (m/s,
 // default 20) and interval (s, default 1) feed the assessment context;
@@ -38,16 +41,16 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"sidq/internal/core"
 	"sidq/internal/obs"
 	"sidq/internal/quality"
+	"sidq/internal/session"
 	"sidq/internal/stid"
-	"sidq/internal/store"
 	"sidq/internal/trajectory"
 )
 
@@ -59,8 +62,8 @@ type Config struct {
 	RequestTimeout time.Duration    // per-request deadline (default 30s; <0 disables)
 	Logger         *log.Logger      // access/panic log (default log.Default())
 	Trace          obs.TraceSink    // optional sink for session lifecycle trace events
-	Stream         StreamConfig     // streaming ingestion limits (see sessions.go)
-	Durability     DurabilityConfig // durable WAL settings; honored by OpenService (see durability.go)
+	Stream         StreamConfig     // streaming ingestion limits (the engine's: internal/session)
+	Durability     DurabilityConfig // durable WAL settings; honored by OpenService
 }
 
 func (c Config) withDefaults() Config {
@@ -76,8 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = log.Default()
 	}
-	c.Stream = c.Stream.withDefaults()
-	c.Durability = c.Durability.withDefaults()
 	return c
 }
 
@@ -91,22 +92,44 @@ type Service struct {
 	inflight chan struct{}
 	reqSeq   atomic.Uint64
 	metrics  *obs.Registry
-	streams  *sessionRegistry
+	engine   *session.Engine // every stream and history route is a call into it
+
+	// The background loops are the shell's: the janitor starts with the
+	// first session, retention at OpenService, and Close stops both.
+	stop        chan struct{}
+	stopOnce    sync.Once
+	janitorOnce sync.Once
 }
 
-// NewService builds the service with the given limits. It starts
-// ready.
+// NewService builds the memory-only service with the given limits,
+// whatever cfg.Durability says. It starts ready.
 func NewService(cfg Config) *Service {
-	s := &Service{cfg: cfg.withDefaults()}
+	cfg.Durability.Dir = ""
+	s, _ := OpenService(cfg) // with nothing to open, nothing can fail
+	return s
+}
+
+// OpenService builds the service and, when cfg.Durability.Dir is set,
+// opens the durable trajectory store: the engine recovers the WAL (torn
+// tail truncated, sessions rebuilt from snapshots and chunk replay,
+// history index repopulated) before the service accepts traffic.
+func OpenService(cfg Config) (*Service, error) {
+	s := &Service{cfg: cfg.withDefaults(), stop: make(chan struct{})}
 	s.inflight = make(chan struct{}, s.cfg.MaxInFlight)
 	s.ready.Store(true)
 	s.metrics = obs.NewRegistry()
 	s.initMetrics()
-	s.streams = newSessionRegistry(s)
+	eng, err := session.Open(session.Config{
+		Stream: s.cfg.Stream, Durability: s.cfg.Durability,
+		Metrics: s.metrics, Trace: s.cfg.Trace, Logf: s.logf,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.engine = eng
+	s.cfg.Stream, s.cfg.Durability = eng.Config().Stream, eng.Config().Durability // defaults applied
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", handleHealth)
-	mux.HandleFunc("/v1/readyz", s.handleReady)
 	mux.HandleFunc("/v1/taxonomy", handleTaxonomy)
 	mux.HandleFunc("/v1/assess", handleAssess)
 	mux.HandleFunc("/v1/clean", s.handleClean)
@@ -146,7 +169,17 @@ func NewService(cfg Config) *Service {
 		}
 	})
 	s.handler = s.withRecovery(s.withRequestID(root))
-	return s
+
+	// The janitor normally starts on the first open; restored sessions
+	// must not wait for one — a service restored at MaxSessions would
+	// otherwise 429 every open and the janitor could never start.
+	if eng.Sessions() > 0 {
+		s.startJanitor()
+	}
+	if d := s.cfg.Durability; eng.Durable() && d.Retain > 0 {
+		s.every(d.RetainEvery, func(now time.Time) { eng.Retain(now) })
+	}
+	return s, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -191,46 +224,16 @@ func (s *Service) AwaitIdle(ctx context.Context) bool {
 	}
 }
 
-// Close releases the service's background resources: the streaming
-// session janitor stops, and with durability enabled every live
+// Close releases the service's background resources: the janitor and
+// the retention loop stop, and with durability enabled every live
 // session is checkpointed into the WAL before the log is closed, so a
 // restart resumes from the snapshots. The handler stays functional
 // afterwards for in-memory operation, but durable ingests fail.
 func (s *Service) Close() {
-	if err := s.streams.Close(); err != nil {
+	s.stopOnce.Do(func() { close(s.stop) })
+	if err := s.engine.Close(); err != nil {
 		s.logf("close: %v", err)
 	}
-}
-
-// OpenService builds the service and, when cfg.Durability.Dir is set,
-// opens the durable trajectory store: the WAL is recovered (torn tail
-// truncated, sessions rebuilt from snapshots and chunk replay, history
-// index repopulated) before the service accepts traffic. NewService
-// remains the memory-only constructor.
-func OpenService(cfg Config) (*Service, error) {
-	s := NewService(cfg)
-	d := s.cfg.Durability
-	if d.Dir == "" {
-		return s, nil
-	}
-	l, info, err := store.Open(d.Dir, store.Options{
-		FS:           d.FS,
-		Fsync:        d.Fsync,
-		SegmentBytes: d.SegmentBytes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("open durable store %s: %w", d.Dir, err)
-	}
-	if info.TornBytes > 0 || info.AdoptedSegments > 0 || info.DiscardedSegments > 0 || info.StaleFiles > 0 {
-		s.logf("wal %s: recovery truncated %d torn bytes, adopted %d / discarded %d segments, swept %d stale files",
-			d.Dir, info.TornBytes, info.AdoptedSegments, info.DiscardedSegments, info.StaleFiles)
-	}
-	if err := s.streams.recoverFrom(l); err != nil {
-		l.Close()
-		return nil, err
-	}
-	s.streams.startRetention()
-	return s, nil
 }
 
 // New returns the middleware service handler with default limits
@@ -243,10 +246,6 @@ func New() http.Handler {
 // requestIDKey carries the request ID through the context.
 type requestIDKey struct{}
 
-func withRequestIDContext(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
 // requestID returns the request's assigned ID ("" outside the
 // middleware stack).
 func requestID(r *http.Request) string {
@@ -255,7 +254,6 @@ func requestID(r *http.Request) string {
 }
 
 func handleHealth(w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
 }
 
@@ -264,13 +262,11 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ready")
 }
 
 func handleTaxonomy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowed(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -281,11 +277,11 @@ func handleTaxonomy(w http.ResponseWriter, r *http.Request) {
 // A malformed query parameter is reported as a *paramError (a 400), not
 // silently defaulted.
 func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
-	maxSpeed, err := queryFloat(r, "maxspeed", 20)
+	maxSpeed, err := queryFloat(r, "maxspeed", 20, positive)
 	if err != nil {
 		return nil, err
 	}
-	interval, err := queryFloat(r, "interval", 1)
+	interval, err := queryFloat(r, "interval", 1, positive)
 	if err != nil {
 		return nil, err
 	}
@@ -321,32 +317,6 @@ func readBody(r *http.Request) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// paramError reports a malformed query parameter, naming the offender
-// so the client can tell `maxspeed=abc` apart from a body problem.
-type paramError struct {
-	key, value string
-}
-
-func (e *paramError) Error() string {
-	return fmt.Sprintf("invalid query parameter %s=%q: want a positive number", e.key, e.value)
-}
-
-// queryFloat parses a positive float query parameter. An empty or
-// absent parameter selects the default; anything unparsable or
-// non-positive is a *paramError so callers answer 400 rather than
-// silently substituting the default.
-func queryFloat(r *http.Request, key string, def float64) (float64, error) {
-	s := r.URL.Query().Get(key)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-		return 0, &paramError{key: key, value: s}
-	}
-	return v, nil
-}
-
 // assessmentJSON renders an Assessment as a stable JSON object. A
 // dimension that came out NaN or infinite — a NaN or Inf field in the
 // rows can do it — has no JSON number and is rendered as null.
@@ -379,8 +349,7 @@ func bodyError(w http.ResponseWriter, err error) {
 }
 
 func handleAssess(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowed(w, r, http.MethodPost) {
 		return
 	}
 	ds, err := trajectoryDataset(r)
@@ -395,8 +364,7 @@ func handleAssess(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowed(w, r, http.MethodPost) {
 		return
 	}
 	ds, err := trajectoryDataset(r)
@@ -434,8 +402,7 @@ func (s *Service) writeError(r *http.Request, err error) {
 }
 
 func handleReadingsAssess(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowed(w, r, http.MethodPost) {
 		return
 	}
 	rs, err := stid.ReadCSV(r.Body)
@@ -452,8 +419,7 @@ func handleReadingsAssess(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowed(w, r, http.MethodPost) {
 		return
 	}
 	rs, err := stid.ReadCSV(r.Body)
@@ -475,9 +441,19 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON encodes before it writes the header, so a value that
-// cannot be encoded is a 500 with the reason, not a 200 with no body.
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// allowed answers 405 unless the request uses method.
+func allowed(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	}
+	return r.Method == method
+}
+
+func writeJSON(w http.ResponseWriter, v interface{}) { writeJSONStatus(w, http.StatusOK, v) }
+
+// writeJSONStatus encodes before it writes the header, so a value that
+// cannot be encoded is a 500 with the reason, not a 2xx with no body.
+func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
@@ -486,5 +462,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
 }

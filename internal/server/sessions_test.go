@@ -16,6 +16,7 @@ import (
 	"sidq/internal/geo"
 	"sidq/internal/obs"
 	"sidq/internal/roadnet"
+	"sidq/internal/session"
 	"sidq/internal/simulate"
 	"sidq/internal/trajectory"
 )
@@ -38,6 +39,14 @@ func cleanWalkCSV(t *testing.T, ids ...string) *bytes.Buffer {
 	return &buf
 }
 
+// The engine's series the route tests read.
+const (
+	mStreamOpen     = "sidq_stream_sessions_open"
+	mStreamClosed   = "sidq_stream_session_closed_total"
+	mStreamEvicted  = "sidq_stream_session_evicted_total"
+	mStreamRejected = "sidq_stream_session_rejected_total"
+)
+
 // openStream opens a session against srv and returns its id.
 func openStream(t *testing.T, srv *httptest.Server, params string) string {
 	t.Helper()
@@ -59,13 +68,13 @@ func openStream(t *testing.T, srv *httptest.Server, params string) string {
 	return out.Session
 }
 
-func ingestChunk(t *testing.T, srv *httptest.Server, id, csvChunk string) (ingestAck, *http.Response) {
+func ingestChunk(t *testing.T, srv *httptest.Server, id, csvChunk string) (session.Ack, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/v1/stream/ingest?session="+id, "text/csv", strings.NewReader(csvChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ack ingestAck
+	var ack session.Ack
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 			t.Fatal(err)
@@ -73,6 +82,28 @@ func ingestChunk(t *testing.T, srv *httptest.Server, id, csvChunk string) (inges
 	}
 	resp.Body.Close()
 	return ack, resp
+}
+
+// ingestChunkSeq is ingestChunk with a client retry sequence number.
+func ingestChunkSeq(t *testing.T, srv *httptest.Server, id string, seq uint64, csvChunk string) (session.Ack, *http.Response) {
+	t.Helper()
+	return ingestChunk(t, srv, fmt.Sprintf("%s&seq=%d", id, seq), csvChunk)
+}
+
+// chunkRow builds one "id,t,x,y" row.
+func chunkRow(src string, tm, x, y float64) string {
+	return fmt.Sprintf("%s,%g,%g,%g\n", src, tm, x, y)
+}
+
+func historyGet(t *testing.T, srv *httptest.Server, params string) (string, http.Header, int) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/history/range?" + params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return string(body), resp.Header, resp.StatusCode
 }
 
 func drainStream(t *testing.T, srv *httptest.Server, id, params string) (string, *http.Response) {
@@ -179,10 +210,10 @@ func TestStreamOutOfOrderWithinLateness(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("drain status %d", r.StatusCode)
 	}
-	var got []streamResult
+	var got []session.Result
 	dec := json.NewDecoder(strings.NewReader(body))
 	for dec.More() {
-		var res streamResult
+		var res session.Result
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +279,7 @@ func TestStreamConcurrentIngest(t *testing.T) {
 	dec := json.NewDecoder(strings.NewReader(body))
 	total := 0
 	for dec.More() {
-		var res streamResult
+		var res session.Result
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -279,22 +310,17 @@ func TestStreamIdleTTLEviction(t *testing.T) {
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
 
-	fake := time.Now()
-	svc.streams.now = func() time.Time { return fake }
-
 	id := openStream(t, srv, "")
 	if _, r := ingestChunk(t, srv, id, "veh-0,1,0,0\nveh-0,2,1,0\n"); r.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", r.StatusCode)
 	}
 
-	// Not yet idle long enough: sweep must keep it.
-	fake = fake.Add(30 * time.Second)
-	if n := svc.streams.sweep(fake); n != 0 {
+	// Not yet idle long enough: the sweep must keep it.
+	if n := svc.EvictIdleStreams(time.Now().Add(30 * time.Second)); n != 0 {
 		t.Fatalf("early sweep evicted %d sessions", n)
 	}
 	// Past the TTL: reclaimed.
-	fake = fake.Add(2 * time.Minute)
-	if n := svc.streams.sweep(fake); n != 1 {
+	if n := svc.EvictIdleStreams(time.Now().Add(150 * time.Second)); n != 1 {
 		t.Fatalf("sweep evicted %d sessions, want 1", n)
 	}
 	if _, r := ingestChunk(t, srv, id, "veh-0,3,2,0\n"); r.StatusCode != http.StatusNotFound {
@@ -437,7 +463,7 @@ func TestStreamOnlineMatching(t *testing.T) {
 	dec := json.NewDecoder(strings.NewReader(body))
 	count := 0
 	for dec.More() {
-		var res streamResult
+		var res session.Result
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -521,5 +547,21 @@ func TestStreamMalformedChunkAtomic(t *testing.T) {
 	}
 	if ack.PendingResults != 1 {
 		t.Fatalf("pending_results = %d, want 1: rejected chunks leaked rows", ack.PendingResults)
+	}
+}
+
+// TestHistoryDisabledWithoutData: the endpoint answers 404 on a
+// memory-only service.
+func TestHistoryDisabledWithoutData(t *testing.T) {
+	svc := newTestService(Config{})
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/history/range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
 }

@@ -1,4 +1,4 @@
-package server
+package session
 
 // The chunk record: one accepted ingest chunk as the WAL holds it.
 //
@@ -40,7 +40,6 @@ import (
 
 	"sidq/internal/geo"
 	"sidq/internal/store"
-	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 )
 
@@ -83,12 +82,12 @@ func (enc *chunkEncoder) release() {
 
 // encode renders the chunk as a recChunk2 payload. The result aliases
 // the encoder's buffer: it is valid until the next encode or release.
-func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, events []stream.Event[srcPoint]) []byte {
+func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
 	clear(enc.dict)
 	enc.srcs = enc.srcs[:0]
 	enc.idx = enc.idx[:0]
 	for i := range events {
-		src := events[i].Value.src
+		src := events[i].Value.Src
 		k, ok := enc.dict[src]
 		if !ok {
 			k = uint32(len(enc.srcs))
@@ -119,13 +118,13 @@ func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, even
 		}
 	}
 	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.T))
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.T))
 	}
 	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.Pos.X))
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.Pos.X))
 	}
 	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.pt.Pos.Y))
+		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.Pos.Y))
 	}
 	enc.buf = b
 	return b
@@ -222,17 +221,17 @@ func colFloat(col []byte, i int) float64 {
 
 // events rebuilds the chunk's events in their original order. Rows of
 // one source share one string.
-func (c *chunkCols) events() []stream.Event[srcPoint] {
+func (c *chunkCols) events() []Event {
 	srcs := make([]string, len(c.srcs))
 	for k, b := range c.srcs {
 		srcs[k] = string(b)
 	}
-	out := make([]stream.Event[srcPoint], c.n)
+	out := make([]Event, c.n)
 	for i := range out {
 		t := colFloat(c.t, i)
-		out[i] = stream.Event[srcPoint]{
+		out[i] = Event{
 			Time:  t,
-			Value: srcPoint{src: srcs[c.src(i)], pt: trajectory.Point{T: t, Pos: geo.Pt(colFloat(c.x, i), colFloat(c.y, i))}},
+			Value: Sample{Src: srcs[c.src(i)], Pt: trajectory.Point{T: t, Pos: geo.Pt(colFloat(c.x, i), colFloat(c.y, i))}},
 		}
 	}
 	return out
@@ -244,7 +243,7 @@ type chunkRecord struct {
 	session   string
 	chunkIdx  uint64
 	clientSeq uint64
-	events    []stream.Event[srcPoint]
+	events    []Event
 }
 
 // decodeChunk decodes a chunk record of either type.
@@ -279,11 +278,11 @@ func decodeLegacyChunk(payload []byte) (chunkRecord, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
 		return chunkRecord{}, err
 	}
-	events := make([]stream.Event[srcPoint], len(c.Events))
+	events := make([]Event, len(c.Events))
 	for i, e := range c.Events {
-		events[i] = stream.Event[srcPoint]{
+		events[i] = Event{
 			Time:  e.T,
-			Value: srcPoint{src: e.Src, pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
+			Value: Sample{Src: e.Src, Pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
 		}
 	}
 	return chunkRecord{session: c.Session, chunkIdx: c.ChunkIdx, clientSeq: c.ClientSeq, events: events}, nil

@@ -1,4 +1,4 @@
-package server
+package session
 
 import (
 	"bytes"
@@ -8,19 +8,18 @@ import (
 
 	"sidq/internal/geo"
 	"sidq/internal/israce"
-	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 )
 
-func ev(src string, t, x, y float64) stream.Event[srcPoint] {
-	return stream.Event[srcPoint]{Time: t, Value: srcPoint{src: src, pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}}}
+func ev(src string, t, x, y float64) Event {
+	return Event{Time: t, Value: Sample{Src: src, Pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}}}
 }
 
 // hostileChunk is a chunk no CSV body could carry: sources that need
 // every kind of JSON escaping, and floats at the edges of both float
 // formats.
-func hostileChunk() []stream.Event[srcPoint] {
-	return []stream.Event[srcPoint]{
+func hostileChunk() []Event {
+	return []Event{
 		ev("plain", 1, 2, 3),
 		ev(`quo"te\back`, 0, math.Copysign(0, -1), 1e21),
 		ev("<html>&amp;", 1e-7, 9.999999e-7, 1e-6),
@@ -32,7 +31,7 @@ func hostileChunk() []stream.Event[srcPoint] {
 	}
 }
 
-func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []stream.Event[srcPoint]) []byte {
+func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
 	enc := getChunkEncoder()
 	defer enc.release()
 	return append([]byte(nil), enc.encode(session, chunkIdx, clientSeq, events)...)
@@ -40,8 +39,8 @@ func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []stream.Ev
 
 // manySources is a chunk over n distinct sources, to cross the source
 // index's width step.
-func manySources(n int) []stream.Event[srcPoint] {
-	events := make([]stream.Event[srcPoint], 0, n+1)
+func manySources(n int) []Event {
+	events := make([]Event, 0, n+1)
 	for i := 0; i < n; i++ {
 		events = append(events, ev("s"+string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('A'+i/260)), float64(i), float64(-i), 0.5))
 	}
@@ -51,7 +50,7 @@ func manySources(n int) []stream.Event[srcPoint] {
 // TestChunk2RoundTrip: events come back in order, bit for bit, with the
 // envelope, at both source-index widths.
 func TestChunk2RoundTrip(t *testing.T) {
-	for name, events := range map[string][]stream.Event[srcPoint]{
+	for name, events := range map[string][]Event{
 		"empty": nil, "hostile": hostileChunk(), "256 sources": manySources(256), "257 sources": manySources(257),
 	} {
 		payload := encodeChunk2("st-000042", 7, 99, events)
@@ -68,10 +67,10 @@ func TestChunk2RoundTrip(t *testing.T) {
 		}
 		for i := range events {
 			w, g := events[i].Value, got[i].Value
-			if g.src != w.src || math.Float64bits(g.pt.T) != math.Float64bits(w.pt.T) ||
-				math.Float64bits(g.pt.Pos.X) != math.Float64bits(w.pt.Pos.X) ||
-				math.Float64bits(g.pt.Pos.Y) != math.Float64bits(w.pt.Pos.Y) ||
-				math.Float64bits(got[i].Time) != math.Float64bits(w.pt.T) {
+			if g.Src != w.Src || math.Float64bits(g.Pt.T) != math.Float64bits(w.Pt.T) ||
+				math.Float64bits(g.Pt.Pos.X) != math.Float64bits(w.Pt.Pos.X) ||
+				math.Float64bits(g.Pt.Pos.Y) != math.Float64bits(w.Pt.Pos.Y) ||
+				math.Float64bits(got[i].Time) != math.Float64bits(w.Pt.T) {
 				t.Fatalf("%s: event %d came back %+v, want %+v", name, i, got[i], events[i])
 			}
 		}
@@ -147,9 +146,9 @@ func FuzzDecodeChunk2(f *testing.F) {
 		for i := range events {
 			// NaN payloads are legal bytes here; compare bits, not values.
 			a, b := events[i].Value, back[i].Value
-			if a.src != b.src || !reflect.DeepEqual(
-				[3]uint64{math.Float64bits(a.pt.T), math.Float64bits(a.pt.Pos.X), math.Float64bits(a.pt.Pos.Y)},
-				[3]uint64{math.Float64bits(b.pt.T), math.Float64bits(b.pt.Pos.X), math.Float64bits(b.pt.Pos.Y)}) {
+			if a.Src != b.Src || !reflect.DeepEqual(
+				[3]uint64{math.Float64bits(a.Pt.T), math.Float64bits(a.Pt.Pos.X), math.Float64bits(a.Pt.Pos.Y)},
+				[3]uint64{math.Float64bits(b.Pt.T), math.Float64bits(b.Pt.Pos.X), math.Float64bits(b.Pt.Pos.Y)}) {
 				t.Fatalf("event %d changed across a re-encode", i)
 			}
 		}

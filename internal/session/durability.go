@@ -1,4 +1,4 @@
-package server
+package session
 
 // Stream-session durability: every accepted ingest chunk is persisted
 // to a segmented WAL (internal/store) BEFORE the ack is written, and
@@ -30,7 +30,6 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -53,7 +52,7 @@ const (
 )
 
 // DurabilityConfig enables the durable trajectory store. Zero Dir
-// leaves the server memory-only (the pre-durability behavior).
+// leaves the engine memory-only.
 type DurabilityConfig struct {
 	Dir           string          // WAL directory; "" disables durability
 	Fsync         store.FsyncMode // when chunks become durable (zero value FsyncAlways; the CLI flag defaults to batch)
@@ -67,7 +66,7 @@ type DurabilityConfig struct {
 	// first, so a long-lived session cannot pin old segments forever).
 	// 0 keeps everything (the pre-retention behavior).
 	Retain      time.Duration
-	RetainEvery time.Duration // retention pass period (default Retain/4, clamped to [1s, 30s])
+	RetainEvery time.Duration // how often the caller should run Retain (default Retain/4, clamped to [1s, 30s])
 }
 
 func (c DurabilityConfig) withDefaults() DurabilityConfig {
@@ -85,10 +84,6 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	}
 	return c
 }
-
-// errDurability marks WAL failures on the serving path: the ack MUST
-// fail rather than claim durability the log cannot provide (503).
-var errDurability = errors.New("durable log unavailable")
 
 // WAL payload DTOs. Exported fields only — gob.
 type walOpen struct {
@@ -141,15 +136,15 @@ func decodeRec(payload []byte, v interface{}) error {
 var recBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // persist appends one typed record; failures are wrapped in
-// errDurability so handlers map them to 503. A fresh gob.Encoder per
-// record makes each carry its own type description and decode alone.
-func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
+// ErrDurability. A fresh gob.Encoder per record makes each carry its own
+// type description and decode alone.
+func (e *Engine) persist(typ byte, v interface{}) (uint64, error) {
 	buf := recBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("%w: encode: %v", errDurability, err)
+		return 0, fmt.Errorf("%w: encode: %v", ErrDurability, err)
 	}
-	seq, err := reg.appendRec(typ, buf.Bytes())
+	seq, err := e.appendRec(typ, buf.Bytes())
 	if buf.Cap() <= maxPooledBuf {
 		recBufs.Put(buf)
 	}
@@ -157,26 +152,25 @@ func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
 }
 
 // appendRec appends one encoded record, wrapping a failure in
-// errDurability.
-func (reg *sessionRegistry) appendRec(typ byte, payload []byte) (uint64, error) {
-	seq, err := reg.wal.Append(typ, payload)
+// ErrDurability.
+func (e *Engine) appendRec(typ byte, payload []byte) (uint64, error) {
+	seq, err := e.wal.Append(typ, payload)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errDurability, err)
+		return 0, fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return seq, nil
 }
 
 // persistChunkLocked writes the chunk record and indexes its extent
 // for history queries. Caller holds ss.mu.
-func (ss *streamSession) persistChunkLocked(events []stream.Event[srcPoint], clientSeq uint64) error {
-	reg := ss.reg
+func (ss *streamSession) persistChunkLocked(events []Event, clientSeq uint64) error {
 	enc := getChunkEncoder()
-	seq, err := reg.appendRec(recChunk2, enc.encode(ss.id, ss.chunkIdx+1, clientSeq, events))
+	seq, err := ss.e.appendRec(recChunk2, enc.encode(ss.id, ss.chunkIdx+1, clientSeq, events))
 	enc.release()
 	if err != nil {
 		return err
 	}
-	reg.hist.add(seq, events)
+	ss.e.hist.add(seq, events)
 	return nil
 }
 
@@ -220,24 +214,24 @@ func (ss *streamSession) snapshotStateLocked() walSnapshot {
 // already durable, so the session stays correct — only recovery gets
 // slower (and the poisoned log fails the next ingest anyway).
 func (ss *streamSession) snapshotLocked() {
-	reg := ss.reg
-	seq, err := reg.persist(recSnapshot, ss.snapshotStateLocked())
+	e := ss.e
+	seq, err := e.persist(recSnapshot, ss.snapshotStateLocked())
 	if err != nil {
-		reg.svc.logf("stream session %s: snapshot failed: %v", ss.id, err)
+		e.cfg.Logf("stream session %s: snapshot failed: %v", ss.id, err)
 		return
 	}
 	ss.sinceSnap = 0
 	ss.snapSeq = seq // everything below seq is now superseded for this session
-	reg.m.snapshots.Inc()
-	reg.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionSnapshot, N: ss.pendingReorderLocked()})
+	e.m.snapshots.Inc()
+	e.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionSnapshot, N: ss.pendingReorderLocked()})
 }
 
 // persistCloseLocked logs the session close; best-effort (the session
 // is going away regardless — a replay resurrecting it only costs the
 // idle janitor one eviction).
 func (ss *streamSession) persistCloseLocked(evicted bool) {
-	if _, err := ss.reg.persist(recSessionClose, walClose{Session: ss.id, Evicted: evicted}); err != nil {
-		ss.reg.svc.logf("stream session %s: close record failed: %v", ss.id, err)
+	if _, err := ss.e.persist(recSessionClose, walClose{Session: ss.id, Evicted: evicted}); err != nil {
+		ss.e.cfg.Logf("stream session %s: close record failed: %v", ss.id, err)
 	}
 }
 
@@ -253,12 +247,39 @@ func sessionSeq(id string) uint64 {
 	return n
 }
 
+// Open builds the engine and, when cfg.Durability.Dir is set, opens
+// the durable store and recovers from it before returning: the torn
+// tail is truncated, sessions are rebuilt from snapshots and chunk
+// replay, and the history index is repopulated.
+func Open(cfg Config) (*Engine, error) {
+	e := New(cfg)
+	d := e.cfg.Durability
+	if d.Dir == "" {
+		return e, nil
+	}
+	l, info, err := store.Open(d.Dir, store.Options{FS: d.FS, Fsync: d.Fsync, SegmentBytes: d.SegmentBytes})
+	if err != nil {
+		return nil, fmt.Errorf("open durable store %s: %w", d.Dir, err)
+	}
+	if info.TornBytes > 0 || info.AdoptedSegments > 0 || info.DiscardedSegments > 0 || info.StaleFiles > 0 {
+		e.cfg.Logf("wal %s: recovery truncated %d torn bytes, adopted %d / discarded %d segments, swept %d stale files",
+			d.Dir, info.TornBytes, info.AdoptedSegments, info.DiscardedSegments, info.StaleFiles)
+	}
+	if err := e.recoverFrom(l); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
 // recoverFrom replays the WAL through the live apply path, rebuilding
-// sessions and the history index, then adopts l as the registry's
-// durable log. Called once, before the service accepts traffic.
-func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
+// sessions and the history index, then adopts l as the engine's durable
+// log. It runs before Open returns the engine, so it takes no locks the
+// apply path does not take itself. The one clock reading is its own
+// start: what its elapsed time is measured from, and when every
+// restored session was last active.
+func (e *Engine) recoverFrom(l *store.Log) error {
 	start := time.Now()
-	now := reg.now()
 	records := 0
 	err := l.Replay(func(r store.Record) error {
 		records++
@@ -268,7 +289,11 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			if err := decodeRec(r.Payload, &o); err != nil {
 				return fmt.Errorf("record %d (open): %w", r.Seq, err)
 			}
-			reg.restoreOpen(o, now, r.Seq)
+			if _, ok := e.sessions[o.Session]; !ok {
+				ss := e.newSession(o.Session, o.Lateness, o.MaxSpeed, o.Lanes, start)
+				ss.openSeq = r.Seq
+				e.restore(ss)
+			}
 		case recChunk, recChunk2:
 			c, err := decodeChunk(r)
 			if err != nil {
@@ -276,16 +301,16 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			}
 			// History outlives sessions: index every chunk, even ones
 			// whose session is already closed.
-			reg.hist.add(r.Seq, c.events)
-			if ss, ok := reg.sessions[c.session]; ok {
-				ss.replayChunk(c, now)
+			e.hist.add(r.Seq, c.events)
+			if ss, ok := e.sessions[c.session]; ok {
+				ss.replayChunk(c)
 			}
 		case recDrain:
 			var d walDrain
 			if err := decodeRec(r.Payload, &d); err != nil {
 				return fmt.Errorf("record %d (drain): %w", r.Seq, err)
 			}
-			if ss, ok := reg.sessions[d.Session]; ok {
+			if ss, ok := e.sessions[d.Session]; ok {
 				// Re-run and discard: these results were already
 				// delivered to the client before the crash.
 				ss.mu.Lock()
@@ -297,17 +322,16 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			if err := decodeRec(r.Payload, &c); err != nil {
 				return fmt.Errorf("record %d (close): %w", r.Seq, err)
 			}
-			if ss, ok := reg.sessions[c.Session]; ok {
-				delete(reg.sessions, c.Session)
+			if ss, ok := e.sessions[c.Session]; ok {
 				ss.closed = true
-				reg.m.open.Dec()
+				e.unlink(ss)
 			}
 		case recSnapshot:
 			var snap walSnapshot
 			if err := decodeRec(r.Payload, &snap); err != nil {
 				return fmt.Errorf("record %d (snapshot): %w", r.Seq, err)
 			}
-			reg.restoreSnapshot(snap, now, r.Seq)
+			e.restoreSnapshot(snap, start, r.Seq)
 		default:
 			return fmt.Errorf("record %d: unknown type %d", r.Seq, r.Type)
 		}
@@ -316,78 +340,41 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 	if err != nil {
 		return fmt.Errorf("wal replay: %w", err)
 	}
-	reg.m.replayed.Add(uint64(records))
-	reg.wal = l
-	reg.trace(obs.TraceEvent{Name: "wal", Kind: obs.KindWALReplay, Dur: time.Since(start), N: records})
+	e.m.replayed.Add(uint64(records))
+	e.wal = l
+	e.trace(obs.TraceEvent{Name: "wal", Kind: obs.KindWALReplay, Dur: time.Since(start), N: records})
 	if records > 0 {
-		reg.svc.logf("wal: replayed %d records, %d sessions live, in %s",
-			records, len(reg.sessions), time.Since(start).Round(time.Millisecond))
-	}
-	// The janitor normally starts on the first live open(); restored
-	// sessions must not wait for one — a registry restored at
-	// MaxSessions would otherwise 429 every open and the janitor could
-	// never start.
-	if len(reg.sessions) > 0 {
-		reg.startJanitor()
+		e.cfg.Logf("wal: replayed %d records, %d sessions live, in %s",
+			records, len(e.sessions), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
 
-// restoreOpen rebuilds an empty session during replay. Runs before the
-// service serves traffic, so reg.mu is not needed.
-func (reg *sessionRegistry) restoreOpen(o walOpen, now time.Time, seq uint64) {
-	if _, ok := reg.sessions[o.Session]; ok {
-		return
+// restore puts a session rebuilt from the log into the table (over an
+// earlier incarnation of itself, if any) and keeps new ids above it.
+func (e *Engine) restore(ss *streamSession) {
+	if _, existed := e.sessions[ss.id]; !existed {
+		e.m.open.Inc()
 	}
-	ss := &streamSession{
-		id:         o.Session,
-		reg:        reg,
-		lateness:   o.Lateness,
-		maxSpeed:   o.MaxSpeed,
-		srcOrder:   map[string]int{},
-		lastActive: now,
-		openSeq:    seq,
+	e.sessions[ss.id] = ss
+	if n := sessionSeq(ss.id); n > e.seq {
+		e.seq = n
 	}
-	for i := 0; i < o.Lanes; i++ {
-		ss.lanes = append(ss.lanes, &streamLane{sources: map[string]*sourceState{}})
-	}
-	reg.sessions[ss.id] = ss
-	if n := sessionSeq(ss.id); n > reg.seq {
-		reg.seq = n
-	}
-	reg.m.open.Inc()
 }
 
 // restoreSnapshot replaces a session's state wholesale with a
 // checkpoint; chunk records at or before ChunkIdx are already folded
 // into it and replayChunk skips them.
-func (reg *sessionRegistry) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) {
-	prior, existed := reg.sessions[snap.Session]
-	ss := &streamSession{
-		id:         snap.Session,
-		reg:        reg,
-		lateness:   snap.Lateness,
-		maxSpeed:   snap.MaxSpeed,
-		srcOrder:   map[string]int{},
-		results:    append([]streamResult(nil), snap.Results...),
-		lastActive: now,
-		ingested:   snap.Ingested,
-		emitted:    snap.Emitted,
-		late:       snap.Late,
-		outliers:   snap.Outliers,
-		chunkIdx:   snap.ChunkIdx,
-		clientSeq:  snap.ClientSeq,
-		snapSeq:    seq,
-	}
-	if existed {
+func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) {
+	ss := e.newSession(snap.Session, snap.Lateness, snap.MaxSpeed, snap.Lanes, now)
+	ss.results = append([]streamResult(nil), snap.Results...)
+	ss.ingested, ss.emitted, ss.late, ss.outliers = snap.Ingested, snap.Emitted, snap.Late, snap.Outliers
+	ss.chunkIdx, ss.clientSeq, ss.snapSeq = snap.ChunkIdx, snap.ClientSeq, seq
+	if prior, existed := e.sessions[snap.Session]; existed {
 		ss.openSeq = prior.openSeq
 	}
-	for i := 0; i < snap.Lanes; i++ {
-		ss.lanes = append(ss.lanes, &streamLane{sources: map[string]*sourceState{}})
-	}
 	for _, src := range snap.SrcIDs {
-		ss.srcOrder[src] = len(ss.srcIDs)
-		ss.srcIDs = append(ss.srcIDs, src)
+		ss.noteSource(src)
 	}
 	for _, ws := range snap.Sources {
 		st := &sourceState{
@@ -395,59 +382,29 @@ func (reg *sessionRegistry) restoreSnapshot(snap walSnapshot, now time.Time, seq
 			hasLast: ws.HasLast,
 			last:    ws.Last,
 		}
-		if ws.Matcher != nil && reg.snapper != nil {
+		if ws.Matcher != nil && e.snapper != nil {
 			st.matcher = uncertain.NewOnlineMatcherFromState(
-				reg.cfg.Network, reg.snapper, uncertain.MatchOptions{}, matchLag, *ws.Matcher)
+				e.cfg.Stream.Network, e.snapper, uncertain.MatchOptions{}, matchLag, *ws.Matcher)
 		}
 		ss.lanes[stream.LaneFor(ws.Src, len(ss.lanes))].sources[ws.Src] = st
 	}
-	reg.sessions[ss.id] = ss
-	if n := sessionSeq(ss.id); n > reg.seq {
-		reg.seq = n
-	}
-	if !existed {
-		reg.m.open.Inc()
-	}
-	reg.m.restored.Inc()
-	reg.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionRestore, N: int(snap.ChunkIdx)})
+	e.restore(ss)
+	e.m.restored.Inc()
+	e.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionRestore, N: int(snap.ChunkIdx)})
 }
 
 // replayChunk re-applies one logged chunk. Backpressure is not
 // re-checked: the chunk was accepted (and acked durable) before the
 // crash, so replay must take it.
-func (ss *streamSession) replayChunk(c chunkRecord, now time.Time) {
+func (ss *streamSession) replayChunk(c chunkRecord) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if c.chunkIdx <= ss.chunkIdx { // already folded into a snapshot
 		return
 	}
-	ss.lastActive = now
 	ss.applyLocked(c.events, ss.fanOutLocked(c.events))
 	ss.chunkIdx = c.chunkIdx
 	if c.clientSeq > ss.clientSeq {
 		ss.clientSeq = c.clientSeq
 	}
-}
-
-// Close stops the janitor, checkpoints every live session, and closes
-// the WAL: a graceful shutdown restarts from snapshots alone.
-func (reg *sessionRegistry) Close() error {
-	reg.stopJanitor()
-	if reg.wal == nil {
-		return nil
-	}
-	reg.mu.Lock()
-	sessions := make([]*streamSession, 0, len(reg.sessions))
-	for _, ss := range reg.sessions {
-		sessions = append(sessions, ss)
-	}
-	reg.mu.Unlock()
-	for _, ss := range sessions {
-		ss.mu.Lock()
-		if !ss.closed {
-			ss.snapshotLocked()
-		}
-		ss.mu.Unlock()
-	}
-	return reg.wal.Close()
 }

@@ -1,13 +1,12 @@
-package server
+package session_test
 
 // Durability wiring tests: persist-before-ack, fsync-error ack
 // failure, ?seq= retry dedup, snapshot/restore recovery, history
 // range queries. The chaos-style kill -9 byte-identity scenarios live
-// in store_chaos_test.go.
+// in internal/chaos. They drive the engine through the service's routes:
+// what is held here is what a client sees.
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,47 +15,9 @@ import (
 	"time"
 
 	"sidq/internal/faults"
+	"sidq/internal/server"
 	"sidq/internal/store"
 )
-
-// newDurableService opens a service over the given (usually CrashFS)
-// filesystem.
-func newDurableService(t *testing.T, fs store.FS, fsync store.FsyncMode, snapEvery int) *Service {
-	t.Helper()
-	svc, err := OpenService(Config{
-		Logger: DiscardLogger(),
-		Durability: DurabilityConfig{
-			Dir: "wal", Fsync: fsync, SnapshotEvery: snapEvery, FS: fs,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
-
-// ingestChunkSeq is ingestChunk with a client retry sequence number.
-func ingestChunkSeq(t *testing.T, srv *httptest.Server, id string, seq uint64, csvChunk string) (ingestAck, *http.Response) {
-	t.Helper()
-	url := fmt.Sprintf("%s/v1/stream/ingest?session=%s&seq=%d", srv.URL, id, seq)
-	resp, err := http.Post(url, "text/csv", strings.NewReader(csvChunk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack ingestAck
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp.Body.Close()
-	return ack, resp
-}
-
-// chunkRow builds one "id,t,x,y" row.
-func chunkRow(src string, tm, x, y float64) string {
-	return fmt.Sprintf("%s,%g,%g,%g\n", src, tm, x, y)
-}
 
 // testChunks is a deterministic multi-source, mildly out-of-order
 // chunk sequence exercising reordering and the speed gate.
@@ -112,7 +73,7 @@ func TestDurableRestartResumesExactly(t *testing.T) {
 	chunks := testChunks(12)
 
 	// Control: uninterrupted, memory-only.
-	ctrl := newTestService(Config{})
+	ctrl := newMemService()
 	ctrlSrv := httptest.NewServer(ctrl)
 	_, want := runSession(t, ctrlSrv, chunks, -1)
 	ctrlSrv.Close()
@@ -154,7 +115,7 @@ func TestDurableMidDrainRecovery(t *testing.T) {
 	chunks := testChunks(10)
 	const drainAt = 6
 
-	ctrl := newTestService(Config{})
+	ctrl := newMemService()
 	ctrlSrv := httptest.NewServer(ctrl)
 	ctrlMid, want := runSession(t, ctrlSrv, chunks, drainAt)
 	ctrlSrv.Close()
@@ -259,7 +220,7 @@ func TestDurableClientSeqDedup(t *testing.T) {
 func TestDurableGracefulCloseSnapshots(t *testing.T) {
 	chunks := testChunks(6)
 
-	ctrl := newTestService(Config{})
+	ctrl := newMemService()
 	ctrlSrv := httptest.NewServer(ctrl)
 	_, want := runSession(t, ctrlSrv, chunks, -1)
 	ctrlSrv.Close()
@@ -277,7 +238,7 @@ func TestDurableGracefulCloseSnapshots(t *testing.T) {
 	svc.Close() // graceful: final snapshot + WAL close
 
 	svc2 := newDurableService(t, fs, store.FsyncBatch, 1000)
-	if v := svc2.Metrics().Counter(mStreamRestored).Value(); v < 1 {
+	if v := svc2.Metrics().Counter("sidq_stream_snapshot_restores_total").Value(); v < 1 {
 		t.Fatalf("expected a snapshot restore, counter %v", v)
 	}
 	srv2 := httptest.NewServer(svc2)
@@ -302,10 +263,7 @@ func TestHistoryRange(t *testing.T) {
 		}
 	}
 	// Close the session: history must survive it.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/stream/"+id, nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("close failed: %v %v", err, resp)
-	}
+	closeStream(t, srv, id)
 
 	query := func(s *httptest.Server, params string) (string, *http.Response) {
 		resp, err := http.Get(s.URL + "/v1/history/range?" + params)
@@ -385,7 +343,7 @@ func TestNegativeZeroSurvivesRestart(t *testing.T) {
 // quietly missing.
 func TestHistoryCorruptChunkIs500(t *testing.T) {
 	fs := faults.NewCrashFS()
-	svc, err := OpenService(Config{Logger: DiscardLogger(), Durability: DurabilityConfig{
+	svc, err := server.OpenService(server.Config{Logger: server.DiscardLogger(), Durability: server.DurabilityConfig{
 		Dir: "wal", Fsync: store.FsyncAlways, SnapshotEvery: 1000, SegmentBytes: 512, FS: fs,
 	}})
 	if err != nil {
@@ -406,7 +364,7 @@ func TestHistoryCorruptChunkIs500(t *testing.T) {
 	}
 	// The last bytes of the first sealed segment are the Y column of its
 	// last chunk record.
-	seg := svc.streams.wal.Segments()[0]
+	seg := walSegments(t, fs, "wal")[0]
 	f, err := fs.Open("wal/" + seg.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -428,22 +386,6 @@ func TestHistoryCorruptChunkIs500(t *testing.T) {
 	}
 }
 
-// TestHistoryDisabledWithoutData: the endpoint answers 404 on a
-// memory-only service.
-func TestHistoryDisabledWithoutData(t *testing.T) {
-	svc := newTestService(Config{})
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/history/range")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestRecoveredSessionsJanitored: a restart that restores sessions
 // from the WAL must also start the idle janitor. Before the fix the
 // janitor only started on a live open(); a registry restored at
@@ -451,19 +393,19 @@ func TestHistoryDisabledWithoutData(t *testing.T) {
 // janitor could never start — streaming stayed wedged until another
 // restart with an empty WAL.
 func TestRecoveredSessionsJanitored(t *testing.T) {
-	cfg := func(fs store.FS) Config {
-		return Config{
-			Logger: DiscardLogger(),
-			Stream: StreamConfig{
+	cfg := func(fs store.FS) server.Config {
+		return server.Config{
+			Logger: server.DiscardLogger(),
+			Stream: server.StreamConfig{
 				MaxSessions:  1,
 				IdleTTL:      500 * time.Millisecond,
 				JanitorEvery: time.Millisecond,
 			},
-			Durability: DurabilityConfig{Dir: "wal", Fsync: store.FsyncAlways, FS: fs},
+			Durability: server.DurabilityConfig{Dir: "wal", Fsync: store.FsyncAlways, FS: fs},
 		}
 	}
 	fs := faults.NewCrashFS()
-	svc, err := OpenService(cfg(fs))
+	svc, err := server.OpenService(cfg(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,16 +413,12 @@ func TestRecoveredSessionsJanitored(t *testing.T) {
 	openStream(t, srv, "")
 	srv.Close() // kill -9: the open record is durable, no close record
 
-	svc2, err := OpenService(cfg(fs.Crash(0, false)))
+	svc2, err := server.OpenService(cfg(fs.Crash(0, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	reg := svc2.streams
-	reg.mu.Lock()
-	n := len(reg.sessions)
-	reg.mu.Unlock()
-	if n != 1 {
+	if n := svc2.Metrics().Gauge("sidq_stream_sessions_open").Value(); n != 1 {
 		t.Fatalf("restored %d sessions, want 1 (the registry is at MaxSessions)", n)
 	}
 	srv2 := httptest.NewServer(svc2)

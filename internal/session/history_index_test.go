@@ -1,4 +1,4 @@
-package server
+package session
 
 import (
 	"fmt"
@@ -9,22 +9,21 @@ import (
 
 	"sidq/internal/geo"
 	"sidq/internal/israce"
-	"sidq/internal/stream"
 )
 
 // bruteSearch is the index's contract with no index: every entry whose
 // box meets the rect and whose time span meets the range, in seq order.
-func bruteSearch(chunks map[uint64][]stream.Event[srcPoint], rect geo.Rect, minT, maxT float64) []uint64 {
+func bruteSearch(chunks map[uint64][]Event, rect geo.Rect, minT, maxT float64) []uint64 {
 	var seqs []uint64
 	for seq, events := range chunks {
 		if len(events) == 0 {
 			continue
 		}
-		box := geo.RectFromPoints(events[0].Value.pt.Pos)
-		lo, hi := events[0].Value.pt.T, events[0].Value.pt.T
+		box := geo.RectFromPoints(events[0].Value.Pt.Pos)
+		lo, hi := events[0].Value.Pt.T, events[0].Value.Pt.T
 		for _, e := range events {
-			box = box.ExtendPoint(e.Value.pt.Pos)
-			lo, hi = math.Min(lo, e.Value.pt.T), math.Max(hi, e.Value.pt.T)
+			box = box.ExtendPoint(e.Value.Pt.Pos)
+			lo, hi = math.Min(lo, e.Value.Pt.T), math.Max(hi, e.Value.Pt.T)
 		}
 		if hi >= minT && lo <= maxT && box.Intersects(rect) {
 			seqs = append(seqs, seq)
@@ -42,8 +41,8 @@ func bruteSearch(chunks map[uint64][]stream.Event[srcPoint], rect geo.Rect, minT
 func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := newHistoryIndex()
-		chunks := map[uint64][]stream.Event[srcPoint]{}
+		h := new(historyIndex)
+		chunks := map[uint64][]Event{}
 		var times []float64
 		for seq := uint64(1); seq <= 300; seq++ {
 			base := rng.Float64() * 1e4
@@ -51,14 +50,14 @@ func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 				base = 1.7e9 + float64(seq)*3 + rng.Float64()*20 // wall-clock sized, nearly ordered
 			}
 			span := math.Pow(10, rng.Float64()*4-2) // 0.01 .. 100
-			var events []stream.Event[srcPoint]
+			var events []Event
 			for r, rows := 0, 1+rng.Intn(5); r < rows; r++ {
 				x, y := rng.Float64()*1000, rng.Float64()*1000
 				if rng.Intn(50) == 0 {
 					x = math.MaxFloat64 * (rng.Float64()*2 - 1)
 				}
 				events = append(events, ev("s", base+rng.Float64()*span, x, y))
-				times = append(times, events[len(events)-1].Value.pt.T)
+				times = append(times, events[len(events)-1].Value.Pt.T)
 			}
 			chunks[seq] = events
 			h.add(seq, events)
@@ -123,10 +122,10 @@ func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 // widens every search while it is indexed, and stops the moment
 // retention drops it.
 func TestHistoryIndexWideChunkAgesOut(t *testing.T) {
-	h := newHistoryIndex()
-	h.add(1, []stream.Event[srcPoint]{ev("a", 0, 0, 0), ev("b", 1e6, 1, 1)}) // two clocks far apart
+	h := new(historyIndex)
+	h.add(1, []Event{ev("a", 0, 0, 0), ev("b", 1e6, 1, 1)}) // two clocks far apart
 	for i := 2; i <= 100; i++ {
-		h.add(uint64(i), []stream.Event[srcPoint]{ev("a", float64(i), 0, 0), ev("a", float64(i)+1, 1, 1)})
+		h.add(uint64(i), []Event{ev("a", float64(i), 0, 0), ev("a", float64(i)+1, 1, 1)})
 	}
 	if h.maxSpan < 1e6 {
 		t.Fatalf("maxSpan %v does not cover the wide chunk", h.maxSpan)
@@ -150,10 +149,10 @@ func TestHistoryIndexWideChunkAgesOut(t *testing.T) {
 // timeOrderedIndex holds n one-second chunks, one every second, each
 // covering the whole city — the shape a live feed gives the index.
 func timeOrderedIndex(n int) *historyIndex {
-	h := newHistoryIndex()
+	h := new(historyIndex)
 	for i := 0; i < n; i++ {
 		t0 := float64(i)
-		h.add(uint64(i+1), []stream.Event[srcPoint]{ev("a", t0, 0, 0), ev("b", t0+1, 1000, 1000)})
+		h.add(uint64(i+1), []Event{ev("a", t0, 0, 0), ev("b", t0+1, 1000, 1000)})
 	}
 	return h
 }

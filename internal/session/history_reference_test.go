@@ -1,4 +1,4 @@
-package server
+package session_test
 
 // The history read path as it was before point reads, the columnar
 // chunk record and the time-keyed index: an R-tree over chunk boxes
@@ -26,8 +26,9 @@ import (
 	"sidq/internal/faults"
 	"sidq/internal/geo"
 	"sidq/internal/index"
+	"sidq/internal/server"
+	"sidq/internal/session"
 	"sidq/internal/store"
-	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 )
 
@@ -38,7 +39,7 @@ type refHistoryIndex struct {
 	ext map[string]refExtent // R-tree entry id (decimal WAL seq) -> time bounds
 }
 
-func (h *refHistoryIndex) add(seq uint64, evs []walEvent) {
+func (h *refHistoryIndex) add(seq uint64, evs []session.WalEvent) {
 	if len(evs) == 0 {
 		return
 	}
@@ -99,13 +100,13 @@ func (w window) query(format string) string {
 }
 
 // refHistoryRange answers w from a log of gob (type 2) chunk records
-// the way handleHistoryRange used to: candidates from the R-tree, one
+// the way the history route used to: candidates from the R-tree, one
 // ReadRange across their whole seq span, gob per record, json.Encoder
 // (ndjson) or resultTrajectories+WriteCSV (csv) for the rows.
 func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window, format string) ([]uint64, string) {
 	t.Helper()
 	seqs := idx.search(geo.Rect{Min: geo.Pt(w.minX, w.minY), Max: geo.Pt(w.maxX, w.maxY)}, w.minT, w.maxT)
-	inWindow := func(e walEvent) bool {
+	inWindow := func(e session.WalEvent) bool {
 		return e.X >= w.minX && e.X <= w.maxX && e.Y >= w.minY && e.Y <= w.maxY && e.T >= w.minT && e.T <= w.maxT
 	}
 	want := map[uint64]bool{}
@@ -113,16 +114,16 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 		want[seq] = true
 	}
 	var body bytes.Buffer
-	var results []streamResult
+	var results []session.Result
 	var srcs []string
 	srcSeen := map[string]bool{}
 	enc := json.NewEncoder(&body)
 	if len(seqs) > 0 {
 		err := l.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
-			if rec.Type != recChunk || !want[rec.Seq] {
+			if rec.Type != session.RecChunk || !want[rec.Seq] {
 				return nil
 			}
-			var c walChunk
+			var c session.WalChunk
 			if err := gob.NewDecoder(bytes.NewReader(rec.Payload)).Decode(&c); err != nil {
 				return err
 			}
@@ -130,7 +131,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 				if !inWindow(e) {
 					continue
 				}
-				res := streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y}
+				res := session.Result{Source: e.Src, T: e.T, X: e.X, Y: e.Y}
 				if format == "ndjson" {
 					if err := enc.Encode(res); err != nil {
 						return err
@@ -161,7 +162,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 // order of srcs, emitted order within a source — how the CSV responses
 // were built before they printed from columns; with WriteCSV it is the
 // reference for them.
-func resultTrajectories(results []streamResult, srcs []string) []*trajectory.Trajectory {
+func resultTrajectories(results []session.Result, srcs []string) []*trajectory.Trajectory {
 	b := trajectory.NewColumnsBuilder()
 	for _, res := range results {
 		b.Add(res.Source, res.T, res.X, res.Y)
@@ -193,8 +194,8 @@ var hostileSources = []string{
 // time a few seconds a chunk — the shape the time-keyed index prunes;
 // hostile feeds mix in the values above, which also blow the index's
 // span bound out so that it prunes nothing and must still agree.
-func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]stream.Event[srcPoint] {
-	feed := make([][]stream.Event[srcPoint], chunks)
+func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]session.Event {
+	feed := make([][]session.Event, chunks)
 	for c := range feed {
 		base := float64(c) * 3
 		for r, rows := 0, 1+rng.Intn(40); r < rows; r++ {
@@ -215,18 +216,19 @@ func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]stream.Event[sr
 					}
 				}
 			}
-			feed[c] = append(feed[c], ev(src, t, x, y))
+			feed[c] = append(feed[c], session.Event{Time: t, Value: session.Sample{Src: src, Pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}}})
 		}
 	}
 	return feed
 }
 
 // TestHistoryMatchesReference serves seeded feeds three ways — the
-// reference over a gob log, the serving path over that same gob log
-// (legacy records transcoded on read), the serving path over the
-// columnar log a live ingest of the same feed writes — and demands the
-// same candidate seqs and the same ndjson and csv bytes from all three,
-// for full, random, boundary-exact and empty windows.
+// reference over a gob log, the engine over that same gob log (legacy
+// records transcoded on read), the engine over the columnar log its own
+// ingest of the same feed writes — and demands the same candidate seqs
+// from the engines, and then, from services reopened over both logs,
+// the same ndjson and csv bytes, for full, random, boundary-exact and
+// empty windows.
 func TestHistoryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		hostile := seed%2 == 0
@@ -235,59 +237,31 @@ func TestHistoryMatchesReference(t *testing.T) {
 
 		// The gob log: open at seq 1, chunk c at seq c+2, and the
 		// reference index over it.
-		legacyFS := faults.NewCrashFS()
+		legacyFS, liveFS := faults.NewCrashFS(), faults.NewCrashFS()
 		ll, _, err := store.Open("wal", store.Options{FS: legacyFS, Fsync: store.FsyncOff, SegmentBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ll.Append(recSessionOpen, refEncodeRec(t, walOpen{Session: "st-000001", Lateness: 0, MaxSpeed: 0, Lanes: 2})); err != nil {
+		if _, err := ll.Append(session.RecSessionOpen, refEncodeRec(t, session.WalOpen{Session: "st-000001", Lateness: 0, MaxSpeed: 0, Lanes: 2})); err != nil {
 			t.Fatal(err)
 		}
 		ref := &refHistoryIndex{rt: index.NewRTree(), ext: map[string]refExtent{}}
 		for c, events := range feed {
-			wc := walChunk{Session: "st-000001", ChunkIdx: uint64(c + 1)}
+			wc := session.WalChunk{Session: "st-000001", ChunkIdx: uint64(c + 1)}
 			for _, e := range events {
-				wc.Events = append(wc.Events, walEvent{Src: e.Value.src, T: e.Value.pt.T, X: e.Value.pt.Pos.X, Y: e.Value.pt.Pos.Y})
+				wc.Events = append(wc.Events, session.WalEvent{Src: e.Value.Src, T: e.Value.Pt.T, X: e.Value.Pt.Pos.X, Y: e.Value.Pt.Pos.Y})
 			}
-			seq, err := ll.Append(recChunk, refEncodeRec(t, wc))
+			seq, err := ll.Append(session.RecChunk, refEncodeRec(t, wc))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref.add(seq, wc.Events)
 		}
-		if err := ll.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		cfg := func(fs store.FS) Config {
-			return Config{Logger: DiscardLogger(), Durability: DurabilityConfig{
-				Dir: "wal", Fsync: store.FsyncOff, SnapshotEvery: 1 << 30, SegmentBytes: 4096, FS: fs,
-			}}
-		}
-		overGob, err := OpenService(cfg(legacyFS))
-		if err != nil {
-			t.Fatal(err)
-		}
-		live, err := OpenService(cfg(faults.NewCrashFS()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := live.streams.open(0, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for c, events := range feed {
-			if _, err := ss.ingest(events, 0, time.Now()); err != nil {
-				t.Fatalf("seed %d: ingest chunk %d: %v", seed, c, err)
-			}
-		}
-		// The reference reads the gob log through its own handle.
-		refLog := overGob.streams.wal
 
 		windows := []window{{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1), math.Inf(1)}}
-		pick := func() stream.Event[srcPoint] { c := feed[rng.Intn(len(feed))]; return c[rng.Intn(len(c))] }
+		pick := func() session.Event { c := feed[rng.Intn(len(feed))]; return c[rng.Intn(len(c))] }
 		for i := 0; i < 40; i++ {
-			a, b := pick().Value.pt, pick().Value.pt
+			a, b := pick().Value.Pt, pick().Value.Pt
 			w := window{
 				math.Min(a.Pos.X, b.Pos.X), math.Min(a.Pos.Y, b.Pos.Y), math.Min(a.T, b.T),
 				math.Max(a.Pos.X, b.Pos.X), math.Max(a.Pos.Y, b.Pos.Y), math.Max(a.T, b.T),
@@ -305,16 +279,63 @@ func TestHistoryMatchesReference(t *testing.T) {
 		}
 		windows = append(windows, window{-5, -5, -1e9, -4, -4, -1e8}) // nothing there
 
-		servers := map[string]*Service{"gob log": overGob, "columnar log": live}
-		for wi, w := range windows {
-			rect := geo.Rect{Min: geo.Pt(w.minX, w.minY), Max: geo.Pt(w.maxX, w.maxY)}
-			for _, format := range []string{"ndjson", "csv"} {
-				wantSeqs, wantBody := refHistoryRange(t, refLog, ref, w, format)
-				for name, svc := range servers {
+		// The reference answers, through the gob log's own handle.
+		type answer struct {
+			seqs []uint64
+			body string
+		}
+		want := map[string][]answer{}
+		for _, format := range []string{"ndjson", "csv"} {
+			for _, w := range windows {
+				seqs, body := refHistoryRange(t, ll, ref, w, format)
+				want[format] = append(want[format], answer{seqs, body})
+			}
+		}
+		if err := ll.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The engines: one recovers the gob log, one ingests the feed.
+		durable := func(fs store.FS) server.DurabilityConfig {
+			return server.DurabilityConfig{Dir: "wal", Fsync: store.FsyncOff, SnapshotEvery: 1 << 30, SegmentBytes: 4096, FS: fs}
+		}
+		engines := map[string]*session.Engine{}
+		for name, fs := range map[string]store.FS{"gob log": legacyFS, "columnar log": liveFS} {
+			if engines[name], err = session.Open(session.Config{Durability: durable(fs)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, err := engines["columnar log"].OpenSession(0, 0, 2, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, events := range feed {
+			if _, err := engines["columnar log"].Ingest(id, events, 0, time.Now()); err != nil {
+				t.Fatalf("seed %d: ingest chunk %d: %v", seed, c, err)
+			}
+		}
+		for name, eng := range engines {
+			for wi, w := range windows {
+				h := eng.History(geo.Rect{Min: geo.Pt(w.minX, w.minY), Max: geo.Pt(w.maxX, w.maxY)}, w.minT, w.maxT)
+				if got := h.Seqs(); !slices.Equal(got, want["ndjson"][wi].seqs) {
+					t.Fatalf("seed %d window %d %+v over the %s: candidates %v, reference %v", seed, wi, w, name, got, want["ndjson"][wi].seqs)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// The services, reopened over the two logs.
+		for name, fs := range map[string]store.FS{"gob log": legacyFS, "columnar log": liveFS} {
+			svc, err := server.OpenService(server.Config{Logger: server.DiscardLogger(), Durability: durable(fs)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for wi, w := range windows {
+				for _, format := range []string{"ndjson", "csv"} {
 					what := fmt.Sprintf("seed %d window %d %+v %s over the %s", seed, wi, w, format, name)
-					if got := svc.streams.hist.search(rect, w.minT, w.maxT); !slices.Equal(got, wantSeqs) {
-						t.Fatalf("%s: candidates %v, reference %v", what, got, wantSeqs)
-					}
+					wantSeqs, wantBody := want[format][wi].seqs, want[format][wi].body
 					rr := httptest.NewRecorder()
 					svc.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/history/range?"+w.query(format), nil))
 					if rr.Code != http.StatusOK {
@@ -328,49 +349,7 @@ func TestHistoryMatchesReference(t *testing.T) {
 					}
 				}
 			}
-		}
-		overGob.Close()
-		live.Close()
-	}
-}
-
-// TestRowWriterMatchesEncodingJSON: the row writer's bytes against
-// json.Encoder's for the same streamResult, over the hostile values,
-// every hostile source, random bit patterns, and the edge field.
-func TestRowWriterMatchesEncodingJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	floats := append([]float64(nil), hostileFloats...)
-	for len(floats) < 5000 {
-		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
-			floats = append(floats, f)
-		}
-	}
-	rb := getRowBuf()
-	defer rb.release()
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	edge := -12
-	for i, f := range floats {
-		res := streamResult{Source: hostileSources[i%len(hostileSources)], T: f, X: floats[(i*7+1)%len(floats)], Y: -f}
-		if i%3 == 0 {
-			res.Edge = &edge
-		}
-		want.Reset()
-		if err := enc.Encode(res); err != nil {
-			t.Fatal(err)
-		}
-		rb.buf = rb.buf[:0]
-		if err := rb.appendRow(rb.sourceJSONBytes([]byte(res.Source)), res.T, res.X, res.Y, res.Edge); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rb.buf, want.Bytes()) {
-			t.Fatalf("row %d: wrote %q, json.Encoder writes %q", i, rb.buf, want.Bytes())
-		}
-	}
-	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		wantErr := enc.Encode(streamResult{T: f})
-		if err := rb.appendRow(rb.sourceJSON("s"), f, 0, 0, nil); err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("t=%v: error %v, json.Encoder says %v", f, err, wantErr)
+			svc.Close()
 		}
 	}
 }

@@ -1,8 +1,9 @@
-package server
+package session
 
 // Background retention + snapshot-aware compaction for the durable
 // store: the subsystem that keeps a long-running server's WAL bounded
-// on disk (DurabilityConfig.Retain / sidqserve -retain).
+// on disk (DurabilityConfig.Retain / sidqserve -retain). The engine
+// runs no loop of its own: the caller ticks Retain.
 //
 // Each pass computes the lowest WAL seq still needed and hands it to
 // store.TruncateFront:
@@ -25,7 +26,7 @@ package server
 // retained window is always a superset of the last Retain of data.
 // After truncation the history index drops entries below the log's new
 // FirstSeq — only entries whose records actually left the disk, so the
-// index always matches what /v1/history/range can still read.
+// index always matches what History can still read.
 
 import (
 	"time"
@@ -45,8 +46,8 @@ type retentionSample struct {
 
 // observe records one (now, lastSeq) sample and returns the age floor:
 // the first seq NOT yet known older than retain. Called only under the
-// registry's retainMu — retainPass serializes passes, so the ticker
-// and RunRetentionOnce cannot race on the ring.
+// engine's retainMu — Retain serializes passes, so two callers cannot
+// race on the ring.
 func (rs *retentionState) observe(now time.Time, lastSeq uint64, retain time.Duration) uint64 {
 	rs.samples = append(rs.samples, retentionSample{t: now, seq: lastSeq})
 	cut := now.Add(-retain)
@@ -79,50 +80,22 @@ type RetentionStats struct {
 	RetainedSeq     uint64 // wal.FirstSeq() after the pass
 }
 
-// RunRetentionOnce executes one retention pass as of now and returns
-// what it did. The background loop runs the same pass on a timer; this
-// entry point exists for operational tooling and deterministic tests
-// (pass a fake clock to control the age horizon). A no-op unless the
-// service is durable and configured with a Retain duration.
-func (s *Service) RunRetentionOnce(now time.Time) RetentionStats {
-	return s.streams.retainPass(now)
-}
-
-// startRetention spawns the retention loop when configured. Called
-// once from OpenService after recovery; reuses the janitor's stop
-// channel so Close tears both down.
-func (reg *sessionRegistry) startRetention() {
-	d := reg.svc.cfg.Durability
-	if reg.wal == nil || d.Retain <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(d.RetainEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-reg.stopCh:
-				return
-			case <-t.C:
-				reg.retainPass(reg.now())
-			}
-		}
-	}()
-}
-
-// retainPass is one retention tick: sample the clock->seq mapping,
-// compact lagging sessions, truncate the WAL, trim the history index.
-func (reg *sessionRegistry) retainPass(now time.Time) RetentionStats {
+// Retain is one retention pass as of now: sample the clock->seq
+// mapping, compact lagging sessions, truncate the WAL, trim the history
+// index. now decides the age horizon and nothing else, so a caller with
+// a made-up clock gets a deterministic pass. A no-op unless the engine
+// is durable and configured with a Retain duration.
+func (e *Engine) Retain(now time.Time) RetentionStats {
 	var st RetentionStats
-	wal := reg.wal
-	d := reg.svc.cfg.Durability
+	wal := e.wal
+	d := e.cfg.Durability
 	if wal == nil || d.Retain <= 0 {
 		return st
 	}
-	reg.retainMu.Lock()
-	defer reg.retainMu.Unlock()
+	e.retainMu.Lock()
+	defer e.retainMu.Unlock()
 
-	st.AgeFloor = reg.ret.observe(now, wal.LastSeq(), d.Retain)
+	st.AgeFloor = e.ret.observe(now, wal.LastSeq(), d.Retain)
 	st.RetainedSeq = wal.FirstSeq()
 
 	// Compact live sessions whose floor would pin segments the age
@@ -131,14 +104,8 @@ func (reg *sessionRegistry) retainPass(now time.Time) RetentionStats {
 	// snapshot seq is needed. Sessions already floored at or past the
 	// age floor are left alone — compaction is work proportional to
 	// lagging sessions, not to all sessions.
-	reg.mu.Lock()
-	sessions := make([]*streamSession, 0, len(reg.sessions))
-	for _, ss := range reg.sessions {
-		sessions = append(sessions, ss)
-	}
-	reg.mu.Unlock()
 	keep := st.AgeFloor
-	for _, ss := range sessions {
+	for _, ss := range e.live() {
 		ss.mu.Lock()
 		floor := ss.floorLocked()
 		if !ss.closed && floor < st.AgeFloor {
@@ -146,8 +113,8 @@ func (reg *sessionRegistry) retainPass(now time.Time) RetentionStats {
 			if f := ss.floorLocked(); f != floor { // snapshot persisted
 				floor = f
 				st.Compacted++
-				reg.m.compactions.Inc()
-				reg.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionCompact, N: int(ss.chunkIdx)})
+				e.m.compactions.Inc()
+				e.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionCompact, N: int(ss.chunkIdx)})
 			}
 		}
 		ss.mu.Unlock()
@@ -163,20 +130,20 @@ func (reg *sessionRegistry) retainPass(now time.Time) RetentionStats {
 		// The manifest may still have committed (removed > 0): stale
 		// files are swept by the next Open. Log and carry on — the next
 		// pass retries.
-		reg.svc.logf("retention: truncate to %d: %v", keep, err)
+		e.cfg.Logf("retention: truncate to %d: %v", keep, err)
 	}
 	st.RetainedSeq = wal.FirstSeq()
 
 	// Trim the history index below what is actually left on disk (the
 	// cut is segment-granular, so FirstSeq can be below keep) — the
 	// index must keep answering for every record still readable.
-	st.HistoryTrimmed = reg.hist.removeBelow(st.RetainedSeq)
+	st.HistoryTrimmed = e.hist.removeBelow(st.RetainedSeq)
 	if st.HistoryTrimmed > 0 {
-		reg.m.histTrimmed.Add(uint64(st.HistoryTrimmed))
+		e.m.histTrimmed.Add(uint64(st.HistoryTrimmed))
 	}
 	if removed > 0 || st.HistoryTrimmed > 0 {
-		reg.trace(obs.TraceEvent{Name: "wal", Kind: obs.KindRetention, N: removed})
-		reg.svc.logf("retention: kept seq >= %d (age floor %d), removed %d segments, trimmed %d history entries, compacted %d sessions",
+		e.trace(obs.TraceEvent{Name: "wal", Kind: obs.KindRetention, N: removed})
+		e.cfg.Logf("retention: kept seq >= %d (age floor %d), removed %d segments, trimmed %d history entries, compacted %d sessions",
 			st.RetainedSeq, st.AgeFloor, removed, st.HistoryTrimmed, st.Compacted)
 	}
 	return st

@@ -1,4 +1,4 @@
-package server
+package session_test
 
 // Retention subsystem tests: the churn scenario behind ISSUE 10's
 // acceptance criteria (disk bounded under -retain while history over
@@ -7,7 +7,6 @@ package server
 
 import (
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -17,30 +16,21 @@ import (
 	"time"
 
 	"sidq/internal/faults"
+	"sidq/internal/server"
+	"sidq/internal/session"
 	"sidq/internal/store"
 )
 
 // retentionConfig is a durable config with small segments so a short
 // test churns through many of them.
-func retentionConfig(fs store.FS, retain, every time.Duration, snapEvery int) Config {
-	return Config{
-		Logger: DiscardLogger(),
-		Durability: DurabilityConfig{
+func retentionConfig(fs store.FS, retain, every time.Duration, snapEvery int) server.Config {
+	return server.Config{
+		Logger: server.DiscardLogger(),
+		Durability: server.DurabilityConfig{
 			Dir: "wal", Fsync: store.FsyncAlways, SnapshotEvery: snapEvery,
 			SegmentBytes: 512, FS: fs, Retain: retain, RetainEvery: every,
 		},
 	}
-}
-
-func historyGet(t *testing.T, srv *httptest.Server, params string) (string, http.Header, int) {
-	t.Helper()
-	resp, err := http.Get(srv.URL + "/v1/history/range?" + params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return string(body), resp.Header, resp.StatusCode
 }
 
 // TestDurableRetentionBoundsDiskAndPreservesWindow is the churn
@@ -56,7 +46,8 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	const chunks = 60
 	row := func(i int) string { return chunkRow("probe", float64(i), float64(i*10), 0) }
 
-	ctrl, err := OpenService(retentionConfig(faults.NewCrashFS(), 0, 0, 1000))
+	ctrlFS := faults.NewCrashFS()
+	ctrl, err := server.OpenService(retentionConfig(ctrlFS, 0, 0, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +59,7 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	// SnapshotEvery 1000: the session never checkpoints on its own, so
 	// every floor advance must come from retention forcing a compaction.
 	fs := faults.NewCrashFS()
-	svc, err := OpenService(retentionConfig(fs, 10*time.Second, time.Hour, 1000))
+	svc, err := server.OpenService(retentionConfig(fs, 10*time.Second, time.Hour, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +69,7 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	id := openStream(t, srv, "lateness=0&lanes=1")
 
 	base := time.Unix(1_000_000, 0)
-	var total RetentionStats
+	var total session.RetentionStats
 	for i := 1; i <= chunks; i++ {
 		for _, target := range []struct {
 			srv *httptest.Server
@@ -108,19 +99,13 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	if total.RetainedSeq <= 1 {
 		t.Fatalf("retained seq %d: the WAL still starts at the beginning", total.RetainedSeq)
 	}
-	if v := svc.Metrics().Counter(mStoreCompactions).Value(); v < 1 {
+	if v := svc.Metrics().Counter("sidq_store_compactions_total").Value(); v < 1 {
 		t.Fatalf("compactions counter %v, want >= 1", v)
 	}
-	if v := svc.Metrics().Counter(mHistoryTrimmed).Value(); v < 1 {
+	if v := svc.Metrics().Counter("sidq_server_history_trimmed_total").Value(); v < 1 {
 		t.Fatalf("history-trimmed counter %v, want >= 1", v)
 	}
 
-	diskBytes := func(s *Service) (b int64) {
-		for _, seg := range s.streams.wal.Segments() {
-			b += seg.Bytes
-		}
-		return b
-	}
 	// This client never drains, so the checkpoint retention forces carries
 	// every result the session ever emitted: 60 rows here, MaxResults at
 	// most. That is session state, which retention keeps by design, and it
@@ -133,15 +118,12 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	// control. TestDurableRetentionBoundsDiskDrainingClient holds the
 	// total to half the control for a client that collects its results.
 	var checkpoints int64
-	if err := svc.streams.wal.ReadRange(0, math.MaxUint64, func(r store.Record) error {
-		if r.Type == recSnapshot {
+	walRecords(t, fs, "wal", func(r store.Record) {
+		if r.Type == session.RecSnapshot {
 			checkpoints += int64(len(r.Payload))
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, full := diskBytes(svc), diskBytes(ctrl)
+	})
+	got, full := walBytes(t, fs, "wal"), walBytes(t, ctrlFS, "wal")
 	if checkpoints == 0 || (got-checkpoints)*2 >= full || got >= full {
 		t.Fatalf("disk not bounded: retained run holds %d bytes (%d in checkpoints), control %d", got, checkpoints, full)
 	}
@@ -195,19 +177,21 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 func TestDurableRetentionBoundsDiskDrainingClient(t *testing.T) {
 	const chunks = 60
 	type target struct {
-		svc *Service
+		svc *server.Service
+		fs  store.FS
 		srv *httptest.Server
 		id  string
 	}
 	open := func(retain time.Duration) target {
-		svc, err := OpenService(retentionConfig(faults.NewCrashFS(), retain, time.Hour, 1000))
+		fs := faults.NewCrashFS()
+		svc, err := server.OpenService(retentionConfig(fs, retain, time.Hour, 1000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { svc.Close() })
 		srv := httptest.NewServer(svc)
 		t.Cleanup(srv.Close)
-		return target{svc, srv, openStream(t, srv, "lateness=0&lanes=1")}
+		return target{svc, fs, srv, openStream(t, srv, "lateness=0&lanes=1")}
 	}
 	ctrl, kept := open(0), open(10*time.Second)
 
@@ -231,13 +215,7 @@ func TestDurableRetentionBoundsDiskDrainingClient(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("retention never removed a segment")
 	}
-	diskBytes := func(s *Service) (b int64) {
-		for _, seg := range s.streams.wal.Segments() {
-			b += seg.Bytes
-		}
-		return b
-	}
-	if got, full := diskBytes(kept.svc), diskBytes(ctrl.svc); got*2 >= full {
+	if got, full := walBytes(t, kept.fs, "wal"), walBytes(t, ctrl.fs, "wal"); got*2 >= full {
 		t.Fatalf("disk not bounded: retained run holds %d bytes, control %d", got, full)
 	}
 }
@@ -249,7 +227,7 @@ func TestDurableRetentionBoundsDiskDrainingClient(t *testing.T) {
 // must tear the loop down without tripping the race detector.
 func TestDurableRetentionBackgroundLoop(t *testing.T) {
 	fs := faults.NewCrashFS()
-	svc, err := OpenService(retentionConfig(fs, 50*time.Millisecond, 10*time.Millisecond, 4))
+	svc, err := server.OpenService(retentionConfig(fs, 50*time.Millisecond, 10*time.Millisecond, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +269,7 @@ func TestDurableRetentionBackgroundLoop(t *testing.T) {
 		if _, resp := ingestChunkSeq(t, srv, id, uint64(i), chunkRow("probe", float64(i), float64(i*10), 0)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("chunk %d status %d", i, resp.StatusCode)
 		}
-		if svc.streams.wal.FirstSeq() > 1 {
+		if _, hdr, _ := historyGet(t, srv, "maxt=0"); hdr.Get("X-Sidq-History-Min-Seq") != "1" {
 			break // the background loop truncated on its own
 		}
 		if time.Now().After(deadline) {

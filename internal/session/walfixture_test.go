@@ -1,4 +1,4 @@
-package server
+package session_test
 
 // On-disk format pins. testdata/wal_v1 was written by the last commit
 // whose chunk records were gob (WAL type 2); testdata/wal_v2 by the
@@ -9,7 +9,7 @@ package server
 //
 // Regenerate a fixture for a NEW format with
 //
-//	go test ./internal/server -run TestWALFixtureGenerate -wal-fixture-out testdata/wal_vN
+//	go test ./internal/session -run TestWALFixtureGenerate -wal-fixture-out testdata/wal_vN
 //
 // and never regenerate an old one: its bytes are the point.
 
@@ -24,6 +24,8 @@ import (
 	"strings"
 	"testing"
 
+	"sidq/internal/server"
+	"sidq/internal/session"
 	"sidq/internal/store"
 )
 
@@ -35,10 +37,10 @@ const (
 	fixtureChunks       = 8
 )
 
-func fixtureConfig(dir string) Config {
-	return Config{
-		Logger: DiscardLogger(),
-		Durability: DurabilityConfig{
+func fixtureConfig(dir string) server.Config {
+	return server.Config{
+		Logger: server.DiscardLogger(),
+		Durability: server.DurabilityConfig{
 			Dir: dir, Fsync: store.FsyncAlways, SnapshotEvery: 3, SegmentBytes: 2048,
 		},
 	}
@@ -69,7 +71,7 @@ func fixtureChunk(c int, dy float64) string {
 // rolls and snapshots, and leaves the directory as a kill -9 would.
 func writeWALFixture(t *testing.T, dir string) {
 	t.Helper()
-	svc, err := OpenService(fixtureConfig(dir))
+	svc, err := server.OpenService(fixtureConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +97,11 @@ func writeWALFixture(t *testing.T, dir string) {
 			}
 		}
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/stream/"+a, nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("close failed: %v %v", err, resp)
-	}
-	if segs := svc.streams.wal.Segments(); len(segs) < 3 {
+	closeStream(t, srv, a)
+	if segs := walSegments(t, store.OSFS{}, dir); len(segs) < 3 {
 		t.Fatalf("fixture has %d segments, want rolls", len(segs))
 	}
-	if svc.Metrics().Counter(mStreamSnapshots).Value() < 2 {
+	if svc.Metrics().Counter("sidq_stream_snapshots_total").Value() < 2 {
 		t.Fatal("fixture has no snapshots")
 	}
 	// No svc.Close(): a graceful close would checkpoint the open session
@@ -114,7 +113,7 @@ func writeWALFixture(t *testing.T, dir string) {
 // pinned requests answer, plus the history chunk-count header.
 func fixtureAnswers(t *testing.T, dir string) (ndjson, csv, drain, chunks string) {
 	t.Helper()
-	svc, err := OpenService(fixtureConfig(dir))
+	svc, err := server.OpenService(fixtureConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,27 +179,30 @@ func TestWALFixtureGenerate(t *testing.T) {
 // rows, through the reference encoder.
 func ndjsonOfChunk(t *testing.T, chunk string) string {
 	t.Helper()
-	events, err := parsePointChunk([]byte(chunk))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
-	for _, e := range events {
-		if err := enc.Encode(streamResult{Source: e.Value.src, T: e.Value.pt.T, X: e.Value.pt.Pos.X, Y: e.Value.pt.Pos.Y}); err != nil {
+	for _, e := range eventsOfChunk(t, chunk) {
+		if err := enc.Encode(session.Result{Source: e.Value.Src, T: e.Value.Pt.T, X: e.Value.Pt.Pos.X, Y: e.Value.Pt.Pos.Y}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return b.String()
 }
 
-// chunkTypeCounts replays the service's WAL and counts chunk records
-// by record type.
-func chunkTypeCounts(t *testing.T, svc *Service) map[byte]int {
+// chunkTypeCounts replays a copy of the log in dir and counts chunk
+// records by record type.
+func chunkTypeCounts(t *testing.T, dir string) map[byte]int {
 	t.Helper()
+	scratch := filepath.Join(t.TempDir(), "data")
+	copyDir(t, dir, scratch)
+	l, _, err := store.Open(scratch, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	counts := map[byte]int{}
-	err := svc.streams.wal.Replay(func(r store.Record) error {
-		if r.Type == recChunk || r.Type == recChunk2 {
+	err = l.Replay(func(r store.Record) error {
+		if r.Type == session.RecChunk || r.Type == session.RecChunk2 {
 			counts[r.Type]++
 		}
 		return nil
@@ -236,7 +238,7 @@ func TestWALFixtures(t *testing.T) {
 
 			// Keep using the directory: the open session takes two more
 			// chunks, which this build writes as type 6.
-			svc, err := OpenService(fixtureConfig(dir))
+			svc, err := server.OpenService(fixtureConfig(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +258,7 @@ func TestWALFixtures(t *testing.T) {
 			srv.Close()
 			svc.Close()
 
-			svc, err = OpenService(fixtureConfig(dir))
+			svc, err = server.OpenService(fixtureConfig(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,8 +268,8 @@ func TestWALFixtures(t *testing.T) {
 			if got, _, _ := historyGet(t, srv, ""); got != want {
 				t.Errorf("history after ingest and restart is not the old rows followed by the new:\nwant:\n%s\ngot:\n%s", want, got)
 			}
-			counts := chunkTypeCounts(t, svc)
-			if counts[recChunk] != legacyChunks || counts[recChunk2] != 2*fixtureChunks+2-legacyChunks {
+			counts := chunkTypeCounts(t, dir)
+			if counts[session.RecChunk] != legacyChunks || counts[session.RecChunk2] != 2*fixtureChunks+2-legacyChunks {
 				t.Errorf("chunk records by type: %v, want %d legacy of %d", counts, legacyChunks, 2*fixtureChunks+2)
 			}
 		})

@@ -198,7 +198,8 @@ func (l *surfaceLoader) declare(pkg string, d ast.Decl, info *types.Info) {
 					doc = d.Doc
 				}
 				add(s.Name, s, doc, nil)
-				if tn, ok := info.Defs[s.Name].(*types.TypeName); ok {
+				// An alias declares no fields: they stay their type's own.
+				if tn, ok := info.Defs[s.Name].(*types.TypeName); ok && !tn.IsAlias() {
 					if st, ok := tn.Type().Underlying().(*types.Struct); ok {
 						for i := 0; i < st.NumFields(); i++ {
 							l.fieldOwner[st.Field(i)] = tn
@@ -503,10 +504,10 @@ var fieldKeep = []struct{ name, class, reason string }{
 
 	{"core.Runner.Trace", keepTestSeam, "obs.MemSink in the runner tests: the only way to see a skip or a panic as an event"},
 	{"server.Config.Trace", keepTestSeam, "obs.MemSink in the session and durability tests; ROADMAP 2a wires a ring sink into sidqserve"},
-	{"server.DurabilityConfig.FS", keepTestSeam, "faults.CrashFS under the service in the crash-recovery tests"},
-	{"server.StreamConfig.MaxLanePending", keepTestSeam, "shrunk to 4–8 events so the overload tests reach the 429 in one chunk"},
-	{"server.StreamConfig.MaxResults", keepTestSeam, "shrunk to 6–8 rows so the backpressure tests fill it"},
-	{"server.StreamConfig.JanitorEvery", keepTestSeam, "1 ms in the eviction-under-durability test, which cannot wait 15 s"},
+	{"session.DurabilityConfig.FS", keepTestSeam, "faults.CrashFS under the service in the crash-recovery tests"},
+	{"session.StreamConfig.MaxLanePending", keepTestSeam, "shrunk to 4–8 events so the overload tests reach the 429 in one chunk"},
+	{"session.StreamConfig.MaxResults", keepTestSeam, "shrunk to 6–8 rows so the backpressure tests fill it"},
+	{"session.StreamConfig.JanitorEvery", keepTestSeam, "1 ms in the eviction-under-durability test, which cannot wait 15 s"},
 	{"store.Options.BatchInterval", keepTestSeam, "1 ms and below so the FsyncBatch tests see a flush without sleeping 25 ms"},
 }
 
@@ -656,5 +657,58 @@ func TestSurfaceIsWhatAMainReaches(t *testing.T) {
 		sort.Strings(unset)
 		t.Errorf("%d exported fields that reached code reads and nothing a main reaches sets, outside fieldKeep — fold each to the constant it is and delete the branch behind it, or set it from a binary:\n  %s",
 			len(unset), strings.Join(unset, "\n  "))
+	}
+}
+
+// TestEngineShellBoundary holds the seam between the session engine and
+// its HTTP shell (DESIGN.md "Engine and shell"): internal/session reaches
+// neither net/http nor internal/server through any chain of imports,
+// starts no goroutine and reads no clock except where recovery times
+// itself — time is an argument; and internal/server touches the store
+// only to name the two types its config carries.
+func TestEngineShellBoundary(t *testing.T) {
+	const engine, shell, storePkg = modulePath + "/internal/session", modulePath + "/internal/server", modulePath + "/internal/store"
+	out, err := exec.Command("go", "list", "-deps", "./internal/session").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if dep == "net/http" || dep == shell {
+			t.Errorf("internal/session depends on %s", dep)
+		}
+	}
+
+	l := loadSurface(t)
+	for _, d := range l.order {
+		pkg := d.obj.Pkg().Path()
+		if pkg != engine && pkg != shell {
+			continue
+		}
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); ok && pkg == engine {
+				t.Errorf("%s starts a goroutine: the engine has none of its own", d.name)
+			}
+			id, ok := n.(*ast.Ident)
+			if !ok || d.info.Uses[id] == nil || d.info.Uses[id].Pkg() == nil {
+				return true
+			}
+			if f, ok := d.info.Uses[id].(*types.Func); ok && f.Type().(*types.Signature).Recv() != nil {
+				return true // a method (Time.After), not the package's function
+			}
+			switch use := d.info.Uses[id]; {
+			case pkg == shell && use.Pkg().Path() == storePkg && use.Name() != "FsyncMode" && use.Name() != "FS":
+				t.Errorf("%s uses store.%s: the shell names store.FsyncMode and store.FS in its config, nothing else", d.name, use.Name())
+			case pkg == engine && use.Pkg().Path() == "time":
+				switch use.Name() {
+				case "NewTicker", "NewTimer", "Tick", "After", "AfterFunc", "Sleep":
+					t.Errorf("%s calls time.%s: the engine waits for nothing", d.name, use.Name())
+				case "Now", "Since", "Until":
+					if d.name != "session.Engine.recoverFrom" {
+						t.Errorf("%s reads the clock (time.%s): time is an argument everywhere but where recovery times itself", d.name, use.Name())
+					}
+				}
+			}
+			return true
+		})
 	}
 }
