@@ -30,7 +30,8 @@
 #                       chunk record), the id,t,x,y wire codec (scanner
 #                       and row appender against encoding/csv) and the
 #                       reduce codecs' decoders (delta-varint, Rice,
-#                       network trip), each from its seeds for FUZZTIME; plain
+#                       network trip) and the Kalman/RTS kernels against
+#                       their dense reference, each from its seeds for FUZZTIME; plain
 #                       `go test` already replays the seeds, this
 #                       explores past them
 #   make bench          compile-and-run the benchmark suite briefly
@@ -40,7 +41,8 @@
 #   make bench-compare  rerun the gated E1/E2 experiment benchmarks
 #                       plus the matcher's rows (SnapDists over the
 #                       serving benchmark's city, cold cache and warm,
-#                       and OnlineMapMatch), write the fresh
+#                       and OnlineMapMatch) and the clean path's
+#                       KalmanSmooth and Pipeline rows, write the fresh
 #                       rows to bench-fresh.json (NOT BENCH_*.json —
 #                       that glob is the committed
 #                       baseline set), and diff against the latest
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzRiceDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetworkTrip$$' -fuzztime $(FUZZTIME) ./internal/reduce
+	$(GO) test -run '^$$' -fuzz '^FuzzKalmanSmoothMatchesDense$$' -fuzztime $(FUZZTIME) ./internal/refine
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -131,13 +134,14 @@ bench-json:
 
 # Best-of-N: benchcompare folds the -count repeats to their minimum,
 # so scheduler noise can't fail the gate (a real regression moves the
-# floor, noise only moves the ceiling). The matcher's rows are 0.15-11 ms
+# floor, noise only moves the ceiling). The matcher's rows and the
+# clean path's two (KalmanSmooth, Pipeline) are 0.05-11 ms
 # an op: two iterations of those time the box's mood, not the code, so
 # they run for 1s each — the benchtime their baseline rows were taken at
 # (see the note in the BENCH_*.json header), so it is not a variable.
 bench-compare:
 	( $(GO) test -run '^$$' -bench 'BenchmarkE[12]_' -benchmem -benchtime $(BENCHTIME) -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSnapDists/city|BenchmarkOnlineMapMatch' -benchmem -benchtime 1s -count 3 . ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSnapDists/city|BenchmarkOnlineMapMatch|^BenchmarkKalmanSmooth$$|^BenchmarkPipeline$$' -benchmem -benchtime 1s -count 3 . ) \
 		| $(GO) run ./cmd/benchjson \
 		| tee bench-fresh.json \
 		| $(GO) run ./cmd/benchcompare $(BENCHCOMPARE_ARGS)

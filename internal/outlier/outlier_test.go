@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"math"
 	"testing"
 
 	"sidq/internal/geo"
@@ -85,6 +86,25 @@ func TestPredictionDetectsAndRepairs(t *testing.T) {
 	// Length preserved (repair, not removal).
 	if repaired.Len() != corrupted.Len() {
 		t.Fatal("repair changed length")
+	}
+}
+
+// A row with a NaN coordinate is a missing measurement to the filter,
+// not a state: the detector must still see the spike that follows it.
+func TestPredictionSeesPastNonFiniteRow(t *testing.T) {
+	pts := make([]trajectory.Point, 100)
+	for i := range pts {
+		pts[i] = trajectory.Point{T: float64(i), Pos: geo.Pt(float64(i)*3, float64(i)*1.5)}
+	}
+	tr := simulate.AddGaussianNoise(trajectory.New("t", pts), 2, 9)
+	tr.Points[50].Pos.X = math.NaN()
+	tr.Points[70].Pos = tr.Points[70].Pos.Add(geo.Pt(400, -400))
+	repaired, flags := Prediction(tr, PredictionOptions{MeasNoise: 2, Repair: true})
+	if !flags[70] {
+		t.Fatal("spike 20 rows after a NaN row not flagged")
+	}
+	if d := repaired.Points[70].Pos.Dist(pts[70].Pos); !(d < 20) {
+		t.Fatalf("repaired spike is %v m from the truth", d)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sidq/internal/geo"
-	"sidq/internal/stats"
 	"sidq/internal/trajectory"
 )
 
@@ -14,35 +13,35 @@ import (
 // observations: state [x y vx vy], position-only measurements. It is
 // the canonical Bayes-filter instance of motion-based LR.
 //
-// All per-step temporaries live in a scratch block allocated once with
-// the filter, so Predict/Update run allocation-free in steady state. A
-// Kalman value is not safe for concurrent use (create one per
-// trajectory, as the trajectory-level helpers do).
+// The prior covariance, the transition, the process noise and the
+// measurement model are all block-diagonal in (x,vx)/(y,vy), so the two
+// axes never couple and — starting from the same prior — carry the same
+// covariance for ever: the filter is two 2-state means over one shared
+// 2x2 covariance block. Every expression below is written in the order
+// the 4x4 matrix form accumulates it (denseKalman in the tests), down to
+// the +0 each of its sums starts from, which is what turns a -0 operand
+// into +0. Contract: on every run whose states stay finite the outputs
+// have the matrix form's math.Float64bits; on a run that overflows, the
+// same length and no panic.
+//
+// The filter holds no pointers and allocates nothing. A Kalman value is
+// not safe for concurrent use (create one per trajectory, as the
+// trajectory-level helpers do).
 type Kalman struct {
-	x   *stats.Matrix // 4x1 state
-	p   *stats.Matrix // 4x4 covariance
-	q   float64       // process-noise intensity (acceleration PSD)
-	r   float64       // measurement noise stddev (meters)
-	scr kalmanScratch
+	x cvState // per-axis means
+	p block2  // the one covariance block both axes share
+	q float64 // process-noise intensity (acceleration PSD)
+	r float64 // measurement noise stddev (meters)
 }
 
-// kalmanScratch holds the constant model matrices and reusable
-// temporaries for one filter.
-type kalmanScratch struct {
-	f, ft      *stats.Matrix // 4x4 transition and its transpose
-	qn         *stats.Matrix // 4x4 process noise
-	i4         *stats.Matrix // 4x4 identity
-	t44a, t44b *stats.Matrix // 4x4 temporaries
-	h          *stats.Matrix // 2x4 measurement model (constant)
-	ht         *stats.Matrix // 4x2 its transpose (constant)
-	hp         *stats.Matrix // 2x4 h*p
-	pht, gain  *stats.Matrix // 4x2
-	rm         *stats.Matrix // 2x2 measurement noise (constant)
-	s, sInv    *stats.Matrix // 2x2 innovation covariance and inverse
-	t22        *stats.Matrix // 2x2 inversion workspace
-	y, gy      *stats.Matrix // 2x1 residual, 4x1 correction
-	x1         *stats.Matrix // 4x1 temporary
-}
+// cvState is the constant-velocity state: position and velocity on each
+// axis.
+type cvState struct{ sx, vx, sy, vy float64 }
+
+// block2 is a 2x2 block [[a b] [c d]] over (position, velocity) of one
+// axis: the covariance, or a gain. b and c are separate floats because
+// the update rounds P[pos,vel] and P[vel,pos] differently.
+type block2 struct{ a, b, c, d float64 }
 
 // NewKalman returns a filter initialized at pos with zero velocity,
 // the given process-noise intensity q (m/s^2 scale) and measurement
@@ -54,62 +53,7 @@ func NewKalman(pos geo.Point, q, r float64) *Kalman {
 	if r <= 0 {
 		r = 1
 	}
-	x := stats.NewMatrix(4, 1)
-	x.Set(0, 0, pos.X)
-	x.Set(1, 0, pos.Y)
-	p := stats.Identity(4).ScaleBy(100)
-	k := &Kalman{x: x, p: p, q: q, r: r}
-	s := &k.scr
-	s.f = stats.NewMatrix(4, 4)
-	s.ft = stats.NewMatrix(4, 4)
-	s.qn = stats.NewMatrix(4, 4)
-	s.i4 = stats.Identity(4)
-	s.t44a = stats.NewMatrix(4, 4)
-	s.t44b = stats.NewMatrix(4, 4)
-	s.h = stats.MatrixFrom(2, 4,
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-	)
-	s.ht = s.h.Transpose()
-	s.hp = stats.NewMatrix(2, 4)
-	s.pht = stats.NewMatrix(4, 2)
-	s.gain = stats.NewMatrix(4, 2)
-	s.rm = stats.Identity(2).ScaleBy(r * r)
-	s.s = stats.NewMatrix(2, 2)
-	s.sInv = stats.NewMatrix(2, 2)
-	s.t22 = stats.NewMatrix(2, 2)
-	s.y = stats.NewMatrix(2, 1)
-	s.gy = stats.NewMatrix(4, 1)
-	s.x1 = stats.NewMatrix(4, 1)
-	return k
-}
-
-// cvTransitionInto fills f with the constant-velocity transition for a
-// dt-second step.
-func cvTransitionInto(f *stats.Matrix, dt float64) {
-	copy(f.Data, []float64{
-		1, 0, dt, 0,
-		0, 1, 0, dt,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	})
-}
-
-// cvProcessNoiseInto fills qn with the white-acceleration process
-// noise for a dt-second step at intensity q.
-func cvProcessNoiseInto(qn *stats.Matrix, dt, q float64) {
-	dt2 := dt * dt
-	dt3 := dt2 * dt / 3
-	half := dt2 / 2
-	copy(qn.Data, []float64{
-		dt3, 0, half, 0,
-		0, dt3, 0, half,
-		half, 0, dt, 0,
-		0, half, 0, dt,
-	})
-	for i := range qn.Data {
-		qn.Data[i] *= q
-	}
+	return &Kalman{x: cvState{sx: pos.X, sy: pos.Y}, p: block2{a: 100, d: 100}, q: q, r: r}
 }
 
 // Predict advances the state dt seconds without a measurement.
@@ -117,39 +61,53 @@ func (k *Kalman) Predict(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	s := &k.scr
-	cvTransitionInto(s.f, dt)
-	stats.MulInto(s.x1, s.f, k.x)
-	k.x.CopyFrom(s.x1)
-	// p = f*p*f' + Q, evaluated in the same order as the allocating
-	// form so results stay bit-identical.
-	stats.MulInto(s.t44a, s.f, k.p)
-	stats.TransposeInto(s.ft, s.f)
-	stats.MulInto(s.t44b, s.t44a, s.ft)
-	cvProcessNoiseInto(s.qn, dt, k.q)
-	stats.AddInto(k.p, s.t44b, s.qn)
+	x, p := &k.x, &k.p
+	x.sx = (0 + x.sx) + dt*x.vx
+	x.sy = (0 + x.sy) + dt*x.vy
+	x.vx = 0 + x.vx
+	x.vy = 0 + x.vy
+	// p = f*p*f' + Q: f*p first, then times f', then the white-
+	// acceleration noise.
+	fp := block2{(0 + p.a) + dt*p.c, (0 + p.b) + dt*p.d, 0 + p.c, 0 + p.d}
+	dt2 := dt * dt
+	dt3 := dt2 * dt / 3
+	half := dt2 / 2
+	p.a = ((0 + fp.a) + fp.b*dt) + dt3*k.q
+	p.b = (0 + fp.b) + half*k.q
+	p.c = ((0 + fp.c) + fp.d*dt) + half*k.q
+	p.d = (0 + fp.d) + dt*k.q
 }
 
-// Update folds in a position observation.
+// Update folds in a position observation. An observation with a NaN or
+// infinite coordinate is a missing measurement: the state stays at its
+// prediction instead of going non-finite for the rest of the run.
 func (k *Kalman) Update(obs geo.Point) {
-	s := &k.scr
-	s.y.Data[0] = obs.X - k.x.At(0, 0)
-	s.y.Data[1] = obs.Y - k.x.At(1, 0)
-	stats.MulInto(s.hp, s.h, k.p)
-	stats.MulInto(s.s, s.hp, s.ht)
-	stats.AddInto(s.s, s.s, s.rm)
-	if err := stats.InverseInto(s.sInv, s.s, s.t22); err != nil {
+	if !finitePos(obs) {
+		return
+	}
+	x, p := &k.x, &k.p
+	yx := obs.X - x.sx
+	yy := obs.Y - x.sy
+	s := (0 + p.a) + k.r*k.r
+	if math.Abs(s) < 1e-12 {
 		return // degenerate covariance: skip the update
 	}
-	stats.MulInto(s.pht, k.p, s.ht)
-	stats.MulInto(s.gain, s.pht, s.sInv)
-	stats.MulInto(s.gy, s.gain, s.y)
-	stats.AddInto(k.x, k.x, s.gy)
+	si := 1 / s
+	g0 := 0 + (0+p.a)*si
+	g1 := 0 + (0+p.c)*si
+	x.sx += 0 + g0*yx
+	x.sy += 0 + g0*yy
+	x.vx += 0 + g1*yx
+	x.vy += 0 + g1*yy
 	// p = (I - gain*h) * p
-	stats.MulInto(s.t44a, s.gain, s.h)
-	stats.SubInto(s.t44a, s.i4, s.t44a)
-	stats.MulInto(s.t44b, s.t44a, k.p)
-	k.p.CopyFrom(s.t44b)
+	m0 := 1 - g0
+	m1 := 0 - g1
+	*p = block2{0 + m0*p.a, 0 + m0*p.b, (0 + m1*p.a) + p.c, (0 + m1*p.b) + p.d}
+}
+
+// finitePos reports whether both coordinates of p are finite.
+func finitePos(p geo.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Step performs Predict(dt) then Update(obs) and returns the position.
@@ -160,16 +118,26 @@ func (k *Kalman) Step(dt float64, obs geo.Point) geo.Point {
 }
 
 // Position returns the current position estimate.
-func (k *Kalman) Position() geo.Point { return geo.Pt(k.x.At(0, 0), k.x.At(1, 0)) }
+func (k *Kalman) Position() geo.Point { return geo.Pt(k.x.sx, k.x.sy) }
 
 // Innovation returns the distance between a prospective observation and
 // the predicted position dt seconds ahead, without mutating the filter.
 // Prediction-based outlier detection uses this as its test statistic.
 func (k *Kalman) Innovation(dt float64, obs geo.Point) float64 {
-	s := &k.scr
-	cvTransitionInto(s.f, dt)
-	pred := stats.MulInto(s.x1, s.f, k.x)
-	return obs.Dist(geo.Pt(pred.At(0, 0), pred.At(1, 0)))
+	return obs.Dist(geo.Pt((0+k.x.sx)+dt*k.x.vx, (0+k.x.sy)+dt*k.x.vy))
+}
+
+// firstFinitePos returns the first position of tr with two finite
+// coordinates (the origin if there is none): what the trajectory
+// helpers start the filter at, so that a bad first row is a missing
+// measurement like any other.
+func firstFinitePos(tr *trajectory.Trajectory) geo.Point {
+	for _, p := range tr.Points {
+		if finitePos(p.Pos) {
+			return p.Pos
+		}
+	}
+	return geo.Point{}
 }
 
 // KalmanFilterTrajectory runs the filter forward over a trajectory and
@@ -179,7 +147,7 @@ func KalmanFilterTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 	if tr.Len() == 0 {
 		return out
 	}
-	k := NewKalman(tr.Points[0].Pos, q, r)
+	k := NewKalman(firstFinitePos(tr), q, r)
 	prevT := tr.Points[0].T
 	out.Points = make([]trajectory.Point, 0, tr.Len())
 	for i, p := range tr.Points {
@@ -194,24 +162,19 @@ func KalmanFilterTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 	return out
 }
 
-// rtsStep is one time step of the forward Kalman pass retained for the
-// backward RTS smoother. State and covariance snapshots are stored in
-// inline arrays (state dimension is fixed at 4), so retaining a step
-// allocates nothing beyond the pooled step slice itself.
+// rtsStep is what the backward RTS pass needs of one forward step: the
+// predicted and filtered states, the covariance block at both, and the
+// dt of the transition that led here. It holds no pointers, so pooled
+// slices pin nothing between uses.
 type rtsStep struct {
-	xPred, xFilt [4]float64
-	pPred, pFilt [16]float64
-	f            [16]float64
+	xPred, xFilt cvState
+	pPred, pFilt block2
+	dt           float64
 }
 
-// The smoother's per-call scratch (one step record per point plus the
-// smoothed state/covariance buffers) is pooled: smoothing runs once
-// per trajectory per pipeline attempt. rtsStep holds no pointers, so
-// pooled slices pin nothing between uses.
-var (
-	stepsPool  = sync.Pool{New: func() any { return new([]rtsStep) }}
-	floatsPool = sync.Pool{New: func() any { return new([]float64) }}
-)
+// The smoother's per-call scratch (one step record per point) is
+// pooled: smoothing runs once per trajectory per pipeline attempt.
+var stepsPool = sync.Pool{New: func() any { return new([]rtsStep) }}
 
 func getSteps(n int) *[]rtsStep {
 	p := stepsPool.Get().(*[]rtsStep)
@@ -222,31 +185,45 @@ func getSteps(n int) *[]rtsStep {
 	return p
 }
 
-func putSteps(p *[]rtsStep) {
-	stepsPool.Put(p)
-}
-
-func getFloats(n int) *[]float64 {
-	p := floatsPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
+// rtsGain returns the smoother gain block pFilt * f' * pPred^-1, or
+// false when pPred is singular. The inverse is the Gauss-Jordan
+// elimination with partial pivoting the matrix form runs on each axis
+// block of the 4x4: same pivot choice, same < 1e-12 exits, same f == 0
+// skips.
+func rtsGain(pFilt, pPred block2, dt float64) (g block2, ok bool) {
+	m, inv := pPred, block2{a: 1, d: 1}
+	if math.Abs(m.c) > math.Abs(m.a) {
+		m = block2{m.c, m.d, m.a, m.b}
+		inv = block2{inv.c, inv.d, inv.a, inv.b}
 	}
-	*p = (*p)[:n]
-	return p
+	if math.Abs(m.a) < 1e-12 {
+		return g, false
+	}
+	m.b, inv.a, inv.b = m.b/m.a, inv.a/m.a, inv.b/m.a
+	if m.c != 0 {
+		m.d, inv.c, inv.d = m.d-m.c*m.b, inv.c-m.c*inv.a, inv.d-m.c*inv.b
+	}
+	if math.Abs(m.d) < 1e-12 {
+		return g, false
+	}
+	inv.c, inv.d = inv.c/m.d, inv.d/m.d
+	if m.b != 0 {
+		inv.a, inv.b = inv.a-m.b*inv.c, inv.b-m.b*inv.d
+	}
+	// pFilt * f', then times the inverse.
+	t := block2{(0 + pFilt.a) + pFilt.b*dt, 0 + pFilt.b, (0 + pFilt.c) + pFilt.d*dt, 0 + pFilt.d}
+	g.a = (0 + t.a*inv.a) + t.b*inv.c
+	g.b = (0 + t.a*inv.b) + t.b*inv.d
+	g.c = (0 + t.c*inv.a) + t.d*inv.c
+	g.d = (0 + t.c*inv.b) + t.d*inv.d
+	return g, true
 }
-
-func putFloats(p *[]float64) {
-	floatsPool.Put(p)
-}
-
-// mat41 and mat44 wrap a scratch slice as a fixed-shape matrix view.
-func mat41(d []float64) stats.Matrix { return stats.Matrix{Rows: 4, Cols: 1, Data: d} }
-func mat44(d []float64) stats.Matrix { return stats.Matrix{Rows: 4, Cols: 4, Data: d} }
 
 // KalmanSmoothTrajectory runs a forward pass followed by a
 // Rauch-Tung-Striebel backward smoother, producing the non-causal MAP
 // trajectory. This is the smoothing-based uncertainty eliminator built
-// on the same motion model.
+// on the same motion model. Only the smoothed means are computed: the
+// smoothed covariance feeds no mean and is returned to nobody.
 func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory.Trajectory {
 	n := tr.Len()
 	out := &trajectory.Trajectory{ID: tr.ID}
@@ -254,86 +231,39 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 		return out
 	}
 	stepsP := getSteps(n)
-	defer putSteps(stepsP)
+	defer stepsPool.Put(stepsP)
 	steps := *stepsP
-	k := NewKalman(tr.Points[0].Pos, q, r)
+	k := NewKalman(firstFinitePos(tr), q, r)
 	prevT := tr.Points[0].T
 	for i, p := range tr.Points {
 		st := &steps[i]
-		if i == 0 {
-			f := mat44(st.f[:])
-			stats.IdentityInto(&f)
-		} else {
-			dt := math.Max(p.T-prevT, 1e-9)
-			f := mat44(st.f[:])
-			cvTransitionInto(&f, dt)
-			k.Predict(dt)
+		if i > 0 {
+			st.dt = math.Max(p.T-prevT, 1e-9)
+			k.Predict(st.dt)
 		}
-		copy(st.xPred[:], k.x.Data)
-		copy(st.pPred[:], k.p.Data)
+		st.xPred, st.pPred = k.x, k.p
 		k.Update(p.Pos)
-		copy(st.xFilt[:], k.x.Data)
-		copy(st.pFilt[:], k.p.Data)
+		st.xFilt, st.pFilt = k.x, k.p
 		prevT = p.T
 	}
-	// Backward RTS pass. Smoothed states/covariances live in pooled
-	// flat buffers viewed as 4x1 / 4x4 matrices; the loop temporaries
-	// are allocated once per call.
-	xsP, psP := getFloats(n*4), getFloats(n*16)
-	defer putFloats(xsP)
-	defer putFloats(psP)
-	xs, ps := *xsP, *psP
-	xrow := func(i int) []float64 { return xs[i*4 : (i+1)*4] }
-	prow := func(i int) []float64 { return ps[i*16 : (i+1)*16] }
-	copy(xrow(n-1), steps[n-1].xFilt[:])
-	copy(prow(n-1), steps[n-1].pFilt[:])
-	predInv := stats.NewMatrix(4, 4)
-	invScratch := stats.NewMatrix(4, 4)
-	ft := stats.NewMatrix(4, 4)
-	c := stats.NewMatrix(4, 4)
-	ct := stats.NewMatrix(4, 4)
-	t44a := stats.NewMatrix(4, 4)
-	t44b := stats.NewMatrix(4, 4)
-	d41 := stats.NewMatrix(4, 1)
-	e41 := stats.NewMatrix(4, 1)
+	// Backward RTS pass: xs holds the smoothed state of step i+1 on
+	// entry to iteration i, xs[i] = xFilt + gain * (xs[i+1] - xPred[i+1]).
+	out.Points = make([]trajectory.Point, n)
+	xs := steps[n-1].xFilt
+	out.Points[n-1] = trajectory.Point{T: tr.Points[n-1].T, Pos: geo.Pt(xs.sx, xs.sy)}
 	for i := n - 2; i >= 0; i-- {
-		next := &steps[i+1]
-		st := &steps[i]
-		pPred := mat44(next.pPred[:])
-		if err := stats.InverseInto(predInv, &pPred, invScratch); err != nil {
-			copy(xrow(i), st.xFilt[:])
-			copy(prow(i), st.pFilt[:])
-			continue
+		next, st := &steps[i+1], &steps[i]
+		if g, ok := rtsGain(st.pFilt, next.pPred, next.dt); ok {
+			dx, dvx := xs.sx-next.xPred.sx, xs.vx-next.xPred.vx
+			dy, dvy := xs.sy-next.xPred.sy, xs.vy-next.xPred.vy
+			xs.sx = st.xFilt.sx + ((0 + g.a*dx) + g.b*dvx)
+			xs.vx = st.xFilt.vx + ((0 + g.c*dx) + g.d*dvx)
+			xs.sy = st.xFilt.sy + ((0 + g.a*dy) + g.b*dvy)
+			xs.vy = st.xFilt.vy + ((0 + g.c*dy) + g.d*dvy)
+		} else {
+			xs = st.xFilt
 		}
-		// c = pFilt * f' * predInv
-		f := mat44(next.f[:])
-		pFilt := mat44(st.pFilt[:])
-		stats.TransposeInto(ft, &f)
-		stats.MulInto(t44a, &pFilt, ft)
-		stats.MulInto(c, t44a, predInv)
-		// xs[i] = xFilt + c * (xs[i+1] - xPred)
-		xNext := mat41(xrow(i + 1))
-		xPred := mat41(next.xPred[:])
-		stats.SubInto(d41, &xNext, &xPred)
-		stats.MulInto(e41, c, d41)
-		xFilt := mat41(st.xFilt[:])
-		xCur := mat41(xrow(i))
-		stats.AddInto(&xCur, &xFilt, e41)
-		// ps[i] = pFilt + c * (ps[i+1] - pPred) * c'
-		pNext := mat44(prow(i + 1))
-		stats.SubInto(t44a, &pNext, &pPred)
-		stats.MulInto(t44b, c, t44a)
-		stats.TransposeInto(ct, c)
-		stats.MulInto(t44a, t44b, ct)
-		pCur := mat44(prow(i))
-		stats.AddInto(&pCur, &pFilt, t44a)
-	}
-	out.Points = make([]trajectory.Point, 0, n)
-	for i, p := range tr.Points {
-		out.Points = append(out.Points, trajectory.Point{
-			T:   p.T,
-			Pos: geo.Pt(xs[i*4], xs[i*4+1]),
-		})
+		out.Points[i] = trajectory.Point{T: tr.Points[i].T, Pos: geo.Pt(xs.sx, xs.sy)}
 	}
 	return out
 }

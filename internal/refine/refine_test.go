@@ -169,7 +169,7 @@ func TestKalmanVelocityEstimate(t *testing.T) {
 	for i := 1; i < noisy.Len(); i++ {
 		k.Step(1, noisy.Points[i].Pos)
 	}
-	v := geo.Pt(k.x.At(2, 0), k.x.At(3, 0))
+	v := geo.Pt(k.x.vx, k.x.vy)
 	if math.Abs(v.X-3) > 0.5 || math.Abs(v.Y-1.5) > 0.5 {
 		t.Fatalf("velocity = %v, want (3, 1.5)", v)
 	}

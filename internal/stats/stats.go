@@ -1,7 +1,7 @@
 // Package stats provides the statistical building blocks shared by the
 // sidq quality-management and exploitation packages: descriptive
 // statistics, robust estimators, the Gaussian CDF, and a tiny
-// dense-matrix type sized for Kalman filtering.
+// dense-matrix type for small least-squares systems.
 //
 // Everything in this package is deterministic given the caller's
 // *rand.Rand; no package-level randomness is used.

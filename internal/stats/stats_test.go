@@ -89,8 +89,15 @@ func TestNormalPDFandCDF(t *testing.T) {
 	}
 }
 
+// matrixOf builds a rows x cols matrix from vals in row-major order.
+func matrixOf(rows, cols int, vals ...float64) *Matrix {
+	m := NewMatrix(rows, cols)
+	copy(m.Data, vals)
+	return m
+}
+
 func TestMatrixMulIdentity(t *testing.T) {
-	m := MatrixFrom(2, 2, 1, 2, 3, 4)
+	m := matrixOf(2, 2, 1, 2, 3, 4)
 	id := Identity(2)
 	got := m.Mul(id)
 	for i := range m.Data {
@@ -101,7 +108,7 @@ func TestMatrixMulIdentity(t *testing.T) {
 }
 
 func TestMatrixInverse(t *testing.T) {
-	m := MatrixFrom(2, 2, 4, 7, 2, 6)
+	m := matrixOf(2, 2, 4, 7, 2, 6)
 	inv, err := m.Inverse()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +126,7 @@ func TestMatrixInverse(t *testing.T) {
 }
 
 func TestMatrixInverseSingular(t *testing.T) {
-	m := MatrixFrom(2, 2, 1, 2, 2, 4)
+	m := matrixOf(2, 2, 1, 2, 2, 4)
 	if _, err := m.Inverse(); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
@@ -158,15 +165,11 @@ func TestMatrixInverseRandomProperty(t *testing.T) {
 	}
 }
 
-func TestMatrixTransposeAddSubScale(t *testing.T) {
-	m := MatrixFrom(2, 3, 1, 2, 3, 4, 5, 6)
+func TestMatrixTranspose(t *testing.T) {
+	m := matrixOf(2, 3, 1, 2, 3, 4, 5, 6)
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("transpose wrong: %+v", tr)
-	}
-	sc := m.ScaleBy(2)
-	if sc.At(1, 2) != 12 {
-		t.Fatal("scale")
 	}
 }
 
