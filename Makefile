@@ -30,8 +30,10 @@
 #                       chunk record), the id,t,x,y wire codec (scanner
 #                       and row appender against encoding/csv) and the
 #                       reduce codecs' decoders (delta-varint, Rice,
-#                       network trip) and the Kalman/RTS kernels against
-#                       their dense reference, each from its seeds for FUZZTIME; plain
+#                       network trip), the Kalman/RTS kernels against
+#                       their dense reference and the snapper's candidate
+#                       search against its sort reference, each from its
+#                       seeds for FUZZTIME; plain
 #                       `go test` already replays the seeds, this
 #                       explores past them
 #   make bench          compile-and-run the benchmark suite briefly
@@ -41,7 +43,8 @@
 #   make bench-compare  rerun the gated E1/E2 experiment benchmarks
 #                       plus the matcher's rows (SnapDists over the
 #                       serving benchmark's city, cold cache and warm,
-#                       and OnlineMapMatch) and the clean path's
+#                       KNearest over the same city, and
+#                       OnlineMapMatch) and the clean path's
 #                       KalmanSmooth and Pipeline rows, write the fresh
 #                       rows to bench-fresh.json (NOT BENCH_*.json —
 #                       that glob is the committed
@@ -120,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRiceDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetworkTrip$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzKalmanSmoothMatchesDense$$' -fuzztime $(FUZZTIME) ./internal/refine
+	$(GO) test -run '^$$' -fuzz '^FuzzKNearestMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -141,7 +145,7 @@ bench-json:
 # (see the note in the BENCH_*.json header), so it is not a variable.
 bench-compare:
 	( $(GO) test -run '^$$' -bench 'BenchmarkE[12]_' -benchmem -benchtime $(BENCHTIME) -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSnapDists/city|BenchmarkOnlineMapMatch|^BenchmarkKalmanSmooth$$|^BenchmarkPipeline$$' -benchmem -benchtime 1s -count 3 . ) \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSnapDists/city|BenchmarkOnlineMapMatch|^BenchmarkKNearest$$|^BenchmarkKalmanSmooth$$|^BenchmarkPipeline$$' -benchmem -benchtime 1s -count 3 . ) \
 		| $(GO) run ./cmd/benchjson \
 		| tee bench-fresh.json \
 		| $(GO) run ./cmd/benchcompare $(BENCHCOMPARE_ARGS)

@@ -112,11 +112,8 @@ func BenchmarkShortestPath(b *testing.B) {
 // the cache absorbs nine lookups in ten. A change that drops the
 // cache, or brings a hierarchy back, argues from that row.
 func BenchmarkSnapDists(b *testing.B) {
-	city := func() *roadnet.Graph {
-		return roadnet.GridCity(roadnet.GridCityOptions{NX: 80, NY: 80, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: 41})
-	}
-	b.Run("city", func(b *testing.B) { benchSnapDists(b, city(), 32, false) })
-	b.Run("city_warm", func(b *testing.B) { benchSnapDists(b, city(), 32, true) })
+	b.Run("city", func(b *testing.B) { benchSnapDists(b, benchCity(), 32, false) })
+	b.Run("city_warm", func(b *testing.B) { benchSnapDists(b, benchCity(), 32, true) })
 	b.Run("continental", func(b *testing.B) {
 		benchSnapDists(b, roadnet.Continental(roadnet.ContinentalOptions{
 			CitiesX: 12, CitiesY: 12,
@@ -125,6 +122,36 @@ func BenchmarkSnapDists(b *testing.B) {
 			Seed: 1,
 		}), 4, false)
 	})
+}
+
+// benchCity is the 80x80 GridCity of the serving benchmark.
+func benchCity() *roadnet.Graph {
+	return roadnet.GridCity(roadnet.GridCityOptions{NX: 80, NY: 80, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: 41})
+}
+
+// BenchmarkKNearest is the matcher's candidate search alone: one op is
+// one AppendKNearest (k = 4, into a reused dst) of the next of 4 096
+// noisy on-road fixes (12 m apart, 5 m noise) on the serving
+// benchmark's city. bench-compare gates it.
+func BenchmarkKNearest(b *testing.B) {
+	g := benchCity()
+	snapper := roadnet.NewSnapper(g, 100)
+	var fixes []geo.Point
+	for i, tr := range simulate.Trips(g, simulate.TripOptions{NumObjects: 16, MinHops: 12, Speed: 12, SampleInterval: 1, Seed: 7}) {
+		for _, p := range simulate.AddGaussianNoise(tr, 5, int64(8+i)).Points {
+			fixes = append(fixes, p.Pos)
+		}
+	}
+	if len(fixes) < 4096 {
+		b.Fatalf("trips gave %d fixes, want 4096", len(fixes))
+	}
+	fixes = fixes[:4096]
+	dst := make([]roadnet.Snap, 0, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = snapper.AppendKNearest(dst[:0], fixes[i%len(fixes)], 4)
+	}
 }
 
 func benchSnapDists(b *testing.B, g *roadnet.Graph, trips int, warm bool) {

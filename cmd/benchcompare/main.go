@@ -13,7 +13,8 @@
 // other naturally (see `make bench-json`). Every row shared between
 // the two documents is reported; only rows matching -gate (default:
 // the E1/E2 experiment rows, the matcher's rows — SnapDists over the
-// serving benchmark's city, cold and warm, and OnlineMapMatch — and the
+// serving benchmark's city, cold and warm, KNearest over the same city,
+// and OnlineMapMatch — and the
 // clean path's KalmanSmooth and Pipeline rows) can fail
 // the run, and only when ns/op or
 // allocs/op regressed by more than -threshold (default 20%).
@@ -122,7 +123,7 @@ func pctDelta(old, new float64) float64 {
 func main() {
 	baseline := flag.String("baseline", "", "baseline BENCH_*.json (default: lexicographically latest in cwd)")
 	threshold := flag.Float64("threshold", 0.20, "allowed fractional regression in ns/op and allocs/op (and b/op when gated)")
-	gate := flag.String("gate", `^BenchmarkE[12]_|^BenchmarkSnapDists/city|^BenchmarkOnlineMapMatch$|^BenchmarkKalmanSmooth$|^BenchmarkPipeline$`, "regexp of benchmark names that can fail the comparison")
+	gate := flag.String("gate", `^BenchmarkE[12]_|^BenchmarkSnapDists/city|^BenchmarkOnlineMapMatch$|^BenchmarkKNearest$|^BenchmarkKalmanSmooth$|^BenchmarkPipeline$`, "regexp of benchmark names that can fail the comparison")
 	strictBytes := flag.Bool("strict-bytes", false, "promote b_per_op regressions from advisory warnings to failures")
 	advisory := flag.Bool("advisory", false, "report gated regressions as an explicit ADVISORY REGRESSION summary and exit 0 (shared-runner bench jobs)")
 	flag.Parse()

@@ -20,12 +20,38 @@ type Snap struct {
 // Queries are safe for concurrent use: per-query scratch (the
 // epoch-stamped dedup array and candidate buffers) is pooled.
 type Snapper struct {
-	g        *Graph
 	cellSize float64
 	bounds   geo.Rect
 	nx, ny   int
 	cells    [][]EdgeID
-	scratch  sync.Pool // *snapScratch
+	edges    []snapEdge // by edge id: everything a query reads of an edge
+	slack    float64    // absolute margin of the box test, see rejectBar2
+	scratch  sync.Pool  // *snapScratch
+}
+
+// snapEdge is one edge as the search sees it: its segment and the
+// segment's bounding box, snapshotted by NewSnapper so that examining
+// an edge is one 64-byte load instead of the edge and both its nodes.
+type snapEdge struct {
+	geo.Segment
+	lo, hi geo.Point
+}
+
+// boxDist2 returns the squared distance from p to e's bounding box, a
+// lower bound of the squared distance from p to the segment.
+func (e *snapEdge) boxDist2(p geo.Point) float64 {
+	var dx, dy float64
+	if p.X < e.lo.X {
+		dx = e.lo.X - p.X
+	} else if p.X > e.hi.X {
+		dx = p.X - e.hi.X
+	}
+	if p.Y < e.lo.Y {
+		dy = e.lo.Y - p.Y
+	} else if p.Y > e.hi.Y {
+		dy = p.Y - e.hi.Y
+	}
+	return dx*dx + dy*dy
 }
 
 // snapScratch is the reusable per-query state: seen[eid] == epoch
@@ -33,16 +59,17 @@ type Snapper struct {
 // costs one counter increment instead of clearing (or reallocating)
 // the whole array.
 type snapScratch struct {
-	seen  []uint32
-	epoch uint32
-	ring  []EdgeID
-	snaps []Snap // the bounded candidate list of AppendKNearest
+	seen       []uint32
+	epoch      uint32
+	ring       []int  // cell indices of the ring being swept
+	snaps      []Snap // the k nearest so far
+	boxRejects int    // edges the box test skipped, over the scratch's life
 }
 
 func (s *Snapper) getScratch() *snapScratch {
 	scr, _ := s.scratch.Get().(*snapScratch)
 	if scr == nil {
-		scr = &snapScratch{seen: make([]uint32, s.g.NumEdges())}
+		scr = &snapScratch{seen: make([]uint32, len(s.edges))}
 	}
 	scr.epoch++
 	if scr.epoch == 0 { // counter wrapped: stale marks are ambiguous
@@ -53,26 +80,40 @@ func (s *Snapper) getScratch() *snapScratch {
 }
 
 // NewSnapper builds a snapper with the given grid cell size (meters).
-// A non-positive cell size defaults to 100 m.
+// A non-positive cell size defaults to 100 m. The grid never has more
+// than max(2^16, 4·edges) cells: on a network whose bounding box would
+// need more, the cell is doubled until it fits, so memory follows the
+// edge count and not the area the network spans.
 func NewSnapper(g *Graph, cellSize float64) *Snapper {
 	if cellSize <= 0 {
 		cellSize = 100
 	}
-	bounds := g.Bounds().Expand(cellSize)
-	s := &Snapper{g: g, cellSize: cellSize, bounds: bounds}
-	s.nx = int(math.Ceil(bounds.Width()/cellSize)) + 1
-	s.ny = int(math.Ceil(bounds.Height()/cellSize)) + 1
-	if s.nx < 1 {
-		s.nx = 1
+	nodeBounds := g.Bounds()
+	limit := float64(max(1<<16, 4*g.NumEdges()))
+	var bounds geo.Rect
+	var fx, fy float64
+	for {
+		bounds = nodeBounds.Expand(cellSize)
+		fx = math.Ceil(bounds.Width()/cellSize) + 1
+		fy = math.Ceil(bounds.Height()/cellSize) + 1
+		if !(fx*fy > limit) {
+			break
+		}
+		cellSize *= 2
 	}
-	if s.ny < 1 {
-		s.ny = 1
+	s := &Snapper{cellSize: cellSize, bounds: bounds, nx: 1, ny: 1}
+	if fx*fy <= limit { // else no finite cell spans the bounds: one cell
+		s.nx, s.ny = int(fx), int(fy)
 	}
 	s.cells = make([][]EdgeID, s.nx*s.ny)
+	s.edges = make([]snapEdge, len(g.edges))
+	var maxAbs float64
 	for _, e := range g.edges {
 		a := g.nodes[e.From].Pos
 		b := g.nodes[e.To].Pos
 		r := geo.RectFromPoints(a, b)
+		s.edges[e.ID] = snapEdge{Segment: geo.Segment{A: a, B: b}, lo: r.Min, hi: r.Max}
+		maxAbs = max(maxAbs, math.Abs(a.X), math.Abs(a.Y), math.Abs(b.X), math.Abs(b.Y))
 		lox, loy := s.cellOf(r.Min)
 		hix, hiy := s.cellOf(r.Max)
 		for cy := loy; cy <= hiy; cy++ {
@@ -82,6 +123,7 @@ func NewSnapper(g *Graph, cellSize float64) *Snapper {
 			}
 		}
 	}
+	s.slack = maxAbs * 0x1p-40
 	return s
 }
 
@@ -103,6 +145,23 @@ func (s *Snapper) cellOf(p geo.Point) (int, int) {
 	return cx, cy
 }
 
+// rejectBar2 is the box test's threshold for a k-th distance of bar: an
+// edge whose squared box distance exceeds it is at least bar from p
+// when measured the way the search measures it, so it cannot enter.
+//
+// The margins cover every rounding between the box and that measure.
+// The computed projection lies within 6·M·2⁻⁵³ of the segment's box on
+// each axis (M the largest |coordinate| of any node: one subtraction,
+// one product and one sum in Interpolate), which slack = M·2⁻⁴⁰ covers
+// more than a thousand times over; the box distance, p − pos and
+// math.Hypot each carry a few units of 2⁻⁵³ relative error, which the
+// factor 1+2⁻²⁰ covers. A NaN bar makes the threshold NaN, and so does
+// a NaN box distance the comparison: neither rejects anything.
+func (s *Snapper) rejectBar2(bar float64) float64 {
+	r := bar*(1+0x1p-20) + s.slack
+	return r * r
+}
+
 // KNearest returns up to k snaps onto distinct edges, ordered by
 // increasing distance, in a fresh slice the caller owns. It is used by
 // map-matching to form candidate sets.
@@ -115,73 +174,99 @@ func (s *Snapper) KNearest(p geo.Point, k int) []Snap {
 // caller's for as long as dst's storage is. With cap(dst)-len(dst) >= k
 // a warm call allocates nothing.
 func (s *Snapper) AppendKNearest(dst []Snap, p geo.Point, k int) []Snap {
-	if k <= 0 || s.g.NumEdges() == 0 {
+	if k <= 0 || len(s.edges) == 0 {
 		return dst
 	}
-	// Expand rings until k distinct edges have been seen and the ring
-	// lower bound exceeds the k-th best distance. best is the 4k nearest
-	// snaps so far (a buffer beyond k for later rings), ordered by
-	// distance with ties in discovery order: each new snap is inserted
-	// in place or, when it cannot make the 4k, dropped — what sorting
-	// everything seen stably and truncating yields, without the sort.
 	scr := s.getScratch()
-	defer s.scratch.Put(scr)
+	dst = s.appendKNearest(scr, dst, p, k)
+	s.scratch.Put(scr)
+	return dst
+}
+
+// appendKNearest is AppendKNearest on a given scratch. Rings expand
+// until k distinct edges have been seen and the ring lower bound
+// exceeds the k-th best distance. best is the k nearest snaps so far,
+// ordered by distance with ties in discovery order: a snap enters only
+// if it is nearer than best[k-1], in place. An insert's position
+// depends only on the entries ahead of it and the stop test reads only
+// best[k-1], so what deeper buffers held beyond k never reached the
+// output. Once best holds k, an edge whose box is farther than best[k-1]
+// is skipped without projecting it (rejectBar2).
+func (s *Snapper) appendKNearest(scr *snapScratch, dst []Snap, p geo.Point, k int) []Snap {
 	best := scr.snaps[:0]
+	bar2 := math.Inf(1)
 	cx, cy := s.cellOf(p)
 	for ring, maxRing := 0, max(s.nx, s.ny); ring <= maxRing; ring++ {
 		if len(best) >= k && (float64(ring)-1)*s.cellSize > best[k-1].Dist {
 			break
 		}
-		scr.ring = s.ringEdges(cx, cy, ring, scr.ring[:0])
-		for _, eid := range scr.ring {
-			if scr.seen[eid] == scr.epoch {
-				continue
+		scr.ring = s.ringCells(cx, cy, ring, scr.ring[:0])
+		for _, c := range scr.ring {
+			for _, eid := range s.cells[c] {
+				if scr.seen[eid] == scr.epoch {
+					continue
+				}
+				scr.seen[eid] = scr.epoch
+				e := &s.edges[eid]
+				if e.boxDist2(p) > bar2 {
+					scr.boxRejects++
+					continue
+				}
+				t := e.ClosestParam(p)
+				pos := e.Interpolate(t)
+				d := pos.Dist(p)
+				if len(best) < k {
+					best = append(best, Snap{})
+				} else if !(d < best[k-1].Dist) {
+					continue
+				}
+				j := len(best) - 1
+				for ; j > 0 && d < best[j-1].Dist; j-- {
+					best[j] = best[j-1]
+				}
+				best[j] = Snap{Edge: eid, Param: t, Pos: pos, Dist: d}
+				if len(best) == k {
+					bar2 = s.rejectBar2(best[k-1].Dist)
+				}
 			}
-			scr.seen[eid] = scr.epoch
-			e := s.g.edges[eid]
-			seg := geo.Segment{A: s.g.nodes[e.From].Pos, B: s.g.nodes[e.To].Pos}
-			t := seg.ClosestParam(p)
-			pos := seg.Interpolate(t)
-			d := pos.Dist(p)
-			if len(best) < 4*k {
-				best = append(best, Snap{})
-			} else if !(d < best[len(best)-1].Dist) {
-				continue
-			}
-			j := len(best) - 1
-			for ; j > 0 && d < best[j-1].Dist; j-- {
-				best[j] = best[j-1]
-			}
-			best[j] = Snap{Edge: eid, Param: t, Pos: pos, Dist: d}
 		}
 	}
 	scr.snaps = best // return grown capacity to the pool
-	return append(dst, best[:min(k, len(best))]...)
+	return append(dst, best...)
 }
 
-// ringEdges appends to buf the edge ids stored in cells at Chebyshev
+// ringCells appends to buf the indices of the grid cells at Chebyshev
 // distance ring from (cx, cy), in deterministic sweep order, and
-// returns the extended buffer. Ids may repeat across cells; callers
-// dedup with the scratch epoch array.
-func (s *Snapper) ringEdges(cx, cy, ring int, buf []EdgeID) []EdgeID {
+// returns the extended buffer. The order is the ring's columns left to
+// right — the two end columns bottom to top, each inner column its
+// bottom cell then its top cell — with the cells outside the grid left
+// out, so a ring costs the cells it holds, not its length: a query far
+// outside a long, thin network sweeps every ring up to max(nx, ny). An
+// edge is stored in every cell its box overlaps, so ids repeat across
+// cells; callers dedup with the scratch epoch array.
+func (s *Snapper) ringCells(cx, cy, ring int, buf []int) []int {
 	if ring == 0 {
-		return append(buf, s.cells[cy*s.nx+cx]...)
+		return append(buf, cy*s.nx+cx)
 	}
-	cell := func(x, y int) {
-		if x < 0 || x >= s.nx || y < 0 || y >= s.ny {
-			return
-		}
-		buf = append(buf, s.cells[y*s.nx+x]...)
-	}
-	for dx := -ring; dx <= ring; dx++ {
-		if dx == -ring || dx == ring {
-			for dy := -ring; dy <= ring; dy++ {
-				cell(cx+dx, cy+dy)
+	column := func(x int) {
+		if x >= 0 && x < s.nx {
+			for y := max(cy-ring, 0); y <= min(cy+ring, s.ny-1); y++ {
+				buf = append(buf, y*s.nx+x)
 			}
-		} else {
-			cell(cx+dx, cy-ring)
-			cell(cx+dx, cy+ring)
 		}
 	}
+	column(cx - ring)
+	bottom, top := cy-ring >= 0, cy+ring < s.ny
+	if bottom || top {
+		for x := max(cx-ring+1, 0); x <= min(cx+ring-1, s.nx-1); x++ {
+			if bottom {
+				buf = append(buf, (cy-ring)*s.nx+x)
+			}
+			if top {
+				buf = append(buf, (cy+ring)*s.nx+x)
+			}
+		}
+	}
+	column(cx + ring)
 	return buf
 }
