@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"sidq/internal/analysis"
 	"sidq/internal/core"
@@ -157,12 +158,20 @@ func E11(seed int64) Table {
 			NumPOIs: 25, NumUsers: 12, VisitsEach: 60, Seed: seed,
 		})
 		byUser := map[string][]string{}
+		var users []string
 		for _, e := range events {
+			if _, ok := byUser[e.UserID]; !ok {
+				users = append(users, e.UserID)
+			}
 			byUser[e.UserID] = append(byUser[e.UserID], e.TruePOI)
 		}
+		// Users in id order: each draws from rng, so map order would
+		// move the drop pattern from run to run.
+		sort.Strings(users)
 		rng := rand.New(rand.NewSource(seed + int64(deficit*100)))
 		var train, test [][]string
-		for _, seq := range byUser {
+		for _, user := range users {
+			seq := byUser[user]
 			cut := len(seq) * 3 / 4
 			var kept []string
 			for _, sym := range seq[:cut] {

@@ -8,34 +8,21 @@ import (
 	"sidq/internal/core"
 )
 
+// wallClock names the one table that reports wall-clock measurements
+// (E9's ms/speedup columns), which differ even between two serial runs.
+const wallClock = "E9"
+
 // TestRunSelectedBitIdenticalAcrossWorkers is the acceptance test for
-// the experiment harness: parallelism must introduce no divergence
-// beyond an experiment's own run-to-run nondeterminism. A few tables
-// report wall-clock measurements (e.g. E9's ms/speedup columns) that
-// differ even between two serial runs; every other experiment must
-// render byte-identical output at 1, 4, and NumCPU workers — and E12,
-// the experiment that actually runs cleaning pipelines, must be in
-// that deterministic set.
+// the experiment harness: every table but the wall-clock one renders
+// byte-identical output in two serial runs and at 1, 4 and NumCPU
+// workers — an experiment's own nondeterminism (a map range feeding a
+// random draw) fails here as surely as a parallelism bug.
 func TestRunSelectedBitIdenticalAcrossWorkers(t *testing.T) {
 	serial := RunSelected(42, 1, All())
-	serial2 := RunSelected(42, 1, All())
 	if len(serial) != len(All()) {
 		t.Fatalf("serial run produced %d tables, want %d", len(serial), len(All()))
 	}
-	deterministic := map[string]bool{}
-	for i := range serial {
-		if serial[i].Text == serial2[i].Text {
-			deterministic[serial[i].ID] = true
-		}
-	}
-	if !deterministic["E12"] {
-		t.Fatal("E12 (pipeline ablation) is not deterministic across serial runs")
-	}
-	if len(deterministic) < len(serial)-2 {
-		t.Fatalf("only %d/%d experiments deterministic serially — expected all but the timing tables",
-			len(deterministic), len(serial))
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		got := RunSelected(42, w, All())
 		if len(got) != len(serial) {
 			t.Fatalf("workers=%d produced %d tables, want %d", w, len(got), len(serial))
@@ -44,9 +31,9 @@ func TestRunSelectedBitIdenticalAcrossWorkers(t *testing.T) {
 			if got[i].ID != serial[i].ID {
 				t.Fatalf("workers=%d: table %d is %s, want %s (order broke)", w, i, got[i].ID, serial[i].ID)
 			}
-			if deterministic[got[i].ID] && got[i].Text != serial[i].Text {
-				t.Fatalf("workers=%d: experiment %s rendered differently than serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					w, got[i].ID, serial[i].Text, got[i].Text)
+			if got[i].ID != wallClock && got[i].Text != serial[i].Text {
+				t.Errorf("workers=%d: experiment %s rendered differently than the first serial run:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
+					w, got[i].ID, serial[i].Text, w, got[i].Text)
 			}
 		}
 	}

@@ -59,8 +59,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // chunk per request, a drain every 8. At the parent of the change that
 // added this test the same loop allocated ~200 kB a chunk, most of it
 // buffers regrown from nil; what is left is the request itself, the
-// per-chunk id clones, ProcessLanes' goroutines and the snapshot's gob
-// encoder.
+// per-chunk id clones and the snapshot's gob encoder.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	const budget = 48 << 10 // bytes per chunk, drains and snapshots included; 33 kB measured
 	steadyIngestAllocs(t, StreamConfig{}, budget)

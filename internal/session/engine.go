@@ -14,8 +14,8 @@
 //
 // Three rules keep the engine drivable by anything, not only a server:
 // it imports no net/http; time is an argument of every call that needs
-// it — the engine keeps no clock, ticker or goroutine of its own (only
-// stream.ProcessLanes' per-chunk lane fan-out); and the caller owns the
+// it — the engine keeps no clock or ticker and starts no goroutine (a
+// chunk applies lane by lane in one pass); and the caller owns the
 // tickers that call EvictIdle and Retain and the table that turns the
 // typed errors below into statuses.
 //

@@ -23,12 +23,12 @@ type Sample struct {
 type Event = stream.Event[Sample]
 
 // sourceState is the per-source incremental cleaning state. A source
-// lives in exactly one lane (LaneFor of its id), so lane goroutines
-// touch disjoint source states. The reorderer — and therefore the
-// lateness watermark — is per source, not per lane: sources sharing a
-// lane may sit at wildly different event times (one client replaying
-// history while another streams live), and a shared watermark would
-// let the fastest source drop every other source's rows as late.
+// lives in exactly one lane (LaneFor of its id). The reorderer — and
+// therefore the lateness watermark — is per source, not per lane:
+// sources sharing a lane may sit at wildly different event times (one
+// client replaying history while another streams live), and a shared
+// watermark would let the fastest source drop every other source's
+// rows as late.
 type sourceState struct {
 	re      *stream.Reorderer[trajectory.Point]
 	hasLast bool
@@ -36,11 +36,11 @@ type sourceState struct {
 	matcher *uncertain.OnlineMatcher
 }
 
-// streamLane is one keyed lane: the affinity/parallelism unit holding
-// the states of the sources hashed to it.
+// streamLane is one keyed lane: a partition of the session's sources
+// that fixes the drain order (lane-major within a chunk) and is the
+// unit MaxLanePending bounds. Lanes apply one after another.
 type streamLane struct {
 	sources map[string]*sourceState
-	res     []streamResult // laneOut.res scratch, kept across chunks
 }
 
 // pending sums the lane's buffered (not yet released) events.
@@ -119,15 +119,8 @@ func (ss *streamSession) noteSource(src string) {
 	}
 }
 
-// laneOut is one lane's contribution to a chunk or flush. res is the
-// lane's scratch: merge it into ss.results before the lane runs again.
-type laneOut struct {
-	res            []streamResult
-	late, outliers int
-}
-
 // sourceFor returns the lane's state for src, creating it on first
-// sight. Caller must be the only goroutine touching this lane.
+// sight. Caller holds ss.mu.
 func (ss *streamSession) sourceFor(l *streamLane, src string) *sourceState {
 	st := l.sources[src]
 	if st == nil {
@@ -151,23 +144,23 @@ func emitMatched(res []streamResult, src string, matched []uncertain.Matched) []
 	return res
 }
 
-// cleanInto runs one released (in-order) point through the incremental
-// cleaner, appending any emitted points to out. Caller must be the only
-// goroutine touching this source's lane.
-func (ss *streamSession) cleanInto(st *sourceState, src string, pt trajectory.Point, out *laneOut) {
+// clean runs one released (in-order) point through the incremental
+// cleaner, appending any emitted points to ss.results; it reports
+// whether the speed gate dropped the point. Caller holds ss.mu.
+func (ss *streamSession) clean(st *sourceState, src string, pt trajectory.Point) (outlier bool) {
 	if st.hasLast && ss.maxSpeed > 0 {
 		dt := pt.T - st.last.T
 		if dt <= 0 || st.last.Pos.Dist(pt.Pos)/dt > ss.maxSpeed {
-			out.outliers++
-			return
+			return true
 		}
 	}
 	st.last, st.hasLast = pt, true
 	if st.matcher != nil {
-		out.res = emitMatched(out.res, src, st.matcher.Push(pt))
-		return
+		ss.results = emitMatched(ss.results, src, st.matcher.Push(pt))
+		return false
 	}
-	out.res = append(out.res, streamResult{Source: src, T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
+	ss.results = append(ss.results, streamResult{Source: src, T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
+	return false
 }
 
 // Ack is what one ingested chunk is answered with.
@@ -242,41 +235,34 @@ func (ss *streamSession) fanOutLocked(events []Event) [][]Event {
 	return ss.laneEvents
 }
 
-// applyLocked runs one accepted chunk through the lanes. It is the
-// shared apply path: live ingest and WAL replay both fold chunks
-// through it, which is what makes recovery deterministic. Caller holds
-// ss.mu and has already fanned events out.
+// applyLocked runs one accepted chunk through the lanes in index
+// order, so the result rows are lane-major. It is the shared apply
+// path: live ingest and WAL replay both fold chunks through it, which
+// is what makes recovery deterministic. Caller holds ss.mu and has
+// already fanned events out.
 func (ss *streamSession) applyLocked(events []Event, lanes [][]Event) Ack {
 	for i := range events {
 		ss.noteSource(events[i].Value.Src)
 	}
-	// Lanes are disjoint (a source id always hashes to the same lane),
-	// so they process in parallel; merging in lane-index order keeps
-	// the result order deterministic.
-	outs := stream.ProcessLanes(lanes, 0, func(i int, evs []Event) laneOut {
+	if ss.results == nil {
+		ss.results = Results.Get()
+	}
+	before := len(ss.results)
+	late, outliers := 0, 0
+	for i, evs := range lanes {
 		l := ss.lanes[i]
-		lo := laneOut{res: l.res[:0]}
 		for _, e := range evs {
 			st := ss.sourceFor(l, e.Value.Src)
 			lateBefore := st.re.LateCount()
 			for _, rel := range st.re.Push(stream.Event[trajectory.Point]{Time: e.Time, Value: e.Value.Pt}) {
-				ss.cleanInto(st, e.Value.Src, rel.Value, &lo)
+				if ss.clean(st, e.Value.Src, rel.Value) {
+					outliers++
+				}
 			}
-			lo.late += st.re.LateCount() - lateBefore
+			late += st.re.LateCount() - lateBefore
 		}
-		l.res = lo.res
-		return lo
-	})
-	if ss.results == nil {
-		ss.results = Results.Get()
 	}
-	released, late, outliers := 0, 0, 0
-	for _, lo := range outs {
-		ss.results = append(ss.results, lo.res...)
-		released += len(lo.res)
-		late += lo.late
-		outliers += lo.outliers
-	}
+	released := len(ss.results) - before
 	ss.ingested += len(events)
 	ss.emitted += released
 	ss.late += late
@@ -336,30 +322,29 @@ func (ss *streamSession) drain(flush bool, now time.Time) ([]Result, []string, e
 func (ss *streamSession) drainLocked(flush bool) ([]streamResult, []string) {
 	if flush {
 		emittedBefore := len(ss.results)
+		outliers := 0
 		// Flush per source in first-appearance order — reorder buffer
 		// first, then the matcher's decision lag — so the tail of the
 		// output is deterministic regardless of lane hashing.
 		for _, src := range ss.srcIDs {
-			l := ss.lanes[stream.LaneFor(src, len(ss.lanes))]
-			st := l.sources[src]
+			st := ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src]
 			if st == nil {
 				continue
 			}
-			lo := laneOut{res: l.res[:0]}
 			for _, rel := range st.re.Flush() {
-				ss.cleanInto(st, src, rel.Value, &lo)
+				if ss.clean(st, src, rel.Value) {
+					outliers++
+				}
 			}
 			if st.matcher != nil {
-				lo.res = emitMatched(lo.res, src, st.matcher.Flush())
+				ss.results = emitMatched(ss.results, src, st.matcher.Flush())
 			}
-			ss.results = append(ss.results, lo.res...)
-			l.res = lo.res
-			ss.outliers += lo.outliers
-			ss.e.m.outlier.Add(uint64(lo.outliers))
 		}
 		released := len(ss.results) - emittedBefore
 		ss.emitted += released
+		ss.outliers += outliers
 		ss.e.m.emitted.Add(uint64(released))
+		ss.e.m.outlier.Add(uint64(outliers))
 	}
 	out := ss.results
 	ss.results = nil

@@ -1,8 +1,8 @@
 package stream
 
 // Stream observability. The operators here are single-goroutine by
-// design (one Reorderer per lane), so per-instance counters stay plain
-// ints; process-wide totals are aggregated into gated package atomics
+// design (a session keeps one Reorderer per source), so per-instance
+// counters stay plain ints; process-wide totals are aggregated into gated package atomics
 // mirroring the roadnet pattern: until InstrumentTo flips the gate,
 // every hook is one atomic bool load.
 

@@ -1,10 +1,5 @@
 package stream
 
-import (
-	"runtime"
-	"sync"
-)
-
 // FNV-1a 32-bit parameters (FNV-0 offset basis and prime).
 const (
 	fnvOffset32 = 2166136261
@@ -66,31 +61,4 @@ func FanOutInto[T any](dst [][]Event[T], events []Event[T], lanes int, key func(
 		dst[l] = append(dst[l], e)
 	}
 	return dst
-}
-
-// ProcessLanes runs fn over every lane on a pool of at most workers
-// goroutines (workers <= 0 selects runtime.NumCPU()) and returns the
-// results indexed by lane — deterministic output order regardless of
-// which lane finishes first. fn must not touch other lanes' data; the
-// lanes produced by FanOut are disjoint, so any per-lane processor
-// (a Reorderer, a window operator, an aggregate) satisfies this.
-func ProcessLanes[T, R any](lanes [][]Event[T], workers int, fn func(lane int, events []Event[T]) R) []R {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	out := make([]R, len(lanes))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range lanes {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = fn(i, lanes[i])
-		}()
-	}
-	wg.Wait()
-	return out
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -64,45 +63,5 @@ func TestFanOutDegenerateLaneCounts(t *testing.T) {
 	}
 	if len(many) != 64 || total != len(events) {
 		t.Fatalf("64-lane fan-out: %d lanes, %d events", len(many), total)
-	}
-}
-
-// TestProcessLanesOrderedResults checks that lane results come back by
-// lane index regardless of worker count or completion order, and that
-// per-lane stream operators compose: reordering a disordered keyed
-// stream lane-by-lane in parallel equals doing it serially.
-func TestProcessLanesOrderedResults(t *testing.T) {
-	events := keyedEvents(600, 7)
-	// Disorder within each key's sequence deterministically.
-	for i := 0; i+3 < len(events); i += 4 {
-		events[i], events[i+3] = events[i+3], events[i]
-	}
-	lanes := FanOut(events, 5, func(e Event[string]) string { return e.Value })
-
-	process := func(workers int) [][]Event[string] {
-		return ProcessLanes(lanes, workers, func(_ int, in []Event[string]) []Event[string] {
-			re := NewReorderer[string](10)
-			var out []Event[string]
-			for _, e := range in {
-				out = append(out, re.Push(e)...)
-			}
-			out = append(out, re.Flush()...)
-			return out
-		})
-	}
-	serial := process(1)
-	for _, w := range []int{2, 4, 8} {
-		if got := process(w); !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d produced different lane results than serial", w)
-		}
-	}
-	for l, lane := range serial {
-		times := make([]float64, len(lane))
-		for i, e := range lane {
-			times[i] = e.Time
-		}
-		if !sort.Float64sAreSorted(times) {
-			t.Fatalf("lane %d not time-ordered after reordering", l)
-		}
 	}
 }

@@ -663,11 +663,13 @@ func TestSurfaceIsWhatAMainReaches(t *testing.T) {
 // TestEngineShellBoundary holds the seam between the session engine and
 // its HTTP shell (DESIGN.md "Engine and shell"): internal/session reaches
 // neither net/http nor internal/server through any chain of imports,
-// starts no goroutine and reads no clock except where recovery times
-// itself — time is an argument; and internal/server touches the store
-// only to name the two types its config carries.
+// starts no goroutine — nor does internal/stream, which it runs on every
+// chunk — and reads no clock except where recovery times itself — time
+// is an argument; and internal/server touches the store only to name
+// the two types its config carries.
 func TestEngineShellBoundary(t *testing.T) {
 	const engine, shell, storePkg = modulePath + "/internal/session", modulePath + "/internal/server", modulePath + "/internal/store"
+	const streamPkg = modulePath + "/internal/stream"
 	out, err := exec.Command("go", "list", "-deps", "./internal/session").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
@@ -681,12 +683,12 @@ func TestEngineShellBoundary(t *testing.T) {
 	l := loadSurface(t)
 	for _, d := range l.order {
 		pkg := d.obj.Pkg().Path()
-		if pkg != engine && pkg != shell {
+		if pkg != engine && pkg != shell && pkg != streamPkg {
 			continue
 		}
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if _, ok := n.(*ast.GoStmt); ok && pkg == engine {
-				t.Errorf("%s starts a goroutine: the engine has none of its own", d.name)
+			if _, ok := n.(*ast.GoStmt); ok && (pkg == engine || pkg == streamPkg) {
+				t.Errorf("%s starts a goroutine: the engine and the stream operators it runs have none of their own", d.name)
 			}
 			id, ok := n.(*ast.Ident)
 			if !ok || d.info.Uses[id] == nil || d.info.Uses[id].Pkg() == nil {
