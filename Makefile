@@ -27,10 +27,11 @@
 #                       kill-mid-chunk byte-identity scenarios
 #   make fuzz           the native fuzz targets over the on-disk decoders
 #                       (store segment scanner and manifest, session
-#                       chunk record), the id,t,x,y wire codec (scanner
-#                       and row appender against encoding/csv) and the
-#                       reduce codecs' decoders (delta-varint, Rice,
-#                       network trip), the Kalman/RTS kernels against
+#                       chunk and snapshot records), the id,t,x,y wire
+#                       codec (scanner and row appender against
+#                       encoding/csv) and the reduce codecs' decoders
+#                       (delta-varint, Rice, network trip), the
+#                       Kalman/RTS kernels against
 #                       their dense reference and the snapper's candidate
 #                       search against its sort reference, each from its
 #                       seeds for FUZZTIME; plain
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSegment$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadManifest$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeChunk2$$' -fuzztime $(FUZZTIME) ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzScanCSV$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCSVRow$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce

@@ -56,23 +56,22 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // TestIngestSteadyStateAllocs holds the steady ingest path to a byte
 // budget: a warmed durable session as sidqserve runs it (fsync=batch,
 // snapshot every 16 chunks, request timeout on), a 256-row, 16-source
-// chunk per request, a drain every 8. At the parent of the change that
-// added this test the same loop allocated ~200 kB a chunk, most of it
-// buffers regrown from nil; what is left is the request itself, the
-// per-chunk id clones and the snapshot's gob encoder.
+// chunk per request, a drain every 8. Every WAL record, the snapshot
+// included, is appended into a pooled buffer, so the budget covers the
+// request itself, the per-chunk id clones and the results slab each
+// drain hands over.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	const budget = 48 << 10 // bytes per chunk, drains and snapshots included; 33 kB measured
+	const budget = 12 << 10 // bytes per chunk, drains and snapshots included; 6–8 kB measured
 	steadyIngestAllocs(t, StreamConfig{}, budget)
 }
 
 // TestIngestMatchedSteadyStateAllocs is the same loop with a road
 // network, so every released point goes through an OnlineMatcher: the
 // matcher, the candidate search and the route cache allocate nothing
-// once warm, and what a matched session adds is the snapshot's lattices
-// (16 matchers, gob-encoded every 16 chunks) and an edge id per result.
-// Before Push recycled its columns this loop allocated 196 kB a chunk.
+// once warm, and the snapshot reads the 16 lattices in place, so what a
+// matched session adds is an edge id per result.
 func TestIngestMatchedSteadyStateAllocs(t *testing.T) {
-	const budget = 96 << 10 // 64 kB measured
+	const budget = 12 << 10 // 8 kB measured
 	city := roadnet.GridCity(roadnet.GridCityOptions{NX: 40, NY: 4, Spacing: 110, Jitter: 5, Seed: 9})
 	steadyIngestAllocs(t, StreamConfig{Network: city}, budget)
 }

@@ -3,7 +3,7 @@ package server
 // The row writer: the one encoder of result rows, shared by the session
 // drain and the history range query. It appends rows to a pooled byte
 // buffer. An ndjson row is exactly the bytes json.Encoder produces for a
-// streamResult — same field order, same float formatting, same string
+// session.Result — same field order, same float formatting, same string
 // escaping — without reflection; a CSV row is trajectory's wire codec.
 
 import (

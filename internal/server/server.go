@@ -310,11 +310,35 @@ const maxBodyPrealloc = 1 << 20
 // plus the bytes.MinRead that ReadFrom wants free to find EOF without
 // growing. The buffer is not pooled: the wire codec hands out ids that
 // alias it, and nothing can rewrite a fresh buffer under an id some
-// caller forgot to clone.
+// caller forgot to clone. The ingest route, whose parser clones, reads
+// through readPointChunk instead.
 func readBody(r *http.Request) ([]byte, error) {
 	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPrealloc)+bytes.MinRead))
 	_, err := buf.ReadFrom(r.Body)
 	return buf.Bytes(), err
+}
+
+// ingestBodies recycles the bodies of /v1/stream/ingest, the one route
+// whose body is dead once it is parsed: parsePointChunk keeps a clone
+// of every id, never a view of the body.
+var ingestBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readPointChunk reads an ingest body into a pooled buffer, sized as
+// readBody sizes its own, and parses it; the buffer goes back before
+// it returns.
+func readPointChunk(r *http.Request) ([]session.Event, error) {
+	buf := ingestBodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			ingestBodies.Put(buf)
+		}
+	}()
+	buf.Reset()
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return nil, err
+	}
+	return parsePointChunk(buf.Bytes())
 }
 
 // assessmentJSON renders an Assessment as a stable JSON object. A

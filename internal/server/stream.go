@@ -139,11 +139,7 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
 	}
-	var events []session.Event
-	body, err := readBody(r)
-	if err == nil {
-		events, err = parsePointChunk(body)
-	}
+	events, err := readPointChunk(r)
 	if err != nil {
 		bodyError(w, err)
 		return

@@ -26,13 +26,11 @@ package session
 // the Y column; trailing bytes are an error.
 //
 // recChunk (type 2, a gob walChunk) was the format before; it is never
-// written, and decodeLegacyChunk keeps it readable so an existing data
-// directory opens unchanged.
+// written, and decodeLegacyChunk (legacy.go) keeps it readable so an
+// existing data directory opens unchanged.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -43,10 +41,11 @@ import (
 	"sidq/internal/trajectory"
 )
 
-const (
-	chunk2Magic   = "SQC\x02"
-	chunk2MinSize = 4 + 8 + 8 + 4 + 4 + 4 // a chunk with no session id, sources or rows
-)
+// recMagic opens every record payload this package writes: "SQC" and
+// version 2 (gob, which needed no magic, was the first).
+const recMagic = "SQC\x02"
+
+const chunk2MinSize = 4 + 8 + 8 + 4 + 4 + 4 // a chunk with no session id, sources or rows
 
 var errChunk2 = errors.New("malformed chunk record")
 
@@ -59,30 +58,32 @@ func sourceIndexWidth(d int) int {
 	return 4
 }
 
-// chunkEncoder holds the buffers one chunk encode needs, so the ack
-// path allocates nothing once the pool is warm.
-type chunkEncoder struct {
+// recEncoder holds the buffers one record encode needs, so the ack path
+// allocates nothing once the pool is warm: the payload buffer every
+// record type is rendered into, and the chunk record's per-chunk source
+// dictionary.
+type recEncoder struct {
 	buf  []byte
 	dict map[string]uint32
 	srcs []string
 	idx  []uint32
 }
 
-var chunkEncoders = sync.Pool{New: func() any { return &chunkEncoder{dict: map[string]uint32{}} }}
+var recEncoders = sync.Pool{New: func() any { return &recEncoder{dict: map[string]uint32{}} }}
 
-func getChunkEncoder() *chunkEncoder { return chunkEncoders.Get().(*chunkEncoder) }
+func getRecEncoder() *recEncoder { return recEncoders.Get().(*recEncoder) }
 
-// release returns the encoder to the pool, unless one oversized chunk
+// release returns the encoder to the pool, unless one oversized record
 // grew it past what is worth keeping.
-func (enc *chunkEncoder) release() {
+func (enc *recEncoder) release() {
 	if cap(enc.buf) <= maxPooledBuf {
-		chunkEncoders.Put(enc)
+		recEncoders.Put(enc)
 	}
 }
 
-// encode renders the chunk as a recChunk2 payload. The result aliases
-// the encoder's buffer: it is valid until the next encode or release.
-func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
+// chunk renders the chunk as a recChunk2 payload. The result aliases
+// the encoder's buffer: it is valid until the next render or release.
+func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
 	clear(enc.dict)
 	enc.srcs = enc.srcs[:0]
 	enc.idx = enc.idx[:0]
@@ -97,7 +98,7 @@ func (enc *chunkEncoder) encode(session string, chunkIdx, clientSeq uint64, even
 		enc.idx = append(enc.idx, k)
 	}
 	le := binary.LittleEndian
-	b := append(enc.buf[:0], chunk2Magic...)
+	b := append(enc.buf[:0], recMagic...)
 	b = le.AppendUint64(b, chunkIdx)
 	b = le.AppendUint64(b, clientSeq)
 	b = le.AppendUint32(b, uint32(len(session)))
@@ -147,7 +148,7 @@ type chunkCols struct {
 // the accessors below cannot go out of range on any input.
 func parseChunk2(p []byte) (chunkCols, error) {
 	var c chunkCols
-	if len(p) < chunk2MinSize || string(p[:4]) != chunk2Magic {
+	if len(p) < chunk2MinSize || string(p[:4]) != recMagic {
 		return c, fmt.Errorf("%w: bad magic or short header", errChunk2)
 	}
 	le := binary.LittleEndian
@@ -256,34 +257,4 @@ func decodeChunk(rec store.Record) (chunkRecord, error) {
 		return chunkRecord{}, err
 	}
 	return chunkRecord{session: string(c.session), chunkIdx: c.chunkIdx, clientSeq: c.clientSeq, events: c.events()}, nil
-}
-
-// walEvent and walChunk are the gob DTOs of the legacy recChunk (type
-// 2) record. Nothing but decodeLegacyChunk uses them.
-type walEvent struct {
-	Src     string
-	T, X, Y float64
-}
-
-type walChunk struct {
-	Session   string
-	ChunkIdx  uint64
-	ClientSeq uint64
-	Events    []walEvent
-}
-
-// decodeLegacyChunk decodes a recChunk (type 2) payload.
-func decodeLegacyChunk(payload []byte) (chunkRecord, error) {
-	var c walChunk
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
-		return chunkRecord{}, err
-	}
-	events := make([]Event, len(c.Events))
-	for i, e := range c.Events {
-		events[i] = Event{
-			Time:  e.T,
-			Value: Sample{Src: e.Src, Pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
-		}
-	}
-	return chunkRecord{session: c.Session, chunkIdx: c.ChunkIdx, clientSeq: c.ClientSeq, events: events}, nil
 }

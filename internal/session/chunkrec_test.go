@@ -32,9 +32,9 @@ func hostileChunk() []Event {
 }
 
 func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
-	enc := getChunkEncoder()
+	enc := getRecEncoder()
 	defer enc.release()
-	return append([]byte(nil), enc.encode(session, chunkIdx, clientSeq, events)...)
+	return append([]byte(nil), enc.chunk(session, chunkIdx, clientSeq, events)...)
 }
 
 // manySources is a chunk over n distinct sources, to cross the source
@@ -90,11 +90,11 @@ func TestChunk2EncodeReusesBuffers(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		events = append(events, events[i%16])
 	}
-	enc := getChunkEncoder()
+	enc := getRecEncoder()
 	defer enc.release()
-	first := append([]byte(nil), enc.encode("st-000001", 1, 0, events)...)
+	first := append([]byte(nil), enc.chunk("st-000001", 1, 0, events)...)
 	allocs := testing.AllocsPerRun(50, func() {
-		if !bytes.Equal(enc.encode("st-000001", 1, 0, events), first) {
+		if !bytes.Equal(enc.chunk("st-000001", 1, 0, events), first) {
 			t.Fatal("the same chunk encoded differently")
 		}
 	})
@@ -117,7 +117,7 @@ func TestChunk2EncodeReusesBuffers(t *testing.T) {
 func FuzzDecodeChunk2(f *testing.F) {
 	good := encodeChunk2("st-000001", 3, 4, hostileChunk())
 	f.Add([]byte{})
-	f.Add([]byte(chunk2Magic))
+	f.Add([]byte(recMagic))
 	f.Add(encodeChunk2("", 0, 0, nil))
 	f.Add(good)
 	f.Add(good[:len(good)-1])

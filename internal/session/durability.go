@@ -12,15 +12,18 @@ package session
 // re-emits and discards what was already delivered.
 //
 // WAL record types (the WAL is an internal file format versioned with
-// the binary; payloads are gob except the chunk record, whose layout
-// is in chunkrec.go):
+// the binary). Every record written is an SQC payload — the chunk's
+// layout is in chunkrec.go, the others' in sessionrec.go — appended
+// straight from live state into a pooled buffer:
 //
-//	recSessionOpen   a session was created
-//	recChunk         legacy gob chunk; read, never written
-//	recDrain         a results drain was delivered (replay discards)
-//	recSessionClose  the session was closed or evicted
-//	recSnapshot      full session state; supersedes earlier records
-//	recChunk2        one accepted ingest chunk, in apply order
+//	recChunk2         one accepted ingest chunk, in apply order
+//	recSessionOpen2   a session was created
+//	recDrain2         a results drain was delivered (replay discards)
+//	recSessionClose2  the session was closed or evicted
+//	recSnapshot2      full session state; supersedes earlier records
+//
+// Types 1–5 are the gob records of earlier builds: read, never written
+// (legacy.go).
 //
 // Per-session records are appended while holding the session mutex,
 // so per-session WAL order is exactly apply order — replay is a pure
@@ -28,27 +31,27 @@ package session
 // chunk records through a time-keyed chunk-extent index.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 	"time"
 
 	"sidq/internal/obs"
 	"sidq/internal/store"
 	"sidq/internal/stream"
-	"sidq/internal/trajectory"
 	"sidq/internal/uncertain"
 )
 
-// WAL record types.
+// WAL record types. 1–5 are legacy gob, never written.
 const (
-	recSessionOpen  byte = 1
-	recChunk        byte = 2
-	recDrain        byte = 3
-	recSessionClose byte = 4
-	recSnapshot     byte = 5
-	recChunk2       byte = 6
+	recSessionOpen   byte = 1
+	recChunk         byte = 2
+	recDrain         byte = 3
+	recSessionClose  byte = 4
+	recSnapshot      byte = 5
+	recChunk2        byte = 6
+	recSessionOpen2  byte = 7
+	recDrain2        byte = 8
+	recSessionClose2 byte = 9
+	recSnapshot2     byte = 10
 )
 
 // DurabilityConfig enables the durable trajectory store. Zero Dir
@@ -85,69 +88,14 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	return c
 }
 
-// WAL payload DTOs. Exported fields only — gob.
-type walOpen struct {
-	Session  string
-	Lateness float64
-	MaxSpeed float64
-	Lanes    int
-}
-
-type walDrain struct {
-	Session string
-	Flush   bool
-}
-
-type walClose struct {
-	Session string
-	Evicted bool
-}
-
-type walSource struct {
-	Src     string
-	Re      stream.ReordererState[trajectory.Point]
-	HasLast bool
-	Last    trajectory.Point
-	Matcher *uncertain.MatcherState // nil when the source has no matcher
-}
-
-type walSnapshot struct {
-	Session   string
-	Lateness  float64
-	MaxSpeed  float64
-	Lanes     int
-	ChunkIdx  uint64
-	ClientSeq uint64
-	SrcIDs    []string
-	Results   []streamResult
-	Ingested  int
-	Emitted   int
-	Late      int
-	Outliers  int
-	Sources   []walSource
-}
-
-func decodeRec(payload []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
-}
-
-// recBufs holds the buffers gob records are encoded into; Append copies
-// the payload, so a buffer goes straight back.
-var recBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// persist appends one typed record; failures are wrapped in
-// ErrDurability. A fresh gob.Encoder per record makes each carry its own
-// type description and decode alone.
-func (e *Engine) persist(typ byte, v interface{}) (uint64, error) {
-	buf := recBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return 0, fmt.Errorf("%w: encode: %v", ErrDurability, err)
-	}
-	seq, err := e.appendRec(typ, buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		recBufs.Put(buf)
-	}
+// persist appends one record, which fill renders by appending to the
+// pooled buffer it is handed; Append copies the payload, so the buffer
+// goes straight back.
+func (e *Engine) persist(typ byte, fill func(b []byte) []byte) (uint64, error) {
+	enc := getRecEncoder()
+	enc.buf = fill(enc.buf[:0])
+	seq, err := e.appendRec(typ, enc.buf)
+	enc.release()
 	return seq, err
 }
 
@@ -164,8 +112,8 @@ func (e *Engine) appendRec(typ byte, payload []byte) (uint64, error) {
 // persistChunkLocked writes the chunk record and indexes its extent
 // for history queries. Caller holds ss.mu.
 func (ss *streamSession) persistChunkLocked(events []Event, clientSeq uint64) error {
-	enc := getChunkEncoder()
-	seq, err := ss.e.appendRec(recChunk2, enc.encode(ss.id, ss.chunkIdx+1, clientSeq, events))
+	enc := getRecEncoder()
+	seq, err := ss.e.appendRec(recChunk2, enc.chunk(ss.id, ss.chunkIdx+1, clientSeq, events))
 	enc.release()
 	if err != nil {
 		return err
@@ -174,48 +122,13 @@ func (ss *streamSession) persistChunkLocked(events []Event, clientSeq uint64) er
 	return nil
 }
 
-// snapshotStateLocked captures the session's complete processing
-// state. SrcIDs and Results alias the session's own slices: encode the
-// snapshot before releasing ss.mu. Caller holds ss.mu.
-func (ss *streamSession) snapshotStateLocked() walSnapshot {
-	snap := walSnapshot{
-		Session:   ss.id,
-		Lateness:  ss.lateness,
-		MaxSpeed:  ss.maxSpeed,
-		Lanes:     len(ss.lanes),
-		ChunkIdx:  ss.chunkIdx,
-		ClientSeq: ss.clientSeq,
-		SrcIDs:    ss.srcIDs,
-		Results:   ss.results,
-		Ingested:  ss.ingested,
-		Emitted:   ss.emitted,
-		Late:      ss.late,
-		Outliers:  ss.outliers,
-	}
-	// Sources in first-appearance order keeps snapshot bytes stable for
-	// identical histories.
-	for _, src := range ss.srcIDs {
-		st := ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src]
-		if st == nil {
-			continue
-		}
-		ws := walSource{Src: src, Re: st.re.State(), HasLast: st.hasLast, Last: st.last}
-		if st.matcher != nil {
-			ms := st.matcher.State()
-			ws.Matcher = &ms
-		}
-		snap.Sources = append(snap.Sources, ws)
-	}
-	return snap
-}
-
 // snapshotLocked checkpoints the session into the WAL. A failure is
 // logged, not returned: the records the snapshot would summarize are
 // already durable, so the session stays correct — only recovery gets
 // slower (and the poisoned log fails the next ingest anyway).
 func (ss *streamSession) snapshotLocked() {
 	e := ss.e
-	seq, err := e.persist(recSnapshot, ss.snapshotStateLocked())
+	seq, err := e.persist(recSnapshot2, ss.appendSnapshotLocked)
 	if err != nil {
 		e.cfg.Logf("stream session %s: snapshot failed: %v", ss.id, err)
 		return
@@ -230,7 +143,7 @@ func (ss *streamSession) snapshotLocked() {
 // is going away regardless — a replay resurrecting it only costs the
 // idle janitor one eviction).
 func (ss *streamSession) persistCloseLocked(evicted bool) {
-	if _, err := ss.e.persist(recSessionClose, walClose{Session: ss.id, Evicted: evicted}); err != nil {
+	if _, err := ss.e.persist(recSessionClose2, func(b []byte) []byte { return appendFlagRec(b, ss.id, evicted) }); err != nil {
 		ss.e.cfg.Logf("stream session %s: close record failed: %v", ss.id, err)
 	}
 }
@@ -284,9 +197,9 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 	err := l.Replay(func(r store.Record) error {
 		records++
 		switch r.Type {
-		case recSessionOpen:
-			var o walOpen
-			if err := decodeRec(r.Payload, &o); err != nil {
+		case recSessionOpen, recSessionOpen2:
+			o, err := decodeOpen(r)
+			if err != nil {
 				return fmt.Errorf("record %d (open): %w", r.Seq, err)
 			}
 			if _, ok := e.sessions[o.Session]; !ok {
@@ -305,9 +218,9 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 			if ss, ok := e.sessions[c.session]; ok {
 				ss.replayChunk(c)
 			}
-		case recDrain:
-			var d walDrain
-			if err := decodeRec(r.Payload, &d); err != nil {
+		case recDrain, recDrain2:
+			d, err := decodeDrain(r)
+			if err != nil {
 				return fmt.Errorf("record %d (drain): %w", r.Seq, err)
 			}
 			if ss, ok := e.sessions[d.Session]; ok {
@@ -317,18 +230,18 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 				ss.drainLocked(d.Flush)
 				ss.mu.Unlock()
 			}
-		case recSessionClose:
-			var c walClose
-			if err := decodeRec(r.Payload, &c); err != nil {
+		case recSessionClose, recSessionClose2:
+			c, err := decodeClose(r)
+			if err != nil {
 				return fmt.Errorf("record %d (close): %w", r.Seq, err)
 			}
 			if ss, ok := e.sessions[c.Session]; ok {
 				ss.closed = true
 				e.unlink(ss)
 			}
-		case recSnapshot:
-			var snap walSnapshot
-			if err := decodeRec(r.Payload, &snap); err != nil {
+		case recSnapshot, recSnapshot2:
+			snap, err := decodeSnapshot(r)
+			if err != nil {
 				return fmt.Errorf("record %d (snapshot): %w", r.Seq, err)
 			}
 			e.restoreSnapshot(snap, start, r.Seq)
@@ -367,7 +280,7 @@ func (e *Engine) restore(ss *streamSession) {
 // into it and replayChunk skips them.
 func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) {
 	ss := e.newSession(snap.Session, snap.Lateness, snap.MaxSpeed, snap.Lanes, now)
-	ss.results = append([]streamResult(nil), snap.Results...)
+	ss.results = append([]Result(nil), snap.Results...)
 	ss.ingested, ss.emitted, ss.late, ss.outliers = snap.Ingested, snap.Emitted, snap.Late, snap.Outliers
 	ss.chunkIdx, ss.clientSeq, ss.snapSeq = snap.ChunkIdx, snap.ClientSeq, seq
 	if prior, existed := e.sessions[snap.Session]; existed {

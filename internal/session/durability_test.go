@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sidq/internal/faults"
+	"sidq/internal/roadnet"
 	"sidq/internal/server"
 	"sidq/internal/store"
 )
@@ -334,6 +335,82 @@ func TestNegativeZeroSurvivesRestart(t *testing.T) {
 	}
 	if got, _ := drainStream(t, srv2, id, "flush=1"); got != want {
 		t.Errorf("drain after restart:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestSnapshotRestoreIsBitExact: a session restored from a snapshot
+// record drains what the uninterrupted session drains, byte for byte.
+// TestNegativeZeroSurvivesRestart covers chunk replay; here a snapshot
+// follows every chunk, so the crashed session comes back from its
+// snapshot alone. The gob snapshot omitted zero values: a -0 came back
+// +0, in a released row and in a reorder buffer alike, and a matched
+// row on edge 0 came back with no edge.
+func TestSnapshotRestoreIsBitExact(t *testing.T) {
+	// A vehicle driving east along the city's edge 0, the street from
+	// (0, 0) to (100, 0), a few meters either side of it.
+	var east strings.Builder
+	for i := 0; i < 12; i++ {
+		east.WriteString(chunkRow("veh", float64(i), float64(4+8*i), float64(3-6*(i%2))))
+	}
+	city := roadnet.GridCity(roadnet.GridCityOptions{NX: 3, NY: 3, Spacing: 100, Seed: 1})
+	for _, c := range []struct {
+		name, open, chunk string
+		network           *roadnet.Graph
+		bites             string // in the control's drain, or the case tests nothing
+	}{
+		// probe's t=10 row stays buffered, other's t=3 row too (each
+		// source has its own watermark); probe's t=1 and t=2 rows are
+		// released and left undrained.
+		{"raw", "lateness=5&lanes=2", "probe,1,-0,5\nprobe,2,0,-0\nother,3,-0,-0\nprobe,10,-0,-0\n", nil, `"x":-0,"y":-0`},
+		{"matched", "lateness=1&maxspeed=0&lanes=2", east.String(), city, `"edge":0}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := func(fs store.FS) server.Config {
+				cfg := server.Config{Logger: server.DiscardLogger(), Stream: server.StreamConfig{Network: c.network}}
+				if fs != nil {
+					cfg.Durability = server.DurabilityConfig{Dir: "wal", Fsync: store.FsyncAlways, SnapshotEvery: 1, FS: fs}
+				}
+				return cfg
+			}
+			ctrl := httptest.NewServer(server.NewService(cfg(nil)))
+			id := openStream(t, ctrl, c.open)
+			if _, resp := ingestChunkSeq(t, ctrl, id, 1, c.chunk); resp.StatusCode != http.StatusOK {
+				t.Fatalf("control ingest status %d", resp.StatusCode)
+			}
+			want, _ := drainStream(t, ctrl, id, "flush=1")
+			ctrl.Close()
+			if !strings.Contains(want, c.bites) {
+				t.Fatalf("the uninterrupted drain has no %s:\n%s", c.bites, want)
+			}
+
+			fs := faults.NewCrashFS()
+			svc, err := server.OpenService(cfg(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(svc)
+			if id2 := openStream(t, srv, c.open); id2 != id {
+				t.Fatalf("durable session is %s, the control's %s", id2, id)
+			}
+			if _, resp := ingestChunkSeq(t, srv, id, 1, c.chunk); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status %d", resp.StatusCode)
+			}
+			srv.Close() // kill -9: no drain, no close
+
+			svc2, err := server.OpenService(cfg(fs.Crash(0, false)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc2.Close()
+			if n := svc2.Metrics().Counter("sidq_stream_snapshot_restores_total").Value(); n != 1 {
+				t.Fatalf("%d sessions restored from a snapshot, want 1", n)
+			}
+			srv2 := httptest.NewServer(svc2)
+			defer srv2.Close()
+			if got, _ := drainStream(t, srv2, id, "flush=1"); got != want {
+				t.Errorf("drain after a restore from the snapshot:\n%swant (uninterrupted):\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -285,8 +285,8 @@ func (e *Engine) OpenSession(lateness, maxSpeed float64, lanes int, now time.Tim
 	e.mu.Unlock()
 	e.m.open.Inc()
 	if e.wal != nil {
-		seq, err := e.persist(recSessionOpen, walOpen{
-			Session: ss.id, Lateness: lateness, MaxSpeed: maxSpeed, Lanes: lanes,
+		seq, err := e.persist(recSessionOpen2, func(b []byte) []byte {
+			return appendOpen(b, ss.id, lateness, maxSpeed, lanes)
 		})
 		if err != nil {
 			e.unlink(ss)

@@ -7,7 +7,6 @@ package session
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -170,33 +169,28 @@ func TestRetentionAgeFloorIsAFunctionOfNow(t *testing.T) {
 	}
 }
 
-// TestSnapshotHammerMatchesCopyingReference: the snapshot record
-// aliases the session's slices and is encoded into a pooled buffer. Its
-// bytes must be those of explicit copies encoded into a fresh one, at
-// every point of a fixed history — nil and empty Results included —
-// while other sessions' snapshots go through the same buffer pool.
+// TestSnapshotHammerMatchesCopyingReference: the snapshot record is
+// appended straight from the live session into a pooled buffer. Its
+// bytes must be those of an explicit deep copy of the session encoded
+// into a fresh one, at every point of a fixed history — nil and empty
+// Results included — while other sessions' records go through the same
+// buffer pool.
 func TestSnapshotHammerMatchesCopyingReference(t *testing.T) {
 	e := openDurable(t, DurabilityConfig{Fsync: store.FsyncBatch, SnapshotEvery: 1 << 30})
 	check := func(ss *streamSession, when string) {
 		t.Helper()
 		ss.mu.Lock()
 		defer ss.mu.Unlock()
-		ref := ss.snapshotStateLocked()
-		ref.SrcIDs = append([]string(nil), ref.SrcIDs...)
-		ref.Results = append([]streamResult(nil), ref.Results...)
-		var want bytes.Buffer
-		if err := gob.NewEncoder(&want).Encode(ref); err != nil {
-			t.Fatal(err)
-		}
+		want := deepCopyLocked(ss).appendSnapshotLocked(nil)
 		ss.snapshotLocked()
 		var got []byte
 		err := e.wal.ReadSeqs([]uint64{ss.snapSeq}, func(r store.Record) error {
 			got = append(got, r.Payload...)
 			return nil
 		})
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
+		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s: snapshot record is %d bytes (err %v), the copying reference %d; they must be identical",
-				when, len(got), err, want.Len())
+				when, len(got), err, len(want))
 		}
 	}
 	history := func(prefix string) {
@@ -221,7 +215,7 @@ func TestSnapshotHammerMatchesCopyingReference(t *testing.T) {
 		}
 		check(ss, "drained (nil Results)")
 		ss.mu.Lock()
-		ss.results = make([]streamResult, 0, 8) // as a pooled slab no chunk has filled yet
+		ss.results = make([]Result, 0, 8) // as a pooled slab no chunk has filled yet
 		ss.mu.Unlock()
 		check(ss, "empty, non-nil Results")
 		ingest(4)

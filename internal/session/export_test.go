@@ -5,11 +5,18 @@ package session
 // write a legacy log and to count records by type.
 
 const (
-	RecSessionOpen = recSessionOpen
-	RecChunk       = recChunk
-	RecSnapshot    = recSnapshot
-	RecChunk2      = recChunk2
+	RecSessionOpen   = recSessionOpen
+	RecChunk         = recChunk
+	RecChunk2        = recChunk2
+	RecSessionOpen2  = recSessionOpen2
+	RecDrain2        = recDrain2
+	RecSessionClose2 = recSessionClose2
+	RecSnapshot2     = recSnapshot2
 )
+
+// LegacyRecord reports whether typ is one of the gob record types this
+// build reads and never writes.
+func LegacyRecord(typ byte) bool { return typ >= recSessionOpen && typ <= recSnapshot }
 
 type (
 	WalOpen  = walOpen

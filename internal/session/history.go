@@ -152,7 +152,7 @@ func (e *Engine) History(rect geo.Rect, minT, maxT float64) History {
 // returns), and reports how many rows that was. A legacy (type 2) chunk
 // is transcoded first, so there is one filter, over columns.
 func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned int, err error) {
-	var enc *chunkEncoder
+	var enc *recEncoder
 	filtered := 0
 	defer func() {
 		if enc != nil {
@@ -172,9 +172,9 @@ func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned in
 				return err
 			}
 			if enc == nil {
-				enc = getChunkEncoder()
+				enc = getRecEncoder()
 			}
-			payload = enc.encode(c.session, c.chunkIdx, c.clientSeq, c.events)
+			payload = enc.chunk(c.session, c.chunkIdx, c.clientSeq, c.events)
 		default:
 			return nil
 		}

@@ -119,7 +119,7 @@ func TestDurableRetentionBoundsDiskAndPreservesWindow(t *testing.T) {
 	// total to half the control for a client that collects its results.
 	var checkpoints int64
 	walRecords(t, fs, "wal", func(r store.Record) {
-		if r.Type == session.RecSnapshot {
+		if r.Type == session.RecSnapshot2 {
 			checkpoints += int64(len(r.Payload))
 		}
 	})

@@ -52,20 +52,15 @@ func (l *streamLane) pending() int {
 	return n
 }
 
-// streamResult is one cleaned output point. Edge is set only when a
-// road network is loaded and the point was matched. The type keeps its
-// unexported name because gob writes it into every snapshot record;
-// Result is how other packages say it.
-type streamResult struct {
+// Result is one cleaned output point, as Drain returns them. Edge is set
+// only when a road network is loaded and the point was matched.
+type Result struct {
 	Source string  `json:"source"`
 	T      float64 `json:"t"`
 	X      float64 `json:"x"`
 	Y      float64 `json:"y"`
 	Edge   *int    `json:"edge,omitempty"`
 }
-
-// Result is one cleaned output point, as Drain returns them.
-type Result = streamResult
 
 // streamSession is one client's stream state between calls.
 type streamSession struct {
@@ -80,7 +75,7 @@ type streamSession struct {
 	laneEvents [][]Event      // fan-out scratch, kept across chunks
 	srcOrder   map[string]int // source id -> first-appearance rank
 	srcIDs     []string       // source ids in first-appearance order
-	results    []streamResult // cleaned, undrained
+	results    []Result       // cleaned, undrained
 	lastActive time.Time
 
 	ingested, emitted, late, outliers int
@@ -136,10 +131,10 @@ func (ss *streamSession) sourceFor(l *streamLane, src string) *sourceState {
 
 // emitMatched appends the points a matcher committed as result rows:
 // the snapped position and the matched edge.
-func emitMatched(res []streamResult, src string, matched []uncertain.Matched) []streamResult {
+func emitMatched(res []Result, src string, matched []uncertain.Matched) []Result {
 	for _, m := range matched {
 		e := int(m.Snap.Edge)
-		res = append(res, streamResult{Source: src, T: m.Point.T, X: m.Snap.Pos.X, Y: m.Snap.Pos.Y, Edge: &e})
+		res = append(res, Result{Source: src, T: m.Point.T, X: m.Snap.Pos.X, Y: m.Snap.Pos.Y, Edge: &e})
 	}
 	return res
 }
@@ -159,7 +154,7 @@ func (ss *streamSession) clean(st *sourceState, src string, pt trajectory.Point)
 		ss.results = emitMatched(ss.results, src, st.matcher.Push(pt))
 		return false
 	}
-	ss.results = append(ss.results, streamResult{Source: src, T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
+	ss.results = append(ss.results, Result{Source: src, T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
 	return false
 }
 
@@ -309,7 +304,7 @@ func (ss *streamSession) drain(flush bool, now time.Time) ([]Result, []string, e
 	// runs: replay re-runs it and discards the output, and the rows
 	// this call delivers are never delivered again after a crash.
 	if ss.e.wal != nil && (flush || len(ss.results) > 0) {
-		if _, err := ss.e.persist(recDrain, walDrain{Session: ss.id, Flush: flush}); err != nil {
+		if _, err := ss.e.persist(recDrain2, func(b []byte) []byte { return appendFlagRec(b, ss.id, flush) }); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -319,7 +314,7 @@ func (ss *streamSession) drain(flush bool, now time.Time) ([]Result, []string, e
 
 // drainLocked is the drain state transition, shared by the live path
 // and WAL replay. Caller holds ss.mu.
-func (ss *streamSession) drainLocked(flush bool) ([]streamResult, []string) {
+func (ss *streamSession) drainLocked(flush bool) ([]Result, []string) {
 	if flush {
 		emittedBefore := len(ss.results)
 		outliers := 0

@@ -2,7 +2,9 @@ package session_test
 
 // On-disk format pins. testdata/wal_v1 was written by the last commit
 // whose chunk records were gob (WAL type 2); testdata/wal_v2 by the
-// first whose chunk records are the columnar type 6. Both came out of
+// first whose chunk records are the columnar type 6, its other records
+// still gob (types 1, 3, 4 and 5); testdata/wal_v3 by the first whose
+// every record is an SQC layout (types 6–10). All came out of
 // writeWALFixture below, fed the same traffic, so they must answer
 // identically — and keep doing so after every later format change:
 // a data directory in the field is exactly one of these.
@@ -189,9 +191,9 @@ func ndjsonOfChunk(t *testing.T, chunk string) string {
 	return b.String()
 }
 
-// chunkTypeCounts replays a copy of the log in dir and counts chunk
+// recordTypeCounts replays a copy of the log in dir and counts its
 // records by record type.
-func chunkTypeCounts(t *testing.T, dir string) map[byte]int {
+func recordTypeCounts(t *testing.T, dir string) map[byte]int {
 	t.Helper()
 	scratch := filepath.Join(t.TempDir(), "data")
 	copyDir(t, dir, scratch)
@@ -202,9 +204,7 @@ func chunkTypeCounts(t *testing.T, dir string) map[byte]int {
 	defer l.Close()
 	counts := map[byte]int{}
 	err = l.Replay(func(r store.Record) error {
-		if r.Type == session.RecChunk || r.Type == session.RecChunk2 {
-			counts[r.Type]++
-		}
+		counts[r.Type]++
 		return nil
 	})
 	if err != nil {
@@ -215,12 +215,21 @@ func chunkTypeCounts(t *testing.T, dir string) map[byte]int {
 
 // TestWALFixtures opens a copy of each committed data directory and
 // holds it to the answers recorded when it was written, then keeps
-// using it: new chunks land behind the old ones, whatever format those
-// are in, and a restart serves both in seq order.
+// using it: new records land behind the old ones, whatever format those
+// are in, a restart serves both in seq order, and what this build added
+// is SQC records only — the gob types are read, never written.
 func TestWALFixtures(t *testing.T) {
-	for name, legacyChunks := range map[string]int{"wal_v1": 2 * fixtureChunks, "wal_v2": 0} {
+	for name, legacyChunks := range map[string]int{"wal_v1": 2 * fixtureChunks, "wal_v2": 0, "wal_v3": 0} {
 		t.Run(name, func(t *testing.T) {
 			fixture := filepath.Join("testdata", name)
+			committed := recordTypeCounts(t, filepath.Join(fixture, "data"))
+			if name == "wal_v3" {
+				for typ, n := range committed {
+					if session.LegacyRecord(typ) {
+						t.Errorf("the SQC fixture holds %d records of gob type %d", n, typ)
+					}
+				}
+			}
 			dir := filepath.Join(t.TempDir(), "data")
 			copyDir(t, filepath.Join(fixture, "data"), dir)
 			ndjson, csv, drain, chunks := fixtureAnswers(t, dir)
@@ -237,7 +246,8 @@ func TestWALFixtures(t *testing.T) {
 			}
 
 			// Keep using the directory: the open session takes two more
-			// chunks, which this build writes as type 6.
+			// chunks, which this build writes as type 6, and a new session
+			// opens and closes.
 			svc, err := server.OpenService(fixtureConfig(dir))
 			if err != nil {
 				t.Fatal(err)
@@ -255,6 +265,7 @@ func TestWALFixtures(t *testing.T) {
 				}
 				want += ndjsonOfChunk(t, chunk)
 			}
+			closeStream(t, srv, openStream(t, srv, ""))
 			srv.Close()
 			svc.Close()
 
@@ -268,9 +279,28 @@ func TestWALFixtures(t *testing.T) {
 			if got, _, _ := historyGet(t, srv, ""); got != want {
 				t.Errorf("history after ingest and restart is not the old rows followed by the new:\nwant:\n%s\ngot:\n%s", want, got)
 			}
-			counts := chunkTypeCounts(t, dir)
+			counts := recordTypeCounts(t, dir)
 			if counts[session.RecChunk] != legacyChunks || counts[session.RecChunk2] != 2*fixtureChunks+2-legacyChunks {
 				t.Errorf("chunk records by type: %v, want %d legacy of %d", counts, legacyChunks, 2*fixtureChunks+2)
+			}
+			// The reopened directory gained a drain (the flush above), a
+			// snapshot at each graceful close, an open and a close — each
+			// in its SQC type, none in a gob one.
+			gained := map[byte]int{}
+			for typ, n := range counts {
+				if d := n - committed[typ]; d != 0 {
+					gained[typ] = d
+				}
+			}
+			for typ, n := range gained {
+				if n < 0 || session.LegacyRecord(typ) {
+					t.Errorf("the reopened log gained %d records of type %d (all gained: %v)", n, typ, gained)
+				}
+			}
+			for _, typ := range []byte{session.RecSessionOpen2, session.RecDrain2, session.RecSessionClose2, session.RecSnapshot2} {
+				if gained[typ] == 0 {
+					t.Errorf("the reopened log gained no record of type %d (all gained: %v)", typ, gained)
+				}
 			}
 		})
 	}

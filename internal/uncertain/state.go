@@ -11,9 +11,11 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// MatcherState is a serializable snapshot of an OnlineMatcher's
-// lattice. Graph, snapper, options, and lag are reconstruction inputs,
-// not part of the state: they come from the session's configuration.
+// MatcherState is an OnlineMatcher's lattice: one column per pending
+// point, and in column i the candidates, their log-probabilities and
+// their back-pointers into column i-1, index for index. Graph, snapper,
+// options, and lag are reconstruction inputs, not part of the state:
+// they come from the session's configuration.
 type MatcherState struct {
 	Pts   []trajectory.Point
 	Cands [][]roadnet.Snap
@@ -21,29 +23,17 @@ type MatcherState struct {
 	Back  [][]int
 }
 
-// State deep-copies the pending lattice.
+// State returns the pending lattice without copying it: the slices are
+// the matcher's own, valid until the next Push or Flush, and are only
+// to be read.
 func (m *OnlineMatcher) State() MatcherState {
-	st := MatcherState{
-		Pts:   append([]trajectory.Point(nil), m.pts...),
-		Cands: make([][]roadnet.Snap, len(m.cands)),
-		Logp:  make([][]float64, len(m.logp)),
-		Back:  make([][]int, len(m.back)),
-	}
-	for i := range m.cands {
-		st.Cands[i] = append([]roadnet.Snap(nil), m.cands[i]...)
-	}
-	for i := range m.logp {
-		st.Logp[i] = append([]float64(nil), m.logp[i]...)
-	}
-	for i := range m.back {
-		st.Back[i] = append([]int(nil), m.back[i]...)
-	}
-	return st
+	return MatcherState{Pts: m.pts, Cands: m.cands, Logp: m.logp, Back: m.back}
 }
 
 // NewOnlineMatcherFromState rebuilds a matcher whose future Push and
 // Flush outputs are identical to the matcher State was called on,
-// given the same configuration it was built with.
+// given the same configuration it was built with. The lattice is
+// copied; st keeps no hold on it.
 func NewOnlineMatcherFromState(g *roadnet.Graph, snapper *roadnet.Snapper, opt MatchOptions, lag int, st MatcherState) *OnlineMatcher {
 	m := NewOnlineMatcher(g, snapper, opt, lag)
 	m.pts = append([]trajectory.Point(nil), st.Pts...)

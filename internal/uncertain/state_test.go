@@ -1,8 +1,6 @@
 package uncertain
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"sidq/internal/roadnet"
@@ -10,9 +8,9 @@ import (
 )
 
 // TestOnlineMatcherStateRoundTrip: snapshot a matcher mid-stream,
-// restore (through gob, as the server's WAL does), feed the identical
-// suffix to both — every future commit must match exactly. This is the
-// equivalence the crash-recovery acceptance test builds on.
+// restore, feed the identical suffix to both — every future commit must
+// match exactly. This is the equivalence the crash-recovery acceptance
+// test builds on.
 func TestOnlineMatcherStateRoundTrip(t *testing.T) {
 	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 8, NY: 8, Spacing: 110, Jitter: 6, Seed: 11})
 	snapper := roadnet.NewSnapper(g, 100)
@@ -26,15 +24,7 @@ func TestOnlineMatcherStateRoundTrip(t *testing.T) {
 		for _, p := range noisy.Points[:cut] {
 			orig.Push(p)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(orig.State()); err != nil {
-			t.Fatalf("cut %d: encode: %v", cut, err)
-		}
-		var st MatcherState
-		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-			t.Fatalf("cut %d: decode: %v", cut, err)
-		}
-		restored := NewOnlineMatcherFromState(g, snapper, opt, lag, st)
+		restored := NewOnlineMatcherFromState(g, snapper, opt, lag, orig.State())
 		if restored.Pending() != orig.Pending() {
 			t.Fatalf("cut %d: pending %d != %d", cut, restored.Pending(), orig.Pending())
 		}
@@ -56,8 +46,9 @@ func TestOnlineMatcherStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOnlineMatcherStateIsolation: mutating the snapshot must not
-// affect the live matcher.
+// TestOnlineMatcherStateIsolation: State is the live lattice, read in
+// place; a matcher restored from it owns a copy, so writes to the state
+// afterwards do not reach it.
 func TestOnlineMatcherStateIsolation(t *testing.T) {
 	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 5, NY: 5, Spacing: 100, Seed: 8})
 	snapper := roadnet.NewSnapper(g, 100)
@@ -67,21 +58,24 @@ func TestOnlineMatcherStateIsolation(t *testing.T) {
 		m.Push(p)
 	}
 	st := m.State()
+	if &st.Logp[0][0] != &m.logp[0][0] || &st.Pts[0] != &m.pts[0] {
+		t.Fatal("State copied the lattice")
+	}
+	restored := NewOnlineMatcherFromState(g, snapper, MatchOptions{}, 4, st)
 	for i := range st.Logp {
 		for j := range st.Logp[i] {
 			st.Logp[i][j] = 1e300
 		}
 	}
 	st.Pts[0].T = -1
-	want := m.State()
-	for i := range want.Logp {
-		for j := range want.Logp[i] {
-			if want.Logp[i][j] == 1e300 {
-				t.Fatal("snapshot aliases the live lattice")
+	for i := range restored.logp {
+		for j := range restored.logp[i] {
+			if restored.logp[i][j] == 1e300 {
+				t.Fatal("the restored matcher aliases the lattice it was built from")
 			}
 		}
 	}
-	if want.Pts[0].T == -1 {
-		t.Fatal("snapshot aliases the live points")
+	if restored.pts[0].T == -1 {
+		t.Fatal("the restored matcher aliases the points it was built from")
 	}
 }

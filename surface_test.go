@@ -660,6 +660,53 @@ func TestSurfaceIsWhatAMainReaches(t *testing.T) {
 	}
 }
 
+// TestGobIsReadOnlyLegacy: the module writes no gob. Every WAL record
+// is an SQC layout, and the gob records older builds wrote are decoded
+// in one file, internal/session/legacy.go — the only non-test file of
+// the root module that may import encoding/gob. (benchmark/ is a module
+// of its own.)
+func TestGobIsReadOnlyLegacy(t *testing.T) {
+	const legacy = "internal/session/legacy.go"
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var importers []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(p string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			_, mod := os.Stat(filepath.Join(p, "go.mod"))
+			if p != root && (mod == nil || e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				rel, _ := filepath.Rel(root, p)
+				importers = append(importers, filepath.ToSlash(rel))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(importers) != 1 || importers[0] != legacy {
+		t.Errorf("non-test files importing encoding/gob: %v; want exactly %s, which only reads the legacy records", importers, legacy)
+	}
+}
+
 // TestEngineShellBoundary holds the seam between the session engine and
 // its HTTP shell (DESIGN.md "Engine and shell"): internal/session reaches
 // neither net/http nor internal/server through any chain of imports,
