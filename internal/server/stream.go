@@ -102,7 +102,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	lateness, err1 := queryFloat(r, "lateness", s.cfg.Stream.Lateness, nonNegative)
 	maxSpeed, err2 := queryFloat(r, "maxspeed", 20, nonNegative)
-	lanes, err3 := queryIntRange(r, "lanes", defaultLanes, 1, 64)
+	lanes, err3 := queryIntRange(r, "lanes", defaultLanes, 1, session.MaxLanes)
 	if err := cmp.Or(err1, err2, err3); err != nil { // the first one wrong, in that order
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -12,6 +12,11 @@ package session
 //	 8  ClientSeq  u64   client-supplied ?seq= (0 = none)
 //	 4  s          u32   session id length
 //	 s  session id
+//	    rows       the block below
+//
+// The rows block is the one the snapshot record carries its results
+// in, and recReader.rows reads it for both:
+//
 //	 4  d          u32   source dictionary entries, in first-appearance order
 //	    d × { u32 length, bytes }
 //	 4  n          u32   rows
@@ -22,17 +27,14 @@ package session
 //	8n  Y
 //
 // Rows keep the order the events arrived in — replay is a pure fold
-// over them — and floats round-trip bit for bit. The payload ends with
-// the Y column; trailing bytes are an error.
+// over them — and floats round-trip bit for bit. The chunk's payload
+// ends with the Y column; trailing bytes are an error.
 //
 // recChunk (type 2, a gob walChunk) was the format before; it is never
 // written, and decodeLegacyChunk (legacy.go) keeps it readable so an
 // existing data directory opens unchanged.
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -44,10 +46,6 @@ import (
 // recMagic opens every record payload this package writes: "SQC" and
 // version 2 (gob, which needed no magic, was the first).
 const recMagic = "SQC\x02"
-
-const chunk2MinSize = 4 + 8 + 8 + 4 + 4 + 4 // a chunk with no session id, sources or rows
-
-var errChunk2 = errors.New("malformed chunk record")
 
 // sourceIndexWidth is the byte width of one source-index cell for a
 // dictionary of d entries.
@@ -97,7 +95,6 @@ func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, events 
 		}
 		enc.idx = append(enc.idx, k)
 	}
-	le := binary.LittleEndian
 	b := append(enc.buf[:0], recMagic...)
 	b = le.AppendUint64(b, chunkIdx)
 	b = le.AppendUint64(b, clientSeq)
@@ -136,97 +133,85 @@ func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, events 
 type chunkCols struct {
 	session             []byte
 	chunkIdx, clientSeq uint64
-	srcs                [][]byte // the source dictionary
-	n                   int      // rows
-	idxW                int      // bytes per source-index cell
-	idx, t, x, y        []byte   // the columns
+	rowCols
 }
 
 // parseChunk2 validates a recChunk2 payload and returns its columns.
-// Every count is checked against the bytes that remain before anything
-// is sized by it, and every source index against the dictionary, so
-// the accessors below cannot go out of range on any input.
 func parseChunk2(p []byte) (chunkCols, error) {
+	r := recReader{p: p}
 	var c chunkCols
-	if len(p) < chunk2MinSize || string(p[:4]) != recMagic {
-		return c, fmt.Errorf("%w: bad magic or short header", errChunk2)
-	}
-	le := binary.LittleEndian
-	c.chunkIdx = le.Uint64(p[4:])
-	c.clientSeq = le.Uint64(p[12:])
-	p = p[20:]
-	// take cuts a u32-length-prefixed field off the front of p.
-	take := func() ([]byte, bool) {
-		if len(p) < 4 {
-			return nil, false
-		}
-		n := le.Uint32(p)
-		if uint64(n) > uint64(len(p)-4) {
-			return nil, false
-		}
-		field := p[4 : 4+int(n)]
-		p = p[4+int(n):]
-		return field, true
-	}
-	var ok bool
-	if c.session, ok = take(); !ok {
-		return c, fmt.Errorf("%w: session id overruns the payload", errChunk2)
-	}
-	if len(p) < 4 {
-		return c, fmt.Errorf("%w: no dictionary", errChunk2)
-	}
-	d := le.Uint32(p)
-	p = p[4:]
-	if uint64(d) > uint64(len(p))/4 { // every entry takes at least its length prefix
-		return c, fmt.Errorf("%w: dictionary of %d entries overruns the payload", errChunk2, d)
-	}
-	if d > 0 {
-		c.srcs = make([][]byte, d)
-	}
-	for i := range c.srcs {
-		if c.srcs[i], ok = take(); !ok {
-			return c, fmt.Errorf("%w: dictionary entry %d overruns the payload", errChunk2, i)
-		}
-	}
-	if len(p) < 4 {
-		return c, fmt.Errorf("%w: no row count", errChunk2)
-	}
-	n := uint64(le.Uint32(p))
-	p = p[4:]
-	c.idxW = sourceIndexWidth(int(d))
-	if n*uint64(c.idxW+24) != uint64(len(p)) {
-		return c, fmt.Errorf("%w: %d rows do not fill the %d column bytes", errChunk2, n, len(p))
-	}
-	c.n = int(n)
-	c.idx, p = p[:c.n*c.idxW], p[c.n*c.idxW:]
-	c.t, c.x, c.y = p[:8*c.n], p[8*c.n:16*c.n], p[16*c.n:]
-	for i := 0; i < c.n; i++ {
-		if c.src(i) >= int(d) {
-			return c, fmt.Errorf("%w: row %d names source %d of %d", errChunk2, i, c.src(i), d)
-		}
+	r.magic()
+	c.chunkIdx, c.clientSeq = r.u64(), r.u64()
+	c.session = r.bytes()
+	c.rowCols = r.rows()
+	if err := r.end(); err != nil {
+		return chunkCols{}, err
 	}
 	return c, nil
 }
 
+// rowCols is the block the chunk and the snapshot record share, read in
+// place: the source dictionary, then n rows as a source-index column
+// and the T, X and Y columns.
+type rowCols struct {
+	srcs         [][]byte // the source dictionary
+	n            int      // rows
+	idxW         int      // bytes per source-index cell
+	idx, t, x, y []byte   // the columns
+}
+
+// rows reads a rowCols block. Every count is checked against the bytes
+// that remain before anything is sized by it, and every source index
+// against the dictionary, so the accessors below cannot go out of range
+// on any input.
+func (r *recReader) rows() rowCols {
+	var c rowCols
+	if d := r.count(4, "dictionary entries"); d > 0 { // every entry takes at least its length prefix
+		c.srcs = make([][]byte, d)
+	}
+	for k := range c.srcs {
+		c.srcs[k] = r.bytes()
+	}
+	c.idxW = sourceIndexWidth(len(c.srcs))
+	c.n = r.count(c.idxW+24, "rows")
+	c.idx, c.t, c.x, c.y = r.take(c.n*c.idxW), r.take(8*c.n), r.take(8*c.n), r.take(8*c.n)
+	if r.err != nil {
+		return rowCols{}
+	}
+	for i := 0; i < c.n; i++ {
+		if k := c.src(i); k >= len(c.srcs) {
+			r.fail("row %d names source %d of %d", i, k, len(c.srcs))
+			return rowCols{}
+		}
+	}
+	return c
+}
+
 // src is row i's index into the source dictionary.
-func (c *chunkCols) src(i int) int {
+func (c *rowCols) src(i int) int {
 	if c.idxW == 1 {
 		return int(c.idx[i])
 	}
-	return int(binary.LittleEndian.Uint32(c.idx[4*i:]))
+	return int(le.Uint32(c.idx[4*i:]))
 }
 
 func colFloat(col []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(col[8*i:]))
+	return math.Float64frombits(le.Uint64(col[8*i:]))
 }
 
-// events rebuilds the chunk's events in their original order. Rows of
-// one source share one string.
-func (c *chunkCols) events() []Event {
+// names copies the source dictionary out as strings.
+func (c *rowCols) names() []string {
 	srcs := make([]string, len(c.srcs))
 	for k, b := range c.srcs {
 		srcs[k] = string(b)
 	}
+	return srcs
+}
+
+// events rebuilds the rows as events in their original order. Rows of
+// one source share one string.
+func (c *rowCols) events() []Event {
+	srcs := c.names()
 	out := make([]Event, c.n)
 	for i := range out {
 		t := colFloat(c.t, i)

@@ -106,6 +106,27 @@ func TestChunk2EncodeReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestParseChunk2Allocs: History.Scan parses every candidate chunk in
+// place, so a parse allocates the dictionary's table of slices and
+// nothing else. The parser before it moved onto recReader made 1
+// allocation for this chunk, and for one of 257 sources.
+func TestParseChunk2Allocs(t *testing.T) {
+	events := manySources(16)
+	for i := 0; i < 240; i++ {
+		events = append(events, events[i%16])
+	}
+	for _, payload := range [][]byte{encodeChunk2("st-000001", 1, 0, events), encodeChunk2("st-000001", 1, 0, manySources(257))} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := parseChunk2(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 && !israce.Enabled {
+			t.Errorf("parsing a chunk allocates %v times, want <= 1", allocs)
+		}
+	}
+}
+
 // FuzzDecodeChunk2 feeds arbitrary payloads to the chunk decoder. A
 // record only reaches it after its CRC verified, so this is the second
 // line — but a decoder that trusts a count is one bad writer away from
@@ -123,7 +144,7 @@ func FuzzDecodeChunk2(f *testing.F) {
 	f.Add(good[:len(good)-1])
 	f.Add(append(append([]byte(nil), good...), 0))
 	f.Add(encodeChunk2("st-000002", 1, 0, manySources(257)))
-	huge := append([]byte(nil), good[:chunk2MinSize+len("st-000001")]...)
+	huge := append([]byte(nil), good[:20+4+len("st-000001")+4]...)
 	copy(huge[20+4+len("st-000001"):], []byte{0xff, 0xff, 0xff, 0xff}) // a dictionary of 4G entries
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, p []byte) {

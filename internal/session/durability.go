@@ -244,7 +244,9 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 			if err != nil {
 				return fmt.Errorf("record %d (snapshot): %w", r.Seq, err)
 			}
-			e.restoreSnapshot(snap, start, r.Seq)
+			if err := e.restoreSnapshot(snap, start, r.Seq); err != nil {
+				return fmt.Errorf("record %d (snapshot): %w", r.Seq, err)
+			}
 		default:
 			return fmt.Errorf("record %d: unknown type %d", r.Seq, r.Type)
 		}
@@ -277,8 +279,10 @@ func (e *Engine) restore(ss *streamSession) {
 
 // restoreSnapshot replaces a session's state wholesale with a
 // checkpoint; chunk records at or before ChunkIdx are already folded
-// into it and replayChunk skips them.
-func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) {
+// into it and replayChunk skips them. It refuses a lattice that names
+// an edge the engine's network does not have: the WAL does not record
+// which network wrote it.
+func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) error {
 	ss := e.newSession(snap.Session, snap.Lateness, snap.MaxSpeed, snap.Lanes, now)
 	ss.results = append([]Result(nil), snap.Results...)
 	ss.ingested, ss.emitted, ss.late, ss.outliers = snap.Ingested, snap.Emitted, snap.Late, snap.Outliers
@@ -290,20 +294,24 @@ func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) {
 		ss.noteSource(src)
 	}
 	for _, ws := range snap.Sources {
-		st := &sourceState{
-			re:      stream.NewReordererFromState(ws.Re),
-			hasLast: ws.HasLast,
-			last:    ws.Last,
-		}
+		st := ss.sourceAt(ss.noteSource(ws.Src))
+		st.re, st.hasLast, st.last, st.matcher = stream.NewReordererFromState(ws.Re), ws.HasLast, ws.Last, nil
 		if ws.Matcher != nil && e.snapper != nil {
+			for _, col := range ws.Matcher.Cands {
+				for _, c := range col {
+					if n := e.cfg.Stream.Network.NumEdges(); c.Edge < 0 || int(c.Edge) >= n {
+						return fmt.Errorf("session %s: its matcher lattice names edge %d, and the network has %d edges", ss.id, c.Edge, n)
+					}
+				}
+			}
 			st.matcher = uncertain.NewOnlineMatcherFromState(
 				e.cfg.Stream.Network, e.snapper, uncertain.MatchOptions{}, matchLag, *ws.Matcher)
 		}
-		ss.lanes[stream.LaneFor(ws.Src, len(ss.lanes))].sources[ws.Src] = st
 	}
 	e.restore(ss)
 	e.m.restored.Inc()
 	e.trace(obs.TraceEvent{Name: ss.id, Kind: obs.KindSessionRestore, N: int(snap.ChunkIdx)})
+	return nil
 }
 
 // replayChunk re-applies one logged chunk. Backpressure is not

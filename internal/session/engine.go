@@ -2,15 +2,16 @@
 // /v1/stream and /v1/history routes: the paper's §2.3 "clean deferred,
 // disordered, noisy SID as it arrives" middleware, without the HTTP.
 //
-// A session is a stateful, bounded stream processor: chunks of
-// (source, t, x, y) events fan out into keyed lanes (a source id always
-// lands in the same lane), each source reorders under the session's
-// bounded-lateness watermark, and released events run through the
-// incremental cleaner — a physical speed gate, plus an online HMM map
-// matcher per source when the engine carries a road network. With a
-// data directory every accepted chunk is persisted before it is
-// acknowledged (durability.go), indexed for range queries (history.go)
-// and aged out under a retention bound (retention.go).
+// A session is a stateful, bounded stream processor over one table of
+// source states, ranked by first appearance. A source's lane — one of
+// the session's 1 to MaxLanes — is a number fixed from its id when its
+// state is created, and a chunk's rows apply lane by lane. Each source
+// reorders under the session's bounded-lateness watermark, and released
+// events run through the incremental cleaner — a physical speed gate,
+// plus an online HMM map matcher per source when the engine carries a
+// road network. With a data directory every accepted chunk is persisted
+// before it is acknowledged (durability.go), indexed for range queries
+// (history.go) and aged out under a retention bound (retention.go).
 //
 // Three rules keep the engine drivable by anything, not only a server:
 // it imports no net/http; time is an argument of every call that needs
@@ -57,6 +58,18 @@ const (
 	snapCell = 100 // snapper grid cell, meters
 	matchLag = 5   // online matcher decision lag, points
 )
+
+// MaxLanes bounds a session's lane count: OpenSession refuses a count
+// outside [1, MaxLanes], and recovery refuses a record that claims one.
+const MaxLanes = 64
+
+// checkLanes refuses a lane count outside [1, MaxLanes].
+func checkLanes(n int) error {
+	if n < 1 || n > MaxLanes {
+		return fmt.Errorf("%d lanes, want 1 to %d", n, MaxLanes)
+	}
+	return nil
+}
 
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.MaxSessions <= 0 {
@@ -272,7 +285,11 @@ func (e *Engine) unlink(ss *streamSession) {
 // OpenSession creates a session and returns its id, or fails with
 // ErrSessionLimit (or ErrDurability: the open record must be durable
 // before the client learns the id its chunk records will reference).
+// lanes must be in [1, MaxLanes].
 func (e *Engine) OpenSession(lateness, maxSpeed float64, lanes int, now time.Time) (string, error) {
+	if err := checkLanes(lanes); err != nil {
+		return "", err
+	}
 	e.mu.Lock()
 	if len(e.sessions) >= e.cfg.Stream.MaxSessions {
 		e.mu.Unlock()

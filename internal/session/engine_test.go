@@ -231,3 +231,28 @@ func TestSnapshotHammerMatchesCopyingReference(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOpenSessionRefusesLaneCount: a lane count outside [1, MaxLanes]
+// is refused where it enters the engine. Zero lanes used to be taken,
+// and the session's first chunk then panicked indexing a lane of none.
+func TestOpenSessionRefusesLaneCount(t *testing.T) {
+	e := New(Config{})
+	now := time.Now()
+	for _, lanes := range []int{0, -1, MaxLanes + 1} {
+		if id, err := e.OpenSession(5, 20, lanes, now); err == nil {
+			t.Errorf("OpenSession with %d lanes opened %s", lanes, id)
+		}
+	}
+	if n := e.Sessions(); n != 0 {
+		t.Errorf("%d sessions open after refused opens", n)
+	}
+	for _, lanes := range []int{1, MaxLanes} {
+		id, err := e.OpenSession(5, 20, lanes, now)
+		if err != nil {
+			t.Fatalf("OpenSession with %d lanes: %v", lanes, err)
+		}
+		if _, err := e.Ingest(id, gridEvents("v", 0, 3, 4), 0, now); err != nil {
+			t.Fatalf("%d lanes: %v", lanes, err)
+		}
+	}
+}

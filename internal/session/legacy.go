@@ -20,6 +20,7 @@ package session
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 
 	"sidq/internal/geo"
 	"sidq/internal/trajectory"
@@ -28,6 +29,18 @@ import (
 // decodeGob decodes one legacy record payload into v.
 func decodeGob(payload []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+}
+
+// decodeLegacy decodes an open or snapshot payload into v, whose lane
+// count is *lanes, and refuses the count the SQC reader would.
+func decodeLegacy(payload []byte, v any, lanes *int) error {
+	if err := decodeGob(payload, v); err != nil {
+		return err
+	}
+	if err := checkLanes(*lanes); err != nil {
+		return fmt.Errorf("%w: %v", errRecord, err)
+	}
+	return nil
 }
 
 // walEvent and walChunk are the gob DTOs of the legacy recChunk (type

@@ -23,33 +23,18 @@ type Sample struct {
 type Event = stream.Event[Sample]
 
 // sourceState is the per-source incremental cleaning state. A source
-// lives in exactly one lane (LaneFor of its id). The reorderer — and
-// therefore the lateness watermark — is per source, not per lane:
-// sources sharing a lane may sit at wildly different event times (one
-// client replaying history while another streams live), and a shared
-// watermark would let the fastest source drop every other source's
-// rows as late.
+// lives in exactly one lane, LaneFor of its id, recorded when its state
+// is created. The reorderer — and therefore the lateness watermark — is
+// per source, not per lane: sources sharing a lane may sit at wildly
+// different event times (one client replaying history while another
+// streams live), and a shared watermark would let the fastest source
+// drop every other source's rows as late.
 type sourceState struct {
+	lane    int // the partition MaxLanePending bounds and drains are ordered by
 	re      *stream.Reorderer[trajectory.Point]
 	hasLast bool
 	last    trajectory.Point // last accepted point, the speed-gate anchor
 	matcher *uncertain.OnlineMatcher
-}
-
-// streamLane is one keyed lane: a partition of the session's sources
-// that fixes the drain order (lane-major within a chunk) and is the
-// unit MaxLanePending bounds. Lanes apply one after another.
-type streamLane struct {
-	sources map[string]*sourceState
-}
-
-// pending sums the lane's buffered (not yet released) events.
-func (l *streamLane) pending() int {
-	n := 0
-	for _, st := range l.sources {
-		n += st.re.Pending()
-	}
-	return n
 }
 
 // Result is one cleaned output point, as Drain returns them. Edge is set
@@ -71,10 +56,11 @@ type streamSession struct {
 
 	mu         sync.Mutex
 	closed     bool
-	lanes      []*streamLane
+	lanes      int            // lane count, in [1, MaxLanes]
 	laneEvents [][]Event      // fan-out scratch, kept across chunks
 	srcOrder   map[string]int // source id -> first-appearance rank
-	srcIDs     []string       // source ids in first-appearance order
+	srcIDs     []string       // source ids by rank
+	sources    []*sourceState // source states by rank; nil for a source a snapshot knows without one
 	results    []Result       // cleaned, undrained
 	lastActive time.Time
 
@@ -93,38 +79,43 @@ type streamSession struct {
 	snapSeq uint64 // seq of the latest recSnapshot record
 }
 
-// newSession builds an empty session and its lanes: the one constructor
-// behind a live open, a replayed open record and a snapshot restore.
+// newSession builds an empty session: the one constructor behind a
+// live open, a replayed open record and a snapshot restore.
 func (e *Engine) newSession(id string, lateness, maxSpeed float64, lanes int, now time.Time) *streamSession {
-	ss := &streamSession{
+	return &streamSession{
 		id: id, e: e, lateness: lateness, maxSpeed: maxSpeed,
-		lanes: make([]*streamLane, lanes), srcOrder: map[string]int{}, lastActive: now,
+		lanes: lanes, srcOrder: map[string]int{}, lastActive: now,
 	}
-	for i := range ss.lanes {
-		ss.lanes[i] = &streamLane{sources: map[string]*sourceState{}}
-	}
-	return ss
 }
 
-// noteSource records src's first appearance. Caller holds ss.mu.
-func (ss *streamSession) noteSource(src string) {
-	if _, ok := ss.srcOrder[src]; !ok {
-		ss.srcOrder[src] = len(ss.srcIDs)
+// noteSource returns src's rank, giving it the next one on first sight.
+// Caller holds ss.mu.
+func (ss *streamSession) noteSource(src string) int {
+	k, ok := ss.srcOrder[src]
+	if !ok {
+		k = len(ss.srcIDs)
+		ss.srcOrder[src] = k
 		ss.srcIDs = append(ss.srcIDs, src)
+		ss.sources = append(ss.sources, nil)
 	}
+	return k
 }
 
-// sourceFor returns the lane's state for src, creating it on first
-// sight. Caller holds ss.mu.
-func (ss *streamSession) sourceFor(l *streamLane, src string) *sourceState {
-	st := l.sources[src]
+// sourceAt returns the state of the source ranked k, creating it on
+// first sight in the lane its id hashes to: the one place a source is
+// given its lane. Caller holds ss.mu.
+func (ss *streamSession) sourceAt(k int) *sourceState {
+	st := ss.sources[k]
 	if st == nil {
-		st = &sourceState{re: stream.NewReorderer[trajectory.Point](ss.lateness)}
+		st = &sourceState{
+			lane: stream.LaneFor(ss.srcIDs[k], ss.lanes),
+			re:   stream.NewReorderer[trajectory.Point](ss.lateness),
+		}
 		if ss.e.snapper != nil {
 			st.matcher = uncertain.NewOnlineMatcher(
 				ss.e.cfg.Stream.Network, ss.e.snapper, uncertain.MatchOptions{}, matchLag)
 		}
-		l.sources[src] = st
+		ss.sources[k] = st
 	}
 	return st
 }
@@ -193,9 +184,15 @@ func (ss *streamSession) ingest(events []Event, clientSeq uint64, now time.Time)
 		}, nil
 	}
 	cfg := &ss.e.cfg.Stream
+	var pending [MaxLanes]int
+	for _, st := range ss.sources {
+		if st != nil {
+			pending[st.lane] += st.re.Pending()
+		}
+	}
 	lanes := ss.fanOutLocked(events)
 	for i, le := range lanes {
-		if len(le) > 0 && ss.lanes[i].pending()+len(le) > cfg.MaxLanePending {
+		if len(le) > 0 && pending[i]+len(le) > cfg.MaxLanePending {
 			ss.laneEvents = nil // only an accepted chunk, MaxLanePending a lane at most, sizes the scratch
 			return Ack{}, ErrLaneFull
 		}
@@ -225,7 +222,7 @@ func (ss *streamSession) ingest(events []Event, clientSeq uint64, now time.Time)
 // fanOutLocked partitions events by source into the session's lane
 // scratch. Caller holds ss.mu.
 func (ss *streamSession) fanOutLocked(events []Event) [][]Event {
-	ss.laneEvents = stream.FanOutInto(ss.laneEvents, events, len(ss.lanes),
+	ss.laneEvents = stream.FanOutInto(ss.laneEvents, events, ss.lanes,
 		func(e Event) string { return e.Value.Src })
 	return ss.laneEvents
 }
@@ -244,10 +241,9 @@ func (ss *streamSession) applyLocked(events []Event, lanes [][]Event) Ack {
 	}
 	before := len(ss.results)
 	late, outliers := 0, 0
-	for i, evs := range lanes {
-		l := ss.lanes[i]
+	for _, evs := range lanes {
 		for _, e := range evs {
-			st := ss.sourceFor(l, e.Value.Src)
+			st := ss.sourceAt(ss.srcOrder[e.Value.Src])
 			lateBefore := st.re.LateCount()
 			for _, rel := range st.re.Push(stream.Event[trajectory.Point]{Time: e.Time, Value: e.Value.Pt}) {
 				if ss.clean(st, e.Value.Src, rel.Value) {
@@ -280,12 +276,13 @@ func (ss *streamSession) applyLocked(events []Event, lanes [][]Event) Ack {
 // matcher lag. Caller holds ss.mu.
 func (ss *streamSession) pendingReorderLocked() int {
 	n := 0
-	for _, l := range ss.lanes {
-		n += l.pending()
-		for _, st := range l.sources {
-			if st.matcher != nil {
-				n += st.matcher.Pending()
-			}
+	for _, st := range ss.sources {
+		if st == nil {
+			continue
+		}
+		n += st.re.Pending()
+		if st.matcher != nil {
+			n += st.matcher.Pending()
 		}
 	}
 	return n
@@ -321,11 +318,11 @@ func (ss *streamSession) drainLocked(flush bool) ([]Result, []string) {
 		// Flush per source in first-appearance order — reorder buffer
 		// first, then the matcher's decision lag — so the tail of the
 		// output is deterministic regardless of lane hashing.
-		for _, src := range ss.srcIDs {
-			st := ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src]
+		for k, st := range ss.sources {
 			if st == nil {
 				continue
 			}
+			src := ss.srcIDs[k]
 			for _, rel := range st.re.Flush() {
 				if ss.clean(st, src, rel.Value) {
 					outliers++

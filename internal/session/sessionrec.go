@@ -18,7 +18,7 @@ package session
 //
 //	 8  Lateness   float64
 //	 8  MaxSpeed   float64
-//	 4  Lanes      u32   >= 1
+//	 4  Lanes      u32   1 to MaxLanes
 //
 // recDrain2 (type 8) and recSessionClose2 (type 9) one flag:
 //
@@ -30,11 +30,8 @@ package session
 //	 8  ChunkIdx   u64
 //	 8  ClientSeq  u64
 //	32  Ingested, Emitted, Late, Outliers  u64 each
-//	 4  d          u32   SrcIDs, in first-appearance order:
-//	    d × { u32 length, bytes }
-//	 4  r          u32   undrained results, in emission order
-//	rw  source     per-row index into SrcIDs, w as in the chunk record
-//	8r  T, then 8r X, then 8r Y
+//	    rows       SrcIDs, then the undrained results in emission
+//	               order: the chunk record's rows block
 //	 4  k          u32   results with an edge
 //	 r  has-edge   one byte (0 or 1) per result, only when 0 < k < r
 //	8k  Edge       i64 per result that has one, in result order
@@ -68,7 +65,8 @@ import (
 	"sidq/internal/uncertain"
 )
 
-var errRecord = errors.New("malformed session record")
+// errRecord marks a malformed record payload, of any type.
+var errRecord = errors.New("malformed record")
 
 // Decoded records, of either generation. The field names are the ones
 // the legacy gob records were encoded with.
@@ -151,7 +149,7 @@ func appendFlagRec(b []byte, session string, flag bool) []byte {
 // appendSnapshotLocked renders the session's complete state as a
 // recSnapshot2 payload, reading it in place. Caller holds ss.mu.
 func (ss *streamSession) appendSnapshotLocked(b []byte) []byte {
-	b = appendParams(appendHeader(b, ss.id), ss.lateness, ss.maxSpeed, len(ss.lanes))
+	b = appendParams(appendHeader(b, ss.id), ss.lateness, ss.maxSpeed, ss.lanes)
 	b = le.AppendUint64(b, ss.chunkIdx)
 	b = le.AppendUint64(b, ss.clientSeq)
 	for _, n := range [4]int{ss.ingested, ss.emitted, ss.late, ss.outliers} {
@@ -166,8 +164,7 @@ func (ss *streamSession) appendSnapshotLocked(b []byte) []byte {
 	// identical histories. Their count is patched in once known.
 	at, m := len(b), 0
 	b = append(b, 0, 0, 0, 0)
-	for k, src := range ss.srcIDs {
-		st := ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src]
+	for k, st := range ss.sources {
 		if st == nil {
 			continue
 		}
@@ -313,7 +310,8 @@ func (r *recReader) point() trajectory.Point {
 	return trajectory.Point{T: t, Pos: geo.Pt(x, y)}
 }
 
-func (r *recReader) str() string { return string(r.take(int(r.u32()))) }
+// bytes reads a u32-length-prefixed field in place.
+func (r *recReader) bytes() []byte { return r.take(int(r.u32())) }
 
 func (r *recReader) flag() bool {
 	switch v := r.u8(); v {
@@ -338,20 +336,24 @@ func (r *recReader) count(size int, what string) int {
 	return int(n)
 }
 
-// header reads the magic and the session id.
-func (r *recReader) header() string {
+func (r *recReader) magic() {
 	if m := r.take(len(recMagic)); m != nil && string(m) != recMagic {
 		r.fail("bad magic %q", m)
 	}
-	return r.str()
+}
+
+// header reads the magic and the session id.
+func (r *recReader) header() string {
+	r.magic()
+	return string(r.bytes())
 }
 
 func (r *recReader) params() (lateness, maxSpeed float64, lanes int) {
-	lateness, maxSpeed, n := r.f64(), r.f64(), r.u32()
-	if r.err == nil && n == 0 {
-		r.fail("no lanes")
+	lateness, maxSpeed, lanes = r.f64(), r.f64(), int(r.u32())
+	if err := checkLanes(lanes); r.err == nil && err != nil {
+		r.fail("%v", err)
 	}
-	return lateness, maxSpeed, int(n)
+	return lateness, maxSpeed, lanes
 }
 
 // end is the decode's verdict: the first error, or trailing bytes.
@@ -366,7 +368,7 @@ func (r *recReader) end() error {
 func decodeOpen(rec store.Record) (walOpen, error) {
 	var o walOpen
 	if rec.Type == recSessionOpen {
-		return o, decodeGob(rec.Payload, &o)
+		return o, decodeLegacy(rec.Payload, &o, &o.Lanes)
 	}
 	r := recReader{p: rec.Payload}
 	o.Session = r.header()
@@ -408,7 +410,7 @@ func decodeClose(rec store.Record) (walClose, error) {
 func decodeSnapshot(rec store.Record) (walSnapshot, error) {
 	if rec.Type == recSnapshot {
 		var s walSnapshot
-		return s, decodeGob(rec.Payload, &s)
+		return s, decodeLegacy(rec.Payload, &s, &s.Lanes)
 	}
 	return decodeSnapshot2(rec.Payload)
 }
@@ -429,14 +431,9 @@ func decodeSnapshot2(p []byte) (walSnapshot, error) {
 	s.Lateness, s.MaxSpeed, s.Lanes = r.params()
 	s.ChunkIdx, s.ClientSeq = r.u64(), r.u64()
 	s.Ingested, s.Emitted, s.Late, s.Outliers = int(r.u64()), int(r.u64()), int(r.u64()), int(r.u64())
-	d := r.count(4, "dictionary entries")
-	if d > 0 {
-		s.SrcIDs = make([]string, d)
-	}
-	for k := range s.SrcIDs {
-		s.SrcIDs[k] = r.str()
-	}
-	s.Results = decodeResults(r, s.SrcIDs)
+	rows := r.rows()
+	s.SrcIDs = rows.names()
+	s.Results = decodeResults(r, &rows, s.SrcIDs)
 	m := r.count(minSourceBytes, "source states")
 	if m > 0 {
 		s.Sources = make([]walSource, m)
@@ -447,35 +444,13 @@ func decodeSnapshot2(p []byte) (walSnapshot, error) {
 	return s, r.end()
 }
 
-// decodeResults reads the result columns; sources are resolved against
-// srcs, the record's dictionary.
-func decodeResults(r *recReader, srcs []string) []Result {
-	w := sourceIndexWidth(len(srcs))
-	n := r.count(w+24, "results")
-	var res []Result
-	if n > 0 {
-		res = make([]Result, n)
-	}
-	idx := r.take(n * w)
+// decodeResults builds the results from the rows block, whose
+// dictionary is srcs, and reads the edge block that follows it.
+func decodeResults(r *recReader, rows *rowCols, srcs []string) []Result {
+	n := rows.n
+	res := make([]Result, n)
 	for i := range res {
-		k := int(idx[i])
-		if w == 4 {
-			k = int(le.Uint32(idx[4*i:]))
-		}
-		if k >= len(srcs) {
-			r.fail("result %d names source %d of %d", i, k, len(srcs))
-			return nil
-		}
-		res[i].Source = srcs[k]
-	}
-	for i := range res {
-		res[i].T = r.f64()
-	}
-	for i := range res {
-		res[i].X = r.f64()
-	}
-	for i := range res {
-		res[i].Y = r.f64()
+		res[i] = Result{Source: srcs[rows.src(i)], T: colFloat(rows.t, i), X: colFloat(rows.x, i), Y: colFloat(rows.y, i)}
 	}
 	k := int(r.u32())
 	if r.err == nil && k > n {
@@ -486,29 +461,24 @@ func decodeResults(r *recReader, srcs []string) []Result {
 	}
 	var has []byte // nil: every result has an edge
 	if k < n {
-		if has = r.take(n); has == nil {
-			return nil
-		}
+		has = r.take(n)
 		ones := 0
 		for _, h := range has {
-			ones += int(h)
 			if h > 1 {
 				r.fail("has-edge byte %d", h)
-				return nil
 			}
+			ones += int(h)
 		}
 		if ones != k {
 			r.fail("%d has-edge flags for %d edges", ones, k)
-			return nil
 		}
-	}
-	col := r.take(8 * k)
-	if col == nil {
-		return nil
 	}
 	edges := make([]int, k)
 	for j := range edges {
-		edges[j] = int(int64(le.Uint64(col[8*j:])))
+		edges[j] = int(int64(r.u64()))
+	}
+	if r.err != nil {
+		return nil
 	}
 	j := 0
 	for i := range res {

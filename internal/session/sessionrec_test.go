@@ -2,13 +2,17 @@ package session
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"sidq/internal/faults"
 	"sidq/internal/geo"
 	"sidq/internal/israce"
 	"sidq/internal/roadnet"
@@ -23,7 +27,7 @@ import (
 // nobody else. Caller holds ss.mu.
 func deepCopyLocked(ss *streamSession) *streamSession {
 	e := ss.e
-	cp := e.newSession(ss.id, ss.lateness, ss.maxSpeed, len(ss.lanes), ss.lastActive)
+	cp := e.newSession(ss.id, ss.lateness, ss.maxSpeed, ss.lanes, ss.lastActive)
 	cp.chunkIdx, cp.clientSeq = ss.chunkIdx, ss.clientSeq
 	cp.ingested, cp.emitted, cp.late, cp.outliers = ss.ingested, ss.emitted, ss.late, ss.outliers
 	for _, src := range ss.srcIDs {
@@ -36,13 +40,14 @@ func deepCopyLocked(ss *streamSession) *streamSession {
 			cp.results[i].Edge = &edge
 		}
 	}
-	for i, l := range ss.lanes {
-		for src, st := range l.sources {
-			c := &sourceState{re: stream.NewReordererFromState(st.re.State()), hasLast: st.hasLast, last: st.last}
-			if st.matcher != nil {
-				c.matcher = uncertain.NewOnlineMatcherFromState(e.cfg.Stream.Network, e.snapper, uncertain.MatchOptions{}, matchLag, st.matcher.State())
-			}
-			cp.lanes[i].sources[src] = c
+	for k, st := range ss.sources {
+		if st == nil {
+			continue
+		}
+		c := cp.sourceAt(k)
+		c.re, c.hasLast, c.last, c.matcher = stream.NewReordererFromState(st.re.State()), st.hasLast, st.last, nil
+		if st.matcher != nil {
+			c.matcher = uncertain.NewOnlineMatcherFromState(e.cfg.Stream.Network, e.snapper, uncertain.MatchOptions{}, matchLag, st.matcher.State())
 		}
 	}
 	return cp
@@ -52,16 +57,15 @@ func deepCopyLocked(ss *streamSession) *streamSession {
 // the live session field by field. Caller holds ss.mu.
 func snapshotOf(ss *streamSession) walSnapshot {
 	s := walSnapshot{
-		Session: ss.id, Lateness: ss.lateness, MaxSpeed: ss.maxSpeed, Lanes: len(ss.lanes),
+		Session: ss.id, Lateness: ss.lateness, MaxSpeed: ss.maxSpeed, Lanes: ss.lanes,
 		ChunkIdx: ss.chunkIdx, ClientSeq: ss.clientSeq, SrcIDs: ss.srcIDs, Results: ss.results,
 		Ingested: ss.ingested, Emitted: ss.emitted, Late: ss.late, Outliers: ss.outliers,
 	}
-	for _, src := range ss.srcIDs {
-		st := ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src]
+	for k, st := range ss.sources {
 		if st == nil {
 			continue
 		}
-		ws := walSource{Src: src, Re: st.re.State(), HasLast: st.hasLast, Last: st.last}
+		ws := walSource{Src: ss.srcIDs[k], Re: st.re.State(), HasLast: st.hasLast, Last: st.last}
 		if st.matcher != nil {
 			ms := st.matcher.State()
 			ws.Matcher = &ms
@@ -180,7 +184,7 @@ func randomSession(e *Engine, rng *rand.Rand) *streamSession {
 			ss.results = append(ss.results, r)
 		}
 	}
-	for _, src := range ss.srcIDs {
+	for rank := range ss.srcIDs {
 		if rng.Intn(5) == 0 {
 			continue // known to the session, no state: never sent a row of its own
 		}
@@ -188,14 +192,15 @@ func randomSession(e *Engine, rng *rand.Rand) *streamSession {
 		for n := rng.Intn(6); n > 0; n-- {
 			re.Buf = append(re.Buf, stream.Event[trajectory.Point]{Time: oddFloat(rng), Value: oddPoint(rng)})
 		}
-		st := &sourceState{re: stream.NewReordererFromState(re), hasLast: rng.Intn(2) == 0, last: oddPoint(rng)}
+		st := ss.sourceAt(rank)
+		st.re, st.hasLast, st.last, st.matcher = stream.NewReordererFromState(re), rng.Intn(2) == 0, oddPoint(rng), nil
 		if e.snapper != nil && rng.Intn(4) != 0 {
 			var ms uncertain.MatcherState
 			for c := rng.Intn(7); c > 0; c-- {
 				k := 1 + rng.Intn(4)
 				cands, logp, back := make([]roadnet.Snap, k), make([]float64, k), make([]int, k)
 				for j := range cands {
-					cands[j] = roadnet.Snap{Edge: roadnet.EdgeID(rng.Intn(50)), Param: oddFloat(rng), Pos: geo.Pt(oddFloat(rng), oddFloat(rng)), Dist: oddFloat(rng)}
+					cands[j] = roadnet.Snap{Edge: roadnet.EdgeID(rng.Intn(e.cfg.Stream.Network.NumEdges())), Param: oddFloat(rng), Pos: geo.Pt(oddFloat(rng), oddFloat(rng)), Dist: oddFloat(rng)}
 					logp[j] = oddFloat(rng)
 					if prev := len(ms.Cands); prev > 0 {
 						back[j] = rng.Intn(len(ms.Cands[prev-1]))
@@ -208,7 +213,6 @@ func randomSession(e *Engine, rng *rand.Rand) *streamSession {
 			}
 			st.matcher = uncertain.NewOnlineMatcherFromState(e.cfg.Stream.Network, e.snapper, uncertain.MatchOptions{}, matchLag, ms)
 		}
-		ss.lanes[stream.LaneFor(src, len(ss.lanes))].sources[src] = st
 	}
 	return ss
 }
@@ -238,7 +242,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					t.Fatalf("state %d: result %d's edge is nil %v, was nil %v", n, i, r.Edge == nil, ss.results[i].Edge == nil)
 				}
 			}
-			e.restoreSnapshot(got, time.Time{}, 1)
+			if err := e.restoreSnapshot(got, time.Time{}, 1); err != nil {
+				t.Fatalf("state %d does not restore: %v", n, err)
+			}
 			back, _ := e.session(ss.id)
 			if again := back.appendSnapshotLocked(nil); !bytes.Equal(again, payload) {
 				t.Fatalf("state %d: the restored session encodes to %d bytes, the original to %d", n, len(again), len(payload))
@@ -296,6 +302,146 @@ func TestSessionRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// openOver writes recs into a fresh log and opens an engine over it.
+func openOver(t *testing.T, cfg Config, recs ...store.Record) (*Engine, error) {
+	t.Helper()
+	fs := faults.NewCrashFS()
+	l, _, err := store.Open("wal", store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if _, err := l.Append(r.Type, r.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Durability = DurabilityConfig{Dir: "wal", FS: fs}
+	e, err := Open(cfg)
+	if err == nil {
+		t.Cleanup(func() { e.Close() })
+	}
+	return e, err
+}
+
+func gobPayload(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestOpenRecordRefusesLaneCount: an open record of either generation
+// that claims a lane count outside [1, MaxLanes] is malformed, and
+// recovery fails on it. The SQC reader used to refuse only 0, so an
+// open record claiming 2^30 lanes decoded, and restore then made one
+// lane apiece.
+func TestOpenRecordRefusesLaneCount(t *testing.T) {
+	for _, lanes := range []int{MaxLanes + 1, 1 << 30} {
+		for _, rec := range []store.Record{
+			{Type: recSessionOpen2, Payload: appendOpen(nil, "st-000001", 1, 20, lanes)},
+			{Type: recSessionOpen, Payload: gobPayload(t, walOpen{Session: "st-000001", Lateness: 1, MaxSpeed: 20, Lanes: lanes})},
+		} {
+			if o, err := decodeOpen(rec); !errors.Is(err, errRecord) {
+				t.Fatalf("type %d open record with %d lanes: %+v, %v", rec.Type, lanes, o, err)
+			}
+			if lanes == MaxLanes+1 {
+				if _, err := openOver(t, Config{}, rec); !errors.Is(err, errRecord) {
+					t.Errorf("recovery over a type %d open record with %d lanes: %v", rec.Type, lanes, err)
+				}
+			}
+		}
+	}
+	if _, err := openOver(t, Config{}, store.Record{Type: recSessionOpen2, Payload: appendOpen(nil, "st-000001", 1, 20, MaxLanes)}); err != nil {
+		t.Errorf("recovery over an open record with %d lanes: %v", MaxLanes, err)
+	}
+}
+
+// TestSnapshotRecordRefusesLaneCount: the same for snapshot records of
+// either generation.
+func TestSnapshotRecordRefusesLaneCount(t *testing.T) {
+	if _, err := decodeSnapshot2(emptySeed(MaxLanes)); err != nil {
+		t.Fatalf("a snapshot with %d lanes: %v", MaxLanes, err)
+	}
+	for _, lanes := range []int{0, MaxLanes + 1, 1 << 30} {
+		for _, rec := range []store.Record{
+			{Type: recSnapshot2, Payload: emptySeed(uint32(lanes))},
+			{Type: recSnapshot, Payload: gobPayload(t, walSnapshot{Session: "st-1", Lateness: 2, Lanes: lanes})},
+		} {
+			if s, err := decodeSnapshot(rec); !errors.Is(err, errRecord) {
+				t.Fatalf("type %d snapshot with %d lanes: %s %d lanes, %v", rec.Type, lanes, s.Session, s.Lanes, err)
+			}
+			if lanes == MaxLanes+1 {
+				if _, err := openOver(t, Config{}, rec); !errors.Is(err, errRecord) {
+					t.Errorf("recovery over a type %d snapshot with %d lanes: %v", rec.Type, lanes, err)
+				}
+			}
+		}
+	}
+}
+
+// emptySeed is a snapshot of session "st-1" over the given number of
+// lanes, with no sources, results or source states.
+func emptySeed(lanes uint32) []byte {
+	b := snapshotSeed(nil, func(b []byte) []byte {
+		return le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 0), 0)
+	})
+	le.PutUint32(b[4+4+len("st-1")+16:], lanes)
+	return b
+}
+
+// latticeSeed is a snapshot of session "st-1" whose one source, "veh-1",
+// holds a matcher lattice of one column with one candidate, on edge.
+func latticeSeed(edge uint64) []byte {
+	return snapshotSeed([]string{"veh-1"}, func(b []byte) []byte {
+		b = le.AppendUint32(le.AppendUint32(b, 0), 0) // no results, no edges
+		b = le.AppendUint32(b, 1)
+		return seedSource(b, func(b []byte) []byte {
+			b = le.AppendUint32(b, 1)                              // one column
+			b = le.AppendUint32(append(b, make([]byte, 24)...), 1) // at t=0, (0, 0), with one candidate
+			b = le.AppendUint64(b, edge)
+			return le.AppendUint64(append(b, make([]byte, 40)...), 0) // Param, X, Y, Dist, Logp; Back
+		})
+	})
+}
+
+// TestRestoreRefusesEdgeOutsideNetwork: the WAL does not record which
+// network wrote it, so a data directory reopened over a smaller network
+// can hold a lattice naming an edge the network does not have. Restore
+// used to take it, and the session's first matched row panicked in the
+// matcher; Open now fails, naming the session, the edge and the
+// network's edge count.
+func TestRestoreRefusesEdgeOutsideNetwork(t *testing.T) {
+	cfg := Config{Stream: StreamConfig{Network: smallCity()}}
+	edges := cfg.Stream.Network.NumEdges()
+	rows := []Event{ev("veh-1", 1, 50, 0), ev("veh-1", 2, 150, 0), ev("veh-1", 3, 250, 0)}
+	e, err := openOver(t, cfg, store.Record{Type: recSnapshot2, Payload: latticeSeed(1 << 40)})
+	if err == nil {
+		e.Ingest("st-1", rows, 0, time.Time{})
+		e.Drain("st-1", true, time.Time{})
+		t.Fatalf("Open restored a lattice on edge 2^40 of a %d-edge network", edges)
+	}
+	for _, want := range []string{"st-1", "edge 1099511627776", fmt.Sprintf("%d edges", edges)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open's error %q does not say %q", err, want)
+		}
+	}
+	e, err = openOver(t, cfg, store.Record{Type: recSnapshot2, Payload: latticeSeed(uint64(edges - 1))})
+	if err != nil {
+		t.Fatalf("a lattice on the network's last edge: %v", err)
+	}
+	if _, err := e.Ingest("st-1", rows, 0, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := e.Drain("st-1", true, time.Time{}); err != nil || len(res) != 4 {
+		t.Fatalf("drained %d rows, %v; want the lattice's and the three ingested", len(res), err)
+	}
+}
+
 // TestSnapshotEncodeReusesBuffers: appending a snapshot into a buffer
 // that already holds one allocates nothing — the state is read in place.
 func TestSnapshotEncodeReusesBuffers(t *testing.T) {
@@ -343,13 +489,15 @@ func seedColumn(b []byte, k, back int) []byte {
 	return b
 }
 
-// FuzzDecodeSnapshot feeds arbitrary payloads to the snapshot decoder.
-// A record reaches it only after its CRC verified, but a decoder that
-// trusts a count is one bad writer away from a multi-gigabyte
-// allocation or an index panic during recovery. The rule is: an error,
-// never a panic, and nothing sized past the input. Whatever it accepts
-// must restore into a session whose own snapshot is a fixed point:
-// decoded and restored once more, it encodes to the same bytes.
+// FuzzDecodeSnapshot feeds arbitrary payloads to the snapshot decoder
+// and on through restore. A record reaches it only after its CRC
+// verified, but a decoder that trusts a count is one bad writer away
+// from a multi-gigabyte allocation or an index panic during recovery.
+// The rule is: an error, never a panic, and nothing sized past the
+// input. Whatever it accepts, restore into an engine over smallCity()
+// must refuse, or leave a session whose own snapshot is a fixed point
+// (decoded and restored once more, it encodes to the same bytes) and
+// that ingests and flush-drains a few rows of one of its sources.
 // `go test` runs the seeds below; `make fuzz` explores further.
 func FuzzDecodeSnapshot(f *testing.F) {
 	e := New(Config{Stream: StreamConfig{Network: smallCity()}})
@@ -410,6 +558,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(snapshotSeed(nil, func(b []byte) []byte {
 		return le.AppendUint32(le.AppendUint32(le.AppendUint32(b, 0), 0), math.MaxUint32)
 	}))
+	// 2^30 lanes, which restore once sized lane state by, and a lattice on
+	// an edge past the network's, which once panicked the first ingest.
+	f.Add(emptySeed(1 << 30))
+	f.Add(latticeSeed(1 << 40))
+	f.Add(latticeSeed(3))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		s, err := decodeSnapshot2(p)
@@ -428,10 +581,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if size > len(p) {
 			t.Fatalf("%d bytes of state out of a %d-byte payload", size, len(p))
 		}
-		if s.Lanes > 64 {
-			return // the engine would allocate a lane apiece; the server opens at most 64
-		}
 		once := restoreAndEncode(t, e, s)
+		if once == nil {
+			return // restore refused it
+		}
 		s2, err := decodeSnapshot2(once)
 		if err != nil {
 			t.Fatalf("a restored session's snapshot does not decode: %v", err)
@@ -439,14 +592,31 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if twice := restoreAndEncode(t, e, s2); !bytes.Equal(once, twice) {
 			t.Fatalf("a restored session's snapshot is not a fixed point: %d then %d bytes", len(once), len(twice))
 		}
+		if err := e.restoreSnapshot(s, time.Time{}, 1); err != nil {
+			t.Fatalf("restored once, refused the second time: %v", err)
+		}
+		ss, _ := e.session(s.Session)
+		defer e.unlink(ss)
+		src, t0 := "veh-new", 0.0
+		if len(s.Sources) > 0 {
+			src = s.Sources[0].Src
+			if last := s.Sources[0].Last.T; !math.IsNaN(last) && !math.IsInf(last, 0) {
+				t0 = last
+			}
+		}
+		e.Ingest(s.Session, []Event{ev(src, t0+1, 50, 0), ev(src, t0+2, 150, 0), ev(src, t0+3, 250, 100)}, 0, time.Time{})
+		e.Drain(s.Session, true, time.Time{})
 	})
 }
 
 // restoreAndEncode restores s into e and returns the restored session's
-// snapshot record, then removes the session again.
+// snapshot record, then removes the session again; nil when restore
+// refuses s.
 func restoreAndEncode(t *testing.T, e *Engine, s walSnapshot) []byte {
 	t.Helper()
-	e.restoreSnapshot(s, time.Time{}, 1)
+	if e.restoreSnapshot(s, time.Time{}, 1) != nil {
+		return nil
+	}
 	ss, err := e.session(s.Session)
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,9 @@ func fnv32a(s string) uint32 {
 }
 
 // LaneFor returns the lane a key is assigned to among lanes lanes —
-// the pure function FanOut partitions by, exported so keyed-session
-// callers can locate a key's lane (and its per-lane state) without
-// building a batch. lanes <= 0 selects 1.
+// the pure function FanOut partitions by, exported so a keyed session
+// can record a key's lane once, when it first sees the key. lanes <= 0
+// selects 1.
 func LaneFor(key string, lanes int) int {
 	if lanes <= 0 {
 		return 0
