@@ -23,8 +23,9 @@
 #                       stream engines + streaming-session scenarios)
 #   make crash          crash-recovery gate under -race: the WAL
 #                       truncation/bit-flip/crash-image sweeps, the
-#                       fault-injected durability wiring, and the
-#                       kill-mid-chunk byte-identity scenarios
+#                       fault-injected durability wiring, the
+#                       kill-mid-chunk byte-identity scenarios, and
+#                       sidqstore verify's exit status
 #   make fuzz           the native fuzz targets over the on-disk decoders
 #                       (store segment scanner and manifest, session
 #                       chunk and snapshot records), the id,t,x,y wire
@@ -108,7 +109,7 @@ chaos:
 # commit, the replay path, and the snapshot writer all touch shared
 # session state.
 crash:
-	$(GO) test -race -count=1 ./internal/store
+	$(GO) test -race -count=1 ./internal/store ./cmd/sidqstore
 	$(GO) test -race -count=1 -run 'TestDurable|TestHistory|TestChaosStore' ./internal/session ./internal/chaos
 
 # go test -fuzz takes one target in one package per run. A crasher is

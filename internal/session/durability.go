@@ -187,10 +187,10 @@ func Open(cfg Config) (*Engine, error) {
 
 // recoverFrom replays the WAL through the live apply path, rebuilding
 // sessions and the history index, then adopts l as the engine's durable
-// log. It runs before Open returns the engine, so it takes no locks the
-// apply path does not take itself. The one clock reading is its own
-// start: what its elapsed time is measured from, and when every
-// restored session was last active.
+// log and registers its sidq_store_* families. It runs before Open
+// returns the engine, so it takes no locks the apply path does not take
+// itself. The one clock reading is its own start: what its elapsed time
+// is measured from, and when every restored session was last active.
 func (e *Engine) recoverFrom(l *store.Log) error {
 	start := time.Now()
 	records := 0
@@ -257,6 +257,10 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 	}
 	e.m.replayed.Add(uint64(records))
 	e.wal = l
+	reg := e.cfg.Metrics
+	l.InstrumentTo(reg)
+	reg.Help(mStoreCompactions, "Live sessions force-snapshotted by retention so their old WAL tail becomes droppable.")
+	e.m.compactions = reg.Counter(mStoreCompactions)
 	e.trace(obs.TraceEvent{Name: "wal", Kind: obs.KindWALReplay, Dur: time.Since(start), N: records})
 	if records > 0 {
 		e.cfg.Logf("wal: replayed %d records, %d sessions live, in %s",

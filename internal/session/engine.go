@@ -121,7 +121,8 @@ var (
 )
 
 // The sidq_stream_*, retention and history families the engine feeds;
-// the sidq_store_* WAL internals come from store.InstrumentTo.
+// a durable engine's sidq_store_* WAL internals come from its log's
+// InstrumentTo.
 const (
 	mStreamOpen     = "sidq_stream_sessions_open"
 	mStreamOpened   = "sidq_stream_session_opened_total"
@@ -141,7 +142,8 @@ const (
 
 	// sidq_store_compactions_total lives in the store namespace because
 	// it counts WAL rewrites, but it is driven by Retain — the store
-	// itself only truncates.
+	// itself only truncates. Like the log's own sidq_store_* families, a
+	// durable engine registers it when it adopts its log.
 	mStoreCompactions = "sidq_store_compactions_total"
 	mHistoryTrimmed   = "sidq_server_history_trimmed_total"
 
@@ -175,12 +177,10 @@ func newMetrics(reg *obs.Registry) metrics {
 	reg.Help(mStreamRestored, "Sessions rebuilt from WAL snapshots during recovery.")
 	reg.Help(mStreamReplayed, "WAL records replayed during recovery.")
 	reg.Help(mStreamDup, "Ingest chunks acknowledged as duplicates (?seq= retry dedup).")
-	reg.Help(mStoreCompactions, "Live sessions force-snapshotted by retention so their old WAL tail becomes droppable.")
 	reg.Help(mHistoryTrimmed, "History-index entries removed because retention truncated their WAL records.")
 	reg.Help(mHistoryRows, "Rows of the chunks a history query read, by outcome (returned: inside the window; filtered: read and dropped).")
 	roadnet.InstrumentTo(reg)
 	stream.InstrumentTo(reg)
-	store.InstrumentTo(reg)
 	return metrics{
 		open:   reg.Gauge(mStreamOpen),
 		opened: reg.Counter(mStreamOpened), closed: reg.Counter(mStreamClosed),
@@ -189,7 +189,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		late: reg.Counter(mStreamLate), outlier: reg.Counter(mStreamOutlier),
 		snapshots: reg.Counter(mStreamSnapshots), restored: reg.Counter(mStreamRestored),
 		replayed: reg.Counter(mStreamReplayed), dup: reg.Counter(mStreamDup),
-		compactions: reg.Counter(mStoreCompactions), histTrimmed: reg.Counter(mHistoryTrimmed),
+		histTrimmed:  reg.Counter(mHistoryTrimmed),
 		histReturned: reg.Counter(mHistoryReturned), histFiltered: reg.Counter(mHistoryFiltered),
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,5 +255,83 @@ func TestOpenSessionRefusesLaneCount(t *testing.T) {
 		if _, err := e.Ingest(id, gridEvents("v", 0, 3, 4), 0, now); err != nil {
 			t.Fatalf("%d lanes: %v", lanes, err)
 		}
+	}
+}
+
+// TestMemoryOnlyHistoryIsEmpty: an engine without a durable log keeps no
+// history, so it answers an empty one — no chunks, MinSeq 0 — whose Scan
+// reads nothing. It used to dereference the log it does not have.
+func TestMemoryOnlyHistoryIsEmpty(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	id, err := e.OpenSession(0, 0, 1, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(id, gridEvents("v", 0, 2, 4), 0, t0); err != nil {
+		t.Fatal(err)
+	}
+	h := e.History(geo.RectFromCenter(geo.Pt(0, 0), 1e9, 1e9), -1e9, 1e9)
+	if h.Chunks != 0 || h.MinSeq != 0 {
+		t.Fatalf("memory-only history: %d chunks, min seq %d, want an empty one", h.Chunks, h.MinSeq)
+	}
+	n, err := h.Scan(func([]byte, float64, float64, float64) error { return errors.New("a row from no history") })
+	if n != 0 || err != nil {
+		t.Fatalf("memory-only Scan: %d rows, %v", n, err)
+	}
+}
+
+// TestStoreSeriesAreTheEnginesOwnLog: the sidq_store_* series in an
+// engine's registry describe its own log and no other in the process. A
+// memory-only engine exports none; of two durable engines side by side,
+// the idle one shows none of the busy one's appends or segments.
+func TestStoreSeriesAreTheEnginesOwnLog(t *testing.T) {
+	mem := New(Config{})
+	defer mem.Close()
+	idle := openDurable(t, DurabilityConfig{Fsync: store.FsyncOff})
+	busy := openDurable(t, DurabilityConfig{Fsync: store.FsyncOff, SegmentBytes: 512})
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	id, err := busy.OpenSession(0, 0, 1, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 20; c++ {
+		if _, err := busy.Ingest(id, gridEvents("v", c, 2, 4), 0, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := func(e *Engine) map[string]string {
+		var sb bytes.Buffer
+		if err := e.cfg.Metrics.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "sidq_store_") {
+				out[name] = val
+			}
+		}
+		return out
+	}
+	if got := series(mem); len(got) != 0 {
+		t.Errorf("memory-only engine exports store series %v", got)
+	}
+	for name, e := range map[string]*Engine{"idle": idle, "busy": busy} {
+		got := series(e)
+		want := map[string]string{
+			"sidq_store_appends_total": fmt.Sprint(e.wal.LastSeq()),
+			"sidq_store_segments":      fmt.Sprint(len(e.wal.Segments())),
+			"sidq_store_retained_seq":  fmt.Sprint(e.wal.FirstSeq()),
+		}
+		for series, v := range want {
+			if got[series] != v {
+				t.Errorf("%s engine: %s = %s, its log says %s", name, series, got[series], v)
+			}
+		}
+	}
+	if idle.wal.LastSeq() != 0 || len(busy.wal.Segments()) < 3 {
+		t.Fatalf("the engines do not differ where the test looks: %d records idle, %d segments busy",
+			idle.wal.LastSeq(), len(busy.wal.Segments()))
 	}
 }

@@ -141,8 +141,12 @@ type History struct {
 
 // History looks the window up in the chunk index of a durable engine.
 // MinSeq lets a client paging through time tell "no data" from "data
-// aged out", by comparing it with the chunk seqs it saw.
+// aged out", by comparing it with the chunk seqs it saw. A memory-only
+// engine keeps no history: it answers an empty one.
 func (e *Engine) History(rect geo.Rect, minT, maxT float64) History {
+	if e.wal == nil {
+		return History{}
+	}
 	seqs := e.hist.search(rect, minT, maxT)
 	return History{Chunks: len(seqs), MinSeq: e.wal.FirstSeq(), e: e, seqs: seqs, rect: rect, minT: minT, maxT: maxT}
 }
@@ -152,6 +156,9 @@ func (e *Engine) History(rect geo.Rect, minT, maxT float64) History {
 // returns), and reports how many rows that was. A legacy (type 2) chunk
 // is transcoded first, so there is one filter, over columns.
 func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned int, err error) {
+	if len(h.seqs) == 0 {
+		return 0, nil
+	}
 	var enc *recEncoder
 	filtered := 0
 	defer func() {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// FuzzScanSegment feeds arbitrary bytes to the segment scanner — what a
+// FuzzScanSegment feeds arbitrary bytes to the frame scanner — what a
 // crash, a bad disk or a truncated copy can leave in a segment file. It
 // must never panic, must stop at the first frame that does not verify,
 // must report boundaries that re-frame to exactly the bytes it accepted,
@@ -24,29 +24,35 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1})   // length far past MaxRecord
 	f.Add(append(append([]byte(nil), two...), two[5:]...)) // garbage after good frames
 	f.Fuzz(func(t *testing.T, b []byte) {
-		res := scanSegment(b)
-		n := len(res.records)
-		if len(res.offs) != n+1 || res.offs[0] != 0 || res.offs[n] != res.good() {
-			t.Fatalf("boundaries %v do not frame %d records ending at %d", res.offs, n, res.good())
+		offs, torn := scanFrames(b)
+		n := len(offs) - 1
+		good := offs[n]
+		if offs[0] != 0 {
+			t.Fatalf("boundaries %v do not start at 0", offs)
 		}
-		if res.good() > int64(len(b)) || res.torn != (res.good() < int64(len(b))) {
-			t.Fatalf("good %d torn %v for %d input bytes", res.good(), res.torn, len(b))
+		if good > int64(len(b)) || torn != (good < int64(len(b))) {
+			t.Fatalf("good %d torn %v for %d input bytes", good, torn, len(b))
 		}
 		if n*recordHeader > len(b) {
 			t.Fatalf("%d records out of %d bytes", n, len(b))
 		}
 		var re []byte
-		for i, r := range res.records {
-			re = appendRecord(re, r.Type, r.Payload)
-			if int64(len(re)) != res.offs[i+1] {
-				t.Fatalf("record %d ends at %d, boundary says %d", i, len(re), res.offs[i+1])
+		for i := 0; i < n; i++ {
+			frame := b[offs[i]:offs[i+1]]
+			typ, payload, size, err := parseRecord(frame)
+			if err != nil || size != int64(len(frame)) {
+				t.Fatalf("frame %d [%d,%d) is not one record: size %d, %v", i, offs[i], offs[i+1], size, err)
+			}
+			re = appendRecord(re, typ, payload)
+			if int64(len(re)) != offs[i+1] {
+				t.Fatalf("record %d ends at %d, boundary says %d", i, len(re), offs[i+1])
 			}
 		}
-		if !bytes.Equal(re, b[:res.good()]) {
+		if !bytes.Equal(re, b[:good]) {
 			t.Fatal("the accepted records do not re-frame to the accepted bytes")
 		}
-		if res.torn {
-			if _, _, _, err := parseRecord(b[res.good():]); err == nil {
+		if torn {
+			if _, _, _, err := parseRecord(b[good:]); err == nil {
 				t.Fatal("the scan stopped in front of a frame that verifies")
 			}
 		}

@@ -100,6 +100,35 @@ func writeManifest(fs FS, dir string, m manifest) error {
 	return nil
 }
 
+// checkSealed is the one comparison of a sealed segment's bytes with
+// its manifest entry: every frame must verify, and there must be exactly
+// as many as the entry's seq range holds. The verified frame boundaries
+// come back either way.
+func checkSealed(s SegmentInfo, data []byte) ([]int64, error) {
+	offs, torn := scanFrames(data)
+	n := uint64(len(offs) - 1)
+	if torn {
+		return offs, fmt.Errorf("sealed segment torn at offset %d", offs[n])
+	}
+	if want := s.LastSeq - s.FirstSeq + 1; n != want {
+		return offs, fmt.Errorf("%d records, manifest says %d", n, want)
+	}
+	return offs, nil
+}
+
+// readFile reads one whole file of fs.
+func readFile(fs FS, name string) ([]byte, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := readAll(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return data, err
+}
+
 // readAll reads a File front to back via ReadAt (the File interface
 // carries no io.Reader contract about the current offset).
 func readAll(f File) ([]byte, error) {

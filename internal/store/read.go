@@ -9,9 +9,10 @@ import (
 
 // Replay streams every durable record, in seq order, through fn. It is
 // the recovery entry point: the caller rebuilds its state machine from
-// the records. Stops at fn's first error.
+// the records. Stops at fn's first error. As with ReadRange,
+// Record.Payload is valid only until fn returns.
 func (l *Log) Replay(fn func(Record) error) error {
-	obsReplay()
+	l.c.replays.Add(1)
 	return l.ReadRange(1, math.MaxUint64, fn)
 }
 
@@ -22,6 +23,8 @@ func (l *Log) Replay(fn func(Record) error) error {
 // and buffers copied) so reads never observe a partially written
 // record. It is the sequential path — recovery, verification, whole-log
 // scans; a caller that knows which seqs it wants uses ReadSeqs.
+// Record.Payload aliases the bytes read and is valid only until fn
+// returns.
 //
 // A TruncateFront running concurrently may remove segments after the
 // sealed list is copied; those segments are silently skipped, so the
@@ -39,7 +42,7 @@ func (l *Log) ReadRange(from, to uint64, fn func(Record) error) error {
 			return err
 		}
 	}
-	recs, first := l.snapshotLive()
+	data, offs, first := l.snapshotLive()
 	// A seal between the sealed-list copy and the live snapshot moves
 	// [wantFirst, first) into segments that are in neither: sealed too
 	// late for the copy, no longer live for the snapshot. They are
@@ -64,49 +67,56 @@ func (l *Log) ReadRange(from, to uint64, fn func(Record) error) error {
 	if first > to {
 		return nil
 	}
-	return emitRange(recs, first, from, to, fn)
+	return emitFrames(data, offs, first, from, to, fn)
 }
 
-// emitSealed reads one sealed segment, verifies it against its
-// manifest entry, and emits its records in [from, to]. Segments
-// outside the range are not read at all. A segment that a concurrent
-// TruncateFront dropped from the manifest between the caller's
-// sealed-list copy and the read here is skipped, not an error — its
-// open may fail, or its bytes may scan short/torn on filesystems
-// where removal invalidates readers; either way the manifest, not the
-// file, says whether it is still part of the log.
+// emitSealed reads one sealed segment, checks it against its manifest
+// entry, and emits its records in [from, to]. Segments outside the range
+// are not read at all.
 func (l *Log) emitSealed(s SegmentInfo, from, to uint64, fn func(Record) error) error {
 	if s.LastSeq < from || s.FirstSeq > to {
 		return nil
 	}
 	f, err := l.fs.Open(path.Join(l.dir, s.Name))
 	if err != nil {
-		if !l.sealedListed(s.Name) {
-			return nil // truncated out from under us
-		}
-		return fmt.Errorf("store: open sealed %s: %w", s.Name, err)
+		return l.sealedErr(s, "open", err)
 	}
-	data, err := readAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	data, offs, err := l.loadSealed(s, f)
+	f.Close()
 	if err != nil {
-		if !l.sealedListed(s.Name) {
-			return nil
-		}
-		return fmt.Errorf("store: read sealed %s: %w", s.Name, err)
+		return l.sealedErr(s, "scan", err)
 	}
-	res := scanSegment(data)
-	obsRead(len(res.records), res.good())
-	if res.torn || uint64(len(res.records)) != s.LastSeq-s.FirstSeq+1 {
-		if !l.sealedListed(s.Name) {
-			return nil
-		}
-		return fmt.Errorf("store: sealed segment %s corrupt (%d records, want %d, torn=%v)",
-			s.Name, len(res.records), s.LastSeq-s.FirstSeq+1, res.torn)
+	return emitFrames(data, offs, s.FirstSeq, from, to, fn)
+}
+
+// loadSealed reads a sealed segment through f and checks it against its
+// manifest entry. A segment that passes leaves its frame table behind for
+// the point reads that follow.
+func (l *Log) loadSealed(s SegmentInfo, f File) ([]byte, []int64, error) {
+	data, err := readAll(f)
+	if err != nil {
+		return nil, nil, err
 	}
-	l.rememberOffs(s, res.offs)
-	return emitRange(res.records, s.FirstSeq, from, to, fn)
+	offs, err := checkSealed(s, data)
+	l.c.read(len(offs)-1, offs[len(offs)-1])
+	if err != nil {
+		return nil, nil, err
+	}
+	l.rememberOffs(s, offs)
+	return data, offs, nil
+}
+
+// sealedErr reports a failed read of sealed segment s — unless a
+// concurrent TruncateFront dropped s from the manifest after the caller
+// looked it up, in which case the segment is skipped, not an error: its
+// open may fail, or its bytes may scan short or torn on filesystems where
+// removal invalidates readers; either way the manifest, not the file,
+// says whether it is still part of the log.
+func (l *Log) sealedErr(s SegmentInfo, what string, err error) error {
+	if !l.sealedListed(s.Name) {
+		return nil
+	}
+	return fmt.Errorf("store: sealed segment %s: %s: %w", s.Name, what, err)
 }
 
 // rememberOffs keeps a verified sealed segment's frame boundaries for
@@ -141,36 +151,45 @@ func (l *Log) sealedListed(name string) bool {
 	return false
 }
 
-// snapshotLive copies and scans, under the log lock, the segments
-// still being written — the one on its way to being sealed, if any,
-// then the active one — returning their records and the first one's
-// first seq.
-func (l *Log) snapshotLive() ([]Record, uint64) {
+// snapshotLive copies, under the log lock, the segments still being
+// written — the one on its way to being sealed, if any, then the active
+// one — and returns their bytes, the verified frames in them and the
+// first one's first seq. The two are contiguous in seq and each holds
+// whole frames, so they scan as one.
+func (l *Log) snapshotLive() (data []byte, offs []int64, first uint64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	live := l.liveLocked()
-	var recs []Record
+	var size int64
 	for _, sg := range live {
-		data := make([]byte, sg.size)
+		size += sg.size
+	}
+	data = make([]byte, 0, size)
+	for _, sg := range live {
+		at := int64(len(data))
+		data = data[:at+sg.size]
+		seg := data[at:]
 		// On a closed log the file is gone, and what was still in memory
 		// with it; the scan below stops at any tear.
 		if sg.written > 0 {
-			if n, _ := sg.f.ReadAt(data[:sg.written], 0); int64(n) != sg.written {
+			if n, _ := sg.f.ReadAt(seg[:sg.written], 0); int64(n) != sg.written {
+				data = data[:at]
 				break
 			}
 		}
-		n := int(sg.written) + copy(data[sg.written:], sg.inflight)
-		copy(data[n:], sg.pend)
-		res := scanSegment(data)
-		obsRead(len(res.records), res.good())
-		recs = append(recs, res.records...)
+		n := int(sg.written) + copy(seg[sg.written:], sg.inflight)
+		copy(seg[n:], sg.pend)
 	}
-	return recs, live[0].first
+	first = live[0].first
+	l.mu.Unlock()
+	offs, _ = scanFrames(data)
+	l.c.read(len(offs)-1, offs[len(offs)-1])
+	return data, offs, first
 }
 
-// emitRange numbers recs from firstSeq and forwards those in [from,to].
-func emitRange(recs []Record, firstSeq, from, to uint64, fn func(Record) error) error {
-	for i := range recs {
+// emitFrames forwards the frames data[offs[i]:offs[i+1]], numbered from
+// firstSeq, whose seqs fall in [from, to]. Each payload aliases data.
+func emitFrames(data []byte, offs []int64, firstSeq, from, to uint64, fn func(Record) error) error {
+	for i := 0; i+1 < len(offs); i++ {
 		seq := firstSeq + uint64(i)
 		if seq < from {
 			continue
@@ -178,8 +197,8 @@ func emitRange(recs []Record, firstSeq, from, to uint64, fn func(Record) error) 
 		if seq > to {
 			return nil
 		}
-		recs[i].Seq = seq
-		if err := fn(recs[i]); err != nil {
+		frame := data[offs[i]:offs[i+1]:offs[i+1]]
+		if err := fn(Record{Seq: seq, Type: frame[recordHeader-1], Payload: frame[recordHeader:]}); err != nil {
 			return err
 		}
 	}
@@ -217,7 +236,7 @@ func (l *Log) ReadSeqs(seqs []uint64, fn func(Record) error) error {
 			if err != nil {
 				return err
 			}
-			rec, err := frameRecord(seq, buf)
+			rec, err := l.frameRecord(seq, buf)
 			if err != nil {
 				return fmt.Errorf("store: record %d in the active segment: %w", seq, err)
 			}
@@ -276,23 +295,17 @@ func (l *Log) readLiveLocked(seq uint64, buf []byte) ([]byte, error) {
 
 // readSealed emits the wanted records of one sealed segment. offs is
 // the segment's boundary table, nil if nobody has built it yet. Any
-// failure is rechecked against the manifest, like emitSealed's: a
-// segment truncated out from under the read is skipped, a listed one
-// that fails is corrupt.
+// failure goes through sealedErr, like emitSealed's: a segment truncated
+// out from under the read is skipped, a listed one that fails is corrupt.
 func (l *Log) readSealed(s SegmentInfo, offs []int64, seqs []uint64, buf []byte, fn func(Record) error) ([]byte, error) {
-	fail := func(what string, err error) ([]byte, error) {
-		if !l.sealedListed(s.Name) {
-			return buf, nil
-		}
-		return buf, fmt.Errorf("store: sealed segment %s: %s: %w", s.Name, what, err)
-	}
+	fail := func(what string, err error) ([]byte, error) { return buf, l.sealedErr(s, what, err) }
 	f, err := l.fs.Open(path.Join(l.dir, s.Name))
 	if err != nil {
 		return fail("open", err)
 	}
 	defer f.Close()
 	if offs == nil {
-		if offs, err = l.buildOffs(s, f); err != nil {
+		if _, offs, err = l.loadSealed(s, f); err != nil {
 			return fail("scan", err)
 		}
 	}
@@ -302,7 +315,7 @@ func (l *Log) readSealed(s SegmentInfo, offs []int64, seqs []uint64, buf []byte,
 		if n, err := f.ReadAt(buf, offs[k]); n != len(buf) {
 			return fail(fmt.Sprintf("read record %d", seq), err)
 		}
-		rec, err := frameRecord(seq, buf)
+		rec, err := l.frameRecord(seq, buf)
 		if err != nil {
 			return fail(fmt.Sprintf("record %d", seq), err)
 		}
@@ -313,31 +326,14 @@ func (l *Log) readSealed(s SegmentInfo, offs []int64, seqs []uint64, buf []byte,
 	return buf, nil
 }
 
-// buildOffs scans a sealed segment once, verifying every frame and the
-// record count its manifest entry promises, and keeps the boundary
-// table for the reads that follow.
-func (l *Log) buildOffs(s SegmentInfo, f File) ([]int64, error) {
-	data, err := readAll(f)
-	if err != nil {
-		return nil, err
-	}
-	offs, torn := scanFrames(data)
-	obsRead(len(offs)-1, offs[len(offs)-1])
-	if torn || uint64(len(offs)-1) != s.LastSeq-s.FirstSeq+1 {
-		return nil, fmt.Errorf("%d records, want %d, torn=%v: %w", len(offs)-1, s.LastSeq-s.FirstSeq+1, torn, errTorn)
-	}
-	l.rememberOffs(s, offs)
-	return offs, nil
-}
-
 // frameRecord verifies that b is exactly one record frame and returns
 // it as record seq, its payload aliasing b.
-func frameRecord(seq uint64, b []byte) (Record, error) {
+func (l *Log) frameRecord(seq uint64, b []byte) (Record, error) {
 	typ, payload, size, err := parseRecord(b)
 	if err != nil || size != int64(len(b)) {
 		return Record{}, errTorn
 	}
-	obsRead(1, size)
+	l.c.read(1, size)
 	return Record{Seq: seq, Type: typ, Payload: payload}, nil
 }
 
@@ -390,7 +386,7 @@ func (l *Log) TruncateFront(keepSeq uint64) (int, error) {
 		delete(l.sealedOffs, s.FirstSeq)
 	}
 	l.mu.Unlock()
-	obsRemoveSegments(len(dropped))
+	l.c.removed.Add(uint64(len(dropped)))
 	var firstErr error
 	for _, s := range dropped {
 		if err := l.fs.Remove(path.Join(l.dir, s.Name)); err != nil && firstErr == nil {
@@ -398,143 +394,4 @@ func (l *Log) TruncateFront(keepSeq uint64) (int, error) {
 		}
 	}
 	return len(dropped), firstErr
-}
-
-// SegmentReport is one segment's health in a VerifyReport.
-type SegmentReport struct {
-	Name     string
-	Sealed   bool   // listed in the manifest
-	FirstSeq uint64 // from the name
-	Records  int    // verified records
-	Bytes    int64  // file size
-	Good     int64  // bytes of verified records
-	Torn     bool   // data past Good failed to verify
-	Problem  string // non-empty = integrity violation beyond a recoverable tail
-}
-
-// VerifyReport is the operator-facing integrity summary of a log
-// directory.
-type VerifyReport struct {
-	Segments   []SegmentReport
-	LastSeq    uint64 // last seq recovery would yield
-	DurableOff string // "segment:offset" of the durable end
-	TornBytes  int64  // tail bytes recovery would truncate
-	Problems   []string
-}
-
-// OK reports whether the directory is fully intact up to (at most) a
-// recoverable torn tail.
-func (r VerifyReport) OK() bool { return len(r.Problems) == 0 }
-
-// Verify walks a log directory read-only: every sealed segment's
-// checksums and record counts are validated against the manifest, the
-// unlisted tail is scanned the way recovery would scan it, and the
-// last durable record's position is reported. Nothing is modified —
-// Verify on a live or crashed directory is always safe.
-func Verify(dir string, fs FS) (VerifyReport, error) {
-	if fs == nil {
-		fs = OSFS{}
-	}
-	var rep VerifyReport
-	m, err := loadManifest(fs, dir)
-	if err != nil {
-		rep.Problems = append(rep.Problems, err.Error())
-		return rep, nil
-	}
-	names, err := fs.ReadDir(dir)
-	if err != nil {
-		return rep, fmt.Errorf("store: readdir %s: %w", dir, err)
-	}
-	present := map[string]bool{}
-	listed := map[string]bool{}
-	for _, n := range names {
-		present[n] = true
-	}
-	scan := func(name string) ([]byte, error) {
-		f, err := fs.Open(path.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		data, err := readAll(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return data, err
-	}
-	expected := uint64(1)
-	if m.TruncatedTo > expected {
-		expected = m.TruncatedTo // segments below the horizon are stale, not gaps
-	}
-	for _, s := range m.Sealed {
-		listed[s.Name] = true
-		sr := SegmentReport{Name: s.Name, Sealed: true, FirstSeq: s.FirstSeq}
-		switch data, err := scan(s.Name); {
-		case !present[s.Name]:
-			sr.Problem = "sealed segment missing"
-		case err != nil:
-			sr.Problem = fmt.Sprintf("read: %v", err)
-		default:
-			res := scanSegment(data)
-			sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good(), res.torn
-			if res.torn {
-				sr.Problem = fmt.Sprintf("sealed segment torn at offset %d", res.good())
-			} else if uint64(len(res.records)) != s.LastSeq-s.FirstSeq+1 {
-				sr.Problem = fmt.Sprintf("%d records, manifest says %d", len(res.records), s.LastSeq-s.FirstSeq+1)
-			}
-		}
-		if sr.Problem != "" {
-			rep.Problems = append(rep.Problems, s.Name+": "+sr.Problem)
-		}
-		rep.Segments = append(rep.Segments, sr)
-		expected = s.LastSeq + 1
-		rep.LastSeq = s.LastSeq
-		rep.DurableOff = fmt.Sprintf("%s:%d", s.Name, s.Bytes)
-	}
-	// The unlisted tail, scanned like recovery: contiguous complete
-	// segments extend the durable log; the first tear ends it.
-	var tail []uint64
-	for _, n := range names {
-		if n == manifestName || listed[n] {
-			continue
-		}
-		if seq, ok := parseSegmentName(n); ok && seq >= expected {
-			tail = append(tail, seq)
-		} else {
-			rep.Problems = append(rep.Problems, n+": stale file (removed by next recovery)")
-		}
-	}
-	sortUint64(tail)
-	ended := false
-	for _, first := range tail {
-		name := segmentName(first)
-		sr := SegmentReport{Name: name, FirstSeq: first}
-		data, err := scan(name)
-		if err != nil {
-			sr.Problem = fmt.Sprintf("read: %v", err)
-			rep.Problems = append(rep.Problems, name+": "+sr.Problem)
-			rep.Segments = append(rep.Segments, sr)
-			continue
-		}
-		res := scanSegment(data)
-		sr.Records, sr.Bytes, sr.Good, sr.Torn = len(res.records), int64(len(data)), res.good(), res.torn
-		switch {
-		case ended:
-			sr.Problem = "unreachable (past a tear or gap; removed by next recovery)"
-			rep.Problems = append(rep.Problems, name+": "+sr.Problem)
-		case first != expected:
-			sr.Problem = fmt.Sprintf("gap: starts at seq %d, want %d", first, expected)
-			rep.Problems = append(rep.Problems, name+": "+sr.Problem)
-			ended = true
-		default:
-			expected = first + uint64(len(res.records))
-			rep.LastSeq = expected - 1
-			rep.DurableOff = fmt.Sprintf("%s:%d", name, res.good())
-			if res.torn {
-				rep.TornBytes += sr.Bytes - res.good()
-				ended = true
-			}
-		}
-		rep.Segments = append(rep.Segments, sr)
-	}
-	return rep, nil
 }

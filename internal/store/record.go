@@ -90,19 +90,6 @@ func parseRecord(b []byte) (typ byte, payload []byte, size int64, err error) {
 	return typ, payload, size, nil
 }
 
-// scanResult is what scanning one segment's bytes yields: the records
-// (payloads copied out of the scan buffer), the byte offset at which
-// each verified frame starts plus the end of the last one, and whether
-// the segment ended in a torn or corrupt frame.
-type scanResult struct {
-	records []Record // Seq left 0; the caller numbers them
-	offs    []int64  // len(records)+1 frame boundaries: record i is b[offs[i]:offs[i+1]]
-	torn    bool     // data remained past good() that did not verify
-}
-
-// good is the byte length of the verified records.
-func (r scanResult) good() int64 { return r.offs[len(r.offs)-1] }
-
 // scanFrames walks the framed records in b front to back, stopping at
 // the first frame that fails to verify. It returns the frame
 // boundaries (one more than the number of verified records: record i
@@ -119,20 +106,6 @@ func scanFrames(b []byte) (offs []int64, torn bool) {
 		offs = append(offs, off)
 	}
 	return offs, false
-}
-
-// scanSegment is scanFrames plus the records themselves.
-func scanSegment(b []byte) scanResult {
-	offs, torn := scanFrames(b)
-	res := scanResult{offs: offs, torn: torn}
-	if n := len(offs) - 1; n > 0 {
-		res.records = make([]Record, n)
-	}
-	for i := range res.records {
-		frame := b[offs[i]:offs[i+1]]
-		res.records[i] = Record{Type: frame[recordHeader-1], Payload: append([]byte(nil), frame[recordHeader:]...)}
-	}
-	return res
 }
 
 // segmentName renders the file name of the segment whose first record

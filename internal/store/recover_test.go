@@ -60,6 +60,36 @@ func writeFSFile(t *testing.T, fs store.FS, p string, data []byte) {
 	}
 }
 
+// openVerified opens the log in img's "wal" the way the recovery sweeps
+// do, with Verify run on both sides of the Open. Before it, Verify's plan
+// must be exactly the RecoveryInfo that Open returns; after it, the
+// directory must hold no stale file and no torn tail, and Verify must
+// find it intact. what names the image in failures.
+func openVerified(t *testing.T, what string, img store.FS, opt store.Options) (*store.Log, store.RecoveryInfo, error) {
+	t.Helper()
+	before, err := store.Verify("wal", img)
+	if err != nil {
+		t.Fatalf("%s: verify before open: %v", what, err)
+	}
+	opt.FS = img
+	l, info, err := store.Open("wal", opt)
+	if err != nil {
+		return l, info, err
+	}
+	if before.Recovery != info || before.LastSeq != info.LastSeq || before.TornBytes != info.TornBytes {
+		t.Fatalf("%s: verify planned %+v (last seq %d, %d torn bytes), open returned %+v",
+			what, before.Recovery, before.LastSeq, before.TornBytes, info)
+	}
+	after, err := store.Verify("wal", img)
+	if err != nil {
+		t.Fatalf("%s: verify after open: %v", what, err)
+	}
+	if after.Recovery.StaleFiles != 0 || after.TornBytes != 0 || after.LastSeq != info.LastSeq || !after.OK() {
+		t.Fatalf("%s: verify after open: last seq %d, plan %+v, problems %v", what, after.LastSeq, after.Recovery, after.Problems)
+	}
+	return l, info, nil
+}
+
 // sweepPayloads are sized to cross frame boundaries at interesting
 // offsets: empty, tiny, and multi-hundred-byte records.
 func sweepPayloads(n int) [][]byte {
@@ -110,7 +140,7 @@ func TestRecoveryTruncationSweep(t *testing.T) {
 		}
 		img := faults.NewCrashFS()
 		writeFSFile(t, img, path.Join("wal", segName), data[:cut])
-		l2, info, err := store.Open("wal", store.Options{FS: img, Fsync: store.FsyncOff})
+		l2, info, err := openVerified(t, fmt.Sprintf("cut %d", cut), img, store.Options{Fsync: store.FsyncOff})
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -181,7 +211,7 @@ func TestRecoveryBitFlipSweep(t *testing.T) {
 		mut[flip] ^= 0x40
 		img := faults.NewCrashFS()
 		writeFSFile(t, img, path.Join("wal", segName), mut)
-		l2, _, err := store.Open("wal", store.Options{FS: img, Fsync: store.FsyncOff})
+		l2, _, err := openVerified(t, fmt.Sprintf("flip %d", flip), img, store.Options{Fsync: store.FsyncOff})
 		if err != nil {
 			t.Fatalf("flip %d: open: %v", flip, err)
 		}
@@ -225,7 +255,7 @@ func TestRecoveryCrashImageSweep(t *testing.T) {
 		}
 		// No Close: the process dies here.
 		img := fs.Crash(seed, true)
-		l2, info, err := store.Open("wal", store.Options{FS: img, Fsync: store.FsyncOff})
+		l2, info, err := openVerified(t, fmt.Sprintf("seed %d", seed), img, store.Options{Fsync: store.FsyncOff})
 		if err != nil {
 			t.Fatalf("seed %d: recovery: %v", seed, err)
 		}
@@ -258,7 +288,7 @@ func TestRecoveryCrashImageSweep(t *testing.T) {
 func pointReadsMatchReplay(l *store.Log) error {
 	var want []store.Record
 	if err := l.Replay(func(r store.Record) error {
-		want = append(want, r)
+		want = append(want, store.Record{Seq: r.Seq, Type: r.Type, Payload: bytes.Clone(r.Payload)})
 		return nil
 	}); err != nil {
 		return err
@@ -318,7 +348,7 @@ func TestRecoveryAdoptsUnlistedSealedSegment(t *testing.T) {
 		}
 		writeFSFile(t, hybrid, path.Join("wal", name), readFSFile(t, img, path.Join("wal", name)))
 	}
-	l2, info, err := store.Open("wal", store.Options{FS: hybrid, Fsync: store.FsyncAlways})
+	l2, info, err := openVerified(t, "reverted manifest", hybrid, store.Options{Fsync: store.FsyncAlways})
 	if err != nil {
 		t.Fatalf("recovery with reverted manifest: %v", err)
 	}
@@ -368,7 +398,7 @@ func TestRecoveryDiscardsGappedSegments(t *testing.T) {
 	for _, s := range []store.SegmentInfo{segs[0], segs[2]} {
 		writeFSFile(t, hybrid, path.Join("wal", s.Name), readFSFile(t, img, path.Join("wal", s.Name)))
 	}
-	l2, info, err := store.Open("wal", store.Options{FS: hybrid, Fsync: store.FsyncAlways})
+	l2, info, err := openVerified(t, "gap", hybrid, store.Options{Fsync: store.FsyncAlways})
 	if err != nil {
 		t.Fatalf("recovery with gap: %v", err)
 	}

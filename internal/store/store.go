@@ -28,6 +28,18 @@
 //     about durability (an fsync failure leaves the page cache in an
 //     unknowable state, so there is no safe retry).
 //
+// What a data directory holds is decided in one place, readPlan: which
+// files are stale, which unlisted segments recovery re-adopts, where the
+// torn tail is cut and what lies past a tear or a gap. Open applies that
+// plan and Verify reports it read-only, so what Verify says Open would
+// return is what Open returns. Every reader checks a sealed segment
+// against its manifest entry through one function, checkSealed, and
+// walks frames through one scanner, scanFrames.
+//
+// A Log counts its own appends, fsyncs and reads, and exports them with
+// its disk gauges through InstrumentTo; the package keeps no
+// process-wide state.
+//
 // No file I/O happens under the log mutex on the append path: Append
 // copies the frame into memory and leaves; writes, fsyncs, segment
 // seals and manifest commits run under a separate I/O mutex, one at a
@@ -185,6 +197,9 @@ type Log struct {
 		err     error  // sticky failure, mirrored for waiters
 	}
 
+	c         counters
+	recovered RecoveryInfo // what Open's recovery did; never changes after
+
 	kick      chan struct{} // FsyncBatch: wakes the flusher before its next tick
 	batchStop chan struct{}
 	batchDone chan struct{}
@@ -203,8 +218,7 @@ func Open(dir string, opt Options) (*Log, RecoveryInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	obsRecovery(&info)
-	registerLog(l)
+	l.recovered = info
 	if opt.Fsync == FsyncBatch {
 		l.kick = make(chan struct{}, 1)
 		l.batchStop = make(chan struct{})
@@ -214,184 +228,91 @@ func Open(dir string, opt Options) (*Log, RecoveryInfo, error) {
 	return l, info, nil
 }
 
-// recover scans dir into a consistent, appendable state.
+// recover applies the directory's plan: it refuses a directory whose
+// manifest lists a segment that is gone, then removes stale and
+// unreachable files, re-adopts the sealed-but-unlisted segments into the
+// manifest, and cuts the active segment back to its verified frames.
+// Those last two are made durable before Open returns, so a truncation
+// cannot reappear after the next crash.
 func (l *Log) recover() (RecoveryInfo, error) {
-	var info RecoveryInfo
 	fs := l.fs
 	if err := fs.MkdirAll(l.dir); err != nil {
-		return info, fmt.Errorf("store: mkdir %s: %w", l.dir, err)
+		return RecoveryInfo{}, fmt.Errorf("store: mkdir %s: %w", l.dir, err)
 	}
-	m, err := loadManifest(fs, l.dir)
+	p, err := readPlan(fs, l.dir)
 	if err != nil {
-		return info, fmt.Errorf("store: %w", err)
+		return RecoveryInfo{}, fmt.Errorf("store: %w", err)
 	}
-	names, err := fs.ReadDir(l.dir)
-	if err != nil {
-		return info, fmt.Errorf("store: readdir %s: %w", l.dir, err)
+	if len(p.missing) > 0 {
+		return p.info, fmt.Errorf("store: sealed segment %s missing from %s", p.missing[0], l.dir)
 	}
-	listed := map[string]bool{}
-	for _, s := range m.Sealed {
-		listed[s.Name] = true
-	}
-	expected := uint64(1)
-	if m.TruncatedTo > expected {
-		// Nothing below the truncation horizon is part of the log, even
-		// if a crash resurrected removed segment files below it.
-		expected = m.TruncatedTo
-	}
-	if n := len(m.Sealed); n > 0 {
-		expected = m.Sealed[n-1].LastSeq + 1
-	}
-	// Partition the directory: sealed segments must exist; unlisted
-	// segment files at or past the sealed horizon are the recovery
-	// tail; anything else (tmp manifests, segments below the horizon
-	// left by an interrupted TruncateFront) is stale and removed.
-	present := map[string]bool{}
-	var tail []uint64 // firstSeqs of unlisted segments, sorted by ReadDir
-	for _, name := range names {
-		present[name] = true
-		if name == manifestName || listed[name] {
-			continue
+	for _, name := range p.stale {
+		if err := fs.Remove(path.Join(l.dir, name)); err != nil {
+			return p.info, fmt.Errorf("store: remove stale %s: %w", name, err)
 		}
-		seq, ok := parseSegmentName(name)
-		if !ok || seq < expected {
-			if err := fs.Remove(path.Join(l.dir, name)); err != nil {
-				return info, fmt.Errorf("store: remove stale %s: %w", name, err)
+	}
+	l.sealed = p.m.Sealed
+	l.truncatedTo = p.m.TruncatedTo
+	l.nextSeq = p.info.LastSeq + 1
+	act := &tailSegment{first: l.nextSeq, offs: []int64{0}}
+	for i := range p.tail {
+		t := &p.tail[i]
+		switch t.role {
+		case adopted:
+			l.sealed = append(l.sealed, SegmentInfo{
+				Name: t.name, FirstSeq: t.first, LastSeq: t.first + uint64(t.records()) - 1, Bytes: t.size,
+			})
+			l.sealedOffs[t.first] = t.offs
+		case active:
+			act = t
+		default:
+			if err := fs.Remove(path.Join(l.dir, t.name)); err != nil {
+				return p.info, fmt.Errorf("store: remove unreachable %s: %w", t.name, err)
 			}
-			info.StaleFiles++
-			continue
-		}
-		tail = append(tail, seq)
-	}
-	for _, s := range m.Sealed {
-		if !present[s.Name] {
-			return info, fmt.Errorf("store: sealed segment %s missing from %s", s.Name, l.dir)
 		}
 	}
-	sortUint64(tail)
-	l.sealed = m.Sealed
-	l.truncatedTo = m.TruncatedTo
-	l.nextSeq = expected
+	if p.info.AdoptedSegments > 0 {
+		if err := writeManifest(fs, l.dir, manifest{Sealed: l.sealed, TruncatedTo: l.truncatedTo}); err != nil {
+			return p.info, fmt.Errorf("store: %w", err)
+		}
+	}
 
-	// Walk the unlisted tail in seq order. Complete segments followed
-	// by more tail are re-adopted into the manifest (their seal's
-	// rename was lost in a crash); the first tear ends the durable log
-	// — the torn file is truncated in place and anything after it is
-	// unreachable and removed.
-	adopted := false
-	var activeName string
-	var activeGood int64
-	activeOffs := []int64{0}
-	for i, first := range tail {
-		name := segmentName(first)
-		if first != l.nextSeq {
-			// A gap: this segment and everything after is unreachable.
-			for _, seq := range tail[i:] {
-				if err := fs.Remove(path.Join(l.dir, segmentName(seq))); err != nil {
-					return info, fmt.Errorf("store: remove unreachable %s: %w", segmentName(seq), err)
-				}
-				info.DiscardedSegments++
-			}
-			break
-		}
+	// Reopen (or create) the active segment.
+	l.act = &segment{first: act.first, offs: act.offs}
+	name := segmentName(act.first)
+	if act.name != "" {
 		f, err := fs.Open(path.Join(l.dir, name))
 		if err != nil {
-			return info, fmt.Errorf("store: open %s: %w", name, err)
+			return p.info, fmt.Errorf("store: reopen %s: %w", name, err)
 		}
-		data, err := readAll(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return info, fmt.Errorf("store: read %s: %w", name, err)
-		}
-		res := scanSegment(data)
-		info.Records += len(res.records)
-		l.nextSeq = first + uint64(len(res.records))
-		if res.torn || i == len(tail)-1 {
-			if res.torn {
-				info.TornBytes += int64(len(data)) - res.good()
-				obsTornTruncation()
-			}
-			activeName, activeGood = name, res.good()
-			activeOffs = res.offs
-			for _, seq := range tail[i+1:] {
-				if err := fs.Remove(path.Join(l.dir, segmentName(seq))); err != nil {
-					return info, fmt.Errorf("store: remove unreachable %s: %w", segmentName(seq), err)
-				}
-				info.DiscardedSegments++
-			}
-			break
-		}
-		// Complete and followed by more tail: re-adopt as sealed.
-		l.sealed = append(l.sealed, SegmentInfo{
-			Name: name, FirstSeq: first, LastSeq: l.nextSeq - 1, Bytes: int64(len(data)),
-		})
-		l.sealedOffs[first] = res.offs
-		info.AdoptedSegments++
-		adopted = true
-	}
-	if adopted {
-		if err := writeManifest(fs, l.dir, manifest{Sealed: l.sealed, TruncatedTo: l.truncatedTo}); err != nil {
-			return info, fmt.Errorf("store: %w", err)
-		}
-	}
-
-	// Reopen (or create) the active segment and make the recovered
-	// state durable: the truncation must not reappear after the next
-	// crash.
-	l.act = &segment{first: l.nextSeq, offs: activeOffs}
-	if activeName != "" {
-		l.act.first = mustSegSeq(activeName)
-		f, err := fs.Open(path.Join(l.dir, activeName))
-		if err != nil {
-			return info, fmt.Errorf("store: reopen %s: %w", activeName, err)
-		}
-		if err := f.Truncate(activeGood); err != nil {
+		good := act.good()
+		if err := f.Truncate(good); err != nil {
 			f.Close()
-			return info, fmt.Errorf("store: truncate %s: %w", activeName, err)
+			return p.info, fmt.Errorf("store: truncate %s: %w", name, err)
 		}
 		if _, err := f.Seek(0, 2); err != nil {
 			f.Close()
-			return info, fmt.Errorf("store: seek %s: %w", activeName, err)
+			return p.info, fmt.Errorf("store: seek %s: %w", name, err)
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return info, fmt.Errorf("store: sync %s: %w", activeName, err)
+			return p.info, fmt.Errorf("store: sync %s: %w", name, err)
 		}
 		l.act.f = f
-		l.act.size, l.act.written = activeGood, activeGood
+		l.act.size, l.act.written = good, good
 	} else {
-		name := segmentName(l.act.first)
 		f, err := fs.Create(path.Join(l.dir, name))
 		if err != nil {
-			return info, fmt.Errorf("store: create %s: %w", name, err)
+			return p.info, fmt.Errorf("store: create %s: %w", name, err)
 		}
 		if err := fs.SyncDir(l.dir); err != nil {
 			f.Close()
-			return info, fmt.Errorf("store: sync dir: %w", err)
+			return p.info, fmt.Errorf("store: sync dir: %w", err)
 		}
 		l.act.f = f
 	}
 	l.sc.durable = l.nextSeq - 1
-	info.LastSeq = l.nextSeq - 1
-	return info, nil
-}
-
-func mustSegSeq(name string) uint64 {
-	seq, ok := parseSegmentName(name)
-	if !ok {
-		panic("store: bad segment name " + name)
-	}
-	return seq
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return p.info, nil
 }
 
 // Append writes one record and returns its seq. Under FsyncAlways the
@@ -435,7 +356,8 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 		backlog += flushAt // a rolled segment waits to be sealed: as good as a full buffer
 	}
 	l.mu.Unlock()
-	obsAppend(len(payload))
+	l.c.appends.Add(1)
+	l.c.appendBytes.Add(uint64(len(payload)))
 	switch l.opt.Fsync {
 	case FsyncAlways:
 		if err := l.waitDurable(seq); err != nil {
@@ -572,7 +494,7 @@ func (l *Log) drain(fsync bool) (uint64, error) {
 	if fsync {
 		start := time.Now()
 		err := sg.f.Sync()
-		obsFsync(time.Since(start), err)
+		l.c.fsync(time.Since(start), err)
 		if err != nil {
 			return 0, l.fail(err)
 		}
@@ -627,7 +549,7 @@ func (l *Log) seal(old *segment, tail []byte, next *segment) error {
 		return err
 	}
 	l.markDurable(info.LastSeq)
-	obsSeal()
+	l.c.seals.Add(1)
 	return nil
 }
 
@@ -705,7 +627,6 @@ func (l *Log) batchLoop() {
 func (l *Log) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
-		deregisterLog(l)
 		if l.batchStop != nil {
 			close(l.batchStop)
 			<-l.batchDone

@@ -67,7 +67,7 @@ func TestTruncateFrontCrashImageSweep(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			img := fs.Crash(seed, false) // kill -9: removes were never dir-fsynced
-			l2, info, err := store.Open("wal", store.Options{FS: img, Fsync: store.FsyncAlways, SegmentBytes: 256})
+			l2, info, err := openVerified(t, fmt.Sprintf("cut %d seed %d", cut, seed), img, store.Options{Fsync: store.FsyncAlways, SegmentBytes: 256})
 			if err != nil {
 				t.Fatalf("cut %d seed %d: recovery: %v", cut, seed, err)
 			}
