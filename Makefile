@@ -1,8 +1,10 @@
 # Tier-1 verification plus the resilience gates.
 #
-#   make check          build + vet + full test suite + bench-module +
-#                       race hammers + crash + fuzz + bench-compare (the
-#                       tier-1 gate)
+#   make check          fmt-check + build + vet + full test suite +
+#                       bench-module + race hammers + chaos + crash +
+#                       fuzz + bench-compare (the tier-1 gate: CI's test
+#                       job with the race hammers in place of the
+#                       whole-module -race, plus bench-compare)
 #   make ci             exactly what .github/workflows/ci.yml runs per
 #                       matrix leg: fmt-check + build + vet + tests +
 #                       bench-module + -race + chaos + crash + a 2s
@@ -73,7 +75,7 @@ FUZZTIME ?= 5s
 
 .PHONY: check ci fmt-check vet test bench-module race race-hammer chaos crash fuzz bench bench-json bench-compare load-check load-json
 
-check: vet test bench-module race-hammer crash fuzz bench-compare
+check: fmt-check vet test bench-module race-hammer chaos crash fuzz bench-compare
 
 ci: fmt-check vet test bench-module race chaos crash
 	$(MAKE) fuzz FUZZTIME=2s

@@ -246,19 +246,21 @@ func benchPipelineDataset(n int) *core.Dataset {
 	return ds
 }
 
-// BenchmarkPipeline runs the planned cleaning pipeline over a
-// 32-trajectory dataset.
+// BenchmarkPipeline runs a fixed list of the four trajectory cleaning
+// stages (dedup, outlier removal, smoothing, imputation) over a
+// 32-trajectory dataset on the default runner. Nothing is planned or
+// assessed.
 func BenchmarkPipeline(b *testing.B) {
 	ds := benchPipelineDataset(32)
-	p := core.NewPipeline(
+	stages := []core.Stage{
 		core.DeduplicateStage{},
 		core.OutlierRemovalStage{},
 		core.SmoothingStage{},
 		core.ImputeStage{},
-	)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, _, _ := p.RunContext(context.Background(), nil, ds)
+		out, _, _ := core.DefaultRunner().Run(context.Background(), ds, stages)
 		if len(out.Trajectories) != 32 {
 			b.Fatal("pipeline lost trajectories")
 		}
@@ -278,7 +280,7 @@ func (s benchNoopStage) Apply(_ context.Context, ds *core.Dataset) error {
 
 // BenchmarkRunnerCloneCOW isolates what the runner pays per stage for
 // its working copy: a raw CloneCOW, and a no-op stage run through the
-// runner (clone, attempt, re-assessment).
+// runner (clone and attempt).
 func BenchmarkRunnerCloneCOW(b *testing.B) {
 	ds := benchPipelineDataset(32)
 	b.Run("clone=cow", func(b *testing.B) {
@@ -291,9 +293,9 @@ func BenchmarkRunnerCloneCOW(b *testing.B) {
 	})
 	b.Run("runner=cow", func(b *testing.B) {
 		b.ReportAllocs()
-		p := core.NewPipeline(benchNoopStage{})
+		stages := []core.Stage{benchNoopStage{}}
 		for i := 0; i < b.N; i++ {
-			out, _, _ := p.RunContext(context.Background(), nil, ds)
+			out, _, _ := core.DefaultRunner().Run(context.Background(), ds, stages)
 			if len(out.Trajectories) != 32 {
 				b.Fatal("runner lost trajectories")
 			}

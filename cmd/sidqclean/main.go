@@ -70,7 +70,7 @@ func main() {
 		ExpectedInterval: *interval,
 		MaxSpeed:         *maxSpeed,
 	}
-	cleaned, stages, before, after, err := planAndClean(ds, reg)
+	cleaned, stages, _, err := core.PlanAndRunIterativeWith(context.Background(), cleaningRunner(reg), ds, core.DefaultTargets(), 3)
 	if err != nil {
 		log.Fatalf("sidqclean: %v", err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  - %s (%s)\n", s.Name(), s.Task())
 	}
 	fmt.Fprintln(os.Stderr, "quality movement (+ improved / - regressed / = unchanged):")
-	fmt.Fprint(os.Stderr, indent(quality.Diff(before, after)))
+	fmt.Fprint(os.Stderr, indent(quality.Diff(ds.Assess(), cleaned.Assess())))
 
 	var w io.Writer = os.Stdout
 	if *out != "-" {
@@ -95,30 +95,13 @@ func main() {
 	}
 }
 
-// planAndClean plans and runs the cleaning of ds and returns the cleaned
-// dataset with the assessments of the input and of the output. Both come
-// from the runner's reports, which already hold them; only a run that
-// planned nothing has no report to read and assesses ds here.
-func planAndClean(ds *core.Dataset, reg *obs.Registry) (cleaned *core.Dataset, stages []core.Stage, before, after quality.Assessment, err error) {
-	cleaned, stages, reports, err := core.PlanAndRunIterativeWith(context.Background(), cleaningRunner(reg), ds, core.DefaultTargets(), 3)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if len(reports) == 0 {
-		before = ds.Assess()
-		return cleaned, stages, before, before, nil
-	}
-	return cleaned, stages, reports[0].Before, reports[len(reports)-1].After, nil
-}
-
 func cleanReadings(r io.Reader, outPath string, reg *obs.Registry) {
 	rs, err := stid.ReadCSV(r)
 	if err != nil {
 		log.Fatalf("sidqclean: %v", err)
 	}
 	ds := &core.Dataset{Readings: rs}
-	p := core.NewPipeline(core.DeduplicateStage{}, core.ThematicRepairStage{})
-	cleaned, _, err := p.RunContext(context.Background(), cleaningRunner(reg), ds)
+	cleaned, _, err := cleaningRunner(reg).Run(context.Background(), ds, core.ReadingsStages())
 	if err != nil {
 		log.Fatalf("sidqclean: %v", err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sidq/internal/core"
@@ -43,7 +44,7 @@ func main() {
 	fmt.Print(before)
 
 	// 3. Plan: the DQ-aware planner picks stages from the assessment.
-	cleaned, stages, _ := core.PlanAndRun(ds, core.DefaultTargets())
+	cleaned, stages, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 1)
 	fmt.Println("\nplanned stages:")
 	for _, s := range stages {
 		fmt.Printf("  %s  (%s)\n", s.Name(), s.Task())

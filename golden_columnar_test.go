@@ -126,11 +126,11 @@ func computeGoldens(t *testing.T) map[string]string {
 	// byte-identical to the AoS output. The fixture pins this one
 	// output under four keys and is not rewritten, so one run answers
 	// all four.
-	cleaned, _, _ := core.NewPipeline(
+	cleaned, _, _ := core.DefaultRunner().Run(context.Background(), goldenDataset(12, 1), []core.Stage{
 		core.DeduplicateStage{},
 		core.OutlierRemovalStage{},
 		core.SmoothingStage{},
-	).RunContext(context.Background(), nil, goldenDataset(12, 1))
+	})
 	h := hashTrajectories(t, cleaned.Trajectories...)
 	for _, w := range []int{1, 2, 4, 8} {
 		out[fmt.Sprintf("pipeline/workers=%d", w)] = h

@@ -50,7 +50,7 @@ func TestEndToEndFleetFlow(t *testing.T) {
 		ds.Trajectories = append(ds.Trajectories, dirty)
 	}
 
-	cleaned, stages, _ := core.PlanAndRun(ds, core.DefaultTargets())
+	cleaned, stages, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 1)
 	if len(stages) == 0 {
 		t.Fatal("planner found nothing to do on dirty data")
 	}
@@ -131,7 +131,7 @@ func TestEndToEndSensorFlow(t *testing.T) {
 		Readings: corrupted,
 		Region:   geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)},
 	}
-	cleaned, _, _ := core.NewPipeline(core.ThematicRepairStage{}).RunContext(context.Background(), nil, ds)
+	cleaned, _, _ := core.DefaultRunner().Run(context.Background(), ds, []core.Stage{core.ThematicRepairStage{}})
 	fieldErr := func(rs []stid.Reading) (sum float64) {
 		for _, r := range rs {
 			sum += math.Abs(r.Value - field.Value(r.Pos, r.T))

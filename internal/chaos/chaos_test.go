@@ -80,7 +80,7 @@ func TestFlakyStageIsDeterministic(t *testing.T) {
 				FlakyOptions{Seed: int64(2 + i), PanicProb: 0.3, ErrProb: 0.3, DelayProb: 0.1, Delay: time.Millisecond}))
 		}
 		runner := &core.Runner{Policy: core.SkipStage}
-		_, _, _ = runner.Run(context.Background(), core.NewPipeline(stages...), ds)
+		_, _, _ = runner.Run(context.Background(), ds, stages)
 		for _, st := range stages {
 			p, e, d := st.(*FlakyStage).Injected()
 			panics, errs, delays = panics+p, errs+e, delays+d
@@ -104,7 +104,7 @@ func TestSkipPolicyNeverWorseWithAllStagesFailing(t *testing.T) {
 		stages = append(stages, NewFlakyStage(st, FlakyOptions{Seed: int64(i), ErrProb: 1}))
 	}
 	r := &core.Runner{Policy: core.SkipStage}
-	out, reports, err := r.Run(context.Background(), core.NewPipeline(stages...), ds)
+	out, reports, err := r.Run(context.Background(), ds, stages)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -46,7 +46,7 @@ func DefaultGuardDims() []quality.Dimension {
 // invariant.
 func Verify(ctx context.Context, sc Scenario, ds *core.Dataset) (Result, error) {
 	var res Result
-	p := core.NewPipeline(sc.Stages()...)
+	stages := sc.Stages()
 	r := sc.Runner()
 	func() {
 		defer func() {
@@ -54,7 +54,7 @@ func Verify(ctx context.Context, sc Scenario, ds *core.Dataset) (Result, error) 
 				res.Err = fmt.Errorf("runner panicked: %v", p)
 			}
 		}()
-		res.Out, res.Reports, res.Err = p.RunContext(ctx, r, ds)
+		res.Out, res.Reports, res.Err = r.Run(ctx, ds, stages)
 	}()
 	if sc.WantErr {
 		if res.Err == nil {

@@ -65,9 +65,9 @@ func TestColumnarScratchHammer(t *testing.T) {
 // Outputs must all match a lone run.
 func TestColumnarPipelineHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(82)), 12, 120)
-	p := NewPipeline(DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{})
-	want, _, _ := p.RunContext(context.Background(), nil, ds)
-	for _, got := range raceRuns(p, ds, 6) {
+	stages := []Stage{DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{}}
+	want, _, _ := DefaultRunner().Run(context.Background(), ds, stages)
+	for _, got := range raceRuns(stages, ds, 6) {
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 	}
 }

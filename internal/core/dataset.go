@@ -7,9 +7,11 @@
 //     needed to measure their quality;
 //   - Stage adapts each cleaner to a common interface, tagged with the
 //     taxonomy task it implements;
-//   - Pipeline runs stages in order, re-assessing quality after each;
+//   - Runner runs a list of stages in order, each on a copy-on-write
+//     clone, under a failure policy;
 //   - Planner selects stages automatically from a quality assessment
-//     against a target profile;
+//     against a target profile, and re-assesses between planning
+//     rounds;
 //   - the taxonomy registry reproduces the paper's Figure 2 as a
 //     task x technique coverage matrix over this repository.
 package core

@@ -72,8 +72,8 @@ func TestRunLeavesInputBitIdentical(t *testing.T) {
 	for i, tr := range want.Trajectories {
 		want.Trajectories[i] = tr.Clone()
 	}
-	p := NewPipeline(DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{}, ImputeStage{}, ThematicRepairStage{})
-	out, reports, err := p.RunContext(context.Background(), nil, ds)
+	stages := []Stage{DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{}, ImputeStage{}, ThematicRepairStage{}}
+	out, reports, err := DefaultRunner().Run(context.Background(), ds, stages)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"sidq/internal/core"
@@ -10,10 +11,10 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// ExamplePlanAndRun shows the middleware loop: assess a corrupted
-// dataset, let the planner pick stages, run them, and check the
-// movement on the consistency dimension.
-func ExamplePlanAndRun() {
+// ExamplePlanAndRunIterativeWith shows the middleware loop: assess a
+// corrupted dataset, let the planner pick stages in one round, run
+// them, and check the movement on the consistency dimension.
+func ExamplePlanAndRunIterativeWith() {
 	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
 	truth := simulate.RandomWalk("veh-0", region, 500, 2, 1, 7)
 	dirty := simulate.AddGaussianNoise(truth, 8, 8)
@@ -26,7 +27,7 @@ func ExamplePlanAndRun() {
 		ExpectedInterval: 1,
 		MaxSpeed:         10,
 	}
-	cleaned, stages, _ := core.PlanAndRun(ds, core.DefaultTargets())
+	cleaned, stages, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 1)
 	for _, s := range stages {
 		fmt.Println("stage:", s.Name())
 	}

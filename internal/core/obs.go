@@ -43,7 +43,7 @@ const (
 // appear as stages execute.
 func InitRunnerMetrics(reg *obs.Registry) {
 	reg.Help(mStageTotal, "Pipeline stage executions by stage and outcome.")
-	reg.Help(mStageLatency, "Per-stage wall time across all attempts, in nanoseconds.")
+	reg.Help(mStageLatency, "Per-stage wall time of the stage's clone and single attempt, excluding quality assessment, in nanoseconds.")
 	reg.Help(mPanics, "Stage attempts that panicked and were recovered.")
 	reg.Help(mSkips, "Stages that failed and were skipped.")
 	reg.Counter(mPanics)

@@ -20,7 +20,7 @@ func TestRunnerObsStageMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.MemSink{}
 	r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
-	_, reports, err := NewPipeline(noopStage{}).RunContext(context.Background(), r, dirtyDataset(1))
+	_, reports, err := r.Run(context.Background(), dirtyDataset(1), []Stage{noopStage{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunnerObsPanicAndSkip(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.MemSink{}
 	r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
-	_, reports, err := NewPipeline(legacyPanicStage{}).RunContext(context.Background(), r, dirtyDataset(1))
+	_, reports, err := r.Run(context.Background(), dirtyDataset(1), []Stage{legacyPanicStage{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestInitRunnerMetricsPreregisters(t *testing.T) {
 // what full instrumentation costs.
 func BenchmarkRunnerObsOverhead(b *testing.B) {
 	ds := dirtyDataset(7)
-	p := NewPipeline(noopStage{}, noopStage{}, noopStage{})
+	stages := []Stage{noopStage{}, noopStage{}, noopStage{}}
 	run := func(b *testing.B, r *Runner) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := p.RunContext(context.Background(), r, ds); err != nil {
+			if _, _, err := r.Run(context.Background(), ds, stages); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,15 +55,6 @@ func Plan(a quality.Assessment, t Targets) []Stage {
 	return stages
 }
 
-// PlanAndRun assesses, plans, and executes in one call, returning the
-// cleaned dataset, the plan, and the per-stage reports.
-func PlanAndRun(ds *Dataset, t Targets) (*Dataset, []Stage, []StageReport) {
-	a := ds.Assess()
-	stages := Plan(a, t)
-	out, reports, _ := DefaultRunner().run(context.Background(), NewPipeline(stages...), ds, a)
-	return out, stages, reports
-}
-
 // PlanAndRunIterativeWith repeats assess-plan-run until the targets are
 // met or no further stages are planned, up to maxRounds rounds. Cleaning
 // can itself create deficits (dropping outliers lowers completeness,
@@ -82,9 +73,8 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 	if r == nil {
 		r = DefaultRunner()
 	}
-	// Each dataset state is assessed once: the input here, and every
-	// stage's output by the runner, whose last After is the assessment
-	// the next round plans from.
+	// Quality is measured at round boundaries only: the input here, and
+	// a round's output when another round may plan from it.
 	cur, assessed := ds, ds.Assess()
 	var allStages []Stage
 	var allReports []StageReport
@@ -101,14 +91,16 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 		if len(stages) == 0 {
 			break
 		}
-		out, reports, err := r.run(ctx, NewPipeline(stages...), cur, assessed)
+		out, reports, err := r.Run(ctx, cur, stages)
 		cur = out
 		allStages = append(allStages, stages...)
 		allReports = append(allReports, reports...)
 		if err != nil {
 			return cur, allStages, allReports, err
 		}
-		assessed = reports[len(reports)-1].After
+		if round+1 < maxRounds {
+			assessed = cur.Assess()
+		}
 	}
 	return cur, allStages, allReports, nil
 }

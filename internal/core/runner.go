@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sidq/internal/obs"
-	"sidq/internal/quality"
 )
 
 // PartialError reports a stage that completed in a degraded way: some
@@ -55,11 +54,21 @@ func (p FailurePolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Runner executes pipelines resiliently: every stage gets one attempt
-// on a private copy-on-write clone, a panic becomes an error, and the
-// failure policy decides whether an error ends the run. The zero value
-// stops at the first stage that fails or panics (FailFast), returning
-// the error instead of dying.
+// StageReport is the runner's execution record for one stage.
+type StageReport struct {
+	Stage    string
+	Task     Task
+	Err      error          // stage error (PartialError for degraded success)
+	Skipped  bool           // stage failed and its work was discarded
+	Duration time.Duration  // wall time of the stage's clone and attempt
+	Meta     map[string]int // stage counters (e.g. partial-failure accounting)
+}
+
+// Runner executes a list of stages resiliently: every stage gets one
+// attempt on a private copy-on-write clone, a panic becomes an error,
+// and the failure policy decides whether an error ends the run. The
+// zero value stops at the first stage that fails or panics (FailFast),
+// returning the error instead of dying.
 type Runner struct {
 	Policy FailurePolicy
 
@@ -76,41 +85,32 @@ type Runner struct {
 // stages.
 func DefaultRunner() *Runner { return &Runner{Policy: SkipStage} }
 
-// Run executes the pipeline's stages in order, re-assessing quality
-// around every stage. ds is left bit-identical: each stage works on a
-// copy-on-write clone and, by the Stage contract, replaces trajectories
-// instead of editing their points — so the output may share untouched
-// *Trajectory values with ds, and is ds itself when no stage's work was
-// kept. Run never panics because of a stage: a panic is an error
-// subject to the failure policy. The returned error is non-nil under
-// FailFast, or when ctx is cancelled before or during a stage; the
-// reports always cover every stage reached, skipped ones included.
-func (r *Runner) Run(ctx context.Context, p *Pipeline, ds *Dataset) (*Dataset, []StageReport, error) {
-	return r.run(ctx, p, ds, nil)
-}
-
-// run is Run for a caller that may already hold ds's assessment (the
-// planner assesses in order to plan, and a stage's After is the next
-// round's starting point): before, when non-nil, is taken as that
-// assessment instead of measuring the same data again.
-func (r *Runner) run(ctx context.Context, p *Pipeline, cur *Dataset, before quality.Assessment) (*Dataset, []StageReport, error) {
+// Run executes stages in order. ds is left bit-identical: each stage
+// works on a copy-on-write clone and, by the Stage contract, replaces
+// trajectories instead of editing their points — so the output may
+// share untouched *Trajectory values with ds, and is ds itself when no
+// stage's work was kept. Run never panics because of a stage: a panic
+// is an error subject to the failure policy. The returned error is
+// non-nil under FailFast, or when ctx is cancelled before or during a
+// stage; the reports always cover every stage reached, skipped ones
+// included. Run does not assess quality: a caller that wants the
+// movement measures the input and the output.
+func (r *Runner) Run(ctx context.Context, ds *Dataset, stages []Stage) (*Dataset, []StageReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	reports := make([]StageReport, 0, len(p.Stages))
-	if before == nil {
-		before = cur.Assess()
-	}
-	for _, st := range p.Stages {
+	cur := ds
+	reports := make([]StageReport, 0, len(stages))
+	for _, st := range stages {
 		if err := ctx.Err(); err != nil {
 			return cur, reports, fmt.Errorf("pipeline cancelled before stage %s: %w", st.Name(), err)
 		}
-		work, rep, err := r.runStage(ctx, st, cur, before)
+		work, rep, err := r.runStage(ctx, st, cur)
 		reports = append(reports, rep)
 		if err != nil {
 			return cur, reports, err
 		}
-		cur, before = work, rep.After
+		cur = work
 	}
 	return cur, reports, nil
 }
@@ -121,11 +121,12 @@ func (r *Runner) run(ctx context.Context, p *Pipeline, cur *Dataset, before qual
 // error is the one that ends the run: a failure under FailFast, or an
 // attempt that died with the run's ctx, which is a cancellation and not
 // a skip whatever the policy.
-func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset, before quality.Assessment) (*Dataset, StageReport, error) {
-	rep := StageReport{Stage: st.Name(), Task: st.Task(), Before: before}
+func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset) (*Dataset, StageReport, error) {
+	rep := StageReport{Stage: st.Name(), Task: st.Task()}
 	start := time.Now()
 	work := cur.CloneCOW()
 	rep.Err = attempt(ctx, st, work)
+	rep.Duration = time.Since(start)
 
 	outcome := "ok"
 	var fatal error
@@ -141,16 +142,11 @@ func (r *Runner) runStage(ctx context.Context, st Stage, cur *Dataset, before qu
 	case r.Policy == SkipStage:
 		outcome = "skipped"
 		rep.Skipped = true
-		// Keep the pre-stage dataset; the Before/After chain stays flat.
-		work, rep.After = cur, before
+		work = cur // keep the pre-stage dataset
 	default:
 		outcome = "failed"
 		fatal = fmt.Errorf("stage %s failed: %w", st.Name(), rep.Err)
 	}
-	if fatal == nil && !rep.Skipped {
-		rep.After = work.Assess()
-	}
-	rep.Duration = time.Since(start)
 	r.observeStage(&rep, outcome)
 	return work, rep, fatal
 }

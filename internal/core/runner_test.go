@@ -43,7 +43,7 @@ func TestRunnerRetriesAreBounded(t *testing.T) {
 	st := scriptedStage{name: "always-fails", calls: &calls, fn: func(ctx context.Context, ds *Dataset) error {
 		return errors.New("permanent")
 	}}
-	_, reports, err := (&Runner{Policy: SkipStage}).Run(context.Background(), NewPipeline(st), ds)
+	_, reports, err := (&Runner{Policy: SkipStage}).Run(context.Background(), ds, []Stage{st})
 	if err != nil {
 		t.Fatalf("skip policy surfaced error: %v", err)
 	}
@@ -61,8 +61,7 @@ func TestRunnerRecoversPanics(t *testing.T) {
 
 	// Legacy stage panic under SkipStage: pipeline survives, work kept
 	// from the healthy stages.
-	p := NewPipeline(legacyPanicStage{}, DeduplicateStage{})
-	out, reports, _ := p.RunContext(context.Background(), nil, ds) // default runner: skip
+	out, reports, _ := DefaultRunner().Run(context.Background(), ds, []Stage{legacyPanicStage{}, DeduplicateStage{}})
 	if out == nil || len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}
@@ -77,7 +76,7 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	}
 
 	// The same panic under FailFast is the run's error, not a crash.
-	_, _, err := (&Runner{Policy: FailFast}).Run(context.Background(), NewPipeline(legacyPanicStage{}), ds)
+	_, _, err := (&Runner{Policy: FailFast}).Run(context.Background(), ds, []Stage{legacyPanicStage{}})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("fail-fast panic error = %v", err)
 	}
@@ -88,9 +87,8 @@ func TestRunnerFailFastReturnsProgress(t *testing.T) {
 	st := scriptedStage{name: "fatal", fn: func(ctx context.Context, ds *Dataset) error {
 		return errors.New("db down")
 	}}
-	p := NewPipeline(DeduplicateStage{}, st, SmoothingStage{})
 	r := &Runner{Policy: FailFast}
-	out, reports, err := r.Run(context.Background(), p, ds)
+	out, reports, err := r.Run(context.Background(), ds, []Stage{DeduplicateStage{}, st, SmoothingStage{}})
 	if err == nil || !strings.Contains(err.Error(), "db down") {
 		t.Fatalf("err = %v", err)
 	}
@@ -118,7 +116,7 @@ func TestRunnerStageDeadlineCancelsRunaway(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, reports, err := (&Runner{Policy: SkipStage}).Run(ctx, NewPipeline(st, DeduplicateStage{}), ds)
+	_, reports, err := (&Runner{Policy: SkipStage}).Run(ctx, ds, []Stage{st, DeduplicateStage{}})
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("deadline did not abandon the stage")
 	}
@@ -153,7 +151,7 @@ func TestRunCancelledMidStageIsAnError(t *testing.T) {
 			reg := obs.NewRegistry()
 			sink := &obs.MemSink{}
 			r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
-			out, reports, err := r.Run(ctx, NewPipeline(tc.stages(dying)...), ds)
+			out, reports, err := r.Run(ctx, ds, tc.stages(dying))
 			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled during stage dying") {
 				t.Fatalf("err = %v, want cancelled during stage dying", err)
 			}
@@ -186,7 +184,7 @@ func TestRunnerParentCancellation(t *testing.T) {
 	ds := dirtyDataset(17)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := DefaultRunner().Run(ctx, NewPipeline(DeduplicateStage{}), ds)
+	_, _, err := DefaultRunner().Run(ctx, ds, []Stage{DeduplicateStage{}})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run err = %v", err)
 	}
@@ -200,7 +198,7 @@ func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 		return &PartialError{Stage: "partial", Failed: 2, Total: 10}
 	}}
 	r := &Runner{Policy: FailFast}
-	out, reports, err := r.Run(context.Background(), NewPipeline(st), ds)
+	out, reports, err := r.Run(context.Background(), ds, []Stage{st})
 	if err != nil {
 		t.Fatalf("partial error escalated to run failure: %v", err)
 	}

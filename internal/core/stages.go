@@ -10,7 +10,9 @@ import (
 	"sidq/internal/outlier"
 	"sidq/internal/quality"
 	"sidq/internal/refine"
+	"sidq/internal/roadnet"
 	"sidq/internal/trajectory"
+	"sidq/internal/uncertain"
 )
 
 // Task identifies a §2.2 quality-management task family.
@@ -236,5 +238,51 @@ func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
 	}
 	flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
 	ds.Readings, _ = faults.RepairThematic(ds.Readings, flags, 200, 600)
+	return nil
+}
+
+// ReadingsStages is the fixed cleaning policy for sensor readings:
+// deduplication, then thematic repair.
+func ReadingsStages() []Stage { return []Stage{DeduplicateStage{}, ThematicRepairStage{}} }
+
+// RouteRecoverStage map-matches trajectories to a road network and
+// replaces them with the recovered network-constrained paths — the
+// inference-based completeness/accuracy repair for sparse urban GPS.
+type RouteRecoverStage struct {
+	Graph   *roadnet.Graph
+	Snapper *roadnet.Snapper
+	Options uncertain.MatchOptions
+}
+
+// Name implements Stage.
+func (s RouteRecoverStage) Name() string { return "route-recovery" }
+
+// Task implements Stage.
+func (s RouteRecoverStage) Task() Task { return UncertaintyElimination }
+
+// Apply implements Stage. Trajectories whose map-match fails keep
+// their raw points; the failure count is surfaced as a PartialError
+// instead of being swallowed.
+func (s RouteRecoverStage) Apply(ctx context.Context, ds *Dataset) error {
+	if s.Graph == nil || s.Snapper == nil {
+		return nil
+	}
+	failed := 0
+	var last error
+	for i, tr := range ds.Trajectories {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		res, err := uncertain.MapMatch(s.Graph, s.Snapper, tr, s.Options)
+		if err != nil {
+			failed++
+			last = err
+			continue
+		}
+		ds.Trajectories[i] = res.Recovered
+	}
+	if failed > 0 {
+		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
+	}
 	return nil
 }

@@ -122,7 +122,7 @@ func Taxonomy() []TaxonomyEntry {
 		// Middleware (open-issue directions).
 		{"middleware", "DQ assessment", "quality dimensions framework", refs{quality.AssessTrajectory, quality.AssessReadings}, nil, by{"E12"}, ""},
 		{"middleware", "DQ-aware task planning", "rule-based planning", refs{Plan}, nil, nil, ""},
-		{"middleware", "quality management middleware", "pipeline composition", refs{(*Pipeline)(nil)}, nil, by{"E12"}, ""},
+		{"middleware", "quality management middleware", "pipeline composition", refs{(*Runner)(nil)}, nil, by{"E12"}, ""},
 	}
 }
 

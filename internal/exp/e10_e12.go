@@ -311,7 +311,7 @@ func E12(seed int64) Table {
 		{"reversed", []core.Stage{full[3], full[2], full[1], full[0]}},
 	}
 	for _, v := range variants {
-		cleaned, _, _ := core.NewPipeline(v.stages...).RunContext(context.Background(), pipelineRunner(), ds)
+		cleaned, _, _ := pipelineRunner().Run(context.Background(), ds, v.stages)
 		a := cleaned.Assess()
 		f1 := downstreamQueryF1(cleaned, seed+3)
 		t.AddRow(v.name, F(a[quality.Accuracy]), F(a[quality.PrecisionError]), F(f1))

@@ -403,12 +403,8 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	names := make([]string, len(stages))
-	for i, s := range stages {
-		names[i] = s.Name()
-	}
 	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Sidq-Stages", strings.Join(names, ","))
+	w.Header().Set("X-Sidq-Stages", stageNames(stages))
 	if err := trajectory.WriteCSV(w, cleaned.Trajectories); err != nil {
 		// Headers are gone, so the status cannot change — but a
 		// mid-stream write failure (client hung up, connection reset)
@@ -452,17 +448,27 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := &core.Dataset{Readings: rs}
-	p := core.NewPipeline(core.DeduplicateStage{}, core.ThematicRepairStage{})
-	cleaned, _, err := p.RunContext(r.Context(), s.cleaningRunner(), ds)
+	stages := core.ReadingsStages()
+	cleaned, _, err := s.cleaningRunner().Run(r.Context(), ds, stages)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Sidq-Stages", "deduplicate,thematic-repair")
+	w.Header().Set("X-Sidq-Stages", stageNames(stages))
 	if err := stid.WriteCSV(w, cleaned.Readings); err != nil {
 		s.writeError(r, err)
 	}
+}
+
+// stageNames is the X-Sidq-Stages value of a cleaning response: the
+// stages run, by name, comma-separated.
+func stageNames(stages []core.Stage) string {
+	names := make([]string, len(stages))
+	for i, s := range stages {
+		names[i] = s.Name()
+	}
+	return strings.Join(names, ",")
 }
 
 // allowed answers 405 unless the request uses method.

@@ -199,6 +199,9 @@ func TestReadingsEndpoints(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean: %v", err)
 	}
+	if got := resp.Header.Get("X-Sidq-Stages"); got != "deduplicate,thematic-repair" {
+		t.Fatalf("X-Sidq-Stages = %q, want the fixed readings stages", got)
+	}
 	cleaned, err := stid.ReadCSV(resp.Body)
 	resp.Body.Close()
 	if err != nil || len(cleaned) == 0 {
