@@ -1,10 +1,19 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// updatePins rewrites the seed-99 table pins from the current
+// implementation:
+//
+//	go test ./internal/exp -run TestAllExperimentsRunAndRender -update-pins
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/seed99/<ID>.txt from the current tables")
 
 func cell(t *testing.T, tb Table, row, col int) float64 {
 	t.Helper()
@@ -366,6 +375,10 @@ func TestE14Shapes(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunAndRender runs every table at seed 99 and holds
+// each rendering to its pin in testdata/seed99, byte for byte, so a
+// refactor under a table cannot move it unnoticed. E9 is not pinned:
+// its timing and speedup columns are wall clock.
 func TestAllExperimentsRunAndRender(t *testing.T) {
 	for _, e := range All() {
 		tb := e.Run(99)
@@ -375,6 +388,26 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 		out := tb.Render()
 		if !strings.Contains(out, tb.ID) {
 			t.Fatalf("%s render missing id", e.ID)
+		}
+		if e.ID == "E9" {
+			continue
+		}
+		pin := filepath.Join("testdata", "seed99", e.ID+".txt")
+		if *updatePins {
+			if err := os.MkdirAll(filepath.Dir(pin), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(pin, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(pin)
+		if err != nil {
+			t.Fatalf("%s: missing pin (run with -update-pins to generate): %v", e.ID, err)
+		}
+		if out != string(want) {
+			t.Errorf("%s at seed 99 moved from its pin %s:\n%s\nwant:\n%s", e.ID, pin, out, want)
 		}
 	}
 }
