@@ -16,10 +16,11 @@
 #                       it unnoticed
 #   make race           vet + race-detector run over the whole module
 #   make race-hammer    race-detector over the concurrency-hammer
-#                       packages only (uncertain, roadnet, index, obs,
-#                       plus the columnar hammers in core/trajectory
-#                       and the buffer-ownership hammers in
-#                       server/session/stream)
+#                       packages only (uncertain, roadnet, index,
+#                       uquery — DistStore's executor tasks over the
+#                       grid — obs, plus the columnar hammers in
+#                       core/trajectory and the buffer-ownership
+#                       hammers in server/session/stream)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)
@@ -101,7 +102,7 @@ race:
 # The packages whose tests hammer shared state from many goroutines —
 # the ones -race exists for. Cheap enough to ride in every `make check`.
 race-hammer:
-	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/obs
+	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/uquery ./internal/obs
 	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/session ./internal/stream
 
 chaos:

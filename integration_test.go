@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sidq/internal/core"
 	"sidq/internal/exp"
 	"sidq/internal/geo"
-	"sidq/internal/index"
 	"sidq/internal/integrate"
 	"sidq/internal/quality"
 	"sidq/internal/reduce"
@@ -88,33 +88,36 @@ func TestEndToEndFleetFlow(t *testing.T) {
 		t.Fatalf("csv round trip: %v (%d)", err, len(back))
 	}
 
-	// Query layer: cleaned index answers closer to the truth index.
-	truthIdx := index.NewTrajectoryIndex(30)
-	cleanIdx := index.NewTrajectoryIndex(30)
-	dirtyIdx := index.NewTrajectoryIndex(30)
+	// Query layer: cleaned answers closer to the truth answers.
+	truth := make([]*trajectory.Trajectory, 0, len(ds.Truth))
 	for _, tr := range ds.Truth {
-		truthIdx.Add(tr)
+		truth = append(truth, tr)
 	}
-	for _, tr := range cleaned.Trajectories {
-		cleanIdx.Add(tr)
+	rangeQuery := func(trs []*trajectory.Trajectory, rect geo.Rect, t0, t1 float64) []string {
+		var ids []string
+		for _, tr := range trs {
+			if tr.Enters(rect, t0, t1) {
+				ids = append(ids, tr.ID)
+			}
+		}
+		sort.Strings(ids)
+		return ids
 	}
-	for _, tr := range ds.Trajectories {
-		dirtyIdx.Add(tr)
-	}
-	agree := func(ix *index.TrajectoryIndex) int {
+	agree := func(trs []*trajectory.Trajectory) int {
 		n := 0
 		for q := 0; q < 30; q++ {
 			rect := geo.RectFromCenter(geo.Pt(float64(q*37%1000), float64(q*73%1000)), 80, 80)
-			a := ix.RangeQuery(rect, float64(q), float64(q+40))
-			b := truthIdx.RangeQuery(rect, float64(q), float64(q+40))
+			a := rangeQuery(trs, rect, float64(q), float64(q+40))
+			b := rangeQuery(truth, rect, float64(q), float64(q+40))
 			if fmt.Sprint(a) == fmt.Sprint(b) {
 				n++
 			}
 		}
 		return n
 	}
-	if agree(cleanIdx) < agree(dirtyIdx) {
-		t.Fatalf("cleaned index agreement %d < dirty %d", agree(cleanIdx), agree(dirtyIdx))
+	cleanAgree, dirtyAgree := agree(cleaned.Trajectories), agree(ds.Trajectories)
+	if cleanAgree < dirtyAgree {
+		t.Fatalf("cleaned query agreement %d < dirty %d", cleanAgree, dirtyAgree)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sidq/internal/core"
 	"sidq/internal/decide"
 	"sidq/internal/geo"
-	"sidq/internal/index"
 	"sidq/internal/outlier"
 	"sidq/internal/quality"
 	"sidq/internal/roadnet"
@@ -340,18 +339,11 @@ func e12Dataset(seed int64) *core.Dataset {
 	return ds
 }
 
-// downstreamQueryF1 indexes the cleaned trajectories and the truth,
-// runs random spatio-temporal range queries on both, and scores the
-// cleaned answers against the truth answers.
+// downstreamQueryF1 runs random spatio-temporal range queries on the
+// cleaned trajectories and on the truth, answering each by testing
+// every trajectory with Enters, and scores the cleaned answers against
+// the truth answers.
 func downstreamQueryF1(ds *core.Dataset, seed int64) float64 {
-	cleanIdx := index.NewTrajectoryIndex(60)
-	truthIdx := index.NewTrajectoryIndex(60)
-	for _, tr := range ds.Trajectories {
-		cleanIdx.Add(tr)
-	}
-	for _, tr := range ds.Truth {
-		truthIdx.Add(tr)
-	}
 	rng := rand.New(rand.NewSource(seed))
 	var tp, fp, fn int
 	for q := 0; q < 40; q++ {
@@ -359,26 +351,26 @@ func downstreamQueryF1(ds *core.Dataset, seed int64) float64 {
 			geo.Pt(rng.Float64()*1000, rng.Float64()*1000), 60, 60)
 		t0 := rng.Float64() * 500
 		t1 := t0 + 50
-		got := cleanIdx.RangeQuery(rect, t0, t1)
-		want := truthIdx.RangeQuery(rect, t0, t1)
-		wantSet := map[string]bool{}
-		for _, id := range want {
-			wantSet[id] = true
-		}
-		gotSet := map[string]bool{}
-		for _, id := range got {
-			gotSet[id] = true
-			if wantSet[id] {
-				tp++
-			} else {
-				fp++
+		got, want := map[string]bool{}, map[string]bool{}
+		for _, tr := range ds.Trajectories {
+			if tr.Enters(rect, t0, t1) {
+				got[tr.ID] = true
 			}
 		}
-		for _, id := range want {
-			if !gotSet[id] {
-				fn++
+		for _, tr := range ds.Truth {
+			if tr.Enters(rect, t0, t1) {
+				want[tr.ID] = true
 			}
 		}
+		hits := 0
+		for id := range got {
+			if want[id] {
+				hits++
+			}
+		}
+		tp += hits
+		fp += len(got) - hits
+		fn += len(want) - hits
 	}
 	if tp == 0 {
 		if fp == 0 && fn == 0 {

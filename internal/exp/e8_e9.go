@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sidq/internal/geo"
-	"sidq/internal/index"
 	"sidq/internal/uquery"
 )
 
@@ -161,9 +160,9 @@ func E9(seed int64) Table {
 	lateFrac := float64(late) / float64(totalEvents)
 
 	// Distributed scaling.
-	entries := make([]index.PointEntry, 20000)
+	entries := make([]uquery.PointEvent, 20000)
 	for i := range entries {
-		entries[i] = index.PointEntry{
+		entries[i] = uquery.PointEvent{
 			ID:  fmt.Sprintf("p%05d", i),
 			Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000),
 		}

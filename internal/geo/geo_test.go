@@ -191,14 +191,6 @@ func TestPointNormAndString(t *testing.T) {
 	}
 }
 
-func TestPolylineBoundsAndDistToPoint(t *testing.T) {
-	pl := Polyline{Pt(0, 0), Pt(10, 0), Pt(10, 10)}
-	b := pl.Bounds()
-	if b.Min != Pt(0, 0) || b.Max != Pt(10, 10) {
-		t.Fatalf("bounds = %v", b)
-	}
-}
-
 func TestRectFromCenterAndPerimeter(t *testing.T) {
 	r := RectFromCenter(Pt(5, 5), 2, 3)
 	if r.Min != Pt(3, 2) || r.Max != Pt(7, 8) {

@@ -12,9 +12,6 @@ func (pl Polyline) Length() float64 {
 	return sum
 }
 
-// Bounds returns the minimal bounding rectangle of the polyline.
-func (pl Polyline) Bounds() Rect { return RectFromPoints(pl...) }
-
 // PointAt returns the point at arc-length distance d from the start,
 // clamped to the endpoints. It returns the first point for empty input
 // handling by the caller; calling PointAt on an empty polyline panics.

@@ -3,18 +3,23 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"sidq/internal/geo"
-	"sidq/internal/trajectory"
 )
 
-func randomEntries(n int, extent float64, seed int64) []PointEntry {
+// pointEntry is a named point, what the tests store by position.
+type pointEntry struct {
+	ID  string
+	Pos geo.Point
+}
+
+func randomEntries(n int, extent float64, seed int64) []pointEntry {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]PointEntry, n)
+	out := make([]pointEntry, n)
 	for i := range out {
-		out[i] = PointEntry{
+		out[i] = pointEntry{
 			ID:  fmt.Sprintf("p%d", i),
 			Pos: geo.Pt(rng.Float64()*extent, rng.Float64()*extent),
 		}
@@ -22,11 +27,33 @@ func randomEntries(n int, extent float64, seed int64) []PointEntry {
 	return out
 }
 
-func bruteRange(entries []PointEntry, rect geo.Rect) map[string]bool {
-	out := map[string]bool{}
-	for _, e := range entries {
+// pointGrid stores entries' positions in g under their slice index.
+func pointGrid(g *Grid, entries []pointEntry) {
+	for i, e := range entries {
+		g.Insert(i, geo.Rect{Min: e.Pos, Max: e.Pos})
+	}
+}
+
+// gridRange is a range query over a pointGrid: the cells rect
+// overlaps, then the exact containment test, as indices sorted.
+func gridRange(g *Grid, entries []pointEntry, rect geo.Rect) []int {
+	var out []int
+	for _, c := range g.RectCells(rect, nil) {
+		for _, id := range g.Cell(c) {
+			if rect.Contains(entries[id].Pos) {
+				out = append(out, id)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func bruteRange(entries []pointEntry, rect geo.Rect) []int {
+	var out []int
+	for i, e := range entries {
 		if rect.Contains(e.Pos) {
-			out[e.ID] = true
+			out = append(out, i)
 		}
 	}
 	return out
@@ -34,40 +61,70 @@ func bruteRange(entries []PointEntry, rect geo.Rect) map[string]bool {
 
 func TestGridRangeMatchesBruteForce(t *testing.T) {
 	entries := randomEntries(500, 1000, 1)
-	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 50)
-	for _, e := range entries {
-		g.Insert(e)
-	}
-	if g.Len() != 500 {
-		t.Fatalf("len = %d", g.Len())
-	}
+	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 50, 1<<16)
+	pointGrid(g, entries)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		c := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		rect := geo.RectFromCenter(c, rng.Float64()*200, rng.Float64()*200)
-		want := bruteRange(entries, rect)
-		got := g.Range(rect)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d want %d", trial, len(got), len(want))
-		}
-		for _, e := range got {
-			if !want[e.ID] {
-				t.Fatalf("trial %d: unexpected %s", trial, e.ID)
-			}
+		got, want := gridRange(g, entries, rect), bruteRange(entries, rect)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: got %v want %v", trial, got, want)
 		}
 	}
 }
 
 func TestGridOutOfBoundsClamping(t *testing.T) {
-	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 1)
-	g.Insert(PointEntry{ID: "out", Pos: geo.Pt(-100, 200)})
-	if g.Len() != 1 {
-		t.Fatal("clamped insert lost")
-	}
+	g := NewGrid(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 1, 1<<16)
+	entries := []pointEntry{{ID: "out", Pos: geo.Pt(-100, 200)}}
+	pointGrid(g, entries)
 	// It is still findable via a rect that covers its true position.
-	got := g.Range(geo.Rect{Min: geo.Pt(-200, 100), Max: geo.Pt(0, 300)})
-	if len(got) != 1 {
+	if got := gridRange(g, entries, geo.Rect{Min: geo.Pt(-200, 100), Max: geo.Pt(0, 300)}); len(got) != 1 {
 		t.Fatalf("clamped point not found: %v", got)
+	}
+	// And by one that lies wholly outside the grid.
+	if got := gridRange(g, entries, geo.RectFromCenter(geo.Pt(-100, 200), 10, 10)); len(got) != 1 {
+		t.Fatalf("clamped point not found from outside the grid: %v", got)
+	}
+}
+
+// TestRingCellsKeepSweepOrder holds RingCells, which visits only the
+// part of a ring inside the grid, to the full-ring sweep it replaced —
+// every cell of the ring in order, those outside the grid skipped — for
+// every cell of grids thin either way and every ring past both edges.
+// The snapper discovers edges in this order, so every tie it breaks
+// follows it.
+func TestRingCellsKeepSweepOrder(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 8}, {8, 3}, {5, 5}} {
+		g := &Grid{nx: dims[0], ny: dims[1]}
+		for cy := 0; cy < g.ny; cy++ {
+			for cx := 0; cx < g.nx; cx++ {
+				for ring := 0; ring <= max(g.nx, g.ny)+1; ring++ {
+					var want []int
+					cell := func(x, y int) {
+						if x >= 0 && x < g.nx && y >= 0 && y < g.ny {
+							want = append(want, y*g.nx+x)
+						}
+					}
+					if ring == 0 {
+						cell(cx, cy)
+					}
+					for dx := -ring; ring > 0 && dx <= ring; dx++ {
+						if dx == -ring || dx == ring {
+							for dy := -ring; dy <= ring; dy++ {
+								cell(cx+dx, cy+dy)
+							}
+						} else {
+							cell(cx+dx, cy-ring)
+							cell(cx+dx, cy+ring)
+						}
+					}
+					if got := g.RingCells(cx, cy, ring, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%dx%d grid, cell (%d,%d), ring %d: %v, full sweep %v", g.nx, g.ny, cx, cy, ring, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -133,106 +190,5 @@ func TestRTreeInsertOrderInvariance(t *testing.T) {
 	}
 	if build(fwd) != build(rev) {
 		t.Fatal("search result count depends on insert order")
-	}
-}
-
-func makeTraj(id string, start geo.Point, vx, vy, t0 float64, n int, dt float64) *trajectory.Trajectory {
-	pts := make([]trajectory.Point, n)
-	for i := range pts {
-		t := t0 + float64(i)*dt
-		pts[i] = trajectory.Point{T: t, Pos: start.Add(geo.Pt(vx*(t-t0), vy*(t-t0)))}
-	}
-	return trajectory.New(id, pts)
-}
-
-func TestTrajectoryIndexRangeQuery(t *testing.T) {
-	ix := NewTrajectoryIndex(30)
-	// a crosses the query region during [40, 60]; b never does;
-	// c is in the region but outside the query time window.
-	a := makeTraj("a", geo.Pt(0, 0), 10, 0, 0, 101, 1)    // along x, reaches x=500 at t=50
-	b := makeTraj("b", geo.Pt(0, 5000), 10, 0, 0, 101, 1) // far north
-	c := makeTraj("c", geo.Pt(450, 0), 10, 0, 200, 21, 1) // in region at t≈205 only
-	ix.Add(a)
-	ix.Add(b)
-	ix.Add(c)
-	if ix.Len() != 3 {
-		t.Fatalf("len = %d", ix.Len())
-	}
-	rect := geo.Rect{Min: geo.Pt(400, -10), Max: geo.Pt(600, 10)}
-	got := ix.RangeQuery(rect, 40, 60)
-	if len(got) != 1 || got[0] != "a" {
-		t.Fatalf("got %v, want [a]", got)
-	}
-	// Widen the time window to include c.
-	got = ix.RangeQuery(rect, 40, 210)
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("got %v, want [a c]", got)
-	}
-	if ix.RangeQuery(rect, 60, 40) != nil {
-		t.Fatal("inverted window should be nil")
-	}
-}
-
-func TestTrajectoryIndexBoundaryCrossing(t *testing.T) {
-	// A sparse trajectory whose segment crosses the query rect between
-	// samples: samples at t=0 (x=0) and t=100 (x=1000); it passes
-	// through x=500 at t=50 with no sample nearby.
-	ix := NewTrajectoryIndex(10)
-	tr := trajectory.New("sparse", []trajectory.Point{
-		{T: 0, Pos: geo.Pt(0, 0)},
-		{T: 100, Pos: geo.Pt(1000, 0)},
-	})
-	ix.Add(tr)
-	rect := geo.RectFromCenter(geo.Pt(500, 0), 20, 20)
-	got := ix.RangeQuery(rect, 45, 55)
-	if len(got) != 1 {
-		t.Fatalf("sparse crossing not found: %v", got)
-	}
-	// Time window when the object is elsewhere.
-	if got := ix.RangeQuery(rect, 0, 10); len(got) != 0 {
-		t.Fatalf("false positive: %v", got)
-	}
-}
-
-func TestTrajectoryIndexGet(t *testing.T) {
-	ix := NewTrajectoryIndex(10)
-	tr := makeTraj("x", geo.Pt(0, 0), 1, 1, 0, 10, 1)
-	ix.Add(tr)
-	got, ok := ix.Get("x")
-	if !ok || got.ID != "x" {
-		t.Fatal("get failed")
-	}
-	if _, ok := ix.Get("nope"); ok {
-		t.Fatal("missing id found")
-	}
-}
-
-func TestSegmentIntersectsRectProperty(t *testing.T) {
-	rect := geo.Rect{Min: geo.Pt(-10, -10), Max: geo.Pt(10, 10)}
-	f := func(ax, ay, bx, by float64) bool {
-		bound := func(v float64) float64 {
-			if v != v || v > 1e9 || v < -1e9 {
-				return 0
-			}
-			return v
-		}
-		pa := geo.Pt(bound(ax), bound(ay))
-		pb := geo.Pt(bound(bx), bound(by))
-		got := segmentIntersectsRect(pa, pb, rect)
-		// Brute force: sample the segment densely.
-		want := false
-		for i := 0; i <= 200; i++ {
-			if rect.Contains(pa.Lerp(pb, float64(i)/200)) {
-				want = true
-				break
-			}
-		}
-		// Dense sampling can miss grazing intersections that the exact
-		// test finds, so only flag the dangerous direction (exact test
-		// missing a sampled hit).
-		return got || !want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

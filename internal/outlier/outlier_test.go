@@ -1,6 +1,7 @@
 package outlier
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,6 +107,55 @@ func TestPredictionSeesPastNonFiniteRow(t *testing.T) {
 	if d := repaired.Points[70].Pos.Dist(pts[70].Pos); !(d < 20) {
 		t.Fatalf("repaired spike is %v m from the truth", d)
 	}
+}
+
+// A non-finite fix is never the filter's state: a 150 m spike is
+// flagged the same with and without a non-finite first row, and a
+// non-finite row right after a diverged run does not become the point
+// the filter restarts at.
+func TestPredictionNonFiniteSeed(t *testing.T) {
+	pts := make([]trajectory.Point, 80)
+	for i := range pts {
+		pts[i] = trajectory.Point{T: float64(i), Pos: geo.Pt(float64(i)*3, float64(i)*1.5)}
+	}
+	tr := simulate.AddGaussianNoise(trajectory.New("t", pts), 2, 11)
+	tr.Points[40].Pos = tr.Points[40].Pos.Add(geo.Pt(150, 0))
+	opt := PredictionOptions{MeasNoise: 2}
+	_, want := Prediction(tr, opt)
+	if !want[40] {
+		t.Fatal("spike not flagged")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []geo.Point{geo.Pt(nan, nan), geo.Pt(nan, 0), geo.Pt(inf, 0), geo.Pt(0, -inf)} {
+		first := tr.Clone()
+		first.Points[0].Pos = bad
+		if _, got := Prediction(first, opt); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("first row %v: flags %v, want %v", bad, flagged(got), flagged(want))
+		}
+	}
+
+	// Rows 20-22 jump 300 m: three flags end the run, and the filter
+	// must restart at row 24, not at the NaN row 23.
+	jump := tr.Clone()
+	for i := 20; i < len(jump.Points); i++ {
+		jump.Points[i].Pos = jump.Points[i].Pos.Add(geo.Pt(0, 300))
+	}
+	jump.Points[23].Pos = geo.Pt(nan, nan)
+	_, got := Prediction(jump, opt)
+	if !got[20] || !got[21] || !got[22] || !got[40] {
+		t.Errorf("jump then NaN: flags %v, want 20, 21, 22 and the spike at 40", flagged(got))
+	}
+}
+
+// flagged lists the indices of the set flags.
+func flagged(flags []bool) []int {
+	var out []int
+	for i, f := range flags {
+		if f {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func TestPredictionEmpty(t *testing.T) {

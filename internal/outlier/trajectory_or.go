@@ -12,6 +12,7 @@ import (
 	"math"
 	"sync"
 
+	"sidq/internal/geo"
 	"sidq/internal/refine"
 	"sidq/internal/trajectory"
 )
@@ -64,7 +65,10 @@ type PredictionOptions struct {
 // Threshold * MeasNoise; flagged points do not update the filter. With
 // Repair set, flagged points are replaced by the prediction, following
 // the repair-with-predicted-value strategy. It returns the (possibly
-// repaired) trajectory and the flags.
+// repaired) trajectory and the flags. A row with a non-finite
+// coordinate is a missing measurement: the filter starts at the first
+// finite fix, only predicts across such a row, and never restarts at
+// one.
 func Prediction(tr *trajectory.Trajectory, opt PredictionOptions) (*trajectory.Trajectory, []bool) {
 	n := tr.Len()
 	out := tr.Clone()
@@ -81,8 +85,12 @@ func Prediction(tr *trajectory.Trajectory, opt PredictionOptions) (*trajectory.T
 	if opt.Threshold <= 0 {
 		opt.Threshold = 5
 	}
-	k := refine.NewKalman(tr.Points[0].Pos, opt.ProcessNoise, opt.MeasNoise)
-	k.Update(tr.Points[0].Pos)
+	first := 0
+	for first < n-1 && !finitePos(tr.Points[first].Pos) {
+		first++
+	}
+	k := refine.NewKalman(tr.Points[first].Pos, opt.ProcessNoise, opt.MeasNoise)
+	k.Update(tr.Points[first].Pos)
 	prevT := tr.Points[0].T
 	warmup := 3
 	consecutive := 0
@@ -103,6 +111,8 @@ func Prediction(tr *trajectory.Trajectory, opt PredictionOptions) (*trajectory.T
 			if opt.Repair {
 				out.Points[i].Pos = k.Position()
 			}
+		} else if !finitePos(tr.Points[i].Pos) {
+			k.Predict(dt) // nothing to update with, restart at, or end a run
 		} else {
 			if consecutive >= 3 {
 				// Recover from divergence: rebuild around the data.
@@ -116,6 +126,11 @@ func Prediction(tr *trajectory.Trajectory, opt PredictionOptions) (*trajectory.T
 		prevT = tr.Points[i].T
 	}
 	return out, flags
+}
+
+// finitePos reports whether both coordinates of p are finite.
+func finitePos(p geo.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Remove returns a copy of tr without the flagged points — the

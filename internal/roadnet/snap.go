@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sidq/internal/geo"
+	"sidq/internal/index"
 )
 
 // Snap is the result of projecting a point onto the road network.
@@ -16,17 +17,14 @@ type Snap struct {
 }
 
 // Snapper answers nearest-edge queries against a graph using a uniform
-// grid over edge bounding rectangles. Build once, query many times.
-// Queries are safe for concurrent use: per-query scratch (the
-// epoch-stamped dedup array and candidate buffers) is pooled.
+// grid (index.Grid) over edge bounding rectangles. Build once, query
+// many times. Queries are safe for concurrent use: per-query scratch
+// (the epoch-stamped dedup array and candidate buffers) is pooled.
 type Snapper struct {
-	cellSize float64
-	bounds   geo.Rect
-	nx, ny   int
-	cells    [][]EdgeID
-	edges    []snapEdge // by edge id: everything a query reads of an edge
-	slack    float64    // absolute margin of the box test, see rejectBar2
-	scratch  sync.Pool  // *snapScratch
+	grid    *index.Grid // edge ids by the cells their boxes overlap
+	edges   []snapEdge  // by edge id: everything a query reads of an edge
+	slack   float64     // absolute margin of the box test, see rejectBar2
+	scratch sync.Pool   // *snapScratch
 }
 
 // snapEdge is one edge as the search sees it: its segment and the
@@ -88,25 +86,10 @@ func NewSnapper(g *Graph, cellSize float64) *Snapper {
 	if cellSize <= 0 {
 		cellSize = 100
 	}
-	nodeBounds := g.Bounds()
-	limit := float64(max(1<<16, 4*g.NumEdges()))
-	var bounds geo.Rect
-	var fx, fy float64
-	for {
-		bounds = nodeBounds.Expand(cellSize)
-		fx = math.Ceil(bounds.Width()/cellSize) + 1
-		fy = math.Ceil(bounds.Height()/cellSize) + 1
-		if !(fx*fy > limit) {
-			break
-		}
-		cellSize *= 2
+	s := &Snapper{
+		grid:  index.NewGrid(g.Bounds(), cellSize, max(1<<16, 4*g.NumEdges())),
+		edges: make([]snapEdge, len(g.edges)),
 	}
-	s := &Snapper{cellSize: cellSize, bounds: bounds, nx: 1, ny: 1}
-	if fx*fy <= limit { // else no finite cell spans the bounds: one cell
-		s.nx, s.ny = int(fx), int(fy)
-	}
-	s.cells = make([][]EdgeID, s.nx*s.ny)
-	s.edges = make([]snapEdge, len(g.edges))
 	var maxAbs float64
 	for _, e := range g.edges {
 		a := g.nodes[e.From].Pos
@@ -114,35 +97,10 @@ func NewSnapper(g *Graph, cellSize float64) *Snapper {
 		r := geo.RectFromPoints(a, b)
 		s.edges[e.ID] = snapEdge{Segment: geo.Segment{A: a, B: b}, lo: r.Min, hi: r.Max}
 		maxAbs = max(maxAbs, math.Abs(a.X), math.Abs(a.Y), math.Abs(b.X), math.Abs(b.Y))
-		lox, loy := s.cellOf(r.Min)
-		hix, hiy := s.cellOf(r.Max)
-		for cy := loy; cy <= hiy; cy++ {
-			for cx := lox; cx <= hix; cx++ {
-				i := cy*s.nx + cx
-				s.cells[i] = append(s.cells[i], e.ID)
-			}
-		}
+		s.grid.Insert(int(e.ID), r)
 	}
 	s.slack = maxAbs * 0x1p-40
 	return s
-}
-
-func (s *Snapper) cellOf(p geo.Point) (int, int) {
-	cx := int((p.X - s.bounds.Min.X) / s.cellSize)
-	cy := int((p.Y - s.bounds.Min.Y) / s.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= s.nx {
-		cx = s.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= s.ny {
-		cy = s.ny - 1
-	}
-	return cx, cy
 }
 
 // rejectBar2 is the box test's threshold for a k-th distance of bar: an
@@ -195,14 +153,16 @@ func (s *Snapper) AppendKNearest(dst []Snap, p geo.Point, k int) []Snap {
 func (s *Snapper) appendKNearest(scr *snapScratch, dst []Snap, p geo.Point, k int) []Snap {
 	best := scr.snaps[:0]
 	bar2 := math.Inf(1)
-	cx, cy := s.cellOf(p)
-	for ring, maxRing := 0, max(s.nx, s.ny); ring <= maxRing; ring++ {
-		if len(best) >= k && (float64(ring)-1)*s.cellSize > best[k-1].Dist {
+	cellSize := s.grid.CellSize()
+	nx, ny := s.grid.Dims()
+	cx, cy := s.grid.CellOf(p)
+	for ring, maxRing := 0, max(nx, ny); ring <= maxRing; ring++ {
+		if len(best) >= k && (float64(ring)-1)*cellSize > best[k-1].Dist {
 			break
 		}
-		scr.ring = s.ringCells(cx, cy, ring, scr.ring[:0])
+		scr.ring = s.grid.RingCells(cx, cy, ring, scr.ring[:0])
 		for _, c := range scr.ring {
-			for _, eid := range s.cells[c] {
+			for _, eid := range s.grid.Cell(c) {
 				if scr.seen[eid] == scr.epoch {
 					continue
 				}
@@ -224,7 +184,7 @@ func (s *Snapper) appendKNearest(scr *snapScratch, dst []Snap, p geo.Point, k in
 				for ; j > 0 && d < best[j-1].Dist; j-- {
 					best[j] = best[j-1]
 				}
-				best[j] = Snap{Edge: eid, Param: t, Pos: pos, Dist: d}
+				best[j] = Snap{Edge: EdgeID(eid), Param: t, Pos: pos, Dist: d}
 				if len(best) == k {
 					bar2 = s.rejectBar2(best[k-1].Dist)
 				}
@@ -233,40 +193,4 @@ func (s *Snapper) appendKNearest(scr *snapScratch, dst []Snap, p geo.Point, k in
 	}
 	scr.snaps = best // return grown capacity to the pool
 	return append(dst, best...)
-}
-
-// ringCells appends to buf the indices of the grid cells at Chebyshev
-// distance ring from (cx, cy), in deterministic sweep order, and
-// returns the extended buffer. The order is the ring's columns left to
-// right — the two end columns bottom to top, each inner column its
-// bottom cell then its top cell — with the cells outside the grid left
-// out, so a ring costs the cells it holds, not its length: a query far
-// outside a long, thin network sweeps every ring up to max(nx, ny). An
-// edge is stored in every cell its box overlaps, so ids repeat across
-// cells; callers dedup with the scratch epoch array.
-func (s *Snapper) ringCells(cx, cy, ring int, buf []int) []int {
-	if ring == 0 {
-		return append(buf, cy*s.nx+cx)
-	}
-	column := func(x int) {
-		if x >= 0 && x < s.nx {
-			for y := max(cy-ring, 0); y <= min(cy+ring, s.ny-1); y++ {
-				buf = append(buf, y*s.nx+x)
-			}
-		}
-	}
-	column(cx - ring)
-	bottom, top := cy-ring >= 0, cy+ring < s.ny
-	if bottom || top {
-		for x := max(cx-ring+1, 0); x <= min(cx+ring-1, s.nx-1); x++ {
-			if bottom {
-				buf = append(buf, (cy-ring)*s.nx+x)
-			}
-			if top {
-				buf = append(buf, (cy+ring)*s.nx+x)
-			}
-		}
-	}
-	column(cx + ring)
-	return buf
 }

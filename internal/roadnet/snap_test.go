@@ -24,14 +24,16 @@ func refKNearest(g *Graph, s *Snapper, p geo.Point, k int) []Snap {
 	}
 	seen := map[EdgeID]bool{}
 	var snaps []Snap
-	cx, cy := s.cellOf(p)
+	cx, cy := s.grid.CellOf(p)
+	nx, ny := s.grid.Dims()
 	kthDist := math.Inf(1)
-	for ring := 0; ring <= max(s.nx, s.ny); ring++ {
-		if len(snaps) >= k && (float64(ring)-1)*s.cellSize > kthDist {
+	for ring := 0; ring <= max(nx, ny); ring++ {
+		if len(snaps) >= k && (float64(ring)-1)*s.grid.CellSize() > kthDist {
 			break
 		}
-		for _, c := range s.ringCells(cx, cy, ring, nil) {
-			for _, eid := range s.cells[c] {
+		for _, c := range s.grid.RingCells(cx, cy, ring, nil) {
+			for _, id := range s.grid.Cell(c) {
+				eid := EdgeID(id)
 				if seen[eid] {
 					continue
 				}
@@ -191,11 +193,14 @@ func TestKNearestMatchesSortReference(t *testing.T) {
 	t.Run("cell boundaries and far outside", func(t *testing.T) {
 		g := GridCity(GridCityOptions{NX: 12, NY: 12, Spacing: 100, Jitter: 4, RemoveFrac: 0.2, Seed: 35})
 		s := NewSnapper(g, 50)
+		cell := s.grid.CellSize()
+		nx, ny := s.grid.Dims()
+		bounds := g.Bounds().Expand(cell) // the grid's: the network's plus one cell
 		var pts []geo.Point
-		for i := 0; i <= s.nx; i += 3 {
-			x := s.bounds.Min.X + float64(i)*s.cellSize
-			for j := 0; j <= s.ny; j += 4 {
-				y := s.bounds.Min.Y + float64(j)*s.cellSize
+		for i := 0; i <= nx; i += 3 {
+			x := bounds.Min.X + float64(i)*cell
+			for j := 0; j <= ny; j += 4 {
+				y := bounds.Min.Y + float64(j)*cell
 				pts = append(pts, geo.Pt(x, y), geo.Pt(x, y+17), geo.Pt(x+23, y))
 			}
 		}
@@ -209,8 +214,8 @@ func TestKNearestMatchesSortReference(t *testing.T) {
 	t.Run("capped grid", func(t *testing.T) {
 		g := GridCity(GridCityOptions{NX: 12, NY: 12, Spacing: 25_000, Jitter: 500, RemoveFrac: 0.2, Seed: 36})
 		s := NewSnapper(g, 100)
-		if s.cellSize == 100 {
-			t.Fatalf("a 275 km city kept the 100 m cell (%d x %d)", s.nx, s.ny)
+		if nx, ny := s.grid.Dims(); s.grid.CellSize() == 100 {
+			t.Fatalf("a 275 km city kept the 100 m cell (%d x %d)", nx, ny)
 		}
 		pts := onRoadFixes(g, 300, 200, 37)
 		b := g.Bounds()
@@ -234,45 +239,6 @@ func TestKNearestMatchesSortReference(t *testing.T) {
 	})
 }
 
-// TestRingCellsKeepSweepOrder holds ringCells, which visits only the
-// part of a ring inside the grid, to the full-ring sweep it replaced —
-// every cell of the ring in order, those outside the grid skipped — for
-// every cell of grids thin either way and every ring past both edges.
-// Discovery order, and with it every tie, follows this order.
-func TestRingCellsKeepSweepOrder(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {3, 8}, {8, 3}, {5, 5}} {
-		s := &Snapper{nx: dims[0], ny: dims[1]}
-		for cy := 0; cy < s.ny; cy++ {
-			for cx := 0; cx < s.nx; cx++ {
-				for ring := 0; ring <= max(s.nx, s.ny)+1; ring++ {
-					var want []int
-					cell := func(x, y int) {
-						if x >= 0 && x < s.nx && y >= 0 && y < s.ny {
-							want = append(want, y*s.nx+x)
-						}
-					}
-					if ring == 0 {
-						cell(cx, cy)
-					}
-					for dx := -ring; ring > 0 && dx <= ring; dx++ {
-						if dx == -ring || dx == ring {
-							for dy := -ring; dy <= ring; dy++ {
-								cell(cx+dx, cy+dy)
-							}
-						} else {
-							cell(cx+dx, cy-ring)
-							cell(cx+dx, cy+ring)
-						}
-					}
-					if got := s.ringCells(cx, cy, ring, nil); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%dx%d grid, cell (%d,%d), ring %d: %v, full sweep %v", s.nx, s.ny, cx, cy, ring, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSnapperGridIsBoundedByEdges is the grid cap: a two-edge network
 // read from CSV whose one street crosses a 300 km square builds in
 // under 8 MB (433 MB of cells at a fixed 100 m) and snaps like a brute
@@ -294,8 +260,8 @@ func TestSnapperGridIsBoundedByEdges(t *testing.T) {
 	if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 && !israce.Enabled {
 		t.Errorf("NewSnapper on a 300 km network allocated %d bytes, want <= 8 MiB", n)
 	}
-	if cells := s.nx * s.ny; cells > 1<<16 {
-		t.Errorf("300 km network: %d cells, want <= %d", cells, 1<<16)
+	if nx, ny := s.grid.Dims(); nx*ny > 1<<16 {
+		t.Errorf("300 km network: %d cells, want <= %d", nx*ny, 1<<16)
 	}
 	for _, p := range []geo.Point{geo.Pt(150_000, 150_010), geo.Pt(-5, 7), geo.Pt(300_000, 0), geo.Pt(1e6, 2e6)} {
 		got := s.KNearest(p, 2)
@@ -306,16 +272,16 @@ func TestSnapperGridIsBoundedByEdges(t *testing.T) {
 	}
 
 	huge := NewSnapper(diagonal(1e7), 100)
-	if cells := huge.nx * huge.ny; cells > 1<<16 {
-		t.Errorf("10 000 km network: %d cells, want <= %d", cells, 1<<16)
+	if nx, ny := huge.grid.Dims(); nx*ny > 1<<16 {
+		t.Errorf("10 000 km network: %d cells, want <= %d", nx*ny, 1<<16)
 	}
 	if got := huge.KNearest(geo.Pt(5e6, 5e6), 1); len(got) != 1 || got[0].Dist > 1e-6 {
 		t.Errorf("10 000 km network: snap of its midpoint = %+v", got)
 	}
 
 	city := NewSnapper(GridCity(GridCityOptions{NX: 80, NY: 80, Spacing: 120, Jitter: 8, RemoveFrac: 0.2, Seed: 41}), 100)
-	if city.cellSize != 100 || city.nx*city.ny != 9801 {
-		t.Errorf("benchmark city: %v m cells, %d x %d; want the 100 m grid of 9801 cells", city.cellSize, city.nx, city.ny)
+	if nx, ny := city.grid.Dims(); city.grid.CellSize() != 100 || nx*ny != 9801 {
+		t.Errorf("benchmark city: %v m cells, %d x %d; want the 100 m grid of 9801 cells", city.grid.CellSize(), nx, ny)
 	}
 }
 

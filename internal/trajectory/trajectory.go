@@ -71,9 +71,6 @@ func (tr *Trajectory) Polyline() geo.Polyline {
 	return pl
 }
 
-// Bounds returns the minimal bounding rectangle of the trajectory.
-func (tr *Trajectory) Bounds() geo.Rect { return tr.Polyline().Bounds() }
-
 // TimeBounds returns the first and last sample times. ok is false for
 // an empty trajectory.
 func (tr *Trajectory) TimeBounds() (t0, t1 float64, ok bool) {
@@ -136,6 +133,78 @@ func (tr *Trajectory) Slice(t0, t1 float64) *Trajectory {
 		}
 	}
 	return out
+}
+
+// Enters reports whether tr's interpolated position lies in rect at
+// some time in [t0, t1]: a sample inside both, or a motion segment
+// whose chord, clipped to the window, crosses rect. An inverted window
+// or an empty rect is entered by nothing.
+func (tr *Trajectory) Enters(rect geo.Rect, t0, t1 float64) bool {
+	if t1 < t0 || rect.IsEmpty() {
+		return false
+	}
+	pts := tr.Points
+	for i := 0; i < len(pts); i++ {
+		if pts[i].T >= t0 && pts[i].T <= t1 && rect.Contains(pts[i].Pos) {
+			return true
+		}
+		if i == 0 {
+			continue
+		}
+		a, b := pts[i-1], pts[i]
+		if b.T < t0 || a.T > t1 || a.T == b.T {
+			continue
+		}
+		// Clip the segment to the time window and test the clipped chord.
+		loT := math.Max(a.T, t0)
+		hiT := math.Min(b.T, t1)
+		fa := (loT - a.T) / (b.T - a.T)
+		fb := (hiT - a.T) / (b.T - a.T)
+		pa := a.Pos.Lerp(b.Pos, fa)
+		pb := a.Pos.Lerp(b.Pos, fb)
+		if segmentIntersectsRect(pa, pb, rect) {
+			return true
+		}
+	}
+	return false
+}
+
+// segmentIntersectsRect reports whether the segment pa-pb intersects
+// rect, using a standard slab (Liang-Barsky style) clip test.
+func segmentIntersectsRect(pa, pb geo.Point, rect geo.Rect) bool {
+	if rect.Contains(pa) || rect.Contains(pb) {
+		return true
+	}
+	d := pb.Sub(pa)
+	tmin, tmax := 0.0, 1.0
+	for _, axis := range [2][3]float64{
+		{d.X, pa.X - rect.Min.X, rect.Max.X - pa.X},
+		{d.Y, pa.Y - rect.Min.Y, rect.Max.Y - pa.Y},
+	} {
+		dir, toMin, toMax := axis[0], axis[1], axis[2]
+		if dir == 0 {
+			if toMin < 0 || toMax < 0 {
+				return false
+			}
+			continue
+		}
+		t1 := -toMin / dir // param where axis = min
+		t2 := toMax / dir  // param where axis = max
+		lo, hi := t1, t2
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if lo > tmin {
+			tmin = lo
+		}
+		if hi < tmax {
+			tmax = hi
+		}
+		if tmin > tmax {
+			return false
+		}
+	}
+	return true
 }
 
 // MaxResamplePoints bounds the number of samples Resample will

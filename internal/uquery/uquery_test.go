@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sidq/internal/geo"
-	"sidq/internal/index"
 )
 
 func TestGaussianObjectProbInRect(t *testing.T) {
@@ -325,35 +325,55 @@ func TestStreamRangeCounterDropsVeryLate(t *testing.T) {
 	}
 }
 
+// TestDistStoreMatchesSingleNode holds every Range answer to a scan of
+// everything inserted, exactly and in id order: points inside and
+// outside the bounds, rects inside, across partition borders, on them,
+// and wholly outside the bounds.
 func TestDistStoreMatchesSingleNode(t *testing.T) {
 	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
 	store := NewDistStore(bounds, 4, 4, 4)
 	defer store.Close()
 	rng := rand.New(rand.NewSource(5))
-	entries := make([]index.PointEntry, 2000)
-	single := index.NewGrid(bounds, 50)
+	entries := make([]PointEvent, 2000)
 	for i := range entries {
-		entries[i] = index.PointEntry{
+		entries[i] = PointEvent{
 			ID:  fmt.Sprintf("p%04d", i),
-			Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000),
+			Pos: geo.Pt(rng.Float64()*1400-200, rng.Float64()*1400-200),
 		}
-		single.Insert(entries[i])
 	}
+	entries = append(entries, PointEvent{ID: "out", Pos: geo.Pt(-100, 200)})
 	if err := store.InsertBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 20; trial++ {
-		rect := geo.RectFromCenter(
-			geo.Pt(rng.Float64()*1000, rng.Float64()*1000),
+	rects := []geo.Rect{
+		geo.RectFromCenter(geo.Pt(-100, 200), 10, 10),    // around the outside point only
+		geo.RectFromCenter(geo.Pt(1300, 1300), 90, 90),   // beyond the far corner
+		geo.RectFromCenter(geo.Pt(500, -150), 400, 40),   // below the bounds, across columns
+		geo.RectFromCenter(geo.Pt(250, 500), 30, 300),    // across a partition border
+		{Min: geo.Pt(250, 250), Max: geo.Pt(500, 500)},   // on partition borders
+		{Min: geo.Pt(-1e6, -1e6), Max: geo.Pt(1e6, 1e6)}, // everything
+		{Min: geo.Pt(10, 10), Max: geo.Pt(5, 5)},         // empty
+	}
+	for trial := 0; trial < 40; trial++ {
+		rects = append(rects, geo.RectFromCenter(
+			geo.Pt(rng.Float64()*1800-400, rng.Float64()*1800-400),
 			rng.Float64()*200, rng.Float64()*200,
-		)
+		))
+	}
+	for _, rect := range rects {
 		got, err := store.Range(rect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := single.Range(rect)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d want %d", trial, len(got), len(want))
+		var want []PointEvent
+		for _, e := range entries {
+			if rect.Contains(e.Pos) {
+				want = append(want, e)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("range %v: %d points %v, scan %d %v", rect, len(got), got, len(want), want)
 		}
 	}
 }
@@ -362,7 +382,7 @@ func TestDistStoreClosedSubmit(t *testing.T) {
 	store := NewDistStore(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}, 2, 2, 2)
 	store.Close()
 	store.Close() // idempotent
-	if err := store.InsertBatch([]index.PointEntry{{ID: "x", Pos: geo.Pt(1, 1)}}); err == nil {
+	if err := store.InsertBatch([]PointEvent{{ID: "x", Pos: geo.Pt(1, 1)}}); err == nil {
 		t.Fatal("insert after close should error")
 	}
 }

@@ -478,10 +478,7 @@ var surfaceKeep = []struct{ name, class, reason string }{
 	{"reduce.DecodeNetworkTrip", keepHeld, "round-trip half of EncodeNetworkTrip (E7b)"},
 	{"core.RouteRecoverStage", keepHeld, "runs MapMatch as a stage for the map-matching goldens and the stage-trait table"},
 	{"trajectory.Columns.Equal", keepHeld, "bit-exact column comparison in the columnar round-trip and differential tests"},
-	{"index.Grid.Len", keepHeld, "tests count what Insert stored"},
 	{"index.RTree.Len", keepHeld, "tests count what Insert stored"},
-	{"index.TrajectoryIndex.Len", keepHeld, "tests count what Add stored"},
-	{"index.TrajectoryIndex.Get", keepHeld, "tests read back what Add stored"},
 }
 
 // The two reasons an exported field that reached code reads and no
