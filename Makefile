@@ -33,7 +33,8 @@
 #                       (store segment scanner and manifest, session
 #                       chunk and snapshot records), the id,t,x,y wire
 #                       codec (scanner and row appender against
-#                       encoding/csv) and the reduce codecs' decoders
+#                       encoding/csv, and its float fast paths against
+#                       strconv) and the reduce codecs' decoders
 #                       (delta-varint, Rice, network trip), the
 #                       Kalman/RTS kernels against
 #                       their dense reference and the snapper's candidate
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME) ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzScanCSV$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendCSVRow$$' -fuzztime $(FUZZTIME) ./internal/trajectory
+	$(GO) test -run '^$$' -fuzz '^FuzzWireFloat$$' -fuzztime $(FUZZTIME) ./internal/trajectory
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaVarintDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzRiceDecode$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetworkTrip$$' -fuzztime $(FUZZTIME) ./internal/reduce

@@ -368,3 +368,53 @@ func TestPlanAndRunIterativeCleanDataNoops(t *testing.T) {
 		t.Fatalf("clean data planned %d stages", len(stages))
 	}
 }
+
+// nanDataset is three noisy walks; with nan, the first has a NaN x at
+// row 100, what a client's garbage field parses to.
+func nanDataset(nan bool) *Dataset {
+	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
+	ds := &Dataset{Region: region}
+	for i := 0; i < 3; i++ {
+		truth := simulate.RandomWalk("v"+string(rune('0'+i)), region, 200, 2, 1, 50+int64(i))
+		ds.Trajectories = append(ds.Trajectories, simulate.AddGaussianNoise(truth, 10, 60+int64(i)))
+	}
+	if nan {
+		ds.Trajectories[0].Points[100].Pos.X = math.NaN()
+	}
+	return ds
+}
+
+// TestNaNSampleStillPlansSmoothing: one non-finite sample must not make
+// the dataset's precision error NaN, which every planner comparison
+// reads as "target met".
+func TestNaNSampleStillPlansSmoothing(t *testing.T) {
+	for _, nan := range []bool{false, true} {
+		a := nanDataset(nan).Assess()
+		if v := a[quality.PrecisionError]; math.IsNaN(v) || v <= DefaultTargets().MaxPrecisionError {
+			t.Fatalf("nan=%v: precision error %v", nan, v)
+		}
+		planned := false
+		for _, st := range Plan(a, DefaultTargets()) {
+			planned = planned || st.Name() == SmoothingStage{}.Name()
+		}
+		if !planned {
+			t.Fatalf("nan=%v: smoothing not planned from %v", nan, a)
+		}
+	}
+}
+
+// TestSmoothingSurvivesNaNSample: the smoother must not take a NaN
+// noise level from a trajectory with one NaN sample, which made every
+// smoothed point NaN.
+func TestSmoothingSurvivesNaNSample(t *testing.T) {
+	ds := nanDataset(true)
+	if err := (SmoothingStage{}).Apply(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	tr := ds.Trajectories[0]
+	for i, p := range tr.Points {
+		if math.IsNaN(p.Pos.X) || math.IsNaN(p.Pos.Y) {
+			t.Fatalf("smoothed point %d of %d is %v", i, tr.Len(), p.Pos)
+		}
+	}
+}

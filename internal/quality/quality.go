@@ -225,19 +225,36 @@ func AssessTrajectory(obs *trajectory.Trajectory, ctx TrajectoryContext) Assessm
 // Roughness estimates the positional noise level without ground truth:
 // the RMS deviation of each interior point from the chord between its
 // neighbors (SED), scaled by 1/sqrt(1.5) because for i.i.d. Gaussian
-// noise the midpoint deviation has variance 1.5*sigma^2.
+// noise the midpoint deviation has variance 1.5*sigma^2. Only triples
+// whose three samples are finite in T, X and Y count, so one NaN or Inf
+// sample neither makes the estimate NaN nor un-plans smoothing; with no
+// such triple it is 0.
 func Roughness(tr *trajectory.Trajectory) float64 {
-	if tr.Len() < 3 {
-		return 0
-	}
 	var sum float64
 	var n int
 	for i := 1; i < tr.Len()-1; i++ {
-		d := trajectory.SED(tr.Points[i-1], tr.Points[i+1], tr.Points[i])
+		a, p, b := tr.Points[i-1], tr.Points[i], tr.Points[i+1]
+		if !finitePoint(a) || !finitePoint(p) || !finitePoint(b) {
+			continue
+		}
+		d := trajectory.SED(a, b, p)
 		sum += d * d
 		n++
 	}
+	if n == 0 {
+		return 0
+	}
 	return math.Sqrt(sum/float64(n)) / math.Sqrt(1.5)
+}
+
+// finitePoint reports whether p's T, X and Y are all finite.
+func finitePoint(p trajectory.Point) bool {
+	for _, v := range [3]float64{p.T, p.Pos.X, p.Pos.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // consistencyScore returns the fraction of segments satisfying time

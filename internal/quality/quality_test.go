@@ -354,3 +354,32 @@ func paperIssues(c Characteristic) []Dimension {
 		return nil // structural rows
 	}
 }
+
+// TestRoughnessSkipsNonFiniteSamples: a NaN or Inf sample drops the
+// three triples it is part of, and leaves the estimate finite and close
+// to the clean one; a trajectory with no finite triple reads 0.
+func TestRoughnessSkipsNonFiniteSamples(t *testing.T) {
+	noisy := simulate.AddGaussianNoise(cleanWalk(12), 10, 13)
+	want := Roughness(noisy)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*trajectory.Point){
+			func(p *trajectory.Point) { p.T = bad },
+			func(p *trajectory.Point) { p.Pos.X = bad },
+			func(p *trajectory.Point) { p.Pos.Y = bad },
+		} {
+			tr := noisy.Clone()
+			set(&tr.Points[100])
+			got := Roughness(tr)
+			if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-want) > 0.05*want {
+				t.Fatalf("Roughness with one %v sample = %v, clean %v", bad, got, want)
+			}
+		}
+	}
+	tr := noisy.Clone()
+	for i := range tr.Points {
+		tr.Points[i].Pos.X = math.NaN()
+	}
+	if got := Roughness(tr); got != 0 {
+		t.Fatalf("Roughness of an all-NaN trajectory = %v, want 0", got)
+	}
+}

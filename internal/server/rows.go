@@ -111,18 +111,17 @@ func (rb *rowBuf) flushTo(w io.Writer, min int) error {
 // appendJSONFloat formats a finite float64 as encoding/json does: the
 // shortest representation that round-trips, in exponent form only
 // below 1e-6 and from 1e21 up, with a two-digit negative exponent
-// trimmed to one (1e-07 -> 1e-7).
+// trimmed to one (1e-07 -> 1e-7). The %f form is trajectory.AppendFloat,
+// strconv's bytes with integers and short decimals taken on its fast
+// path; the exponent form is strconv's own.
 func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return trajectory.AppendFloat(b, f, 'f')
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
 	return b
 }

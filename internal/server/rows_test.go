@@ -14,11 +14,14 @@ import (
 
 // hostileFloats are the values at which encoding/json changes float
 // format or strconv its digit count, plus the ones a careless encoder
-// gets wrong.
+// gets wrong, plus the short decimals trajectory.AppendFloat's fast
+// path takes and the bounds where it hands over to strconv.
 var hostileFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 100, 1e6, 123456789, 4503599627370497.5,
 	1e20, 999999999999999868928, 1e21, 1e21 + 1e6, -1e21, 1.7976931348623157e308,
 	1e-6, 9.999999e-7, 1e-7, -1e-7, 1.5e-9, 5e-324, 2.2250738585072014e-308, 0.1, 0.30000000000000004,
+	57, -57, 5144.86, -5144.86, 1e-4, math.Nextafter(1e-4, 0), 1.5e-6, 999999.5, 123456.5,
+	1e15 - 1, 1e15, 1 << 53, 0.000123, 12345678901234.5, 5144.8612345678985,
 }
 
 var hostileSources = []string{
@@ -28,7 +31,8 @@ var hostileSources = []string{
 
 // TestRowWriterMatchesEncodingJSON: the row writer's bytes against
 // json.Encoder's for the same session.Result, over the hostile values,
-// every hostile source, random bit patterns, and the edge field.
+// every hostile source, random bit patterns and short decimals, and the
+// edge field.
 func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	floats := append([]float64(nil), hostileFloats...)
@@ -36,6 +40,8 @@ func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 		if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
 			floats = append(floats, f)
 		}
+		// A short decimal, as the feed's centimetres and timestamps are.
+		floats = append(floats, float64(rng.Int63n(1e9)-5e8)/math.Pow10(rng.Intn(10)))
 	}
 	rb := getRowBuf()
 	defer rb.release()

@@ -107,7 +107,7 @@ func TestAssessNonFiniteInputAnswersJSON(t *testing.T) {
 	defer srv.Close()
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/assess", "id,t,x,y\na,NaN,0,0\na,1,1,1\n"},
-		{"/v1/assess", "id,t,x,y\na,0,Inf,0\na,1,1,1\na,2,2,2\n"},
+		{"/v1/assess", "id,t,x,y\na,0,0,0\na,1,1,1\na,Inf,2,2\n"},
 		{"/v1/readings/assess", "sensor,t,x,y,value\ns1,NaN,0,0,1\ns1,1,0,0,2\n"},
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "text/csv", strings.NewReader(tc.body))

@@ -2,7 +2,9 @@ package trajectory
 
 // The "id,t,x,y" wire codec: ScanCSV is the only decoder of a point row
 // and AppendCSVRow the only encoder; ReadCSVColumns, WriteCSV and every
-// point route of internal/server are thin callers of the two.
+// point route of internal/server are thin callers of the two. Their
+// floats go through float.go, strconv's bytes and bits with integers
+// and short decimals taken on an exact fast path.
 
 import (
 	"bytes"
@@ -10,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -28,8 +29,9 @@ const RowFlushBytes = 32 << 10
 
 // ScanCSV hands each "id,t,x,y" row of data to row; the first error,
 // its own or row's, ends the scan. It accepts what an encoding/csv
-// Reader with FieldsPerRecord = 4 accepts and parses t, x and y with
-// strconv.ParseFloat, so NaN and ±Inf pass: refusing them is up to row.
+// Reader with FieldsPerRecord = 4 accepts and parses t, x and y as
+// strconv.ParseFloat does, so NaN and ±Inf pass: refusing them is up
+// to row.
 //
 // With needHeader the first row must be a header, any row whose first
 // field is "id". Without it the first row is skipped only when it is
@@ -55,7 +57,7 @@ func ScanCSV(data []byte, needHeader bool, row func(id string, t, x, y float64) 
 		var v [3]float64
 		for k := range v {
 			var err error
-			if v[k], err = strconv.ParseFloat(f[k+1], 64); err != nil {
+			if v[k], err = parseFloat(f[k+1]); err != nil {
 				return fmt.Errorf("bad %c %q: %w", "txy"[k], f[k+1], err)
 			}
 		}
@@ -158,12 +160,13 @@ func AppendCSVField(dst []byte, s string) []byte {
 
 // AppendCSVRow appends one "id,t,x,y" line. idField is the id's field
 // literal from AppendCSVField, computed once per id, not per row;
-// floats take their shortest round-tripping form (strconv 'g', -1).
+// floats take their shortest round-tripping form, strconv's 'g', -1
+// bytes (AppendFloat).
 func AppendCSVRow(dst, idField []byte, t, x, y float64) []byte {
 	dst = append(append(dst, idField...), ',')
-	dst = append(strconv.AppendFloat(dst, t, 'g', -1, 64), ',')
-	dst = append(strconv.AppendFloat(dst, x, 'g', -1, 64), ',')
-	return append(strconv.AppendFloat(dst, y, 'g', -1, 64), '\n')
+	dst = append(AppendFloat(dst, t, 'g'), ',')
+	dst = append(AppendFloat(dst, x, 'g'), ',')
+	return append(AppendFloat(dst, y, 'g'), '\n')
 }
 
 // WriteCSV encodes trajectories as CSV rows "id,t,x,y" with a header.

@@ -231,6 +231,9 @@ func FuzzAppendCSVRow(f *testing.F) {
 	}
 	f.Add("a", math.NaN(), math.Inf(1), math.Inf(-1))
 	f.Add("a", 5e-324, 1.7976931348623157e308, 0.30000000000000004)
+	for _, v := range wireFloatSeeds {
+		f.Add("veh-0", v, -v, v/100)
+	}
 	f.Fuzz(func(t *testing.T, id string, tt, x, y float64) {
 		var want bytes.Buffer
 		cw := csv.NewWriter(&want)
