@@ -18,9 +18,10 @@
 #   make race-hammer    race-detector over the concurrency-hammer
 #                       packages only (uncertain, roadnet, index,
 #                       uquery — DistStore's executor tasks over the
-#                       grid — obs, plus the columnar hammers in
-#                       core/trajectory and the buffer-ownership
-#                       hammers in server/session/stream)
+#                       grid — obs, plus the pooled-scratch hammers in
+#                       core (outlier flags, concurrent pipelines) and
+#                       trajectory (dedup pools) and the
+#                       buffer-ownership hammers in server/session/stream)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)

@@ -43,8 +43,8 @@ func main() {
 		corrupted, truthFlags := simulate.InjectOutliers(noisy, 0.04, 150, int64(20+i))
 
 		// 1. Outlier removal, three ways.
-		constraint := outlier.Evaluate(outlier.SpeedConstraint(corrupted, 25), truthFlags)
-		statistical := outlier.Evaluate(outlier.Statistical(corrupted, outlier.StatisticalOptions{}), truthFlags)
+		constraint := outlier.Evaluate(outlier.SpeedConstraint(corrupted.Points, 25, nil), truthFlags)
+		statistical := outlier.Evaluate(outlier.Statistical(corrupted.Points, outlier.StatisticalOptions{}, nil), truthFlags)
 		repaired, predFlags := outlier.Prediction(corrupted, outlier.PredictionOptions{
 			MeasNoise: 10, Threshold: 5, Repair: true,
 		})

@@ -1,11 +1,12 @@
 package sidq_test
 
-// Golden byte-equivalence fixtures for the columnar (struct-of-arrays)
-// core. The hashes in testdata/golden_columnar.json were generated from
-// the array-of-structs implementations BEFORE the columnar refactor;
-// every columnar batch kernel must reproduce those outputs bit for bit
-// (trajectories are serialized with WriteCSV's shortest-round-trip
-// float format, so a byte-equal hash means bit-equal float64s).
+// Golden byte-equivalence fixtures for the cleaning kernels. The hashes
+// in testdata/golden_columnar.json were generated from the first
+// implementations of these kernels; every rewrite of one must reproduce
+// those outputs bit for bit (trajectories are serialized with
+// WriteCSV's shortest-round-trip float format, so a byte-equal hash
+// means bit-equal float64s). The file keeps its name from the
+// struct-of-arrays rewrite it was made to guard.
 //
 // Regenerate only when an output change is intended:
 //
@@ -102,9 +103,9 @@ func computeGoldens(t *testing.T) map[string]string {
 		key := func(k string) string { return fmt.Sprintf("%s/seed=%d", k, seed) }
 
 		// Speed-gate pass (constraint-based outlier detector).
-		out[key("speedgate")] = hashFlags(outlier.SpeedConstraint(noisy, 10))
+		out[key("speedgate")] = hashFlags(outlier.SpeedConstraint(noisy.Points, 10, nil))
 		// Distance/zscore outlier scan (statistics-based detector).
-		out[key("statscan")] = hashFlags(outlier.Statistical(noisy, outlier.StatisticalOptions{}))
+		out[key("statscan")] = hashFlags(outlier.Statistical(noisy.Points, outlier.StatisticalOptions{}, nil))
 		// Simplification.
 		out[key("simplify/dp")] = hashTrajectories(t, reduce.DouglasPeuckerSED(noisy, 10))
 		out[key("simplify/sw")] = hashTrajectories(t, reduce.SlidingWindow(noisy, 10))
@@ -122,8 +123,8 @@ func computeGoldens(t *testing.T) map[string]string {
 		out[fmt.Sprintf("e1motion/seed=%d", seed)] = hashBytes([]byte(tb.Render()))
 	}
 
-	// The cleaning pipeline: the columnar-native stages must stay
-	// byte-identical to the AoS output. The fixture pins this one
+	// The cleaning pipeline: the stages must stay byte-identical to
+	// their first implementations' output. The fixture pins this one
 	// output under four keys and is not rewritten, so one run answers
 	// all four.
 	cleaned, _, _ := core.DefaultRunner().Run(context.Background(), goldenDataset(12, 1), []core.Stage{
@@ -176,7 +177,7 @@ func TestGoldenColumnar(t *testing.T) {
 			continue
 		}
 		if g != want[name] {
-			t.Errorf("golden mismatch for %s: output changed from the pre-columnar baseline", name)
+			t.Errorf("golden mismatch for %s: output changed from the pinned baseline", name)
 		}
 	}
 	for name := range got {

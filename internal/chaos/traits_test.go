@@ -53,12 +53,9 @@ func sameDataset(got, want *core.Dataset) error {
 	if len(got.Trajectories) != len(want.Trajectories) {
 		return fmt.Errorf("%d trajectories, want %d", len(got.Trajectories), len(want.Trajectories))
 	}
-	var gc, wc trajectory.Columns
 	for i, w := range want.Trajectories {
 		g := got.Trajectories[i]
-		gc.FromTrajectory(g)
-		wc.FromTrajectory(w)
-		if g.ID != w.ID || !gc.Equal(&wc) {
+		if g.ID != w.ID || !samePointBits(g.Points, w.Points) {
 			return fmt.Errorf("trajectory %d: %s/%d points diverge from %s/%d", i, g.ID, g.Len(), w.ID, w.Len())
 		}
 	}
@@ -71,6 +68,22 @@ func sameDataset(got, want *core.Dataset) error {
 		}
 	}
 	return nil
+}
+
+// samePointBits reports whether a and b hold the same samples bit for
+// bit (NaN equal to NaN, -0 unequal to +0).
+func samePointBits(a, b []trajectory.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].T) != math.Float64bits(b[i].T) ||
+			math.Float64bits(a[i].Pos.X) != math.Float64bits(b[i].Pos.X) ||
+			math.Float64bits(a[i].Pos.Y) != math.Float64bits(b[i].Pos.Y) {
+			return false
+		}
+	}
+	return true
 }
 
 // scatterStage edits its dataset's points in place — the one thing the

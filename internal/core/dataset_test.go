@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -88,5 +89,33 @@ func TestRunLeavesInputBitIdentical(t *testing.T) {
 	sameTrajectories(t, ds.Trajectories, want.Trajectories)
 	if !reflect.DeepEqual(ds.Readings, want.Readings) {
 		t.Fatal("the run changed its input's readings")
+	}
+}
+
+// TestCloneSharesTruthMap pins CloneCOW's documented context contract:
+// the Truth map header is shared with the parent (ground truth is
+// reference material, not per-clone state), and so are the trajectory
+// pointers, while the data slices are fresh.
+func TestCloneSharesTruthMap(t *testing.T) {
+	truth := trajectory.New("a", []trajectory.Point{
+		{T: 0, Pos: geo.Pt(0, 0)}, {T: 1, Pos: geo.Pt(1, 1)},
+	})
+	ds := spikyDataset(rand.New(rand.NewSource(74)), 2, 20)
+	ds.Truth = map[string]*trajectory.Trajectory{"a": truth}
+
+	cl := ds.CloneCOW()
+	// Same map, not a copy: an insertion through the clone is visible
+	// to the parent. (That visibility is exactly why the contract says
+	// clone holders must treat Truth as read-only.)
+	cl.Truth["probe"] = truth
+	if _, ok := ds.Truth["probe"]; !ok {
+		t.Fatal("Truth map was copied; the documented contract is sharing")
+	}
+	delete(ds.Truth, "probe")
+	if cl.Truth["a"] != truth {
+		t.Fatal("Truth entry not shared")
+	}
+	if cl.Trajectories[0] != ds.Trajectories[0] {
+		t.Fatal("CloneCOW deep-copied trajectories; want shared pointers")
 	}
 }

@@ -71,15 +71,15 @@ func hostileDataset() *Dataset {
 	return ds
 }
 
-// aosOutlierRemoval is the stage's pre-columnar wiring, kept as the
-// test reference: per-trajectory []Point detectors, merged flags,
-// point-slice compaction, then the readings pass. The detectors' own
-// bit-equivalence with their pre-columnar bodies is pinned in
-// outlier/columnar_test.go.
+// aosOutlierRemoval is the stage's first wiring, kept as the test
+// reference: per-trajectory detectors with fresh flags, merged flags,
+// compaction, then the readings pass. The detectors' own
+// bit-equivalence with their reference bodies is pinned in
+// outlier/differential_test.go.
 func aosOutlierRemoval(ds *Dataset) {
 	for i, tr := range ds.Trajectories {
-		speedFlags := outlier.SpeedConstraint(tr, ds.MaxSpeed)
-		statFlags := outlier.Statistical(tr, outlier.StatisticalOptions{})
+		speedFlags := outlier.SpeedConstraint(tr.Points, ds.MaxSpeed, nil)
+		statFlags := outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, nil)
 		merged := make([]bool, tr.Len())
 		for j := range merged {
 			merged[j] = speedFlags[j] || statFlags[j]
@@ -115,9 +115,10 @@ func sameTrajectories(t *testing.T, got, want []*trajectory.Trajectory) {
 	}
 }
 
-// TestOutlierRemovalColumnarMatchesAoS pins the columnar stage against
-// the pre-columnar AoS implementation bit for bit, including the
-// readings pass, across the hostile dataset and random dirty ones.
+// TestOutlierRemovalColumnarMatchesAoS pins the stage, whose flag
+// buffers are pooled and reused across trajectories, against its
+// reference wiring bit for bit, including the readings pass, across the
+// hostile dataset and random dirty ones.
 func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 26; trial++ {
@@ -165,7 +166,7 @@ func raceRuns(stages []Stage, ds *Dataset, n int) []*Dataset {
 }
 
 // TestOutlierRemovalColumnarAcrossWorkers races whole runs of the
-// columnar stage over one shared input and requires every output to be
+// stage over one shared input and requires every output to be
 // identical to a lone run's.
 func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(72)), 9, 150)
@@ -176,36 +177,8 @@ func TestOutlierRemovalColumnarAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCloneSharesTruthMap pins CloneCOW's documented context contract:
-// the Truth map header is shared with the parent (ground truth is
-// reference material, not per-clone state), and so are the trajectory
-// pointers, while the data slices are fresh.
-func TestCloneSharesTruthMap(t *testing.T) {
-	truth := trajectory.New("a", []trajectory.Point{
-		{T: 0, Pos: geo.Pt(0, 0)}, {T: 1, Pos: geo.Pt(1, 1)},
-	})
-	ds := spikyDataset(rand.New(rand.NewSource(74)), 2, 20)
-	ds.Truth = map[string]*trajectory.Trajectory{"a": truth}
-
-	cl := ds.CloneCOW()
-	// Same map, not a copy: an insertion through the clone is visible
-	// to the parent. (That visibility is exactly why the contract says
-	// clone holders must treat Truth as read-only.)
-	cl.Truth["probe"] = truth
-	if _, ok := ds.Truth["probe"]; !ok {
-		t.Fatal("Truth map was copied; the documented contract is sharing")
-	}
-	delete(ds.Truth, "probe")
-	if cl.Truth["a"] != truth {
-		t.Fatal("Truth entry not shared")
-	}
-	if cl.Trajectories[0] != ds.Trajectories[0] {
-		t.Fatal("CloneCOW deep-copied trajectories; want shared pointers")
-	}
-}
-
-// aosDeduplicate is DeduplicateStage's pre-columnar implementation,
-// kept as the test reference: per-trajectory map[Point]bool dedup,
+// aosDeduplicate is DeduplicateStage's first implementation, kept as
+// the test reference: per-trajectory map[Point]bool dedup,
 // then the readings merge.
 func aosDeduplicate(ds *Dataset) {
 	for i, tr := range ds.Trajectories {
@@ -259,8 +232,8 @@ func dupDataset(rng *rand.Rand, nTraj, nPts int) *Dataset {
 	return ds
 }
 
-// TestDeduplicateColumnarMatchesAoS pins the columnar dedup stage
-// against the pre-columnar AoS implementation bit for bit, including
+// TestDeduplicateColumnarMatchesAoS pins the dedup stage against its
+// reference implementation bit for bit, including
 // map-key float semantics (NaN kept, +0 == -0) and the readings pass.
 func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -288,8 +261,8 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 	}
 }
 
-// TestDeduplicateColumnarAcrossWorkers races whole runs of the columnar
-// dedup over one shared input and requires every output to be identical
+// TestDeduplicateColumnarAcrossWorkers races whole runs of the dedup
+// stage over one shared input and requires every output to be identical
 // to a lone run's.
 func TestDeduplicateColumnarAcrossWorkers(t *testing.T) {
 	ds := dupDataset(rand.New(rand.NewSource(74)), 9, 150)

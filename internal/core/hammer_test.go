@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// TestColumnarScratchHammer hammers the columnar stage path from many
+// TestOutlierFlagsScratchHammer hammers the outlier stage from many
 // goroutines over shared source trajectories: every worker drives
-// Apply on its own COW clone, so the pooled conversion scratch
-// and flag buffers are constantly drawn, dirtied, and recycled
-// concurrently while the underlying point slices are shared read-only.
-// Run under -race (make race-hammer) this is the columnar
+// Apply on its own COW clone, so the pooled orFlags buffers (and the
+// detectors' pooled scratch) are constantly drawn, dirtied, and
+// recycled concurrently while the underlying point slices are shared
+// read-only. Run under -race (make race-hammer) this is the
 // shared-scratch safety gate; the result check makes it a determinism
 // gate too — every worker must produce the identical cleaning.
-func TestColumnarScratchHammer(t *testing.T) {
+func TestOutlierFlagsScratchHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(81)), 8, 200)
 	st := OutlierRemovalStage{}
 
@@ -60,10 +60,11 @@ func TestColumnarScratchHammer(t *testing.T) {
 	}
 }
 
-// TestColumnarPipelineHammer races whole pipeline runs over one shared
-// input, so the pooled columnar scratch is contended across pipelines.
-// Outputs must all match a lone run.
-func TestColumnarPipelineHammer(t *testing.T) {
+// TestConcurrentPipelineHammer races whole pipeline runs over one
+// shared input, so every stage's pooled scratch (the dedup sets and
+// marks, the outlier flags, the smoother's steps) is contended across
+// pipelines. Outputs must all match a lone run.
+func TestConcurrentPipelineHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(82)), 12, 120)
 	stages := []Stage{DeduplicateStage{}, OutlierRemovalStage{}, SmoothingStage{}}
 	want, _, _ := DefaultRunner().Run(context.Background(), ds, stages)

@@ -40,19 +40,28 @@ func DefaultTargets() Targets {
 // the single-node case.
 func Plan(a quality.Assessment, t Targets) []Stage {
 	var stages []Stage
-	if v, ok := a[quality.Redundancy]; ok && t.MaxRedundancy > 0 && v > t.MaxRedundancy {
-		stages = append(stages, DeduplicateStage{})
-	}
-	if v, ok := a[quality.Consistency]; ok && t.MinConsistency > 0 && v < t.MinConsistency {
-		stages = append(stages, OutlierRemovalStage{})
-	}
-	if v, ok := a[quality.PrecisionError]; ok && t.MaxPrecisionError > 0 && v > t.MaxPrecisionError {
-		stages = append(stages, SmoothingStage{})
-	}
-	if v, ok := a[quality.Completeness]; ok && t.MinCompleteness > 0 && v < t.MinCompleteness {
-		stages = append(stages, ImputeStage{})
+	for _, r := range planRules {
+		v, ok := a[r.dim]
+		if target := r.target(t); ok && target > 0 && (r.ceiling && v > target || !r.ceiling && v < target) {
+			stages = append(stages, r.stage)
+		}
 	}
 	return stages
+}
+
+// planRules are Plan's rules in the order it returns their stages: a
+// stage is needed when its dimension is measured and misses a set
+// target, from above for a ceiling and from below for a floor.
+var planRules = [...]struct {
+	stage   Stage
+	dim     quality.Dimension
+	ceiling bool
+	target  func(Targets) float64
+}{
+	{DeduplicateStage{}, quality.Redundancy, true, func(t Targets) float64 { return t.MaxRedundancy }},
+	{OutlierRemovalStage{}, quality.Consistency, false, func(t Targets) float64 { return t.MinConsistency }},
+	{SmoothingStage{}, quality.PrecisionError, true, func(t Targets) float64 { return t.MaxPrecisionError }},
+	{ImputeStage{}, quality.Completeness, false, func(t Targets) float64 { return t.MinCompleteness }},
 }
 
 // PlanAndRunIterativeWith repeats assess-plan-run until the targets are
@@ -98,9 +107,12 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 		if err != nil {
 			return cur, allStages, allReports, err
 		}
-		if round+1 < maxRounds {
-			assessed = cur.Assess()
+		// Once every stage Plan can return has run, no later round can
+		// plan one, so the output is not worth measuring.
+		if round+1 == maxRounds || len(applied) == len(planRules) {
+			break
 		}
+		assessed = cur.Assess()
 	}
 	return cur, allStages, allReports, nil
 }

@@ -142,15 +142,19 @@ func multiRoundWalk() *core.Dataset {
 // measures quality at round boundaries only, where the runner once
 // measured after every stage. Assess is a function of the dataset, so
 // the plans, the stage outcomes and the output must be those of the
-// reference loop, bit for bit — over several dirty datasets, the
-// multi-round walk, a dataset whose imputation degrades, clean data,
-// both failure policies and a cancelled run.
+// reference loop, bit for bit — over several dirty datasets (one of
+// which plans all four stages in its first round, after which the loop
+// stops measuring), the multi-round walk, a dataset whose imputation
+// degrades, clean data, both failure policies and a cancelled run.
 func TestPlanAndRunIterativeMatchesAssessingEachStage(t *testing.T) {
 	walk := multiRoundWalk()
 	_, one, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, walk, core.DefaultTargets(), 1)
 	_, three, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, walk, core.DefaultTargets(), 3)
 	if len(three) <= len(one) {
 		t.Fatalf("the walk plans %d stages in three rounds and %d in one: it must span several rounds", len(three), len(one))
+	}
+	if all := core.Plan(core.DirtyDataset(1).Assess(), core.DefaultTargets()); len(all) != 4 {
+		t.Fatalf("dirty-1 plans %d stages in its first round, want all four", len(all))
 	}
 
 	degrading := core.DirtyDataset(8)

@@ -83,23 +83,25 @@ type orFlags struct{ speed, stat []bool }
 
 var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
 
-// Apply implements Stage: the speed-gate and the statistical scan run
-// as batch kernels over flat columns with pooled flag buffers, their
-// union is compacted into a fresh trajectory, then the readings pass
-// runs once.
+// Apply implements Stage: the speed gate and the statistical scan flag
+// each trajectory into pooled flag buffers, their union is compacted
+// into a fresh trajectory, then the readings pass runs once.
 func (s OutlierRemovalStage) Apply(ctx context.Context, ds *Dataset) error {
 	scr := orFlagsPool.Get().(*orFlags)
 	defer orFlagsPool.Put(scr)
-	err := applyColumnar(ctx, ds, func(dst, src *trajectory.Columns) {
-		scr.speed = outlier.SpeedConstraintCols(src, ds.MaxSpeed, scr.speed)
-		scr.stat = outlier.StatisticalCols(src, outlier.StatisticalOptions{}, scr.stat)
+	for i, tr := range ds.Trajectories {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		scr.speed = outlier.SpeedConstraint(tr.Points, ds.MaxSpeed, scr.speed)
+		scr.stat = outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, scr.stat)
 		for j := range scr.speed {
 			scr.speed[j] = scr.speed[j] || scr.stat[j]
 		}
-		outlier.RemoveCols(dst, src, scr.speed)
-	})
-	if err != nil || len(ds.Readings) == 0 {
-		return err
+		ds.Trajectories[i] = outlier.Remove(tr, scr.speed)
+	}
+	if len(ds.Readings) == 0 {
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -145,13 +147,18 @@ func (s DeduplicateStage) Name() string { return "deduplicate" }
 // Task implements Stage.
 func (s DeduplicateStage) Task() Task { return DataIntegration }
 
-// Apply implements Stage: first-occurrence exact dedup over flat
-// columns with map[Point]bool float semantics (NaN always kept,
-// +0 == -0), then the readings merge pass.
+// Apply implements Stage: first-occurrence exact dedup with
+// map[Point]bool float semantics (NaN always kept, +0 == -0) into a
+// fresh trajectory, then the readings merge pass.
 func (s DeduplicateStage) Apply(ctx context.Context, ds *Dataset) error {
-	err := applyColumnar(ctx, ds, trajectory.DeduplicateCols)
-	if err != nil || len(ds.Readings) == 0 {
-		return err
+	for i, tr := range ds.Trajectories {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ds.Trajectories[i] = &trajectory.Trajectory{ID: tr.ID, Points: trajectory.Deduplicate(tr.Points)}
+	}
+	if len(ds.Readings) == 0 {
+		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err

@@ -94,28 +94,24 @@ func sameFlags(t *testing.T, what string, got, want []bool) {
 	}
 }
 
-// TestSpeedConstraintColsMatchesAoS pins the kernel (with a reused flag
-// buffer) and its []Point entry point against the pre-columnar
-// reference.
+// TestSpeedConstraintColsMatchesAoS pins SpeedConstraint, with a fresh
+// and with a reused flag buffer, against its reference body.
 func TestSpeedConstraintColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var c trajectory.Columns
 	var flags []bool
 	for _, tr := range trialTracks(rng, 120, 60) {
 		for _, maxSpeed := range []float64{0, 5, 10, 50} {
 			what := fmt.Sprintf("%s maxSpeed=%v", tr.ID, maxSpeed)
 			want := speedConstraintRef(tr, maxSpeed)
-			sameFlags(t, what+" entry point", SpeedConstraint(tr, maxSpeed), want)
-			c.FromTrajectory(tr)
-			flags = SpeedConstraintCols(&c, maxSpeed, flags)
-			sameFlags(t, what+" kernel", flags, want)
+			sameFlags(t, what+" fresh", SpeedConstraint(tr.Points, maxSpeed, nil), want)
+			flags = SpeedConstraint(tr.Points, maxSpeed, flags)
+			sameFlags(t, what+" reused", flags, want)
 		}
 	}
 }
 
 func TestStatisticalColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var c trajectory.Columns
 	var flags []bool
 	for _, tr := range trialTracks(rng, 120, 80) {
 		opt := StatisticalOptions{
@@ -124,27 +120,30 @@ func TestStatisticalColsMatchesAoS(t *testing.T) {
 		}
 		what := fmt.Sprintf("%s opt=%+v", tr.ID, opt)
 		want := statisticalRef(tr, opt)
-		sameFlags(t, what+" entry point", Statistical(tr, opt), want)
-		c.FromTrajectory(tr)
-		flags = StatisticalCols(&c, opt, flags)
-		sameFlags(t, what+" kernel", flags, want)
+		sameFlags(t, what+" fresh", Statistical(tr.Points, opt, nil), want)
+		flags = Statistical(tr.Points, opt, flags)
+		sameFlags(t, what+" reused", flags, want)
 	}
 }
 
 // samePoints requires got to be bit-identical to want.
 func samePoints(t *testing.T, what string, got, want []trajectory.Point) {
 	t.Helper()
-	var g, w trajectory.Columns
-	g.FromPoints(got)
-	w.FromPoints(want)
-	if !g.Equal(&w) {
-		t.Fatalf("%s: %d samples diverge from the reference's %d", what, len(got), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, the reference keeps %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.T) != math.Float64bits(w.T) ||
+			math.Float64bits(g.Pos.X) != math.Float64bits(w.Pos.X) ||
+			math.Float64bits(g.Pos.Y) != math.Float64bits(w.Pos.Y) {
+			t.Fatalf("%s: sample %d is %+v, the reference's is %+v", what, i, g, w)
+		}
 	}
 }
 
 func TestRemoveColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var c, dst trajectory.Columns
 	for _, tr := range trialTracks(rng, 60, 40) {
 		flags := make([]bool, rng.Intn(tr.Len()+4)) // may be shorter/longer than tr
 		for i := range flags {
@@ -153,28 +152,26 @@ func TestRemoveColsMatchesAoS(t *testing.T) {
 		want := removeRef(tr, flags)
 		got := Remove(tr, flags)
 		if got.ID != want.ID {
-			t.Fatalf("%s: entry point id %q want %q", tr.ID, got.ID, want.ID)
+			t.Fatalf("%s: id %q want %q", tr.ID, got.ID, want.ID)
 		}
-		samePoints(t, tr.ID+" entry point", got.Points, want.Points)
-		c.FromTrajectory(tr)
-		RemoveCols(&dst, &c, flags)
-		samePoints(t, tr.ID+" kernel", dst.ToPoints(nil), want.Points)
+		samePoints(t, tr.ID, got.Points, want.Points)
+		if cap(got.Points) != len(got.Points) {
+			t.Fatalf("%s: output capacity %d for %d kept samples", tr.ID, cap(got.Points), len(got.Points))
+		}
 	}
 }
 
 // TestColumnarDetectorsReuseAllocFree pins the steady-state contract:
-// with warm flag buffers and pooled scratch, the columnar detectors do
-// not allocate, and a reused buffer holds the verdict a fresh one gets.
+// with warm flag buffers and pooled scratch, the detectors do not
+// allocate, and a reused buffer holds the verdict a fresh one gets.
 func TestColumnarDetectorsReuseAllocFree(t *testing.T) {
-	tr := randTrack(rand.New(rand.NewSource(24)), 256, false)
-	var c trajectory.Columns
-	c.FromTrajectory(tr)
-	flags := SpeedConstraintCols(&c, 10, nil)
-	flags2 := StatisticalCols(&c, StatisticalOptions{}, nil)
+	pts := randTrack(rand.New(rand.NewSource(24)), 256, false).Points
+	flags := SpeedConstraint(pts, 10, nil)
+	flags2 := Statistical(pts, StatisticalOptions{}, nil)
 	fresh, fresh2 := append([]bool(nil), flags...), append([]bool(nil), flags2...)
 	allocs := testing.AllocsPerRun(30, func() {
-		flags = SpeedConstraintCols(&c, 10, flags)
-		flags2 = StatisticalCols(&c, StatisticalOptions{}, flags2)
+		flags = SpeedConstraint(pts, 10, flags)
+		flags2 = Statistical(pts, StatisticalOptions{}, flags2)
 	})
 	if !reflect.DeepEqual(flags, fresh) || !reflect.DeepEqual(flags2, fresh2) {
 		t.Fatal("reused flag buffers hold different verdicts than fresh ones")
@@ -182,6 +179,6 @@ func TestColumnarDetectorsReuseAllocFree(t *testing.T) {
 	// The count means nothing under the race detector (sync.Pool drops
 	// items there by design).
 	if allocs != 0 && !israce.Enabled {
-		t.Fatalf("warm columnar detectors allocated %.1f times/op, want 0", allocs)
+		t.Fatalf("warm detectors allocated %.1f times/op, want 0", allocs)
 	}
 }

@@ -21,7 +21,7 @@ func corruptedWalk(seed int64, rate float64) (*trajectory.Trajectory, *trajector
 
 func TestSpeedConstraintDetects(t *testing.T) {
 	_, corrupted, truth := corruptedWalk(1, 0.05)
-	flags := SpeedConstraint(corrupted, 15)
+	flags := SpeedConstraint(corrupted.Points, 15, nil)
 	s := Evaluate(flags, truth)
 	if s.Precision() < 0.8 {
 		t.Fatalf("precision = %v (%+v)", s.Precision(), s)
@@ -33,13 +33,13 @@ func TestSpeedConstraintDetects(t *testing.T) {
 
 func TestSpeedConstraintDegenerate(t *testing.T) {
 	short := trajectory.New("s", []trajectory.Point{{T: 0}, {T: 1}})
-	for _, f := range SpeedConstraint(short, 10) {
+	for _, f := range SpeedConstraint(short.Points, 10, nil) {
 		if f {
 			t.Fatal("short trajectory flagged")
 		}
 	}
 	_, corrupted, _ := corruptedWalk(2, 0.05)
-	for _, f := range SpeedConstraint(corrupted, 0) {
+	for _, f := range SpeedConstraint(corrupted.Points, 0, nil) {
 		if f {
 			t.Fatal("zero max speed should disable")
 		}
@@ -48,7 +48,7 @@ func TestSpeedConstraintDegenerate(t *testing.T) {
 
 func TestStatisticalDetects(t *testing.T) {
 	_, corrupted, truth := corruptedWalk(3, 0.05)
-	flags := Statistical(corrupted, StatisticalOptions{})
+	flags := Statistical(corrupted.Points, StatisticalOptions{}, nil)
 	s := Evaluate(flags, truth)
 	if s.Precision() < 0.7 || s.Recall() < 0.6 {
 		t.Fatalf("statistical P=%v R=%v (%+v)", s.Precision(), s.Recall(), s)
@@ -57,7 +57,7 @@ func TestStatisticalDetects(t *testing.T) {
 
 func TestStatisticalCleanDataLowFalsePositives(t *testing.T) {
 	truth, _, _ := corruptedWalk(4, 0)
-	flags := Statistical(truth, StatisticalOptions{})
+	flags := Statistical(truth.Points, StatisticalOptions{}, nil)
 	fp := 0
 	for _, f := range flags {
 		if f {
@@ -144,6 +144,36 @@ func TestPredictionNonFiniteSeed(t *testing.T) {
 	_, got := Prediction(jump, opt)
 	if !got[20] || !got[21] || !got[22] || !got[40] {
 		t.Errorf("jump then NaN: flags %v, want 20, 21, 22 and the spike at 40", flagged(got))
+	}
+}
+
+// A row with a NaN or infinite stamp is a missing step: it is never
+// flagged, and every other row is flagged as it is without that row —
+// the spike ten rows later included.
+func TestPredictionNonFiniteStampIsAMissingStep(t *testing.T) {
+	pts := make([]trajectory.Point, 80)
+	for i := range pts {
+		pts[i] = trajectory.Point{T: float64(i), Pos: geo.Pt(float64(i)*3, float64(i)*1.5)}
+	}
+	tr := simulate.AddGaussianNoise(trajectory.New("t", pts), 2, 11)
+	tr.Points[40].Pos = tr.Points[40].Pos.Add(geo.Pt(150, 0))
+	opt := PredictionOptions{MeasNoise: 2}
+	without := tr.Clone()
+	without.Points = append(without.Points[:30], without.Points[31:]...)
+	_, want := Prediction(without, opt)
+	if !want[39] {
+		t.Fatal("spike not flagged")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		stamp := tr.Clone()
+		stamp.Points[30].T = bad
+		_, got := Prediction(stamp, opt)
+		if got[30] {
+			t.Errorf("stamp %v: the row itself is flagged", bad)
+		}
+		if got = append(got[:30], got[31:]...); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("stamp %v: flags %v, want %v", bad, flagged(got), flagged(want))
+		}
 	}
 }
 

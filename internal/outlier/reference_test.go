@@ -1,9 +1,8 @@
 package outlier
 
-// The pre-columnar []Point bodies of the trajectory-point detectors,
-// kept as the references the differential tests in columnar_test.go
-// compare the production kernels and their []Point entry points
-// against.
+// The first bodies of the trajectory-point detectors, kept as the
+// references the differential tests in differential_test.go compare
+// the production detectors against.
 
 import (
 	"math"
@@ -12,7 +11,7 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// speedConstraintRef is the pre-columnar SpeedConstraint: each segment
+// speedConstraintRef is the reference SpeedConstraint: each segment
 // speed is recomputed as "out" for one point and "in" for the next.
 func speedConstraintRef(tr *trajectory.Trajectory, maxSpeed float64) []bool {
 	n := tr.Len()
@@ -48,7 +47,7 @@ func speedConstraintRef(tr *trajectory.Trajectory, maxSpeed float64) []bool {
 	return flags
 }
 
-// statisticalRef is the pre-columnar Statistical: window-median
+// statisticalRef is the reference Statistical: window-median
 // deviation feature over []Point, then stats.Median/MAD.
 func statisticalRef(tr *trajectory.Trajectory, opt StatisticalOptions) []bool {
 	n := tr.Len()
@@ -89,7 +88,7 @@ func statisticalRef(tr *trajectory.Trajectory, opt StatisticalOptions) []bool {
 	return flags
 }
 
-// removeRef is the pre-columnar Remove.
+// removeRef is the reference Remove.
 func removeRef(tr *trajectory.Trajectory, flags []bool) *trajectory.Trajectory {
 	out := &trajectory.Trajectory{ID: tr.ID}
 	for i, p := range tr.Points {

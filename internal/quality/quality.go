@@ -225,21 +225,27 @@ func AssessTrajectory(obs *trajectory.Trajectory, ctx TrajectoryContext) Assessm
 // Roughness estimates the positional noise level without ground truth:
 // the RMS deviation of each interior point from the chord between its
 // neighbors (SED), scaled by 1/sqrt(1.5) because for i.i.d. Gaussian
-// noise the midpoint deviation has variance 1.5*sigma^2. Only triples
-// whose three samples are finite in T, X and Y count, so one NaN or Inf
-// sample neither makes the estimate NaN nor un-plans smoothing; with no
-// such triple it is 0.
+// noise the midpoint deviation has variance 1.5*sigma^2. A sample with
+// a non-finite stamp is a missing step, as it is to the smoother this
+// estimate feeds: the triples run over the samples around it. Of those
+// triples only the ones whose three positions are finite count, so one
+// NaN or Inf sample neither makes the estimate NaN nor un-plans
+// smoothing; with no such triple it is 0.
 func Roughness(tr *trajectory.Trajectory) float64 {
 	var sum float64
-	var n int
-	for i := 1; i < tr.Len()-1; i++ {
-		a, p, b := tr.Points[i-1], tr.Points[i], tr.Points[i+1]
-		if !finitePoint(a) || !finitePoint(p) || !finitePoint(b) {
+	var n, stamped int
+	var a, p trajectory.Point // the last two samples with a finite stamp
+	for _, b := range tr.Points {
+		if math.IsNaN(b.T) || math.IsInf(b.T, 0) {
 			continue
 		}
-		d := trajectory.SED(a, b, p)
-		sum += d * d
-		n++
+		if stamped >= 2 && finitePoint(a) && finitePoint(p) && finitePoint(b) {
+			d := trajectory.SED(a, b, p)
+			sum += d * d
+			n++
+		}
+		a, p = p, b
+		stamped++
 	}
 	if n == 0 {
 		return 0

@@ -134,7 +134,7 @@ func TestRedundancyCountsDuplicates(t *testing.T) {
 }
 
 // TestRedundancyIsWhatDeduplicationRemoves: the planner measures with
-// Redundancy what DeduplicateStage removes with DeduplicateCols, so the
+// Redundancy what DeduplicateStage removes with Deduplicate, so the
 // two must count the same rows — over random rows drawn from a small
 // pool and over the float-equality edges (NaN fields, both zeros, both
 // infinities, every row equal).
@@ -155,14 +155,11 @@ func TestRedundancyIsWhatDeduplicationRemoves(t *testing.T) {
 		}
 		cases = append(cases, pts)
 	}
-	var src, dst trajectory.Columns
 	for i, pts := range cases {
-		n := len(pts)
-		src.FromPoints(pts)
-		trajectory.DeduplicateCols(&dst, &src)
+		n, kept := len(pts), len(trajectory.Deduplicate(pts))
 		got := AssessTrajectory(&trajectory.Trajectory{ID: "t", Points: pts}, TrajectoryContext{})[Redundancy]
-		if want := float64(n-dst.Len()) / float64(n); got != want {
-			t.Fatalf("case %d: Redundancy %v over %d rows, deduplication removes %d", i, got, n, n-dst.Len())
+		if want := float64(n-kept) / float64(n); got != want {
+			t.Fatalf("case %d: Redundancy %v over %d rows, deduplication removes %d", i, got, n, n-kept)
 		}
 	}
 }
@@ -355,13 +352,21 @@ func paperIssues(c Characteristic) []Dimension {
 	}
 }
 
-// TestRoughnessSkipsNonFiniteSamples: a NaN or Inf sample drops the
-// three triples it is part of, and leaves the estimate finite and close
+// TestRoughnessSkipsNonFiniteSamples: a NaN or Inf position drops the
+// three triples it is part of, a NaN or Inf stamp reads as if its
+// sample were absent, and either leaves the estimate finite and close
 // to the clean one; a trajectory with no finite triple reads 0.
 func TestRoughnessSkipsNonFiniteSamples(t *testing.T) {
 	noisy := simulate.AddGaussianNoise(cleanWalk(12), 10, 13)
 	want := Roughness(noisy)
+	without := noisy.Clone()
+	without.Points = append(without.Points[:100], without.Points[101:]...)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		stamp := noisy.Clone()
+		stamp.Points[100].T = bad
+		if got, gone := Roughness(stamp), Roughness(without); got != gone {
+			t.Fatalf("Roughness with one %v stamp = %v, without the sample %v", bad, got, gone)
+		}
 		for _, set := range []func(*trajectory.Point){
 			func(p *trajectory.Point) { p.T = bad },
 			func(p *trajectory.Point) { p.Pos.X = bad },

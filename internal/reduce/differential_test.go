@@ -64,60 +64,60 @@ func edgeTracks() []*trajectory.Trajectory {
 // samePoints requires got to be bit-identical to want.
 func samePoints(t *testing.T, what string, got, want []trajectory.Point) {
 	t.Helper()
-	var g, w trajectory.Columns
-	g.FromPoints(got)
-	w.FromPoints(want)
-	if !g.Equal(&w) {
-		t.Fatalf("%s: %d samples diverge from the reference's %d", what, len(got), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, the reference keeps %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.T) != math.Float64bits(w.T) ||
+			math.Float64bits(g.Pos.X) != math.Float64bits(w.Pos.X) ||
+			math.Float64bits(g.Pos.Y) != math.Float64bits(w.Pos.Y) {
+			t.Fatalf("%s: sample %d is %+v, the reference's is %+v", what, i, g, w)
+		}
 	}
 }
 
-// TestDouglasPeuckerSEDColsMatchesAoS pins the iterative kernel and its
-// []Point entry point against the recursive pre-columnar reference bit
-// for bit across hostile inputs, random tracks, epsilons, and
-// degenerate (equal-timestamp) chords.
+// TestDouglasPeuckerSEDColsMatchesAoS pins the iterative
+// DouglasPeuckerSED against the recursive reference bit for bit across
+// hostile inputs, random tracks, epsilons, and degenerate
+// (equal-timestamp) chords.
 func TestDouglasPeuckerSEDColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tracks := edgeTracks()
 	for trial := 0; trial < 150; trial++ {
 		tracks = append(tracks, randWalkTrack(rng, rng.Intn(120)))
 	}
-	var c, dst trajectory.Columns
 	for _, tr := range tracks {
 		for _, eps := range []float64{0, 0.5, 2, 10, 50} {
 			what := fmt.Sprintf("%s eps=%v", tr.ID, eps)
 			want := douglasPeuckerSEDRef(tr, eps)
 			got := DouglasPeuckerSED(tr, eps)
 			if got.ID != want.ID {
-				t.Fatalf("%s: entry point id %q want %q", what, got.ID, want.ID)
+				t.Fatalf("%s: id %q want %q", what, got.ID, want.ID)
 			}
-			samePoints(t, what+" entry point", got.Points, want.Points)
-			c.FromTrajectory(tr)
-			DouglasPeuckerSEDCols(&dst, &c, eps)
-			samePoints(t, what+" kernel", dst.ToPoints(nil), want.Points)
+			samePoints(t, what, got.Points, want.Points)
 		}
 	}
 }
 
 // TestDouglasPeuckerSEDColsReuseAllocFree pins the steady-state
-// contract: warm destination columns plus pooled keep/stack scratch
-// means zero allocations per simplification, and a reused destination
-// holds the simplification a fresh one gets.
+// contract: with the keep and stack scratch pooled, a simplification
+// allocates only its output — the trajectory and its points, sized to
+// what it keeps.
 func TestDouglasPeuckerSEDColsReuseAllocFree(t *testing.T) {
 	tr := randWalkTrack(rand.New(rand.NewSource(32)), 300)
-	var c, dst, fresh trajectory.Columns
-	c.FromTrajectory(tr)
-	DouglasPeuckerSEDCols(&fresh, &c, 5)
-	DouglasPeuckerSEDCols(&dst, &c, 5) // warm pools and dst
-	allocs := testing.AllocsPerRun(30, func() {
-		DouglasPeuckerSEDCols(&dst, &c, 5)
-	})
-	if !dst.Equal(&fresh) {
-		t.Fatal("a reused destination holds a different simplification than a fresh one")
+	fresh := DouglasPeuckerSED(tr, 5) // warms the pools
+	if cap(fresh.Points) != len(fresh.Points) {
+		t.Fatalf("output capacity %d for %d kept samples", cap(fresh.Points), len(fresh.Points))
 	}
+	var got *trajectory.Trajectory
+	allocs := testing.AllocsPerRun(30, func() {
+		got = DouglasPeuckerSED(tr, 5)
+	})
+	samePoints(t, "warm", got.Points, fresh.Points)
 	// The count means nothing under the race detector (sync.Pool drops
 	// items there by design).
-	if allocs != 0 && !israce.Enabled {
-		t.Fatalf("warm DouglasPeuckerSEDCols allocated %.1f times/op, want 0", allocs)
+	if allocs != 2 && !israce.Enabled {
+		t.Fatalf("warm DouglasPeuckerSED allocated %.1f times/op, want 2 (the trajectory and its points)", allocs)
 	}
 }

@@ -2,10 +2,9 @@ package reduce
 
 import "sidq/internal/trajectory"
 
-// douglasPeuckerSEDRef is the pre-columnar DouglasPeuckerSED — the
-// recursive TD-TR over []Point — kept as the reference the differential
-// test in columnar_test.go compares the production kernel and its
-// []Point entry point against.
+// douglasPeuckerSEDRef is the first DouglasPeuckerSED — the recursive
+// TD-TR — kept as the reference the differential test in
+// differential_test.go compares the production one against.
 func douglasPeuckerSEDRef(tr *trajectory.Trajectory, eps float64) *trajectory.Trajectory {
 	n := tr.Len()
 	out := &trajectory.Trajectory{ID: tr.ID}

@@ -16,23 +16,98 @@ import (
 	"sidq/internal/trajectory"
 )
 
-// colsPool recycles the struct-of-arrays scratch DouglasPeuckerSED
-// converts through on its way to the columnar kernel.
-var colsPool = sync.Pool{New: func() any { return new(trajectory.Columns) }}
+// keepPool recycles the keep-flag buffer DouglasPeuckerSED needs per
+// call; compression sweeps run it across every trajectory at many
+// epsilons, so the buffer is hot.
+var keepPool = sync.Pool{New: func() any { return new([]bool) }}
+
+func getKeep(n int) *[]bool {
+	p := keepPool.Get().(*[]bool)
+	if cap(*p) < n {
+		*p = make([]bool, n)
+	}
+	*p = (*p)[:n]
+	for i := range *p {
+		(*p)[i] = false
+	}
+	return p
+}
+
+// stackPool recycles the interval stack of the iterative
+// Douglas-Peucker.
+var stackPool = sync.Pool{New: func() any { return new([][2]int) }}
 
 // DouglasPeuckerSED simplifies offline with the time-aware
 // Douglas-Peucker variant (TD-TR): repeatedly keep the point with the
 // largest SED until every discarded point is within eps meters of the
-// kept chord. The first and last points are always kept. It is the
-// trajectory-form entry point of DouglasPeuckerSEDCols.
+// kept chord. The first and last points are always kept.
+//
+// It is driven by an explicit interval stack. Each interval is examined
+// independently, so traversal order cannot change which points are
+// kept, and the SED arithmetic is the same expression sequence as
+// trajectory.SED — output is bit-identical to the recursive reference
+// (reference_test.go; the goldens and the property tests pin it).
 func DouglasPeuckerSED(tr *trajectory.Trajectory, eps float64) *trajectory.Trajectory {
-	src := colsPool.Get().(*trajectory.Columns)
-	dst := colsPool.Get().(*trajectory.Columns)
-	defer colsPool.Put(src)
-	defer colsPool.Put(dst)
-	src.FromTrajectory(tr)
-	DouglasPeuckerSEDCols(dst, src, eps)
-	return dst.Trajectory(tr.ID)
+	pts := tr.Points
+	n := len(pts)
+	out := &trajectory.Trajectory{ID: tr.ID}
+	if n <= 2 || eps <= 0 {
+		out.Points = append(make([]trajectory.Point, 0, n), pts...)
+		return out
+	}
+	keepP := getKeep(n)
+	defer keepPool.Put(keepP)
+	keep := *keepP
+	keep[0], keep[n-1] = true, true
+	kept := 2
+	stackP := stackPool.Get().(*[][2]int)
+	stack := (*stackP)[:0]
+	stack = append(stack, [2]int{0, n - 1})
+	for len(stack) > 0 {
+		iv := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lo, hi := iv[0], iv[1]
+		if hi-lo < 2 {
+			continue
+		}
+		a, b := pts[lo], pts[hi]
+		at, ax, ay := a.T, a.Pos.X, a.Pos.Y
+		bt, bx, by := b.T, b.Pos.X, b.Pos.Y
+		den := bt - at
+		dbx, dby := bx-ax, by-ay
+		worst, worstI := 0.0, -1
+		if bt == at {
+			// Degenerate chord: SED falls back to distance from a.
+			for i := lo + 1; i < hi; i++ {
+				if d := math.Hypot(pts[i].Pos.X-ax, pts[i].Pos.Y-ay); d > worst {
+					worst, worstI = d, i
+				}
+			}
+		} else {
+			for i := lo + 1; i < hi; i++ {
+				f := (pts[i].T - at) / den
+				ex := ax + dbx*f
+				ey := ay + dby*f
+				if d := math.Hypot(pts[i].Pos.X-ex, pts[i].Pos.Y-ey); d > worst {
+					worst, worstI = d, i
+				}
+			}
+		}
+		if worst > eps {
+			keep[worstI] = true
+			kept++
+			stack = append(stack, [2]int{lo, worstI}, [2]int{worstI, hi})
+		}
+	}
+	*stackP = stack[:0]
+	stackPool.Put(stackP)
+	out.Points = make([]trajectory.Point, 0, kept)
+	for i, k := range keep {
+		if k {
+			out.Points = append(out.Points, pts[i])
+		}
+	}
+	return out
 }
 
 // SlidingWindow simplifies online with the opening-window strategy:

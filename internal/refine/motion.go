@@ -106,9 +106,11 @@ func (k *Kalman) Update(obs geo.Point) {
 }
 
 // finitePos reports whether both coordinates of p are finite.
-func finitePos(p geo.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
+func finitePos(p geo.Point) bool { return finite(p.X) && finite(p.Y) }
+
+// finite reports whether f is neither NaN nor infinite: f-f is NaN
+// for both.
+func finite(f float64) bool { return f-f == 0 }
 
 // Step performs Predict(dt) then Update(obs) and returns the position.
 func (k *Kalman) Step(dt float64, obs geo.Point) geo.Point {
@@ -128,12 +130,12 @@ func (k *Kalman) Innovation(dt float64, obs geo.Point) float64 {
 }
 
 // firstFinitePos returns the first position of tr with two finite
-// coordinates (the origin if there is none): what the trajectory
-// helpers start the filter at, so that a bad first row is a missing
-// measurement like any other.
+// coordinates and a finite stamp (the origin if there is none): what
+// the trajectory helpers start the filter at, so that a bad first row
+// is a missing measurement or step like any other.
 func firstFinitePos(tr *trajectory.Trajectory) geo.Point {
 	for _, p := range tr.Points {
-		if finitePos(p.Pos) {
+		if finite(p.T) && finitePos(p.Pos) {
 			return p.Pos
 		}
 	}
@@ -141,22 +143,28 @@ func firstFinitePos(tr *trajectory.Trajectory) geo.Point {
 }
 
 // KalmanFilterTrajectory runs the filter forward over a trajectory and
-// returns the filtered (causal) trajectory.
+// returns the filtered (causal) trajectory. A sample whose stamp is not
+// finite is a missing step: the filter neither predicts nor updates
+// there, the next step's dt runs from the last finite stamp, and the
+// sample is given the current estimate.
 func KalmanFilterTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory.Trajectory {
 	out := &trajectory.Trajectory{ID: tr.ID}
 	if tr.Len() == 0 {
 		return out
 	}
 	k := NewKalman(firstFinitePos(tr), q, r)
-	prevT := tr.Points[0].T
+	prevT := math.NaN() // the last finite stamp; NaN before the first
 	out.Points = make([]trajectory.Point, 0, tr.Len())
-	for i, p := range tr.Points {
-		if i == 0 {
+	for _, p := range tr.Points {
+		switch {
+		case !finite(p.T): // a missing step
+		case math.IsNaN(prevT):
 			k.Update(p.Pos)
-		} else {
+			prevT = p.T
+		default:
 			k.Step(math.Max(p.T-prevT, 1e-9), p.Pos)
+			prevT = p.T
 		}
-		prevT = p.T
 		out.Points = append(out.Points, trajectory.Point{T: p.T, Pos: k.Position()})
 	}
 	return out
@@ -224,6 +232,11 @@ func rtsGain(pFilt, pPred block2, dt float64) (g block2, ok bool) {
 // trajectory. This is the smoothing-based uncertainty eliminator built
 // on the same motion model. Only the smoothed means are computed: the
 // smoothed covariance feeds no mean and is returned to nobody.
+//
+// A sample whose stamp is not finite is a missing step, as in
+// KalmanFilterTrajectory: both passes skip it, and it is given the
+// smoothed estimate of the next finite step (the filtered one when no
+// finite step follows).
 func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory.Trajectory {
 	n := tr.Len()
 	out := &trajectory.Trajectory{ID: tr.ID}
@@ -234,10 +247,13 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 	defer stepsPool.Put(stepsP)
 	steps := *stepsP
 	k := NewKalman(firstFinitePos(tr), q, r)
-	prevT := tr.Points[0].T
+	prevT := math.NaN() // the last finite stamp; NaN before the first
 	for i, p := range tr.Points {
+		if !finite(p.T) {
+			continue
+		}
 		st := &steps[i]
-		if i > 0 {
+		if !math.IsNaN(prevT) {
 			st.dt = math.Max(p.T-prevT, 1e-9)
 			k.Predict(st.dt)
 		}
@@ -246,22 +262,25 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 		st.xFilt, st.pFilt = k.x, k.p
 		prevT = p.T
 	}
-	// Backward RTS pass: xs holds the smoothed state of step i+1 on
-	// entry to iteration i, xs[i] = xFilt + gain * (xs[i+1] - xPred[i+1]).
+	// Backward RTS pass: next is the first finite step after i and xs its
+	// smoothed state on entry to iteration i; xs[i] = xFilt + gain *
+	// (xs[next] - xPred[next]). While there is no such step, next is a
+	// zero record, whose singular pPred leaves xs[i] = xFilt.
 	out.Points = make([]trajectory.Point, n)
-	xs := steps[n-1].xFilt
-	out.Points[n-1] = trajectory.Point{T: tr.Points[n-1].T, Pos: geo.Pt(xs.sx, xs.sy)}
-	for i := n - 2; i >= 0; i-- {
-		next, st := &steps[i+1], &steps[i]
-		if g, ok := rtsGain(st.pFilt, next.pPred, next.dt); ok {
-			dx, dvx := xs.sx-next.xPred.sx, xs.vx-next.xPred.vx
-			dy, dvy := xs.sy-next.xPred.sy, xs.vy-next.xPred.vy
-			xs.sx = st.xFilt.sx + ((0 + g.a*dx) + g.b*dvx)
-			xs.vx = st.xFilt.vx + ((0 + g.c*dx) + g.d*dvx)
-			xs.sy = st.xFilt.sy + ((0 + g.a*dy) + g.b*dvy)
-			xs.vy = st.xFilt.vy + ((0 + g.c*dy) + g.d*dvy)
-		} else {
-			xs = st.xFilt
+	next, xs := &rtsStep{}, k.x
+	for i := n - 1; i >= 0; i-- {
+		if st := &steps[i]; finite(tr.Points[i].T) {
+			if g, ok := rtsGain(st.pFilt, next.pPred, next.dt); ok {
+				dx, dvx := xs.sx-next.xPred.sx, xs.vx-next.xPred.vx
+				dy, dvy := xs.sy-next.xPred.sy, xs.vy-next.xPred.vy
+				xs.sx = st.xFilt.sx + ((0 + g.a*dx) + g.b*dvx)
+				xs.vx = st.xFilt.vx + ((0 + g.c*dx) + g.d*dvx)
+				xs.sy = st.xFilt.sy + ((0 + g.a*dy) + g.b*dvy)
+				xs.vy = st.xFilt.vy + ((0 + g.c*dy) + g.d*dvy)
+			} else {
+				xs = st.xFilt
+			}
+			next = st
 		}
 		out.Points[i] = trajectory.Point{T: tr.Points[i].T, Pos: geo.Pt(xs.sx, xs.sy)}
 	}

@@ -4,7 +4,8 @@ package server
 // streaming subsystem: typed 413 detection, the mid-stream
 // write-failure counter, the bounded resample behind /v1/clean,
 // query-string validation ahead of the ingest body, the optional-header
-// rule of an ingest chunk, and the one-buffer body read.
+// rule of an ingest chunk, the one-buffer body read, and the NaN stamp
+// /v1/clean's smoother steps over.
 
 import (
 	"bytes"
@@ -12,13 +13,17 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"sidq/internal/geo"
+	"sidq/internal/simulate"
 	"sidq/internal/trajectory"
 )
 
@@ -289,5 +294,61 @@ func TestParamErrorsSayWhatWasWanted(t *testing.T) {
 		if got := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusBadRequest || got != tc.want {
 			t.Errorf("%s %s: %d %q, want 400 %q", tc.method, tc.target, rec.Code, got, tc.want)
 		}
+	}
+}
+
+// One NaN timestamp is a missing step for the smoother, not a poison:
+// a body of three 200-point trajectories with one a,NaN,... row used
+// to come back with most of a's positions NaN. Every returned position
+// is finite, and every other row is what the body without that row
+// gives — a's too, since the smoother and its noise estimate read the
+// row as absent.
+func TestCleanNaNTimestampIsAMissingStep(t *testing.T) {
+	svc := NewService(Config{Logger: DiscardLogger(), RequestTimeout: time.Minute})
+	defer svc.Close()
+	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
+	var rows []string
+	for k, id := range []string{"a", "b", "c"} {
+		truth := simulate.RandomWalk(id, region, 200, 2, 1, int64(11+k))
+		dirty, _ := simulate.InjectOutliers(simulate.AddGaussianNoise(truth, 8, int64(21+k)), 0.05, 120, int64(31+k))
+		var buf bytes.Buffer
+		if err := trajectory.WriteCSV(&buf, []*trajectory.Trajectory{dirty}); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")[1:]...)
+	}
+	const nan = 99 // the body's 100th row, one of a's
+	fields := strings.Split(rows[nan], ",")
+	fields[1] = "NaN"
+	nanRow := strings.Join(fields, ",")
+	clean := func(rows []string) (stages string, out []string) {
+		t.Helper()
+		body := "id,t,x,y\n" + strings.Join(rows, "\n") + "\n"
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get("X-Sidq-Stages"), strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")[1:]
+	}
+	stages, got := clean(append(append(append([]string(nil), rows[:nan]...), nanRow), rows[nan+1:]...))
+	wantStages, want := clean(append(append([]string(nil), rows[:nan]...), rows[nan+1:]...))
+	if !strings.Contains(stages, "kalman-smoothing") || stages != wantStages {
+		t.Fatalf("stages %q, and %q without the NaN row: the test no longer reaches the smoother", stages, wantStages)
+	}
+	var kept []string
+	for _, row := range got {
+		f := strings.Split(row, ",")
+		for _, v := range f[2:] {
+			if x, err := strconv.ParseFloat(v, 64); err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("row %q: position is not finite", row)
+			}
+		}
+		if f[1] != "NaN" {
+			kept = append(kept, row)
+		}
+	}
+	if strings.Join(kept, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("the rows with a finite stamp differ from the body without the NaN row")
 	}
 }

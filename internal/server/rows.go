@@ -75,19 +75,19 @@ func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge *int) error {
 	return nil
 }
 
-// writeCSV writes the header, then the rows b holds for each of srcs
+// writeCSV writes the header, then the rows g holds for each of srcs
 // in turn: what trajectory.WriteCSV writes for the same groups.
-func (rb *rowBuf) writeCSV(w io.Writer, b *trajectory.ColumnsBuilder, srcs []string) error {
+func (rb *rowBuf) writeCSV(w io.Writer, g *trajectory.Grouper, srcs []string) error {
 	rb.buf = append(rb.buf, trajectory.CSVHeader...)
 	var id []byte
 	for _, src := range srcs {
-		c := b.Columns(src)
-		if c == nil {
+		pts := g.Points(src)
+		if pts == nil {
 			continue
 		}
 		id = trajectory.AppendCSVField(id[:0], src)
-		for i := range c.T {
-			rb.buf = trajectory.AppendCSVRow(rb.buf, id, c.T[i], c.X[i], c.Y[i])
+		for _, p := range pts {
+			rb.buf = trajectory.AppendCSVRow(rb.buf, id, p.T, p.Pos.X, p.Pos.Y)
 			if err := rb.flushTo(w, trajectory.RowFlushBytes); err != nil {
 				return err
 			}

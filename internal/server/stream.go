@@ -180,11 +180,11 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 		// Sources in the session's first-appearance order, rows in emitted
 		// order: a fully drained in-order session equals the batch path.
 		w.Header().Set("Content-Type", "text/csv")
-		b := trajectory.NewColumnsBuilder()
+		g := trajectory.NewGrouper()
 		for _, res := range results {
-			b.Add(res.Source, res.T, res.X, res.Y)
+			g.Add(res.Source, res.T, res.X, res.Y)
 		}
-		if err := rb.writeCSV(w, b, srcs); err != nil {
+		if err := rb.writeCSV(w, g, srcs); err != nil {
 			s.writeError(r, err)
 		}
 		return
@@ -259,18 +259,19 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 	defer rb.release()
 	if csv {
 		// CSV groups rows per source, so the whole result set has to be
-		// read — into columns — before the first output byte, and its size
-		// is known when the headers go out. Use ndjson for wide windows.
-		b := trajectory.NewColumnsBuilder()
+		// read — into per-source groups — before the first output byte, and
+		// its size is known when the headers go out. Use ndjson for wide
+		// windows.
+		g := trajectory.NewGrouper()
 		var points int
 		points, err = h.Scan(func(src []byte, t, x, y float64) error {
-			b.Add(string(src), t, x, y) // Add keeps no reference to src
+			g.Add(string(src), t, x, y) // Add keeps no reference to src
 			return nil
 		})
 		if err == nil {
 			w.Header().Set("X-Sidq-Points", strconv.Itoa(points))
 			w.Header().Set("Content-Type", "text/csv")
-			err = rb.writeCSV(w, b, b.IDs())
+			err = rb.writeCSV(w, g, g.IDs())
 		}
 	} else {
 		// ndjson rows are written out as the row buffer fills, so the

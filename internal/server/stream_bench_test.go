@@ -18,8 +18,7 @@ import (
 // one session per op, chunked CSV posts through the real handler stack
 // (body decode, lane fan-in, watermarking, incremental cleaning), then
 // a full drain. This is the row that guards the server-side cost of a
-// chunk — the columnar CSV decode and the columnar result drain both
-// land here.
+// chunk — the CSV decode and the result drain both land here.
 func BenchmarkStreamIngest(b *testing.B) {
 	svc := newTestService(Config{})
 	defer svc.Close()

@@ -159,18 +159,17 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 }
 
 // resultTrajectories groups results into per-source trajectories in the
-// order of srcs, emitted order within a source — how the CSV responses
-// were built before they printed from columns; with WriteCSV it is the
-// reference for them.
+// order of srcs, emitted order within a source; with WriteCSV it is the
+// reference the CSV responses are checked against.
 func resultTrajectories(results []session.Result, srcs []string) []*trajectory.Trajectory {
-	b := trajectory.NewColumnsBuilder()
+	g := trajectory.NewGrouper()
 	for _, res := range results {
-		b.Add(res.Source, res.T, res.X, res.Y)
+		g.Add(res.Source, res.T, res.X, res.Y)
 	}
 	var out []*trajectory.Trajectory
 	for _, src := range srcs {
-		if c := b.Columns(src); c != nil {
-			out = append(out, c.Trajectory(src))
+		if pts := g.Points(src); pts != nil {
+			out = append(out, &trajectory.Trajectory{ID: src, Points: pts})
 		}
 	}
 	return out

@@ -119,18 +119,21 @@ func splitCSVLine(line string, f *[4]string) (ok bool) {
 // grouped by id in first-appearance order, each group time-sorted.
 // The result holds no reference to data.
 func ParseCSV(data []byte) ([]*Trajectory, error) {
-	b := NewColumnsBuilder()
+	g := NewGrouper()
 	err := ScanCSV(data, true, func(id string, t, x, y float64) error {
-		b.Add(id, t, x, y)
+		g.Add(id, t, x, y)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trajectory: %w", err)
 	}
-	return b.Trajectories(), nil
+	return g.Trajectories(), nil
 }
 
-// ReadCSVColumns is ParseCSV over everything r yields.
+// ReadCSVColumns is ParseCSV over everything r yields. The name is
+// older than the decoder: nothing columnar is left behind it, but the
+// serving benchmark calls it by this name, so it stays until the
+// benchmark is next changed (ROADMAP item 1).
 func ReadCSVColumns(r io.Reader) ([]*Trajectory, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

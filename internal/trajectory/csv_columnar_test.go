@@ -129,38 +129,40 @@ func TestReadCSVColumnsErrors(t *testing.T) {
 	}
 }
 
-// TestColumnsBuilderOrder pins the builder contract: Trajectories()
+// TestColumnsBuilderOrder pins the Grouper contract: Trajectories()
 // groups in first-appearance order and time-sorts each group, while
-// Columns(id) preserves as-added order (the stream drain semantics).
+// Points(id) preserves as-added order (the stream drain semantics).
 func TestColumnsBuilderOrder(t *testing.T) {
-	b := NewColumnsBuilder()
-	b.Add("b", 2, 0, 0)
-	b.Add("a", 5, 1, 1)
-	b.Add("b", 1, 2, 2)
-	b.Add("a", 3, 3, 3)
+	g := NewGrouper()
+	g.Add("b", 2, 0, 0)
+	g.Add("a", 5, 1, 1)
+	g.Add("b", 1, 2, 2)
+	g.Add("a", 3, 3, 3)
 
-	trs := b.Trajectories()
+	raw := g.Points("b")
+	if len(raw) != 2 || raw[0].T != 2 || raw[1].T != 1 {
+		t.Fatalf("Points(id) reordered samples: %+v", raw)
+	}
+	if g.Points("missing") != nil {
+		t.Fatal("Points of unknown id should be nil")
+	}
+	if got := g.IDs(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
+		t.Fatalf("IDs = %v", got)
+	}
+
+	trs := g.Trajectories()
 	if len(trs) != 2 || trs[0].ID != "b" || trs[1].ID != "a" {
 		t.Fatalf("group order wrong: %v", []string{trs[0].ID, trs[1].ID})
 	}
 	if trs[0].Points[0].T != 1 || trs[0].Points[1].T != 2 {
 		t.Fatalf("group b not time-sorted: %+v", trs[0].Points)
 	}
-
-	raw := b.Columns("b")
-	if raw.T[0] != 2 || raw.T[1] != 1 {
-		t.Fatalf("Columns(id) reordered samples: %+v", raw.T)
-	}
-	if b.Columns("missing") != nil {
-		t.Fatal("Columns of unknown id should be nil")
-	}
-	if got := b.IDs(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Fatalf("IDs = %v", got)
-	}
 }
 
-// BenchmarkReadCSV compares the csv.Reader decode against the columnar
-// decode on identical input (not gated; documents the load-path win).
+// BenchmarkReadCSV compares the csv.Reader decode against ParseCSV's
+// scanner on identical input (not gated; documents the load-path win).
+// The scanner's row keeps its old name, "columnar", so that its figures
+// compare with earlier records.
 func BenchmarkReadCSV(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	var sb strings.Builder

@@ -7,7 +7,7 @@ import (
 
 // dedupSeen is the one definition of "exact duplicate": the (T, X, Y)
 // samples met so far, under Go map-key float equality — the semantics
-// deduplicating through a map[Point]bool has, which DeduplicateCols and
+// deduplicating through a map[Point]bool has, which Deduplicate and
 // CountDuplicates must both reproduce bit for bit:
 //
 //   - NaN compares unequal to everything, itself included, so a sample
@@ -64,24 +64,40 @@ func dedupBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// DeduplicateCols compacts src into dst, keeping the first occurrence
-// of each exact (T, X, Y) sample. Kept samples are copied with their
-// original bits (a -0 surviving as the first occurrence stays -0). dst
-// is reset first; src is untouched.
-func DeduplicateCols(dst, src *Columns) {
-	n := src.Len()
-	dst.Reset()
-	dst.Grow(n)
+// dupMasks recycles the per-sample duplicate marks Deduplicate takes
+// before it sizes its output.
+var dupMasks = sync.Pool{New: func() any { return new([]bool) }}
+
+// Deduplicate returns the first occurrence of each exact (T, X, Y)
+// sample of pts, in order, in a fresh slice sized to what it keeps.
+// Kept samples keep their original bits (a -0 surviving as the first
+// occurrence stays -0); pts is untouched.
+func Deduplicate(pts []Point) []Point {
+	n := len(pts)
+	maskP := dupMasks.Get().(*[]bool)
+	defer dupMasks.Put(maskP)
+	if cap(*maskP) < n {
+		*maskP = make([]bool, n)
+	}
+	dup := (*maskP)[:n]
 	seen := getDedupSeen(n)
 	defer seen.release(n)
-	for i := 0; i < n; i++ {
-		if t, x, y := src.T[i], src.X[i], src.Y[i]; !seen.dup(t, x, y) {
-			dst.Append(t, x, y)
+	kept := 0
+	for i, p := range pts {
+		if dup[i] = seen.dup(p.T, p.Pos.X, p.Pos.Y); !dup[i] {
+			kept++
 		}
 	}
+	out := make([]Point, 0, kept)
+	for i, p := range pts {
+		if !dup[i] {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
-// CountDuplicates returns how many of pts DeduplicateCols would drop:
+// CountDuplicates returns how many of pts Deduplicate would drop:
 // what the planner measures is what the stage removes.
 func CountDuplicates(pts []Point) int {
 	seen := getDedupSeen(len(pts))

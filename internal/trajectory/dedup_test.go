@@ -46,7 +46,6 @@ func dedupSpecials(rng *rand.Rand) float64 {
 
 func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	var src, dst Columns
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(60)
 		pts := make([]Point, n)
@@ -56,75 +55,72 @@ func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 				Pos: geo.Point{X: dedupSpecials(rng), Y: dedupSpecials(rng)},
 			}
 		}
+		orig := append([]Point(nil), pts...)
 		want := aosDedup(pts)
 
-		src.FromPoints(pts)
-		DeduplicateCols(&dst, &src)
-		if dst.Len() != len(want) {
-			t.Fatalf("trial %d: %d samples, want %d", trial, dst.Len(), len(want))
+		got := Deduplicate(pts)
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("trial %d: %d samples (cap %d), want %d", trial, len(got), cap(got), len(want))
 		}
-		for j, w := range want {
-			if g := (Point{T: dst.T[j], Pos: geo.Point{X: dst.X[j], Y: dst.Y[j]}}); !samePointBits(g, w) {
-				t.Fatalf("trial %d sample %d: %+v, want %+v", trial, j, g, w)
-			}
+		if !bitsEqualPoints(got, want) {
+			t.Fatalf("trial %d: kept samples diverge from the reference: %+v, want %+v", trial, got, want)
 		}
 		if got := CountDuplicates(pts); got != n-len(want) {
 			t.Fatalf("trial %d: CountDuplicates = %d, the reference drops %d", trial, got, n-len(want))
 		}
-		// src must be untouched.
-		if src.Len() != n {
-			t.Fatalf("trial %d: src mutated to %d samples", trial, src.Len())
+		if !bitsEqualPoints(pts, orig) {
+			t.Fatalf("trial %d: input mutated", trial)
 		}
 	}
 }
 
-// samePointBits compares points by bit pattern, so NaN == NaN and
-// +0 != -0: kept samples must preserve their exact input bits.
-func samePointBits(a, b Point) bool {
-	return math.Float64bits(a.T) == math.Float64bits(b.T) &&
-		math.Float64bits(a.Pos.X) == math.Float64bits(b.Pos.X) &&
-		math.Float64bits(a.Pos.Y) == math.Float64bits(b.Pos.Y)
-}
-
 func TestDeduplicateColsKeepsFirstZeroSpelling(t *testing.T) {
-	var src, dst Columns
 	negZero := math.Copysign(0, -1)
-	src.Append(1, negZero, 2)
-	src.Append(1, 0, 2) // +0 duplicates -0: dropped
-	src.Append(math.NaN(), 0, 0)
-	src.Append(math.NaN(), 0, 0) // NaN never duplicates: kept
-	DeduplicateCols(&dst, &src)
-	if dst.Len() != 3 {
-		t.Fatalf("kept %d samples, want 3", dst.Len())
+	got := Deduplicate([]Point{
+		{T: 1, Pos: geo.Pt(negZero, 2)},
+		{T: 1, Pos: geo.Pt(0, 2)}, // +0 duplicates -0: dropped
+		{T: math.NaN()},
+		{T: math.NaN()}, // NaN never duplicates: kept
+	})
+	if len(got) != 3 {
+		t.Fatalf("kept %d samples, want 3", len(got))
 	}
-	if math.Signbit(dst.X[0]) != true {
+	if !math.Signbit(got[0].Pos.X) {
 		t.Fatal("first occurrence's -0 bit pattern was not preserved")
 	}
-	if !math.IsNaN(dst.T[1]) || !math.IsNaN(dst.T[2]) {
+	if !math.IsNaN(got[1].T) || !math.IsNaN(got[2].T) {
 		t.Fatal("NaN samples were deduplicated")
 	}
 }
 
-// The seen-set comes from a pool: once one has grown to a trajectory's
-// size, counting (every assessment round) and deduplicating allocate no
-// set — and a recycled set remembers nothing of its last trajectory.
+// The seen-set and the duplicate marks come from pools: once they have
+// grown to a trajectory's size, counting (every assessment round)
+// allocates nothing and deduplicating allocates only its output — and
+// a recycled set remembers nothing of its last trajectory.
 func TestDedupSetIsPooledAndCleared(t *testing.T) {
 	pts := make([]Point, 600)
 	for i := range pts {
 		pts[i] = Point{T: float64(i / 2), Pos: geo.Pt(float64(i/2), 1)} // every sample twice
 	}
-	src, dst := &Columns{}, &Columns{}
-	src.FromPoints(pts)
-	run := func() {
+	count := func() {
 		if n := CountDuplicates(pts); n != 300 {
 			t.Fatalf("CountDuplicates = %d, want 300: a recycled set must start empty", n)
 		}
-		if DeduplicateCols(dst, src); dst.Len() != 300 {
-			t.Fatalf("DeduplicateCols kept %d, want 300", dst.Len())
+	}
+	dedup := func() {
+		if got := Deduplicate(pts); len(got) != 300 {
+			t.Fatalf("Deduplicate kept %d, want 300", len(got))
 		}
 	}
-	run()
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 && !israce.Enabled {
-		t.Errorf("CountDuplicates + DeduplicateCols allocate %v times per run once warm, want 0", allocs)
+	count()
+	dedup()
+	if israce.Enabled {
+		return // sync.Pool drops items under the race detector by design
+	}
+	if allocs := testing.AllocsPerRun(20, count); allocs != 0 {
+		t.Errorf("CountDuplicates allocates %v times per run once warm, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, dedup); allocs != 1 {
+		t.Errorf("Deduplicate allocates %v times per run once warm, want 1 (its output)", allocs)
 	}
 }

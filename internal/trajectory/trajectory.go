@@ -40,10 +40,34 @@ type Trajectory struct {
 // sorted input (a stable sort of sorted data is the identity).
 func New(id string, pts []Point) *Trajectory {
 	tr := &Trajectory{ID: id, Points: append([]Point(nil), pts...)}
-	if !pointsSorted(tr.Points) {
-		sort.SliceStable(tr.Points, func(i, j int) bool { return tr.Points[i].T < tr.Points[j].T })
-	}
+	sortByTime(tr.Points)
 	return tr
+}
+
+// sortByTime stable-sorts pts by time in place, skipping the sort when
+// pointsSorted says they are already in order.
+func sortByTime(pts []Point) {
+	if !pointsSorted(pts) {
+		sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	}
+}
+
+// pointsSorted reports whether pts are in non-decreasing time order —
+// one linear pass, the fast-path check sortByTime uses to skip the
+// stable sort. Equal stamps are in order (a stable sort keeps
+// them). NaN stamps report false, explicitly because every comparison
+// with NaN is false: such input keeps taking the sorting path, which
+// alone reproduces where sort.SliceStable puts a NaN.
+func pointsSorted(pts []Point) bool {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T < pts[i-1].T || math.IsNaN(pts[i].T) {
+			return false
+		}
+	}
+	if len(pts) > 0 && math.IsNaN(pts[0].T) {
+		return false
+	}
+	return true
 }
 
 // Len returns the number of samples.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +30,62 @@ func TestNewSortsByTime(t *testing.T) {
 	for i, want := range []float64{0, 1, 2} {
 		if tr.Points[i].T != want {
 			t.Fatalf("point %d time = %v", i, tr.Points[i].T)
+		}
+	}
+}
+
+// randPoints draws n points whose fields occasionally degenerate to
+// NaN, ±Inf or -0.
+func randPoints(rng *rand.Rand, n int, withSpecials bool) []Point {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	draw := func() float64 {
+		if withSpecials && rng.Intn(8) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64() * 1e3
+	}
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{T: draw(), Pos: geo.Point{X: draw(), Y: draw()}}
+	}
+	return pts
+}
+
+func bitsEqualPoints(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].T) != math.Float64bits(b[i].T) ||
+			math.Float64bits(a[i].Pos.X) != math.Float64bits(b[i].Pos.X) ||
+			math.Float64bits(a[i].Pos.Y) != math.Float64bits(b[i].Pos.Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewFastPathMatchesSort pins New's fast path: on already-ordered
+// input it must produce exactly what a copy-then-stable-sort produces,
+// and unsorted/NaN input must still be sorted.
+func TestNewFastPathMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 100; trial++ {
+		pts := randPoints(rng, 1+rng.Intn(40), trial%3 == 0)
+		if trial%2 == 0 {
+			// Pre-sort (NaNs removed) to exercise the fast path.
+			for i := range pts {
+				if math.IsNaN(pts[i].T) {
+					pts[i].T = float64(i)
+				}
+			}
+			sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+		}
+		want := append([]Point(nil), pts...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].T < want[j].T })
+		got := New("t", pts)
+		if !bitsEqualPoints(got.Points, want) {
+			t.Fatalf("trial %d: New output diverged from copy-then-stable-sort", trial)
 		}
 	}
 }

@@ -477,7 +477,6 @@ var surfaceKeep = []struct{ name, class, reason string }{
 	{"reduce.Dequantize", keepHeld, "inverse of Quantize in the codec round-trip tests"},
 	{"reduce.DecodeNetworkTrip", keepHeld, "round-trip half of EncodeNetworkTrip (E7b)"},
 	{"core.RouteRecoverStage", keepHeld, "runs MapMatch as a stage for the map-matching goldens and the stage-trait table"},
-	{"trajectory.Columns.Equal", keepHeld, "bit-exact column comparison in the columnar round-trip and differential tests"},
 	{"index.RTree.Len", keepHeld, "tests count what Insert stored"},
 }
 
@@ -493,9 +492,6 @@ const (
 
 // fieldKeep names those fields as "pkg.Type.Field".
 var fieldKeep = []struct{ name, class, reason string }{
-	{"trajectory.Columns.T", keepData, "the time column: Append, FromPoints, Grow and Reset fill it"},
-	{"trajectory.Columns.X", keepData, "the x column, filled beside T"},
-	{"trajectory.Columns.Y", keepData, "the y column, filled beside T"},
 	{"exp.Table.Rows", keepData, "what Table.AddRow appends and the renderers print"},
 	{"reduce.NetworkTrip.Start", keepData, "a field of the trip codec's wire format: DecodeNetworkTrip fills it; E7b's trips start at 0"},
 
