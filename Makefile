@@ -38,8 +38,9 @@
 #                       strconv) and the reduce codecs' decoders
 #                       (delta-varint, Rice, network trip), the
 #                       Kalman/RTS kernels against
-#                       their dense reference and the snapper's candidate
-#                       search against its sort reference, each from its
+#                       their dense reference, the snapper's candidate
+#                       search against its sort reference and the
+#                       selection median against sort+quantile, each from its
 #                       seeds for FUZZTIME; plain
 #                       `go test` already replays the seeds, this
 #                       explores past them
@@ -133,6 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNetworkTrip$$' -fuzztime $(FUZZTIME) ./internal/reduce
 	$(GO) test -run '^$$' -fuzz '^FuzzKalmanSmoothMatchesDense$$' -fuzztime $(FUZZTIME) ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzKNearestMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/roadnet
+	$(GO) test -run '^$$' -fuzz '^FuzzMedianMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/stats
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -120,24 +120,36 @@ func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool) [
 	featP := getFloats(n)
 	defer floatPool.Put(featP)
 	feat := *featP
-	dsP := getFloats(2 * opt.Window)
+	// fwd[i*W+k-1] is the distance from point i to point i+k. Each pair
+	// is computed once and read from both ends: Hypot takes absolute
+	// values first, so i→j and j→i are the same bits.
+	W := opt.Window
+	fwdP := getFloats(n * W)
+	defer floatPool.Put(fwdP)
+	fwd := *fwdP
+	for i := 0; i < n; i++ {
+		xi, yi := pts[i].Pos.X, pts[i].Pos.Y
+		for k := 1; k <= W && i+k < n; k++ {
+			fwd[i*W+k-1] = math.Hypot(xi-pts[i+k].Pos.X, yi-pts[i+k].Pos.Y)
+		}
+	}
+	dsP := getFloats(2 * W)
 	defer floatPool.Put(dsP)
 	ds := (*dsP)[:0]
 	for i := 0; i < n; i++ {
 		ds = ds[:0]
-		xi, yi := pts[i].Pos.X, pts[i].Pos.Y
-		for w := -opt.Window; w <= opt.Window; w++ {
-			j := i + w
-			if j < 0 || j >= n || j == i {
-				continue
+		for k := 1; k <= W; k++ {
+			if i-k >= 0 {
+				ds = append(ds, fwd[(i-k)*W+k-1])
 			}
-			ds = append(ds, math.Hypot(xi-pts[j].Pos.X, yi-pts[j].Pos.Y))
+			if i+k < n {
+				ds = append(ds, fwd[i*W+k-1])
+			}
 		}
-		m, _ := stats.MedianInPlace(ds)
-		feat[i] = m
+		feat[i], _ = stats.MedianInPlace(ds)
 	}
-	// Median and MAD over pooled scratch: MedianInPlace on a copy runs
-	// the same sort+quantile pipeline as stats.Median/MAD.
+	// Median and MAD over pooled scratch: MedianInPlace on a copy is
+	// stats.Median, and on the deviations stats.MAD.
 	scrP := getFloats(n)
 	defer floatPool.Put(scrP)
 	scr := *scrP

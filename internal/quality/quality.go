@@ -264,23 +264,26 @@ func finitePoint(p trajectory.Point) bool {
 }
 
 // consistencyScore returns the fraction of segments satisfying time
-// monotonicity and, if maxSpeed > 0, the speed bound.
+// monotonicity and, if maxSpeed > 0, the speed bound. A segment whose
+// stamp does not increase fails, and so does one whose speed is +Inf.
 func consistencyScore(tr *trajectory.Trajectory, maxSpeed float64) float64 {
-	if tr.Len() < 2 {
+	pts := tr.Points
+	if len(pts) < 2 {
 		return 1
 	}
-	speeds := tr.Speeds()
 	ok := 0
-	for _, s := range speeds {
-		if math.IsInf(s, 1) {
+	for i := 1; i < len(pts); i++ {
+		dt := pts[i].T - pts[i-1].T
+		if dt <= 0 {
 			continue // non-increasing timestamp
 		}
-		if maxSpeed > 0 && s > maxSpeed {
+		s := pts[i-1].Pos.Dist(pts[i].Pos) / dt
+		if math.IsInf(s, 1) || maxSpeed > 0 && s > maxSpeed {
 			continue
 		}
 		ok++
 	}
-	return float64(ok) / float64(len(speeds))
+	return float64(ok) / float64(len(pts)-1)
 }
 
 // coverage rasterizes the polyline onto a grid over region and returns

@@ -107,6 +107,63 @@ func TestConsistencyFlagsSpeedViolations(t *testing.T) {
 	}
 }
 
+// TestConsistencyBadTimestamps: a segment whose stamp does not
+// increase fails whatever the speed bound, as does one whose speed is
+// +Inf; a NaN stamp fails nothing. The score is pinned bit for bit to
+// the per-segment speed array it used to be counted from.
+func TestConsistencyBadTimestamps(t *testing.T) {
+	zeroDt := &trajectory.Trajectory{Points: []trajectory.Point{
+		{T: 0, Pos: geo.Pt(0, 0)},
+		{T: 0, Pos: geo.Pt(5, 0)},
+	}}
+	for _, maxSpeed := range []float64{0, 10} {
+		if got := consistencyScore(zeroDt, maxSpeed); got != 0 {
+			t.Fatalf("zero-dt segment, maxSpeed %v: consistency %v, want 0", maxSpeed, got)
+		}
+	}
+	// The reference: the old Trajectory.Speeds, then a count of the
+	// finite in-bound entries.
+	bySpeeds := func(pts []trajectory.Point, maxSpeed float64) float64 {
+		ok := 0
+		for i := 1; i < len(pts); i++ {
+			s := math.Inf(1)
+			if dt := pts[i].T - pts[i-1].T; !(dt <= 0) {
+				s = pts[i-1].Pos.Dist(pts[i].Pos) / dt
+			}
+			if !math.IsInf(s, 1) && !(maxSpeed > 0 && s > maxSpeed) {
+				ok++
+			}
+		}
+		return float64(ok) / float64(len(pts)-1)
+	}
+	rng := rand.New(rand.NewSource(17))
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e308, -1e308, 5e-324}
+	for trial := 0; trial < 500; trial++ {
+		pts := make([]trajectory.Point, 2+rng.Intn(12))
+		for i := range pts {
+			pts[i] = trajectory.Point{T: float64(i) + rng.Float64()*2 - 0.5, Pos: geo.Pt(rng.Float64()*50, rng.Float64()*50)}
+			if rng.Intn(4) == 0 {
+				v := hostile[rng.Intn(len(hostile))]
+				switch rng.Intn(3) {
+				case 0:
+					pts[i].T = v
+				case 1:
+					pts[i].Pos.X = v
+				default:
+					pts[i].Pos.Y = v
+				}
+			}
+		}
+		tr := &trajectory.Trajectory{Points: pts}
+		for _, maxSpeed := range []float64{0, 20} {
+			got, want := consistencyScore(tr, maxSpeed), bySpeeds(pts, maxSpeed)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, maxSpeed %v: consistency %v, per-segment speeds give %v (%v)", trial, maxSpeed, got, want, pts)
+			}
+		}
+	}
+}
+
 func TestCompletenessAndSparsityAfterThinning(t *testing.T) {
 	truth := cleanWalk(6)
 	thin := truth.Thin(10)

@@ -277,9 +277,11 @@ func TestTimeoutHammerNoCrossTalk(t *testing.T) {
 		}
 		return strings.Repeat("<"+id+">", 1+n)
 	}
+	// Add runs outside withTimeout, before the handler goroutine it
+	// spawns, so it happens before the response reaches the client and
+	// so before handlers.Wait; Done runs when that goroutine ends.
 	var handlers sync.WaitGroup
-	srv := httptest.NewServer(svc.withTimeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handlers.Add(1)
+	timed := svc.withTimeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer handlers.Done()
 		id := r.URL.Query().Get("id")
 		w.Header().Set("X-Echo", id)
@@ -291,7 +293,11 @@ func TestTimeoutHammerNoCrossTalk(t *testing.T) {
 			return
 		}
 		io.WriteString(w, payload(id))
-	})))
+	}))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handlers.Add(1)
+		timed.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	var wg sync.WaitGroup
 	var mu sync.Mutex

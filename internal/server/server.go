@@ -285,13 +285,15 @@ func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(r)
+	trs, err := parsePooledBody(r, func(body []byte) ([]*trajectory.Trajectory, error) {
+		trs, err := trajectory.ParseCSV(body)
+		if err != nil {
+			return nil, fmt.Errorf("parse trajectory csv: %w", err)
+		}
+		return trs, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	trs, err := trajectory.ParseCSV(body)
-	if err != nil {
-		return nil, fmt.Errorf("parse trajectory csv: %w", err)
 	}
 	ds := &core.Dataset{
 		Trajectories:     trs,
@@ -301,44 +303,36 @@ func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
 	return ds, nil
 }
 
-// maxBodyPrealloc caps what readBody allocates on a Content-Length's
+// maxBodyPrealloc caps what a body read allocates on a Content-Length's
 // word alone; a longer body grows the buffer as it arrives.
 const maxBodyPrealloc = 1 << 20
 
-// readBody reads the whole request body, once, into a buffer sized from
-// Content-Length — withBodyLimit has refused any above the body cap —
-// plus the bytes.MinRead that ReadFrom wants free to find EOF without
-// growing. The buffer is not pooled: the wire codec hands out ids that
-// alias it, and nothing can rewrite a fresh buffer under an id some
-// caller forgot to clone. The ingest route, whose parser clones, reads
-// through readPointChunk instead.
-func readBody(r *http.Request) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPrealloc)+bytes.MinRead))
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
-}
+// bodies recycles the request bodies of /v1/assess, /v1/clean and
+// /v1/stream/ingest. A body is dead once it is parsed: ParseCSV and
+// parsePointChunk clone every id they keep, and their errors format
+// copies, so nothing they return is a view of the buffer.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// ingestBodies recycles the bodies of /v1/stream/ingest, the one route
-// whose body is dead once it is parsed: parsePointChunk keeps a clone
-// of every id, never a view of the body.
-var ingestBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readPointChunk reads an ingest body into a pooled buffer, sized as
-// readBody sizes its own, and parses it; the buffer goes back before
-// it returns.
-func readPointChunk(r *http.Request) ([]session.Event, error) {
-	buf := ingestBodies.Get().(*bytes.Buffer)
+// parsePooledBody reads r's whole body, once, into a pooled buffer
+// sized from Content-Length — withBodyLimit has refused any above the
+// body cap — plus the bytes.MinRead that ReadFrom wants free to find
+// EOF without growing, and hands it to parse. The buffer goes back
+// when parse returns, so parse must keep no view of it; a read error
+// is returned as it is.
+func parsePooledBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, error) {
+	buf := bodies.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBuf {
-			ingestBodies.Put(buf)
+			bodies.Put(buf)
 		}
 	}()
 	buf.Reset()
 	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
 	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	return parsePointChunk(buf.Bytes())
+	return parse(buf.Bytes())
 }
 
 // assessmentJSON renders an Assessment as a stable JSON object. A

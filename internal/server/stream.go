@@ -139,7 +139,7 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
 	}
-	events, err := readPointChunk(r)
+	events, err := parsePooledBody(r, parsePointChunk)
 	if err != nil {
 		bodyError(w, err)
 		return

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -172,10 +173,23 @@ func AppendCSVRow(dst, idField []byte, t, x, y float64) []byte {
 	return append(AppendFloat(dst, y, 'g'), '\n')
 }
 
+// csvSlabs recycles WriteCSV's row slabs: a slab and a row to spare. A
+// slab a very long id grew past twice that is left to the GC.
+var csvSlabs = sync.Pool{New: func() any { b := make([]byte, 0, csvSlabBytes); return &b }}
+
+const csvSlabBytes = RowFlushBytes + 1024
+
 // WriteCSV encodes trajectories as CSV rows "id,t,x,y" with a header.
 // Points are written in trajectory order.
 func WriteCSV(w io.Writer, trs []*Trajectory) error {
-	buf := append(make([]byte, 0, RowFlushBytes+1024), CSVHeader...) // a slab and a row to spare
+	slab := csvSlabs.Get().(*[]byte)
+	buf := append((*slab)[:0], CSVHeader...)
+	defer func() {
+		if cap(buf) <= 2*csvSlabBytes {
+			*slab = buf[:0] // an io.Writer keeps no view of what it is given
+			csvSlabs.Put(slab)
+		}
+	}()
 	var id []byte
 	for _, tr := range trs {
 		id = AppendCSVField(id[:0], tr.ID)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sidq/internal/geo"
 )
@@ -156,6 +157,48 @@ func TestColumnsBuilderOrder(t *testing.T) {
 	}
 	if trs[0].Points[0].T != 1 || trs[0].Points[1].T != 2 {
 		t.Fatalf("group b not time-sorted: %+v", trs[0].Points)
+	}
+}
+
+// TestGrouperCarvesExactGroups: the groups come out of one allocation
+// of exactly the rows added, each capped at its own length, so
+// appending to one can never write into its neighbour; ids are the
+// grouper's own even when the caller's buffer is rewritten; and a row
+// added after the groups were read is a bug that panics, not a row
+// that silently goes missing.
+func TestGrouperCarvesExactGroups(t *testing.T) {
+	buf := []byte("a")
+	g := NewGrouper()
+	for i := 0; i < 9; i++ {
+		buf[0] = "abc"[i%3]
+		g.Add(unsafe.String(&buf[0], 1), float64(i), float64(i), 0)
+	}
+	buf[0] = 'z' // the caller reuses its buffer
+	if ids := g.IDs(); strings.Join(ids, "") != "abc" {
+		t.Fatalf("IDs = %q after the caller's buffer changed: the grouper must clone", ids)
+	}
+	a := g.Points("a")
+	if len(a) != 3 || cap(a) != 3 || a[0].T != 0 || a[1].T != 3 || a[2].T != 6 {
+		t.Fatalf("group a = %+v (cap %d), want stamps 0, 3, 6 at cap 3", a, cap(a))
+	}
+	b0 := g.Points("b")[0]
+	_ = append(a, Point{T: -1}) // must reallocate, not write into b
+	if g.Points("b")[0] != b0 {
+		t.Fatal("appending to group a wrote into group b")
+	}
+	if trs := g.Trajectories(); len(trs) != 3 || trs[2].ID != "c" || len(trs[2].Points) != 3 {
+		t.Fatalf("Trajectories: %d groups", len(trs))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Add after a read did not panic")
+			}
+		}()
+		g.Add("d", 11, 0, 0)
+	}()
+	if got := NewGrouper().Trajectories(); len(got) != 0 {
+		t.Fatalf("an empty grouper gave %d trajectories", len(got))
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 // dedupSeen is the one definition of "exact duplicate": the (T, X, Y)
 // samples met so far, under Go map-key float equality — the semantics
 // deduplicating through a map[Point]bool has, which Deduplicate and
-// CountDuplicates must both reproduce bit for bit:
+// CountDuplicates must both reproduce bit for bit, on the set itself
+// or on markDuplicates' run check:
 //
 //   - NaN compares unequal to everything, itself included, so a sample
 //     with a NaN field is never a duplicate.
@@ -80,15 +81,7 @@ func Deduplicate(pts []Point) []Point {
 		*maskP = make([]bool, n)
 	}
 	dup := (*maskP)[:n]
-	seen := getDedupSeen(n)
-	defer seen.release(n)
-	kept := 0
-	for i, p := range pts {
-		if dup[i] = seen.dup(p.T, p.Pos.X, p.Pos.Y); !dup[i] {
-			kept++
-		}
-	}
-	out := make([]Point, 0, kept)
+	out := make([]Point, 0, n-markDuplicates(pts, dup))
 	for i, p := range pts {
 		if !dup[i] {
 			out = append(out, p)
@@ -99,14 +92,69 @@ func Deduplicate(pts []Point) []Point {
 
 // CountDuplicates returns how many of pts Deduplicate would drop:
 // what the planner measures is what the stage removes.
-func CountDuplicates(pts []Point) int {
-	seen := getDedupSeen(len(pts))
-	defer seen.release(len(pts))
-	n := 0
-	for _, p := range pts {
-		if seen.dup(p.T, p.Pos.X, p.Pos.Y) {
+func CountDuplicates(pts []Point) int { return markDuplicates(pts, nil) }
+
+// dedupRunMax is the longest run of equal stamps markDuplicates
+// compares pairwise. A longer one — a source stuck on one stamp, or a
+// body built to make the pairwise scan quadratic — sends the whole
+// input to the set.
+const dedupRunMax = 16
+
+// markDuplicates finds the samples of pts that repeat an earlier one
+// under dedupSeen's equality: it sets dup[i] for every i when dup is
+// not nil, and returns how many repeat. While pts are time-sorted with
+// no NaN stamp — what a decoded or cleaned trajectory is — an equal
+// sample can only sit earlier in the same run of equal T, so each
+// sample is compared with its run's earlier positions and no set is
+// built. Position == is float equality, so NaN matches nothing and +0
+// matches -0, as in the set. Unsorted input, a NaN stamp or a run past
+// dedupRunMax goes through dedupSeen.
+func markDuplicates(pts []Point, dup []bool) int {
+	var seen dedupSeen
+	if !runCheckable(pts) {
+		seen = getDedupSeen(len(pts))
+		defer seen.release(len(pts))
+	}
+	n, run := 0, 0 // run: where the run of pts[i].T starts
+	for i, p := range pts {
+		var d bool
+		if seen != nil {
+			d = seen.dup(p.T, p.Pos.X, p.Pos.Y)
+		} else {
+			if p.T != pts[run].T {
+				run = i
+			}
+			for _, q := range pts[run:i] {
+				if d = q.Pos == p.Pos; d {
+					break
+				}
+			}
+		}
+		if dup != nil {
+			dup[i] = d
+		}
+		if d {
 			n++
 		}
 	}
 	return n
+}
+
+// runCheckable reports whether pts are in non-decreasing time order
+// with no NaN stamp and no run of equal stamps past dedupRunMax.
+func runCheckable(pts []Point) bool {
+	run := 1
+	for i := 1; i < len(pts); i++ {
+		switch {
+		case pts[i].T > pts[i-1].T:
+			run = 1
+		case pts[i].T == pts[i-1].T:
+			if run++; run > dedupRunMax {
+				return false
+			}
+		default: // out of order, or a NaN on either side
+			return false
+		}
+	}
+	return len(pts) == 0 || !math.IsNaN(pts[0].T)
 }

@@ -96,31 +96,148 @@ func TestDeduplicateColsKeepsFirstZeroSpelling(t *testing.T) {
 // The seen-set and the duplicate marks come from pools: once they have
 // grown to a trajectory's size, counting (every assessment round)
 // allocates nothing and deduplicating allocates only its output — and
-// a recycled set remembers nothing of its last trajectory.
+// a recycled set remembers nothing of its last trajectory. The input
+// runs backwards in time, so the set is what counts; the same samples
+// in time order take the run check, which allocates no more.
 func TestDedupSetIsPooledAndCleared(t *testing.T) {
-	pts := make([]Point, 600)
-	for i := range pts {
-		pts[i] = Point{T: float64(i / 2), Pos: geo.Pt(float64(i/2), 1)} // every sample twice
+	sorted := make([]Point, 600)
+	for i := range sorted {
+		sorted[i] = Point{T: float64(i / 2), Pos: geo.Pt(float64(i/2), 1)} // every sample twice
 	}
-	count := func() {
-		if n := CountDuplicates(pts); n != 300 {
-			t.Fatalf("CountDuplicates = %d, want 300: a recycled set must start empty", n)
+	reversed := make([]Point, len(sorted))
+	for i, p := range sorted {
+		reversed[len(reversed)-1-i] = p
+	}
+	if runCheckable(reversed) || !runCheckable(sorted) {
+		t.Fatal("the reversed input must take the set and the sorted one the run check")
+	}
+	for _, pts := range [][]Point{reversed, sorted} {
+		count := func() {
+			if n := CountDuplicates(pts); n != 300 {
+				t.Fatalf("CountDuplicates = %d, want 300: a recycled set must start empty", n)
+			}
+		}
+		dedup := func() {
+			if got := Deduplicate(pts); len(got) != 300 {
+				t.Fatalf("Deduplicate kept %d, want 300", len(got))
+			}
+		}
+		count()
+		dedup()
+		if israce.Enabled {
+			return // sync.Pool drops items under the race detector by design
+		}
+		if allocs := testing.AllocsPerRun(20, count); allocs != 0 {
+			t.Errorf("CountDuplicates allocates %v times per run once warm, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, dedup); allocs != 1 {
+			t.Errorf("Deduplicate allocates %v times per run once warm, want 1 (its output)", allocs)
 		}
 	}
-	dedup := func() {
-		if got := Deduplicate(pts); len(got) != 300 {
-			t.Fatalf("Deduplicate kept %d, want 300", len(got))
+}
+
+// seenOracle marks duplicates with dedupSeen itself, the one definition
+// the run check must reproduce.
+func seenOracle(pts []Point) []bool {
+	seen := dedupSeen{}
+	out := make([]bool, len(pts))
+	for i, p := range pts {
+		out[i] = seen.dup(p.T, p.Pos.X, p.Pos.Y)
+	}
+	return out
+}
+
+// TestRunCheckDedupMatchesSet holds CountDuplicates and Deduplicate to
+// the dedupSeen oracle on both sides of the run check: time-sorted
+// input (the run check), and unsorted input, a NaN stamp and runs of
+// equal stamps past dedupRunMax (the set) — with NaN and ±0 in each of
+// T, X and Y, and runs at, under and over the cutoff.
+func TestRunCheckDedupMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	negZero := math.Copysign(0, -1)
+	coord := func() float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return negZero
+		case 2:
+			return 0
+		case 3:
+			return math.Inf(1)
+		default:
+			return float64(rng.Intn(3))
 		}
 	}
-	count()
-	dedup()
-	if israce.Enabled {
-		return // sync.Pool drops items under the race detector by design
+	// sortedRuns builds time-sorted samples in runs of equal stamps, the
+	// longest exactly longest; a run's stamp may be -0 where +0 is.
+	sortedRuns := func(longest int) []Point {
+		var pts []Point
+		for r, stamp := 0, -2.0; r < 6; r, stamp = r+1, stamp+1 {
+			n := 1 + rng.Intn(longest)
+			if r == 3 {
+				n = longest
+			}
+			for i := 0; i < n; i++ {
+				ts := stamp
+				if ts == 0 && rng.Intn(2) == 0 {
+					ts = negZero
+				}
+				pts = append(pts, Point{T: ts, Pos: geo.Point{X: coord(), Y: coord()}})
+			}
+		}
+		return pts
 	}
-	if allocs := testing.AllocsPerRun(20, count); allocs != 0 {
-		t.Errorf("CountDuplicates allocates %v times per run once warm, want 0", allocs)
+	var runChecked, setChecked int
+	check := func(name string, pts []Point) {
+		t.Helper()
+		if runCheckable(pts) {
+			runChecked++
+		} else {
+			setChecked++
+		}
+		orig := append([]Point(nil), pts...)
+		marks := seenOracle(pts)
+		var want []Point
+		for i, p := range pts {
+			if !marks[i] {
+				want = append(want, p)
+			}
+		}
+		if got := CountDuplicates(pts); got != len(pts)-len(want) {
+			t.Fatalf("%s: CountDuplicates = %d, dedupSeen counts %d (%v)", name, got, len(pts)-len(want), pts)
+		}
+		if got := Deduplicate(pts); !bitsEqualPoints(got, want) || cap(got) != len(want) {
+			t.Fatalf("%s: Deduplicate kept %v (cap %d), dedupSeen keeps %v", name, got, cap(got), want)
+		}
+		if !bitsEqualPoints(pts, orig) {
+			t.Fatalf("%s: input mutated", name)
+		}
 	}
-	if allocs := testing.AllocsPerRun(20, dedup); allocs != 1 {
-		t.Errorf("Deduplicate allocates %v times per run once warm, want 1 (its output)", allocs)
+	for trial := 0; trial < 400; trial++ {
+		for _, longest := range []int{1, 2, dedupRunMax - 1, dedupRunMax, dedupRunMax + 1, 3 * dedupRunMax} {
+			pts := sortedRuns(longest)
+			if want := longest <= dedupRunMax; runCheckable(pts) != want {
+				t.Fatalf("runs up to %d: runCheckable = %v, want %v", longest, !want, want)
+			}
+			check("sorted", pts)
+			// A NaN stamp anywhere sends the input to the set.
+			withNaN := append([]Point(nil), pts...)
+			withNaN[rng.Intn(len(withNaN))].T = math.NaN()
+			check("NaN stamp", withNaN)
+			// So does one sample out of order.
+			if len(pts) > 1 {
+				swapped := append([]Point(nil), pts...)
+				i := rng.Intn(len(swapped) - 1)
+				swapped[i], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[i]
+				check("unsorted", swapped)
+			}
+		}
+	}
+	check("empty", nil)
+	check("one NaN", []Point{{T: math.NaN()}})
+	check("one", []Point{{T: 1}})
+	if runChecked == 0 || setChecked == 0 {
+		t.Fatalf("run check took %d inputs and the set %d: both paths must be exercised", runChecked, setChecked)
 	}
 }

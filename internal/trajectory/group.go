@@ -2,6 +2,7 @@ package trajectory
 
 import (
 	"strings"
+	"sync"
 
 	"sidq/internal/geo"
 )
@@ -9,11 +10,31 @@ import (
 // Grouper groups samples by trajectory id, preserving first-appearance
 // order. ParseCSV feeds it row by row, and the server's CSV responses
 // feed it result by result.
+//
+// Rows are recorded in one flat pooled scratch and counted per id. The
+// first read of the groups carves them all from one allocation of
+// exactly the rows added, each group capped at its own length, and
+// hands the scratch back: slice doubling per group cost twice the
+// points' bytes. Every Add comes before the first read.
 type Grouper struct {
 	idx    map[string]int
 	ids    []string
-	groups [][]Point
+	counts []int       // rows per group, until the carve
+	rows   *[]groupRow // the scratch, until the carve
+	groups [][]Point   // set by the carve; non-nil once carved
 }
+
+// groupRow is one recorded sample and the group it belongs to.
+type groupRow struct {
+	g int
+	p Point
+}
+
+// groupRows recycles the groupers' scratch. A scratch grown past
+// groupRowsPooledMax rows (1 MiB) is left to the GC.
+var groupRows = sync.Pool{New: func() any { return new([]groupRow) }}
+
+const groupRowsPooledMax = 1 << 15
 
 // NewGrouper returns an empty grouper.
 func NewGrouper() *Grouper {
@@ -23,17 +44,58 @@ func NewGrouper() *Grouper {
 // Add appends one sample to id's group, creating the group on first
 // appearance. id may alias a buffer the caller goes on to reuse: the
 // lookup copies nothing, and a first appearance clones the id, so the
-// grouper never pins that buffer.
+// grouper never pins that buffer. Add after Points or Trajectories is
+// a bug, and panics.
 func (g *Grouper) Add(id string, t, x, y float64) {
+	if g.groups != nil {
+		panic("trajectory: Grouper.Add after its groups were read")
+	}
 	i, ok := g.idx[id]
 	if !ok {
 		own := strings.Clone(id)
-		i = len(g.groups)
+		i = len(g.ids)
 		g.idx[own] = i
 		g.ids = append(g.ids, own)
-		g.groups = append(g.groups, nil)
+		g.counts = append(g.counts, 0)
 	}
-	g.groups[i] = append(g.groups[i], Point{T: t, Pos: geo.Point{X: x, Y: y}})
+	if g.rows == nil {
+		g.rows = groupRows.Get().(*[]groupRow)
+	}
+	*g.rows = append(*g.rows, groupRow{g: i, p: Point{T: t, Pos: geo.Point{X: x, Y: y}}})
+	g.counts[i]++
+}
+
+// carve moves the recorded rows into their groups, once.
+func (g *Grouper) carve() {
+	if g.groups != nil {
+		return
+	}
+	g.groups = make([][]Point, len(g.ids))
+	if g.rows == nil {
+		return
+	}
+	rows := *g.rows
+	all := make([]Point, len(rows))
+	// counts become each group's next free slot in all, then its end.
+	start := 0
+	for i, c := range g.counts {
+		g.counts[i] = start
+		start += c
+	}
+	for _, r := range rows {
+		all[g.counts[r.g]] = r.p
+		g.counts[r.g]++
+	}
+	start = 0
+	for i, end := range g.counts {
+		g.groups[i] = all[start:end:end]
+		start = end
+	}
+	if cap(rows) <= groupRowsPooledMax {
+		*g.rows = rows[:0]
+		groupRows.Put(g.rows)
+	}
+	g.rows = nil
 }
 
 // IDs returns the group ids in first-appearance order. The slice is the
@@ -44,6 +106,7 @@ func (g *Grouper) IDs() []string { return g.ids }
 // never added. The slice is the grouper's own.
 func (g *Grouper) Points(id string) []Point {
 	if i, ok := g.idx[id]; ok {
+		g.carve()
 		return g.groups[i]
 	}
 	return nil
@@ -53,6 +116,7 @@ func (g *Grouper) Points(id string) []Point {
 // first-appearance order, each time-sorted in place. The grouper must
 // not be used afterwards: the trajectories own its groups.
 func (g *Grouper) Trajectories() []*Trajectory {
+	g.carve()
 	out := make([]*Trajectory, len(g.groups))
 	for i, pts := range g.groups {
 		sortByTime(pts)

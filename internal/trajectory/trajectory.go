@@ -104,26 +104,6 @@ func (tr *Trajectory) TimeBounds() (t0, t1 float64, ok bool) {
 	return tr.Points[0].T, tr.Points[len(tr.Points)-1].T, true
 }
 
-// Speeds returns the per-segment speeds in m/s: element i is the speed
-// between points i and i+1. Segments with non-increasing timestamps
-// report +Inf speed so constraint checks can flag them.
-func (tr *Trajectory) Speeds() []float64 {
-	if len(tr.Points) < 2 {
-		return nil
-	}
-	out := make([]float64, len(tr.Points)-1)
-	for i := 1; i < len(tr.Points); i++ {
-		dt := tr.Points[i].T - tr.Points[i-1].T
-		d := tr.Points[i-1].Pos.Dist(tr.Points[i].Pos)
-		if dt <= 0 {
-			out[i-1] = math.Inf(1)
-		} else {
-			out[i-1] = d / dt
-		}
-	}
-	return out
-}
-
 // LocationAt returns the linearly interpolated position at time t.
 // Times outside the covered span clamp to the endpoints. ok is false
 // for an empty trajectory.
@@ -258,18 +238,23 @@ func (tr *Trajectory) Resample(dt float64) (*Trajectory, error) {
 	if !((t1-t0)/dt <= MaxResamplePoints) {
 		return nil, ErrResampleTooDense
 	}
-	out := &Trajectory{ID: tr.ID}
+	// The first pass counts the stamps the second interpolates at, so
+	// the output is allocated once, at its size.
+	n := 1 // the last original sample
 	for t := t0; t < t1; t += dt {
 		if t+dt == t {
 			// dt is below the spacing of float64 values near t, so the
 			// loop would never reach t1.
 			return nil, ErrResampleTooDense
 		}
+		n++
+	}
+	out := &Trajectory{ID: tr.ID, Points: make([]Point, 0, n)}
+	for t := t0; t < t1; t += dt {
 		pos, _ := tr.LocationAt(t)
 		out.Points = append(out.Points, Point{T: t, Pos: pos})
 	}
-	last := tr.Points[len(tr.Points)-1]
-	out.Points = append(out.Points, last)
+	out.Points = append(out.Points, tr.Points[len(tr.Points)-1])
 	return out, nil
 }
 
