@@ -20,8 +20,10 @@
 #                       uquery — DistStore's executor tasks over the
 #                       grid — obs, plus the pooled-scratch hammers in
 #                       core (outlier flags, concurrent pipelines) and
-#                       trajectory (dedup pools) and the
-#                       buffer-ownership hammers in server/session/stream)
+#                       trajectory (dedup pools), the
+#                       buffer-ownership hammers in server/session/stream
+#                       and server's request-deadline hammer over
+#                       kept-alive connections)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)

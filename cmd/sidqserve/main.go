@@ -9,7 +9,9 @@
 //
 // Resilience flags: -max-body caps request bodies, -max-inflight
 // bounds concurrent requests (excess load is shed with 503), and
-// -request-timeout bounds per-request handling. A SIGINT/SIGTERM
+// -request-timeout is each request's deadline: a body still arriving
+// then, or a clean still running, is answered 503, while an engine call
+// already begun (an ingest's fsync) answers what it did. A SIGINT/SIGTERM
 // shutdown drains in order: /v1/readyz flips to 503 and new work is
 // rejected with 503 "draining" while in-flight requests (ingest acks
 // included) run to completion, the 503 window is held open for

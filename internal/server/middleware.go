@@ -1,14 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"log"
-	"maps"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -32,18 +29,32 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// withRecovery converts handler panics into 500s instead of letting
-// them kill the connection (and, under http.Server's default behavior,
-// spam the log with stacks while aborting the response mid-write).
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// withRecovery converts a handler panic into a 500 while nothing of the
+// response has been written. Once the status is out it cannot change,
+// so the response is cut instead (http.ErrAbortHandler, which net/http
+// neither logs nor answers): the client sees a failed read, not a clean
+// end to a response that is short or has an error appended. A handler
+// that cuts its own response with http.ErrAbortHandler passes through.
+// w is withRequestID's recorder, which knows whether the status is out.
 func (s *Service) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
-			if p := recover(); p != nil {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p != http.ErrAbortHandler {
 				s.metrics.Counter(mSrvPanics).Inc()
 				s.logf("request %s: panic recovered: %v", requestID(r), p)
-				// Best effort: if the handler already wrote, this is a no-op.
-				http.Error(w, "internal server error", http.StatusInternalServerError)
+				if rec, ok := w.(*statusRecorder); !ok || rec.status == 0 {
+					http.Error(w, "internal server error", http.StatusInternalServerError)
+					return
+				}
 			}
+			panic(http.ErrAbortHandler)
 		}()
 		next.ServeHTTP(w, r)
 	})
@@ -51,7 +62,7 @@ func (s *Service) withRecovery(next http.Handler) http.Handler {
 
 // withRequestID assigns every request a unique ID (honouring an
 // inbound X-Request-ID), echoes it on the response, and writes one
-// access-log line per request.
+// access-log line per request, a cut response's included.
 func (s *Service) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -62,13 +73,15 @@ func (s *Service) withRequestID(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-ID", id)
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
+		defer func() {
+			if rec.status == 0 {
+				rec.status = http.StatusOK
+			}
+			elapsed := time.Since(start)
+			s.observeRequest(routeLabel(r.URL.Path), rec.status, elapsed.Nanoseconds())
+			s.logf("%s %s %s -> %d (%s)", id, r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond))
+		}()
 		next.ServeHTTP(rec, r)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		elapsed := time.Since(start)
-		s.observeRequest(routeLabel(r.URL.Path), rec.status, elapsed.Nanoseconds())
-		s.logf("%s %s %s -> %d (%s)", id, r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond))
 	})
 }
 
@@ -107,93 +120,37 @@ func (s *Service) withConcurrencyLimit(next http.Handler) http.Handler {
 	})
 }
 
-// withTimeout bounds each request's total handling time, with
-// http.TimeoutHandler's contract and a pooled writer in place of its
-// private one: the handler runs on its own goroutine under the deadline
-// context against a buffering writer, so headers and body reach the
-// client only once it has returned; at expiry the client gets 503 and
-// the handler's later writes fail with http.ErrHandlerTimeout; a handler
-// panic is re-raised here, where withRecovery answers it.
+// withTimeout sets each request's deadline where it acts: the request's
+// context ends RequestTimeout from now, and so does the read of its
+// body. A handler that notices it — a body read fails, or the clean
+// runner stops between stages — answers 503 "request timed out"; an
+// engine call already begun runs to its true answer, and the handler
+// sends that answer. The handler writes straight to the client, and no
+// write deadline is set, so a late answer still goes out.
 func (s *Service) withTimeout(next http.Handler) http.Handler {
 	if s.cfg.RequestTimeout <= 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		deadline := time.Now().Add(s.cfg.RequestTimeout)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
 		defer cancel()
 		r = r.WithContext(ctx)
-		tw := timeoutWriters.Get().(*timeoutWriter)
-		done := make(chan any, 1) // the handler's panic value; nil when it returned
-		go func() {
-			defer func() { done <- recover() }()
-			next.ServeHTTP(tw, r)
-		}()
-		select {
-		case p := <-done:
-			if p != nil {
-				panic(p)
-			}
-			maps.Copy(w.Header(), tw.h)
-			if tw.code == 0 {
-				tw.code = http.StatusOK
-			}
-			w.WriteHeader(tw.code)
-			_, _ = w.Write(tw.buf.Bytes()) // a failed write means the client is gone
-			// Only here has the handler goroutine returned. After a timeout
-			// it may still be writing, so that writer is left to the GC.
-			if tw.buf.Cap() <= maxPooledBuf {
-				clear(tw.h)
-				tw.buf.Reset()
-				tw.code = 0
-				timeoutWriters.Put(tw)
-			}
-		case <-ctx.Done():
-			tw.mu.Lock()
-			defer tw.mu.Unlock()
-			w.WriteHeader(http.StatusServiceUnavailable)
-			if tw.err = ctx.Err(); tw.err == context.DeadlineExceeded {
-				tw.err = http.ErrHandlerTimeout
-				_, _ = io.WriteString(w, "request timed out")
-			}
+		if r.Body != http.NoBody {
+			// Only a request with a body. net/http reads the connection
+			// of one without in the background from the start, to notice
+			// the client leaving, and a deadline firing on that read
+			// would cancel the connection's context: every later request
+			// on a kept-alive connection would start cancelled. It lifts
+			// the deadline itself once a body has been read to its end.
+			// A writer with no connection behind it (a test's) refuses.
+			_ = http.NewResponseController(w).SetReadDeadline(deadline)
 		}
+		next.ServeHTTP(w, r)
 	})
 }
 
-const maxPooledBuf = 1 << 20 // a buffer one big response or record grew past this is not pooled
-
-// timeoutWriter buffers one response for withTimeout.
-type timeoutWriter struct {
-	h   http.Header
-	buf bytes.Buffer
-
-	mu   sync.Mutex // the expiry path sets err while the handler may be writing
-	code int        // 0 until the handler writes a header or a byte
-	err  error      // set at expiry; every later Write returns it
-}
-
-var timeoutWriters = sync.Pool{New: func() any { return &timeoutWriter{h: http.Header{}} }}
-
-func (tw *timeoutWriter) Header() http.Header { return tw.h }
-
-func (tw *timeoutWriter) WriteHeader(code int) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.code == 0 {
-		tw.code = code
-	}
-}
-
-func (tw *timeoutWriter) Write(p []byte) (int, error) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.err != nil {
-		return 0, tw.err
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	return tw.buf.Write(p)
-}
+const timedOut = "request timed out" // the 503 text of a request that met its deadline
 
 // logf writes to the service's logger (withDefaults has set one).
 func (s *Service) logf(format string, args ...interface{}) { s.cfg.Logger.Printf(format, args...) }

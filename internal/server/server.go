@@ -41,6 +41,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,9 +141,9 @@ func OpenService(cfg Config) (*Service, error) {
 
 	// Innermost first: limits apply around the handlers; recovery and
 	// request IDs wrap everything so even limiter rejections are
-	// logged and tagged. Probes (and the metrics scrape) bypass the
-	// limiter and timeout so a saturated service still answers its
-	// orchestrator.
+	// logged and tagged, a recovered panic as its 500. Probes (and the
+	// metrics scrape) bypass the limiter and timeout so a saturated
+	// service still answers its orchestrator.
 	limited := s.withTimeout(s.withConcurrencyLimit(s.withBodyLimit(mux)))
 	probes := http.NewServeMux()
 	probes.HandleFunc("/v1/healthz", handleHealth)
@@ -168,7 +169,7 @@ func OpenService(cfg Config) (*Service, error) {
 			limited.ServeHTTP(w, r)
 		}
 	})
-	s.handler = s.withRecovery(s.withRequestID(root))
+	s.handler = s.withRequestID(s.withRecovery(root))
 
 	// The janitor normally starts on the first open; restored sessions
 	// must not wait for one — a service restored at MaxSessions would
@@ -313,6 +314,8 @@ const maxBodyPrealloc = 1 << 20
 // copies, so nothing they return is a view of the buffer.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+const maxPooledBuf = 1 << 20 // a body buffer grown past this is not pooled
+
 // parsePooledBody reads r's whole body, once, into a pooled buffer
 // sized from Content-Length — withBodyLimit has refused any above the
 // body cap — plus the bytes.MinRead that ReadFrom wants free to find
@@ -352,18 +355,34 @@ func assessmentJSON(a quality.Assessment) map[string]*float64 {
 }
 
 // bodyError maps a parse failure to the right status: 413 when the
-// body cap was hit, 400 otherwise. The cap is detected by type alone —
-// errors.As unwraps the parsers' fmt %w chains down to the
-// *http.MaxBytesError the MaxBytesReader injects, so no fragile
-// message matching is needed (or correct: a translated or coincidental
+// body cap was hit, 503 when the body was still arriving at the
+// request's deadline (withTimeout), 400 otherwise. Both are detected by
+// type alone — errors.As and errors.Is unwrap the parsers' fmt %w
+// chains down to the *http.MaxBytesError the MaxBytesReader injects or
+// the connection's os.ErrDeadlineExceeded, so no fragile message
+// matching is needed (or correct: a translated or coincidental
 // "request body too large" message must not turn a 400 into a 413).
 func bodyError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
+	switch {
+	case errors.As(err, &mbe):
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		http.Error(w, timedOut, http.StatusServiceUnavailable)
+	default:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+}
+
+// runError answers a cleaning run that failed. Under SkipStage only the
+// request's context stops one: 503, "request timed out" at the
+// deadline, the context's reason when the client went away.
+func runError(w http.ResponseWriter, err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		http.Error(w, timedOut, http.StatusServiceUnavailable)
 		return
 	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	http.Error(w, err.Error(), http.StatusServiceUnavailable)
 }
 
 func handleAssess(w http.ResponseWriter, r *http.Request) {
@@ -392,9 +411,7 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 	}
 	cleaned, stages, _, err := core.PlanAndRunIterativeWith(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3)
 	if err != nil {
-		// Only context cancellation surfaces here under SkipStage; the
-		// client is gone or the deadline passed.
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		runError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
@@ -445,7 +462,7 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 	stages := core.ReadingsStages()
 	cleaned, _, err := s.cleaningRunner().Run(r.Context(), ds, stages)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		runError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")

@@ -391,28 +391,6 @@ func TestConcurrencyLimitSheds503(t *testing.T) {
 	}
 }
 
-func TestRequestTimeout(t *testing.T) {
-	svc := newTestService(Config{RequestTimeout: 50 * time.Millisecond})
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	pr, pw := io.Pipe()
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/assess", pr)
-	req.Header.Set("Content-Type", "text/csv")
-	go func() {
-		pw.Write([]byte("id,t,x,y\nveh-0,0,1,2\n"))
-		time.Sleep(500 * time.Millisecond) // outlive the request deadline
-		pw.Close()
-	}()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("timeout status = %d", resp.StatusCode)
-	}
-}
-
 func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	srv := httptest.NewServer(newTestService(Config{}))
 	defer srv.Close()
@@ -436,9 +414,19 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	}
 }
 
+// TestPanicRecoveryMiddleware: a handler panic before the first
+// response byte is a 500 on a connection that survives it; after the
+// first byte the status cannot change, so the response is cut and the
+// client's read fails rather than ending cleanly. Both are counted.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	svc := newTestService(Config{})
-	h := svc.withRecovery(svc.withRequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := svc.withRequestID(svc.withRecovery(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/started" {
+			io.WriteString(w, "the first rows\n")
+			if err := http.NewResponseController(w).Flush(); err != nil {
+				t.Errorf("flush through the recorder: %v", err)
+			}
+		}
 		panic("handler exploded")
 	})))
 	srv := httptest.NewServer(h)
@@ -447,8 +435,21 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatalf("connection died on panic: %v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panic status = %d", resp.StatusCode)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || string(body) != "internal server error\n" {
+		t.Fatalf("panic before the first byte: %d %q, want 500", resp.StatusCode, body)
+	}
+	resp, err = http.Get(srv.URL + "/started")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err == nil || string(body) != "the first rows\n" {
+		t.Fatalf("panic after the first byte: %d %q, read error %v; want the 200's first rows and a failed read", resp.StatusCode, body, err)
+	}
+	if n := svc.metrics.Counter(mSrvPanics).Value(); n != 2 {
+		t.Fatalf("%s = %d, want 2", mSrvPanics, n)
 	}
 }

@@ -180,7 +180,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 		// Sources in the session's first-appearance order, rows in emitted
 		// order: a fully drained in-order session equals the batch path.
 		w.Header().Set("Content-Type", "text/csv")
-		g := trajectory.NewGrouper()
+		g := trajectory.NewGrouper(len(results))
 		for _, res := range results {
 			g.Add(res.Source, res.T, res.X, res.Y)
 		}
@@ -262,7 +262,7 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		// read — into per-source groups — before the first output byte, and
 		// its size is known when the headers go out. Use ndjson for wide
 		// windows.
-		g := trajectory.NewGrouper()
+		g := trajectory.NewGrouper(0) // the row count is known only after the scan
 		var points int
 		points, err = h.Scan(func(src []byte, t, x, y float64) error {
 			g.Add(string(src), t, x, y) // Add keeps no reference to src
@@ -274,13 +274,10 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 			err = rb.writeCSV(w, g, g.IDs())
 		}
 	} else {
-		// ndjson rows are written out as the row buffer fills, so the
+		// ndjson rows go to the client as the row buffer fills, so the
 		// engine and this handler hold one chunk record and one buffer of
-		// rows, and the row count is unknown when the headers are set (no
-		// X-Sidq-Points). What the client-facing writer holds is another
-		// matter: under a RequestTimeout (30 s by default) withTimeout
-		// buffers the whole response until the handler returns, so an
-		// unbounded window costs memory proportional to the retained log.
+		// rows whatever the window, and the row count is unknown when the
+		// headers are set (no X-Sidq-Points).
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_, err = h.Scan(func(src []byte, t, x, y float64) error {
 			if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, nil); err != nil {
@@ -297,9 +294,11 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		// Mid-stream failure: the status line is long gone, so report
-		// it the way every other streaming handler does.
+		// Mid-stream failure: the 200 is long gone, so the response is
+		// cut, and the client sees a failed read rather than a clean end
+		// short of the rows it asked for.
 		s.writeError(r, err)
+		panic(http.ErrAbortHandler)
 	}
 }
 

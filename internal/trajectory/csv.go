@@ -120,7 +120,10 @@ func splitCSVLine(line string, f *[4]string) (ok bool) {
 // grouped by id in first-appearance order, each group time-sorted.
 // The result holds no reference to data.
 func ParseCSV(data []byte) ([]*Trajectory, error) {
-	g := NewGrouper()
+	// A row is a line, and none is shorter than ",0,0,0\n": the second
+	// bound keeps a body of blank lines from sizing a scratch of 32
+	// bytes a byte.
+	g := NewGrouper(min(bytes.Count(data, []byte{'\n'}), len(data)/7) + 1)
 	err := ScanCSV(data, true, func(id string, t, x, y float64) error {
 		g.Add(id, t, x, y)
 		return nil

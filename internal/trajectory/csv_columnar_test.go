@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"sidq/internal/geo"
+	"sidq/internal/israce"
 )
 
 // equalTrajectorySets compares two decode results bit for bit.
@@ -134,7 +136,7 @@ func TestReadCSVColumnsErrors(t *testing.T) {
 // groups in first-appearance order and time-sorts each group, while
 // Points(id) preserves as-added order (the stream drain semantics).
 func TestColumnsBuilderOrder(t *testing.T) {
-	g := NewGrouper()
+	g := NewGrouper(0)
 	g.Add("b", 2, 0, 0)
 	g.Add("a", 5, 1, 1)
 	g.Add("b", 1, 2, 2)
@@ -168,7 +170,7 @@ func TestColumnsBuilderOrder(t *testing.T) {
 // that silently goes missing.
 func TestGrouperCarvesExactGroups(t *testing.T) {
 	buf := []byte("a")
-	g := NewGrouper()
+	g := NewGrouper(0)
 	for i := 0; i < 9; i++ {
 		buf[0] = "abc"[i%3]
 		g.Add(unsafe.String(&buf[0], 1), float64(i), float64(i), 0)
@@ -197,8 +199,50 @@ func TestGrouperCarvesExactGroups(t *testing.T) {
 		}()
 		g.Add("d", 11, 0, 0)
 	}()
-	if got := NewGrouper().Trajectories(); len(got) != 0 {
+	if got := NewGrouper(0).Trajectories(); len(got) != 0 {
 		t.Fatalf("an empty grouper gave %d trajectories", len(got))
+	}
+}
+
+// TestGrouperSizesScratchOnce: once the pool has lost its scratch (a
+// collection can take it), a grouper told how many rows are coming
+// allocates its scratch once, at that size, where one told nothing
+// regrows it by doubling; ParseCSV tells it the body's line count.
+func TestGrouperSizesScratchOnce(t *testing.T) {
+	const n = 4000
+	fresh := func() any { return new([]groupRow) }
+	fill := func(hint int) func() {
+		return func() {
+			groupRows = sync.Pool{New: fresh} // the pool as a collection leaves it
+			g := NewGrouper(hint)
+			for i := 0; i < n; i++ {
+				g.Add("a", float64(i), 0, 0)
+			}
+		}
+	}
+	told, blind := testing.AllocsPerRun(5, fill(n)), testing.AllocsPerRun(5, fill(0))
+	t.Logf("%d rows: %.0f allocations told the count, %.0f told nothing", n, told, blind)
+	// Besides the scratch: the grouper, its map, id, id list and counts,
+	// the fresh pool's per-P array and the scratch's pointer, none of
+	// which grows with n.
+	if !israce.Enabled && (told > 9 || blind < told+8) {
+		t.Errorf("%d rows: %.0f allocations told the count, %.0f told nothing; want at most 9, the scratch allocated once", n, told, blind)
+	}
+
+	var body strings.Builder
+	body.WriteString("id,t,x,y\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&body, "a,%d,0,0\n", i)
+	}
+	data := []byte(body.String())
+	groupRows = sync.Pool{New: fresh}
+	if _, err := ParseCSV(data); err != nil {
+		t.Fatal(err)
+	}
+	// The scratch went back to the pool at the size ParseCSV asked for:
+	// its n+1 lines, plus one for a last line without a newline.
+	if got := cap(*groupRows.Get().(*[]groupRow)); got != n+2 && !israce.Enabled {
+		t.Errorf("ParseCSV of %d rows left a scratch of cap %d, want %d", n, got, n+2)
 	}
 }
 

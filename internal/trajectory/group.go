@@ -15,10 +15,15 @@ import (
 // first read of the groups carves them all from one allocation of
 // exactly the rows added, each group capped at its own length, and
 // hands the scratch back: slice doubling per group cost twice the
-// points' bytes. Every Add comes before the first read.
+// points' bytes. A caller that knows about how many rows it will add
+// says so, and a pooled scratch smaller than that — a fresh one after
+// the pool lost its items to a collection — is replaced once at that
+// size rather than regrown by doubling. Every Add comes before the
+// first read.
 type Grouper struct {
 	idx    map[string]int
 	ids    []string
+	hint   int         // rows the caller expects, 0 if unknown
 	counts []int       // rows per group, until the carve
 	rows   *[]groupRow // the scratch, until the carve
 	groups [][]Point   // set by the carve; non-nil once carved
@@ -36,9 +41,10 @@ var groupRows = sync.Pool{New: func() any { return new([]groupRow) }}
 
 const groupRowsPooledMax = 1 << 15
 
-// NewGrouper returns an empty grouper.
-func NewGrouper() *Grouper {
-	return &Grouper{idx: map[string]int{}}
+// NewGrouper returns an empty grouper for about rows samples, 0 when
+// the caller cannot tell.
+func NewGrouper(rows int) *Grouper {
+	return &Grouper{idx: map[string]int{}, hint: rows}
 }
 
 // Add appends one sample to id's group, creating the group on first
@@ -60,6 +66,9 @@ func (g *Grouper) Add(id string, t, x, y float64) {
 	}
 	if g.rows == nil {
 		g.rows = groupRows.Get().(*[]groupRow)
+		if cap(*g.rows) < g.hint {
+			*g.rows = make([]groupRow, 0, g.hint)
+		}
 	}
 	*g.rows = append(*g.rows, groupRow{g: i, p: Point{T: t, Pos: geo.Point{X: x, Y: y}}})
 	g.counts[i]++
