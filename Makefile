@@ -22,8 +22,10 @@
 #                       core (outlier flags, concurrent pipelines) and
 #                       trajectory (dedup pools), the
 #                       buffer-ownership hammers in server/session/stream
-#                       and server's request-deadline hammer over
-#                       kept-alive connections)
+#                       — /v1/clean streams through the runner's pooled
+#                       point buffers and row slabs among them — and
+#                       server's request-deadline hammer over kept-alive
+#                       connections)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"sidq/internal/core"
+	"sidq/internal/stid"
+	"sidq/internal/trajectory"
 )
 
 // ErrInjected is the error returned by injected stage failures; use
@@ -24,19 +26,18 @@ import (
 var ErrInjected = errors.New("chaos: injected fault")
 
 // FlakyOptions configures a FlakyStage. Probabilities are evaluated
-// per attempt in the order panic, error, delay; they need not sum
-// to 1.
+// per call in the order panic, error, delay; they need not sum to 1.
 type FlakyOptions struct {
 	Seed      int64
-	PanicProb float64       // probability an attempt panics
-	ErrProb   float64       // probability an attempt errors
-	DelayProb float64       // probability an attempt stalls for Delay
+	PanicProb float64       // probability a call panics
+	ErrProb   float64       // probability a call errors
+	DelayProb float64       // probability a call stalls for Delay
 	Delay     time.Duration // stall length (default 50ms)
 }
 
 // FlakyStage wraps a Stage with injected faults; a FlakyStage with zero
-// options is transparent. Its counters are safe to read while an
-// attempt the runner abandoned on cancellation is still running.
+// options is transparent. Its counters are safe to read while a call
+// the runner abandoned on cancellation is still running.
 type FlakyStage struct {
 	Inner core.Stage
 	opts  FlakyOptions
@@ -69,7 +70,7 @@ func (s *FlakyStage) Injected() (panics, errs, delays int) {
 	return s.panics, s.errCount, s.delays
 }
 
-// fault draws this attempt's fate under the lock.
+// fault draws this call's fate under the lock.
 func (s *FlakyStage) fault() (doPanic, doErr bool, delay time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,8 +89,26 @@ func (s *FlakyStage) fault() (doPanic, doErr bool, delay time.Duration) {
 	return false, false, 0
 }
 
-// Apply implements Stage.
-func (s *FlakyStage) Apply(ctx context.Context, ds *core.Dataset) error {
+// CleanPoints implements Stage: the call draws its fault, then hands
+// the trajectory to the inner stage.
+func (s *FlakyStage) CleanPoints(ctx context.Context, run *core.StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
+	if err := s.inject(ctx); err != nil {
+		return nil, err
+	}
+	return s.Inner.CleanPoints(ctx, run, tr, dst)
+}
+
+// CleanReadings implements Stage, drawing a fault as CleanPoints does.
+func (s *FlakyStage) CleanReadings(ctx context.Context, run *core.StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	if err := s.inject(ctx); err != nil {
+		return nil, err
+	}
+	return s.Inner.CleanReadings(ctx, run, rs)
+}
+
+// inject draws one call's fault and acts it out: a panic, an error, or
+// a stall that ctx cuts short.
+func (s *FlakyStage) inject(ctx context.Context) error {
 	doPanic, doErr, delay := s.fault()
 	if doPanic {
 		panic(fmt.Sprintf("%v (stage %s)", ErrInjected, s.Inner.Name()))
@@ -104,5 +123,5 @@ func (s *FlakyStage) Apply(ctx context.Context, ds *core.Dataset) error {
 			return ctx.Err()
 		}
 	}
-	return s.Inner.Apply(ctx, ds)
+	return nil
 }

@@ -72,8 +72,8 @@ func TestSuiteSurvivesEveryFailureMode(t *testing.T) {
 func TestFlakyStageIsDeterministic(t *testing.T) {
 	run := func() (panics, errs, delays int) {
 		ds := chaosDataset(3)
-		// One attempt per stage is one draw per stage: six stages for a
-		// sequence worth comparing.
+		// One draw a call, a call a trajectory: six stages over three
+		// trajectories for a sequence worth comparing.
 		var stages []core.Stage
 		for i := 0; i < 6; i++ {
 			stages = append(stages, NewFlakyStage(core.DeduplicateStage{},

@@ -86,34 +86,44 @@ func samePointBits(a, b []trajectory.Point) bool {
 	return true
 }
 
-// scatterStage edits its dataset's points in place — the one thing the
-// Stage contract forbids.
+// scatterStage edits the points it is given in place — the one thing
+// the Stage contract forbids.
 type scatterStage struct{}
 
 func (scatterStage) Name() string    { return "scatter" }
 func (scatterStage) Task() core.Task { return core.FaultCorrection }
-func (scatterStage) Apply(_ context.Context, ds *core.Dataset) error {
-	for _, tr := range ds.Trajectories {
-		for i := range tr.Points {
-			tr.Points[i].Pos.X += 500
-		}
+func (scatterStage) CleanPoints(_ context.Context, _ *core.StageRun, tr *trajectory.Trajectory, _ []trajectory.Point) ([]trajectory.Point, error) {
+	for i := range tr.Points {
+		tr.Points[i].Pos.X += 500
 	}
-	return nil
+	return tr.Points, nil
+}
+func (scatterStage) CleanReadings(_ context.Context, _ *core.StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
+}
+
+// deepCopy is ds with every trajectory's points and the readings copied.
+func deepCopy(ds *core.Dataset) *core.Dataset {
+	out := *ds
+	out.Trajectories = make([]*trajectory.Trajectory, len(ds.Trajectories))
+	for i, tr := range ds.Trajectories {
+		out.Trajectories[i] = tr.Clone()
+	}
+	out.Readings = append([]stid.Reading(nil), ds.Readings...)
+	return &out
 }
 
 // TestStageTraitsAreHonest holds every built-in stage and the chaos
-// wrapper to the one trait the Stage contract states, since the runner
-// trusts it blindly: a stage applied to a copy-on-write clone replaces
-// trajectories and never edits their points, so the clone's parent
-// stays bit-identical.
+// wrapper to what the Stage contract states, since the runner trusts it
+// blindly: a stage appends its output into the buffer it is handed and
+// never edits the points or readings it is given, so a run leaves its
+// input bit-identical; and it keeps no view of its buffer, so a second
+// trajectory cleaned through the same buffers leaves the first one's
+// output as it was.
 func TestStageTraitsAreHonest(t *testing.T) {
 	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 9, NY: 9, Spacing: 100, Jitter: 5, Seed: 30})
 	ds := traitDataset(g)
-	// A deep copy to compare against: ds is the COW parent under test.
-	pristine := ds.CloneCOW()
-	for i, tr := range pristine.Trajectories {
-		pristine.Trajectories[i] = tr.Clone()
-	}
+	pristine := deepCopy(ds)
 	stages := []core.Stage{
 		core.OutlierRemovalStage{},
 		core.SmoothingStage{},
@@ -124,17 +134,28 @@ func TestStageTraitsAreHonest(t *testing.T) {
 		NewFlakyStage(core.SmoothingStage{}, FlakyOptions{Seed: 4}),
 	}
 	ctx := context.Background()
+	runner := &core.Runner{Policy: core.SkipStage}
 	for _, st := range stages {
-		// A degraded or failed Apply is fine; touching the parent is not.
-		_ = st.Apply(ctx, ds.CloneCOW())
+		// A degraded or failed call is fine; touching the input is not.
+		out, _, _ := runner.Run(ctx, ds, []core.Stage{st})
 		if err := sameDataset(ds, pristine); err != nil {
-			t.Errorf("%s changed the parent of its COW clone: %v", st.Name(), err)
+			t.Errorf("%s changed its run's input: %v", st.Name(), err)
+		}
+		// Each trajectory alone, then the whole dataset through the
+		// same pooled buffers: every output must match the lone run's.
+		for i, tr := range ds.Trajectories {
+			one := *ds
+			one.Trajectories, one.Readings = []*trajectory.Trajectory{tr}, nil
+			alone, _, _ := runner.Run(ctx, &one, []core.Stage{st})
+			if !samePointBits(alone.Trajectories[0].Points, out.Trajectories[i].Points) {
+				t.Errorf("%s: trajectory %d cleaned alone differs from the whole run", st.Name(), i)
+			}
 		}
 	}
 
-	// The check has teeth: an in-place edit of a COW clone shows.
-	_ = scatterStage{}.Apply(ctx, ds.CloneCOW())
+	// The check has teeth: an in-place edit of the input shows.
+	_, _, _ = runner.Run(ctx, ds, []core.Stage{scatterStage{}})
 	if sameDataset(ds, pristine) == nil {
-		t.Fatal("in-place corruption of a COW clone went unnoticed by sameDataset")
+		t.Fatal("in-place corruption of a run's input went unnoticed by sameDataset")
 	}
 }

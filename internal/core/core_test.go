@@ -211,23 +211,54 @@ func TestThematicRepairStage(t *testing.T) {
 // TestImputeCountsRefusedResamples pins the stage's three outcomes: a
 // resampled trajectory is replaced, a too-short one is a silent no-op,
 // and one whose resampling is refused (interval too small for its span)
-// keeps its raw points and is counted in a PartialError.
+// fails its call, keeps its raw points and is counted in the stage's
+// PartialError.
 func TestImputeCountsRefusedResamples(t *testing.T) {
 	pt := func(t float64) trajectory.Point { return trajectory.Point{T: t, Pos: geo.Pt(t, 0)} }
 	fine := trajectory.New("fine", []trajectory.Point{pt(0), pt(10)})
 	short := trajectory.New("short", []trajectory.Point{pt(0)})
 	dense := trajectory.New("dense", []trajectory.Point{pt(0), pt(1e9)})
 	ds := &Dataset{Trajectories: []*trajectory.Trajectory{fine, short, dense}, ExpectedInterval: 1}
-	err := ImputeStage{}.Apply(context.Background(), ds)
+	out, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{ImputeStage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pe *PartialError
-	if !errors.As(err, &pe) || pe.Failed != 1 || pe.Total != 3 || !errors.Is(err, trajectory.ErrResampleTooDense) {
-		t.Fatalf("err = %v, want a 1/3 PartialError wrapping ErrResampleTooDense", err)
+	if rep := reports[0]; !errors.As(rep.Err, &pe) || pe.Failed != 1 || pe.Total != 3 || rep.Skipped ||
+		!errors.Is(rep.Err, trajectory.ErrResampleTooDense) {
+		t.Fatalf("report = %+v, want a 1/3 PartialError wrapping ErrResampleTooDense", rep)
 	}
-	if ds.Trajectories[0].Len() != 11 {
-		t.Fatalf("resampled trajectory has %d points, want 11", ds.Trajectories[0].Len())
+	if out.Trajectories[0].Len() != 11 {
+		t.Fatalf("resampled trajectory has %d points, want 11", out.Trajectories[0].Len())
 	}
-	if ds.Trajectories[1] != short || ds.Trajectories[2] != dense {
+	if out.Trajectories[1] != short || out.Trajectories[2] != dense {
 		t.Fatal("too-short or refused trajectory was replaced")
+	}
+}
+
+// TestImputeBudgetIsSpentInTrajectoryOrder: the round's trajectories
+// share one budget of trajectory.MaxResamplePoints output points, spent
+// in input order, so the trajectory that would cross what is left of it
+// is refused and the ones after it still fit.
+func TestImputeBudgetIsSpentInTrajectoryOrder(t *testing.T) {
+	pt := func(t float64) trajectory.Point { return trajectory.Point{T: t, Pos: geo.Pt(t, 0)} }
+	span := func(id string, s float64) *trajectory.Trajectory {
+		return trajectory.New(id, []trajectory.Point{pt(0), pt(s)})
+	}
+	const most = trajectory.MaxResamplePoints * 3 / 4
+	ds := &Dataset{ExpectedInterval: 1, Trajectories: []*trajectory.Trajectory{
+		span("first", most), span("over", most), span("small", 10),
+	}}
+	out, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{ImputeStage{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PartialError
+	if !errors.As(reports[0].Err, &pe) || pe.Failed != 1 {
+		t.Fatalf("report = %+v, want the one trajectory over the budget refused", reports[0])
+	}
+	if got := []int{out.Trajectories[0].Len(), out.Trajectories[1].Len(), out.Trajectories[2].Len()}; !reflect.DeepEqual(got, []int{most + 1, 2, 11}) {
+		t.Fatalf("lengths %v, want [%d 2 11]", got, most+1)
 	}
 }
 
@@ -407,9 +438,9 @@ func TestNaNSampleStillPlansSmoothing(t *testing.T) {
 // noise level from a trajectory with one NaN sample, which made every
 // smoothed point NaN.
 func TestSmoothingSurvivesNaNSample(t *testing.T) {
-	ds := nanDataset(true)
-	if err := (SmoothingStage{}).Apply(context.Background(), ds); err != nil {
-		t.Fatal(err)
+	ds, reports, err := DefaultRunner().Run(context.Background(), nanDataset(true), []Stage{SmoothingStage{}})
+	if err != nil || reports[0].Err != nil {
+		t.Fatal(err, reports[0].Err)
 	}
 	tr := ds.Trajectories[0]
 	for i, p := range tr.Points {

@@ -7,8 +7,8 @@
 //     needed to measure their quality;
 //   - Stage adapts each cleaner to a common interface, tagged with the
 //     taxonomy task it implements;
-//   - Runner runs a list of stages in order, each on a copy-on-write
-//     clone, under a failure policy;
+//   - Runner takes each trajectory through a list of stages in turn,
+//     under a failure policy;
 //   - Planner selects stages automatically from a quality assessment
 //     against a target profile, and re-assesses between planning
 //     rounds;
@@ -35,30 +35,6 @@ type Dataset struct {
 	ExpectedInterval float64 // nominal trajectory sampling period
 	MaxSpeed         float64
 	Now              float64
-}
-
-// CloneCOW returns the copy-on-write clone a stage works on: the
-// Trajectories and Readings slices are fresh (entries can be replaced
-// without touching ds), but the trajectory pointers are shared with ds.
-// It is safe exactly for holders that replace ds.Trajectories[i] entries
-// rather than mutating a trajectory's points in place — the Stage
-// contract. Readings are value-copied, so their fields may be edited
-// freely.
-//
-// The assessment context is shared, not copied: the Truth map and the
-// scalar context fields of the clone alias the parent's. Ground truth
-// is immutable reference material that may be megabytes of
-// trajectories; copying it per stage would dwarf the cost of the stage
-// itself. Holders of a clone must treat Truth (and the trajectories it
-// points to) as read-only — inserting, deleting, or mutating entries
-// through a clone is visible to the parent and to every sibling clone,
-// and is a data race once two pipeline runs share the dataset.
-// TestCloneSharesTruthMap pins this contract.
-func (ds *Dataset) CloneCOW() *Dataset {
-	out := *ds
-	out.Trajectories = append([]*trajectory.Trajectory(nil), ds.Trajectories...)
-	out.Readings = append([]stid.Reading(nil), ds.Readings...)
-	return &out
 }
 
 // trajectoryContext builds the quality context for one trajectory.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -92,6 +93,16 @@ func aosOutlierRemoval(ds *Dataset) {
 	}
 }
 
+// referenceCopy is what a reference wiring edits in place: ds with its
+// own trajectory and readings slices, the trajectories themselves
+// shared.
+func referenceCopy(ds *Dataset) *Dataset {
+	out := *ds
+	out.Trajectories = slices.Clone(ds.Trajectories)
+	out.Readings = slices.Clone(ds.Readings)
+	return &out
+}
+
 func sameTrajectories(t *testing.T, got, want []*trajectory.Trajectory) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -130,12 +141,12 @@ func TestOutlierRemovalColumnarMatchesAoS(t *testing.T) {
 			ds.MaxSpeed = 5
 		}
 
-		want := ds.CloneCOW()
+		want := referenceCopy(ds)
 		aosOutlierRemoval(want)
 
-		got := ds.CloneCOW()
-		if err := (OutlierRemovalStage{}).Apply(context.Background(), got); err != nil {
-			t.Fatalf("trial %d: Apply: %v", trial, err)
+		got, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{OutlierRemovalStage{}})
+		if err != nil || reports[0].Err != nil {
+			t.Fatalf("trial %d: run: %v, %v", trial, err, reports[0].Err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 		if len(got.Readings) != len(want.Readings) {
@@ -242,12 +253,12 @@ func TestDeduplicateColumnarMatchesAoS(t *testing.T) {
 		if trial > 0 {
 			ds = dupDataset(rng, 1+rng.Intn(5), rng.Intn(120))
 		}
-		want := ds.CloneCOW()
+		want := referenceCopy(ds)
 		aosDeduplicate(want)
 
-		got := ds.CloneCOW()
-		if err := (DeduplicateStage{}).Apply(context.Background(), got); err != nil {
-			t.Fatalf("trial %d: Apply: %v", trial, err)
+		got, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{DeduplicateStage{}})
+		if err != nil || reports[0].Err != nil {
+			t.Fatalf("trial %d: run: %v, %v", trial, err, reports[0].Err)
 		}
 		sameTrajectories(t, got.Trajectories, want.Trajectories)
 		if len(got.Readings) != len(want.Readings) {

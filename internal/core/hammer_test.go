@@ -3,25 +3,35 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"sidq/internal/trajectory"
 )
 
 // TestOutlierFlagsScratchHammer hammers the outlier stage from many
-// goroutines over shared source trajectories: every worker drives
-// Apply on its own COW clone, so the pooled orFlags buffers (and the
-// detectors' pooled scratch) are constantly drawn, dirtied, and
-// recycled concurrently while the underlying point slices are shared
-// read-only. Run under -race (make race-hammer) this is the
+// goroutines over shared source trajectories: every worker calls
+// CleanPoints into its own point buffer, so the pooled orFlags buffers
+// (and the detectors' pooled scratch) are constantly drawn, dirtied,
+// and recycled concurrently while the underlying point slices are
+// shared read-only. Run under -race (make race-hammer) this is the
 // shared-scratch safety gate; the result check makes it a determinism
 // gate too — every worker must produce the identical cleaning.
 func TestOutlierFlagsScratchHammer(t *testing.T) {
 	ds := spikyDataset(rand.New(rand.NewSource(81)), 8, 200)
 	st := OutlierRemovalStage{}
+	clean := func(run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) []trajectory.Point {
+		out, err := st.CleanPoints(context.Background(), run, tr, dst)
+		if err != nil {
+			panic(err)
+		}
+		return out
+	}
 
-	want := ds.CloneCOW()
-	if err := st.Apply(context.Background(), want); err != nil {
-		t.Fatal(err)
+	want := make([][]trajectory.Point, len(ds.Trajectories))
+	for i, tr := range ds.Trajectories {
+		want[i] = slices.Clone(clean(&StageRun{Dataset: ds}, tr, nil))
 	}
 
 	const workers, rounds = 8, 20
@@ -31,23 +41,16 @@ func TestOutlierFlagsScratchHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []trajectory.Point
 			for r := 0; r < rounds; r++ {
-				got := ds.CloneCOW()
-				if err := st.Apply(context.Background(), got); err != nil {
-					errs <- err.Error()
-					return
-				}
-				for i := range want.Trajectories {
-					a, b := got.Trajectories[i], want.Trajectories[i]
-					if a.Len() != b.Len() {
-						errs <- "cleaned length diverged across goroutines"
+				for i, tr := range ds.Trajectories {
+					got := clean(&StageRun{Dataset: ds}, tr, buf[:0])
+					if !slices.Equal(got, want[i]) {
+						errs <- "cleaned points diverged across goroutines"
 						return
 					}
-					for j := range b.Points {
-						if a.Points[j] != b.Points[j] {
-							errs <- "cleaned points diverged across goroutines"
-							return
-						}
+					if !samePoints(got, tr.Points) {
+						buf = got
 					}
 				}
 			}

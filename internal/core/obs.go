@@ -17,8 +17,8 @@ import (
 // can depend on core alone.
 type TraceSink = obs.TraceSink
 
-// panicError marks an attempt that panicked and was recovered; the
-// runner counts these separately from ordinary stage errors.
+// panicError marks a call that panicked and was recovered; the runner
+// counts these separately from ordinary stage errors.
 type panicError struct {
 	stage string
 	val   interface{}
@@ -43,25 +43,25 @@ const (
 // appear as stages execute.
 func InitRunnerMetrics(reg *obs.Registry) {
 	reg.Help(mStageTotal, "Pipeline stage executions by stage and outcome.")
-	reg.Help(mStageLatency, "Per-stage wall time of the stage's clone and single attempt, excluding quality assessment, in nanoseconds.")
-	reg.Help(mPanics, "Stage attempts that panicked and were recovered.")
-	reg.Help(mSkips, "Stages that failed and were skipped.")
+	reg.Help(mStageLatency, "Per-stage wall time of the stage's calls in a round, excluding quality assessment, in nanoseconds.")
+	reg.Help(mPanics, "Stage calls that panicked and were recovered.")
+	reg.Help(mSkips, "Stages every call of which failed in a round, so none of their work was kept.")
 	reg.Counter(mPanics)
 	reg.Counter(mSkips)
 }
 
 // observeStage records the completed stage into the trace sink and the
-// metrics registry, with the outcome runStage settled on: ok, degraded,
-// skipped, failed or cancelled. Called once per stage, with the final
+// metrics registry, with the outcome the runner settled on: ok,
+// degraded, skipped, failed or cancelled, and the number of its calls
+// that panicked. Called once per stage per round, with the final
 // report.
-func (r *Runner) observeStage(rep *StageReport, outcome string) {
-	_, panicked := rep.Err.(*panicError)
+func (r *Runner) observeStage(rep *StageReport, outcome string, panics int) {
 	if r.Trace != nil {
 		text := ""
 		if rep.Err != nil {
 			text = rep.Err.Error()
 		}
-		if panicked {
+		if panics > 0 {
 			r.Trace.Record(obs.TraceEvent{Name: rep.Stage, Kind: obs.KindPanic, Err: text})
 		}
 		if rep.Skipped {
@@ -72,8 +72,8 @@ func (r *Runner) observeStage(rep *StageReport, outcome string) {
 	if r.Obs == nil {
 		return
 	}
-	if panicked {
-		r.Obs.Counter(mPanics).Inc()
+	if panics > 0 {
+		r.Obs.Counter(mPanics).Add(uint64(panics))
 	}
 	if rep.Skipped {
 		r.Obs.Counter(mSkips).Inc()

@@ -6,15 +6,22 @@ import (
 	"testing"
 
 	"sidq/internal/obs"
+	"sidq/internal/stid"
+	"sidq/internal/trajectory"
 )
 
 // noopStage is a do-nothing stage, for observing the runner's
 // bookkeeping without any stage-side noise.
 type noopStage struct{}
 
-func (noopStage) Name() string                          { return "noop" }
-func (noopStage) Task() Task                            { return FaultCorrection }
-func (noopStage) Apply(context.Context, *Dataset) error { return nil }
+func (noopStage) Name() string { return "noop" }
+func (noopStage) Task() Task   { return FaultCorrection }
+func (noopStage) CleanPoints(_ context.Context, _ *StageRun, tr *trajectory.Trajectory, _ []trajectory.Point) ([]trajectory.Point, error) {
+	return tr.Points, nil
+}
+func (noopStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
+}
 
 func TestRunnerObsStageMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -42,15 +49,17 @@ func TestRunnerObsPanicAndSkip(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.MemSink{}
 	r := &Runner{Policy: SkipStage, Obs: reg, Trace: sink}
-	_, reports, err := r.Run(context.Background(), dirtyDataset(1), []Stage{legacyPanicStage{}})
+	ds := dirtyDataset(1)
+	_, reports, err := r.Run(context.Background(), ds, []Stage{legacyPanicStage{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reports[0].Skipped {
 		t.Fatal("stage not skipped")
 	}
-	if got := reg.Counter("sidq_runner_panics_total").Value(); got != 1 {
-		t.Fatalf("panics_total = %d, want 1", got)
+	// One panic a call: a trajectory each, and the readings.
+	if got, want := reg.Counter("sidq_runner_panics_total").Value(), uint64(len(ds.Trajectories)+1); got != want {
+		t.Fatalf("panics_total = %d, want %d", got, want)
 	}
 	if got := reg.Counter("sidq_runner_skips_total").Value(); got != 1 {
 		t.Fatalf("skips_total = %d, want 1", got)

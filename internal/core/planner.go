@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"sidq/internal/quality"
+	"sidq/internal/stid"
+	"sidq/internal/trajectory"
 )
 
 // Targets is a quality target profile for the planner: the thresholds
@@ -76,9 +78,27 @@ var planRules = [...]struct {
 // is cancelled before or during a stage; the returned dataset
 // then reflects the progress made before the failure.
 func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targets, maxRounds int) (*Dataset, []Stage, []StageReport, error) {
-	if maxRounds < 1 {
-		maxRounds = 1
-	}
+	c := &collector{trs: make([]*trajectory.Trajectory, 0, len(ds.Trajectories))}
+	last, rs, stages, reports, err := planRounds(ctx, r, ds, t, maxRounds, c)
+	return c.dataset(last, rs, err), stages, reports, err
+}
+
+// PlanAndStream is PlanAndRunIterativeWith with the last round cleaned
+// into sink, one trajectory at a time as each leaves its last stage.
+// sink's Begin gets every stage the run applies before the first Put.
+// It returns the stages and reports, and what ended the run early.
+func PlanAndStream(ctx context.Context, r *Runner, ds *Dataset, t Targets, maxRounds int, sink Sink) ([]Stage, []StageReport, error) {
+	_, _, stages, reports, err := planRounds(ctx, r, ds, t, maxRounds, sink)
+	return stages, reports, err
+}
+
+// planRounds is the assess-plan-run loop. A round that a later round
+// may follow keeps one cleaned copy (Runner.Run), and the next plan is
+// made from it. The last round — nothing more is planned, maxRounds is
+// reached, or every stage Plan can return has run — goes to sink. It
+// returns that round's input and readings, or, when an earlier round
+// fails, that round's output and its readings.
+func planRounds(ctx context.Context, r *Runner, ds *Dataset, t Targets, maxRounds int, sink Sink) (*Dataset, []stid.Reading, []Stage, []StageReport, error) {
 	if r == nil {
 		r = DefaultRunner()
 	}
@@ -88,7 +108,7 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 	var allStages []Stage
 	var allReports []StageReport
 	applied := map[string]bool{}
-	for round := 0; round < maxRounds; round++ {
+	for round := 1; ; round++ {
 		var stages []Stage
 		for _, s := range Plan(assessed, t) {
 			if applied[s.Name()] {
@@ -97,22 +117,17 @@ func PlanAndRunIterativeWith(ctx context.Context, r *Runner, ds *Dataset, t Targ
 			applied[s.Name()] = true
 			stages = append(stages, s)
 		}
-		if len(stages) == 0 {
-			break
+		allStages = append(allStages, stages...)
+		if len(stages) == 0 || round >= maxRounds || len(applied) == len(planRules) {
+			sink.Begin(allStages)
+			rs, reports, err := r.run(ctx, cur, stages, sink)
+			return cur, rs, allStages, append(allReports, reports...), err
 		}
 		out, reports, err := r.Run(ctx, cur, stages)
-		cur = out
-		allStages = append(allStages, stages...)
 		allReports = append(allReports, reports...)
 		if err != nil {
-			return cur, allStages, allReports, err
+			return out, out.Readings, allStages, allReports, err
 		}
-		// Once every stage Plan can return has run, no later round can
-		// plan one, so the output is not worth measuring.
-		if round+1 == maxRounds || len(applied) == len(planRules) {
-			break
-		}
-		assessed = cur.Assess()
+		cur, assessed = out, out.Assess()
 	}
-	return cur, allStages, allReports, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sidq/internal/chaos"
@@ -186,10 +187,42 @@ func TestPlanAndRunIterativeMatchesAssessingEachStage(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesAssessingEachStage: with faults injected, a run of a
-// fixed stage list still ends as the same stages run one by one with
-// an assessment after each — the skips and the failure land on the
-// same stages, and the same work is kept.
+// runItemByItem is the reference for the runner's loop order: the
+// readings alone through every stage, then each trajectory alone, in
+// input order, each a run of its own. The first run that fails ends it,
+// with the trajectories after it as they came in.
+func runItemByItem(ctx context.Context, r *core.Runner, ds *core.Dataset, stages []core.Stage) (*core.Dataset, error) {
+	out := *ds
+	out.Trajectories = nil
+	if len(ds.Readings) > 0 {
+		alone := *ds
+		alone.Trajectories = nil
+		got, _, err := r.Run(ctx, &alone, stages)
+		if out.Readings = got.Readings; err != nil {
+			out.Trajectories = ds.Trajectories
+			return &out, err
+		}
+	}
+	for i, tr := range ds.Trajectories {
+		alone := *ds
+		alone.Trajectories, alone.Readings = []*trajectory.Trajectory{tr}, nil
+		got, _, err := r.Run(ctx, &alone, stages)
+		out.Trajectories = append(out.Trajectories, got.Trajectories...)
+		if err != nil {
+			out.Trajectories = append(out.Trajectories, ds.Trajectories[i+1:]...)
+			return &out, err
+		}
+	}
+	return &out, nil
+}
+
+// TestRunnerMatchesAssessingEachStage: with faults injected into every
+// call, a run of a fixed stage list under SkipStage still ends as the
+// same stages run one by one with an assessment after each — the
+// skipped and degraded stages are the same, and the same work is kept.
+// Under FailFast the run ends at the first failing call in the runner's
+// order, the readings' calls first and then each trajectory through
+// every stage, so its reference cleans one item at a time.
 func TestRunnerMatchesAssessingEachStage(t *testing.T) {
 	flaky := func(seed int64) []core.Stage {
 		var out []core.Stage
@@ -198,16 +231,27 @@ func TestRunnerMatchesAssessingEachStage(t *testing.T) {
 		}
 		return out
 	}
+	ctx := context.Background()
 	for seed := int64(1); seed <= 6; seed++ {
-		for _, policy := range []core.FailurePolicy{core.SkipStage, core.FailFast} {
-			label := fmt.Sprintf("seed=%d/%v", seed, policy)
-			ds := core.DirtyDataset(seed)
-			r := &core.Runner{Policy: policy}
-			got := run{stages: flaky(seed)}
-			want := run{stages: flaky(seed)}
-			got.out, got.reports, got.err = r.Run(context.Background(), ds, got.stages)
-			want.out, want.reports, _, want.err = runAssessingEach(context.Background(), r, ds, want.stages, nil)
-			sameRun(t, label, got, want)
+		ds := core.DirtyDataset(seed)
+		label := fmt.Sprintf("seed=%d/skip-stage", seed)
+		r := &core.Runner{Policy: core.SkipStage}
+		got := run{stages: flaky(seed)}
+		want := run{stages: flaky(seed)}
+		got.out, got.reports, got.err = r.Run(ctx, ds, got.stages)
+		want.out, want.reports, _, want.err = runAssessingEach(ctx, r, ds, want.stages, nil)
+		sameRun(t, label, got, want)
+
+		label = fmt.Sprintf("seed=%d/fail-fast", seed)
+		r = &core.Runner{Policy: core.FailFast}
+		out, reports, err := r.Run(ctx, ds, flaky(seed))
+		wantOut, wantErr := runItemByItem(ctx, r, ds, flaky(seed))
+		if err == nil || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: err %v, want %v", label, err, wantErr)
 		}
+		if last := reports[len(reports)-1]; last.Err == nil || last.Skipped || !strings.Contains(err.Error(), last.Stage) {
+			t.Fatalf("%s: last report %+v, want the failing stage of %v", label, last, err)
+		}
+		sameOutput(t, label, out, wantOut)
 	}
 }

@@ -9,9 +9,13 @@ import (
 
 	"sidq/internal/obs"
 	"sidq/internal/quality"
+	"sidq/internal/stid"
+	"sidq/internal/trajectory"
 )
 
-// scriptedStage is a Stage driven by a test callback.
+// scriptedStage is a Stage driven by a test callback, called once a
+// call with the run's dataset; it leaves every trajectory and the
+// readings as they are.
 type scriptedStage struct {
 	name  string
 	calls *int
@@ -20,23 +24,35 @@ type scriptedStage struct {
 
 func (s scriptedStage) Name() string { return s.name }
 func (s scriptedStage) Task() Task   { return FaultCorrection }
-func (s scriptedStage) Apply(ctx context.Context, ds *Dataset) error {
+func (s scriptedStage) CleanPoints(ctx context.Context, run *StageRun, tr *trajectory.Trajectory, _ []trajectory.Point) ([]trajectory.Point, error) {
+	return tr.Points, s.call(ctx, run)
+}
+func (s scriptedStage) CleanReadings(ctx context.Context, run *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, s.call(ctx, run)
+}
+func (s scriptedStage) call(ctx context.Context, run *StageRun) error {
 	if s.calls != nil {
 		*s.calls++
 	}
-	return s.fn(ctx, ds)
+	return s.fn(ctx, run.Dataset)
 }
 
 // legacyPanicStage ignores its context and panics — the failure mode
 // that used to kill the whole run.
 type legacyPanicStage struct{}
 
-func (legacyPanicStage) Name() string                          { return "legacy-panic" }
-func (legacyPanicStage) Task() Task                            { return FaultCorrection }
-func (legacyPanicStage) Apply(context.Context, *Dataset) error { panic("boom") }
+func (legacyPanicStage) Name() string { return "legacy-panic" }
+func (legacyPanicStage) Task() Task   { return FaultCorrection }
+func (legacyPanicStage) CleanPoints(context.Context, *StageRun, *trajectory.Trajectory, []trajectory.Point) ([]trajectory.Point, error) {
+	panic("boom")
+}
+func (legacyPanicStage) CleanReadings(context.Context, *StageRun, []stid.Reading) ([]stid.Reading, error) {
+	panic("boom")
+}
 
 // TestRunnerRetriesAreBounded: the bound is one. A stage that always
-// fails is attempted exactly once and skipped.
+// fails is attempted exactly once a call — once for each trajectory and
+// once for the readings — and skipped.
 func TestRunnerRetriesAreBounded(t *testing.T) {
 	ds := dirtyDataset(12)
 	calls := 0
@@ -47,8 +63,8 @@ func TestRunnerRetriesAreBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("skip policy surfaced error: %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want exactly one attempt", calls)
+	if want := len(ds.Trajectories) + 1; calls != want {
+		t.Fatalf("calls = %d, want exactly one attempt for each of %d calls", calls, want)
 	}
 	if !reports[0].Skipped || reports[0].Err == nil {
 		t.Fatalf("report = %+v", reports[0])
@@ -82,8 +98,13 @@ func TestRunnerRecoversPanics(t *testing.T) {
 	}
 }
 
+// TestRunnerFailFastReturnsProgress: FailFast ends the run at the first
+// failing call, and the output holds the progress made before it — here
+// the first trajectory, deduplicated before its second stage failed.
+// Without readings the first call to fail is that trajectory's.
 func TestRunnerFailFastReturnsProgress(t *testing.T) {
 	ds := dirtyDataset(14)
+	ds.Readings = nil
 	st := scriptedStage{name: "fatal", fn: func(ctx context.Context, ds *Dataset) error {
 		return errors.New("db down")
 	}}
@@ -96,8 +117,13 @@ func TestRunnerFailFastReturnsProgress(t *testing.T) {
 	if len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}
-	if out.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
+	if out.Trajectories[0].Len() >= ds.Trajectories[0].Len() || out.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
 		t.Fatal("pre-failure stage work lost")
+	}
+	for i := 1; i < len(ds.Trajectories); i++ {
+		if out.Trajectories[i] != ds.Trajectories[i] {
+			t.Fatalf("trajectory %d after the failure was changed", i)
+		}
 	}
 }
 
@@ -128,10 +154,12 @@ func TestRunnerStageDeadlineCancelsRunaway(t *testing.T) {
 	}
 }
 
-// TestRunCancelledMidStageIsAnError: an attempt that ended because the
+// TestRunCancelledMidStageIsAnError: a call that ended because the
 // run's ctx is done is a cancellation, not a stage failure — the run
 // returns the ctx error, the stage is not marked or counted skipped,
-// and the dataset is the progress made before it.
+// and the dataset is the round's input: a cancelled round keeps none of
+// its work. (The readings' calls come first, so dying cancels in its
+// first call, after the one stage before it.)
 func TestRunCancelledMidStageIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -173,8 +201,8 @@ func TestRunCancelledMidStageIsAnError(t *testing.T) {
 			if got := reg.Counter(`sidq_runner_stage_total{stage="dying",outcome="skipped"}`).Value(); got != 0 {
 				t.Fatalf("stage_total{skipped} = %d, want 0", got)
 			}
-			if out.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
-				t.Fatal("the stage before the cancellation lost its work")
+			if out != ds {
+				t.Fatal("a cancelled round returned work; want its input")
 			}
 		})
 	}
@@ -190,15 +218,30 @@ func TestRunnerParentCancellation(t *testing.T) {
 	}
 }
 
+// failingDedup deduplicates every trajectory but the one named fail,
+// whose call fails.
+type failingDedup struct{ fail string }
+
+func (failingDedup) Name() string { return "partial" }
+func (failingDedup) Task() Task   { return DataIntegration }
+func (s failingDedup) CleanPoints(ctx context.Context, run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
+	if tr.ID == s.fail {
+		return dst, errors.New("no fix")
+	}
+	return DeduplicateStage{}.CleanPoints(ctx, run, tr, dst)
+}
+func (failingDedup) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
+}
+
+// TestRunnerPartialErrorKeepsWork: a stage some of whose calls fail is
+// degraded, not skipped. The failing trajectory keeps the points the
+// stage was given, the others keep the stage's work, and the report
+// counts the failed calls among all of them.
 func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 	ds := dirtyDataset(18)
-	st := scriptedStage{name: "partial", fn: func(ctx context.Context, ds *Dataset) error {
-		// Do real work, then report a degraded completion.
-		_ = DeduplicateStage{}.Apply(ctx, ds)
-		return &PartialError{Stage: "partial", Failed: 2, Total: 10}
-	}}
-	r := &Runner{Policy: FailFast}
-	out, reports, err := r.Run(context.Background(), ds, []Stage{st})
+	st := failingDedup{fail: ds.Trajectories[1].ID}
+	out, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{st})
 	if err != nil {
 		t.Fatalf("partial error escalated to run failure: %v", err)
 	}
@@ -207,8 +250,11 @@ func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 	if !errors.As(rep.Err, &pe) || rep.Skipped {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Meta["failed"] != 2 || rep.Meta["total"] != 10 {
-		t.Fatalf("meta = %v", rep.Meta)
+	if total := len(ds.Trajectories) + 1; rep.Meta["failed"] != 1 || rep.Meta["total"] != total || pe.Failed != 1 || pe.Total != total {
+		t.Fatalf("meta = %v, err %v; want 1 of %d calls failed", rep.Meta, pe, total)
+	}
+	if out.Trajectories[1] != ds.Trajectories[1] {
+		t.Fatal("the failing call's trajectory was replaced")
 	}
 	if out.Assess()[quality.Redundancy] >= ds.Assess()[quality.Redundancy] {
 		t.Fatal("partial stage's work discarded")
@@ -217,11 +263,17 @@ func TestRunnerPartialErrorKeepsWork(t *testing.T) {
 
 func TestRouteRecoverSurfacesMapMatchFailures(t *testing.T) {
 	// A graph-less snapper cannot be built here; instead exercise the
-	// failure path with trajectories the matcher must reject (empty),
-	// via the public contract: nil graph is a clean no-op, and the
-	// PartialError carries exact counts when matching fails.
-	if err := (RouteRecoverStage{}).Apply(context.Background(), dirtyDataset(19)); err != nil {
-		t.Fatalf("nil graph should no-op, got %v", err)
+	// public contract: a nil graph is a clean no-op that keeps every
+	// trajectory as it is.
+	ds := dirtyDataset(19)
+	out, reports, err := DefaultRunner().Run(context.Background(), ds, []Stage{RouteRecoverStage{}})
+	if err != nil || reports[0].Err != nil {
+		t.Fatalf("nil graph should no-op, got %v, %v", err, reports[0].Err)
+	}
+	for i, tr := range ds.Trajectories {
+		if out.Trajectories[i] != tr {
+			t.Fatalf("nil graph replaced trajectory %d", i)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sidq/internal/faults"
@@ -11,6 +12,7 @@ import (
 	"sidq/internal/quality"
 	"sidq/internal/refine"
 	"sidq/internal/roadnet"
+	"sidq/internal/stid"
 	"sidq/internal/trajectory"
 	"sidq/internal/uncertain"
 )
@@ -47,22 +49,39 @@ func (t Task) String() string {
 }
 
 // Stage is one cleaning step in a pipeline — the single contract every
-// built-in, wrapper and test stage implements.
+// built-in, wrapper and test stage implements. The runner takes each
+// trajectory through every stage of a round in turn, so a stage works
+// on one trajectory per call; the readings are cleaned dataset-wide, in
+// one call.
 type Stage interface {
 	// Name is a short human-readable identifier.
 	Name() string
 	// Task is the taxonomy family the stage implements.
 	Task() Task
-	// Apply transforms the dataset it is handed — a copy-on-write clone
-	// (Dataset.CloneCOW) whose trajectories are shared with the
-	// runner's input. A stage therefore replaces ds.Trajectories[i]
-	// with a fresh value and never edits a trajectory's points in
-	// place; it may rewrite ds.Readings freely, the clone copies them by
-	// value. TestStageTraitsAreHonest holds every built-in stage to
-	// this (deep-cloning instead costs clean_batch 1 064 vs 971 kB/op,
-	// PR 22). Apply honours ctx cancellation and reports failure
-	// instead of swallowing it; a *PartialError means degraded success.
-	Apply(ctx context.Context, ds *Dataset) error
+	// CleanPoints cleans one trajectory: it appends the cleaned points
+	// to dst and returns the extended slice, or returns tr.Points
+	// itself, at no cost, when it leaves tr as it is. It never writes
+	// tr.Points, and keeps no view of tr, dst or its result once it
+	// returns: dst is one of the run's two point buffers, and the next
+	// stage appends into the other. An error or a panic leaves the
+	// trajectory at tr.Points. TestStageTraitsAreHonest holds every
+	// built-in stage to this.
+	CleanPoints(ctx context.Context, run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error)
+	// CleanReadings returns the dataset's readings cleaned: a fresh
+	// slice, or rs itself when it changes none. It never writes rs. The
+	// runner calls it only when there are readings.
+	CleanReadings(ctx context.Context, run *StageRun, rs []stid.Reading) ([]stid.Reading, error)
+}
+
+// StageRun is what one stage's calls in one round share: the round's
+// input dataset, whose context they read and never write, and the
+// resample budget ImputeStage spends.
+type StageRun struct {
+	*Dataset
+	// Budget is what is left of the round's trajectory.MaxResamplePoints
+	// output points, spent in trajectory order: the interval arrives
+	// from a request parameter and a body may hold thousands of ids.
+	Budget float64
 }
 
 // OutlierRemovalStage drops trajectory points flagged by both the
@@ -83,32 +102,31 @@ type orFlags struct{ speed, stat []bool }
 
 var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
 
-// Apply implements Stage: the speed gate and the statistical scan flag
-// each trajectory into pooled flag buffers, their union is compacted
-// into a fresh trajectory, then the readings pass runs once.
-func (s OutlierRemovalStage) Apply(ctx context.Context, ds *Dataset) error {
+// CleanPoints implements Stage: the speed gate and the statistical
+// scan flag the trajectory into pooled flag buffers, and the points
+// neither flags are appended to dst.
+func (s OutlierRemovalStage) CleanPoints(_ context.Context, run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
 	scr := orFlagsPool.Get().(*orFlags)
 	defer orFlagsPool.Put(scr)
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
+	scr.speed = outlier.SpeedConstraint(tr.Points, run.MaxSpeed, scr.speed)
+	scr.stat = outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, scr.stat)
+	kept := len(tr.Points)
+	for j := range scr.speed {
+		scr.speed[j] = scr.speed[j] || scr.stat[j]
+		if scr.speed[j] {
+			kept--
 		}
-		scr.speed = outlier.SpeedConstraint(tr.Points, ds.MaxSpeed, scr.speed)
-		scr.stat = outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, scr.stat)
-		for j := range scr.speed {
-			scr.speed[j] = scr.speed[j] || scr.stat[j]
-		}
-		ds.Trajectories[i] = outlier.Remove(tr, scr.speed)
 	}
-	if len(ds.Readings) == 0 {
-		return nil
+	if kept == len(tr.Points) {
+		return tr.Points, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
-	ds.Readings = outlier.RemoveReadings(ds.Readings, flags)
-	return nil
+	return outlier.AppendKept(slices.Grow(dst, kept), tr.Points, scr.speed), nil
+}
+
+// CleanReadings implements Stage: the temporal detector's flags are
+// dropped.
+func (s OutlierRemovalStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return outlier.RemoveReadings(rs, outlier.Temporal(rs, outlier.TemporalOptions{})), nil
 }
 
 // SmoothingStage applies RTS Kalman smoothing to every trajectory,
@@ -122,19 +140,18 @@ func (s SmoothingStage) Name() string { return "kalman-smoothing" }
 // Task implements Stage.
 func (s SmoothingStage) Task() Task { return UncertaintyElimination }
 
-// Apply implements Stage.
-func (s SmoothingStage) Apply(ctx context.Context, ds *Dataset) error {
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r := quality.Roughness(tr)
-		if r <= 0 {
-			r = 5
-		}
-		ds.Trajectories[i] = refine.KalmanSmoothTrajectory(tr, 1, r)
+// CleanPoints implements Stage.
+func (s SmoothingStage) CleanPoints(_ context.Context, _ *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
+	r := quality.Roughness(tr)
+	if r <= 0 {
+		r = 5
 	}
-	return nil
+	return refine.AppendKalmanSmoothed(dst, tr, 1, r), nil
+}
+
+// CleanReadings implements Stage: readings are left as they are.
+func (s SmoothingStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
 }
 
 // DeduplicateStage removes exact duplicate trajectory points and
@@ -147,24 +164,15 @@ func (s DeduplicateStage) Name() string { return "deduplicate" }
 // Task implements Stage.
 func (s DeduplicateStage) Task() Task { return DataIntegration }
 
-// Apply implements Stage: first-occurrence exact dedup with
-// map[Point]bool float semantics (NaN always kept, +0 == -0) into a
-// fresh trajectory, then the readings merge pass.
-func (s DeduplicateStage) Apply(ctx context.Context, ds *Dataset) error {
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ds.Trajectories[i] = &trajectory.Trajectory{ID: tr.ID, Points: trajectory.Deduplicate(tr.Points)}
-	}
-	if len(ds.Readings) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ds.Readings = integrate.Deduplicate(ds.Readings, 1, 1)
-	return nil
+// CleanPoints implements Stage: first-occurrence exact dedup with
+// map[Point]bool float semantics (NaN always kept, +0 == -0).
+func (s DeduplicateStage) CleanPoints(_ context.Context, _ *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
+	return trajectory.AppendDeduplicated(dst, tr.Points), nil
+}
+
+// CleanReadings implements Stage: the readings merge pass.
+func (s DeduplicateStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return integrate.Deduplicate(rs, 1, 1), nil
 }
 
 // ImputeStage resamples each trajectory at the dataset's expected
@@ -179,49 +187,32 @@ func (s ImputeStage) Name() string { return "interpolation-impute" }
 // Task implements Stage.
 func (s ImputeStage) Task() Task { return UncertaintyElimination }
 
-// Apply implements Stage. A trajectory too short to resample is left
-// alone silently; one whose resampling is refused (the interval is too
-// small for its time span) keeps its raw points and is counted in the
-// PartialError. The whole dataset shares one budget of
-// trajectory.MaxResamplePoints output points — the interval arrives
-// from a request parameter and a body may hold thousands of ids — and a
-// trajectory that would cross what is left of it is refused the same
-// way.
-func (s ImputeStage) Apply(ctx context.Context, ds *Dataset) error {
-	dt := ds.ExpectedInterval
-	if dt <= 0 {
-		return nil
+// CleanPoints implements Stage. A trajectory too short to resample is
+// left alone silently; one whose resampling is refused (the interval is
+// too small for its time span) fails its call and so keeps its points.
+// The round's trajectories share the run's Budget, and a trajectory
+// that would cross what is left of it is refused the same way.
+func (s ImputeStage) CleanPoints(_ context.Context, run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
+	dt := run.ExpectedInterval
+	if dt <= 0 || tr.Len() < 2 {
+		return tr.Points, nil
 	}
-	budget := float64(trajectory.MaxResamplePoints)
-	failed := 0
-	var last error
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if tr.Len() < 2 {
-			continue // too short to resample
-		}
-		// What is left of the budget refuses first; written as a negated
-		// <= so a NaN span is refused here as Resample refuses it.
-		if t0, t1, _ := tr.TimeBounds(); !((t1-t0)/dt <= budget) {
-			failed++
-			last = trajectory.ErrResampleTooDense
-			continue
-		}
-		rs, err := tr.Resample(dt)
-		if err != nil {
-			failed++
-			last = err
-			continue
-		}
-		ds.Trajectories[i] = rs
-		budget -= float64(rs.Len())
+	// What is left of the budget refuses first; written as a negated <=
+	// so a NaN span is refused here as Resample refuses it.
+	if t0, t1, _ := tr.TimeBounds(); !((t1-t0)/dt <= run.Budget) {
+		return nil, trajectory.ErrResampleTooDense
 	}
-	if failed > 0 {
-		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
+	out, err := tr.AppendResample(dst, dt)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	run.Budget -= float64(len(out) - len(dst))
+	return out, nil
+}
+
+// CleanReadings implements Stage: readings are left as they are.
+func (s ImputeStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
 }
 
 // ThematicRepairStage detects STID value outliers temporally and
@@ -235,17 +226,15 @@ func (s ThematicRepairStage) Name() string { return "thematic-repair" }
 // Task implements Stage.
 func (s ThematicRepairStage) Task() Task { return FaultCorrection }
 
-// Apply implements Stage.
-func (s ThematicRepairStage) Apply(ctx context.Context, ds *Dataset) error {
-	if len(ds.Readings) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	flags := outlier.Temporal(ds.Readings, outlier.TemporalOptions{})
-	ds.Readings, _ = faults.RepairThematic(ds.Readings, flags, 200, 600)
-	return nil
+// CleanPoints implements Stage: trajectories are left as they are.
+func (s ThematicRepairStage) CleanPoints(_ context.Context, _ *StageRun, tr *trajectory.Trajectory, _ []trajectory.Point) ([]trajectory.Point, error) {
+	return tr.Points, nil
+}
+
+// CleanReadings implements Stage.
+func (s ThematicRepairStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	repaired, _ := faults.RepairThematic(rs, outlier.Temporal(rs, outlier.TemporalOptions{}), 200, 600)
+	return repaired, nil
 }
 
 // ReadingsStages is the fixed cleaning policy for sensor readings:
@@ -267,29 +256,21 @@ func (s RouteRecoverStage) Name() string { return "route-recovery" }
 // Task implements Stage.
 func (s RouteRecoverStage) Task() Task { return UncertaintyElimination }
 
-// Apply implements Stage. Trajectories whose map-match fails keep
-// their raw points; the failure count is surfaced as a PartialError
-// instead of being swallowed.
-func (s RouteRecoverStage) Apply(ctx context.Context, ds *Dataset) error {
+// CleanPoints implements Stage. A trajectory whose map-match fails
+// fails its call and so keeps its raw points; the runner counts it in
+// the stage's PartialError instead of swallowing it.
+func (s RouteRecoverStage) CleanPoints(_ context.Context, _ *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
 	if s.Graph == nil || s.Snapper == nil {
-		return nil
+		return tr.Points, nil
 	}
-	failed := 0
-	var last error
-	for i, tr := range ds.Trajectories {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := uncertain.MapMatch(s.Graph, s.Snapper, tr, s.Options)
-		if err != nil {
-			failed++
-			last = err
-			continue
-		}
-		ds.Trajectories[i] = res.Recovered
+	res, err := uncertain.MapMatch(s.Graph, s.Snapper, tr, s.Options)
+	if err != nil {
+		return nil, err
 	}
-	if failed > 0 {
-		return &PartialError{Stage: s.Name(), Failed: failed, Total: len(ds.Trajectories), Last: last}
-	}
-	return nil
+	return append(dst, res.Recovered.Points...), nil
+}
+
+// CleanReadings implements Stage: readings are left as they are.
+func (s RouteRecoverStage) CleanReadings(_ context.Context, _ *StageRun, rs []stid.Reading) ([]stid.Reading, error) {
+	return rs, nil
 }

@@ -271,14 +271,19 @@ func Remove(tr *trajectory.Trajectory, flags []bool) *trajectory.Trajectory {
 			kept--
 		}
 	}
-	out := &trajectory.Trajectory{ID: tr.ID, Points: make([]trajectory.Point, 0, kept)}
-	for i, p := range tr.Points {
+	return &trajectory.Trajectory{ID: tr.ID, Points: AppendKept(make([]trajectory.Point, 0, kept), tr.Points, flags)}
+}
+
+// AppendKept is Remove's append form: it appends the points of pts
+// that flags does not flag to dst and returns the extended slice.
+func AppendKept(dst, pts []trajectory.Point, flags []bool) []trajectory.Point {
+	for i, p := range pts {
 		if i < len(flags) && flags[i] {
 			continue
 		}
-		out.Points = append(out.Points, p)
+		dst = append(dst, p)
 	}
-	return out
+	return dst
 }
 
 // Score is a detector evaluation against ground-truth flags.

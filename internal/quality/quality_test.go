@@ -191,7 +191,7 @@ func TestRedundancyCountsDuplicates(t *testing.T) {
 }
 
 // TestRedundancyIsWhatDeduplicationRemoves: the planner measures with
-// Redundancy what DeduplicateStage removes with Deduplicate, so the
+// Redundancy what DeduplicateStage removes with AppendDeduplicated, so the
 // two must count the same rows — over random rows drawn from a small
 // pool and over the float-equality edges (NaN fields, both zeros, both
 // infinities, every row equal).
@@ -213,7 +213,7 @@ func TestRedundancyIsWhatDeduplicationRemoves(t *testing.T) {
 		cases = append(cases, pts)
 	}
 	for i, pts := range cases {
-		n, kept := len(pts), len(trajectory.Deduplicate(pts))
+		n, kept := len(pts), len(trajectory.AppendDeduplicated(nil, pts))
 		got := AssessTrajectory(&trajectory.Trajectory{ID: "t", Points: pts}, TrajectoryContext{})[Redundancy]
 		if want := float64(n-kept) / float64(n); got != want {
 			t.Fatalf("case %d: Redundancy %v over %d rows, deduplication removes %d", i, got, n, n-kept)

@@ -3,6 +3,7 @@ package refine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"sidq/internal/geo"
@@ -238,10 +239,20 @@ func rtsGain(pFilt, pPred block2, dt float64) (g block2, ok bool) {
 // smoothed estimate of the next finite step (the filtered one when no
 // finite step follows).
 func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory.Trajectory {
-	n := tr.Len()
 	out := &trajectory.Trajectory{ID: tr.ID}
+	if n := tr.Len(); n > 0 {
+		out.Points = AppendKalmanSmoothed(make([]trajectory.Point, 0, n), tr, q, r)
+	}
+	return out
+}
+
+// AppendKalmanSmoothed is KalmanSmoothTrajectory's append form: it
+// appends the smoothed points of tr to dst, which must not share memory
+// with tr.Points, and returns the extended slice.
+func AppendKalmanSmoothed(dst []trajectory.Point, tr *trajectory.Trajectory, q, r float64) []trajectory.Point {
+	n := tr.Len()
 	if n == 0 {
-		return out
+		return dst
 	}
 	stepsP := getSteps(n)
 	defer stepsPool.Put(stepsP)
@@ -266,7 +277,8 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 	// smoothed state on entry to iteration i; xs[i] = xFilt + gain *
 	// (xs[next] - xPred[next]). While there is no such step, next is a
 	// zero record, whose singular pPred leaves xs[i] = xFilt.
-	out.Points = make([]trajectory.Point, n)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
 	next, xs := &rtsStep{}, k.x
 	for i := n - 1; i >= 0; i-- {
 		if st := &steps[i]; finite(tr.Points[i].T) {
@@ -282,9 +294,9 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 			}
 			next = st
 		}
-		out.Points[i] = trajectory.Point{T: tr.Points[i].T, Pos: geo.Pt(xs.sx, xs.sy)}
+		out[i] = trajectory.Point{T: tr.Points[i].T, Pos: geo.Pt(xs.sx, xs.sy)}
 	}
-	return out
+	return dst[:len(dst)+n]
 }
 
 // ParticleFilter is a sequential Monte Carlo motion-based locator with

@@ -239,17 +239,18 @@ func TestBodyPoolHammer(t *testing.T) {
 
 // TestCleanWarmAllocs holds a warm /v1/clean of the heavy body to an
 // allocation bound, in allocations and in bytes. The body, the
-// grouper's rows and the CSV slab come from pools and every group and
-// resample is allocated at its size, so what is left is what the
-// answer keeps: the decoded points, each stage's copy-on-write output,
-// the planner's assessments and the response. Before the pools the
-// same request made 215 allocations of 510 kB; with them it makes 148
-// of 192 kB. The count's bound is that plus about 5 %. The bytes'
-// is wider, 25 %: MemStats counts the whole process, and a collection
-// that empties the pools during a round makes the round pay to refill
-// them.
+// grouper's rows, the runner's two point buffers and the row slab come
+// from pools, every group is allocated at its size, and each
+// trajectory goes through every stage in the point buffers and is
+// written as it leaves the last one, so what is left is the decoded
+// points, the planner's assessment and the stage bookkeeping. Before
+// the pools the same request made 215 allocations of 510 kB; with them
+// 148 of 192 kB; cleaned and written a trajectory at a time, 106 of
+// 47 kB. The count's bound is that plus about 5 %. The bytes' is wider,
+// 25 %: MemStats counts the whole process, and a collection that empties
+// the pools during a round makes the round pay to refill them.
 func TestCleanWarmAllocs(t *testing.T) {
-	const allocBound, byteBound = 156, 240 << 10
+	const allocBound, byteBound = 112, 60 << 10
 	svc := newTestService(Config{})
 	defer svc.Close()
 	u, _ := url.Parse("/v1/clean?maxspeed=10")

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -330,12 +331,30 @@ func parsePooledBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, 
 		}
 	}()
 	buf.Reset()
-	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if err := readBody(buf, r); err != nil {
 		var zero T
 		return zero, err
 	}
 	return parse(buf.Bytes())
+}
+
+// readBody reads r's body into buf. Up to maxBodyPrealloc bytes are
+// allocated on the Content-Length's word alone; a body that has sent
+// that much is taken at its word for the rest, read into one buffer of
+// its length rather than a doubling series that ends up to twice it.
+func readBody(buf *bytes.Buffer, r *http.Request) error {
+	n := int(max(r.ContentLength, 0))
+	buf.Grow(min(n, maxBodyPrealloc) + bytes.MinRead)
+	if n > maxBodyPrealloc {
+		if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBodyPrealloc)); err != nil {
+			return err
+		}
+		if buf.Len() == maxBodyPrealloc {
+			buf.Grow(n - buf.Len() + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r.Body)
+	return err
 }
 
 // assessmentJSON renders an Assessment as a stable JSON object. A
@@ -409,20 +428,93 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err)
 		return
 	}
-	cleaned, stages, _, err := core.PlanAndRunIterativeWith(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3)
-	if err != nil {
-		runError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("X-Sidq-Stages", stageNames(stages))
-	if err := trajectory.WriteCSV(w, cleaned.Trajectories); err != nil {
+	sink := cleanSinks.Get().(*cleanSink)
+	sink.w = w
+	_, _, err = core.PlanAndStream(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3, sink)
+	switch {
+	case err == nil:
+		sink.release()
+	case sink.werr != nil:
 		// Headers are gone, so the status cannot change — but a
 		// mid-stream write failure (client hung up, connection reset)
 		// must not vanish: it is the signal that clients are receiving
 		// truncated cleaned data.
-		s.writeError(r, err)
+		s.writeError(r, sink.werr)
+	case sink.wrote == 0:
+		runError(w, err)
+	default:
+		// The deadline passed after the first byte. The 200 is long
+		// gone, so the response is cut, and the client sees a failed
+		// read rather than a clean end short of its trajectories. A
+		// failed run keeps its sink: an abandoned worker may still hold
+		// it.
+		s.logf("request %s: clean stopped mid-response: %v", requestID(r), err)
+		panic(http.ErrAbortHandler)
 	}
+}
+
+// cleanSink streams a /v1/clean answer as the runner cleans it: the
+// runner's worker appends each cleaned trajectory's rows to a slab, and
+// each full slab is written by the handler's goroutine, the only one
+// that writes the response. The status and headers — X-Sidq-Stages
+// among them — go out with the first slab, so a run that fails before
+// it can still be answered with an error.
+type cleanSink struct {
+	w      http.ResponseWriter
+	stages string
+	buf    []byte // rows not yet written
+	id     []byte // the current trajectory's CSV id field
+	wrote  int    // bytes written so far
+	werr   error  // the write that failed
+}
+
+var cleanSinks = sync.Pool{New: func() any { return new(cleanSink) }}
+
+// release returns the sink to the pool, its slab with it unless a long
+// trajectory grew it past a slab and a row.
+func (c *cleanSink) release() {
+	if cap(c.buf) > 2*trajectory.RowFlushBytes {
+		c.buf = nil
+	}
+	*c = cleanSink{buf: c.buf[:0], id: c.id[:0]}
+	cleanSinks.Put(c)
+}
+
+// Begin implements core.Sink.
+func (c *cleanSink) Begin(stages []core.Stage) {
+	c.stages = stageNames(stages)
+	c.buf = append(c.buf[:0], trajectory.CSVHeader...)
+}
+
+// Put implements core.Sink: trajectory.WriteCSV's rows, a slab handed
+// over whenever RowFlushBytes of them are waiting.
+func (c *cleanSink) Put(tr *trajectory.Trajectory, pts []trajectory.Point, flush func() error) error {
+	c.id = trajectory.AppendCSVField(c.id[:0], tr.ID)
+	for _, p := range pts {
+		c.buf = trajectory.AppendCSVRow(c.buf, c.id, p.T, p.Pos.X, p.Pos.Y)
+		if len(c.buf) >= trajectory.RowFlushBytes {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Flush implements core.Sink.
+func (c *cleanSink) Flush() error {
+	if c.wrote == 0 {
+		h := c.w.Header()
+		h.Set("Content-Type", "text/csv")
+		h.Set("X-Sidq-Stages", c.stages)
+	}
+	n, err := c.w.Write(c.buf)
+	c.wrote += n
+	c.buf = c.buf[:0]
+	if err != nil {
+		c.werr = err
+	}
+	return err
 }
 
 // writeError records a mid-stream response write failure: one log line

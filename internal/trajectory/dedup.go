@@ -2,13 +2,14 @@ package trajectory
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
 // dedupSeen is the one definition of "exact duplicate": the (T, X, Y)
 // samples met so far, under Go map-key float equality — the semantics
-// deduplicating through a map[Point]bool has, which Deduplicate and
-// CountDuplicates must both reproduce bit for bit, on the set itself
+// deduplicating through a map[Point]bool has, which AppendDeduplicated
+// and CountDuplicates must both reproduce bit for bit, on the set itself
 // or on markDuplicates' run check:
 //
 //   - NaN compares unequal to everything, itself included, so a sample
@@ -65,15 +66,16 @@ func dedupBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// dupMasks recycles the per-sample duplicate marks Deduplicate takes
-// before it sizes its output.
+// dupMasks recycles the per-sample duplicate marks AppendDeduplicated
+// takes before it sizes its output.
 var dupMasks = sync.Pool{New: func() any { return new([]bool) }}
 
-// Deduplicate returns the first occurrence of each exact (T, X, Y)
-// sample of pts, in order, in a fresh slice sized to what it keeps.
-// Kept samples keep their original bits (a -0 surviving as the first
-// occurrence stays -0); pts is untouched.
-func Deduplicate(pts []Point) []Point {
+// AppendDeduplicated appends the first occurrence of each exact
+// (T, X, Y) sample of pts to dst, in order, and returns the extended
+// slice — or pts itself when no sample repeats. Kept samples keep their
+// original bits (a -0 surviving as the first occurrence stays -0); pts
+// is untouched.
+func AppendDeduplicated(dst, pts []Point) []Point {
 	n := len(pts)
 	maskP := dupMasks.Get().(*[]bool)
 	defer dupMasks.Put(maskP)
@@ -81,16 +83,20 @@ func Deduplicate(pts []Point) []Point {
 		*maskP = make([]bool, n)
 	}
 	dup := (*maskP)[:n]
-	out := make([]Point, 0, n-markDuplicates(pts, dup))
+	dups := markDuplicates(pts, dup)
+	if dups == 0 {
+		return pts
+	}
+	dst = slices.Grow(dst, n-dups)
 	for i, p := range pts {
 		if !dup[i] {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
-// CountDuplicates returns how many of pts Deduplicate would drop:
+// CountDuplicates returns how many of pts AppendDeduplicated drops:
 // what the planner measures is what the stage removes.
 func CountDuplicates(pts []Point) int { return markDuplicates(pts, nil) }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDedupPoolHammer runs CountDuplicates (what assessment calls) and
-// Deduplicate (what the dedup stage calls) from many goroutines at once
+// AppendDeduplicated (what the dedup stage calls) from many goroutines at once
 // over shared inputs, so the dedupSets and dupMasks pools are drawn,
 // dirtied and recycled concurrently. Under -race (make race-hammer)
 // this catches a write into a shared point slice or a set handed out
@@ -43,8 +43,8 @@ func TestDedupPoolHammer(t *testing.T) {
 					errs <- fmt.Sprintf("source %d: CountDuplicates = %d, a fresh map counts %d", k, got, want)
 					return
 				}
-				if got := Deduplicate(pts); len(pts)-len(got) != want {
-					errs <- fmt.Sprintf("source %d: Deduplicate dropped %d, a fresh map drops %d", k, len(pts)-len(got), want)
+				if got := AppendDeduplicated(nil, pts); len(pts)-len(got) != want {
+					errs <- fmt.Sprintf("source %d: AppendDeduplicated dropped %d, a fresh map drops %d", k, len(pts)-len(got), want)
 					return
 				}
 			}

@@ -58,9 +58,9 @@ func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 		orig := append([]Point(nil), pts...)
 		want := aosDedup(pts)
 
-		got := Deduplicate(pts)
-		if len(got) != len(want) || cap(got) != len(want) {
-			t.Fatalf("trial %d: %d samples (cap %d), want %d", trial, len(got), cap(got), len(want))
+		got := AppendDeduplicated(nil, pts)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d samples, want %d", trial, len(got), len(want))
 		}
 		if !bitsEqualPoints(got, want) {
 			t.Fatalf("trial %d: kept samples diverge from the reference: %+v, want %+v", trial, got, want)
@@ -76,7 +76,7 @@ func TestDeduplicateColsMatchesMapSemantics(t *testing.T) {
 
 func TestDeduplicateColsKeepsFirstZeroSpelling(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	got := Deduplicate([]Point{
+	got := AppendDeduplicated(nil, []Point{
 		{T: 1, Pos: geo.Pt(negZero, 2)},
 		{T: 1, Pos: geo.Pt(0, 2)}, // +0 duplicates -0: dropped
 		{T: math.NaN()},
@@ -117,9 +117,10 @@ func TestDedupSetIsPooledAndCleared(t *testing.T) {
 				t.Fatalf("CountDuplicates = %d, want 300: a recycled set must start empty", n)
 			}
 		}
+		buf := make([]Point, 0, len(pts))
 		dedup := func() {
-			if got := Deduplicate(pts); len(got) != 300 {
-				t.Fatalf("Deduplicate kept %d, want 300", len(got))
+			if got := AppendDeduplicated(buf, pts); len(got) != 300 {
+				t.Fatalf("AppendDeduplicated kept %d, want 300", len(got))
 			}
 		}
 		count()
@@ -130,8 +131,8 @@ func TestDedupSetIsPooledAndCleared(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, count); allocs != 0 {
 			t.Errorf("CountDuplicates allocates %v times per run once warm, want 0", allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, dedup); allocs != 1 {
-			t.Errorf("Deduplicate allocates %v times per run once warm, want 1 (its output)", allocs)
+		if allocs := testing.AllocsPerRun(20, dedup); allocs != 0 {
+			t.Errorf("AppendDeduplicated into a buffer with room allocates %v times per run once warm, want 0", allocs)
 		}
 	}
 }
@@ -147,7 +148,7 @@ func seenOracle(pts []Point) []bool {
 	return out
 }
 
-// TestRunCheckDedupMatchesSet holds CountDuplicates and Deduplicate to
+// TestRunCheckDedupMatchesSet holds CountDuplicates and AppendDeduplicated to
 // the dedupSeen oracle on both sides of the run check: time-sorted
 // input (the run check), and unsorted input, a NaN stamp and runs of
 // equal stamps past dedupRunMax (the set) — with NaN and ±0 in each of
@@ -207,8 +208,12 @@ func TestRunCheckDedupMatchesSet(t *testing.T) {
 		if got := CountDuplicates(pts); got != len(pts)-len(want) {
 			t.Fatalf("%s: CountDuplicates = %d, dedupSeen counts %d (%v)", name, got, len(pts)-len(want), pts)
 		}
-		if got := Deduplicate(pts); !bitsEqualPoints(got, want) || cap(got) != len(want) {
-			t.Fatalf("%s: Deduplicate kept %v (cap %d), dedupSeen keeps %v", name, got, cap(got), want)
+		got := AppendDeduplicated(nil, pts)
+		if !bitsEqualPoints(got, want) {
+			t.Fatalf("%s: AppendDeduplicated kept %v, dedupSeen keeps %v", name, got, want)
+		}
+		if aliased := len(got) > 0 && &got[0] == &pts[0]; len(pts) > 0 && aliased != (len(want) == len(pts)) {
+			t.Fatalf("%s: AppendDeduplicated returned its input %v; want it exactly when nothing repeats", name, aliased)
 		}
 		if !bitsEqualPoints(pts, orig) {
 			t.Fatalf("%s: input mutated", name)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sidq/internal/geo"
@@ -227,35 +228,59 @@ var ErrResampleTooDense = errors.New("trajectory: resample interval too small fo
 // is always included. It fails with ErrResampleTooDense rather than
 // produce more than MaxResamplePoints samples.
 func (tr *Trajectory) Resample(dt float64) (*Trajectory, error) {
+	n, err := tr.resampleLen(dt)
+	if err != nil {
+		return nil, err
+	}
+	return &Trajectory{ID: tr.ID, Points: tr.appendResampled(make([]Point, 0, n), dt)}, nil
+}
+
+// AppendResample is Resample's append form: it appends the resampled
+// points to dst, which must not share memory with tr.Points, and
+// returns the extended slice.
+func (tr *Trajectory) AppendResample(dst []Point, dt float64) ([]Point, error) {
+	n, err := tr.resampleLen(dt)
+	if err != nil {
+		return dst, err
+	}
+	return tr.appendResampled(slices.Grow(dst, n), dt), nil
+}
+
+// resampleLen is the number of points Resample(dt) returns, or the
+// error it fails with. It counts the stamps appendResampled
+// interpolates at, so the output is allocated once, at its size.
+func (tr *Trajectory) resampleLen(dt float64) (int, error) {
 	if len(tr.Points) < 2 {
-		return nil, ErrTooShort
+		return 0, ErrTooShort
 	}
 	if dt <= 0 {
-		return nil, fmt.Errorf("trajectory: non-positive resample interval %v", dt)
+		return 0, fmt.Errorf("trajectory: non-positive resample interval %v", dt)
 	}
 	t0, t1, _ := tr.TimeBounds()
 	// Written as a negated <= so a NaN or infinite span is refused too.
 	if !((t1-t0)/dt <= MaxResamplePoints) {
-		return nil, ErrResampleTooDense
+		return 0, ErrResampleTooDense
 	}
-	// The first pass counts the stamps the second interpolates at, so
-	// the output is allocated once, at its size.
 	n := 1 // the last original sample
 	for t := t0; t < t1; t += dt {
 		if t+dt == t {
 			// dt is below the spacing of float64 values near t, so the
 			// loop would never reach t1.
-			return nil, ErrResampleTooDense
+			return 0, ErrResampleTooDense
 		}
 		n++
 	}
-	out := &Trajectory{ID: tr.ID, Points: make([]Point, 0, n)}
+	return n, nil
+}
+
+// appendResampled appends the points resampleLen counted to dst.
+func (tr *Trajectory) appendResampled(dst []Point, dt float64) []Point {
+	t0, t1, _ := tr.TimeBounds()
 	for t := t0; t < t1; t += dt {
 		pos, _ := tr.LocationAt(t)
-		out.Points = append(out.Points, Point{T: t, Pos: pos})
+		dst = append(dst, Point{T: t, Pos: pos})
 	}
-	out.Points = append(out.Points, tr.Points[len(tr.Points)-1])
-	return out, nil
+	return append(dst, tr.Points[len(tr.Points)-1])
 }
 
 // Thin returns a copy keeping every k-th point (and always the last),
