@@ -23,9 +23,10 @@
 #                       trajectory (dedup pools), the
 #                       buffer-ownership hammers in server/session/stream
 #                       — /v1/clean streams through the runner's pooled
-#                       point buffers and row slabs among them — and
-#                       server's request-deadline hammer over kept-alive
-#                       connections)
+#                       point buffers and row slabs, and /v1/clean and
+#                       /v1/assess parse into pooled point slabs, among
+#                       them — and server's request-deadline hammer over
+#                       kept-alive connections)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)

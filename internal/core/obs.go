@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"sidq/internal/obs"
 )
@@ -78,6 +79,33 @@ func (r *Runner) observeStage(rep *StageReport, outcome string, panics int) {
 	if rep.Skipped {
 		r.Obs.Counter(mSkips).Inc()
 	}
-	r.Obs.Counter(fmt.Sprintf("%s{stage=%q,outcome=%q}", mStageTotal, rep.Stage, outcome)).Inc()
-	r.Obs.Histogram(fmt.Sprintf("%s{stage=%q}", mStageLatency, rep.Stage)).Observe(rep.Duration.Nanoseconds())
+	names := seriesFor(rep.Stage, outcome)
+	r.Obs.Counter(names.total).Inc()
+	r.Obs.Histogram(names.latency).Observe(rep.Duration.Nanoseconds())
+}
+
+// stageSeries are the labelled series names one stage outcome updates.
+type stageSeries struct{ total, latency string }
+
+// stageSeriesNames memoizes stageSeries by stage and outcome. Both are
+// closed sets, so each pair is formatted once per process rather than
+// once per stage per round.
+var stageSeriesNames = struct {
+	sync.Mutex
+	m map[[2]string]stageSeries
+}{m: map[[2]string]stageSeries{}}
+
+func seriesFor(stage, outcome string) stageSeries {
+	key := [2]string{stage, outcome}
+	stageSeriesNames.Lock()
+	defer stageSeriesNames.Unlock()
+	names, ok := stageSeriesNames.m[key]
+	if !ok {
+		names = stageSeries{
+			total:   fmt.Sprintf("%s{stage=%q,outcome=%q}", mStageTotal, stage, outcome),
+			latency: fmt.Sprintf("%s{stage=%q}", mStageLatency, stage),
+		}
+		stageSeriesNames.m[key] = names
+	}
+	return names
 }

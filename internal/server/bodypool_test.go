@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -29,11 +28,16 @@ import (
 // trajectories of core's dirtyDataset (three random walks, noised, with
 // outliers, dropped samples and exact duplicates), ids led by prefix.
 func heavyCleanBody(t testing.TB, prefix string, seed int64) []byte {
+	return heavyWalks(t, prefix, seed, 600)
+}
+
+// heavyWalks is heavyCleanBody with walks of n fixes.
+func heavyWalks(t testing.TB, prefix string, seed int64, n int) []byte {
 	t.Helper()
 	region := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}
 	var trs []*trajectory.Trajectory
 	for i := 0; i < 3; i++ {
-		truth := simulate.RandomWalk(fmt.Sprintf("%s%d", prefix, i), region, 600, 2, 1, seed+int64(i))
+		truth := simulate.RandomWalk(fmt.Sprintf("%s%d", prefix, i), region, n, 2, 1, seed+int64(i))
 		dirty := simulate.AddGaussianNoise(truth, 6, seed+20+int64(i))
 		dirty, _ = simulate.InjectOutliers(dirty, 0.03, 120, seed+30+int64(i))
 		dirty = simulate.DropSamples(dirty, 0.2, seed+40+int64(i))
@@ -75,11 +79,11 @@ func TestBodyPoolKeepsNoViewOfABody(t *testing.T) {
 	// Under -race sync.Pool drops a quarter of what it is given, so
 	// one pair may not share a buffer; a few pairs do.
 	for round := 0; round < 8; round++ {
-		ds, err := trajectoryDataset(cleanRequest(u, first))
+		ds, _, err := trajectoryDataset(cleanRequest(u, first))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := trajectoryDataset(cleanRequest(u, second)); err != nil {
+		if _, _, err := trajectoryDataset(cleanRequest(u, second)); err != nil {
 			t.Fatal(err)
 		}
 		if len(ds.Trajectories) != len(want) {
@@ -92,12 +96,12 @@ func TestBodyPoolKeepsNoViewOfABody(t *testing.T) {
 		}
 
 		bad := []byte("id,t,x,y\nveh-A,zzz,2,3\n")
-		_, err = trajectoryDataset(cleanRequest(u, bad))
+		_, _, err = trajectoryDataset(cleanRequest(u, bad))
 		if err == nil {
 			t.Fatal("a malformed body parsed")
 		}
 		msg := err.Error()
-		if _, err := trajectoryDataset(cleanRequest(u, []byte("id,t,x,y\nveh-B,777,2,3\n"))); err != nil {
+		if _, _, err := trajectoryDataset(cleanRequest(u, []byte("id,t,x,y\nveh-B,777,2,3\n"))); err != nil {
 			t.Fatal(err)
 		}
 		if err.Error() != msg || !strings.Contains(msg, `bad t "zzz"`) {
@@ -239,47 +243,22 @@ func TestBodyPoolHammer(t *testing.T) {
 
 // TestCleanWarmAllocs holds a warm /v1/clean of the heavy body to an
 // allocation bound, in allocations and in bytes. The body, the
-// grouper's rows, the runner's two point buffers and the row slab come
-// from pools, every group is allocated at its size, and each
+// grouper with its slab of parsed points, the grouper's rows, the
+// runner's two point buffers and the row slab come from pools, and each
 // trajectory goes through every stage in the point buffers and is
-// written as it leaves the last one, so what is left is the decoded
-// points, the planner's assessment and the stage bookkeeping. Before
-// the pools the same request made 215 allocations of 510 kB; with them
-// 148 of 192 kB; cleaned and written a trajectory at a time, 106 of
-// 47 kB. The count's bound is that plus about 5 %. The bytes' is wider,
-// 25 %: MemStats counts the whole process, and a collection that empties
-// the pools during a round makes the round pay to refill them.
+// written as it leaves the last one, so what is left is the ids, the
+// planner's assessment and the stage bookkeeping. Before the pools the
+// same request made 215 allocations of 510 kB; with them 148 of 192 kB;
+// cleaned and written a trajectory at a time, 106 of 47 kB; with the
+// parsed points pooled and the runner's series names formatted once,
+// 72 of 5.8 kB. The count's bound is what is measured, the bytes' about
+// twice it: MemStats counts the whole process.
 func TestCleanWarmAllocs(t *testing.T) {
-	const allocBound, byteBound = 112, 60 << 10
+	const allocBound, byteBound = 72, 12 << 10
 	svc := newTestService(Config{})
 	defer svc.Close()
-	u, _ := url.Parse("/v1/clean?maxspeed=10")
 	body := heavyCleanBody(t, "veh-", 1)
-	w := &discardWriter{h: http.Header{}}
-	run := func() {
-		clear(w.h)
-		w.status = 0
-		svc.ServeHTTP(w, cleanRequest(u, body))
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		run() // warm: pools filled
-	}
-	allocs := testing.AllocsPerRun(20, run)
-	// The least of three rounds of 20: a collection inside one empties
-	// the pools, and the round pays for refilling them.
-	perOp := ^uint64(0)
-	for r := 0; r < 3; r++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 20; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		perOp = min(perOp, (after.TotalAlloc-before.TotalAlloc)/20)
-	}
+	allocs, perOp, _ := warmCleanCost(t, svc, body)
 	t.Logf("warm /v1/clean of the heavy body (%d bytes): %.0f allocations, %d bytes", len(body), allocs, perOp)
 	if israce.Enabled {
 		return // sync.Pool drops items under the race detector by design

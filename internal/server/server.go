@@ -277,32 +277,33 @@ func handleTaxonomy(w http.ResponseWriter, r *http.Request) {
 
 // trajectoryDataset parses the request body and assessment parameters.
 // A malformed query parameter is reported as a *paramError (a 400), not
-// silently defaulted.
-func trajectoryDataset(r *http.Request) (*core.Dataset, error) {
+// silently defaulted. The dataset's trajectories are the returned
+// grouper's memory: the caller releases it once nothing reads them.
+func trajectoryDataset(r *http.Request) (*core.Dataset, *trajectory.Grouper, error) {
 	maxSpeed, err := queryFloat(r, "maxspeed", 20, positive)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	interval, err := queryFloat(r, "interval", 1, positive)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	trs, err := parsePooledBody(r, func(body []byte) ([]*trajectory.Trajectory, error) {
-		trs, err := trajectory.ParseCSV(body)
+	g, err := parsePooledBody(r, func(body []byte) (*trajectory.Grouper, error) {
+		g, err := trajectory.ParseCSVGroups(body)
 		if err != nil {
 			return nil, fmt.Errorf("parse trajectory csv: %w", err)
 		}
-		return trs, nil
+		return g, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ds := &core.Dataset{
-		Trajectories:     trs,
+		Trajectories:     g.Trajectories(),
 		MaxSpeed:         maxSpeed,
 		ExpectedInterval: interval,
 	}
-	return ds, nil
+	return ds, g, nil
 }
 
 // maxBodyPrealloc caps what a body read allocates on a Content-Length's
@@ -408,7 +409,7 @@ func handleAssess(w http.ResponseWriter, r *http.Request) {
 	if !allowed(w, r, http.MethodPost) {
 		return
 	}
-	ds, err := trajectoryDataset(r)
+	ds, parsed, err := trajectoryDataset(r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -417,13 +418,14 @@ func handleAssess(w http.ResponseWriter, r *http.Request) {
 		"trajectories": len(ds.Trajectories),
 		"assessment":   assessmentJSON(ds.Assess()),
 	})
+	parsed.Release()
 }
 
 func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 	if !allowed(w, r, http.MethodPost) {
 		return
 	}
-	ds, err := trajectoryDataset(r)
+	ds, parsed, err := trajectoryDataset(r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -433,7 +435,10 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 	_, _, err = core.PlanAndStream(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3, sink)
 	switch {
 	case err == nil:
+		// Every worker of the run has returned. A failed run keeps its
+		// sink and its points: one it abandoned may still read them.
 		sink.release()
+		parsed.Release()
 	case sink.werr != nil:
 		// Headers are gone, so the status cannot change — but a
 		// mid-stream write failure (client hung up, connection reset)
@@ -445,9 +450,7 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 	default:
 		// The deadline passed after the first byte. The 200 is long
 		// gone, so the response is cut, and the client sees a failed
-		// read rather than a clean end short of its trajectories. A
-		// failed run keeps its sink: an abandoned worker may still hold
-		// it.
+		// read rather than a clean end short of its trajectories.
 		s.logf("request %s: clean stopped mid-response: %v", requestID(r), err)
 		panic(http.ErrAbortHandler)
 	}

@@ -181,6 +181,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 		// order: a fully drained in-order session equals the batch path.
 		w.Header().Set("Content-Type", "text/csv")
 		g := trajectory.NewGrouper(len(results))
+		defer g.Release()
 		for _, res := range results {
 			g.Add(res.Source, res.T, res.X, res.Y)
 		}
@@ -263,6 +264,7 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		// its size is known when the headers go out. Use ndjson for wide
 		// windows.
 		g := trajectory.NewGrouper(0) // the row count is known only after the scan
+		defer g.Release()
 		var points int
 		points, err = h.Scan(func(src []byte, t, x, y float64) error {
 			g.Add(string(src), t, x, y) // Add keeps no reference to src

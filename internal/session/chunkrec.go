@@ -137,13 +137,15 @@ type chunkCols struct {
 }
 
 // parseChunk2 validates a recChunk2 payload and returns its columns.
-func parseChunk2(p []byte) (chunkCols, error) {
+// srcs is scratch for the source dictionary, reused when it holds it;
+// a caller that parses one record passes nil.
+func parseChunk2(p []byte, srcs [][]byte) (chunkCols, error) {
 	r := recReader{p: p}
 	var c chunkCols
 	r.magic()
 	c.chunkIdx, c.clientSeq = r.u64(), r.u64()
 	c.session = r.bytes()
-	c.rowCols = r.rows()
+	c.rowCols = r.rows(srcs)
 	if err := r.end(); err != nil {
 		return chunkCols{}, err
 	}
@@ -160,14 +162,15 @@ type rowCols struct {
 	idx, t, x, y []byte   // the columns
 }
 
-// rows reads a rowCols block. Every count is checked against the bytes
-// that remain before anything is sized by it, and every source index
-// against the dictionary, so the accessors below cannot go out of range
-// on any input.
-func (r *recReader) rows() rowCols {
+// rows reads a rowCols block, its dictionary into srcs when srcs holds
+// it. Every count is checked against the bytes that remain before
+// anything is sized by it, and every source index against the
+// dictionary, so the accessors below cannot go out of range on any
+// input.
+func (r *recReader) rows(srcs [][]byte) rowCols {
 	var c rowCols
 	if d := r.count(4, "dictionary entries"); d > 0 { // every entry takes at least its length prefix
-		c.srcs = make([][]byte, d)
+		c.srcs = append(srcs[:0], make([][]byte, d)...)
 	}
 	for k := range c.srcs {
 		c.srcs[k] = r.bytes()
@@ -237,7 +240,7 @@ func decodeChunk(rec store.Record) (chunkRecord, error) {
 	if rec.Type == recChunk {
 		return decodeLegacyChunk(rec.Payload)
 	}
-	c, err := parseChunk2(rec.Payload)
+	c, err := parseChunk2(rec.Payload, nil)
 	if err != nil {
 		return chunkRecord{}, err
 	}

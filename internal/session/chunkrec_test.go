@@ -54,7 +54,7 @@ func TestChunk2RoundTrip(t *testing.T) {
 		"empty": nil, "hostile": hostileChunk(), "256 sources": manySources(256), "257 sources": manySources(257),
 	} {
 		payload := encodeChunk2("st-000042", 7, 99, events)
-		c, err := parseChunk2(payload)
+		c, err := parseChunk2(payload, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -117,7 +117,7 @@ func TestParseChunk2Allocs(t *testing.T) {
 	}
 	for _, payload := range [][]byte{encodeChunk2("st-000001", 1, 0, events), encodeChunk2("st-000001", 1, 0, manySources(257))} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := parseChunk2(payload); err != nil {
+			if _, err := parseChunk2(payload, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -148,7 +148,7 @@ func FuzzDecodeChunk2(f *testing.F) {
 	copy(huge[20+4+len("st-000001"):], []byte{0xff, 0xff, 0xff, 0xff}) // a dictionary of 4G entries
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, p []byte) {
-		c, err := parseChunk2(p)
+		c, err := parseChunk2(p, nil)
 		if err != nil {
 			return
 		}
@@ -156,7 +156,7 @@ func FuzzDecodeChunk2(f *testing.F) {
 			t.Fatalf("%d sources and %d rows out of %d bytes", len(c.srcs), c.n, len(p))
 		}
 		events := c.events()
-		re, err := parseChunk2(encodeChunk2(string(c.session), c.chunkIdx, c.clientSeq, events))
+		re, err := parseChunk2(encodeChunk2(string(c.session), c.chunkIdx, c.clientSeq, events), nil)
 		if err != nil {
 			t.Fatalf("re-encoded chunk does not parse: %v", err)
 		}

@@ -160,6 +160,7 @@ func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned in
 		return 0, nil
 	}
 	var enc *recEncoder
+	var srcs [][]byte // the dictionary scratch every chunk is parsed with
 	filtered := 0
 	defer func() {
 		if enc != nil {
@@ -185,9 +186,12 @@ func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned in
 		default:
 			return nil
 		}
-		c, err := parseChunk2(payload)
+		c, err := parseChunk2(payload, srcs)
 		if err != nil {
 			return err
+		}
+		if c.srcs != nil {
+			srcs = c.srcs
 		}
 		for i := 0; i < c.n; i++ {
 			t, x, y := colFloat(c.t, i), colFloat(c.x, i), colFloat(c.y, i)

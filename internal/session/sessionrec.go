@@ -431,7 +431,7 @@ func decodeSnapshot2(p []byte) (walSnapshot, error) {
 	s.Lateness, s.MaxSpeed, s.Lanes = r.params()
 	s.ChunkIdx, s.ClientSeq = r.u64(), r.u64()
 	s.Ingested, s.Emitted, s.Late, s.Outliers = int(r.u64()), int(r.u64()), int(r.u64()), int(r.u64())
-	rows := r.rows()
+	rows := r.rows(nil)
 	s.SrcIDs = rows.names()
 	s.Results = decodeResults(r, &rows, s.SrcIDs)
 	m := r.count(minSourceBytes, "source states")

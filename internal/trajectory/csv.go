@@ -120,6 +120,18 @@ func splitCSVLine(line string, f *[4]string) (ok bool) {
 // grouped by id in first-appearance order, each group time-sorted.
 // The result holds no reference to data.
 func ParseCSV(data []byte) ([]*Trajectory, error) {
+	g, err := ParseCSVGroups(data)
+	if err != nil {
+		return nil, err
+	}
+	return g.Trajectories(), nil
+}
+
+// ParseCSVGroups is ParseCSV for a caller that hands the parsed points
+// back: the grouper's Trajectories are ParseCSV's result, and its
+// Release returns their memory to the pool. A parse that fails
+// releases the grouper itself.
+func ParseCSVGroups(data []byte) (*Grouper, error) {
 	// A row is a line, and none is shorter than ",0,0,0\n": the second
 	// bound keeps a body of blank lines from sizing a scratch of 32
 	// bytes a byte.
@@ -129,9 +141,10 @@ func ParseCSV(data []byte) ([]*Trajectory, error) {
 		return nil
 	})
 	if err != nil {
+		g.Release()
 		return nil, fmt.Errorf("trajectory: %w", err)
 	}
-	return g.Trajectories(), nil
+	return g, nil
 }
 
 // ReadCSVColumns is ParseCSV over everything r yields. The name is

@@ -204,6 +204,63 @@ func TestGrouperCarvesExactGroups(t *testing.T) {
 	}
 }
 
+// TestGrouperReleaseLeavesNothingBehind: a released grouper's slab,
+// headers, id map and lists serve the next parse. Bodies of different
+// sizes and ids are parsed and released in turn, so a slab is reused
+// by a body shorter than the one it was cut for and then replaced for
+// a longer one; every parse must equal a decode that reused nothing,
+// with each group capped at its own length, and an id must stay valid
+// after its grouper was released.
+func TestGrouperReleaseLeavesNothingBehind(t *testing.T) {
+	body := func(ids, rows int, prefix string) []byte {
+		var b strings.Builder
+		b.WriteString("id,t,x,y\n")
+		for i := 0; i < rows; i++ {
+			fmt.Fprintf(&b, "%s%d,%d,%d.5,%d\n", prefix, i%ids, rows-i, i, -i)
+		}
+		return []byte(b.String())
+	}
+	bodies := [][]byte{body(5, 2000, "a-"), body(2, 10, "b-"), body(7, 300, "c-"), body(3, 4000, "d-")}
+	want := make([][]*Trajectory, len(bodies))
+	for k, b := range bodies {
+		var err error
+		if want[k], err = ParseCSV(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept []string
+	for round := 0; round < 3; round++ {
+		for k, b := range bodies {
+			g, err := ParseCSVGroups(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := g.Trajectories()
+			equalTrajectorySets(t, got, want[k])
+			for _, tr := range got {
+				if cap(tr.Points) != len(tr.Points) {
+					t.Fatalf("round %d body %d: group %q has cap %d for %d points", round, k, tr.ID, cap(tr.Points), len(tr.Points))
+				}
+			}
+			kept = append(kept, got[0].ID)
+			g.Release()
+		}
+	}
+	for i, id := range kept {
+		if want := want[i%len(bodies)][0].ID; id != want {
+			t.Fatalf("id %d reads %q after its grouper was released, want %q", i, id, want)
+		}
+	}
+	if _, err := ParseCSVGroups([]byte("id,t,x,y\na,1,2,3\na,zzz,2,3\n")); err == nil {
+		t.Fatal("a malformed body parsed")
+	}
+	g, err := ParseCSVGroups(bodies[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTrajectorySets(t, g.Trajectories(), want[1])
+}
+
 // TestGrouperSizesScratchOnce: once the pool has lost its scratch (a
 // collection can take it), a grouper told how many rows are coming
 // allocates its scratch once, at that size, where one told nothing
