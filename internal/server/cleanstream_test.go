@@ -185,6 +185,55 @@ func inFirstRound(buf []byte, stages []core.Stage) bool {
 	return false
 }
 
+// twoRoundBody is a /v1/clean body that plans over two rounds, and the
+// stages of its first round.
+func twoRoundBody(t *testing.T) (body []byte, first []core.Stage) {
+	t.Helper()
+	body = dirtyWalks(t, "walk-", 50, 40, 3, 0.2, false)
+	trs, err := trajectory.ParseCSV(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &core.Dataset{Trajectories: trs, MaxSpeed: 10, ExpectedInterval: 1}
+	_, first, _, _ = core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 1)
+	_, all, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 3)
+	if len(first) == 0 || len(all) == len(first) {
+		t.Fatalf("the body plans %d stages in its first round and %d in all: it must take two rounds", len(first), len(all))
+	}
+	return body, first
+}
+
+// cleanCutInFirstRound serves body to svc as a /v1/clean whose deadline
+// passes once a goroutine is seen inside a stage of first while the
+// round that keeps a copy runs, and reports whether the poll saw it
+// there.
+func cleanCutInFirstRound(svc *Service, body []byte, first []core.Stage) (rec *httptest.ResponseRecorder, caught bool) {
+	ctx := &deadlineCtx{Context: context.Background(), done: make(chan struct{})}
+	stop, polled := make(chan struct{}), make(chan bool)
+	go func() {
+		buf := make([]byte, 1<<20)
+		for {
+			select {
+			case <-stop:
+				polled <- false
+				return
+			default:
+			}
+			if inFirstRound(buf, first) {
+				ctx.pass()
+				<-stop
+				polled <- true
+				return
+			}
+			time.Sleep(100 * time.Microsecond) // a dump stops the world
+		}
+	}()
+	rec = httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean?maxspeed=10", bytes.NewReader(body)).WithContext(ctx))
+	close(stop)
+	return rec, <-polled
+}
+
 // TestCleanDeadlineInCollectingRound: a deadline that passes while a
 // round that keeps a copy runs — nothing written yet — answers 503
 // "request timed out", and the request gives its in-flight slot back.
@@ -193,44 +242,10 @@ func inFirstRound(buf []byte, stages []core.Stage) bool {
 // when the round's first stage reports the cancellation. One whose poll
 // missed the round, or passed the deadline only after it, is run again.
 func TestCleanDeadlineInCollectingRound(t *testing.T) {
-	body := dirtyWalks(t, "walk-", 50, 40, 3, 0.2, false)
-	trs, err := trajectory.ParseCSV(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := &core.Dataset{Trajectories: trs, MaxSpeed: 10, ExpectedInterval: 1}
-	_, first, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 1)
-	_, all, _, _ := core.PlanAndRunIterativeWith(context.Background(), nil, ds, core.DefaultTargets(), 3)
-	if len(first) == 0 || len(all) == len(first) {
-		t.Fatalf("the body plans %d stages in its first round and %d in all: it must take two rounds", len(first), len(all))
-	}
+	body, first := twoRoundBody(t)
 	for attempt := 0; ; attempt++ {
 		svc := newTestService(Config{})
-		ctx := &deadlineCtx{Context: context.Background(), done: make(chan struct{})}
-		stop, polled := make(chan struct{}), make(chan bool)
-		go func() {
-			buf := make([]byte, 1<<20)
-			for {
-				select {
-				case <-stop:
-					polled <- false
-					return
-				default:
-				}
-				if inFirstRound(buf, first) {
-					ctx.pass()
-					<-stop
-					polled <- true
-					return
-				}
-				time.Sleep(100 * time.Microsecond) // a dump stops the world
-			}
-		}()
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/clean?maxspeed=10", bytes.NewReader(body)).WithContext(ctx)
-		svc.ServeHTTP(rec, req)
-		close(stop)
-		caught := <-polled
+		rec, caught := cleanCutInFirstRound(svc, body, first)
 		inFlight := svc.Metrics().Gauge(mInFlight).Value()
 		cancelled := svc.Metrics().Counter(fmt.Sprintf(`sidq_runner_stage_total{stage=%q,outcome="cancelled"}`, first[0].Name())).Value()
 		svc.Close()
