@@ -24,9 +24,11 @@
 #                       buffer-ownership hammers in server/session/stream
 #                       — /v1/clean streams through the runner's pooled
 #                       point buffers and row slabs, and /v1/clean and
-#                       /v1/assess parse into pooled point slabs, among
-#                       them — and server's request-deadline hammer over
-#                       kept-alive connections)
+#                       /v1/assess parse into pooled point slabs, and
+#                       history queries read records into the store's
+#                       pooled buffer beside ingest, among them — and
+#                       server's request-deadline hammer over kept-alive
+#                       connections)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)
@@ -44,9 +46,10 @@
 #                       (delta-varint, Rice, network trip), the
 #                       Kalman/RTS kernels against
 #                       their dense reference, the snapper's candidate
-#                       search against its sort reference and the
-#                       selection median against sort+quantile, each from its
-#                       seeds for FUZZTIME; plain
+#                       search against its sort reference, the
+#                       selection median against sort+quantile and the
+#                       server's query reader against url.ParseQuery,
+#                       each from its seeds for FUZZTIME; plain
 #                       `go test` already replays the seeds, this
 #                       explores past them
 #   make bench          compile-and-run the benchmark suite briefly
@@ -140,6 +143,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKalmanSmoothMatchesDense$$' -fuzztime $(FUZZTIME) ./internal/refine
 	$(GO) test -run '^$$' -fuzz '^FuzzKNearestMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/roadnet
 	$(GO) test -run '^$$' -fuzz '^FuzzMedianMatchesSort$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryValue$$' -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

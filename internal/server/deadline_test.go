@@ -243,9 +243,16 @@ func doOn(client *http.Client, method, target, body string) (status int, text st
 // TestHistoryNDJSONAllocsFlat: a wide ndjson history answer goes to the
 // client as it is written, so what the request allocates does not grow
 // with the rows it returns. A response collected in memory would cost
-// about twice the answer: over 8 MB for the full window here.
+// about twice the answer: over 8 MB for the full window here. A narrow
+// window, one chunk's stamps, is held to narrowBudget: the query is read
+// without url.Values and the record buffer comes from the store's pool,
+// so what is left is the request's own bookkeeping (11 kB before those
+// two, at every width).
 func TestHistoryNDJSONAllocsFlat(t *testing.T) {
-	const budget = 512 << 10 // bytes per request, whatever the window; 26–115 kB measured
+	const (
+		budget       = 512 << 10 // bytes per request, whatever the window; 3–7 kB measured
+		narrowBudget = 6 << 10   // bytes per request for one chunk's stamps; 3 kB measured
+	)
 	svc, err := OpenService(Config{
 		Logger: DiscardLogger(),
 		Durability: DurabilityConfig{
@@ -265,7 +272,7 @@ func TestHistoryNDJSONAllocsFlat(t *testing.T) {
 	for _, window := range []struct {
 		name   string
 		stamps int
-	}{{"an eighth", chunks * 16 / 8}, {"all", chunks * 16}} {
+	}{{"one chunk", 16}, {"an eighth", chunks * 16 / 8}, {"all", chunks * 16}} {
 		target, _ := url.Parse(fmt.Sprintf("/v1/history/range?maxt=%d", window.stamps-1))
 		do(http.MethodGet, target, "") // warm
 		spent := ^uint64(0)
@@ -279,6 +286,9 @@ func TestHistoryNDJSONAllocsFlat(t *testing.T) {
 		t.Logf("history window %s (%d rows): %d bytes allocated", window.name, window.stamps*16, spent)
 		if spent > budget && !israce.Enabled {
 			t.Errorf("history window %s (%d rows) allocates %d bytes, budget %d", window.name, window.stamps*16, spent, budget)
+		}
+		if window.stamps == 16 && spent > narrowBudget && !israce.Enabled {
+			t.Errorf("narrow history window (%d rows) allocates %d bytes, budget %d", window.stamps*16, spent, narrowBudget)
 		}
 	}
 }

@@ -316,7 +316,7 @@ const maxBodyPrealloc = 1 << 20
 // copies, so nothing they return is a view of the buffer.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-const maxPooledBuf = 1 << 20 // a body buffer grown past this is not pooled
+const maxPooledBuf = 1 << 20 // a body or JSON buffer grown past this is not pooled
 
 // parsePooledBody reads r's whole body, once, into a pooled buffer
 // sized from Content-Length — withBodyLimit has refused any above the
@@ -587,17 +587,36 @@ func allowed(w http.ResponseWriter, r *http.Request, method string) bool {
 
 func writeJSON(w http.ResponseWriter, v interface{}) { writeJSONStatus(w, http.StatusOK, v) }
 
+// jsonEncoder is an indenting JSON encoder bound to its own buffer. A
+// pooled one keeps the encoder's indent buffer too, so an ack costs no
+// buffer once the pool is warm.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := new(jsonEncoder)
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
+
 // writeJSONStatus encodes before it writes the header, so a value that
 // cannot be encoded is a 500 with the reason, not a 2xx with no body.
 func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	defer func() {
+		if je.buf.Cap() <= maxPooledBuf { // the indent buffer grows with it
+			jsonEncoders.Put(je)
+		}
+	}()
+	je.buf.Reset()
+	if err := je.enc.Encode(v); err != nil {
 		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+	_, _ = w.Write(je.buf.Bytes()) // a failed write means the client is gone
 }
