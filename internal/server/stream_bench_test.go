@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sidq/internal/geo"
+	"sidq/internal/session"
 	"sidq/internal/simulate"
 	"sidq/internal/trajectory"
 )
@@ -88,4 +89,35 @@ func BenchmarkStreamIngest(b *testing.B) {
 func drainBody(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+}
+
+// BenchmarkParsePointChunkSources measures parsePointChunk alone on a
+// chunk of 4 096 rows spread round-robin over a varying number of
+// sources. The ids share a length and a prefix, and under
+// "ids=suffixed" also their last byte, so a linear compare reads each
+// one whole. It is the measurement behind chunkIDTable: past the
+// table, a row's source lookup is one map lookup, as it is with a map
+// alone.
+func BenchmarkParsePointChunkSources(b *testing.B) {
+	const rows = 4096
+	for _, form := range []struct{ name, format string }{{"numbered", "veh-%05d"}, {"suffixed", "%05d-gps"}} {
+		for _, sources := range []int{4, 8, 16, 17, 64, 256, 1024} {
+			var sb strings.Builder
+			for i := 0; i < rows; i++ {
+				fmt.Fprintf(&sb, form.format+",%d,%d.5,%d.25\n", i%sources, i/sources, i%1000, i%777)
+			}
+			body := []byte(sb.String())
+			b.Run(fmt.Sprintf("ids=%s/sources=%d", form.name, sources), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body)))
+				for i := 0; i < b.N; i++ {
+					events, err := parsePointChunk(body)
+					if err != nil || len(events) != rows {
+						b.Fatalf("parse: %d events, err %v", len(events), err)
+					}
+					session.Events.Put(events)
+				}
+			})
+		}
+	}
 }
