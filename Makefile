@@ -22,13 +22,16 @@
 #                       core (outlier flags, concurrent pipelines) and
 #                       trajectory (dedup pools), the
 #                       buffer-ownership hammers in server/session/stream
-#                       — /v1/clean streams through the runner's pooled
-#                       point buffers and row slabs, and /v1/clean and
-#                       /v1/assess parse into pooled point slabs, and
-#                       history queries read records into the store's
-#                       pooled buffer beside ingest, among them — and
-#                       server's request-deadline hammer over kept-alive
-#                       connections)
+#                       — every server route that takes the one pooled
+#                       request scratch (body, parsed points, events,
+#                       rows, JSON), /v1/clean streaming through the
+#                       runner's pooled point buffers, and history
+#                       queries reading records into the store's pooled
+#                       buffer beside ingest, among them — server's
+#                       request-deadline hammer over kept-alive
+#                       connections, and the two deadline tests that cut
+#                       a /v1/clean in its collecting round, 20 times
+#                       each: a cut run must leave its scratch unpooled)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)
@@ -115,6 +118,7 @@ race:
 race-hammer:
 	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/uquery ./internal/obs
 	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/session ./internal/stream
+	$(GO) test -race -count=20 -run '^TestCleanDeadline(InCollectingRound|KeepsParsedPoints)$$' ./internal/server
 
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/core ./internal/server ./internal/session ./internal/stream

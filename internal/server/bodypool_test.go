@@ -1,10 +1,10 @@
 package server
 
-// The shared body pool: /v1/assess, /v1/clean and /v1/stream/ingest
-// read their bodies into one pool of buffers, which is safe only
-// because nothing a parse returns is a view of the buffer. These tests
-// pin that, race the routes over the pool, and hold a warm /v1/clean
-// to an allocation bound.
+// The request scratch: every route that reads a body or writes rows or
+// JSON takes one from a single pool, and its body buffer is safe to
+// reuse only because nothing a parse returns is a view of it. These
+// tests pin that, race the routes over the pool, and hold a warm
+// /v1/clean to an allocation bound.
 
 import (
 	"bytes"
@@ -21,6 +21,7 @@ import (
 	"sidq/internal/geo"
 	"sidq/internal/israce"
 	"sidq/internal/simulate"
+	"sidq/internal/store"
 	"sidq/internal/trajectory"
 )
 
@@ -60,12 +61,12 @@ func cleanRequest(u *url.URL, body []byte) *http.Request {
 	}
 }
 
-// TestBodyPoolKeepsNoViewOfABody parses two /v1/clean bodies of equal
-// length back to back, so the second is read into the buffer the first
-// was: the first dataset's ids and points, and the text of a malformed
-// body's error, must survive it. (A response cannot show this: the
-// first request has written its answer before the second reads.) An id
-// the grouper failed to clone would read as the second body's.
+// TestBodyPoolKeepsNoViewOfABody parses a /v1/clean body, then reads a
+// second body of equal length into the same scratch's buffer: the
+// first dataset's ids and points, and the text of a malformed body's
+// error, must survive it. (A response cannot show this: the first
+// request has written its answer before the second reads.) An id the
+// grouper failed to clone would read as the second body's.
 func TestBodyPoolKeepsNoViewOfABody(t *testing.T) {
 	u, _ := url.Parse("/v1/clean?maxspeed=10")
 	first, second := heavyCleanBody(t, "alpha-", 1), heavyCleanBody(t, "bravo-", 1)
@@ -76,37 +77,38 @@ func TestBodyPoolKeepsNoViewOfABody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under -race sync.Pool drops a quarter of what it is given, so
-	// one pair may not share a buffer; a few pairs do.
-	for round := 0; round < 8; round++ {
-		ds, _, err := trajectoryDataset(cleanRequest(u, first))
-		if err != nil {
+	// reread reads body into sc's buffer, over what it held, and parses
+	// nothing.
+	reread := func(sc *scratch, body []byte) {
+		t.Helper()
+		if err := sc.parseBody(cleanRequest(u, body), func([]byte) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := trajectoryDataset(cleanRequest(u, second)); err != nil {
-			t.Fatal(err)
+	}
+	sc := new(scratch)
+	ds, err := sc.trajectoryDataset(cleanRequest(u, first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reread(sc, second)
+	if len(ds.Trajectories) != len(want) {
+		t.Fatalf("%d trajectories, want %d", len(ds.Trajectories), len(want))
+	}
+	for i, tr := range ds.Trajectories {
+		if tr.ID != want[i].ID || !samePoints(tr.Points, want[i].Points) {
+			t.Fatalf("trajectory %d reads %q after the buffer was reused, want %q", i, tr.ID, want[i].ID)
 		}
-		if len(ds.Trajectories) != len(want) {
-			t.Fatalf("%d trajectories, want %d", len(ds.Trajectories), len(want))
-		}
-		for i, tr := range ds.Trajectories {
-			if tr.ID != want[i].ID || !samePoints(tr.Points, want[i].Points) {
-				t.Fatalf("round %d: trajectory %d reads %q after the buffer was reused, want %q", round, i, tr.ID, want[i].ID)
-			}
-		}
+	}
 
-		bad := []byte("id,t,x,y\nveh-A,zzz,2,3\n")
-		_, _, err = trajectoryDataset(cleanRequest(u, bad))
-		if err == nil {
-			t.Fatal("a malformed body parsed")
-		}
-		msg := err.Error()
-		if _, _, err := trajectoryDataset(cleanRequest(u, []byte("id,t,x,y\nveh-B,777,2,3\n"))); err != nil {
-			t.Fatal(err)
-		}
-		if err.Error() != msg || !strings.Contains(msg, `bad t "zzz"`) {
-			t.Fatalf("round %d: the error read %q, then %q after the buffer was reused", round, msg, err.Error())
-		}
+	sc = new(scratch)
+	_, err = sc.trajectoryDataset(cleanRequest(u, []byte("id,t,x,y\nveh-A,zzz,2,3\n")))
+	if err == nil {
+		t.Fatal("a malformed body parsed")
+	}
+	msg := err.Error()
+	reread(sc, []byte("id,t,x,y\nveh-B,777,2,3\n"))
+	if err.Error() != msg || !strings.Contains(msg, `bad t "zzz"`) {
+		t.Fatalf("the error read %q, then %q after the buffer was reused", msg, err.Error())
 	}
 }
 
@@ -122,12 +124,14 @@ func samePoints(a, b []trajectory.Point) bool {
 	return true
 }
 
-// TestBodyPoolHammer runs /v1/clean and /v1/stream/ingest requests from
-// many goroutines at once, so the body pool hands one buffer from route
-// to route while earlier parses' results are still in use. Every clean
-// answer must equal its serial answer byte for byte, stages included,
-// and every session's drained results must equal those of the same
-// chunks ingested serially.
+// TestBodyPoolHammer runs every route that takes a request scratch
+// from many goroutines at once, so one scratch goes from route to route
+// while earlier requests' answers are still in use: /v1/clean and
+// /v1/assess, /v1/stream/ingest with its session's /results drained as
+// CSV halfway and as ndjson at the end, and /v1/history/range as ndjson
+// and as CSV. Every answer must equal its serial answer byte for byte,
+// clean stages included. The history windows hold only chunks loaded
+// before the hammer, at x < 0, where no concurrent ingest lands.
 func TestBodyPoolHammer(t *testing.T) {
 	var cleanBodies [][]byte
 	for k := 0; k < 4; k++ {
@@ -135,20 +139,39 @@ func TestBodyPoolHammer(t *testing.T) {
 	}
 	const workers, chunks = 4, 12
 	chunkOf := func(w, c int) string { return gridChunk(fmt.Sprintf("w%d-", w), c, 4, 8) }
+	historyQueries := []string{
+		"/v1/history/range?maxx=-1",
+		"/v1/history/range?maxx=-1&format=csv",
+		"/v1/history/range?maxx=-1&mint=20&maxt=40",
+		"/v1/history/range?maxx=-1&mint=20&maxt=40&format=csv",
+	}
 
 	type answer struct {
 		status int
 		stages string
 		body   string
 	}
-	clean := func(svc *Service, body []byte) answer {
+	serve := func(svc *Service, method, target string, body []byte) answer {
 		rec := httptest.NewRecorder()
-		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean?maxspeed=10", bytes.NewReader(body)))
+		svc.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
 		return answer{rec.Code, rec.Header().Get("X-Sidq-Stages"), rec.Body.String()}
 	}
+	batch := func(svc *Service, body []byte) [2]answer {
+		return [2]answer{
+			serve(svc, http.MethodPost, "/v1/clean?maxspeed=10", body),
+			serve(svc, http.MethodPost, "/v1/assess?maxspeed=10", body),
+		}
+	}
+	history := func(svc *Service) (got []answer) {
+		for _, q := range historyQueries {
+			got = append(got, serve(svc, http.MethodGet, q, nil))
+		}
+		return got
+	}
 	// ingestAll feeds worker w's chunks to a fresh session and returns
-	// each ack and the flushed results. It reports failure as an error,
-	// not through t, because the hammer calls it off the test goroutine.
+	// each ack, then the CSV drained halfway and the ndjson flushed at
+	// the end. It reports failure as an error, not through t, because
+	// the hammer calls it off the test goroutine.
 	ingestAll := func(srv *httptest.Server, w int) (acks []string, results string, err error) {
 		do := func(method, target string, body io.Reader) (int, string, error) {
 			req, err := http.NewRequest(method, srv.URL+target, body)
@@ -172,28 +195,65 @@ func TestBodyPoolHammer(t *testing.T) {
 			return nil, "", err
 		}
 		id := out.Session
+		var drained []string
+		drain := func(query string) error {
+			status, got, err := do(http.MethodGet, "/v1/stream/"+id+"/results?"+query, nil)
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("results?%s: %d %s", query, status, got)
+			}
+			drained = append(drained, got)
+			return err
+		}
 		for c := 0; c < chunks; c++ {
 			status, ack, err := do(http.MethodPost, fmt.Sprintf("/v1/stream/ingest?session=%s&seq=%d", id, c+1), strings.NewReader(chunkOf(w, c)))
 			if err != nil {
 				return nil, "", err
 			}
 			acks = append(acks, fmt.Sprintf("%d %s", status, strings.ReplaceAll(ack, id, "SESSION")))
+			if c == chunks/2 {
+				if err := drain("format=csv"); err != nil {
+					return nil, "", err
+				}
+			}
 		}
-		status, results, err = do(http.MethodGet, "/v1/stream/"+id+"/results?flush=1", nil)
-		if err == nil && status != http.StatusOK {
-			err = fmt.Errorf("results: %d %s", status, results)
+		err = drain("flush=1")
+		return acks, strings.Join(drained, "---\n"), err
+	}
+	// open starts a durable service holding the history chunks.
+	open := func() (*Service, *httptest.Server) {
+		svc, err := OpenService(Config{Logger: DiscardLogger(), Durability: DurabilityConfig{Dir: t.TempDir(), Fsync: store.FsyncOff}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return acks, results, err
+		srv := httptest.NewServer(svc)
+		loader := openStream(t, srv, "lateness=0")
+		for c := 0; c < 6; c++ {
+			var b strings.Builder
+			for i := 0; i < 8; i++ {
+				for s, tm := 0, c*8+i; s < 4; s++ {
+					fmt.Fprintf(&b, "hist-%02d,%d,%d,%d\n", s, tm, -1000-2*tm, 10*s)
+				}
+			}
+			if _, resp := ingestChunk(t, srv, loader, b.String()); resp.StatusCode != http.StatusOK {
+				t.Fatalf("history chunk %d: status %d", c, resp.StatusCode)
+			}
+		}
+		return svc, srv
 	}
 
-	serial := newTestService(Config{})
+	serial, serialSrv := open()
 	defer serial.Close()
-	serialSrv := httptest.NewServer(serial)
 	defer serialSrv.Close()
-	wantClean := make([]answer, len(cleanBodies))
+	wantBatch := make([][2]answer, len(cleanBodies))
 	for k, b := range cleanBodies {
-		if wantClean[k] = clean(serial, b); wantClean[k].status != http.StatusOK {
-			t.Fatalf("serial clean %d: status %d", k, wantClean[k].status)
+		if wantBatch[k] = batch(serial, b); wantBatch[k][0].status != http.StatusOK || wantBatch[k][1].status != http.StatusOK {
+			t.Fatalf("serial clean and assess %d: status %d, %d", k, wantBatch[k][0].status, wantBatch[k][1].status)
+		}
+	}
+	wantHistory := history(serial)
+	for i, a := range wantHistory {
+		if a.status != http.StatusOK || !strings.Contains(a.body, "hist-03") {
+			t.Fatalf("serial %s: status %d, no row of the last source: %.200s", historyQueries[i], a.status, a.body)
 		}
 	}
 	wantAcks := make([][]string, workers)
@@ -203,25 +263,31 @@ func TestBodyPoolHammer(t *testing.T) {
 		if wantAcks[w], wantResults[w], err = ingestAll(serialSrv, w); err != nil {
 			t.Fatalf("serial ingest %d: %v", w, err)
 		}
-		if !strings.Contains(wantResults[w], fmt.Sprintf(`"source":"w%d-03"`, w)) {
-			t.Fatalf("serial ingest %d: the flushed results hold no row of its last source: %.200s", w, wantResults[w])
+		for _, row := range []string{fmt.Sprintf("\nw%d-03,", w), fmt.Sprintf(`"source":"w%d-03"`, w)} {
+			if !strings.Contains(wantResults[w], row) {
+				t.Fatalf("serial ingest %d: no drain holds %s: %.200s", w, row, wantResults[w])
+			}
 		}
 	}
 
-	svc := newTestService(Config{})
+	svc, srv := open()
 	defer svc.Close()
-	srv := httptest.NewServer(svc)
 	defer srv.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(2)
-		go func(w int) { // a cleaning client
+		wg.Add(3)
+		go func(w int) { // a cleaning and assessing client
 			defer wg.Done()
 			for r := 0; r < 6; r++ {
 				k := (w + r) % len(cleanBodies)
-				if got := clean(svc, cleanBodies[k]); got != wantClean[k] {
-					t.Errorf("worker %d, body %d: status %d, stages %q, %d bytes; serially %d, %q, %d bytes",
-						w, k, got.status, got.stages, len(got.body), wantClean[k].status, wantClean[k].stages, len(wantClean[k].body))
+				if got := batch(svc, cleanBodies[k]); got != wantBatch[k] {
+					for i, route := range []string{"clean", "assess"} {
+						g, want := got[i], wantBatch[k][i]
+						if g != want {
+							t.Errorf("worker %d, %s of body %d: status %d, stages %q, %d bytes; serially %d, %q, %d bytes",
+								w, route, k, g.status, g.stages, len(g.body), want.status, want.stages, len(want.body))
+						}
+					}
 					return
 				}
 			}
@@ -235,6 +301,18 @@ func TestBodyPoolHammer(t *testing.T) {
 			}
 			if strings.Join(acks, "\n") != strings.Join(wantAcks[w], "\n") || results != wantResults[w] {
 				t.Errorf("worker %d: acks or results differ from the serial run:\n%s\n---\n%s", w, strings.Join(acks, "\n"), strings.Join(wantAcks[w], "\n"))
+			}
+		}(w)
+		go func(w int) { // a history client
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				for i, got := range history(svc) {
+					if want := wantHistory[i]; got != want {
+						t.Errorf("worker %d round %d, %s: status %d, %d bytes; serially %d, %d bytes",
+							w, r, historyQueries[i], got.status, len(got.body), want.status, len(want.body))
+						return
+					}
+				}
 			}
 		}(w)
 	}

@@ -5,7 +5,7 @@ package server
 // idTable). A client picks how many distinct ids a chunk carries, so
 // these tests send far more than the table holds: the parse must stay
 // linear in them, and every id must still be a copy, not a view of the
-// pooled body.
+// body in the pooled request scratch.
 
 import (
 	"bufio"
@@ -44,7 +44,7 @@ func parseCost(t *testing.T, body []byte) (time.Duration, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		events, err := parsePointChunk(body)
+		events, err := parsePointChunk(nil, body)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(events) != strings.Count(string(body), "\n") {

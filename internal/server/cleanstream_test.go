@@ -12,10 +12,13 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sidq/internal/core"
 	"sidq/internal/geo"
@@ -147,12 +150,14 @@ func TestCleanStreamsLargeBodyInBoundedHeap(t *testing.T) {
 	}
 }
 
-// deadlineCtx is a request context whose deadline passes when the test
-// says so.
+// deadlineCtx is a request context whose deadline passes at its k-th
+// Err call. That call still returns nil, as a check made just before
+// the deadline would; every later one returns DeadlineExceeded.
 type deadlineCtx struct {
 	context.Context
-	done chan struct{}
-	once sync.Once
+	k     int32
+	calls atomic.Int32
+	done  chan struct{}
 }
 
 func (c *deadlineCtx) Done() <-chan struct{} { return c.done }
@@ -162,27 +167,11 @@ func (c *deadlineCtx) Err() error {
 	case <-c.done:
 		return context.DeadlineExceeded
 	default:
-		return nil
 	}
-}
-
-func (c *deadlineCtx) pass() { c.once.Do(func() { close(c.done) }) }
-
-// inFirstRound reports whether a goroutine is inside a CleanPoints call
-// of one of stages while Runner.Run — which the planner calls for every
-// round that keeps a copy for the next plan — is on a stack. buf holds
-// the stack dump.
-func inFirstRound(buf []byte, stages []core.Stage) bool {
-	dump := buf[:runtime.Stack(buf, true)]
-	if !bytes.Contains(dump, []byte("sidq/internal/core.(*Runner).Run(")) {
-		return false
+	if c.calls.Add(1) == c.k {
+		close(c.done)
 	}
-	for _, st := range stages {
-		if bytes.Contains(dump, []byte(fmt.Sprintf("sidq/internal/%T.CleanPoints(", st))) {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // twoRoundBody is a /v1/clean body that plans over two rounds, and the
@@ -203,70 +192,82 @@ func twoRoundBody(t *testing.T) (body []byte, first []core.Stage) {
 	return body, first
 }
 
-// cleanCutInFirstRound serves body to svc as a /v1/clean whose deadline
-// passes once a goroutine is seen inside a stage of first while the
-// round that keeps a copy runs, and reports whether the poll saw it
-// there.
-func cleanCutInFirstRound(svc *Service, body []byte, first []core.Stage) (rec *httptest.ResponseRecorder, caught bool) {
-	ctx := &deadlineCtx{Context: context.Background(), done: make(chan struct{})}
-	stop, polled := make(chan struct{}), make(chan bool)
-	go func() {
-		buf := make([]byte, 1<<20)
-		for {
-			select {
-			case <-stop:
-				polled <- false
-				return
-			default:
-			}
-			if inFirstRound(buf, first) {
-				ctx.pass()
-				<-stop
-				polled <- true
-				return
-			}
-			time.Sleep(100 * time.Microsecond) // a dump stops the world
-		}
-	}()
-	rec = httptest.NewRecorder()
+// cleanCutInFirstRound serves body, a twoRoundBody, to svc as a
+// /v1/clean whose deadline passes at the context's third Err call: the
+// first is the round's check before it starts its worker, the second
+// the worker's before trajectory 1 and the third its check before
+// trajectory 2. So the round that keeps a copy is cut while its worker
+// still runs, before anything is written. svc must serve with no
+// request timeout, so that the request's context passes Err and Done
+// straight through to this one.
+//
+// It then checks that the cut request left its scratch to the GC: once
+// the abandoned worker is gone, a scratch from the pool must parse body
+// into a slab of its own, where the cut request's would already hold
+// it. It runs on one P with collections held off, since a Get finds an
+// item another P holds only once it was put to that P's shared list,
+// and a collection empties the pool. (Under -race, sync.Pool drops a
+// quarter of what it is given, so there the check catches a scratch
+// given back only most of the time.)
+func cleanCutInFirstRound(t *testing.T, svc *Service, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	trs, err := trajectory.ParseCSV(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for _, tr := range trs {
+		points += len(tr.Points)
+	}
+	slab := uint64(points) * uint64(unsafe.Sizeof(trajectory.Point{}))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC() // twice, to empty the pool
+	runtime.GC()
+
+	ctx := &deadlineCtx{Context: context.Background(), k: 3, done: make(chan struct{})}
+	rec := httptest.NewRecorder()
 	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean?maxspeed=10", bytes.NewReader(body)).WithContext(ctx))
-	close(stop)
-	return rec, <-polled
+	if n := ctx.calls.Load(); n < ctx.k {
+		t.Fatalf("the request's context saw %d Err calls: the deadline never passed", n)
+	}
+
+	awaitNoWorker(t)
+	sc := getScratch()
+	defer sc.release()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := trajectory.ParseCSVGroups(&sc.g, body); err != nil {
+		t.Fatal(err)
+	}
+	sc.g.Trajectories() // the carve takes the slab
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got < slab {
+		t.Fatalf("after the cut request a parse of its body allocated %d bytes, less than its %d-byte slab: the cut request gave its scratch back", got, slab)
+	}
+	return rec
 }
 
 // TestCleanDeadlineInCollectingRound: a deadline that passes while a
 // round that keeps a copy runs — nothing written yet — answers 503
-// "request timed out", and the request gives its in-flight slot back.
-// The body plans over two rounds; the deadline is made to pass once a
-// goroutine is seen inside a first-round stage, and an attempt counts
-// when the round's first stage reports the cancellation. One whose poll
-// missed the round, or passed the deadline only after it, is run again.
+// "request timed out", reports the round's stages cancelled, gives the
+// request's in-flight slot back and leaves its scratch to the GC.
 func TestCleanDeadlineInCollectingRound(t *testing.T) {
 	body, first := twoRoundBody(t)
-	for attempt := 0; ; attempt++ {
-		svc := newTestService(Config{})
-		rec, caught := cleanCutInFirstRound(svc, body, first)
-		inFlight := svc.Metrics().Gauge(mInFlight).Value()
-		cancelled := svc.Metrics().Counter(fmt.Sprintf(`sidq_runner_stage_total{stage=%q,outcome="cancelled"}`, first[0].Name())).Value()
-		svc.Close()
-		if !caught || cancelled == 0 {
-			// The poll missed the first round, or passed the deadline
-			// only after the round's last call had returned.
-			if attempt == 20 {
-				t.Fatal("the deadline never passed inside the first round")
-			}
-			continue
-		}
-		if rec.Code != http.StatusServiceUnavailable || strings.TrimSpace(rec.Body.String()) != timedOut {
-			t.Fatalf("deadline in the first round: %d %q, want 503 %q", rec.Code, rec.Body, timedOut)
-		}
-		if rec.Header().Get("X-Sidq-Stages") != "" {
-			t.Fatal("a 503 carries X-Sidq-Stages")
-		}
-		if inFlight != 0 {
-			t.Fatalf("in-flight gauge %d after the request, want 0", inFlight)
-		}
-		return
+	svc := newTestService(Config{RequestTimeout: -1})
+	defer svc.Close()
+	rec := cleanCutInFirstRound(t, svc, body)
+	if rec.Code != http.StatusServiceUnavailable || strings.TrimSpace(rec.Body.String()) != timedOut {
+		t.Fatalf("deadline in the first round: %d %q, want 503 %q", rec.Code, rec.Body, timedOut)
+	}
+	if rec.Header().Get("X-Sidq-Stages") != "" {
+		t.Fatal("a 503 carries X-Sidq-Stages")
+	}
+	if c := svc.Metrics().Counter(fmt.Sprintf(`sidq_runner_stage_total{stage=%q,outcome="cancelled"}`, first[0].Name())).Value(); c == 0 {
+		t.Fatalf("stage %s not reported cancelled", first[0].Name())
+	}
+	if g := svc.Metrics().Gauge(mInFlight).Value(); g != 0 {
+		t.Fatalf("in-flight gauge %d after the request, want 0", g)
 	}
 }
 
@@ -358,7 +359,7 @@ func TestCleanDeadlineAfterFirstByteCutsResponse(t *testing.T) {
 }
 
 // TestCleanStreamHammer races /v1/clean streams through the runner's
-// pooled point buffers, the row slabs and the body pool: every response
+// pooled point buffers and the pooled request scratch: every response
 // must be the collecting planner's answer, byte for byte, with the same
 // X-Sidq-Stages. Run under -race it is the buffer-ownership gate of the
 // streaming path (make race-hammer).

@@ -224,7 +224,7 @@ func TestIngestSourceNamedIDIsNotAHeader(t *testing.T) {
 // not hold views of it.
 func TestParsePointChunkKeepsNoReferenceToBody(t *testing.T) {
 	body := []byte("veh-0,1,0,0\nveh-1,1,5,5\nveh-0,2,1,1\n")
-	events, err := parsePointChunk(body)
+	events, err := parsePointChunk(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,24 +236,18 @@ func TestParsePointChunkKeepsNoReferenceToBody(t *testing.T) {
 	}
 }
 
-// parsePooledBody sizes a fresh buffer from Content-Length, trusts a
-// large one only up to maxBodyPrealloc, and still reads a body of
+// parseBody sizes a fresh scratch's buffer from Content-Length, trusts
+// a large one only up to maxBodyPrealloc, and still reads a body of
 // unknown length whole. Bytes.Buffer rounds a capacity up to the
 // allocator's size class, at most a quarter over.
 func TestReadBodySizing(t *testing.T) {
 	payload := bytes.Repeat([]byte("veh-0,1,0,0\n"), 1000)
 	read := func(declare int64) (got []byte, capacity int, err error) {
-		// Empty the pool, so the buffer is a fresh one the read sized.
-		for i := 0; i < 64; i++ {
-			if bodies.Get().(*bytes.Buffer).Cap() == 0 {
-				break
-			}
-		}
 		req := httptest.NewRequest(http.MethodPost, "/", io.NopCloser(bytes.NewReader(payload)))
 		req.ContentLength = declare
-		_, err = parsePooledBody(req, func(body []byte) (struct{}, error) {
+		err = new(scratch).parseBody(req, func(body []byte) error {
 			got, capacity = append([]byte(nil), body...), cap(body)
-			return struct{}{}, nil
+			return nil
 		})
 		return got, capacity, err
 	}

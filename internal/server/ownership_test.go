@@ -162,7 +162,7 @@ func TestParsePointChunkBlankLinesAllocateNothingPerLine(t *testing.T) {
 	body := bytes.Repeat([]byte{'\n'}, 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	events, err := parsePointChunk(body)
+	events, err := parsePointChunk(nil, body)
 	runtime.ReadMemStats(&after)
 	if err != nil || len(events) != 0 {
 		t.Fatalf("%d events, err %v; want a valid chunk of no rows", len(events), err)

@@ -1,10 +1,11 @@
 package server
 
 // The row writer: the one encoder of result rows, shared by the session
-// drain and the history range query. It appends rows to a pooled byte
-// buffer. An ndjson row is exactly the bytes json.Encoder produces for a
-// session.Result — same field order, same float formatting, same string
-// escaping — without reflection; a CSV row is trajectory's wire codec.
+// drain, the history range query and /v1/clean. It appends rows to the
+// request scratch's byte buffer. An ndjson row is exactly the bytes
+// json.Encoder produces for a session.Result — same field order, same
+// float formatting, same string escaping — without reflection; a CSV
+// row is trajectory's wire codec.
 
 import (
 	"encoding/json"
@@ -12,7 +13,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync"
 
 	"sidq/internal/trajectory"
 )
@@ -20,18 +20,19 @@ import (
 // rowBuf accumulates result rows, ndjson or CSV.
 type rowBuf struct {
 	buf   []byte
+	id    []byte            // the current source's CSV id field
 	names map[string][]byte // source id -> its JSON string literal
 	wrote int               // bytes handed to the writer so far
 }
 
-var rowBufs = sync.Pool{New: func() any { return &rowBuf{names: map[string][]byte{}} }}
-
-func getRowBuf() *rowBuf { return rowBufs.Get().(*rowBuf) }
-
-func (rb *rowBuf) release() {
-	rb.buf, rb.wrote = rb.buf[:0], 0
+// reset empties the buffer, keeping a slab unless a long id grew it
+// past a slab and a row.
+func (rb *rowBuf) reset() {
+	if cap(rb.buf) > 2*trajectory.RowFlushBytes {
+		rb.buf = nil
+	}
+	rb.buf, rb.id, rb.wrote = rb.buf[:0], rb.id[:0], 0
 	clear(rb.names)
-	rowBufs.Put(rb)
 }
 
 // sourceJSON returns src as a JSON string literal, escaped the way
@@ -40,6 +41,9 @@ func (rb *rowBuf) release() {
 func (rb *rowBuf) sourceJSON(src string) []byte {
 	if j, ok := rb.names[src]; ok {
 		return j
+	}
+	if rb.names == nil {
+		rb.names = map[string][]byte{}
 	}
 	j, _ := json.Marshal(src) // a string cannot fail to marshal
 	rb.names[src] = j
@@ -79,21 +83,30 @@ func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge *int) error {
 // in turn: what trajectory.WriteCSV writes for the same groups.
 func (rb *rowBuf) writeCSV(w io.Writer, g *trajectory.Grouper, srcs []string) error {
 	rb.buf = append(rb.buf, trajectory.CSVHeader...)
-	var id []byte
+	flush := func() error { return rb.flushTo(w, 0) }
 	for _, src := range srcs {
-		pts := g.Points(src)
-		if pts == nil {
-			continue
-		}
-		id = trajectory.AppendCSVField(id[:0], src)
-		for _, p := range pts {
-			rb.buf = trajectory.AppendCSVRow(rb.buf, id, p.T, p.Pos.X, p.Pos.Y)
-			if err := rb.flushTo(w, trajectory.RowFlushBytes); err != nil {
+		if pts := g.Points(src); pts != nil {
+			if err := rb.appendCSV(src, pts, flush); err != nil {
 				return err
 			}
 		}
 	}
-	return rb.flushTo(w, 0)
+	return flush()
+}
+
+// appendCSV appends src's points as CSV rows, calling flush whenever
+// RowFlushBytes of rows are waiting.
+func (rb *rowBuf) appendCSV(src string, pts []trajectory.Point, flush func() error) error {
+	rb.id = trajectory.AppendCSVField(rb.id[:0], src)
+	for _, p := range pts {
+		rb.buf = trajectory.AppendCSVRow(rb.buf, rb.id, p.T, p.Pos.X, p.Pos.Y)
+		if len(rb.buf) >= trajectory.RowFlushBytes {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flushTo writes the accumulated rows to w once there are at least min

@@ -43,8 +43,7 @@ func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 		// A short decimal, as the feed's centimetres and timestamps are.
 		floats = append(floats, float64(rng.Int63n(1e9)-5e8)/math.Pow10(rng.Intn(10)))
 	}
-	rb := getRowBuf()
-	defer rb.release()
+	rb := new(rowBuf)
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	edge := -12

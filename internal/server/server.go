@@ -33,12 +33,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -275,87 +272,33 @@ func handleTaxonomy(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, core.RenderFigure2())
 }
 
-// trajectoryDataset parses the request body and assessment parameters.
-// A malformed query parameter is reported as a *paramError (a 400), not
-// silently defaulted. The dataset's trajectories are the returned
-// grouper's memory: the caller releases it once nothing reads them.
-func trajectoryDataset(r *http.Request) (*core.Dataset, *trajectory.Grouper, error) {
+// trajectoryDataset parses the request body into the scratch's grouper,
+// with the assessment parameters. A malformed query parameter is
+// reported as a *paramError (a 400), not silently defaulted. The
+// dataset's trajectories are the scratch's memory until its release.
+func (sc *scratch) trajectoryDataset(r *http.Request) (*core.Dataset, error) {
 	maxSpeed, err := queryFloat(r, "maxspeed", 20, positive)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	interval, err := queryFloat(r, "interval", 1, positive)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	g, err := parsePooledBody(r, func(body []byte) (*trajectory.Grouper, error) {
-		g, err := trajectory.ParseCSVGroups(body)
-		if err != nil {
-			return nil, fmt.Errorf("parse trajectory csv: %w", err)
+	err = sc.parseBody(r, func(body []byte) error {
+		if err := trajectory.ParseCSVGroups(&sc.g, body); err != nil {
+			return fmt.Errorf("parse trajectory csv: %w", err)
 		}
-		return g, nil
+		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ds := &core.Dataset{
-		Trajectories:     g.Trajectories(),
+	return &core.Dataset{
+		Trajectories:     sc.g.Trajectories(),
 		MaxSpeed:         maxSpeed,
 		ExpectedInterval: interval,
-	}
-	return ds, g, nil
-}
-
-// maxBodyPrealloc caps what a body read allocates on a Content-Length's
-// word alone; a longer body grows the buffer as it arrives.
-const maxBodyPrealloc = 1 << 20
-
-// bodies recycles the request bodies of /v1/assess, /v1/clean and
-// /v1/stream/ingest. A body is dead once it is parsed: ParseCSV and
-// parsePointChunk clone every id they keep, and their errors format
-// copies, so nothing they return is a view of the buffer.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBuf = 1 << 20 // a body or JSON buffer grown past this is not pooled
-
-// parsePooledBody reads r's whole body, once, into a pooled buffer
-// sized from Content-Length — withBodyLimit has refused any above the
-// body cap — plus the bytes.MinRead that ReadFrom wants free to find
-// EOF without growing, and hands it to parse. The buffer goes back
-// when parse returns, so parse must keep no view of it; a read error
-// is returned as it is.
-func parsePooledBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, error) {
-	buf := bodies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			bodies.Put(buf)
-		}
-	}()
-	buf.Reset()
-	if err := readBody(buf, r); err != nil {
-		var zero T
-		return zero, err
-	}
-	return parse(buf.Bytes())
-}
-
-// readBody reads r's body into buf. Up to maxBodyPrealloc bytes are
-// allocated on the Content-Length's word alone; a body that has sent
-// that much is taken at its word for the rest, read into one buffer of
-// its length rather than a doubling series that ends up to twice it.
-func readBody(buf *bytes.Buffer, r *http.Request) error {
-	n := int(max(r.ContentLength, 0))
-	buf.Grow(min(n, maxBodyPrealloc) + bytes.MinRead)
-	if n > maxBodyPrealloc {
-		if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBodyPrealloc)); err != nil {
-			return err
-		}
-		if buf.Len() == maxBodyPrealloc {
-			buf.Grow(n - buf.Len() + bytes.MinRead)
-		}
-	}
-	_, err := buf.ReadFrom(r.Body)
-	return err
+	}, nil
 }
 
 // assessmentJSON renders an Assessment as a stable JSON object. A
@@ -409,43 +352,45 @@ func handleAssess(w http.ResponseWriter, r *http.Request) {
 	if !allowed(w, r, http.MethodPost) {
 		return
 	}
-	ds, parsed, err := trajectoryDataset(r)
+	sc := getScratch()
+	defer sc.release()
+	ds, err := sc.trajectoryDataset(r)
 	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	writeJSON(w, map[string]interface{}{
+	sc.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"trajectories": len(ds.Trajectories),
 		"assessment":   assessmentJSON(ds.Assess()),
 	})
-	parsed.Release()
 }
 
 func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 	if !allowed(w, r, http.MethodPost) {
 		return
 	}
-	ds, parsed, err := trajectoryDataset(r)
+	sc := getScratch()
+	ds, err := sc.trajectoryDataset(r)
 	if err != nil {
+		sc.release()
 		bodyError(w, err)
 		return
 	}
-	sink := cleanSinks.Get().(*cleanSink)
-	sink.w = w
-	_, _, err = core.PlanAndStream(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3, sink)
+	sc.sink = cleanSink{rows: &sc.rows, w: w}
+	_, _, err = core.PlanAndStream(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3, &sc.sink)
 	switch {
 	case err == nil:
-		// Every worker of the run has returned. A failed run keeps its
-		// sink and its points: one it abandoned may still read them.
-		sink.release()
-		parsed.Release()
-	case sink.werr != nil:
+		// Every worker of the run has returned. A failed run leaves its
+		// scratch to the GC: a worker it abandoned may still read the
+		// points and write rows.
+		sc.release()
+	case sc.sink.werr != nil:
 		// Headers are gone, so the status cannot change — but a
 		// mid-stream write failure (client hung up, connection reset)
 		// must not vanish: it is the signal that clients are receiving
 		// truncated cleaned data.
-		s.writeError(r, sink.werr)
-	case sink.wrote == 0:
+		s.writeError(r, sc.sink.werr)
+	case sc.rows.wrote == 0:
 		runError(w, err)
 	default:
 		// The deadline passed after the first byte. The 200 is long
@@ -457,63 +402,38 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 }
 
 // cleanSink streams a /v1/clean answer as the runner cleans it: the
-// runner's worker appends each cleaned trajectory's rows to a slab, and
-// each full slab is written by the handler's goroutine, the only one
-// that writes the response. The status and headers — X-Sidq-Stages
-// among them — go out with the first slab, so a run that fails before
-// it can still be answered with an error.
+// runner's worker appends each cleaned trajectory's rows to the row
+// buffer, and each full slab is written by the handler's goroutine, the
+// only one that writes the response. The status and headers —
+// X-Sidq-Stages among them — go out with the first slab, so a run that
+// fails before it can still be answered with an error.
 type cleanSink struct {
+	rows   *rowBuf
 	w      http.ResponseWriter
 	stages string
-	buf    []byte // rows not yet written
-	id     []byte // the current trajectory's CSV id field
-	wrote  int    // bytes written so far
-	werr   error  // the write that failed
-}
-
-var cleanSinks = sync.Pool{New: func() any { return new(cleanSink) }}
-
-// release returns the sink to the pool, its slab with it unless a long
-// trajectory grew it past a slab and a row.
-func (c *cleanSink) release() {
-	if cap(c.buf) > 2*trajectory.RowFlushBytes {
-		c.buf = nil
-	}
-	*c = cleanSink{buf: c.buf[:0], id: c.id[:0]}
-	cleanSinks.Put(c)
+	werr   error // the write that failed
 }
 
 // Begin implements core.Sink.
 func (c *cleanSink) Begin(stages []core.Stage) {
 	c.stages = stageNames(stages)
-	c.buf = append(c.buf[:0], trajectory.CSVHeader...)
+	c.rows.buf = append(c.rows.buf[:0], trajectory.CSVHeader...)
 }
 
 // Put implements core.Sink: trajectory.WriteCSV's rows, a slab handed
 // over whenever RowFlushBytes of them are waiting.
 func (c *cleanSink) Put(tr *trajectory.Trajectory, pts []trajectory.Point, flush func() error) error {
-	c.id = trajectory.AppendCSVField(c.id[:0], tr.ID)
-	for _, p := range pts {
-		c.buf = trajectory.AppendCSVRow(c.buf, c.id, p.T, p.Pos.X, p.Pos.Y)
-		if len(c.buf) >= trajectory.RowFlushBytes {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.rows.appendCSV(tr.ID, pts, flush)
 }
 
 // Flush implements core.Sink.
 func (c *cleanSink) Flush() error {
-	if c.wrote == 0 {
+	if c.rows.wrote == 0 {
 		h := c.w.Header()
 		h.Set("Content-Type", "text/csv")
 		h.Set("X-Sidq-Stages", c.stages)
 	}
-	n, err := c.w.Write(c.buf)
-	c.wrote += n
-	c.buf = c.buf[:0]
+	err := c.rows.flushTo(c.w, 0)
 	if err != nil {
 		c.werr = err
 	}
@@ -538,7 +458,9 @@ func handleReadingsAssess(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := &core.Dataset{Readings: rs}
 	_, rd := ds.AssessParts()
-	writeJSON(w, map[string]interface{}{
+	sc := getScratch()
+	defer sc.release()
+	sc.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"readings":   len(rs),
 		"assessment": assessmentJSON(rd),
 	})
@@ -583,40 +505,4 @@ func allowed(w http.ResponseWriter, r *http.Request, method string) bool {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
 	return r.Method == method
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) { writeJSONStatus(w, http.StatusOK, v) }
-
-// jsonEncoder is an indenting JSON encoder bound to its own buffer. A
-// pooled one keeps the encoder's indent buffer too, so an ack costs no
-// buffer once the pool is warm.
-type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonEncoders = sync.Pool{New: func() any {
-	je := new(jsonEncoder)
-	je.enc = json.NewEncoder(&je.buf)
-	je.enc.SetIndent("", "  ")
-	return je
-}}
-
-// writeJSONStatus encodes before it writes the header, so a value that
-// cannot be encoded is a 500 with the reason, not a 2xx with no body.
-func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
-	je := jsonEncoders.Get().(*jsonEncoder)
-	defer func() {
-		if je.buf.Cap() <= maxPooledBuf { // the indent buffer grows with it
-			jsonEncoders.Put(je)
-		}
-	}()
-	je.buf.Reset()
-	if err := je.enc.Encode(v); err != nil {
-		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(je.buf.Bytes()) // a failed write means the client is gone
 }

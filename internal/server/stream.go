@@ -75,32 +75,35 @@ func (s *Service) startJanitor() {
 	})
 }
 
-// handleStream dispatches the /v1/stream/ subtree.
+// handleStream dispatches the /v1/stream/ subtree, each route with the
+// request's scratch.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
+	sc := getScratch()
+	defer sc.release()
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/stream/")
 	switch {
 	case rest == "open":
 		if allowed(w, r, http.MethodPost) {
-			s.handleStreamOpen(w, r)
+			s.handleStreamOpen(w, r, sc)
 		}
 	case rest == "ingest":
 		if allowed(w, r, http.MethodPost) {
-			s.handleStreamIngest(w, r)
+			s.handleStreamIngest(w, r, sc)
 		}
 	case strings.HasSuffix(rest, "/results"):
 		if allowed(w, r, http.MethodGet) {
-			s.handleStreamResults(w, r, strings.TrimSuffix(rest, "/results"))
+			s.handleStreamResults(w, r, sc, strings.TrimSuffix(rest, "/results"))
 		}
 	case rest != "" && !strings.Contains(rest, "/"):
 		if allowed(w, r, http.MethodDelete) {
-			s.handleStreamClose(w, rest)
+			s.handleStreamClose(w, sc, rest)
 		}
 	default:
 		http.NotFound(w, r)
 	}
 }
 
-func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	lateness, err1 := queryFloat(r, "lateness", s.cfg.Stream.Lateness, nonNegative)
 	maxSpeed, err2 := queryFloat(r, "maxspeed", 20, nonNegative)
 	lanes, err3 := queryIntRange(r, "lanes", defaultLanes, 1, session.MaxLanes)
@@ -114,7 +117,7 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.startJanitor()
-	writeJSONStatus(w, http.StatusCreated, map[string]interface{}{
+	sc.writeJSON(w, http.StatusCreated, map[string]interface{}{
 		"session":  id,
 		"lateness": lateness,
 		"maxspeed": maxSpeed,
@@ -122,7 +125,7 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	// Everything the query string can get wrong is answered before the
 	// body is read: a bad ?seq= or an unknown session must not cost a
 	// full parse first.
@@ -140,22 +143,25 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
 	}
-	events, err := parsePooledBody(r, parsePointChunk)
+	err = sc.parseBody(r, func(body []byte) (err error) {
+		sc.events, err = parsePointChunk(sc.events, body)
+		return err
+	})
 	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	ack, err := s.engine.Ingest(id, events, clientSeq, time.Now())
-	session.Events.Put(events) // the engine kept nothing of the slab: it copies what it needs
+	// The engine keeps nothing of the events: it copies what it needs.
+	ack, err := s.engine.Ingest(id, sc.events, clientSeq, time.Now())
 	if err != nil {
 		streamError(w, err)
 		return
 	}
 	w.Header().Set("X-Sidq-Session", id)
-	writeJSON(w, ack)
+	sc.writeJSON(w, http.StatusOK, ack)
 }
 
-func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id string) {
+func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, sc *scratch, id string) {
 	if !s.engine.Has(id) {
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
@@ -175,18 +181,16 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 	defer session.Results.Put(results) // the session forgot the slab at the drain
 	w.Header().Set("X-Sidq-Session", id)
 	w.Header().Set("X-Sidq-Drained", strconv.Itoa(len(results)))
-	rb := getRowBuf()
-	defer rb.release()
+	rb := &sc.rows
 	if csv {
 		// Sources in the session's first-appearance order, rows in emitted
 		// order: a fully drained in-order session equals the batch path.
 		w.Header().Set("Content-Type", "text/csv")
-		g := trajectory.NewGrouper(len(results))
-		defer g.Release()
+		sc.g.Grow(len(results))
 		for _, res := range results {
-			g.Add(res.Source, res.T, res.X, res.Y)
+			sc.g.Add(res.Source, res.T, res.X, res.Y)
 		}
-		if err := rb.writeCSV(w, g, srcs); err != nil {
+		if err := rb.writeCSV(w, &sc.g, srcs); err != nil {
 			s.writeError(r, err)
 		}
 		return
@@ -207,13 +211,13 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, id
 	}
 }
 
-func (s *Service) handleStreamClose(w http.ResponseWriter, id string) {
+func (s *Service) handleStreamClose(w http.ResponseWriter, sc *scratch, id string) {
 	sum, err := s.engine.CloseSession(id)
 	if err != nil {
 		streamError(w, err)
 		return
 	}
-	writeJSON(w, map[string]interface{}{
+	sc.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"session":  sum.Session,
 		"ingested": sum.Ingested,
 		"emitted":  sum.Emitted,
@@ -257,24 +261,23 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sidq-Chunks", strconv.Itoa(h.Chunks))
 	w.Header().Set("X-Sidq-History-Min-Seq", strconv.FormatUint(h.MinSeq, 10))
 
-	rb := getRowBuf()
-	defer rb.release()
+	sc := getScratch()
+	defer sc.release()
+	rb := &sc.rows
 	if csv {
 		// CSV groups rows per source, so the whole result set has to be
 		// read — into per-source groups — before the first output byte, and
 		// its size is known when the headers go out. Use ndjson for wide
 		// windows.
-		g := trajectory.NewGrouper(0) // the row count is known only after the scan
-		defer g.Release()
 		var points int
 		points, err = h.Scan(func(src []byte, t, x, y float64) error {
-			g.Add(string(src), t, x, y) // Add keeps no reference to src
+			sc.g.Add(string(src), t, x, y) // Add keeps no reference to src
 			return nil
 		})
 		if err == nil {
 			w.Header().Set("X-Sidq-Points", strconv.Itoa(points))
 			w.Header().Set("Content-Type", "text/csv")
-			err = rb.writeCSV(w, g, g.IDs())
+			err = rb.writeCSV(w, &sc.g, sc.g.IDs())
 		}
 	} else {
 		// ndjson rows go to the client as the row buffer fills, so the
@@ -377,13 +380,13 @@ func (t *idTable) intern(more map[string]string, id string) string {
 }
 
 // parsePointChunk decodes a chunk of "id,t,x,y" CSV rows (header
-// optional) into events. The whole chunk is parsed before anything is
-// applied; any malformed row rejects the chunk. The events hold one
-// copy of each distinct source id and no view of body, in a slab from
-// the engine's pool that grows with the rows found, not the body's
-// newline count; the caller returns it with session.Events.Put.
-func parsePointChunk(body []byte) ([]session.Event, error) {
-	events := session.Events.Get()
+// optional) into events appended to dst[:0], a slab that grows with the
+// rows found, not the body's newline count. The whole chunk is parsed
+// before anything is applied; any malformed row rejects the chunk, and
+// the slab comes back empty. The events hold one copy of each distinct
+// source id and no view of body.
+func parsePointChunk(dst []session.Event, body []byte) ([]session.Event, error) {
+	events := dst[:0]
 	var ids idTable
 	more := map[string]string{}
 	err := trajectory.ScanCSV(body, false, func(id string, t, x, y float64) error {
@@ -403,8 +406,8 @@ func parsePointChunk(body []byte) ([]session.Event, error) {
 		return nil
 	})
 	if err != nil {
-		session.Events.Put(events)
-		return nil, fmt.Errorf("parse point csv: %w", err)
+		clear(events)
+		return events[:0], fmt.Errorf("parse point csv: %w", err)
 	}
 	return events, nil
 }

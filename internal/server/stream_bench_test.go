@@ -110,12 +110,12 @@ func BenchmarkParsePointChunkSources(b *testing.B) {
 			b.Run(fmt.Sprintf("ids=%s/sources=%d", form.name, sources), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(body)))
+				var events []session.Event
 				for i := 0; i < b.N; i++ {
-					events, err := parsePointChunk(body)
-					if err != nil || len(events) != rows {
+					var err error
+					if events, err = parsePointChunk(events, body); err != nil || len(events) != rows {
 						b.Fatalf("parse: %d events, err %v", len(events), err)
 					}
-					session.Events.Put(events)
 				}
 			})
 		}

@@ -162,7 +162,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 // order of srcs, emitted order within a source; with WriteCSV it is the
 // reference the CSV responses are checked against.
 func resultTrajectories(results []session.Result, srcs []string) []*trajectory.Trajectory {
-	g := trajectory.NewGrouper(0)
+	g := new(trajectory.Grouper)
 	for _, res := range results {
 		g.Add(res.Source, res.T, res.X, res.Y)
 	}

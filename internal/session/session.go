@@ -366,33 +366,29 @@ func (ss *streamSession) end(evicted bool, now time.Time) (sum Summary, ok bool)
 	}, true
 }
 
-// SlabPool recycles slices whose owner hands them over and forgets
-// them. Put clears the slab, so a pooled one pins no source strings or
-// edge ints, and leaves one that grew past maxSlab to the GC.
-type SlabPool[T any] struct{ p sync.Pool }
-
 const (
-	maxSlab      = 1 << 14 // elements
+	maxSlab      = 1 << 14 // results a pooled slab holds at most
 	maxPooledBuf = 1 << 20 // an encode buffer one big record grew past this is not pooled
 )
 
-// The two slabs that cross the engine's boundary. Neither side keeps a
-// reference past its hand-over: the engine copies what it keeps of the
-// events, and forgets the results at the drain.
-var (
-	Events  SlabPool[Event]  // caller: Get -> decode a chunk into it -> Ingest -> Put
-	Results SlabPool[Result] // applyLocked: Get -> Drain -> caller renders -> Put
-)
+// Results recycles the results slab, the one slab that crosses the
+// engine's boundary: applyLocked takes one, Drain hands it to the
+// caller and forgets it, and the caller renders it and puts it back.
+var Results resultSlabs
 
-func (sp *SlabPool[T]) Get() []T {
-	s, _ := sp.p.Get().([]T)
+type resultSlabs struct{ p sync.Pool }
+
+func (rp *resultSlabs) Get() []Result {
+	s, _ := rp.p.Get().([]Result)
 	return s
 }
 
-func (sp *SlabPool[T]) Put(s []T) {
+// Put clears the slab, so a pooled one pins no source strings or edge
+// ints, and leaves one that grew past maxSlab to the GC.
+func (rp *resultSlabs) Put(s []Result) {
 	if cap(s) == 0 || cap(s) > maxSlab {
 		return
 	}
 	clear(s)
-	sp.p.Put(s[:0])
+	rp.p.Put(s[:0])
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -120,31 +119,29 @@ func splitCSVLine(line string, f *[4]string) (ok bool) {
 // grouped by id in first-appearance order, each group time-sorted.
 // The result holds no reference to data.
 func ParseCSV(data []byte) ([]*Trajectory, error) {
-	g, err := ParseCSVGroups(data)
-	if err != nil {
+	var g Grouper
+	if err := ParseCSVGroups(&g, data); err != nil {
 		return nil, err
 	}
 	return g.Trajectories(), nil
 }
 
-// ParseCSVGroups is ParseCSV for a caller that hands the parsed points
-// back: the grouper's Trajectories are ParseCSV's result, and its
-// Release returns their memory to the pool. A parse that fails
-// releases the grouper itself.
-func ParseCSVGroups(data []byte) (*Grouper, error) {
+// ParseCSVGroups is ParseCSV into a grouper the caller owns and resets:
+// g's Trajectories are ParseCSV's result. g must be empty. After an
+// error it holds the rows before the bad one, for the caller to Reset.
+func ParseCSVGroups(g *Grouper, data []byte) error {
 	// A row is a line, and none is shorter than ",0,0,0\n": the second
 	// bound keeps a body of blank lines from sizing a scratch of 32
 	// bytes a byte.
-	g := NewGrouper(min(bytes.Count(data, []byte{'\n'}), len(data)/7) + 1)
+	g.Grow(min(bytes.Count(data, []byte{'\n'}), len(data)/7) + 1)
 	err := ScanCSV(data, true, func(id string, t, x, y float64) error {
 		g.Add(id, t, x, y)
 		return nil
 	})
 	if err != nil {
-		g.Release()
-		return nil, fmt.Errorf("trajectory: %w", err)
+		return fmt.Errorf("trajectory: %w", err)
 	}
-	return g, nil
+	return nil
 }
 
 // ReadCSVColumns is ParseCSV over everything r yields. The name is
@@ -189,23 +186,13 @@ func AppendCSVRow(dst, idField []byte, t, x, y float64) []byte {
 	return append(AppendFloat(dst, y, 'g'), '\n')
 }
 
-// csvSlabs recycles WriteCSV's row slabs: a slab and a row to spare. A
-// slab a very long id grew past twice that is left to the GC.
-var csvSlabs = sync.Pool{New: func() any { b := make([]byte, 0, csvSlabBytes); return &b }}
-
+// csvSlabBytes is WriteCSV's row slab: a slab and a row to spare.
 const csvSlabBytes = RowFlushBytes + 1024
 
 // WriteCSV encodes trajectories as CSV rows "id,t,x,y" with a header.
 // Points are written in trajectory order.
 func WriteCSV(w io.Writer, trs []*Trajectory) error {
-	slab := csvSlabs.Get().(*[]byte)
-	buf := append((*slab)[:0], CSVHeader...)
-	defer func() {
-		if cap(buf) <= 2*csvSlabBytes {
-			*slab = buf[:0] // an io.Writer keeps no view of what it is given
-			csvSlabs.Put(slab)
-		}
-	}()
+	buf := append(make([]byte, 0, csvSlabBytes), CSVHeader...)
 	var id []byte
 	for _, tr := range trs {
 		id = AppendCSVField(id[:0], tr.ID)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -136,7 +135,7 @@ func TestReadCSVColumnsErrors(t *testing.T) {
 // groups in first-appearance order and time-sorts each group, while
 // Points(id) preserves as-added order (the stream drain semantics).
 func TestColumnsBuilderOrder(t *testing.T) {
-	g := NewGrouper(0)
+	var g Grouper
 	g.Add("b", 2, 0, 0)
 	g.Add("a", 5, 1, 1)
 	g.Add("b", 1, 2, 2)
@@ -170,7 +169,7 @@ func TestColumnsBuilderOrder(t *testing.T) {
 // that silently goes missing.
 func TestGrouperCarvesExactGroups(t *testing.T) {
 	buf := []byte("a")
-	g := NewGrouper(0)
+	var g Grouper
 	for i := 0; i < 9; i++ {
 		buf[0] = "abc"[i%3]
 		g.Add(unsafe.String(&buf[0], 1), float64(i), float64(i), 0)
@@ -199,18 +198,18 @@ func TestGrouperCarvesExactGroups(t *testing.T) {
 		}()
 		g.Add("d", 11, 0, 0)
 	}()
-	if got := NewGrouper(0).Trajectories(); len(got) != 0 {
+	if got := new(Grouper).Trajectories(); len(got) != 0 {
 		t.Fatalf("an empty grouper gave %d trajectories", len(got))
 	}
 }
 
-// TestGrouperReleaseLeavesNothingBehind: a released grouper's slab,
+// TestGrouperReleaseLeavesNothingBehind: a reset grouper's slab,
 // headers, id map and lists serve the next parse. Bodies of different
-// sizes and ids are parsed and released in turn, so a slab is reused
-// by a body shorter than the one it was cut for and then replaced for
-// a longer one; every parse must equal a decode that reused nothing,
-// with each group capped at its own length, and an id must stay valid
-// after its grouper was released.
+// sizes and ids are parsed into one grouper in turn, reset between, so
+// a slab is reused by a body shorter than the one it was cut for and
+// then replaced for a longer one; every parse must equal a decode that
+// reused nothing, with each group capped at its own length, and an id
+// must stay valid after its grouper was reset.
 func TestGrouperReleaseLeavesNothingBehind(t *testing.T) {
 	body := func(ids, rows int, prefix string) []byte {
 		var b strings.Builder
@@ -228,11 +227,11 @@ func TestGrouperReleaseLeavesNothingBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var g Grouper
 	var kept []string
 	for round := 0; round < 3; round++ {
 		for k, b := range bodies {
-			g, err := ParseCSVGroups(b)
-			if err != nil {
+			if err := ParseCSVGroups(&g, b); err != nil {
 				t.Fatal(err)
 			}
 			got := g.Trajectories()
@@ -243,35 +242,34 @@ func TestGrouperReleaseLeavesNothingBehind(t *testing.T) {
 				}
 			}
 			kept = append(kept, got[0].ID)
-			g.Release()
+			g.Reset()
 		}
 	}
 	for i, id := range kept {
 		if want := want[i%len(bodies)][0].ID; id != want {
-			t.Fatalf("id %d reads %q after its grouper was released, want %q", i, id, want)
+			t.Fatalf("id %d reads %q after its grouper was reset, want %q", i, id, want)
 		}
 	}
-	if _, err := ParseCSVGroups([]byte("id,t,x,y\na,1,2,3\na,zzz,2,3\n")); err == nil {
+	if err := ParseCSVGroups(&g, []byte("id,t,x,y\na,1,2,3\na,zzz,2,3\n")); err == nil {
 		t.Fatal("a malformed body parsed")
 	}
-	g, err := ParseCSVGroups(bodies[1])
-	if err != nil {
+	g.Reset()
+	if err := ParseCSVGroups(&g, bodies[1]); err != nil {
 		t.Fatal(err)
 	}
 	equalTrajectorySets(t, g.Trajectories(), want[1])
 }
 
-// TestGrouperSizesScratchOnce: once the pool has lost its scratch (a
-// collection can take it), a grouper told how many rows are coming
-// allocates its scratch once, at that size, where one told nothing
-// regrows it by doubling; ParseCSV tells it the body's line count.
+// TestGrouperSizesScratchOnce: a fresh grouper told how many rows are
+// coming allocates its scratch once, at that size, where one told
+// nothing regrows it by doubling; ParseCSVGroups tells it the body's
+// line count.
 func TestGrouperSizesScratchOnce(t *testing.T) {
 	const n = 4000
-	fresh := func() any { return new([]groupRow) }
 	fill := func(hint int) func() {
 		return func() {
-			groupRows = sync.Pool{New: fresh} // the pool as a collection leaves it
-			g := NewGrouper(hint)
+			g := new(Grouper)
+			g.Grow(hint)
 			for i := 0; i < n; i++ {
 				g.Add("a", float64(i), 0, 0)
 			}
@@ -280,8 +278,7 @@ func TestGrouperSizesScratchOnce(t *testing.T) {
 	told, blind := testing.AllocsPerRun(5, fill(n)), testing.AllocsPerRun(5, fill(0))
 	t.Logf("%d rows: %.0f allocations told the count, %.0f told nothing", n, told, blind)
 	// Besides the scratch: the grouper, its map, id, id list and counts,
-	// the fresh pool's per-P array and the scratch's pointer, none of
-	// which grows with n.
+	// none of which grows with n.
 	if !israce.Enabled && (told > 9 || blind < told+8) {
 		t.Errorf("%d rows: %.0f allocations told the count, %.0f told nothing; want at most 9, the scratch allocated once", n, told, blind)
 	}
@@ -291,15 +288,15 @@ func TestGrouperSizesScratchOnce(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&body, "a,%d,0,0\n", i)
 	}
-	data := []byte(body.String())
-	groupRows = sync.Pool{New: fresh}
-	if _, err := ParseCSV(data); err != nil {
+	var g Grouper
+	if err := ParseCSVGroups(&g, []byte(body.String())); err != nil {
 		t.Fatal(err)
 	}
-	// The scratch went back to the pool at the size ParseCSV asked for:
+	g.Trajectories()
+	// The carve kept the scratch at the size ParseCSVGroups asked for:
 	// its n+1 lines, plus one for a last line without a newline.
-	if got := cap(*groupRows.Get().(*[]groupRow)); got != n+2 && !israce.Enabled {
-		t.Errorf("ParseCSV of %d rows left a scratch of cap %d, want %d", n, got, n+2)
+	if got := cap(g.rows); got != n+2 {
+		t.Errorf("ParseCSVGroups of %d rows left a scratch of cap %d, want %d", n, got, n+2)
 	}
 }
 

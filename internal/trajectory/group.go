@@ -2,35 +2,32 @@ package trajectory
 
 import (
 	"strings"
-	"sync"
 
 	"sidq/internal/geo"
 )
 
 // Grouper groups samples by trajectory id, preserving first-appearance
-// order. ParseCSV feeds it row by row, and the server's CSV responses
-// feed it result by result.
+// order. ParseCSVGroups feeds it row by row, and the server's CSV
+// responses feed it result by result.
 //
-// Rows are recorded in one flat pooled scratch and counted per id. The
-// first read of the groups carves them all from one slab — a released
-// grouper's when it holds them, else one of exactly the rows added —
-// each group capped at its own length, and hands the scratch back:
-// slice doubling per group cost twice the points' bytes.
-// A caller that knows about how many rows it will add says so, and a
-// pooled scratch smaller than that — a fresh one after the pool lost
-// its items to a collection — is replaced once at that size rather
+// Rows are recorded in a flat scratch and counted per id. The first
+// read of the groups carves them all from one slab — the one an
+// earlier use left when it holds them, else one of exactly the rows
+// added — each group capped at its own length, and truncates the
+// scratch: slice doubling per group cost twice the points' bytes. A
+// caller that knows about how many rows it will add says so with Grow,
+// and a scratch smaller than that is replaced once at that size rather
 // than regrown by doubling. Every Add comes before the first read.
 //
-// A grouper is request-scoped memory. NewGrouper takes one from a
-// pool, with the slab, the trajectory headers, the id map and the id
-// and count lists a released one left behind, and Release hands all of
-// it back. A caller that never releases leaves it to the GC.
+// The zero Grouper is empty and ready. A grouper is reusable memory:
+// its owner calls Reset once nothing reads its groups, and the next use
+// fills the slab, the trajectory headers, the id map and the id and
+// count lists it kept. One never reset is left to the GC.
 type Grouper struct {
 	idx    map[string]int
 	ids    []string
-	hint   int         // rows the caller expects, 0 if unknown
-	counts []int       // rows per group, then each group's end in slab
-	rows   *[]groupRow // the scratch, until the carve
+	counts []int      // rows per group, then each group's end in slab
+	rows   []groupRow // the scratch, emptied by the carve
 	carved bool
 	groups [][]Point     // views of slab, set by the carve
 	slab   []Point       // every group's points
@@ -44,25 +41,21 @@ type groupRow struct {
 	p Point
 }
 
-// groupRows recycles the groupers' scratch. A scratch grown past
-// groupRowsPooledMax rows (1 MiB) is left to the GC.
-var groupRows = sync.Pool{New: func() any { return new([]groupRow) }}
+const (
+	// maxKeptRows caps the scratch a grouper keeps past its carve: one
+	// grown past 32 768 rows (1 MiB) is left to the GC.
+	maxKeptRows = 1 << 15
+	// maxKeptPoints caps what Reset keeps: a grouper whose slab or id
+	// list grew past 65 536 (1.5 MiB of points) is emptied whole, so a
+	// long body's points are not held after its request.
+	maxKeptPoints = 1 << 16
+)
 
-const groupRowsPooledMax = 1 << 15
-
-// groupers recycles released groupers. One whose slab or id list grew
-// past maxPooledPoints (1.5 MiB of points) is left to the GC, so a long
-// body's points are not held after its request.
-var groupers = sync.Pool{New: func() any { return &Grouper{idx: map[string]int{}} }}
-
-const maxPooledPoints = 1 << 16
-
-// NewGrouper returns an empty grouper for about rows samples, 0 when
-// the caller cannot tell.
-func NewGrouper(rows int) *Grouper {
-	g := groupers.Get().(*Grouper)
-	g.hint = rows
-	return g
+// Grow readies the scratch for about rows samples before the first Add.
+func (g *Grouper) Grow(rows int) {
+	if cap(g.rows) < rows {
+		g.rows = make([]groupRow, 0, rows)
+	}
 }
 
 // Add appends one sample to id's group, creating the group on first
@@ -76,19 +69,16 @@ func (g *Grouper) Add(id string, t, x, y float64) {
 	}
 	i, ok := g.idx[id]
 	if !ok {
+		if g.idx == nil {
+			g.idx = map[string]int{}
+		}
 		own := strings.Clone(id)
 		i = len(g.ids)
 		g.idx[own] = i
 		g.ids = append(g.ids, own)
 		g.counts = append(g.counts, 0)
 	}
-	if g.rows == nil {
-		g.rows = groupRows.Get().(*[]groupRow)
-		if cap(*g.rows) < g.hint {
-			*g.rows = make([]groupRow, 0, g.hint)
-		}
-	}
-	*g.rows = append(*g.rows, groupRow{g: i, p: Point{T: t, Pos: geo.Point{X: x, Y: y}}})
+	g.rows = append(g.rows, groupRow{g: i, p: Point{T: t, Pos: geo.Point{X: x, Y: y}}})
 	g.counts[i]++
 }
 
@@ -99,18 +89,14 @@ func (g *Grouper) carve() {
 	}
 	g.carved = true
 	g.groups = resize(g.groups, len(g.ids))
-	if g.rows == nil {
-		return
-	}
-	rows := *g.rows
-	g.slab = resize(g.slab, len(rows))
+	g.slab = resize(g.slab, len(g.rows))
 	// counts become each group's next free slot in the slab, then its end.
 	start := 0
 	for i, c := range g.counts {
 		g.counts[i] = start
 		start += c
 	}
-	for _, r := range rows {
+	for _, r := range g.rows {
 		g.slab[g.counts[r.g]] = r.p
 		g.counts[r.g]++
 	}
@@ -119,16 +105,15 @@ func (g *Grouper) carve() {
 		g.groups[i] = g.slab[start:end:end]
 		start = end
 	}
-	g.putRows()
+	g.rows = keptRows(g.rows)
 }
 
-// putRows hands the scratch back to its pool.
-func (g *Grouper) putRows() {
-	if cap(*g.rows) <= groupRowsPooledMax {
-		*g.rows = (*g.rows)[:0]
-		groupRows.Put(g.rows)
+// keptRows is the scratch emptied, or nil once it outgrew maxKeptRows.
+func keptRows(rows []groupRow) []groupRow {
+	if cap(rows) > maxKeptRows {
+		return nil
 	}
-	g.rows = nil
+	return rows[:0]
 }
 
 // resize returns s at length n, reusing its array when it holds n. A
@@ -156,9 +141,9 @@ func (g *Grouper) Points(id string) []Point {
 
 // Trajectories hands every group over as a trajectory, in
 // first-appearance order, each time-sorted in place. The grouper must
-// not be used afterwards, except to Release it: the trajectories own
-// its groups, and the trajectories and their headers are the
-// grouper's memory until then.
+// not be used afterwards, except to Reset it: the trajectories own its
+// groups, and the trajectories and their headers are the grouper's
+// memory until then.
 func (g *Grouper) Trajectories() []*Trajectory {
 	g.carve()
 	n := len(g.groups)
@@ -171,26 +156,23 @@ func (g *Grouper) Trajectories() []*Trajectory {
 	return g.ptrs[:n:n]
 }
 
-// Release hands the grouper back to the pool, with its slab, headers,
-// id map and lists. The caller must hold no group, point, trajectory or
-// header of it past the call: the next grouper reuses them. Ids are
-// cloned strings, so an id stays valid.
-func (g *Grouper) Release() {
-	if g.rows != nil { // never carved: the parse failed
-		g.putRows()
-	}
-	if cap(g.slab) > maxPooledPoints || cap(g.ids) > maxPooledPoints {
+// Reset empties the grouper for its next use, keeping its slab,
+// headers, id map and lists. The caller must hold no group, point,
+// trajectory or header of it past the call: the next use overwrites
+// them. Ids are cloned strings, so an id stays valid.
+func (g *Grouper) Reset() {
+	if cap(g.slab) > maxKeptPoints || cap(g.ids) > maxKeptPoints {
+		*g = Grouper{}
 		return
 	}
-	// Every grouper in the pool was cleared up to the length it was
-	// used at, so no entry past that pins an id or an older slab.
+	// Every entry up to the length the grouper was used at is cleared,
+	// so none past it pins an id or an older slab.
 	clear(g.idx)
 	clear(g.ids)
 	clear(g.groups)
 	clear(g.trs)
 	*g = Grouper{
-		idx: g.idx, ids: g.ids[:0], counts: g.counts[:0], groups: g.groups[:0],
+		idx: g.idx, ids: g.ids[:0], counts: g.counts[:0], rows: keptRows(g.rows), groups: g.groups[:0],
 		slab: g.slab[:0], trs: g.trs[:0], ptrs: g.ptrs[:0],
 	}
-	groupers.Put(g)
 }
