@@ -20,18 +20,21 @@
 #                       uquery — DistStore's executor tasks over the
 #                       grid — obs, plus the pooled-scratch hammers in
 #                       core (outlier flags, concurrent pipelines) and
-#                       trajectory (dedup pools), the
+#                       trajectory (dedup set pool), the
 #                       buffer-ownership hammers in server/session/stream
 #                       — every server route that takes the one pooled
 #                       request scratch (body, parsed points, events,
 #                       rows, JSON), /v1/clean streaming through the
-#                       runner's pooled point buffers, and history
+#                       runner's pooled round scratch, and history
 #                       queries reading records into the store's pooled
 #                       buffer beside ingest, among them — server's
 #                       request-deadline hammer over kept-alive
-#                       connections, and the two deadline tests that cut
-#                       a /v1/clean in its collecting round, 20 times
-#                       each: a cut run must leave its scratch unpooled)
+#                       connections, and, 20 times each, the two
+#                       deadline tests that cut a /v1/clean in its
+#                       collecting round and core's abandoned-round
+#                       test: a cut run must leave its request scratch,
+#                       and an abandoned worker its round scratch,
+#                       unpooled)
 #   make chaos          the chaos-injection harness under -race (runner,
 #                       fault injectors, hardened server, session and
 #                       stream engines + streaming-session scenarios)
@@ -118,7 +121,7 @@ race:
 race-hammer:
 	$(GO) test -race -count=1 ./internal/uncertain ./internal/roadnet ./internal/index ./internal/uquery ./internal/obs
 	$(GO) test -race -count=1 -run 'Hammer' ./internal/core ./internal/trajectory ./internal/server ./internal/session ./internal/stream
-	$(GO) test -race -count=20 -run '^TestCleanDeadline(InCollectingRound|KeepsParsedPoints)$$' ./internal/server
+	$(GO) test -race -count=20 -run '^Test(CleanDeadline(InCollectingRound|KeepsParsedPoints)|AbandonedRoundScratchIsNeverReused)$$' ./internal/core ./internal/server
 
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos ./internal/core ./internal/server ./internal/session ./internal/stream

@@ -44,7 +44,7 @@ func main() {
 
 		// 1. Outlier removal, three ways.
 		constraint := outlier.Evaluate(outlier.SpeedConstraint(corrupted.Points, 25, nil), truthFlags)
-		statistical := outlier.Evaluate(outlier.Statistical(corrupted.Points, outlier.StatisticalOptions{}, nil), truthFlags)
+		statistical := outlier.Evaluate(outlier.Statistical(corrupted.Points, outlier.StatisticalOptions{}, nil, nil), truthFlags)
 		repaired, predFlags := outlier.Prediction(corrupted, outlier.PredictionOptions{
 			MeasNoise: 10, Threshold: 5, Repair: true,
 		})

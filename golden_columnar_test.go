@@ -105,7 +105,7 @@ func computeGoldens(t *testing.T) map[string]string {
 		// Speed-gate pass (constraint-based outlier detector).
 		out[key("speedgate")] = hashFlags(outlier.SpeedConstraint(noisy.Points, 10, nil))
 		// Distance/zscore outlier scan (statistics-based detector).
-		out[key("statscan")] = hashFlags(outlier.Statistical(noisy.Points, outlier.StatisticalOptions{}, nil))
+		out[key("statscan")] = hashFlags(outlier.Statistical(noisy.Points, outlier.StatisticalOptions{}, nil, nil))
 		// Simplification.
 		out[key("simplify/dp")] = hashTrajectories(t, reduce.DouglasPeuckerSED(noisy, 10))
 		out[key("simplify/sw")] = hashTrajectories(t, reduce.SlidingWindow(noisy, 10))

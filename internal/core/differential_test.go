@@ -80,7 +80,7 @@ func hostileDataset() *Dataset {
 func aosOutlierRemoval(ds *Dataset) {
 	for i, tr := range ds.Trajectories {
 		speedFlags := outlier.SpeedConstraint(tr.Points, ds.MaxSpeed, nil)
-		statFlags := outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, nil)
+		statFlags := outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, nil, nil)
 		merged := make([]bool, tr.Len())
 		for j := range merged {
 			merged[j] = speedFlags[j] || statFlags[j]

@@ -191,8 +191,8 @@ var errRoundCancelled = errors.New("round cancelled")
 // taking turns, and sink gets the trajectory after its last stage. The
 // calling goroutine runs sink's Flush when the worker asks, and
 // abandons the worker when ctx is done, so a stage that ignores ctx
-// cannot hold the run past its deadline; an abandoned worker's buffers
-// are left to the GC. run returns the round's readings and reports.
+// cannot hold the run past its deadline; an abandoned worker's scratch
+// is left to the GC. run returns the round's readings and reports.
 func (r *Runner) run(ctx context.Context, ds *Dataset, stages []Stage, sink Sink) ([]stid.Reading, []StageReport, error) {
 	switch {
 	case ctx == nil:
@@ -228,7 +228,7 @@ func (r *Runner) run(ctx context.Context, ds *Dataset, stages []Stage, sink Sink
 			}
 			w.flushed <- err
 		case <-w.done:
-			w.bufs.release()
+			w.scr.release()
 			if w.fatal == errRoundCancelled {
 				reports, err := r.cancelled(w, ctx.Err(), time.Since(start))
 				return ds.Readings, reports, err
@@ -256,7 +256,7 @@ type worker struct {
 	sink   Sink
 	passes []pass
 	view   trajectory.Trajectory // the trajectory as the next stage sees it
-	bufs   *pointBufs
+	scr    *roundScratch
 	// pos is the call in progress, -1 before the first: the readings'
 	// calls come first, then len(stages) for each trajectory.
 	pos     atomic.Int64
@@ -278,25 +278,30 @@ type pass struct {
 	dur                   time.Duration
 }
 
-// pointBufs are a run's two point buffers.
-type pointBufs [2][]trajectory.Point
+// roundScratch is what one round's worker fills and the next round
+// reuses: the two point buffers the stages append into, and the
+// built-in stages' kernel scratch, which every stage of the round
+// reaches through its StageRun. The worker takes one when its first
+// trajectory starts; the run gives it back once the worker is done.
+// An abandoned worker's scratch is left to the GC, as it may still
+// write into it.
+type roundScratch struct {
+	pts         [2][]trajectory.Point
+	speed, stat []bool    // OutlierRemovalStage's flags
+	floats      []float64 // outlier.Statistical's windows
+}
 
-var pointBufPool = sync.Pool{New: func() any { return new(pointBufs) }}
+var roundScratches = sync.Pool{New: func() any { return new(roundScratch) }}
 
-// maxPooledPoints caps the buffers that go back to the pool: one grown
-// past it by a long trajectory is left to the GC.
+// maxPooledPoints caps the scratch that goes back to the pool: one
+// grown past it by a long trajectory is left to the GC.
 const maxPooledPoints = 1 << 16
 
-func (b *pointBufs) release() {
-	if b == nil {
+func (s *roundScratch) release() {
+	if s == nil || cap(s.pts[0]) > maxPooledPoints || cap(s.pts[1]) > maxPooledPoints || cap(s.speed) > maxPooledPoints {
 		return
 	}
-	for i := range b {
-		if cap(b[i]) > maxPooledPoints {
-			b[i] = nil
-		}
-	}
-	pointBufPool.Put(b)
+	roundScratches.Put(s)
 }
 
 func (w *worker) work() {
@@ -318,7 +323,10 @@ func (w *worker) work() {
 			}
 		}
 	}
-	w.bufs = pointBufPool.Get().(*pointBufs)
+	w.scr = roundScratches.Get().(*roundScratch)
+	for k := range w.passes {
+		w.passes[k].run.scratch = w.scr
+	}
 	for _, tr := range w.ds.Trajectories {
 		if w.ctx.Err() != nil {
 			w.fatal = errRoundCancelled
@@ -331,7 +339,7 @@ func (w *worker) work() {
 			w.pos.Store(call)
 			call++
 			w.view.Points = pts
-			out, err := cleanPoints(w.ctx, st, &w.passes[k].run, &w.view, w.bufs[next][:0])
+			out, err := cleanPoints(w.ctx, st, &w.passes[k].run, &w.view, w.scr.pts[next][:0])
 			now := time.Now()
 			w.passes[k].dur += now.Sub(prev)
 			prev = now
@@ -342,7 +350,7 @@ func (w *worker) work() {
 				return
 			}
 			if err == nil && !samePoints(out, pts) {
-				w.bufs[next], pts, next = out, out, 1-next
+				w.scr.pts[next], pts, next = out, out, 1-next
 			}
 		}
 		if err := w.sink.Put(tr, pts, w.flushFn); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"sidq/internal/faults"
 	"sidq/internal/integrate"
@@ -74,14 +73,17 @@ type Stage interface {
 }
 
 // StageRun is what one stage's calls in one round share: the round's
-// input dataset, whose context they read and never write, and the
-// resample budget ImputeStage spends.
+// input dataset, whose context they read and never write, the
+// resample budget ImputeStage spends, and the round's scratch.
 type StageRun struct {
 	*Dataset
 	// Budget is what is left of the round's trajectory.MaxResamplePoints
 	// output points, spent in trajectory order: the interval arrives
 	// from a request parameter and a body may hold thousands of ids.
 	Budget float64
+	// scratch is the worker's round scratch; nil in a StageRun built
+	// outside a round, where a stage allocates its own.
+	scratch *roundScratch
 }
 
 // OutlierRemovalStage drops trajectory points flagged by both the
@@ -96,20 +98,16 @@ func (s OutlierRemovalStage) Name() string { return "outlier-removal" }
 // Task implements Stage.
 func (s OutlierRemovalStage) Task() Task { return OutlierRemoval }
 
-// orFlags is the flag scratch of the outlier stage, pooled so
-// concurrent pipeline runs reuse buffers without sharing them.
-type orFlags struct{ speed, stat []bool }
-
-var orFlagsPool = sync.Pool{New: func() any { return new(orFlags) }}
-
 // CleanPoints implements Stage: the speed gate and the statistical
-// scan flag the trajectory into pooled flag buffers, and the points
-// neither flags are appended to dst.
+// scan flag the trajectory into the round scratch's flag slices, and
+// the points neither flags are appended to dst.
 func (s OutlierRemovalStage) CleanPoints(_ context.Context, run *StageRun, tr *trajectory.Trajectory, dst []trajectory.Point) ([]trajectory.Point, error) {
-	scr := orFlagsPool.Get().(*orFlags)
-	defer orFlagsPool.Put(scr)
+	scr := run.scratch
+	if scr == nil {
+		scr = new(roundScratch)
+	}
 	scr.speed = outlier.SpeedConstraint(tr.Points, run.MaxSpeed, scr.speed)
-	scr.stat = outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, scr.stat)
+	scr.stat = outlier.Statistical(tr.Points, outlier.StatisticalOptions{}, scr.stat, &scr.floats)
 	kept := len(tr.Points)
 	for j := range scr.speed {
 		scr.speed[j] = scr.speed[j] || scr.stat[j]

@@ -25,7 +25,7 @@ func E4(seed int64) Table {
 		noisy := simulate.AddGaussianNoise(truth, 2, seed+2)
 		corrupted, flags := simulate.InjectOutliers(noisy, rate, 150, seed+3)
 		cF1 := outlier.Evaluate(outlier.SpeedConstraint(corrupted.Points, 15, nil), flags).F1()
-		sF1 := outlier.Evaluate(outlier.Statistical(corrupted.Points, outlier.StatisticalOptions{}, nil), flags).F1()
+		sF1 := outlier.Evaluate(outlier.Statistical(corrupted.Points, outlier.StatisticalOptions{}, nil, nil), flags).F1()
 		_, pFlags := outlier.Prediction(corrupted, outlier.PredictionOptions{MeasNoise: 4, Threshold: 6})
 		pF1 := outlier.Evaluate(pFlags, flags).F1()
 

@@ -113,6 +113,7 @@ func TestSpeedConstraintColsMatchesAoS(t *testing.T) {
 func TestStatisticalColsMatchesAoS(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var flags []bool
+	var floats []float64
 	for _, tr := range trialTracks(rng, 120, 80) {
 		opt := StatisticalOptions{
 			Window:    []int{0, 2, 5}[rng.Intn(3)],
@@ -120,8 +121,8 @@ func TestStatisticalColsMatchesAoS(t *testing.T) {
 		}
 		what := fmt.Sprintf("%s opt=%+v", tr.ID, opt)
 		want := statisticalRef(tr, opt)
-		sameFlags(t, what+" fresh", Statistical(tr.Points, opt, nil), want)
-		flags = Statistical(tr.Points, opt, flags)
+		sameFlags(t, what+" fresh", Statistical(tr.Points, opt, nil, nil), want)
+		flags = Statistical(tr.Points, opt, flags, &floats)
 		sameFlags(t, what+" reused", flags, want)
 	}
 }
@@ -162,16 +163,17 @@ func TestRemoveColsMatchesAoS(t *testing.T) {
 }
 
 // TestColumnarDetectorsReuseAllocFree pins the steady-state contract:
-// with warm flag buffers and pooled scratch, the detectors do not
+// with warm flag buffers and float scratch, the detectors do not
 // allocate, and a reused buffer holds the verdict a fresh one gets.
 func TestColumnarDetectorsReuseAllocFree(t *testing.T) {
 	pts := randTrack(rand.New(rand.NewSource(24)), 256, false).Points
 	flags := SpeedConstraint(pts, 10, nil)
-	flags2 := Statistical(pts, StatisticalOptions{}, nil)
+	var floats []float64
+	flags2 := Statistical(pts, StatisticalOptions{}, nil, &floats)
 	fresh, fresh2 := append([]bool(nil), flags...), append([]bool(nil), flags2...)
 	allocs := testing.AllocsPerRun(30, func() {
 		flags = SpeedConstraint(pts, 10, flags)
-		flags2 = Statistical(pts, StatisticalOptions{}, flags2)
+		flags2 = Statistical(pts, StatisticalOptions{}, flags2, &floats)
 	})
 	if !reflect.DeepEqual(flags, fresh) || !reflect.DeepEqual(flags2, fresh2) {
 		t.Fatal("reused flag buffers hold different verdicts than fresh ones")

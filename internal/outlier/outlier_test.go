@@ -48,7 +48,7 @@ func TestSpeedConstraintDegenerate(t *testing.T) {
 
 func TestStatisticalDetects(t *testing.T) {
 	_, corrupted, truth := corruptedWalk(3, 0.05)
-	flags := Statistical(corrupted.Points, StatisticalOptions{}, nil)
+	flags := Statistical(corrupted.Points, StatisticalOptions{}, nil, nil)
 	s := Evaluate(flags, truth)
 	if s.Precision() < 0.7 || s.Recall() < 0.6 {
 		t.Fatalf("statistical P=%v R=%v (%+v)", s.Precision(), s.Recall(), s)
@@ -57,7 +57,7 @@ func TestStatisticalDetects(t *testing.T) {
 
 func TestStatisticalCleanDataLowFalsePositives(t *testing.T) {
 	truth, _, _ := corruptedWalk(4, 0)
-	flags := Statistical(truth.Points, StatisticalOptions{}, nil)
+	flags := Statistical(truth.Points, StatisticalOptions{}, nil, nil)
 	fp := 0
 	for _, f := range flags {
 		if f {

@@ -10,28 +10,12 @@ package outlier
 
 import (
 	"math"
-	"sync"
 
 	"sidq/internal/geo"
 	"sidq/internal/refine"
 	"sidq/internal/stats"
 	"sidq/internal/trajectory"
 )
-
-// floatPool recycles the detectors' scratch (segment speeds, features,
-// window distances): they run once per trajectory per pipeline attempt,
-// so the buffers are the dominant steady-state garbage in cleaning
-// loops.
-var floatPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getFloats(n int) *[]float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
 
 // flagsInto returns a false-initialized flag slice of length n, reusing
 // buf's capacity when possible. Detectors accept a reuse buffer so
@@ -51,47 +35,38 @@ func flagsInto(buf []bool, n int) []bool {
 // maximum speed: a point is an outlier when the speeds both into and
 // out of it violate the bound while its neighbors agree with each
 // other. This is the classic constraint-based detector; it needs no
-// training data but assumes locally valid neighbors. Every segment
-// speed is computed once, up front. flags is an optional reuse buffer
-// (nil allocates); the returned slice holds the result.
+// training data but assumes locally valid neighbors. The scan keeps
+// the two segment speeds it compares, so it needs no scratch. flags is
+// an optional reuse buffer (nil allocates); the returned slice holds
+// the result.
 func SpeedConstraint(pts []trajectory.Point, maxSpeed float64, flags []bool) []bool {
 	n := len(pts)
 	flags = flagsInto(flags, n)
 	if n < 3 || maxSpeed <= 0 {
 		return flags
 	}
-	segP := getFloats(n - 1)
-	defer floatPool.Put(segP)
-	seg := *segP
-	for i := 1; i < n; i++ {
-		dt := pts[i].T - pts[i-1].T
-		if dt <= 0 {
-			seg[i-1] = math.Inf(1)
-		} else {
-			seg[i-1] = math.Hypot(pts[i-1].Pos.X-pts[i].Pos.X, pts[i-1].Pos.Y-pts[i].Pos.Y) / dt
-		}
-	}
-	skip := func(i, j int) float64 {
-		dt := pts[j].T - pts[i].T
-		if dt <= 0 {
-			return math.Inf(1)
-		}
-		return math.Hypot(pts[i].Pos.X-pts[j].Pos.X, pts[i].Pos.Y-pts[j].Pos.Y) / dt
-	}
+	in := segSpeed(pts[0], pts[1])
 	for i := 1; i < n-1; i++ {
-		if seg[i-1] > maxSpeed && seg[i] > maxSpeed && skip(i-1, i+1) <= maxSpeed {
+		out := segSpeed(pts[i], pts[i+1])
+		if in > maxSpeed && out > maxSpeed && segSpeed(pts[i-1], pts[i+1]) <= maxSpeed {
 			flags[i] = true
 		}
+		in = out
 	}
 	// Endpoints: flag when the only adjacent segment is impossible and
 	// the next interior point is consistent with its own neighbor.
-	if seg[0] > maxSpeed && seg[1] <= maxSpeed {
-		flags[0] = true
-	}
-	if seg[n-2] > maxSpeed && seg[n-3] <= maxSpeed {
-		flags[n-1] = true
-	}
+	flags[0] = segSpeed(pts[0], pts[1]) > maxSpeed && segSpeed(pts[1], pts[2]) <= maxSpeed
+	flags[n-1] = segSpeed(pts[n-2], pts[n-1]) > maxSpeed && segSpeed(pts[n-3], pts[n-2]) <= maxSpeed
 	return flags
+}
+
+// segSpeed is the speed from a to b, +Inf when b is not later than a.
+func segSpeed(a, b trajectory.Point) float64 {
+	dt := b.T - a.T
+	if dt <= 0 {
+		return math.Inf(1)
+	}
+	return math.Hypot(a.Pos.X-b.Pos.X, a.Pos.Y-b.Pos.Y) / dt
 }
 
 // StatisticalOptions configures the statistics-based detector.
@@ -104,8 +79,9 @@ type StatisticalOptions struct {
 // neighborhood chord is extreme relative to the trajectory's robust
 // deviation profile (median/MAD). It needs no physical bound but
 // assumes most points are clean. flags is an optional reuse buffer
-// (nil allocates); the returned slice holds the result.
-func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool) []bool {
+// (nil allocates); the returned slice holds the result. floats is the
+// scan's float scratch, grown in place when short; nil allocates.
+func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool, floats *[]float64) []bool {
 	n := len(pts)
 	flags = flagsInto(flags, n)
 	if n < 5 {
@@ -117,25 +93,22 @@ func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool) [
 	if opt.Threshold <= 0 {
 		opt.Threshold = 3.5
 	}
-	featP := getFloats(n)
-	defer floatPool.Put(featP)
-	feat := *featP
-	// fwd[i*W+k-1] is the distance from point i to point i+k. Each pair
-	// is computed once and read from both ends: Hypot takes absolute
-	// values first, so i→j and j→i are the same bits.
+	// One block holds the scan's windows: the per-point features, the
+	// copy the median and MAD select over, the forward distances and
+	// one point's neighbour distances. fwd[i*W+k-1] is the distance
+	// from point i to point i+k. Each pair is computed once and read
+	// from both ends: Hypot takes absolute values first, so i→j and
+	// j→i are the same bits.
 	W := opt.Window
-	fwdP := getFloats(n * W)
-	defer floatPool.Put(fwdP)
-	fwd := *fwdP
+	buf := floatsInto(floats, n*(W+2)+2*W)
+	feat, scr, fwd := buf[:n], buf[n:2*n], buf[2*n:n*(W+2)]
+	ds := buf[n*(W+2) : n*(W+2)]
 	for i := 0; i < n; i++ {
 		xi, yi := pts[i].Pos.X, pts[i].Pos.Y
 		for k := 1; k <= W && i+k < n; k++ {
 			fwd[i*W+k-1] = math.Hypot(xi-pts[i+k].Pos.X, yi-pts[i+k].Pos.Y)
 		}
 	}
-	dsP := getFloats(2 * W)
-	defer floatPool.Put(dsP)
-	ds := (*dsP)[:0]
 	for i := 0; i < n; i++ {
 		ds = ds[:0]
 		for k := 1; k <= W; k++ {
@@ -148,11 +121,8 @@ func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool) [
 		}
 		feat[i], _ = stats.MedianInPlace(ds)
 	}
-	// Median and MAD over pooled scratch: MedianInPlace on a copy is
+	// Median and MAD over scr: MedianInPlace on a copy is
 	// stats.Median, and on the deviations stats.MAD.
-	scrP := getFloats(n)
-	defer floatPool.Put(scrP)
-	scr := *scrP
 	copy(scr, feat)
 	med, _ := stats.MedianInPlace(scr)
 	for i, f := range feat {
@@ -169,6 +139,18 @@ func Statistical(pts []trajectory.Point, opt StatisticalOptions, flags []bool) [
 		}
 	}
 	return flags
+}
+
+// floatsInto returns n floats, reusing *buf's capacity and growing it
+// when short; a nil buf allocates.
+func floatsInto(buf *[]float64, n int) []float64 {
+	if buf == nil {
+		return make([]float64, n)
+	}
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
 }
 
 // PredictionOptions configures the prediction-based detector.

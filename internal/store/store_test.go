@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -510,6 +512,22 @@ func TestReadRangeSealDuringRead(t *testing.T) {
 	for i, seq := range seqs {
 		if seq != uint64(i+1) {
 			t.Fatalf("read %v out of order", seqs)
+		}
+	}
+}
+
+// TestParseFsyncMode: the -fsync parser reads back every mode's
+// String, and names an unknown spelling in its error.
+func TestParseFsyncMode(t *testing.T) {
+	for _, m := range []store.FsyncMode{store.FsyncAlways, store.FsyncBatch, store.FsyncOff} {
+		got, err := store.ParseFsyncMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseFsyncMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, s := range []string{"", "Always", "sync", "off ", store.FsyncMode(3).String()} {
+		if _, err := store.ParseFsyncMode(s); err == nil || !strings.Contains(err.Error(), strconv.Quote(s)) {
+			t.Errorf("ParseFsyncMode(%q) error = %v, want one quoting the spelling", s, err)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // samples met so far, under Go map-key float equality — the semantics
 // deduplicating through a map[Point]bool has, which AppendDeduplicated
 // and CountDuplicates must both reproduce bit for bit, on the set itself
-// or on markDuplicates' run check:
+// or on scanDuplicates' run check:
 //
 //   - NaN compares unequal to everything, itself included, so a sample
 //     with a NaN field is never a duplicate.
@@ -66,56 +66,45 @@ func dedupBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// dupMasks recycles the per-sample duplicate marks AppendDeduplicated
-// takes before it sizes its output.
-var dupMasks = sync.Pool{New: func() any { return new([]bool) }}
-
 // AppendDeduplicated appends the first occurrence of each exact
 // (T, X, Y) sample of pts to dst, in order, and returns the extended
 // slice — or pts itself when no sample repeats. Kept samples keep their
 // original bits (a -0 surviving as the first occurrence stays -0); pts
 // is untouched.
 func AppendDeduplicated(dst, pts []Point) []Point {
-	n := len(pts)
-	maskP := dupMasks.Get().(*[]bool)
-	defer dupMasks.Put(maskP)
-	if cap(*maskP) < n {
-		*maskP = make([]bool, n)
-	}
-	dup := (*maskP)[:n]
-	dups := markDuplicates(pts, dup)
+	out, dups := scanDuplicates(pts, dst, true)
 	if dups == 0 {
 		return pts
 	}
-	dst = slices.Grow(dst, n-dups)
-	for i, p := range pts {
-		if !dup[i] {
-			dst = append(dst, p)
-		}
-	}
-	return dst
+	return out
 }
 
 // CountDuplicates returns how many of pts AppendDeduplicated drops:
 // what the planner measures is what the stage removes.
-func CountDuplicates(pts []Point) int { return markDuplicates(pts, nil) }
+func CountDuplicates(pts []Point) int {
+	_, dups := scanDuplicates(pts, nil, false)
+	return dups
+}
 
-// dedupRunMax is the longest run of equal stamps markDuplicates
+// dedupRunMax is the longest run of equal stamps scanDuplicates
 // compares pairwise. A longer one — a source stuck on one stamp, or a
 // body built to make the pairwise scan quadratic — sends the whole
 // input to the set.
 const dedupRunMax = 16
 
-// markDuplicates finds the samples of pts that repeat an earlier one
-// under dedupSeen's equality: it sets dup[i] for every i when dup is
-// not nil, and returns how many repeat. While pts are time-sorted with
-// no NaN stamp — what a decoded or cleaned trajectory is — an equal
-// sample can only sit earlier in the same run of equal T, so each
-// sample is compared with its run's earlier positions and no set is
-// built. Position == is float equality, so NaN matches nothing and +0
-// matches -0, as in the set. Unsorted input, a NaN stamp or a run past
-// dedupRunMax goes through dedupSeen.
-func markDuplicates(pts []Point, dup []bool) int {
+// scanDuplicates finds the samples of pts that repeat an earlier one
+// under dedupSeen's equality and returns how many repeat. With keep
+// set it appends the others to dst as it goes: at the first repeat it
+// grows dst once for every sample that could follow and copies the
+// prefix before it, so nothing is appended while nothing repeats.
+// While pts are time-sorted with no NaN stamp — what a decoded or
+// cleaned trajectory is — an equal sample can only sit earlier in the
+// same run of equal T, so each sample is compared with its run's
+// earlier positions and no set is built. Position == is float
+// equality, so NaN matches nothing and +0 matches -0, as in the set.
+// Unsorted input, a NaN stamp or a run past dedupRunMax goes through
+// dedupSeen.
+func scanDuplicates(pts, dst []Point, keep bool) ([]Point, int) {
 	var seen dedupSeen
 	if !runCheckable(pts) {
 		seen = getDedupSeen(len(pts))
@@ -136,14 +125,18 @@ func markDuplicates(pts []Point, dup []bool) int {
 				}
 			}
 		}
-		if dup != nil {
-			dup[i] = d
+		switch {
+		case !keep:
+		case d && n == 0:
+			dst = append(slices.Grow(dst, len(pts)-1), pts[:i]...)
+		case !d && n > 0:
+			dst = append(dst, p)
 		}
 		if d {
 			n++
 		}
 	}
-	return n
+	return dst, n
 }
 
 // runCheckable reports whether pts are in non-decreasing time order

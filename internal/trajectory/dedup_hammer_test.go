@@ -11,8 +11,8 @@ import (
 
 // TestDedupPoolHammer runs CountDuplicates (what assessment calls) and
 // AppendDeduplicated (what the dedup stage calls) from many goroutines at once
-// over shared inputs, so the dedupSets and dupMasks pools are drawn,
-// dirtied and recycled concurrently. Under -race (make race-hammer)
+// over shared inputs, so the dedupSets pool is drawn, dirtied and
+// recycled concurrently. Under -race (make race-hammer)
 // this catches a write into a shared point slice or a set handed out
 // twice; the check against a fresh map catches a recycled set that
 // still remembers its last trajectory.

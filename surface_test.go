@@ -754,3 +754,62 @@ func TestEngineShellBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestDesignNamesEveryPool: every package-level sync.Pool in the
+// non-test internal/ source is named in DESIGN.md, as `name` or
+// `pkg.name`, so each pooled buffer has a written owner, lifetime and
+// cap beside the code that fills it.
+func TestDesignNamesEveryPool(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	isPool := func(e ast.Expr) bool {
+		if c, ok := e.(*ast.CompositeLit); ok {
+			e = c.Type
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "sync" && sel.Sel.Name == "Pool"
+	}
+	fset := token.NewFileSet()
+	pools := 0
+	err = filepath.WalkDir("internal", func(p string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || g.Tok != token.VAR {
+				continue
+			}
+			for _, s := range g.Specs {
+				vs := s.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if !(vs.Type != nil && isPool(vs.Type)) && !(i < len(vs.Values) && isPool(vs.Values[i])) {
+						continue
+					}
+					pools++
+					pkg := f.Name.Name
+					if !strings.Contains(string(design), "`"+name.Name+"`") && !strings.Contains(string(design), "`"+pkg+"."+name.Name+"`") {
+						t.Errorf("%s: pool %s.%s is not named in DESIGN.md; give it a line with its owner, lifetime and cap", fset.Position(name.Pos()), pkg, name.Name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pools == 0 {
+		t.Fatal("found no package-level sync.Pool under internal/: the scan is broken")
+	}
+}
