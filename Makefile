@@ -29,7 +29,9 @@
 #                       queries reading records into the store's pooled
 #                       buffer beside ingest, among them — server's
 #                       request-deadline hammer over kept-alive
-#                       connections, and, 20 times each, the two
+#                       connections, the request frame's hammer
+#                       (probes, work and panics at once, drained
+#                       midway), and, 20 times each, the two
 #                       deadline tests that cut a /v1/clean in its
 #                       collecting round and core's abandoned-round
 #                       test: a cut run must leave its request scratch,

@@ -9,7 +9,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"log"
@@ -68,9 +67,8 @@ func TestWriteErrorCountedAndLogged(t *testing.T) {
 	defer svc.Close()
 
 	before := svc.metrics.Counter(mWriteErrs).Value()
-	req := httptest.NewRequest(http.MethodPost, "/v1/clean", nil)
-	req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, "req-test-42"))
-	svc.writeError(req, fmt.Errorf("write tcp: broken pipe"))
+	w := &statusRecorder{ResponseWriter: httptest.NewRecorder(), id: "req-test-42"}
+	svc.writeError(w, fmt.Errorf("write tcp: broken pipe"))
 
 	if got := svc.metrics.Counter(mWriteErrs).Value(); got != before+1 {
 		t.Fatalf("%s = %d, want %d", mWriteErrs, got, before+1)

@@ -1,7 +1,7 @@
 package server
 
 // HTTP-layer observability. Every service carries its own
-// obs.Registry (read through Service.Metrics) that the middleware stack
+// obs.Registry (read through Service.Metrics) that the request frame
 // feeds: per-route request counters and latency histograms, the
 // in-flight gauge, shed and panic counters. The runner's families go
 // into the same registry here, and the session engine adds its own
@@ -78,10 +78,36 @@ func (s *Service) initMetrics() {
 	core.InitRunnerMetrics(reg)
 }
 
+// requestSeries are the two series a finished request updates, found
+// by its route and status. Both are closed sets (routeLabel's, the
+// handlers'), so each pair's names are built once per service.
+type requestSeries struct {
+	total   *obs.Counter
+	latency *obs.Histogram
+}
+
+type routeStatus struct {
+	route  string
+	status int
+}
+
 // observeRequest records one finished request.
 func (s *Service) observeRequest(route string, status int, durNs int64) {
-	s.metrics.Counter(mRequests + `{route="` + route + `",status="` + strconv.Itoa(status) + `"}`).Inc()
-	s.metrics.Histogram(mLatency + `{route="` + route + `"}`).Observe(durNs)
+	key := routeStatus{route, status}
+	s.seriesMu.RLock()
+	series, ok := s.series[key]
+	s.seriesMu.RUnlock()
+	if !ok {
+		series = requestSeries{
+			s.metrics.Counter(mRequests + `{route="` + route + `",status="` + strconv.Itoa(status) + `"}`),
+			s.metrics.Histogram(mLatency + `{route="` + route + `"}`),
+		}
+		s.seriesMu.Lock()
+		s.series[key] = series
+		s.seriesMu.Unlock()
+	}
+	series.total.Inc()
+	series.latency.Observe(durNs)
 }
 
 // Metrics returns the service's registry, for embedding callers that
@@ -95,10 +121,9 @@ func (s *Service) cleaningRunner() *core.Runner {
 	return &core.Runner{Policy: core.SkipStage, Obs: s.metrics}
 }
 
-// handleMetrics serves the Prometheus text exposition. It sits on the
-// probes path, bypassing the limiter and timeout, so a saturated or
-// wedged service can still be scraped — exactly when the numbers
-// matter most.
+// handleMetrics serves the Prometheus text exposition. The frame
+// answers it before the limiter, so a saturated or wedged service can
+// still be scraped, exactly when the numbers matter most.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

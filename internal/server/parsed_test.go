@@ -113,30 +113,34 @@ func awaitNoWorker(t *testing.T) {
 	}
 }
 
-// warmCleanCost is what a warm /v1/clean of body allocates: the mean
-// allocation count of 20 requests, and the least of three rounds of 20
-// in bytes per request. It measures on one P, as AllocsPerRun does,
-// since an item a pool holds in one P's private slot is not found from
-// another, and with collections held off, since one empties the pools;
-// either makes a round pay to refill them. It also returns the stages
-// run.
+// warmCleanCost is what a warm /v1/clean of body allocates, measured
+// by warmCost, and the stages it runs.
 func warmCleanCost(t *testing.T, svc *Service, body []byte) (allocs float64, bytes uint64, stages string) {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	u, _ := url.Parse("/v1/clean?maxspeed=10")
 	w := &discardWriter{h: http.Header{}}
-	run := func() {
+	allocs, bytes = warmCost(func() {
 		clear(w.h)
 		w.status = 0
 		svc.ServeHTTP(w, cleanRequest(u, body))
 		if w.status != http.StatusOK {
 			t.Fatalf("status %d", w.status)
 		}
-	}
+	})
+	return allocs, bytes, w.h.Get("X-Sidq-Stages")
+}
+
+// warmCost is what a warm run allocates: the mean allocation count of
+// 20 runs, and the least of three rounds of 20 in bytes per run. It
+// measures on one P, as AllocsPerRun does, since an item a pool holds
+// in one P's private slot is not found from another, and with
+// collections held off, since one empties the pools; either makes a
+// round pay to refill them.
+func warmCost(run func()) (allocs float64, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 4; i++ {
 		run() // warm: pools filled
 	}
-	stages = w.h.Get("X-Sidq-Stages")
 	allocs = testing.AllocsPerRun(20, run)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bytes = ^uint64(0)
@@ -149,7 +153,7 @@ func warmCleanCost(t *testing.T, svc *Service, body []byte) (allocs float64, byt
 		runtime.ReadMemStats(&after)
 		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/20)
 	}
-	return allocs, bytes, stages
+	return allocs, bytes
 }
 
 // TestCleanWarmAllocsIndependentOfLength: a warm /v1/clean allocates

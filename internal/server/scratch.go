@@ -81,8 +81,8 @@ func (sc *scratch) parseBody(r *http.Request, parse func(body []byte) error) err
 	return err
 }
 
-// readBody reads r's body into buf, sized from Content-Length —
-// withBodyLimit has refused any above the body cap — plus the
+// readBody reads r's body into buf, sized from Content-Length — the
+// frame has refused any above the body cap — plus the
 // bytes.MinRead that ReadFrom wants free to find EOF without growing.
 // Up to maxBodyPrealloc bytes are allocated on the Content-Length's
 // word alone; a body that has sent that much is taken at its word for

@@ -26,10 +26,11 @@
 // default 20) and interval (s, default 1) feed the assessment context;
 // the planner uses the default quality targets.
 //
-// Every request passes through the hardening middleware stack:
-// panic recovery, X-Request-ID assignment + access logging, a body
-// cap (MaxBodyBytes), an in-flight concurrency limiter shedding load
-// with 503, and a per-request timeout.
+// Every request passes through one frame, Service.ServeHTTP: an
+// X-Request-ID, per-route series, an access line and panic recovery,
+// then, past the probes, the drain switch, the deadline as a body's
+// read deadline, an in-flight limiter shedding with 503 and a body cap
+// (MaxBodyBytes). Only the clean routes take the deadline as a context.
 package server
 
 import (
@@ -85,13 +86,15 @@ func (c Config) withDefaults() Config {
 // the readiness switch used for graceful shutdown.
 type Service struct {
 	cfg      Config
-	handler  http.Handler
+	mux      *http.ServeMux // the work routes; ServeHTTP answers the probes
 	ready    atomic.Bool
 	draining atomic.Bool
 	inflight chan struct{}
 	reqSeq   atomic.Uint64
 	metrics  *obs.Registry
 	engine   *session.Engine // every stream and history route is a call into it
+	seriesMu sync.RWMutex
+	series   map[routeStatus]requestSeries // observeRequest's memo
 
 	// The background loops are the shell's: the janitor starts with the
 	// first session, retention at OpenService, and Close stops both.
@@ -113,7 +116,7 @@ func NewService(cfg Config) *Service {
 // tail truncated, sessions rebuilt from snapshots and chunk replay,
 // history index repopulated) before the service accepts traffic.
 func OpenService(cfg Config) (*Service, error) {
-	s := &Service{cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	s := &Service{cfg: cfg.withDefaults(), stop: make(chan struct{}), series: map[routeStatus]requestSeries{}}
 	s.inflight = make(chan struct{}, s.cfg.MaxInFlight)
 	s.ready.Store(true)
 	s.metrics = obs.NewRegistry()
@@ -128,46 +131,14 @@ func OpenService(cfg Config) (*Service, error) {
 	s.engine = eng
 	s.cfg.Stream, s.cfg.Durability = eng.Config().Stream, eng.Config().Durability // defaults applied
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/taxonomy", handleTaxonomy)
-	mux.HandleFunc("/v1/assess", handleAssess)
-	mux.HandleFunc("/v1/clean", s.handleClean)
-	mux.HandleFunc("/v1/readings/assess", handleReadingsAssess)
-	mux.HandleFunc("/v1/readings/clean", s.handleReadingsClean)
-	mux.HandleFunc("/v1/stream/", s.handleStream)
-	mux.HandleFunc("/v1/history/range", s.handleHistoryRange)
-
-	// Innermost first: limits apply around the handlers; recovery and
-	// request IDs wrap everything so even limiter rejections are
-	// logged and tagged, a recovered panic as its 500. Probes (and the
-	// metrics scrape) bypass the limiter and timeout so a saturated
-	// service still answers its orchestrator.
-	limited := s.withTimeout(s.withConcurrencyLimit(s.withBodyLimit(mux)))
-	probes := http.NewServeMux()
-	probes.HandleFunc("/v1/healthz", handleHealth)
-	probes.HandleFunc("/v1/readyz", s.handleReady)
-	probes.HandleFunc("/v1/metrics", s.handleMetrics)
-	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/healthz", "/v1/readyz", "/v1/metrics":
-			probes.ServeHTTP(w, r)
-		default:
-			// A draining service answers new work with 503 while the
-			// listener stays open, so clients see an orderly rejection
-			// (and retry elsewhere) instead of a connection reset. The
-			// check sits outside the limiter: drained requests never take
-			// an in-flight slot, so AwaitIdle only waits for work that was
-			// accepted before the drain began.
-			if s.draining.Load() {
-				s.metrics.Counter(mDrainRejected).Inc()
-				w.Header().Set("Connection", "close")
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			limited.ServeHTTP(w, r)
-		}
-	})
-	s.handler = s.withRequestID(s.withRecovery(root))
+	s.mux = http.NewServeMux()
+	s.mux.HandleFunc("/v1/taxonomy", handleTaxonomy)
+	s.mux.HandleFunc("/v1/assess", handleAssess)
+	s.mux.HandleFunc("/v1/clean", s.handleClean)
+	s.mux.HandleFunc("/v1/readings/assess", handleReadingsAssess)
+	s.mux.HandleFunc("/v1/readings/clean", s.handleReadingsClean)
+	s.mux.HandleFunc("/v1/stream/", s.handleStream)
+	s.mux.HandleFunc("/v1/history/range", s.handleHistoryRange)
 
 	// The janitor normally starts on the first open; restored sessions
 	// must not wait for one — a service restored at MaxSessions would
@@ -179,11 +150,6 @@ func OpenService(cfg Config) (*Service, error) {
 		s.every(d.RetainEvery, func(now time.Time) { eng.Retain(now) })
 	}
 	return s, nil
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 // SetReady flips the readiness probe; SetReady(false) makes /v1/readyz
@@ -242,19 +208,7 @@ func New() http.Handler {
 	return NewService(Config{Logger: DiscardLogger()})
 }
 
-// requestIDKey carries the request ID through the context.
-type requestIDKey struct{}
-
-// requestID returns the request's assigned ID ("" outside the
-// middleware stack).
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(requestIDKey{}).(string)
-	return id
-}
-
-func handleHealth(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
-}
+func handleHealth(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") }
 
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
@@ -319,7 +273,7 @@ func assessmentJSON(a quality.Assessment) map[string]*float64 {
 
 // bodyError maps a parse failure to the right status: 413 when the
 // body cap was hit, 503 when the body was still arriving at the
-// request's deadline (withTimeout), 400 otherwise. Both are detected by
+// request's read deadline, 400 otherwise. Both are detected by
 // type alone — errors.As and errors.Is unwrap the parsers' fmt %w
 // chains down to the *http.MaxBytesError the MaxBytesReader injects or
 // the connection's os.ErrDeadlineExceeded, so no fragile message
@@ -377,7 +331,9 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc.sink = cleanSink{rows: &sc.rows, w: w}
-	_, _, err = core.PlanAndStream(r.Context(), s.cleaningRunner(), ds, core.DefaultTargets(), 3, &sc.sink)
+	ctx, cancel := requestContext(w, r)
+	defer cancel()
+	_, _, err = core.PlanAndStream(ctx, s.cleaningRunner(), ds, core.DefaultTargets(), 3, &sc.sink)
 	switch {
 	case err == nil:
 		// Every worker of the run has returned. A failed run leaves its
@@ -389,14 +345,14 @@ func (s *Service) handleClean(w http.ResponseWriter, r *http.Request) {
 		// mid-stream write failure (client hung up, connection reset)
 		// must not vanish: it is the signal that clients are receiving
 		// truncated cleaned data.
-		s.writeError(r, sc.sink.werr)
+		s.writeError(w, sc.sink.werr)
 	case sc.rows.wrote == 0:
 		runError(w, err)
 	default:
 		// The deadline passed after the first byte. The 200 is long
 		// gone, so the response is cut, and the client sees a failed
 		// read rather than a clean end short of its trajectories.
-		s.logf("request %s: clean stopped mid-response: %v", requestID(r), err)
+		s.logf("request %s: clean stopped mid-response: %v", requestID(w), err)
 		panic(http.ErrAbortHandler)
 	}
 }
@@ -442,9 +398,9 @@ func (c *cleanSink) Flush() error {
 
 // writeError records a mid-stream response write failure: one log line
 // tagged with the request ID and a bump of the write-errors counter.
-func (s *Service) writeError(r *http.Request, err error) {
+func (s *Service) writeError(w http.ResponseWriter, err error) {
 	s.metrics.Counter(mWriteErrs).Inc()
-	s.logf("request %s: response write failed: %v", requestID(r), err)
+	s.logf("request %s: response write failed: %v", requestID(w), err)
 }
 
 func handleReadingsAssess(w http.ResponseWriter, r *http.Request) {
@@ -477,7 +433,9 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 	}
 	ds := &core.Dataset{Readings: rs}
 	stages := core.ReadingsStages()
-	cleaned, _, err := s.cleaningRunner().Run(r.Context(), ds, stages)
+	ctx, cancel := requestContext(w, r)
+	defer cancel()
+	cleaned, _, err := s.cleaningRunner().Run(ctx, ds, stages)
 	if err != nil {
 		runError(w, err)
 		return
@@ -485,7 +443,7 @@ func (s *Service) handleReadingsClean(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/csv")
 	w.Header().Set("X-Sidq-Stages", stageNames(stages))
 	if err := stid.WriteCSV(w, cleaned.Readings); err != nil {
-		s.writeError(r, err)
+		s.writeError(w, err)
 	}
 }
 

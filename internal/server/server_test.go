@@ -420,7 +420,8 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 // client's read fails rather than ending cleanly. Both are counted.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	svc := newTestService(Config{})
-	h := svc.withRequestID(svc.withRecovery(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	defer svc.Close()
+	explode := func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/started" {
 			io.WriteString(w, "the first rows\n")
 			if err := http.NewResponseController(w).Flush(); err != nil {
@@ -428,8 +429,10 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 			}
 		}
 		panic("handler exploded")
-	})))
-	srv := httptest.NewServer(h)
+	}
+	svc.mux.HandleFunc("/anything", explode)
+	svc.mux.HandleFunc("/started", explode)
+	srv := httptest.NewServer(svc)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/anything")
 	if err != nil {

@@ -191,7 +191,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, sc
 			sc.g.Add(res.Source, res.T, res.X, res.Y)
 		}
 		if err := rb.writeCSV(w, &sc.g, srcs); err != nil {
-			s.writeError(r, err)
+			s.writeError(w, err)
 		}
 		return
 	}
@@ -202,12 +202,12 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, sc
 			err = rb.flushTo(w, trajectory.RowFlushBytes)
 		}
 		if err != nil {
-			s.writeError(r, err)
+			s.writeError(w, err)
 			return
 		}
 	}
 	if err := rb.flushTo(w, 0); err != nil {
-		s.writeError(r, err)
+		s.writeError(w, err)
 	}
 }
 
@@ -303,7 +303,7 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		// Mid-stream failure: the 200 is long gone, so the response is
 		// cut, and the client sees a failed read rather than a clean end
 		// short of the rows it asked for.
-		s.writeError(r, err)
+		s.writeError(w, err)
 		panic(http.ErrAbortHandler)
 	}
 }
