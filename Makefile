@@ -23,7 +23,7 @@
 #                       trajectory (dedup set pool), the
 #                       buffer-ownership hammers in server/session/stream
 #                       — every server route that takes the one pooled
-#                       request scratch (body, parsed points, events,
+#                       request scratch (body, parsed points, chunk,
 #                       rows, JSON), /v1/clean streaming through the
 #                       runner's pooled round scratch, and history
 #                       queries reading records into the store's pooled

@@ -1,11 +1,11 @@
 package server
 
-// A chunk interns its source ids in an on-stack table of chunkIDTable
-// entries and, once it names more, in a map alone (parsePointChunk's
-// idTable). A client picks how many distinct ids a chunk carries, so
+// A chunk finds its source ids in a table of 16 entries scanned
+// linearly and, once it names more, in a map alone (session.Chunk's
+// dictionary). A client picks how many distinct ids a chunk carries, so
 // these tests send far more than the table holds: the parse must stay
-// linear in them, and every id must still be a copy, not a view of the
-// body in the pooled request scratch.
+// linear in them. The chunk's ids are views of the body in the pooled
+// request scratch, so every id a session keeps must be its own copy.
 
 import (
 	"bufio"
@@ -34,7 +34,7 @@ func distinctIDChunk(prefix string, n int, tm float64) []byte {
 }
 
 // parseCost is the least time and bytes of five parses of body. The
-// slab is dropped, not pooled, so every parse grows one as it goes.
+// chunk is dropped, not pooled, so every parse grows one as it goes.
 func parseCost(t *testing.T, body []byte) (time.Duration, uint64) {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -44,11 +44,12 @@ func parseCost(t *testing.T, body []byte) (time.Duration, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		events, err := parsePointChunk(nil, body)
+		var c session.Chunk
+		err := parsePointChunk(&c, body)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if err != nil || len(events) != strings.Count(string(body), "\n") {
-			t.Fatalf("parse: %d events, err %v", len(events), err)
+		if err != nil || c.Len() != strings.Count(string(body), "\n") {
+			t.Fatalf("parse: %d rows, err %v", c.Len(), err)
 		}
 		best, bytes = min(best, elapsed), min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -110,7 +111,7 @@ func TestManyIDChunkNamesSurviveBodyReuse(t *testing.T) {
 	drained := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var res session.Result
+		var res wireRow
 		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
 			t.Fatalf("drained line %q: %v", sc.Text(), err)
 		}

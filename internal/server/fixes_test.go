@@ -16,12 +16,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"sidq/internal/geo"
+	"sidq/internal/session"
 	"sidq/internal/simulate"
 	"sidq/internal/trajectory"
 )
@@ -218,19 +220,36 @@ func TestIngestSourceNamedIDIsNotAHeader(t *testing.T) {
 	}
 }
 
-// The events of a parsed chunk outlive the request body, so they must
-// not hold views of it.
-func TestParsePointChunkKeepsNoReferenceToBody(t *testing.T) {
+// A parsed chunk's ids are views of the request body, which the pooled
+// scratch reuses for the next request, so the ids a session keeps must
+// be its own copies.
+func TestIngestedIDsKeepNoReferenceToBody(t *testing.T) {
 	body := []byte("veh-0,1,0,0\nveh-1,1,5,5\nveh-0,2,1,1\n")
-	events, err := parsePointChunk(nil, body)
+	var c session.Chunk
+	if err := parsePointChunk(&c, body); err != nil {
+		t.Fatal(err)
+	}
+	e := session.New(session.Config{})
+	id, err := e.OpenSession(0, 0, 1, time.Now())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Ingest(id, &c, 0, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range body {
 		body[i] = 'X'
 	}
-	if len(events) != 3 || events[0].Value.Src != "veh-0" || events[1].Value.Src != "veh-1" || events[2].Value.Src != "veh-0" {
-		t.Fatalf("events after the body was overwritten: %+v", events)
+	res, srcs, err := e.Drain(id, true, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range res {
+		got = append(got, srcs[r.Src])
+	}
+	if want := []string{"veh-0", "veh-1", "veh-0"}; !slices.Equal(got, want) {
+		t.Fatalf("drained sources %q after the body was overwritten, want %q", got, want)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"sidq/internal/israce"
 	"sidq/internal/roadnet"
+	"sidq/internal/session"
 	"sidq/internal/store"
 )
 
@@ -89,22 +90,24 @@ func discardClient(t *testing.T, svc *Service) (id string, do func(method string
 // budget: a warmed durable session as sidqserve runs it (fsync=batch,
 // snapshot every 16 chunks, request timeout on), a 256-row, 16-source
 // chunk per request, a drain every 8. Every WAL record, the snapshot
-// included, is appended into a pooled buffer, the chunk's ids are
-// interned in a table on the parser's stack and the ack is encoded by a
-// pooled encoder, so the budget covers the request itself, the
-// per-chunk id clones and the results slab each drain hands over.
+// included, is appended into a pooled buffer, the chunk's ids stay
+// views of the pooled body (a session clones an id only when it first
+// sees it) and the ack is encoded by a pooled encoder, so the budget
+// covers the request itself and the results slab each drain hands
+// over.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	const budget = 5 << 10 // bytes per chunk, drains and snapshots included; 1.2 kB measured (2.5–2.8 kB with a context and a request copy per request, 5.6 kB with a map per chunk, a JSON encoder per ack and url.Values per parameter)
+	const budget = 5 << 10 // bytes per chunk, drains and snapshots included; 1.1 kB measured (1.2 kB with 16 id clones per chunk, 2.5–2.8 kB with a context and a request copy per request, 5.6 kB with a map per chunk, a JSON encoder per ack and url.Values per parameter)
 	steadyIngestAllocs(t, StreamConfig{}, budget)
 }
 
 // TestIngestMatchedSteadyStateAllocs is the same loop with a road
 // network, so every released point goes through an OnlineMatcher: the
 // matcher, the candidate search and the route cache allocate nothing
-// once warm, and the snapshot reads the 16 lattices in place, so what a
-// matched session adds is an edge id per result.
+// once warm, the snapshot reads the 16 lattices in place, and a result
+// holds its edge id as a value, so a matched session allocates what a
+// raw one does.
 func TestIngestMatchedSteadyStateAllocs(t *testing.T) {
-	const budget = 6 << 10 // 3.2 kB measured (4.6–4.7 kB with a context and a request copy per request, 7.6 kB with a map per chunk, a JSON encoder per ack and url.Values per parameter)
+	const budget = 5 << 9 // 1.1 kB measured (3.2 kB with an 8-byte edge allocation per result, 4.6–4.7 kB with a context and a request copy per request, 7.6 kB with a map per chunk, a JSON encoder per ack and url.Values per parameter)
 	city := roadnet.GridCity(roadnet.GridCityOptions{NX: 40, NY: 4, Spacing: 110, Jitter: 5, Seed: 9})
 	steadyIngestAllocs(t, StreamConfig{Network: city}, budget)
 }
@@ -112,11 +115,13 @@ func TestIngestMatchedSteadyStateAllocs(t *testing.T) {
 // steadyIngestAllocs fails if a warmed session of stream allocates
 // more than budget bytes per chunk, measured by warmCost. Each request
 // yields the P after it, as a served request's goroutine does when it
-// blocks reading its connection. A loop that never yields keeps the
-// WAL's flusher, which fsync=batch kicks at 64 kB of backlog, off the
-// one P until the scheduler preempts the loop, and the log's pending
-// buffer (store.appendRecord) grows by append meanwhile: 35–70 kB a
-// chunk in most rounds, that no served request pays.
+// blocks reading its connection, so the WAL's flusher, which
+// fsync=batch kicks at 64 kB of backlog, runs as it does in a server.
+// A loop that never yields keeps the flusher off the one P until the
+// scheduler preempts the loop; the log then fills its buffer to its
+// 4 MB backlog and writes it out itself, and reuses its buffers from
+// one such cycle to the next (store's
+// TestBatchBacklogCyclesReuseTheirBuffers).
 func steadyIngestAllocs(t *testing.T, stream StreamConfig, budget uint64) {
 	svc, err := OpenService(Config{
 		Logger:         DiscardLogger(),
@@ -163,10 +168,11 @@ func TestParsePointChunkBlankLinesAllocateNothingPerLine(t *testing.T) {
 	body := bytes.Repeat([]byte{'\n'}, 1<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	events, err := parsePointChunk(nil, body)
+	var c session.Chunk
+	err := parsePointChunk(&c, body)
 	runtime.ReadMemStats(&after)
-	if err != nil || len(events) != 0 {
-		t.Fatalf("%d events, err %v; want a valid chunk of no rows", len(events), err)
+	if err != nil || c.Len() != 0 {
+		t.Fatalf("%d rows, err %v; want a valid chunk of no rows", c.Len(), err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(body)) && !israce.Enabled {
 		t.Errorf("a %d-byte body of blank lines allocated %d bytes, want at most twice the body", len(body), got)

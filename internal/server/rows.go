@@ -3,9 +3,10 @@ package server
 // The row writer: the one encoder of result rows, shared by the session
 // drain, the history range query and /v1/clean. It appends rows to the
 // request scratch's byte buffer. An ndjson row is exactly the bytes
-// json.Encoder produces for a session.Result — same field order, same
-// float formatting, same string escaping — without reflection; a CSV
-// row is trajectory's wire codec.
+// json.Encoder produces for the test's wire struct (wireRow: source, t,
+// x, y, and edge when set) — same field order, same float formatting,
+// same string escaping — without reflection; a CSV row is trajectory's
+// wire codec.
 
 import (
 	"encoding/json"
@@ -59,9 +60,9 @@ func (rb *rowBuf) sourceJSONBytes(src []byte) []byte {
 	return rb.sourceJSON(string(src))
 }
 
-// appendRow appends one result line. A non-finite coordinate is the
-// error json.Encoder reports for it.
-func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge *int) error {
+// appendRow appends one result line, with its edge when hasEdge. A
+// non-finite coordinate is the error json.Encoder reports for it.
+func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge int, hasEdge bool) error {
 	for _, f := range [3]float64{t, x, y} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
@@ -72,8 +73,8 @@ func (rb *rowBuf) appendRow(srcJSON []byte, t, x, y float64, edge *int) error {
 	b = appendJSONFloat(append(b, `,"t":`...), t)
 	b = appendJSONFloat(append(b, `,"x":`...), x)
 	b = appendJSONFloat(append(b, `,"y":`...), y)
-	if edge != nil {
-		b = strconv.AppendInt(append(b, `,"edge":`...), int64(*edge), 10)
+	if hasEdge {
+		b = strconv.AppendInt(append(b, `,"edge":`...), int64(edge), 10)
 	}
 	rb.buf = append(b, '}', '\n')
 	return nil

@@ -8,9 +8,17 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sidq/internal/session"
 )
+
+// wireRow is one ndjson result row as clients decode it: the contract
+// the row writer keeps, and what the tests decode drained rows into.
+type wireRow struct {
+	Source string  `json:"source"`
+	T      float64 `json:"t"`
+	X      float64 `json:"x"`
+	Y      float64 `json:"y"`
+	Edge   *int    `json:"edge,omitempty"`
+}
 
 // hostileFloats are the values at which encoding/json changes float
 // format or strconv its digit count, plus the ones a careless encoder
@@ -30,7 +38,7 @@ var hostileSources = []string{
 }
 
 // TestRowWriterMatchesEncodingJSON: the row writer's bytes against
-// json.Encoder's for the same session.Result, over the hostile values,
+// json.Encoder's for the same wireRow, over the hostile values,
 // every hostile source, random bit patterns and short decimals, and the
 // edge field.
 func TestRowWriterMatchesEncodingJSON(t *testing.T) {
@@ -48,7 +56,7 @@ func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 	enc := json.NewEncoder(&want)
 	edge := -12
 	for i, f := range floats {
-		res := session.Result{Source: hostileSources[i%len(hostileSources)], T: f, X: floats[(i*7+1)%len(floats)], Y: -f}
+		res := wireRow{Source: hostileSources[i%len(hostileSources)], T: f, X: floats[(i*7+1)%len(floats)], Y: -f}
 		if i%3 == 0 {
 			res.Edge = &edge
 		}
@@ -57,7 +65,7 @@ func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		rb.buf = rb.buf[:0]
-		if err := rb.appendRow(rb.sourceJSONBytes([]byte(res.Source)), res.T, res.X, res.Y, res.Edge); err != nil {
+		if err := rb.appendRow(rb.sourceJSONBytes([]byte(res.Source)), res.T, res.X, res.Y, edge, res.Edge != nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rb.buf, want.Bytes()) {
@@ -65,8 +73,8 @@ func TestRowWriterMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		wantErr := enc.Encode(session.Result{T: f})
-		if err := rb.appendRow(rb.sourceJSON("s"), f, 0, 0, nil); err == nil || err.Error() != wantErr.Error() {
+		wantErr := enc.Encode(wireRow{T: f})
+		if err := rb.appendRow(rb.sourceJSON("s"), f, 0, 0, 0, false); err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("t=%v: error %v, json.Encoder says %v", f, err, wantErr)
 		}
 	}

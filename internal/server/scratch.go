@@ -1,7 +1,7 @@
 package server
 
 // The request scratch: the one owner of the memory a request fills and
-// drops — its body, its parsed points or events, its response rows and
+// drops — its body, its parsed points or chunk, its response rows and
 // its JSON answer. Every handler that reads a body whole, writes result
 // rows or answers in JSON takes one scratch and gives it back once, with
 // release, when nothing reads it any more. The one exception is a /v1/clean whose run
@@ -22,36 +22,29 @@ import (
 
 // scratch is one request's memory.
 type scratch struct {
-	body   bytes.Buffer       // the request body, until its parse returns
-	g      trajectory.Grouper // /v1/assess and /v1/clean's points; a CSV response's groups
-	events []session.Event    // an ingest chunk
-	rows   rowBuf             // the response rows, ndjson or CSV
-	sink   cleanSink          // /v1/clean's core.Sink, writing through rows
-	out    bytes.Buffer       // a JSON answer
-	enc    *json.Encoder      // indenting, bound to out; nil until the first answer
+	body  bytes.Buffer       // the request body, until its parse returns (or release, for chunk's views)
+	g     trajectory.Grouper // /v1/assess and /v1/clean's points; a CSV response's groups
+	chunk session.Chunk      // an ingest chunk, its ids views of body
+	rows  rowBuf             // the response rows, ndjson or CSV
+	sink  cleanSink          // /v1/clean's core.Sink, writing through rows
+	out   bytes.Buffer       // a JSON answer
+	enc   *json.Encoder      // indenting, bound to out; nil until the first answer
 }
 
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch { return scratches.Get().(*scratch) }
 
-const (
-	maxPooledBuf    = 1 << 20 // a body or JSON buffer grown past this is not kept
-	maxPooledEvents = 1 << 14 // events a kept slab holds at most, as session's results slab
-)
+const maxPooledBuf = 1 << 20 // a body or JSON buffer grown past this is not kept
 
 // release empties the scratch and pools it. Each buffer keeps its
 // memory up to its cap: the body and JSON buffers 1 MiB
 // (maxPooledBuf), the grouper 32 768 rows of scratch and 65 536 points
-// or ids (Grouper.Reset), the events 16 384 (maxPooledEvents) and the
+// or ids (Grouper.Reset), the chunk 16 384 rows (Chunk.Reset) and the
 // rows twice RowFlushBytes. What is kept holds no id string.
 func (sc *scratch) release() {
 	sc.g.Reset()
-	if cap(sc.events) > maxPooledEvents {
-		sc.events = nil
-	}
-	clear(sc.events)
-	sc.events = sc.events[:0]
+	sc.chunk.Reset()
 	sc.rows.reset()
 	sc.sink = cleanSink{}
 	if sc.out.Cap() > maxPooledBuf { // the encoder's indent buffer grew with it
@@ -65,10 +58,11 @@ func (sc *scratch) release() {
 const maxBodyPrealloc = 1 << 20
 
 // parseBody reads r's whole body, once, into the scratch's buffer and
-// hands it to parse, which must keep no view of it: ParseCSVGroups and
-// parsePointChunk clone every id they keep and their errors format
-// copies. A buffer grown past maxPooledBuf is dropped when parse
-// returns, so a long body is not held through the rest of its request.
+// hands it to parse. ParseCSVGroups clones every id it keeps, the chunk
+// parsePointChunk fills keeps views of the body until release, and
+// parse errors format copies. A buffer grown past maxPooledBuf is
+// dropped when parse returns, so the scratch does not hold a long body
+// through the rest of its request.
 func (sc *scratch) parseBody(r *http.Request, parse func(body []byte) error) error {
 	sc.body.Reset()
 	err := readBody(&sc.body, r)

@@ -210,10 +210,10 @@ func TestStreamOutOfOrderWithinLateness(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("drain status %d", r.StatusCode)
 	}
-	var got []session.Result
+	var got []wireRow
 	dec := json.NewDecoder(strings.NewReader(body))
 	for dec.More() {
-		var res session.Result
+		var res wireRow
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestStreamConcurrentIngest(t *testing.T) {
 	dec := json.NewDecoder(strings.NewReader(body))
 	total := 0
 	for dec.More() {
-		var res session.Result
+		var res wireRow
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestStreamOnlineMatching(t *testing.T) {
 	dec := json.NewDecoder(strings.NewReader(body))
 	count := 0
 	for dec.More() {
-		var res session.Result
+		var res wireRow
 		if err := dec.Decode(&res); err != nil {
 			t.Fatal(err)
 		}

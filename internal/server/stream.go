@@ -143,16 +143,11 @@ func (s *Service) handleStreamIngest(w http.ResponseWriter, r *http.Request, sc 
 		http.Error(w, "unknown session "+id, http.StatusNotFound)
 		return
 	}
-	err = sc.parseBody(r, func(body []byte) (err error) {
-		sc.events, err = parsePointChunk(sc.events, body)
-		return err
-	})
-	if err != nil {
+	if err := sc.parseBody(r, func(body []byte) error { return parsePointChunk(&sc.chunk, body) }); err != nil {
 		bodyError(w, err)
 		return
 	}
-	// The engine keeps nothing of the events: it copies what it needs.
-	ack, err := s.engine.Ingest(id, sc.events, clientSeq, time.Now())
+	ack, err := s.engine.Ingest(id, &sc.chunk, clientSeq, time.Now())
 	if err != nil {
 		streamError(w, err)
 		return
@@ -188,7 +183,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, sc
 		w.Header().Set("Content-Type", "text/csv")
 		sc.g.Grow(len(results))
 		for _, res := range results {
-			sc.g.Add(res.Source, res.T, res.X, res.Y)
+			sc.g.Add(srcs[res.Src], res.T, res.X, res.Y)
 		}
 		if err := rb.writeCSV(w, &sc.g, srcs); err != nil {
 			s.writeError(w, err)
@@ -197,7 +192,7 @@ func (s *Service) handleStreamResults(w http.ResponseWriter, r *http.Request, sc
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	for _, res := range results {
-		err := rb.appendRow(rb.sourceJSON(res.Source), res.T, res.X, res.Y, res.Edge)
+		err := rb.appendRow(rb.sourceJSON(srcs[res.Src]), res.T, res.X, res.Y, res.Edge, res.HasEdge)
 		if err == nil {
 			err = rb.flushTo(w, trajectory.RowFlushBytes)
 		}
@@ -286,7 +281,7 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		// headers are set (no X-Sidq-Points).
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_, err = h.Scan(func(src []byte, t, x, y float64) error {
-			if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, nil); err != nil {
+			if err := rb.appendRow(rb.sourceJSONBytes(src), t, x, y, 0, false); err != nil {
 				return err
 			}
 			return rb.flushTo(w, trajectory.RowFlushBytes)
@@ -327,68 +322,13 @@ func streamError(w http.ResponseWriter, err error) {
 	}
 }
 
-// chunkIDTable is how many distinct source ids a chunk's idTable
-// finds by linear scan before it moves them into a map. A map of up to
-// 8 ids stays off the heap too, so the table spares an allocation only
-// from 9 ids on: 1.8 kB at 16. The scan compares last bytes first, so a
-// full table of ids that differ there, such as numbered ones, parses
-// 1.1 times as slowly as a map would; ids that all share their last
-// byte pay a full compare each, and 1.4 times (EXPERIMENTS.md).
-const chunkIDTable = 16
-
-// idTable interns a chunk's source ids: each distinct id is cloned once,
-// so no event holds a view of the body. Up to chunkIDTable ids are kept
-// in an array on the parser's stack and found by a linear scan; the
-// first id past them moves the table into more, the chunk's map, and
-// from then on the map alone is searched, so a chunk naming many
-// sources costs one map lookup a row, as a map alone would, plus
-// chunkIDTable inserts.
-type idTable struct {
-	ids [chunkIDTable]string
-	n   int
-}
-
-// intern returns the chunk's one copy of id. more is empty until the
-// table fills; the parser makes it, so that it can stay on the
-// parser's stack as the table does.
-func (t *idTable) intern(more map[string]string, id string) string {
-	if len(more) > 0 {
-		if src, ok := more[id]; ok {
-			return src
-		}
-		src := strings.Clone(id)
-		more[src] = src
-		return src
-	}
-	last := id[len(id)-1]
-	for _, src := range t.ids[:t.n] {
-		if src[len(src)-1] == last && src == id {
-			return src
-		}
-	}
-	src := strings.Clone(id)
-	if t.n < len(t.ids) {
-		t.ids[t.n] = src
-		t.n++
-		return src
-	}
-	for _, s := range t.ids {
-		more[s] = s
-	}
-	more[src] = src
-	return src
-}
-
 // parsePointChunk decodes a chunk of "id,t,x,y" CSV rows (header
-// optional) into events appended to dst[:0], a slab that grows with the
-// rows found, not the body's newline count. The whole chunk is parsed
+// optional) into c, replacing what it held. The whole chunk is parsed
 // before anything is applied; any malformed row rejects the chunk, and
-// the slab comes back empty. The events hold one copy of each distinct
-// source id and no view of body.
-func parsePointChunk(dst []session.Event, body []byte) ([]session.Event, error) {
-	events := dst[:0]
-	var ids idTable
-	more := map[string]string{}
+// c comes back empty. c's ids are views of body: body must stay
+// unchanged while c is in use.
+func parsePointChunk(c *session.Chunk, body []byte) error {
+	c.Reset()
 	err := trajectory.ScanCSV(body, false, func(id string, t, x, y float64) error {
 		if id == "" {
 			return errors.New("empty source id")
@@ -399,17 +339,14 @@ func parsePointChunk(dst []session.Event, body []byte) ([]session.Event, error) 
 				return fmt.Errorf("bad point %v,%v,%v for %q: not finite", t, x, y, id)
 			}
 		}
-		events = append(events, session.Event{
-			Time:  t,
-			Value: session.Sample{Src: ids.intern(more, id), Pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}},
-		})
+		c.Add(id, trajectory.Point{T: t, Pos: geo.Pt(x, y)})
 		return nil
 	})
 	if err != nil {
-		clear(events)
-		return events[:0], fmt.Errorf("parse point csv: %w", err)
+		c.Reset()
+		return fmt.Errorf("parse point csv: %w", err)
 	}
-	return events, nil
+	return nil
 }
 
 // paramError reports a malformed query parameter, naming the offender

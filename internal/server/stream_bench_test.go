@@ -95,9 +95,9 @@ func drainBody(resp *http.Response) {
 // chunk of 4 096 rows spread round-robin over a varying number of
 // sources. The ids share a length and a prefix, and under
 // "ids=suffixed" also their last byte, so a linear compare reads each
-// one whole. It is the measurement behind chunkIDTable: past the
-// table, a row's source lookup is one map lookup, as it is with a map
-// alone.
+// one whole. It is the measurement behind session.Chunk's table of 16
+// ids: past the table, a row's source lookup is one map lookup, as it
+// is with a map alone.
 func BenchmarkParsePointChunkSources(b *testing.B) {
 	const rows = 4096
 	for _, form := range []struct{ name, format string }{{"numbered", "veh-%05d"}, {"suffixed", "%05d-gps"}} {
@@ -110,11 +110,10 @@ func BenchmarkParsePointChunkSources(b *testing.B) {
 			b.Run(fmt.Sprintf("ids=%s/sources=%d", form.name, sources), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(body)))
-				var events []session.Event
+				var c session.Chunk
 				for i := 0; i < b.N; i++ {
-					var err error
-					if events, err = parsePointChunk(events, body); err != nil || len(events) != rows {
-						b.Fatalf("parse: %d events, err %v", len(events), err)
+					if err := parsePointChunk(&c, body); err != nil || c.Len() != rows {
+						b.Fatalf("parse: %d rows, err %v", c.Len(), err)
 					}
 				}
 			})

@@ -1,11 +1,15 @@
 package session
 
-// The chunk record: one accepted ingest chunk as the WAL holds it.
+// The chunk: one ingest chunk as the engine takes it (Chunk) and as the
+// WAL holds it (the chunk record), both naming a row's source by its
+// index into the chunk's dictionary of source ids.
 //
 // recChunk2 (type 6) is the only chunk format written. It is columnar
 // and fixed-width, so the history path filters T/X/Y in place on the
-// payload bytes and replay rebuilds events without a per-row
-// allocation. All integers and float bit patterns are little-endian:
+// payload bytes. Its rows block is a Chunk's fields in order: the
+// encoder writes the dictionary and index it is handed, and replay
+// parses a record back into a Chunk. Integers and float bits are
+// little-endian:
 //
 //	 4  magic "SQC" + version byte 2
 //	 8  ChunkIdx   u64   1-based per-session apply index
@@ -26,7 +30,7 @@ package session
 //	8n  X
 //	8n  Y
 //
-// Rows keep the order the events arrived in — replay is a pure fold
+// Rows keep the order the chunk arrived in — replay is a pure fold
 // over them — and floats round-trip bit for bit. The chunk's payload
 // ends with the Y column; trailing bytes are an error.
 //
@@ -43,6 +47,74 @@ import (
 	"sidq/internal/trajectory"
 )
 
+// chunkIDTable is how many distinct source ids Chunk.Add finds by a
+// linear scan, last bytes first, before it moves them into a map. The
+// scan is level with a map near 8 ids and 1.1 (numbered ids) to 1.4
+// (ids sharing their last byte) times as slow at 16 (EXPERIMENTS.md).
+const chunkIDTable = 16
+
+// Chunk is one ingest chunk as the engine takes it: the in-memory twin
+// of a chunk record's rows block, built by Add and emptied by Reset. It
+// does not copy the ids it is given, which may be views of the bytes
+// they were parsed from; those must stay unchanged while it is in use.
+// The engine keeps no reference to a chunk or its ids.
+type Chunk struct {
+	srcs []string           // the source ids, in first-appearance order
+	idx  []uint32           // each row's index into srcs
+	pts  []trajectory.Point // each row's point; its T is the event time
+	more map[string]uint32  // srcs by id, once there are more than chunkIDTable
+}
+
+// Add appends one row of source src.
+func (c *Chunk) Add(src string, pt trajectory.Point) {
+	c.idx = append(c.idx, c.index(src))
+	c.pts = append(c.pts, pt)
+}
+
+// Len is the number of rows.
+func (c *Chunk) Len() int { return len(c.pts) }
+
+// index returns src's dictionary index, adding it on first sight. The
+// id past chunkIDTable moves the dictionary into c.more, which alone is
+// searched from then on: one map lookup a row, as a map alone costs.
+func (c *Chunk) index(src string) uint32 {
+	if len(c.more) == 0 {
+		n := len(src)
+		for k, s := range c.srcs {
+			if len(s) == n && (n == 0 || s[n-1] == src[n-1]) && s == src {
+				return uint32(k)
+			}
+		}
+	} else if k, ok := c.more[src]; ok {
+		return k
+	}
+	k := uint32(len(c.srcs))
+	c.srcs = append(c.srcs, src)
+	if len(c.more) > 0 {
+		c.more[src] = k
+	} else if len(c.srcs) > chunkIDTable {
+		if c.more == nil {
+			c.more = make(map[string]uint32)
+		}
+		for j, s := range c.srcs {
+			c.more[s] = uint32(j)
+		}
+	}
+	return k
+}
+
+// Reset empties the chunk, keeping its memory, map included, unless it
+// grew past maxSlab rows. What it keeps holds no id.
+func (c *Chunk) Reset() {
+	if cap(c.pts) > maxSlab {
+		*c = Chunk{}
+		return
+	}
+	clear(c.srcs)
+	clear(c.more)
+	c.srcs, c.idx, c.pts = c.srcs[:0], c.idx[:0], c.pts[:0]
+}
+
 // recMagic opens every record payload this package writes: "SQC" and
 // version 2 (gob, which needed no magic, was the first).
 const recMagic = "SQC\x02"
@@ -56,18 +128,11 @@ func sourceIndexWidth(d int) int {
 	return 4
 }
 
-// recEncoder holds the buffers one record encode needs, so the ack path
-// allocates nothing once the pool is warm: the payload buffer every
-// record type is rendered into, and the chunk record's per-chunk source
-// dictionary.
-type recEncoder struct {
-	buf  []byte
-	dict map[string]uint32
-	srcs []string
-	idx  []uint32
-}
+// recEncoder holds the payload buffer every record type is rendered
+// into, so the ack path allocates nothing once the pool is warm.
+type recEncoder struct{ buf []byte }
 
-var recEncoders = sync.Pool{New: func() any { return &recEncoder{dict: map[string]uint32{}} }}
+var recEncoders = sync.Pool{New: func() any { return new(recEncoder) }}
 
 func getRecEncoder() *recEncoder { return recEncoders.Get().(*recEncoder) }
 
@@ -79,50 +144,35 @@ func (enc *recEncoder) release() {
 	}
 }
 
-// chunk renders the chunk as a recChunk2 payload. The result aliases
-// the encoder's buffer: it is valid until the next render or release.
-func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
-	clear(enc.dict)
-	enc.srcs = enc.srcs[:0]
-	enc.idx = enc.idx[:0]
-	for i := range events {
-		src := events[i].Value.Src
-		k, ok := enc.dict[src]
-		if !ok {
-			k = uint32(len(enc.srcs))
-			enc.dict[src] = k
-			enc.srcs = append(enc.srcs, src)
-		}
-		enc.idx = append(enc.idx, k)
-	}
+// chunk renders c as a recChunk2 payload. The result aliases the
+// encoder's buffer: it is valid until the next render or release.
+func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, c *Chunk) []byte {
 	b := append(enc.buf[:0], recMagic...)
 	b = le.AppendUint64(b, chunkIdx)
 	b = le.AppendUint64(b, clientSeq)
-	b = le.AppendUint32(b, uint32(len(session)))
-	b = append(b, session...)
-	b = le.AppendUint32(b, uint32(len(enc.srcs)))
-	for _, src := range enc.srcs {
-		b = le.AppendUint32(b, uint32(len(src)))
-		b = append(b, src...)
+	b = append(le.AppendUint32(b, uint32(len(session))), session...)
+	b = le.AppendUint32(b, uint32(len(c.srcs)))
+	for _, src := range c.srcs {
+		b = append(le.AppendUint32(b, uint32(len(src))), src...)
 	}
-	b = le.AppendUint32(b, uint32(len(events)))
-	if sourceIndexWidth(len(enc.srcs)) == 1 {
-		for _, k := range enc.idx {
+	b = le.AppendUint32(b, uint32(len(c.pts)))
+	if sourceIndexWidth(len(c.srcs)) == 1 {
+		for _, k := range c.idx {
 			b = append(b, byte(k))
 		}
 	} else {
-		for _, k := range enc.idx {
+		for _, k := range c.idx {
 			b = le.AppendUint32(b, k)
 		}
 	}
-	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.T))
+	for i := range c.pts {
+		b = appendF64(b, c.pts[i].T)
 	}
-	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.Pos.X))
+	for i := range c.pts {
+		b = appendF64(b, c.pts[i].Pos.X)
 	}
-	for i := range events {
-		b = le.AppendUint64(b, math.Float64bits(events[i].Value.Pt.Pos.Y))
+	for i := range c.pts {
+		b = appendF64(b, c.pts[i].Pos.Y)
 	}
 	enc.buf = b
 	return b
@@ -130,6 +180,7 @@ func (enc *recEncoder) chunk(session string, chunkIdx, clientSeq uint64, events 
 
 // chunkCols is a recChunk2 payload parsed in place: every slice
 // aliases the payload, so it lives exactly as long as the payload does.
+// A legacy chunk decodes to its envelope alone.
 type chunkCols struct {
 	session             []byte
 	chunkIdx, clientSeq uint64
@@ -211,38 +262,26 @@ func (c *rowCols) names() []string {
 	return srcs
 }
 
-// events rebuilds the rows as events in their original order. Rows of
-// one source share one string.
-func (c *rowCols) events() []Event {
-	srcs := c.names()
-	out := make([]Event, c.n)
-	for i := range out {
-		t := colFloat(c.t, i)
-		out[i] = Event{
-			Time:  t,
-			Value: Sample{Src: srcs[c.src(i)], Pt: trajectory.Point{T: t, Pos: geo.Pt(colFloat(c.x, i), colFloat(c.y, i))}},
-		}
+// into makes ch the chunk the rows are, dictionary and index as they
+// stand.
+func (c *rowCols) into(ch *Chunk) {
+	ch.Reset()
+	ch.srcs = append(ch.srcs, c.names()...)
+	for i := 0; i < c.n; i++ {
+		ch.idx = append(ch.idx, uint32(c.src(i)))
+		ch.pts = append(ch.pts, trajectory.Point{T: colFloat(c.t, i), Pos: geo.Pt(colFloat(c.x, i), colFloat(c.y, i))})
 	}
-	return out
 }
 
-// chunkRecord is a decoded chunk record of either type, as replay
-// folds it.
-type chunkRecord struct {
-	session   string
-	chunkIdx  uint64
-	clientSeq uint64
-	events    []Event
-}
-
-// decodeChunk decodes a chunk record of either type.
-func decodeChunk(rec store.Record) (chunkRecord, error) {
+// decodeChunk decodes a chunk record of either type: its rows into
+// rows, and its envelope.
+func decodeChunk(rec store.Record, rows *Chunk) (chunkCols, error) {
 	if rec.Type == recChunk {
-		return decodeLegacyChunk(rec.Payload)
+		return decodeLegacyChunk(rec.Payload, rows)
 	}
 	c, err := parseChunk2(rec.Payload, nil)
-	if err != nil {
-		return chunkRecord{}, err
+	if err == nil {
+		c.into(rows)
 	}
-	return chunkRecord{session: string(c.session), chunkIdx: c.chunkIdx, clientSeq: c.clientSeq, events: c.events()}, nil
+	return c, err
 }

@@ -11,15 +11,48 @@ import (
 	"sidq/internal/trajectory"
 )
 
-func ev(src string, t, x, y float64) Event {
-	return Event{Time: t, Value: Sample{Src: src, Pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}}}
+// row is one chunk row as the tests write them.
+type row struct {
+	src string
+	pt  trajectory.Point
+}
+
+func ev(src string, t, x, y float64) row {
+	return row{src, trajectory.Point{T: t, Pos: geo.Pt(x, y)}}
+}
+
+// rowsOf reads a rows block back as rows, each naming its source by id.
+func rowsOf(c rowCols) []row {
+	var ch Chunk
+	c.into(&ch)
+	out := make([]row, ch.Len())
+	for i := range out {
+		out[i] = row{ch.srcs[ch.idx[i]], ch.pts[i]}
+	}
+	return out
+}
+
+// sameRow compares rows by source and float bits.
+func sameRow(a, b row) bool {
+	return a.src == b.src && reflect.DeepEqual(
+		[3]uint64{math.Float64bits(a.pt.T), math.Float64bits(a.pt.Pos.X), math.Float64bits(a.pt.Pos.Y)},
+		[3]uint64{math.Float64bits(b.pt.T), math.Float64bits(b.pt.Pos.X), math.Float64bits(b.pt.Pos.Y)})
+}
+
+// chunkOf is the chunk of rows, built as every producer builds one.
+func chunkOf(rows []row) *Chunk {
+	c := new(Chunk)
+	for _, r := range rows {
+		c.Add(r.src, r.pt)
+	}
+	return c
 }
 
 // hostileChunk is a chunk no CSV body could carry: sources that need
 // every kind of JSON escaping, and floats at the edges of both float
 // formats.
-func hostileChunk() []Event {
-	return []Event{
+func hostileChunk() []row {
+	return []row{
 		ev("plain", 1, 2, 3),
 		ev(`quo"te\back`, 0, math.Copysign(0, -1), 1e21),
 		ev("<html>&amp;", 1e-7, 9.999999e-7, 1e-6),
@@ -31,26 +64,26 @@ func hostileChunk() []Event {
 	}
 }
 
-func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []Event) []byte {
+func encodeChunk2(session string, chunkIdx, clientSeq uint64, events []row) []byte {
 	enc := getRecEncoder()
 	defer enc.release()
-	return append([]byte(nil), enc.chunk(session, chunkIdx, clientSeq, events)...)
+	return append([]byte(nil), enc.chunk(session, chunkIdx, clientSeq, chunkOf(events))...)
 }
 
 // manySources is a chunk over n distinct sources, to cross the source
 // index's width step.
-func manySources(n int) []Event {
-	events := make([]Event, 0, n+1)
+func manySources(n int) []row {
+	events := make([]row, 0, n+1)
 	for i := 0; i < n; i++ {
 		events = append(events, ev("s"+string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('A'+i/260)), float64(i), float64(-i), 0.5))
 	}
 	return append(events, events[n/2])
 }
 
-// TestChunk2RoundTrip: events come back in order, bit for bit, with the
+// TestChunk2RoundTrip: rows come back in order, bit for bit, with the
 // envelope, at both source-index widths.
 func TestChunk2RoundTrip(t *testing.T) {
-	for name, events := range map[string][]Event{
+	for name, events := range map[string][]row{
 		"empty": nil, "hostile": hostileChunk(), "256 sources": manySources(256), "257 sources": manySources(257),
 	} {
 		payload := encodeChunk2("st-000042", 7, 99, events)
@@ -61,17 +94,13 @@ func TestChunk2RoundTrip(t *testing.T) {
 		if string(c.session) != "st-000042" || c.chunkIdx != 7 || c.clientSeq != 99 {
 			t.Fatalf("%s: envelope %q %d %d", name, c.session, c.chunkIdx, c.clientSeq)
 		}
-		got := c.events()
+		got := rowsOf(c.rowCols)
 		if len(got) != len(events) {
-			t.Fatalf("%s: %d events back, want %d", name, len(got), len(events))
+			t.Fatalf("%s: %d rows back, want %d", name, len(got), len(events))
 		}
 		for i := range events {
-			w, g := events[i].Value, got[i].Value
-			if g.Src != w.Src || math.Float64bits(g.Pt.T) != math.Float64bits(w.Pt.T) ||
-				math.Float64bits(g.Pt.Pos.X) != math.Float64bits(w.Pt.Pos.X) ||
-				math.Float64bits(g.Pt.Pos.Y) != math.Float64bits(w.Pt.Pos.Y) ||
-				math.Float64bits(got[i].Time) != math.Float64bits(w.Pt.T) {
-				t.Fatalf("%s: event %d came back %+v, want %+v", name, i, got[i], events[i])
+			if !sameRow(got[i], events[i]) {
+				t.Fatalf("%s: row %d came back %+v, want %+v", name, i, got[i], events[i])
 			}
 		}
 	}
@@ -90,11 +119,12 @@ func TestChunk2EncodeReusesBuffers(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		events = append(events, events[i%16])
 	}
+	c := chunkOf(events)
 	enc := getRecEncoder()
 	defer enc.release()
-	first := append([]byte(nil), enc.chunk("st-000001", 1, 0, events)...)
+	first := append([]byte(nil), enc.chunk("st-000001", 1, 0, c)...)
 	allocs := testing.AllocsPerRun(50, func() {
-		if !bytes.Equal(enc.chunk("st-000001", 1, 0, events), first) {
+		if !bytes.Equal(enc.chunk("st-000001", 1, 0, c), first) {
 			t.Fatal("the same chunk encoded differently")
 		}
 	})
@@ -155,22 +185,27 @@ func FuzzDecodeChunk2(f *testing.F) {
 		if len(c.srcs)*4 > len(p) || c.n*25 > len(p) {
 			t.Fatalf("%d sources and %d rows out of %d bytes", len(c.srcs), c.n, len(p))
 		}
-		events := c.events()
-		re, err := parseChunk2(encodeChunk2(string(c.session), c.chunkIdx, c.clientSeq, events), nil)
+		events := rowsOf(c.rowCols)
+		var ch Chunk
+		c.into(&ch)
+		enc := getRecEncoder()
+		again := enc.chunk(string(c.session), c.chunkIdx, c.clientSeq, &ch)
+		if !bytes.Equal(again, p) {
+			t.Fatalf("the chunk parsed from %d bytes re-encodes to %d other bytes", len(p), len(again))
+		}
+		re, err := parseChunk2(again, nil)
+		enc.release()
 		if err != nil {
 			t.Fatalf("re-encoded chunk does not parse: %v", err)
 		}
-		back := re.events()
+		back := rowsOf(re.rowCols)
 		if len(back) != len(events) {
-			t.Fatalf("%d events after a re-encode, had %d", len(back), len(events))
+			t.Fatalf("%d rows after a re-encode, had %d", len(back), len(events))
 		}
 		for i := range events {
-			// NaN payloads are legal bytes here; compare bits, not values.
-			a, b := events[i].Value, back[i].Value
-			if a.Src != b.Src || !reflect.DeepEqual(
-				[3]uint64{math.Float64bits(a.Pt.T), math.Float64bits(a.Pt.Pos.X), math.Float64bits(a.Pt.Pos.Y)},
-				[3]uint64{math.Float64bits(b.Pt.T), math.Float64bits(b.Pt.Pos.X), math.Float64bits(b.Pt.Pos.Y)}) {
-				t.Fatalf("event %d changed across a re-encode", i)
+			// NaN payloads are legal bytes here; sameRow compares bits.
+			if !sameRow(events[i], back[i]) {
+				t.Fatalf("row %d changed across a re-encode", i)
 			}
 		}
 	})

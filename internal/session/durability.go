@@ -111,14 +111,14 @@ func (e *Engine) appendRec(typ byte, payload []byte) (uint64, error) {
 
 // persistChunkLocked writes the chunk record and indexes its extent
 // for history queries. Caller holds ss.mu.
-func (ss *streamSession) persistChunkLocked(events []Event, clientSeq uint64) error {
+func (ss *streamSession) persistChunkLocked(c *Chunk, clientSeq uint64) error {
 	enc := getRecEncoder()
-	seq, err := ss.e.appendRec(recChunk2, enc.chunk(ss.id, ss.chunkIdx+1, clientSeq, events))
+	seq, err := ss.e.appendRec(recChunk2, enc.chunk(ss.id, ss.chunkIdx+1, clientSeq, c))
 	enc.release()
 	if err != nil {
 		return err
 	}
-	ss.e.hist.add(seq, events)
+	ss.e.hist.add(seq, c.pts)
 	return nil
 }
 
@@ -194,6 +194,7 @@ func Open(cfg Config) (*Engine, error) {
 func (e *Engine) recoverFrom(l *store.Log) error {
 	start := time.Now()
 	records := 0
+	var rows Chunk // every chunk record's, in turn
 	err := l.Replay(func(r store.Record) error {
 		records++
 		switch r.Type {
@@ -208,15 +209,15 @@ func (e *Engine) recoverFrom(l *store.Log) error {
 				e.restore(ss)
 			}
 		case recChunk, recChunk2:
-			c, err := decodeChunk(r)
+			c, err := decodeChunk(r, &rows)
 			if err != nil {
 				return fmt.Errorf("record %d (chunk): %w", r.Seq, err)
 			}
 			// History outlives sessions: index every chunk, even ones
 			// whose session is already closed.
-			e.hist.add(r.Seq, c.events)
-			if ss, ok := e.sessions[c.session]; ok {
-				ss.replayChunk(c)
+			e.hist.add(r.Seq, rows.pts)
+			if ss, ok := e.sessions[string(c.session)]; ok {
+				ss.replayChunk(c, &rows)
 			}
 		case recDrain, recDrain2:
 			d, err := decodeDrain(r)
@@ -288,14 +289,19 @@ func (e *Engine) restore(ss *streamSession) {
 // which network wrote it.
 func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) error {
 	ss := e.newSession(snap.Session, snap.Lateness, snap.MaxSpeed, snap.Lanes, now)
-	ss.results = append([]Result(nil), snap.Results...)
 	ss.ingested, ss.emitted, ss.late, ss.outliers = snap.Ingested, snap.Emitted, snap.Late, snap.Outliers
 	ss.chunkIdx, ss.clientSeq, ss.snapSeq = snap.ChunkIdx, snap.ClientSeq, seq
 	if prior, existed := e.sessions[snap.Session]; existed {
 		ss.openSeq = prior.openSeq
 	}
-	for _, src := range snap.SrcIDs {
-		ss.noteSource(src)
+	// Results name entries of SrcIDs, which may repeat an id: rank each.
+	ranks := make([]uint32, len(snap.SrcIDs))
+	for k, src := range snap.SrcIDs {
+		ranks[k] = uint32(ss.noteSource(src))
+	}
+	ss.results = append([]Result(nil), snap.Results...)
+	for i := range ss.results {
+		ss.results[i].Src = ranks[ss.results[i].Src]
 	}
 	for _, ws := range snap.Sources {
 		st := ss.sourceAt(ss.noteSource(ws.Src))
@@ -321,13 +327,14 @@ func (e *Engine) restoreSnapshot(snap walSnapshot, now time.Time, seq uint64) er
 // replayChunk re-applies one logged chunk. Backpressure is not
 // re-checked: the chunk was accepted (and acked durable) before the
 // crash, so replay must take it.
-func (ss *streamSession) replayChunk(c chunkRecord) {
+func (ss *streamSession) replayChunk(c chunkCols, rows *Chunk) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if c.chunkIdx <= ss.chunkIdx { // already folded into a snapshot
 		return
 	}
-	ss.applyLocked(c.events, ss.fanOutLocked(c.events))
+	laneRows := ss.resolveLocked(rows)
+	ss.applyLocked(rows, &laneRows)
 	ss.chunkIdx = c.chunkIdx
 	if c.clientSeq > ss.clientSeq {
 		ss.clientSeq = c.clientSeq

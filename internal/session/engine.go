@@ -3,7 +3,9 @@
 // disordered, noisy SID as it arrives" middleware, without the HTTP.
 //
 // A session is a stateful, bounded stream processor over one table of
-// source states, ranked by first appearance. A source's lane — one of
+// source states, ranked by first appearance. A chunk (Chunk) names its
+// rows' sources by number, and a result its source by rank, so a source
+// is resolved once a chunk, not once a row. A source's lane — one of
 // the session's 1 to MaxLanes — is a number fixed from its id when its
 // state is created, and a chunk's rows apply lane by lane. Each source
 // reorders under the session's bounded-lateness watermark, and released
@@ -337,13 +339,14 @@ func (e *Engine) session(id string) (*streamSession, error) {
 }
 
 // Ingest applies one chunk to the session atomically (see
-// streamSession.ingest). The engine keeps no reference to events.
-func (e *Engine) Ingest(id string, events []Event, clientSeq uint64, now time.Time) (Ack, error) {
+// streamSession.ingest). The engine keeps no reference to c or its ids:
+// a session clones an id the first time it sees it.
+func (e *Engine) Ingest(id string, c *Chunk, clientSeq uint64, now time.Time) (Ack, error) {
 	ss, err := e.session(id)
 	if err != nil {
 		return Ack{}, err
 	}
-	ack, err := ss.ingest(events, clientSeq, now)
+	ack, err := ss.ingest(c, clientSeq, now)
 	if errors.Is(err, ErrLaneFull) || errors.Is(err, ErrResultsFull) {
 		e.shed(id, err)
 	}
@@ -351,8 +354,8 @@ func (e *Engine) Ingest(id string, events []Event, clientSeq uint64, now time.Ti
 }
 
 // Drain hands back (and forgets) the session's cleaned results, in
-// emission order, with its source ids in first-appearance order (for
-// grouped rendering). With flush, the reorder buffers and the matchers'
+// emission order, with its source ids in first-appearance order: a
+// result's Src indexes them. With flush, the reorder buffers and the matchers'
 // decision lag are flushed first — end of stream. The results slab is
 // the caller's: Results.Put it once rendered.
 func (e *Engine) Drain(id string, flush bool, now time.Time) ([]Result, []string, error) {

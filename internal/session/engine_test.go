@@ -22,15 +22,15 @@ import (
 
 // gridEvents is chunk c of a steady feed: rows per source for each of
 // sources vehicles, one second apart, slow enough for the speed gate.
-func gridEvents(prefix string, c, sources, rows int) []Event {
-	var events []Event
+func gridEvents(prefix string, c, sources, rows int) *Chunk {
+	var events []row
 	for i := 0; i < rows; i++ {
 		tm := float64(c*rows + i)
 		for s := 0; s < sources; s++ {
 			events = append(events, ev(fmt.Sprintf("%s%02d", prefix, s), tm, 2*tm, float64(10*s)))
 		}
 	}
-	return events
+	return chunkOf(events)
 }
 
 func openDurable(t *testing.T, d DurabilityConfig) *Engine {

@@ -28,6 +28,7 @@ import (
 
 	"sidq/internal/geo"
 	"sidq/internal/store"
+	"sidq/internal/trajectory"
 )
 
 // histEntry is one chunk record's spatio-temporal extent.
@@ -59,17 +60,16 @@ func (h *historyIndex) widen(e *histEntry) {
 	}
 }
 
-// add indexes one chunk record by the extent of its events. Chunks
+// add indexes one chunk record by the extent of its points. Chunks
 // mostly arrive in event-time order, so the insert is an append or
 // lands near the end.
-func (h *historyIndex) add(seq uint64, events []Event) {
-	if len(events) == 0 {
+func (h *historyIndex) add(seq uint64, pts []trajectory.Point) {
+	if len(pts) == 0 {
 		return
 	}
-	p := events[0].Value.Pt
+	p := pts[0]
 	e := histEntry{seq: seq, rect: geo.RectFromPoints(p.Pos), minT: p.T, maxT: p.T}
-	for i := 1; i < len(events); i++ {
-		p := events[i].Value.Pt
+	for _, p := range pts[1:] {
 		e.rect = e.rect.ExtendPoint(p.Pos)
 		e.minT = math.Min(e.minT, p.T)
 		e.maxT = math.Max(e.maxT, p.T)
@@ -160,6 +160,7 @@ func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned in
 		return 0, nil
 	}
 	var enc *recEncoder
+	var legacy Chunk  // a legacy chunk's rows, on their way to recChunk2
 	var srcs [][]byte // the dictionary scratch every chunk is parsed with
 	filtered := 0
 	defer func() {
@@ -175,14 +176,14 @@ func (h *History) Scan(row func(src []byte, t, x, y float64) error) (returned in
 		switch rec.Type {
 		case recChunk2:
 		case recChunk:
-			c, err := decodeLegacyChunk(payload)
+			c, err := decodeLegacyChunk(payload, &legacy)
 			if err != nil {
 				return err
 			}
 			if enc == nil {
 				enc = getRecEncoder()
 			}
-			payload = enc.chunk(c.session, c.chunkIdx, c.clientSeq, c.events)
+			payload = enc.chunk(string(c.session), c.chunkIdx, c.clientSeq, &legacy)
 		default:
 			return nil
 		}

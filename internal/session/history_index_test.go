@@ -13,17 +13,17 @@ import (
 
 // bruteSearch is the index's contract with no index: every entry whose
 // box meets the rect and whose time span meets the range, in seq order.
-func bruteSearch(chunks map[uint64][]Event, rect geo.Rect, minT, maxT float64) []uint64 {
+func bruteSearch(chunks map[uint64][]row, rect geo.Rect, minT, maxT float64) []uint64 {
 	var seqs []uint64
 	for seq, events := range chunks {
 		if len(events) == 0 {
 			continue
 		}
-		box := geo.RectFromPoints(events[0].Value.Pt.Pos)
-		lo, hi := events[0].Value.Pt.T, events[0].Value.Pt.T
+		box := geo.RectFromPoints(events[0].pt.Pos)
+		lo, hi := events[0].pt.T, events[0].pt.T
 		for _, e := range events {
-			box = box.ExtendPoint(e.Value.Pt.Pos)
-			lo, hi = math.Min(lo, e.Value.Pt.T), math.Max(hi, e.Value.Pt.T)
+			box = box.ExtendPoint(e.pt.Pos)
+			lo, hi = math.Min(lo, e.pt.T), math.Max(hi, e.pt.T)
 		}
 		if hi >= minT && lo <= maxT && box.Intersects(rect) {
 			seqs = append(seqs, seq)
@@ -42,7 +42,7 @@ func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := new(historyIndex)
-		chunks := map[uint64][]Event{}
+		chunks := map[uint64][]row{}
 		var times []float64
 		for seq := uint64(1); seq <= 300; seq++ {
 			base := rng.Float64() * 1e4
@@ -50,17 +50,17 @@ func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 				base = 1.7e9 + float64(seq)*3 + rng.Float64()*20 // wall-clock sized, nearly ordered
 			}
 			span := math.Pow(10, rng.Float64()*4-2) // 0.01 .. 100
-			var events []Event
+			var events []row
 			for r, rows := 0, 1+rng.Intn(5); r < rows; r++ {
 				x, y := rng.Float64()*1000, rng.Float64()*1000
 				if rng.Intn(50) == 0 {
 					x = math.MaxFloat64 * (rng.Float64()*2 - 1)
 				}
 				events = append(events, ev("s", base+rng.Float64()*span, x, y))
-				times = append(times, events[len(events)-1].Value.Pt.T)
+				times = append(times, events[len(events)-1].pt.T)
 			}
 			chunks[seq] = events
-			h.add(seq, events)
+			h.add(seq, chunkOf(events).pts)
 		}
 		h.add(301, nil) // an empty chunk has no extent
 		for i := 1; i < len(h.entries); i++ {
@@ -123,9 +123,9 @@ func TestHistoryIndexMatchesBruteForce(t *testing.T) {
 // retention drops it.
 func TestHistoryIndexWideChunkAgesOut(t *testing.T) {
 	h := new(historyIndex)
-	h.add(1, []Event{ev("a", 0, 0, 0), ev("b", 1e6, 1, 1)}) // two clocks far apart
+	h.add(1, chunkOf([]row{ev("a", 0, 0, 0), ev("b", 1e6, 1, 1)}).pts) // two clocks far apart
 	for i := 2; i <= 100; i++ {
-		h.add(uint64(i), []Event{ev("a", float64(i), 0, 0), ev("a", float64(i)+1, 1, 1)})
+		h.add(uint64(i), chunkOf([]row{ev("a", float64(i), 0, 0), ev("a", float64(i)+1, 1, 1)}).pts)
 	}
 	if h.maxSpan < 1e6 {
 		t.Fatalf("maxSpan %v does not cover the wide chunk", h.maxSpan)
@@ -152,7 +152,7 @@ func timeOrderedIndex(n int) *historyIndex {
 	h := new(historyIndex)
 	for i := 0; i < n; i++ {
 		t0 := float64(i)
-		h.add(uint64(i+1), []Event{ev("a", t0, 0, 0), ev("b", t0+1, 1000, 1000)})
+		h.add(uint64(i+1), chunkOf([]row{ev("a", t0, 0, 0), ev("b", t0+1, 1000, 1000)}).pts)
 	}
 	return h
 }

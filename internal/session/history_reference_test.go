@@ -114,7 +114,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 		want[seq] = true
 	}
 	var body bytes.Buffer
-	var results []session.Result
+	var results []wireRow
 	var srcs []string
 	srcSeen := map[string]bool{}
 	enc := json.NewEncoder(&body)
@@ -131,7 +131,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 				if !inWindow(e) {
 					continue
 				}
-				res := session.Result{Source: e.Src, T: e.T, X: e.X, Y: e.Y}
+				res := wireRow{Source: e.Src, T: e.T, X: e.X, Y: e.Y}
 				if format == "ndjson" {
 					if err := enc.Encode(res); err != nil {
 						return err
@@ -161,7 +161,7 @@ func refHistoryRange(t *testing.T, l *store.Log, idx *refHistoryIndex, w window,
 // resultTrajectories groups results into per-source trajectories in the
 // order of srcs, emitted order within a source; with WriteCSV it is the
 // reference the CSV responses are checked against.
-func resultTrajectories(results []session.Result, srcs []string) []*trajectory.Trajectory {
+func resultTrajectories(results []wireRow, srcs []string) []*trajectory.Trajectory {
 	g := new(trajectory.Grouper)
 	for _, res := range results {
 		g.Add(res.Source, res.T, res.X, res.Y)
@@ -193,8 +193,8 @@ var hostileSources = []string{
 // time a few seconds a chunk — the shape the time-keyed index prunes;
 // hostile feeds mix in the values above, which also blow the index's
 // span bound out so that it prunes nothing and must still agree.
-func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]session.Event {
-	feed := make([][]session.Event, chunks)
+func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]session.WalEvent {
+	feed := make([][]session.WalEvent, chunks)
 	for c := range feed {
 		base := float64(c) * 3
 		for r, rows := 0, 1+rng.Intn(40); r < rows; r++ {
@@ -215,7 +215,7 @@ func referenceFeed(rng *rand.Rand, chunks int, hostile bool) [][]session.Event {
 					}
 				}
 			}
-			feed[c] = append(feed[c], session.Event{Time: t, Value: session.Sample{Src: src, Pt: trajectory.Point{T: t, Pos: geo.Pt(x, y)}}})
+			feed[c] = append(feed[c], session.WalEvent{Src: src, T: t, X: x, Y: y})
 		}
 	}
 	return feed
@@ -246,10 +246,7 @@ func TestHistoryMatchesReference(t *testing.T) {
 		}
 		ref := &refHistoryIndex{rt: index.NewRTree(), ext: map[string]refExtent{}}
 		for c, events := range feed {
-			wc := session.WalChunk{Session: "st-000001", ChunkIdx: uint64(c + 1)}
-			for _, e := range events {
-				wc.Events = append(wc.Events, session.WalEvent{Src: e.Value.Src, T: e.Value.Pt.T, X: e.Value.Pt.Pos.X, Y: e.Value.Pt.Pos.Y})
-			}
+			wc := session.WalChunk{Session: "st-000001", ChunkIdx: uint64(c + 1), Events: events}
 			seq, err := ll.Append(session.RecChunk, refEncodeRec(t, wc))
 			if err != nil {
 				t.Fatal(err)
@@ -258,12 +255,12 @@ func TestHistoryMatchesReference(t *testing.T) {
 		}
 
 		windows := []window{{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1), math.Inf(1)}}
-		pick := func() session.Event { c := feed[rng.Intn(len(feed))]; return c[rng.Intn(len(c))] }
+		pick := func() session.WalEvent { c := feed[rng.Intn(len(feed))]; return c[rng.Intn(len(c))] }
 		for i := 0; i < 40; i++ {
-			a, b := pick().Value.Pt, pick().Value.Pt
+			a, b := pick(), pick()
 			w := window{
-				math.Min(a.Pos.X, b.Pos.X), math.Min(a.Pos.Y, b.Pos.Y), math.Min(a.T, b.T),
-				math.Max(a.Pos.X, b.Pos.X), math.Max(a.Pos.Y, b.Pos.Y), math.Max(a.T, b.T),
+				math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.T, b.T),
+				math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.T, b.T),
 			}
 			switch i % 4 {
 			case 1: // time only
@@ -309,7 +306,7 @@ func TestHistoryMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c, events := range feed {
-			if _, err := engines["columnar log"].Ingest(id, events, 0, time.Now()); err != nil {
+			if _, err := engines["columnar log"].Ingest(id, chunkOf(events), 0, time.Now()); err != nil {
 				t.Fatalf("seed %d: ingest chunk %d: %v", seed, c, err)
 			}
 		}

@@ -193,19 +193,35 @@ func gridChunk(prefix string, c, sources, rows int) string {
 	return b.String()
 }
 
-// eventsOfChunk decodes a point-CSV chunk into the events the ingest
-// route hands the engine for it.
-func eventsOfChunk(t *testing.T, chunk string) []session.Event {
+// rowsOfChunk decodes a point-CSV chunk into its rows.
+func rowsOfChunk(t *testing.T, chunk string) []session.WalEvent {
 	t.Helper()
-	var events []session.Event
+	var rows []session.WalEvent
 	err := trajectory.ScanCSV([]byte(chunk), false, func(id string, tm, x, y float64) error {
-		events = append(events, session.Event{Time: tm, Value: session.Sample{
-			Src: strings.Clone(id), Pt: trajectory.Point{T: tm, Pos: geo.Pt(x, y)},
-		}})
+		rows = append(rows, session.WalEvent{Src: strings.Clone(id), T: tm, X: x, Y: y})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events
+	return rows
+}
+
+// chunkOf is the chunk the ingest route hands the engine for rows.
+func chunkOf(rows []session.WalEvent) *session.Chunk {
+	c := new(session.Chunk)
+	for _, r := range rows {
+		c.Add(r.Src, trajectory.Point{T: r.T, Pos: geo.Pt(r.X, r.Y)})
+	}
+	return c
+}
+
+// wireRow is one ndjson result row as clients decode it: the reference
+// the drain and history routes' rows are encoded against.
+type wireRow struct {
+	Source string  `json:"source"`
+	T      float64 `json:"t"`
+	X      float64 `json:"x"`
+	Y      float64 `json:"y"`
+	Edge   *int    `json:"edge,omitempty"`
 }

@@ -11,7 +11,7 @@ package session
 //	recChunk         (2)  walChunk
 //	recDrain         (3)  walDrain
 //	recSessionClose  (4)  walClose
-//	recSnapshot      (5)  walSnapshot
+//	recSnapshot      (5)  walSnapshot, walResult
 //
 // gob matches struct fields by name, so the decoded forms keep the
 // field names those builds encoded; walOpen, walDrain, walClose and
@@ -57,18 +57,43 @@ type walChunk struct {
 	Events    []walEvent
 }
 
-// decodeLegacyChunk decodes a recChunk (type 2) payload.
-func decodeLegacyChunk(payload []byte) (chunkRecord, error) {
+// decodeLegacyChunk decodes a recChunk (type 2) payload, its rows into
+// rows.
+func decodeLegacyChunk(payload []byte, rows *Chunk) (chunkCols, error) {
 	var c walChunk
 	if err := decodeGob(payload, &c); err != nil {
-		return chunkRecord{}, err
+		return chunkCols{}, err
 	}
-	events := make([]Event, len(c.Events))
-	for i, e := range c.Events {
-		events[i] = Event{
-			Time:  e.T,
-			Value: Sample{Src: e.Src, Pt: trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)}},
-		}
+	rows.Reset()
+	for _, e := range c.Events {
+		rows.Add(e.Src, trajectory.Point{T: e.T, Pos: geo.Pt(e.X, e.Y)})
 	}
-	return chunkRecord{session: c.Session, chunkIdx: c.ChunkIdx, clientSeq: c.ClientSeq, events: events}, nil
+	return chunkCols{session: []byte(c.Session), chunkIdx: c.ChunkIdx, clientSeq: c.ClientSeq}, nil
+}
+
+// walResult is what a legacy recSnapshot (type 5) result has that a
+// Result does not: its source by id and its edge by pointer. The rest
+// decodes into walSnapshot as it is.
+type walResult struct {
+	Source string
+	Edge   *int
+}
+
+// decodeLegacySnapshot decodes a recSnapshot (type 5) payload. Each
+// result's source id is appended to SrcIDs, and the result names that
+// entry: restore ranks each distinct id of SrcIDs once, in order.
+func decodeLegacySnapshot(payload []byte) (walSnapshot, error) {
+	var s walSnapshot
+	var g struct{ Results []walResult }
+	if err := decodeLegacy(payload, &s, &s.Lanes); err != nil {
+		return walSnapshot{}, err
+	}
+	if err := decodeGob(payload, &g); err != nil {
+		return walSnapshot{}, err
+	}
+	for i, r := range g.Results {
+		s.Results[i].Src, s.Results[i].HasEdge = uint32(len(s.SrcIDs)), r.Edge != nil
+		s.SrcIDs = append(s.SrcIDs, r.Source)
+	}
+	return s, nil
 }

@@ -44,11 +44,11 @@ func TestResultsSlabHammerMatchesCopyingReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range feed(s) {
-			if _, err := eng.Ingest(id, eventsOfChunk(t, c), 0, time.Now()); err != nil {
+			if _, err := eng.Ingest(id, chunkOf(rowsOfChunk(t, c)), 0, time.Now()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, _, err := eng.Drain(id, true, time.Now())
+		res, srcs, err := eng.Drain(id, true, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,11 @@ func TestResultsSlabHammerMatchesCopyingReference(t *testing.T) {
 		var b bytes.Buffer
 		enc := json.NewEncoder(&b)
 		for _, r := range copied {
-			enc.Encode(r)
+			row := wireRow{Source: srcs[r.Src], T: r.T, X: r.X, Y: r.Y}
+			if r.HasEdge {
+				row.Edge = &r.Edge
+			}
+			enc.Encode(row)
 		}
 		return b.String()
 	}

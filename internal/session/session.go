@@ -5,6 +5,8 @@ package session
 // replay share.
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,15 +14,6 @@ import (
 	"sidq/internal/trajectory"
 	"sidq/internal/uncertain"
 )
-
-// Sample is one ingested point: the source id plus the sample.
-type Sample struct {
-	Src string
-	Pt  trajectory.Point
-}
-
-// Event is one chunk row as the engine takes it, keyed by event time.
-type Event = stream.Event[Sample]
 
 // sourceState is the per-source incremental cleaning state. A source
 // lives in exactly one lane, LaneFor of its id, recorded when its state
@@ -37,15 +30,19 @@ type sourceState struct {
 	matcher *uncertain.OnlineMatcher
 }
 
-// Result is one cleaned output point, as Drain returns them. Edge is set
-// only when a road network is loaded and the point was matched.
+// Result is one cleaned output point, as Drain returns them: Src is its
+// source's rank, its index into the ids Drain returns beside them, and
+// Edge the matched edge when HasEdge (only over a road network).
 type Result struct {
-	Source string  `json:"source"`
-	T      float64 `json:"t"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Edge   *int    `json:"edge,omitempty"`
+	Src     uint32
+	HasEdge bool
+	T, X, Y float64
+	Edge    int
 }
+
+// chunkSource is one dictionary entry of the chunk being applied,
+// resolved for all of its rows: its rank (-1 while it has none), lane.
+type chunkSource struct{ rank, lane int }
 
 // streamSession is one client's stream state between calls.
 type streamSession struct {
@@ -57,7 +54,8 @@ type streamSession struct {
 	mu         sync.Mutex
 	closed     bool
 	lanes      int            // lane count, in [1, MaxLanes]
-	laneEvents [][]Event      // fan-out scratch, kept across chunks
+	chunkSrcs  []chunkSource  // apply scratch, kept across chunks: the chunk's dictionary resolved
+	order      []uint32       // apply scratch: the chunk's row indices, lane-major
 	srcOrder   map[string]int // source id -> first-appearance rank
 	srcIDs     []string       // source ids by rank
 	sources    []*sourceState // source states by rank; nil for a source a snapshot knows without one
@@ -88,11 +86,12 @@ func (e *Engine) newSession(id string, lateness, maxSpeed float64, lanes int, no
 	}
 }
 
-// noteSource returns src's rank, giving it the next one on first sight.
-// Caller holds ss.mu.
+// noteSource returns src's rank, giving it the next one, and a copy of
+// src the session owns, on first sight. Caller holds ss.mu.
 func (ss *streamSession) noteSource(src string) int {
 	k, ok := ss.srcOrder[src]
 	if !ok {
+		src = strings.Clone(src) // a chunk's ids may be views of a body or a payload
 		k = len(ss.srcIDs)
 		ss.srcOrder[src] = k
 		ss.srcIDs = append(ss.srcIDs, src)
@@ -120,20 +119,20 @@ func (ss *streamSession) sourceAt(k int) *sourceState {
 	return st
 }
 
-// emitMatched appends the points a matcher committed as result rows:
-// the snapped position and the matched edge.
-func emitMatched(res []Result, src string, matched []uncertain.Matched) []Result {
+// emitMatched appends the points a matcher committed as result rows of
+// the source ranked k: the snapped position and the matched edge.
+func emitMatched(res []Result, k int, matched []uncertain.Matched) []Result {
 	for _, m := range matched {
-		e := int(m.Snap.Edge)
-		res = append(res, Result{Source: src, T: m.Point.T, X: m.Snap.Pos.X, Y: m.Snap.Pos.Y, Edge: &e})
+		res = append(res, Result{Src: uint32(k), HasEdge: true, T: m.Point.T, X: m.Snap.Pos.X, Y: m.Snap.Pos.Y, Edge: int(m.Snap.Edge)})
 	}
 	return res
 }
 
-// clean runs one released (in-order) point through the incremental
-// cleaner, appending any emitted points to ss.results; it reports
-// whether the speed gate dropped the point. Caller holds ss.mu.
-func (ss *streamSession) clean(st *sourceState, src string, pt trajectory.Point) (outlier bool) {
+// clean runs one released (in-order) point of the source ranked k
+// through the incremental cleaner, appending any emitted points to
+// ss.results; it reports whether the speed gate dropped the point.
+// Caller holds ss.mu.
+func (ss *streamSession) clean(st *sourceState, k int, pt trajectory.Point) (outlier bool) {
 	if st.hasLast && ss.maxSpeed > 0 {
 		dt := pt.T - st.last.T
 		if dt <= 0 || st.last.Pos.Dist(pt.Pos)/dt > ss.maxSpeed {
@@ -142,10 +141,10 @@ func (ss *streamSession) clean(st *sourceState, src string, pt trajectory.Point)
 	}
 	st.last, st.hasLast = pt, true
 	if st.matcher != nil {
-		ss.results = emitMatched(ss.results, src, st.matcher.Push(pt))
+		ss.results = emitMatched(ss.results, k, st.matcher.Push(pt))
 		return false
 	}
-	ss.results = append(ss.results, Result{Source: src, T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
+	ss.results = append(ss.results, Result{Src: uint32(k), T: pt.T, X: pt.Pos.X, Y: pt.Pos.Y})
 	return false
 }
 
@@ -167,7 +166,7 @@ type Ack struct {
 // chunk; a replayed seq is acknowledged as a duplicate without being
 // applied, which is what makes client retries after a crash or a lost
 // response idempotent.
-func (ss *streamSession) ingest(events []Event, clientSeq uint64, now time.Time) (Ack, error) {
+func (ss *streamSession) ingest(c *Chunk, clientSeq uint64, now time.Time) (Ack, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
@@ -190,24 +189,24 @@ func (ss *streamSession) ingest(events []Event, clientSeq uint64, now time.Time)
 			pending[st.lane] += st.re.Pending()
 		}
 	}
-	lanes := ss.fanOutLocked(events)
-	for i, le := range lanes {
-		if len(le) > 0 && pending[i]+len(le) > cfg.MaxLanePending {
-			ss.laneEvents = nil // only an accepted chunk, MaxLanePending a lane at most, sizes the scratch
+	laneRows := ss.resolveLocked(c)
+	for i, n := range laneRows {
+		if n > 0 && pending[i]+n > cfg.MaxLanePending {
+			ss.chunkSrcs = nil // only an accepted chunk sizes the scratch
 			return Ack{}, ErrLaneFull
 		}
 	}
-	if len(ss.results)+len(events) > cfg.MaxResults {
-		ss.laneEvents = nil
+	if len(ss.results)+c.Len() > cfg.MaxResults {
+		ss.chunkSrcs = nil
 		return Ack{}, ErrResultsFull
 	}
 	durable := ss.e.wal != nil
 	if durable {
-		if err := ss.persistChunkLocked(events, clientSeq); err != nil {
+		if err := ss.persistChunkLocked(c, clientSeq); err != nil {
 			return Ack{}, err
 		}
 	}
-	ack := ss.applyLocked(events, lanes)
+	ack := ss.applyLocked(c, &laneRows)
 	ss.chunkIdx++
 	if clientSeq > 0 {
 		ss.clientSeq = clientSeq
@@ -219,53 +218,85 @@ func (ss *streamSession) ingest(events []Event, clientSeq uint64, now time.Time)
 	return ack, nil
 }
 
-// fanOutLocked partitions events by source into the session's lane
-// scratch. Caller holds ss.mu.
-func (ss *streamSession) fanOutLocked(events []Event) [][]Event {
-	ss.laneEvents = stream.FanOutInto(ss.laneEvents, events, ss.lanes,
-		func(e Event) string { return e.Value.Src })
-	return ss.laneEvents
+// resolveLocked resolves each entry of c's dictionary once, into
+// ss.chunkSrcs: its rank if the session has one, and its lane, its
+// state's or, without one, LaneFor of its id. It notes nothing, so a
+// chunk refused after it leaves no trace. It returns the rows per lane.
+// Caller holds ss.mu.
+func (ss *streamSession) resolveLocked(c *Chunk) (laneRows [MaxLanes]int) {
+	srcs := ss.chunkSrcs[:0]
+	for _, src := range c.srcs {
+		cs := chunkSource{rank: -1}
+		if k, ok := ss.srcOrder[src]; ok {
+			cs.rank = k
+		}
+		if cs.rank >= 0 && ss.sources[cs.rank] != nil {
+			cs.lane = ss.sources[cs.rank].lane
+		} else {
+			cs.lane = stream.LaneFor(src, ss.lanes)
+		}
+		srcs = append(srcs, cs)
+	}
+	for _, k := range c.idx {
+		laneRows[srcs[k].lane]++
+	}
+	ss.chunkSrcs = srcs
+	return laneRows
 }
 
-// applyLocked runs one accepted chunk through the lanes in index
-// order, so the result rows are lane-major. It is the shared apply
-// path: live ingest and WAL replay both fold chunks through it, which
-// is what makes recovery deterministic. Caller holds ss.mu and has
-// already fanned events out.
-func (ss *streamSession) applyLocked(events []Event, lanes [][]Event) Ack {
-	for i := range events {
-		ss.noteSource(events[i].Value.Src)
+// applyLocked applies a chunk resolveLocked has resolved, whose rows
+// per lane are laneRows. It is the shared apply path: live ingest and
+// WAL replay both fold chunks through it, which is what makes recovery
+// deterministic. The chunk's new sources are ranked in dictionary
+// order, the order of their first rows, and the rows run lane by lane,
+// in arrival order within a lane, so the result rows are lane-major.
+// Caller holds ss.mu.
+func (ss *streamSession) applyLocked(c *Chunk, laneRows *[MaxLanes]int) Ack {
+	for k := range ss.chunkSrcs {
+		if cs := &ss.chunkSrcs[k]; cs.rank < 0 {
+			cs.rank = ss.noteSource(c.srcs[k])
+		}
+	}
+	// Order the rows lane-major: a counting sort of their indices.
+	var next [MaxLanes]int
+	for l := 1; l < ss.lanes; l++ {
+		next[l] = next[l-1] + laneRows[l-1]
+	}
+	ss.order = slices.Grow(ss.order[:0], len(c.idx))[:len(c.idx)]
+	for i, k := range c.idx {
+		l := ss.chunkSrcs[k].lane
+		ss.order[next[l]] = uint32(i)
+		next[l]++
 	}
 	if ss.results == nil {
 		ss.results = Results.Get()
 	}
 	before := len(ss.results)
 	late, outliers := 0, 0
-	for _, evs := range lanes {
-		for _, e := range evs {
-			st := ss.sourceAt(ss.srcOrder[e.Value.Src])
-			lateBefore := st.re.LateCount()
-			for _, rel := range st.re.Push(stream.Event[trajectory.Point]{Time: e.Time, Value: e.Value.Pt}) {
-				if ss.clean(st, e.Value.Src, rel.Value) {
-					outliers++
-				}
+	for _, i := range ss.order {
+		k, pt := ss.chunkSrcs[c.idx[i]].rank, c.pts[i]
+		st := ss.sourceAt(k)
+		lateBefore := st.re.LateCount()
+		for _, rel := range st.re.Push(stream.Event[trajectory.Point]{Time: pt.T, Value: pt}) {
+			if ss.clean(st, k, rel.Value) {
+				outliers++
 			}
-			late += st.re.LateCount() - lateBefore
 		}
+		late += st.re.LateCount() - lateBefore
 	}
 	released := len(ss.results) - before
-	ss.ingested += len(events)
+	ss.ingested += c.Len()
 	ss.emitted += released
 	ss.late += late
 	ss.outliers += outliers
 	m := &ss.e.m
-	m.ingested.Add(uint64(len(events)))
+	m.ingested.Add(uint64(c.Len()))
 	m.emitted.Add(uint64(released))
 	m.late.Add(uint64(late))
 	m.outlier.Add(uint64(outliers))
 	return Ack{
 		Session:        ss.id,
-		Ingested:       len(events),
+		Ingested:       c.Len(),
 		Released:       released,
 		PendingReorder: ss.pendingReorderLocked(),
 		PendingResults: len(ss.results),
@@ -322,14 +353,13 @@ func (ss *streamSession) drainLocked(flush bool) ([]Result, []string) {
 			if st == nil {
 				continue
 			}
-			src := ss.srcIDs[k]
 			for _, rel := range st.re.Flush() {
-				if ss.clean(st, src, rel.Value) {
+				if ss.clean(st, k, rel.Value) {
 					outliers++
 				}
 			}
 			if st.matcher != nil {
-				ss.results = emitMatched(ss.results, src, st.matcher.Flush())
+				ss.results = emitMatched(ss.results, k, st.matcher.Flush())
 			}
 		}
 		released := len(ss.results) - emittedBefore
@@ -367,7 +397,7 @@ func (ss *streamSession) end(evicted bool, now time.Time) (sum Summary, ok bool)
 }
 
 const (
-	maxSlab      = 1 << 14 // results a pooled slab holds at most
+	maxSlab      = 1 << 14 // results a pooled slab, or rows a kept Chunk, holds at most
 	maxPooledBuf = 1 << 20 // an encode buffer one big record grew past this is not pooled
 )
 
@@ -383,12 +413,11 @@ func (rp *resultSlabs) Get() []Result {
 	return s
 }
 
-// Put clears the slab, so a pooled one pins no source strings or edge
-// ints, and leaves one that grew past maxSlab to the GC.
+// Put pools the slab, unless it grew past maxSlab. A result holds no
+// pointer, so a pooled slab pins nothing.
 func (rp *resultSlabs) Put(s []Result) {
 	if cap(s) == 0 || cap(s) > maxSlab {
 		return
 	}
-	clear(s)
 	rp.p.Put(s[:0])
 }

@@ -46,7 +46,8 @@ package session
 //	                   k × { Edge i64, Param, X, Y, Dist, Logp, Back i64 } }
 //	    }
 //
-// The edge column keeps a nil Edge apart from edge 0, and a lattice's
+// The has-edge column keeps a result without an edge apart from one on
+// edge 0, and a lattice's
 // back-pointers are checked against the column before them, so a
 // decoded lattice can be run. Types 1, 3, 4 and 5 are the gob records
 // these replaced (legacy.go): read, never written.
@@ -103,7 +104,7 @@ type walSnapshot struct {
 	ChunkIdx  uint64
 	ClientSeq uint64
 	SrcIDs    []string
-	Results   []Result
+	Results   []Result // Src indexes SrcIDs
 	Ingested  int
 	Emitted   int
 	Late      int
@@ -175,23 +176,18 @@ func (ss *streamSession) appendSnapshotLocked(b []byte) []byte {
 	return b
 }
 
-// appendResultsLocked renders ss.results as columns. Every result's
-// source is in ss.srcOrder: clean only runs on noted sources. Caller
-// holds ss.mu.
+// appendResultsLocked renders ss.results as columns; a result's rank
+// is its index into the dictionary, ss.srcIDs. Caller holds ss.mu.
 func (ss *streamSession) appendResultsLocked(b []byte) []byte {
 	res := ss.results
 	b = le.AppendUint32(b, uint32(len(res)))
 	wide := sourceIndexWidth(len(ss.srcIDs)) == 4
-	last, k := -1, 0
+	k := 0
 	for i := range res {
-		// Runs of one source are the rule; look the index up once a run.
-		if last < 0 || res[i].Source != res[i-1].Source {
-			last = ss.srcOrder[res[i].Source]
-		}
 		if wide {
-			b = le.AppendUint32(b, uint32(last))
+			b = le.AppendUint32(b, res[i].Src)
 		} else {
-			b = append(b, byte(last))
+			b = append(b, byte(res[i].Src))
 		}
 	}
 	for i := range res {
@@ -202,19 +198,19 @@ func (ss *streamSession) appendResultsLocked(b []byte) []byte {
 	}
 	for i := range res {
 		b = appendF64(b, res[i].Y)
-		if res[i].Edge != nil {
+		if res[i].HasEdge {
 			k++
 		}
 	}
 	b = le.AppendUint32(b, uint32(k))
 	if 0 < k && k < len(res) {
 		for i := range res {
-			b = appendBool(b, res[i].Edge != nil)
+			b = appendBool(b, res[i].HasEdge)
 		}
 	}
 	for i := range res {
-		if res[i].Edge != nil {
-			b = le.AppendUint64(b, uint64(*res[i].Edge))
+		if res[i].HasEdge {
+			b = le.AppendUint64(b, uint64(res[i].Edge))
 		}
 	}
 	return b
@@ -409,8 +405,7 @@ func decodeClose(rec store.Record) (walClose, error) {
 // decodeSnapshot decodes a snapshot record of either generation.
 func decodeSnapshot(rec store.Record) (walSnapshot, error) {
 	if rec.Type == recSnapshot {
-		var s walSnapshot
-		return s, decodeLegacy(rec.Payload, &s, &s.Lanes)
+		return decodeLegacySnapshot(rec.Payload)
 	}
 	return decodeSnapshot2(rec.Payload)
 }
@@ -433,7 +428,7 @@ func decodeSnapshot2(p []byte) (walSnapshot, error) {
 	s.Ingested, s.Emitted, s.Late, s.Outliers = int(r.u64()), int(r.u64()), int(r.u64()), int(r.u64())
 	rows := r.rows(nil)
 	s.SrcIDs = rows.names()
-	s.Results = decodeResults(r, &rows, s.SrcIDs)
+	s.Results = decodeResults(r, &rows)
 	m := r.count(minSourceBytes, "source states")
 	if m > 0 {
 		s.Sources = make([]walSource, m)
@@ -444,13 +439,14 @@ func decodeSnapshot2(p []byte) (walSnapshot, error) {
 	return s, r.end()
 }
 
-// decodeResults builds the results from the rows block, whose
-// dictionary is srcs, and reads the edge block that follows it.
-func decodeResults(r *recReader, rows *rowCols, srcs []string) []Result {
+// decodeResults builds the results from the rows block, each naming
+// its source by dictionary index, and reads the edge block that follows
+// it.
+func decodeResults(r *recReader, rows *rowCols) []Result {
 	n := rows.n
 	res := make([]Result, n)
 	for i := range res {
-		res[i] = Result{Source: srcs[rows.src(i)], T: colFloat(rows.t, i), X: colFloat(rows.x, i), Y: colFloat(rows.y, i)}
+		res[i] = Result{Src: uint32(rows.src(i)), T: colFloat(rows.t, i), X: colFloat(rows.x, i), Y: colFloat(rows.y, i)}
 	}
 	k := int(r.u32())
 	if r.err == nil && k > n {
@@ -473,19 +469,13 @@ func decodeResults(r *recReader, rows *rowCols, srcs []string) []Result {
 			r.fail("%d has-edge flags for %d edges", ones, k)
 		}
 	}
-	edges := make([]int, k)
-	for j := range edges {
-		edges[j] = int(int64(r.u64()))
+	for i := range res {
+		if has == nil || has[i] == 1 {
+			res[i].Edge, res[i].HasEdge = int(int64(r.u64())), true
+		}
 	}
 	if r.err != nil {
 		return nil
-	}
-	j := 0
-	for i := range res {
-		if has == nil || has[i] == 1 {
-			res[i].Edge = &edges[j]
-			j++
-		}
 	}
 	return res
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // deepCopyLocked is an explicit copy of the session: every slice,
-// reorderer, matcher and edge the snapshot encoder reads, owned by
+// reorderer and matcher the snapshot encoder reads, owned by
 // nobody else. Caller holds ss.mu.
 func deepCopyLocked(ss *streamSession) *streamSession {
 	e := ss.e
@@ -34,12 +34,6 @@ func deepCopyLocked(ss *streamSession) *streamSession {
 		cp.noteSource(src)
 	}
 	cp.results = append([]Result(nil), ss.results...)
-	for i, r := range cp.results {
-		if r.Edge != nil {
-			edge := *r.Edge
-			cp.results[i].Edge = &edge
-		}
-	}
 	for k, st := range ss.sources {
 		if st == nil {
 			continue
@@ -115,7 +109,7 @@ func sameBits(a, b reflect.Value, path string) string {
 		if a.Int() != b.Int() {
 			return fmt.Sprintf("%s: %d vs %d", path, a.Int(), b.Int())
 		}
-	case reflect.Uint64:
+	case reflect.Uint32, reflect.Uint64:
 		if a.Uint() != b.Uint() {
 			return fmt.Sprintf("%s: %d vs %d", path, a.Uint(), b.Uint())
 		}
@@ -176,10 +170,9 @@ func randomSession(e *Engine, rng *rand.Rand) *streamSession {
 	default:
 		edges := rng.Intn(3) // none, all, or some of the rows carry one
 		for i := 0; i < rows; i++ {
-			r := Result{Source: ss.srcIDs[rng.Intn(len(ss.srcIDs))], T: oddFloat(rng), X: oddFloat(rng), Y: oddFloat(rng)}
+			r := Result{Src: uint32(rng.Intn(len(ss.srcIDs))), T: oddFloat(rng), X: oddFloat(rng), Y: oddFloat(rng)}
 			if edges == 1 || edges == 2 && rng.Intn(2) == 0 {
-				edge := rng.Intn(3) - 1 + rng.Intn(2)*rng.Int()
-				r.Edge = &edge
+				r.Edge, r.HasEdge = rng.Intn(3)-1+rng.Intn(2)*rng.Int(), true
 			}
 			ss.results = append(ss.results, r)
 		}
@@ -238,8 +231,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("state %d does not survive a round trip: %s", n, d)
 			}
 			for i, r := range got.Results {
-				if (r.Edge == nil) != (ss.results[i].Edge == nil) {
-					t.Fatalf("state %d: result %d's edge is nil %v, was nil %v", n, i, r.Edge == nil, ss.results[i].Edge == nil)
+				if r.HasEdge != ss.results[i].HasEdge {
+					t.Fatalf("state %d: result %d has an edge %v, had one %v", n, i, r.HasEdge, ss.results[i].HasEdge)
 				}
 			}
 			if err := e.restoreSnapshot(got, time.Time{}, 1); err != nil {
@@ -418,7 +411,7 @@ func latticeSeed(edge uint64) []byte {
 func TestRestoreRefusesEdgeOutsideNetwork(t *testing.T) {
 	cfg := Config{Stream: StreamConfig{Network: smallCity()}}
 	edges := cfg.Stream.Network.NumEdges()
-	rows := []Event{ev("veh-1", 1, 50, 0), ev("veh-1", 2, 150, 0), ev("veh-1", 3, 250, 0)}
+	rows := chunkOf([]row{ev("veh-1", 1, 50, 0), ev("veh-1", 2, 150, 0), ev("veh-1", 3, 250, 0)})
 	e, err := openOver(t, cfg, store.Record{Type: recSnapshot2, Payload: latticeSeed(1 << 40)})
 	if err == nil {
 		e.Ingest("st-1", rows, 0, time.Time{})
@@ -604,7 +597,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				t0 = last
 			}
 		}
-		e.Ingest(s.Session, []Event{ev(src, t0+1, 50, 0), ev(src, t0+2, 150, 0), ev(src, t0+3, 250, 100)}, 0, time.Time{})
+		e.Ingest(s.Session, chunkOf([]row{ev(src, t0+1, 50, 0), ev(src, t0+2, 150, 0), ev(src, t0+3, 250, 100)}), 0, time.Time{})
 		e.Drain(s.Session, true, time.Time{})
 	})
 }

@@ -183,8 +183,8 @@ func ndjsonOfChunk(t *testing.T, chunk string) string {
 	t.Helper()
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
-	for _, e := range eventsOfChunk(t, chunk) {
-		if err := enc.Encode(session.Result{Source: e.Value.Src, T: e.Value.Pt.T, X: e.Value.Pt.Pos.X, Y: e.Value.Pt.Pos.Y}); err != nil {
+	for _, e := range rowsOfChunk(t, chunk) {
+		if err := enc.Encode(wireRow{Source: e.Src, T: e.T, X: e.X, Y: e.Y}); err != nil {
 			t.Fatal(err)
 		}
 	}

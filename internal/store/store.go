@@ -347,7 +347,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	}
 	sg := l.act
 	seq := l.nextSeq
-	sg.pend = appendRecord(sg.pend, typ, payload)
+	sg.pend = appendRecord(reserve(sg.pend, recordSize(payload)), typ, payload)
 	l.nextSeq++
 	sg.size += recordSize(payload)
 	sg.offs = append(sg.offs, sg.size)
@@ -401,6 +401,22 @@ func (l *Log) takeSpareLocked() []byte {
 		return b
 	}
 	return nil
+}
+
+// reserve returns b with room for n more bytes. A buffer that must
+// grow past flushAt, one its flusher has fallen behind on, grows at once
+// to maxBacklog+flushAt: a batch appender writes its buffer out itself
+// once it holds maxBacklog, so no buffer needs more between writes, and
+// wroteLocked keeps one of that size for the next cycle. append's own
+// steps would overshoot it, and the buffer be dropped after every
+// write.
+func reserve(b []byte, n int64) []byte {
+	const most = maxBacklog + flushAt
+	need := int64(len(b)) + n
+	if need <= int64(cap(b)) || need <= flushAt || need > most {
+		return b
+	}
+	return append(make([]byte, 0, most), b...)
 }
 
 // wroteLocked records that sg's inflight buffer reached the file, and

@@ -1,11 +1,9 @@
 package stream
 
-// The serving path keeps its lane slices and each reorderer its release
-// batch between calls. These tests pin what that reuse must not change
+// Each reorderer keeps its release batch between calls. These tests pin what that reuse must not change
 // (the emitted sequence) and what it buys (no allocation once warm).
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -101,8 +99,8 @@ func TestReordererStateCarriesNoReleaseScratch(t *testing.T) {
 }
 
 // Once its buffers have seen their largest batch a reorderer allocates
-// nothing per event, and neither does a fan-out into kept lanes.
-func TestWarmPushAndFanOutIntoAllocateNothing(t *testing.T) {
+// nothing per event.
+func TestWarmPushAllocatesNothing(t *testing.T) {
 	re := NewReorderer[int](5)
 	next := 0
 	push := func() {
@@ -114,30 +112,5 @@ func TestWarmPushAndFanOutIntoAllocateNothing(t *testing.T) {
 	push()
 	if allocs := testing.AllocsPerRun(20, push); allocs != 0 && !israce.Enabled {
 		t.Errorf("Reorderer.Push allocates %v times per 256 in-order events once warm, want 0", allocs)
-	}
-
-	events := make([]Event[int], 256)
-	keys := make([]string, 16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("veh-%02d", i)
-	}
-	for i := range events {
-		events[i] = Event[int]{Time: float64(i), Value: i % len(keys)}
-	}
-	key := func(e Event[int]) string { return keys[e.Value] }
-	lanes := FanOutInto(nil, events, 4, key)
-	if want := FanOut(events, 4, key); !reflect.DeepEqual(lanes, want) {
-		t.Fatal("FanOutInto(nil, ...) and FanOut partition differently")
-	}
-	allocs := testing.AllocsPerRun(20, func() { lanes = FanOutInto(lanes, events, 4, key) })
-	if allocs != 0 && !israce.Enabled {
-		t.Errorf("FanOutInto allocates %v times per batch into warm lanes, want 0", allocs)
-	}
-	// Fewer lanes than dst holds, then more: truncated, regrown, refilled.
-	if got := FanOutInto(lanes, events, 2, key); !reflect.DeepEqual(got, FanOut(events, 2, key)) {
-		t.Fatal("FanOutInto into a longer dst differs from FanOut")
-	}
-	if got := FanOutInto(lanes[:2], events, 7, key); !reflect.DeepEqual(got, FanOut(events, 7, key)) {
-		t.Fatal("FanOutInto into a shorter dst differs from FanOut")
 	}
 }
